@@ -1,7 +1,9 @@
 """All-to-all algorithms (Section V): pairwise ring, OSC ring, compressed OSC.
 
-Three interchangeable implementations of the generalized all-to-all
-(``MPI_Alltoallv``) run on the :mod:`repro.runtime` API:
+Interchangeable implementations of the generalized all-to-all
+(``MPI_Alltoallv``) run on the :mod:`repro.runtime` API, all of one
+object shape (:class:`~repro.collectives.base.Exchange`) and all built by
+:func:`~repro.collectives.exchange.make_exchange`:
 
 * :func:`~repro.collectives.pairwise.pairwise_alltoallv` — the classical
   two-sided ring ("pairwise") algorithm: ``p`` steps, each rank sending
@@ -15,14 +17,19 @@ Three interchangeable implementations of the generalized all-to-all
   puts mirroring the GPU-stream pipeline.
 """
 
-from repro.collectives.compressed import CompressedOscAlltoallv, ExchangeStats
+from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.compressed import CompressedOscAlltoallv
+from repro.collectives.exchange import make_exchange
 from repro.collectives.osc import OscAlltoallv, osc_alltoallv
-from repro.collectives.pairwise import pairwise_alltoallv
+from repro.collectives.pairwise import PairwiseAlltoallv, pairwise_alltoallv
 from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
 from repro.collectives.variants import bruck_alltoall, linear_alltoallv
 from repro.collectives.wire import WIRE_MAGIC, WIRE_VERSION, decode_wire, encode_wire
 
 __all__ = [
+    "make_exchange",
+    "Exchange",
+    "PairwiseAlltoallv",
     "pairwise_alltoallv",
     "OscAlltoallv",
     "osc_alltoallv",

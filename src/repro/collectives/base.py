@@ -1,0 +1,186 @@
+"""What every all-to-all exchange is: one object shape, one epilogue.
+
+Each algorithm of this package — reference, pairwise ring, OSC ring,
+compressed OSC, two-level — is an :class:`Exchange`: ``op(send) ->
+recv``, ``op.free()``, and after every call ``op.last_stats``
+(:class:`ExchangeStats`) and ``op.last_report``
+(:class:`~repro.faults.ResilienceReport`).  The accounting is published
+by the single :meth:`Exchange._finish`, so the tracer counters, the
+flight ring and the metrics registry agree for every algorithm.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
+
+import numpy as np
+
+from repro.errors import CommunicatorError
+from repro.faults import ResilienceReport
+from repro.machine.topology import Topology
+from repro.runtime.base import Comm
+from repro.telemetry.metrics import counter as tele_counter
+from repro.telemetry.metrics import gauge as tele_gauge
+from repro.telemetry.recorder import (
+    flight,
+    live_add,
+    live_add_many,
+    record_resilience_report,
+)
+from repro.trace import incr as trace_incr
+from repro.trace import record_report as trace_report
+
+__all__ = ["Exchange", "ExchangeStats", "volume_rate"]
+
+
+def volume_rate(logical: int, wire: int) -> float:
+    """Compression rate ``logical / wire``.
+
+    0/0 (nothing exchanged) is 1.0 by convention; nonzero logical
+    volume over zero wire bytes is ``inf`` — an accounting anomaly that
+    must not masquerade as "no compression".
+    """
+    if wire:
+        return logical / wire
+    return 1.0 if logical == 0 else float("inf")
+
+
+@dataclass
+class ExchangeStats:
+    """Volume accounting of one exchange (this rank's sends)."""
+
+    sent_messages: int = 0
+    original_bytes: int = 0
+    wire_bytes: int = 0
+    retransmissions: int = 0
+    retransmitted_bytes: int = 0
+    #: Largest measured round-trip relative error of this exchange's
+    #: lossy messages (0.0 for lossless sends); only meaningful when
+    #: ``error_measured`` — i.e. the exchange ran with an ``e_tol``.
+    achieved_error: float = 0.0
+    error_measured: bool = False
+
+    @classmethod
+    def raw(cls, send: Sequence[np.ndarray | None]) -> "ExchangeStats":
+        """Accounting of an uncompressed exchange: every non-empty
+        destination is one message whose wire bytes are its bytes."""
+        sizes = [int(np.asarray(c).nbytes) for c in send if c is not None]
+        total = sum(sizes)
+        return cls(sum(1 for n in sizes if n), total, total)
+
+    @property
+    def achieved_rate(self) -> float:
+        """``original / wire`` (see :func:`volume_rate`)."""
+        return volume_rate(self.original_bytes, self.wire_bytes)
+
+
+class Exchange:
+    """Base of every all-to-all object (all ranks construct collectively)."""
+
+    #: Algorithm name stamped on exchange spans and flight events.
+    algorithm = "abstract"
+    codec: Any = None
+    e_tol: float | None = None
+
+    def __init__(self, comm: Comm, topology: Topology | None = None) -> None:
+        if topology is not None and topology.nranks != comm.size:
+            raise CommunicatorError("topology size does not match communicator size")
+        self.comm = comm
+        self.topology = topology
+        self.last_stats = ExchangeStats()
+        self.last_report = ResilienceReport(rank=comm.rank)
+        self._round = 0
+        self._handles: dict[str, Any] = {}
+
+    def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def free(self) -> None:
+        """Collectively release what the exchange caches (nothing here)."""
+
+    def _check_send(self, send: Sequence[np.ndarray | None]) -> None:
+        if len(send) != self.comm.size:
+            raise CommunicatorError(
+                f"send list has {len(send)} entries for {self.comm.size} ranks"
+            )
+
+    def _metric(self, make: Callable[..., Any], name: str) -> Any:
+        """Metric handle for this op's rank, resolved once.
+
+        The registry's get-or-create builds a sorted-tuple key under a
+        lock per call; on the per-round hot path that lookup is most of
+        the telemetry overhead, so the handles are cached.
+        """
+        handle = self._handles.get(name)
+        if handle is None:
+            handle = self._handles[name] = make(name, rank=self.comm.rank)
+        return handle
+
+    def _finish(self, stats: ExchangeStats, report: ResilienceReport) -> None:
+        """The exchange epilogue, shared by every algorithm.
+
+        Publishes the round to every observability surface at once: the
+        opt-in tracer (counters + report), the always-on flight recorder
+        (ring events + live gauges) and the metrics registry.
+        """
+        rank = self.comm.rank
+        self.last_stats = stats
+        self.last_report = report
+        trace_incr("messages", stats.sent_messages, rank=rank)
+        trace_incr("logical_bytes", stats.original_bytes, rank=rank)
+        trace_incr("wire_bytes", stats.wire_bytes, rank=rank)
+        trace_report(report)
+
+        round_no = self._round
+        self._round += 1
+        detail = self.codec.name if self.codec is not None else self.algorithm
+        ratio = stats.achieved_rate
+        flight(
+            "exchange-round",
+            rank,
+            round_=round_no,
+            value=float(stats.wire_bytes),
+            value2=ratio if ratio != float("inf") else 0.0,
+            detail=detail,
+        )
+        self._metric(tele_counter, "repro_exchange_rounds_total").inc()
+        self._metric(tele_counter, "repro_wire_bytes_total").inc(stats.wire_bytes)
+        self._metric(tele_counter, "repro_logical_bytes_total").inc(stats.original_bytes)
+        if ratio != float("inf"):
+            self._metric(tele_gauge, "repro_compression_ratio").set(ratio)
+        error_gauges = None
+        if self.e_tol is not None and stats.error_measured:
+            headroom = self.e_tol - stats.achieved_error
+            flight(
+                "error",
+                rank,
+                round_=round_no,
+                value=stats.achieved_error,
+                value2=headroom,
+                detail=detail,
+            )
+            self._metric(tele_gauge, "repro_achieved_error").set(stats.achieved_error)
+            self._metric(tele_gauge, "repro_error_headroom").set(headroom)
+            error_gauges = {
+                "achieved_error": stats.achieved_error,
+                "error_headroom": headroom,
+                "e_tol": self.e_tol,
+            }
+        live_add_many(
+            rank,
+            {
+                "rounds": 1.0,
+                "wire_bytes": float(stats.wire_bytes),
+                "logical_bytes": float(stats.original_bytes),
+            },
+            sets=error_gauges,
+        )
+        if not report.clean:
+            record_resilience_report(report, round_=round_no)
+            if report.retries:
+                self._metric(tele_counter, "repro_retries_total").inc(report.retries)
+                live_add(rank, "retries", float(report.retries))
+            if report.degradations:
+                self._metric(tele_counter, "repro_degradations_total").inc(report.degradations)
+                live_add(rank, "degradations", float(report.degradations))

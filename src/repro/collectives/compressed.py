@@ -32,16 +32,15 @@ volume reduction that drives the speedup.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.pairwise import ring_peers
+from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.osc import OscTransport
 from repro.collectives.wire import decode_wire, encode_wire
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
 from repro.compression.lossless import ShuffleZlibCodec
-from repro.conformance import hooks
 from repro.errors import (
     CommunicatorError,
     CompressionError,
@@ -52,19 +51,9 @@ from repro.errors import (
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
-from repro.runtime.window import Window
-from repro.telemetry.metrics import counter as tele_counter
 from repro.telemetry.metrics import gauge as tele_gauge
 from repro.telemetry.metrics import histogram as tele_histogram
-from repro.telemetry.recorder import (
-    flight,
-    live_add,
-    live_add_many,
-    record_resilience_report,
-)
 from repro.tuning.pool import BufferPool
-from repro.trace import incr as trace_incr
-from repro.trace import record_report as trace_report
 from repro.trace import span as trace_span
 
 __all__ = ["CompressedOscAlltoallv", "ExchangeStats"]
@@ -73,30 +62,7 @@ __all__ = ["CompressedOscAlltoallv", "ExchangeStats"]
 _RETRY_TAG = -7000
 
 
-@dataclass
-class ExchangeStats:
-    """Volume accounting of one compressed exchange (this rank's sends)."""
-
-    sent_messages: int = 0
-    original_bytes: int = 0
-    wire_bytes: int = 0
-    retransmissions: int = 0
-    retransmitted_bytes: int = 0
-    #: Largest measured round-trip relative error of this exchange's
-    #: lossy messages (0.0 for lossless sends); only meaningful when
-    #: ``error_measured`` — i.e. the exchange ran with an ``e_tol``.
-    achieved_error: float = 0.0
-    error_measured: bool = False
-
-    @property
-    def achieved_rate(self) -> float:
-        """``original / wire``; 0/0 is 1.0, nonzero/0 is ``inf`` (anomaly)."""
-        if self.wire_bytes:
-            return self.original_bytes / self.wire_bytes
-        return 1.0 if self.original_bytes == 0 else float("inf")
-
-
-class CompressedOscAlltoallv:
+class CompressedOscAlltoallv(Exchange):
     """One-sided ring all-to-all with on-the-fly compression + recovery.
 
     Parameters
@@ -148,13 +114,10 @@ class CompressedOscAlltoallv:
         pool: BufferPool | None = None,
         tuned: str | None = None,
     ) -> None:
-        if topology is not None and topology.nranks != comm.size:
-            raise CommunicatorError("topology size does not match communicator size")
+        super().__init__(comm, topology)
         if pipeline_chunks < 1:
             raise CommunicatorError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
-        self.comm = comm
         self.codec = codec
-        self.topology = topology
         self.pipeline_chunks = int(pipeline_chunks)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.e_tol = e_tol
@@ -166,11 +129,7 @@ class CompressedOscAlltoallv:
         self._raw = IdentityCodec()
         self.pool = pool
         self.tuned = tuned
-        self.last_stats = ExchangeStats()
-        self.last_report = ResilienceReport(rank=comm.rank)
-        self._win: Window | None = None
-        self._win_capacity = -1
-        self._round = 0
+        self.transport = OscTransport(comm, topology)
 
     # -- helpers ------------------------------------------------------------------
 
@@ -203,28 +162,9 @@ class CompressedOscAlltoallv:
         world = getattr(self.comm, "world", None)
         return getattr(world, "injector", None)
 
-    def _ensure_window(self, my_total: int) -> Window:
-        """Collectively (re)create the staging window when too small.
-
-        Any single rank outgrowing its cached capacity forces everyone
-        to re-create (window creation is collective); the decision is
-        agreed via an allgather.
-        """
-        need = int(my_total)
-        grow = self._win is None or need > self._win_capacity
-        if any(self.comm.allgather(grow)):
-            if self._win is not None:
-                self._win.free()
-            self._win = self.comm.win_create(need)
-            self._win_capacity = need
-        return self._win  # type: ignore[return-value]
-
     def free(self) -> None:
         """Collectively release the cached staging window."""
-        if self._win is not None:
-            self._win.free()
-            self._win = None
-            self._win_capacity = -1
+        self.transport.free()
 
     # -- encode side ----------------------------------------------------------------
 
@@ -346,6 +286,26 @@ class CompressedOscAlltoallv:
             frames.append(encode_wire(msg, pool=pool))
         return frames
 
+    def _encode_all(
+        self, send: Sequence[np.ndarray | None], report: ResilienceReport, stats: ExchangeStats
+    ) -> tuple[list[np.ndarray | None], list[list[np.ndarray]]]:
+        """Step 1: compress every destination's data into internal staging
+        frames (never in place).  Returns the contiguous source arrays
+        (``None`` = nothing to send; recovery retransmits from them) and
+        the per-destination wire frames."""
+        self._check_send(send)
+        arrays: list[np.ndarray | None] = []
+        frames: list[list[np.ndarray]] = []
+        for dest, data in enumerate(send):
+            if data is None or np.asarray(data).size == 0:
+                arrays.append(None)
+                frames.append([])
+                continue
+            arr = np.ascontiguousarray(data)
+            arrays.append(arr)
+            frames.append(self._encode_block(arr, dest, None, report, stats, self.pool))
+        return arrays, frames
+
     # -- decode side -----------------------------------------------------------------
 
     def _decode_region(self, region: np.ndarray) -> np.ndarray:
@@ -366,6 +326,45 @@ class CompressedOscAlltoallv:
         if not parts:
             return np.zeros(0, dtype=np.float64)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _settle(
+        self,
+        arrays: list[np.ndarray | None],
+        regions: Sequence[np.ndarray],
+        report: ResilienceReport,
+        stats: ExchangeStats,
+    ) -> list[np.ndarray]:
+        """Step 2 onwards: decompress each source's region (CRC-checked per
+        frame), recover the blocks that failed integrity, publish."""
+        rank = self.comm.rank
+        recv: list[np.ndarray | None] = [None] * len(regions)
+        failed: list[int] = []
+        for s, region in enumerate(regions):
+            if region.size == 0:
+                recv[s] = np.zeros(0, dtype=np.float64)
+                continue
+            try:
+                with trace_span("decompress", rank=rank, peer=s, bytes=int(region.size)):
+                    recv[s] = self._decode_region(region)
+            except CompressionError as exc:
+                report.record("integrity-failure", peer=s, detail=str(exc))
+                failed.append(s)
+
+        # Collective recovery rounds.  Only runs under an active fault
+        # plan — injector presence is world-global, so every rank takes
+        # the same branch and the recovery collectives stay matched.  A
+        # CRC failure with *no* fault source is a real transport/codec
+        # bug: raise it rather than mask it with a retransmission.
+        if self._injector() is not None:
+            with trace_span("retry", rank=rank, failed=len(failed)):
+                self._recover(arrays, recv, failed, report, stats)
+        elif failed:
+            raise WireIntegrityError(
+                f"rank {rank}: corrupted block(s) from rank(s) {sorted(failed)} "
+                f"with no fault plan active"
+            )
+        self._finish(stats, report)
+        return recv  # type: ignore[return-value]
 
     # -- recovery --------------------------------------------------------------------
 
@@ -484,210 +483,30 @@ class CompressedOscAlltoallv:
         self._observe_exchange_time(time.monotonic() - started)
         return recv
 
-    @property
-    def _tele(self) -> dict[str, Any]:
-        """Metric handles for this op's rank, resolved once.
-
-        The registry's get-or-create does a sorted-tuple key build under
-        a lock per call; on the per-round hot path that lookup cost is
-        most of the telemetry overhead, so the handles are cached.
-        """
-        cached = self.__dict__.get("_tele_handles")
-        if cached is None:
-            rank = self.comm.rank
-            cached = {
-                "rounds": tele_counter("repro_exchange_rounds_total", rank=rank),
-                "wire": tele_counter("repro_wire_bytes_total", rank=rank),
-                "logical": tele_counter("repro_logical_bytes_total", rank=rank),
-                "retries": tele_counter("repro_retries_total", rank=rank),
-                "degradations": tele_counter("repro_degradations_total", rank=rank),
-                "ratio": tele_gauge("repro_compression_ratio", rank=rank),
-                "achieved": tele_gauge("repro_achieved_error", rank=rank),
-                "headroom": tele_gauge("repro_error_headroom", rank=rank),
-                "bandwidth": tele_gauge("repro_link_bandwidth_bytes_per_s", rank=rank),
-                "seconds": tele_histogram("repro_exchange_seconds", rank=rank),
-            }
-            self.__dict__["_tele_handles"] = cached
-        return cached
-
     def _observe_exchange_time(self, elapsed: float) -> None:
         """Per-link bandwidth gauge + latency histogram for the metrics
         registry (the tracer records the same span; this survives runs
         with no tracer installed)."""
-        tele = self._tele
-        tele["seconds"].observe(elapsed)
+        self._metric(tele_histogram, "repro_exchange_seconds").observe(elapsed)
         if elapsed > 0.0 and self.last_stats.wire_bytes:
-            tele["bandwidth"].set(self.last_stats.wire_bytes / elapsed)
-
-    def _finish_exchange(self, stats: ExchangeStats, report: ResilienceReport) -> None:
-        """Common exchange epilogue for the flat and two-level paths.
-
-        Publishes the round to every observability surface at once: the
-        opt-in tracer (counters + report), the always-on flight recorder
-        (ring events + live gauges) and the metrics registry.
-        """
-        comm = self.comm
-        self.last_stats = stats
-        self.last_report = report
-        trace_incr("messages", stats.sent_messages, rank=comm.rank)
-        trace_incr("logical_bytes", stats.original_bytes, rank=comm.rank)
-        trace_incr("wire_bytes", stats.wire_bytes, rank=comm.rank)
-        trace_report(report)
-
-        rank = comm.rank
-        round_no = self._round
-        self._round += 1
-        ratio = stats.achieved_rate
-        flight(
-            "exchange-round",
-            rank,
-            round_=round_no,
-            value=float(stats.wire_bytes),
-            value2=ratio if ratio != float("inf") else 0.0,
-            detail=self.codec.name,
-        )
-        tele = self._tele
-        tele["rounds"].inc()
-        tele["wire"].inc(stats.wire_bytes)
-        tele["logical"].inc(stats.original_bytes)
-        if ratio != float("inf"):
-            tele["ratio"].set(ratio)
-        error_gauges = None
-        if self.e_tol is not None and stats.error_measured:
-            headroom = self.e_tol - stats.achieved_error
-            flight(
-                "error",
-                rank,
-                round_=round_no,
-                value=stats.achieved_error,
-                value2=headroom,
-                detail=self.codec.name,
+            self._metric(tele_gauge, "repro_link_bandwidth_bytes_per_s").set(
+                self.last_stats.wire_bytes / elapsed
             )
-            tele["achieved"].set(stats.achieved_error)
-            tele["headroom"].set(headroom)
-            error_gauges = {
-                "achieved_error": stats.achieved_error,
-                "error_headroom": headroom,
-                "e_tol": self.e_tol,
-            }
-        live_add_many(
-            rank,
-            {
-                "rounds": 1.0,
-                "wire_bytes": float(stats.wire_bytes),
-                "logical_bytes": float(stats.original_bytes),
-            },
-            sets=error_gauges,
-        )
-        if not report.clean:
-            record_resilience_report(report, round_=round_no)
-            if report.retries:
-                tele["retries"].inc(report.retries)
-                live_add(rank, "retries", float(report.retries))
-            if report.degradations:
-                tele["degradations"].inc(report.degradations)
-                live_add(rank, "degradations", float(report.degradations))
 
     def _exchange(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-        comm, p = self.comm, self.comm.size
-        if len(send) != p:
-            raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
         stats = ExchangeStats()
-        report = ResilienceReport(rank=comm.rank)
-
-        # Step 1: compress into internal staging buffers (never in place).
-        arrays: list[np.ndarray | None] = []
-        frames: list[list[np.ndarray]] = []
-        frame_sizes = np.zeros(p, dtype=np.int64)
-        for dest in range(p):
-            data = send[dest]
-            if data is None or np.asarray(data).size == 0:
-                arrays.append(None)
-                frames.append([])
-                continue
-            arr = np.ascontiguousarray(data)
-            arrays.append(arr)
-            dest_frames = self._encode_block(arr, dest, None, report, stats, self.pool)
-            frames.append(dest_frames)
-            frame_sizes[dest] = sum(f.size for f in dest_frames)
-
-        # Counts exchange: both sides of an Alltoallv know the counts.
-        all_sizes = np.array(comm.allgather(frame_sizes.tolist()), dtype=np.int64)
-        my_total = int(all_sizes[:, comm.rank].sum())
-        recv_offsets = np.concatenate([[0], np.cumsum(all_sizes[:, comm.rank])[:-1]])
-
-        win = self._ensure_window(my_total)
-
-        with trace_span("fence", rank=comm.rank, epoch="open"):
-            win.fence()
-        for step in range(p):
-            dest, _ = ring_peers(comm.rank, step, p, self.topology)
-            dest_frames = frames[dest]
-            if not dest_frames:
-                continue
-            offset = hooks.mutate(
-                "compressed.put_offset",
-                int(all_sizes[: comm.rank, dest].sum()),
-                rank=comm.rank,
-                dest=dest,
-            )
-            # Pipelined puts: each fragment goes out as soon as it is
-            # compressed (fragments were staged above; a real GPU stream
-            # interleaves, the data movement is identical).
-            intra = self.topology.same_node(comm.rank, dest) if self.topology else dest == comm.rank
-            for chunk_idx, frag in enumerate(dest_frames):
-                with trace_span(
-                    "put",
-                    rank=comm.rank,
-                    peer=dest,
-                    bytes=int(frag.size),
-                    chunk=chunk_idx,
-                    intra=intra,
-                ):
-                    win.put(frag, dest, offset=offset)
-                offset += frag.size
-
-        with trace_span("fence", rank=comm.rank, epoch="close"):
-            win.fence()
-
+        report = ResilienceReport(rank=self.comm.rank)
+        arrays, frames = self._encode_all(send, report, stats)
+        # Pipelined puts: each destination's fragments go out back to
+        # back (they were all staged above; a real GPU stream interleaves,
+        # the data movement is identical).
+        regions, _ = self.transport(frames)
         # Puts have landed in every target window; the staging frames
         # can go back to the pool for the next exchange.
         if self.pool is not None:
             for dest_frames in frames:
                 for frame in dest_frames:
                     self.pool.release(frame)
-
-        # Step 2: decompress the entire received buffer, CRC-checked per
-        # frame; blocks that fail integrity are queued for recovery.
-        local = win.local_view()
-        recv: list[np.ndarray | None] = [None] * p
-        failed: list[int] = []
-        for s in range(p):
-            size = int(all_sizes[s, comm.rank])
-            if size == 0:
-                recv[s] = np.zeros(0, dtype=np.float64)
-                continue
-            region = local[int(recv_offsets[s]) : int(recv_offsets[s]) + size]
-            try:
-                with trace_span("decompress", rank=comm.rank, peer=s, bytes=size):
-                    recv[s] = self._decode_region(region)
-            except CompressionError as exc:
-                report.record("integrity-failure", peer=s, detail=str(exc))
-                failed.append(s)
-
-        # Step 3: collective recovery rounds.  Only runs under an active
-        # fault plan — injector presence is world-global, so every rank
-        # takes the same branch and the recovery collectives stay
-        # matched.  A CRC failure with *no* fault source is a real
-        # transport/codec bug: raise it rather than mask it with a
-        # retransmission.
-        if self._injector() is not None:
-            with trace_span("retry", rank=comm.rank, failed=len(failed)):
-                self._recover(arrays, recv, failed, report, stats)
-        elif failed:
-            raise WireIntegrityError(
-                f"rank {comm.rank}: corrupted block(s) from rank(s) {sorted(failed)} "
-                f"with no fault plan active"
-            )
-        self._finish_exchange(stats, report)
-        return recv  # type: ignore[return-value]
+        # "we will decompress the entire buffer later, once communications
+        # are done" — straight from the window's borrowed regions.
+        return self._settle(arrays, regions, report, stats)

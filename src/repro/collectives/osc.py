@@ -28,24 +28,22 @@ from __future__ import annotations
 
 import time
 import zlib
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.pairwise import ring_peers
 from repro.conformance import hooks
-from repro.errors import CommunicatorError, RetryExhaustedError
+from repro.errors import RetryExhaustedError
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
 from repro.runtime.window import Window
-from repro.telemetry.metrics import counter as tele_counter
-from repro.telemetry.recorder import flight, live_add, record_resilience_report
 from repro.tuning.pool import BufferPool
-from repro.trace import incr as trace_incr
-from repro.trace import record_report as trace_report
 from repro.trace import span as trace_span
 
-__all__ = ["OscAlltoallv", "osc_alltoallv"]
+__all__ = ["OscAlltoallv", "OscTransport", "osc_alltoallv"]
 
 #: Tag base for verify-mode retransmissions (control plane).
 _VERIFY_TAG = -7500
@@ -55,7 +53,98 @@ def _crc(chunk: np.ndarray) -> int:
     return zlib.crc32(chunk.tobytes()) & 0xFFFFFFFF
 
 
-class OscAlltoallv:
+class OscTransport:
+    """Algorithm 3's window protocol, written once for every OSC exchange.
+
+    Sizes allgather -> deterministic (re)creation of the cached window
+    -> open fence -> ring of puts (node-aware with a topology) -> close
+    fence -> per-source regions of the local window.  The raw exchange
+    puts one fragment per destination, the compressed one its wire
+    frames.
+    """
+
+    def __init__(self, comm: Comm, topology: Topology | None = None) -> None:
+        self.comm = comm
+        self.topology = topology
+        #: The cached window (``None`` before the first call / after free).
+        self.win: Window | None = None
+        self._capacities: np.ndarray | None = None
+
+    def _ensure_window(self, all_sizes: np.ndarray) -> Window:
+        """(Re)create the cached window only when some rank outgrows it.
+
+        ``all_sizes[s, d]`` = bytes rank ``s`` sends to rank ``d``.  The
+        decision is a pure function of the ``all_sizes`` history
+        (identical on every rank), keeping creation collective.  A size
+        matrix that needs *less* capacity everywhere reuses the cached
+        window — offsets are recomputed per call, the window is just a
+        byte arena.
+        """
+        totals = all_sizes.sum(axis=0).astype(np.int64)  # totals[d] = bytes d receives
+        if self.win is None or self._capacities is None or bool(np.any(totals > self._capacities)):
+            if self.win is not None:
+                self.win.free()
+            caps = totals if self._capacities is None else np.maximum(totals, self._capacities)
+            self.win = self.comm.win_create(int(caps[self.comm.rank]))
+            self._capacities = caps
+        return self.win
+
+    def free(self) -> None:
+        """Collectively release the cached window (if any)."""
+        if self.win is not None:
+            self.win.free()
+            self.win = None
+            self._capacities = None
+
+    def __call__(
+        self, fragments: Sequence[Sequence[np.ndarray]], rider: Any = None
+    ) -> tuple[list[np.ndarray], list[Any] | None]:
+        """Put ``fragments[d]`` (``uint8`` pieces, back to back) to rank ``d``.
+
+        Returns ``(regions, riders)``: ``regions[s]`` is a *borrowed*
+        view of the local window holding what rank ``s`` put here, valid
+        until the next call or :meth:`free`; ``riders[r]`` is the
+        ``rider`` rank ``r`` passed (it rides the sizes allgather), or
+        ``None`` when none was given.
+        """
+        comm, p, rank = self.comm, self.comm.size, self.comm.rank
+        my_sizes = [sum(int(f.size) for f in frags) for frags in fragments]
+        # Counts exchange: both sides of an Alltoallv know the counts.
+        if rider is None:
+            all_sizes = np.array(comm.allgather(my_sizes), dtype=np.int64)
+            riders = None
+        else:
+            gathered = comm.allgather((my_sizes, rider))
+            all_sizes = np.array([g[0] for g in gathered], dtype=np.int64)
+            riders = [g[1] for g in gathered]
+
+        win = self._ensure_window(all_sizes)
+        with trace_span("fence", rank=rank, epoch="open"):
+            win.fence()  # open epoch — "synchronization phase to make sure all processes are ready"
+        for step in range(p):
+            dest, _ = ring_peers(rank, step, p, self.topology)
+            if not my_sizes[dest]:
+                continue
+            # where my bytes live in dest's window: after earlier sources'
+            offset = hooks.mutate(
+                "osc.put_offset", int(all_sizes[:rank, dest].sum()), rank=rank, dest=dest
+            )
+            intra = self.topology.same_node(rank, dest) if self.topology else dest == rank
+            for chunk_idx, frag in enumerate(fragments[dest]):
+                with trace_span(
+                    "put", rank=rank, peer=dest, bytes=int(frag.size), chunk=chunk_idx, intra=intra
+                ):
+                    win.put(frag, dest, offset=offset)
+                offset += frag.size
+        with trace_span("fence", rank=rank, epoch="close"):
+            win.fence()  # close epoch — all puts complete everywhere
+
+        local = win.local_view()
+        bounds = np.concatenate([[0], np.cumsum(all_sizes[:, rank])]).tolist()
+        return [local[bounds[s] : bounds[s + 1]] for s in range(p)], riders
+
+
+class OscAlltoallv(Exchange):
     """Reusable one-sided ring all-to-all with a cached window.
 
     Parameters
@@ -75,6 +164,8 @@ class OscAlltoallv:
         per-source receive copies; callers release them when consumed.
     """
 
+    algorithm = "raw-osc"
+
     def __init__(
         self,
         comm: Comm,
@@ -84,46 +175,15 @@ class OscAlltoallv:
         retry_policy: RetryPolicy | None = None,
         pool: BufferPool | None = None,
     ) -> None:
-        if topology is not None and topology.nranks != comm.size:
-            raise CommunicatorError("topology size does not match communicator size")
-        self.comm = comm
-        self.topology = topology
+        super().__init__(comm, topology)
         self.verify = bool(verify)
         self.pool = pool
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.last_report = ResilienceReport(rank=comm.rank)
-        self._win: Window | None = None
-        self._capacities: np.ndarray | None = None
-
-    # -- window management ------------------------------------------------------
-
-    def _ensure_window(self, all_sizes: np.ndarray) -> tuple[Window, np.ndarray]:
-        """(Re)create the cached window only when some rank outgrows it.
-
-        ``all_sizes[s, d]`` = bytes rank ``s`` sends to rank ``d``.  The
-        decision is a pure function of the ``all_sizes`` history
-        (identical on every rank), keeping creation collective.  A size
-        matrix that needs *less* capacity everywhere reuses the cached
-        window — offsets are recomputed per call, the window is just a
-        byte arena.
-        """
-        totals = all_sizes.sum(axis=0).astype(np.int64)  # totals[d] = bytes d receives
-        if self._win is None or self._capacities is None or bool(np.any(totals > self._capacities)):
-            if self._win is not None:
-                self._win.free()
-            caps = totals if self._capacities is None else np.maximum(totals, self._capacities)
-            self._win = self.comm.win_create(int(caps[self.comm.rank]))
-            self._capacities = caps
-        # Receive offsets: source s lands at sum of earlier sources' sizes.
-        offsets = np.concatenate([[0], np.cumsum(all_sizes[:, self.comm.rank])[:-1]])
-        return self._win, offsets.astype(np.int64)
+        self.transport = OscTransport(comm, topology)
 
     def free(self) -> None:
         """Collectively release the cached window (if any)."""
-        if self._win is not None:
-            self._win.free()
-            self._win = None
-            self._capacities = None
+        self.transport.free()
 
     # -- verify-mode recovery ------------------------------------------------------
 
@@ -131,7 +191,7 @@ class OscAlltoallv:
         self,
         chunks: list[np.ndarray],
         recv: list[np.ndarray],
-        all_crcs: np.ndarray,
+        crcs: list[int],
         failed: list[int],
         report: ResilienceReport,
     ) -> None:
@@ -165,7 +225,7 @@ class OscAlltoallv:
             for source in sorted(failed):
                 report.record("retry", peer=source, attempt=attempt)
                 block = np.ascontiguousarray(comm.recv(source, tag=tag), dtype=np.uint8)
-                if block.size != recv[source].size or _crc(block) != int(all_crcs[source, comm.rank]):
+                if block.size != recv[source].size or _crc(block) != crcs[source]:
                     report.record("integrity-failure", peer=source, attempt=attempt,
                                   detail="retransmitted block checksum mismatch")
                     still_failed.append(source)
@@ -182,12 +242,12 @@ class OscAlltoallv:
         """Exchange ``send[d]`` → rank ``d``; returns per-source uint8 chunks.
 
         The window transports raw bytes, so receives are returned as
-        ``uint8`` arrays; callers re-view them (the FFT layer exchanges
-        packed byte streams anyway).
+        ``uint8`` arrays owned by the caller (copied out of the window,
+        through the pool when one is set); callers re-view them (the FFT
+        layer exchanges packed byte streams anyway).
         """
-        comm, p = self.comm, self.comm.size
-        if len(send) != p:
-            raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
+        comm = self.comm
+        self._check_send(send)
         report = ResilienceReport(rank=comm.rank)
         chunks = [
             np.zeros(0, dtype=np.uint8)
@@ -195,80 +255,26 @@ class OscAlltoallv:
             else np.ascontiguousarray(c).view(np.uint8).reshape(-1)
             for c in send
         ]
-        my_sizes = np.array([c.size for c in chunks], dtype=np.int64)
-        if self.verify:
-            my_crcs = [_crc(c) for c in chunks]
-            gathered = comm.allgather((my_sizes.tolist(), my_crcs))
-            all_sizes = np.array([g[0] for g in gathered], dtype=np.int64)
-            all_crcs = np.array([g[1] for g in gathered], dtype=np.int64)
-        else:
-            all_sizes = np.array(comm.allgather(my_sizes.tolist()), dtype=np.int64)
-            all_crcs = None
-
-        win, offsets = self._ensure_window(all_sizes)
-
-        from repro.collectives.pairwise import ring_peers
-
-        with trace_span("fence", rank=comm.rank, epoch="open"):
-            win.fence()  # open epoch — "synchronization phase to make sure all processes are ready"
-        for step in range(p):
-            dest, _ = ring_peers(comm.rank, step, p, self.topology)
-            data = chunks[dest]
-            if data.size:
-                # where my bytes live in dest's window:
-                offset = hooks.mutate(
-                    "osc.put_offset",
-                    int(all_sizes[: comm.rank, dest].sum()),
-                    rank=comm.rank,
-                    dest=dest,
-                )
-                intra = (
-                    self.topology.same_node(comm.rank, dest)
-                    if self.topology
-                    else dest == comm.rank
-                )
-                with trace_span("put", rank=comm.rank, peer=dest, bytes=int(data.size), intra=intra):
-                    win.put(data, dest, offset=offset)
-                trace_incr("messages", 1, rank=comm.rank)
-                trace_incr("logical_bytes", int(data.size), rank=comm.rank)
-                trace_incr("wire_bytes", int(data.size), rank=comm.rank)
-        with trace_span("fence", rank=comm.rank, epoch="close"):
-            win.fence()  # close epoch — all puts complete everywhere
-
-        local = win.local_view()
+        regions, riders = self.transport(
+            [(c,) for c in chunks], [_crc(c) for c in chunks] if self.verify else None
+        )
         recv: list[np.ndarray] = []
-        for s in range(p):
-            size = int(all_sizes[s, comm.rank])
-            region = local[int(offsets[s]) : int(offsets[s]) + size]
+        for region in regions:
             if self.pool is None:
                 recv.append(region.copy())
             else:
-                block = self.pool.acquire(size)
+                block = self.pool.acquire(region.size)
                 np.copyto(block, region)
                 recv.append(block)
 
-        if self.verify:
-            failed = [
-                s
-                for s in range(p)
-                if recv[s].size and _crc(recv[s]) != int(all_crcs[s, comm.rank])
-            ]
+        if riders is not None:
+            crcs = [int(row[comm.rank]) for row in riders]  # crcs[s] = what s sent me
+            failed = [s for s, blk in enumerate(recv) if blk.size and _crc(blk) != crcs[s]]
             for s in failed:
                 report.record("integrity-failure", peer=s, detail="block checksum mismatch")
             with trace_span("retry", rank=comm.rank, failed=len(failed)):
-                self._recover(chunks, recv, all_crcs, failed, report)
-        self.last_report = report
-        trace_report(report)
-        wire = int(my_sizes.sum())
-        flight("exchange-round", comm.rank, value=float(wire), detail="raw-osc")
-        tele_counter("repro_exchange_rounds_total", rank=comm.rank).inc()
-        tele_counter("repro_wire_bytes_total", rank=comm.rank).inc(wire)
-        tele_counter("repro_logical_bytes_total", rank=comm.rank).inc(wire)
-        live_add(comm.rank, "rounds", 1.0)
-        live_add(comm.rank, "wire_bytes", float(wire))
-        live_add(comm.rank, "logical_bytes", float(wire))
-        if not report.clean:
-            record_resilience_report(report)
+                self._recover(chunks, recv, crcs, failed, report)
+        self._finish(ExchangeStats.raw(chunks), report)
         return recv
 
 

@@ -16,15 +16,15 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.collectives.base import Exchange, ExchangeStats
 from repro.conformance import hooks
-from repro.errors import CommunicatorError
+from repro.faults import ResilienceReport
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
-from repro.trace import incr as trace_incr
 from repro.trace import span as trace_span
 from repro.utils.arrays import no_alias_copy
 
-__all__ = ["pairwise_alltoallv", "ring_peers"]
+__all__ = ["PairwiseAlltoallv", "pairwise_alltoallv", "ring_peers"]
 
 _TAG = -201
 
@@ -47,61 +47,53 @@ def ring_peers(rank: int, step: int, nranks: int, topo: Topology | None) -> tupl
     return dest, src
 
 
-def pairwise_alltoallv(
-    comm: Comm,
-    send: Sequence[np.ndarray | None],
-    *,
-    topology: Topology | None = None,
-) -> list[np.ndarray]:
+class PairwiseAlltoallv(Exchange):
     """Two-sided ring all-to-all: ``send[d]`` (bytes/any dtype) to rank ``d``.
 
     Parameters
     ----------
     comm:
         Runtime communicator.
-    send:
-        One array (or ``None`` ≡ empty) per destination rank.
     topology:
         When given, the node-aware permutation orders the ring so each
         node pair saturates its NIC exclusively at every step.
-
-    Returns
-    -------
-    list[np.ndarray]
-        ``recv[s]`` = the chunk sent by rank ``s`` (uint8 when the
-        sender passed ``None``).
     """
-    p = comm.size
-    if len(send) != p:
-        raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
-    if topology is not None and topology.nranks != p:
-        raise CommunicatorError("topology size does not match communicator size")
-    empty = np.zeros(0, dtype=np.uint8)
-    recv: list[np.ndarray] = [empty] * p
 
-    # Step 0 is the local (self) exchange: exactly one copy, and never
-    # an alias of the caller's send buffer (ascontiguousarray alone
-    # returns the input itself when it is already contiguous).
-    mine = send[comm.rank]
-    recv[comm.rank] = no_alias_copy(mine)
-    if mine is not None:
-        trace_incr("messages", 1, rank=comm.rank)
-        trace_incr("logical_bytes", int(recv[comm.rank].nbytes), rank=comm.rank)
-        trace_incr("wire_bytes", int(recv[comm.rank].nbytes), rank=comm.rank)
+    algorithm = "pairwise"
 
-    for step in range(1, p):
-        dest, src = ring_peers(comm.rank, step, p, topology)
-        chunk = send[dest]
-        out = empty if chunk is None else np.ascontiguousarray(chunk)
-        out = hooks.mutate("pairwise.chunk", out, rank=comm.rank, dest=dest, step=step)
-        # isend-then-recv: eager buffered send cannot deadlock, and the
-        # pair (dest, src) differs per rank so messages pair up 1:1.
-        with trace_span("sendrecv", rank=comm.rank, peer=dest, bytes=int(out.nbytes)):
-            req = comm.isend(out, dest, tag=_TAG - step)
-            recv[src] = comm.recv(src, tag=_TAG - step)
-            req.wait()
-        if chunk is not None:
-            trace_incr("messages", 1, rank=comm.rank)
-            trace_incr("logical_bytes", int(out.nbytes), rank=comm.rank)
-            trace_incr("wire_bytes", int(out.nbytes), rank=comm.rank)
-    return recv
+    def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+        """``recv[s]`` = the chunk sent by rank ``s`` (uint8 when the
+        sender passed ``None``)."""
+        comm, p = self.comm, self.comm.size
+        self._check_send(send)
+        empty = np.zeros(0, dtype=np.uint8)
+        recv: list[np.ndarray] = [empty] * p
+
+        # Step 0 is the local (self) exchange: exactly one copy, and never
+        # an alias of the caller's send buffer (ascontiguousarray alone
+        # returns the input itself when it is already contiguous).
+        recv[comm.rank] = no_alias_copy(send[comm.rank])
+
+        for step in range(1, p):
+            dest, src = ring_peers(comm.rank, step, p, self.topology)
+            chunk = send[dest]
+            out = empty if chunk is None else np.ascontiguousarray(chunk)
+            out = hooks.mutate("pairwise.chunk", out, rank=comm.rank, dest=dest, step=step)
+            # isend-then-recv: eager buffered send cannot deadlock, and the
+            # pair (dest, src) differs per rank so messages pair up 1:1.
+            with trace_span("sendrecv", rank=comm.rank, peer=dest, bytes=int(out.nbytes)):
+                req = comm.isend(out, dest, tag=_TAG - step)
+                recv[src] = comm.recv(src, tag=_TAG - step)
+                req.wait()
+        self._finish(ExchangeStats.raw(send), ResilienceReport(rank=comm.rank))
+        return recv
+
+
+def pairwise_alltoallv(
+    comm: Comm,
+    send: Sequence[np.ndarray | None],
+    *,
+    topology: Topology | None = None,
+) -> list[np.ndarray]:
+    """One-shot helper: ``PairwiseAlltoallv(comm, topology=topology)(send)``."""
+    return PairwiseAlltoallv(comm, topology)(send)

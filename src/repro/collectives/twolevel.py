@@ -43,7 +43,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.collectives.compressed import CompressedOscAlltoallv, ExchangeStats
-from repro.errors import CommunicatorError, CompressionError, WireIntegrityError
 from repro.faults import ResilienceReport
 from repro.telemetry.metrics import counter as metrics_counter
 from repro.telemetry.recorder import flight
@@ -150,8 +149,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 )
                 metrics_counter("repro_leader_failovers_total").inc()
         comm, p = self.comm, self.comm.size
-        if len(send) != p:
-            raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
         me = comm.rank
         my_node = topo.node_of(me)
         stats = ExchangeStats()
@@ -160,31 +157,21 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         # Encode per destination exactly as the flat exchange does; each
         # destination's frames are concatenated into one contiguous blob
         # (the unit the gather/scatter stages route around).
-        arrays: list[np.ndarray | None] = []
+        arrays, frames = self._encode_all(send, report, stats)
         blobs: list[np.ndarray] = []
-        blob_sizes = np.zeros(p, dtype=np.int64)
-        for dest in range(p):
-            data = send[dest]
-            if data is None or np.asarray(data).size == 0:
-                arrays.append(None)
-                blobs.append(np.zeros(0, dtype=np.uint8))
+        for dest_frames in frames:
+            if len(dest_frames) == 1:
+                blobs.append(dest_frames[0])
                 continue
-            arr = np.ascontiguousarray(data)
-            arrays.append(arr)
-            frames = self._encode_block(arr, dest, None, report, stats, self.pool)
-            if len(frames) == 1:
-                blob = frames[0]
-            else:
-                blob = self._concat(frames, int(sum(f.size for f in frames)))
-                if self.pool is not None:
-                    for frame in frames:
-                        self.pool.release(frame)
-            blobs.append(blob)
-            blob_sizes[dest] = blob.size
+            blobs.append(self._concat(dest_frames, int(sum(f.size for f in dest_frames))))
+            if self.pool is not None:
+                for frame in dest_frames:
+                    self.pool.release(frame)
+        blob_sizes = [int(b.size) for b in blobs]
 
         # Counts exchange: the p x p size matrix locates every gather
         # part and scatter slice — no routing headers on the wire.
-        all_sizes = np.array(comm.allgather(blob_sizes.tolist()), dtype=np.int64)
+        all_sizes = np.array(comm.allgather(blob_sizes), dtype=np.int64)
 
         # Stage 0: same-node destinations go direct (sends are eager).
         for dest in topo.ranks_on_node(my_node):
@@ -280,16 +267,14 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                         ):
                             comm.send(block, d, tag=_TL_SCATTER - r)
 
-        # Stage 4: collect my per-source regions and decode them with the
-        # flat exchange's CRC-checked walk.
-        recv: list[np.ndarray | None] = [None] * p
-        failed: list[int] = []
+        # Stage 4: collect my per-source regions; the flat exchange's
+        # CRC-checked decode and its topology-agnostic recovery (two-sided
+        # retransmissions under allgather-agreed failure sets) take over.
+        regions: list[np.ndarray] = []
         for s in range(p):
-            size = int(all_sizes[s, me])
-            if size == 0:
-                recv[s] = np.zeros(0, dtype=np.float64)
-                continue
-            if s == me:
+            if int(all_sizes[s, me]) == 0:
+                region = np.zeros(0, dtype=np.uint8)
+            elif s == me:
                 region = blobs[me]
             elif topo.same_node(s, me):
                 region = np.ascontiguousarray(comm.recv(s, tag=_TL_LOCAL), dtype=np.uint8)
@@ -298,24 +283,8 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             else:
                 leader = self._recv_leader(topo.node_of(s), my_node)
                 region = np.ascontiguousarray(comm.recv(leader, tag=_TL_SCATTER - s), dtype=np.uint8)
-            try:
-                with trace_span("decompress", rank=me, peer=s, bytes=size):
-                    recv[s] = self._decode_region(region)
-            except CompressionError as exc:
-                report.record("integrity-failure", peer=s, detail=str(exc))
-                failed.append(s)
+            regions.append(region)
+        recv = self._settle(arrays, regions, report, stats)
         if self.pool is not None:
             self.pool.release(blobs[me])
-
-        # Recovery is topology-agnostic (two-sided retransmissions under
-        # allgather-agreed failure sets) — reuse it verbatim.
-        if self._injector() is not None:
-            with trace_span("retry", rank=me, failed=len(failed)):
-                self._recover(arrays, recv, failed, report, stats)
-        elif failed:
-            raise WireIntegrityError(
-                f"rank {me}: corrupted block(s) from rank(s) {sorted(failed)} "
-                f"with no fault plan active"
-            )
-        self._finish_exchange(stats, report)
-        return recv  # type: ignore[return-value]
+        return recv

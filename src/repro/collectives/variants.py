@@ -22,11 +22,9 @@ import numpy as np
 from repro.conformance import hooks
 from repro.errors import CommunicatorError
 from repro.runtime.base import Comm
-from repro.utils.arrays import no_alias_copy
 
 __all__ = ["linear_alltoallv", "bruck_alltoall"]
 
-_TAG_LINEAR = -301
 _TAG_BRUCK = -302
 
 
@@ -36,30 +34,10 @@ def linear_alltoallv(
     """Post every isend/irecv at once, then wait (the message storm).
 
     Semantically identical to the ring; the difference is *scheduling*,
-    which only a network feels — see the congestion model.
+    which only a network feels — see the congestion model.  This is
+    exactly the runtime's reference :meth:`~repro.runtime.base.Comm.alltoallv`.
     """
-    p = comm.size
-    if len(send) != p:
-        raise CommunicatorError(f"send list has {len(send)} entries for {p} ranks")
-    empty = np.zeros(0, dtype=np.uint8)
-    recv_reqs = {
-        src: comm.irecv(src, tag=_TAG_LINEAR) for src in range(p) if src != comm.rank
-    }
-    send_reqs = []
-    for dst in range(p):
-        if dst == comm.rank:
-            continue
-        chunk = send[dst]
-        send_reqs.append(
-            comm.isend(empty if chunk is None else np.ascontiguousarray(chunk), dst, tag=_TAG_LINEAR)
-        )
-    out: list[np.ndarray] = [empty] * p
-    out[comm.rank] = no_alias_copy(send[comm.rank])
-    for src, req in recv_reqs.items():
-        out[src] = req.wait()
-    for req in send_reqs:
-        req.wait()
-    return out
+    return comm.alltoallv(send)
 
 
 def bruck_alltoall(comm: Comm, send: Sequence[np.ndarray]) -> list[np.ndarray]:

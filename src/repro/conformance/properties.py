@@ -175,12 +175,7 @@ class AlltoallvProperty(Property):
         )
 
     def check(self, sc: Scenario) -> None:
-        from repro.collectives import (
-            CompressedOscAlltoallv,
-            TwoLevelCompressedAlltoallv,
-            osc_alltoallv,
-            pairwise_alltoallv,
-        )
+        from repro.collectives import make_exchange, osc_alltoallv
         from repro.collectives.variants import linear_alltoallv
         from repro.compression.base import IdentityCodec
         from repro.runtime.thread_rt import ThreadWorld
@@ -189,30 +184,25 @@ class AlltoallvProperty(Property):
         send = make_send_matrix(sc.params["sizes"], sc.params["dtype"], sc.params["data_seed"])
         want = expected_recv(send)
         topo = _topology(p, sc.params["topo_g"])
-        chunks = sc.params["pipeline_chunks"]
+        compressed = dict(codec=IdentityCodec(), pipeline_chunks=sc.params["pipeline_chunks"])
+        configs = {
+            "reference": dict(method="reference"),
+            "pairwise": dict(method="pairwise"),
+            "pairwise-topo": dict(method="pairwise", topology=topo),
+            "osc": dict(method="osc"),
+            "compressed": compressed,
+            # gather -> one inter-node aggregate per peer node -> scatter;
+            # must be byte-equivalent to every flat variant.
+            "compressed-twolevel": dict(compressed, variant="two-level", topology=topo),
+        }
 
         def kernel(comm, variant):
             row = send[comm.rank]
-            if variant == "reference":
-                return comm.alltoallv(row)
             if variant == "linear":
                 return linear_alltoallv(comm, row)
-            if variant == "pairwise":
-                return pairwise_alltoallv(comm, row)
-            if variant == "pairwise-topo":
-                return pairwise_alltoallv(comm, row, topology=topo)
-            if variant == "osc":
-                return osc_alltoallv(comm, row)
             if variant == "osc-verify":
                 return osc_alltoallv(comm, row, verify=True)
-            if variant == "compressed-twolevel":
-                # gather -> one inter-node aggregate per peer node -> scatter;
-                # must be byte-equivalent to every flat variant.
-                op = TwoLevelCompressedAlltoallv(
-                    comm, IdentityCodec(), topology=topo, pipeline_chunks=chunks
-                )
-            else:
-                op = CompressedOscAlltoallv(comm, IdentityCodec(), pipeline_chunks=chunks)
+            op = make_exchange(comm, **configs[variant])
             try:
                 return op(row)
             finally:
@@ -778,8 +768,8 @@ class TraceProperty(Property):
                 pairwise_alltoallv(comm, send[comm.rank])
 
             ThreadWorld(p).run(kernel)
-            total = sum(arr.nbytes for row in send for arr in row)
-            return {"messages": p * p, "logical_bytes": total, "wire_bytes": total}
+            sizes = [arr.nbytes for row in send for arr in row if arr.size]
+            return {"messages": len(sizes), "logical_bytes": sum(sizes), "wire_bytes": sum(sizes)}
 
         from repro.collectives import CompressedOscAlltoallv
         from repro.compression.base import IdentityCodec

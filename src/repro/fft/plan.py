@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
+from repro.collectives.base import volume_rate
+from repro.collectives.exchange import make_exchange
 from repro.compression.base import Codec
 from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
 from repro.errors import PlanError
@@ -64,10 +64,8 @@ class FftStats:
 
     @property
     def achieved_rate(self) -> float:
-        """``logical / wire``; 0/0 is 1.0, nonzero/0 is ``inf`` (anomaly)."""
-        if self.wire_bytes:
-            return self.logical_bytes / self.wire_bytes
-        return 1.0 if self.logical_bytes == 0 else float("inf")
+        """``logical / wire`` (see :func:`~repro.collectives.base.volume_rate`)."""
+        return volume_rate(self.logical_bytes, self.wire_bytes)
 
     @property
     def retries(self) -> int:
@@ -245,23 +243,20 @@ class Fft3d:
         stats = FftStats()
         locals_ = self.scatter(np.asarray(x, dtype=self.dtype))
         transform = batched_ifft if inverse else batched_fft
-        for axis in range(3):
+        for step, plan in enumerate(self.reshapes):
             rstats = ReshapeStats()
-            locals_ = self.reshapes[axis].run_virtual(
-                world, locals_, codec=self._stage_codec(axis), stats=rstats
+            locals_ = plan.run_virtual(
+                world, locals_, codec=self._stage_codec(step), stats=rstats
             )
             stats.reshapes.append(rstats)
+            if step == 3:
+                break
             # negative axis: transparent to leading batch dimensions
             transformed = []
             for r, b in enumerate(locals_):
-                with trace_span("local_fft", rank=r, axis=axis):
-                    transformed.append(transform(b, axis - 3, self.precision))
+                with trace_span("local_fft", rank=r, axis=step):
+                    transformed.append(transform(b, step - 3, self.precision))
             locals_ = transformed
-        rstats = ReshapeStats()
-        locals_ = self.reshapes[3].run_virtual(
-            world, locals_, codec=self._stage_codec(3), stats=rstats
-        )
-        stats.reshapes.append(rstats)
         self.last_stats = stats
         return self.gather(locals_)
 
@@ -281,6 +276,59 @@ class Fft3d:
 
     # -- SPMD execution ------------------------------------------------------------------
 
+    def _reshape_stage(
+        self,
+        comm: Comm,
+        block: np.ndarray,
+        step: int,
+        *,
+        method: str,
+        variant: str,
+        stats: FftStats,
+        pool: BufferPool | None = None,
+    ) -> np.ndarray:
+        """Reshape ``step`` of an SPMD transform (the first half of a stage).
+
+        The exchange is built for this one call (``run_spmd`` frees it as
+        soon as the bytes are out) from the stage codec, the tuned entry
+        (pipeline depth, key), ``e_tol`` — with a tolerance configured
+        the exchange also verifies it per message, which feeds the
+        achieved-error / headroom telemetry gauges — and the topology.
+        """
+        entry = self._tuned_entry
+        exchange = make_exchange(
+            comm,
+            codec=self._stage_codec(step),
+            method=method,
+            variant=variant,
+            topology=self.topology,
+            e_tol=self.e_tol,
+            pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
+            pool=pool,
+            tuned=self.tuned_key,
+        )
+        rstats = ReshapeStats()
+        block = self.reshapes[step].run_spmd(
+            comm, block, exchange, stats=rstats, pool=pool, free=True
+        )
+        stats.reshapes.append(rstats)
+        return block
+
+    def _fft_stage(self, comm: Comm, block: np.ndarray, step: int, inverse: bool) -> np.ndarray:
+        """The batched 1-D FFTs that follow reshape ``step`` (none after the last).
+
+        A call of its own rather than the tail of :meth:`_reshape_stage`:
+        a caller's frame keeps its argument alive for the whole call, and
+        the pre-reshape block must not outlive the reshape into the FFT's
+        peak working set.
+        """
+        if step == 3:
+            return block
+        live_update(comm.rank, phase="local_fft")
+        with trace_span("local_fft", rank=comm.rank, axis=step):
+            transform = batched_ifft if inverse else batched_fft
+            return transform(block, step - 3, self.precision)
+
     def forward_spmd(
         self,
         comm: Comm,
@@ -296,9 +344,9 @@ class Fft3d:
         ``local`` is the rank's brick block (see :meth:`scatter`); the
         return value is the rank's brick block of the transform.  With a
         codec configured, every reshape goes through the compressed OSC
-        all-to-all with a cached window per reshape plan; a loaded
-        tuning profile additionally selects the pipeline depth and the
-        flat vs. node-aware two-level exchange.
+        all-to-all; a loaded tuning profile additionally selects the
+        pipeline depth and the flat vs. node-aware two-level exchange.
+        Without one, ``method`` picks the uncompressed algorithm.
 
         Pass ``stats`` to collect this rank's accounting race-free: the
         plan object is shared across rank threads, so ``last_stats``
@@ -308,7 +356,6 @@ class Fft3d:
         """
         if comm.size != self.nranks:
             raise PlanError("communicator size does not match plan")
-        transform = batched_ifft if inverse else batched_fft
         if stats is None:
             stats = FftStats()
         block = np.ascontiguousarray(local, dtype=self.dtype)
@@ -328,46 +375,12 @@ class Fft3d:
             method=method,
         ):
             entry = self._tuned_entry
-            exchange_cls = (
-                TwoLevelCompressedAlltoallv
-                if entry is not None and entry.variant == "two-level"
-                else CompressedOscAlltoallv
-            )
-            for step, plan in enumerate(self.reshapes):
-                rstats = ReshapeStats()
-                alltoall = None
-                stage_codec = self._stage_codec(step)
-                if stage_codec is not None:
-                    alltoall = exchange_cls(
-                        comm,
-                        stage_codec,
-                        topology=self.topology,
-                        pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
-                        # With a tolerance configured the exchange also
-                        # verifies it per message, which feeds the
-                        # achieved-error / headroom telemetry gauges.
-                        e_tol=self.e_tol,
-                        pool=pool,
-                        tuned=self.tuned_key,
-                    )
-                try:
-                    block = plan.run_spmd(
-                        comm,
-                        block,
-                        method=method,
-                        topology=self.topology,
-                        alltoall=alltoall,
-                        stats=rstats,
-                        pool=pool,
-                    )
-                finally:
-                    if alltoall is not None:
-                        alltoall.free()
-                stats.reshapes.append(rstats)
-                if step < 3:
-                    live_update(comm.rank, phase="local_fft")
-                    with trace_span("local_fft", rank=comm.rank, axis=step):
-                        block = transform(block, step - 3, self.precision)
+            variant = entry.variant if entry is not None else "flat"
+            for step in range(len(self.reshapes)):
+                block = self._reshape_stage(
+                    comm, block, step, method=method, variant=variant, stats=stats, pool=pool
+                )
+                block = self._fft_stage(comm, block, step, inverse)
         self.last_stats = stats
         live_update(comm.rank, phase="idle")
         return block

@@ -24,21 +24,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.osc import osc_alltoallv
-from repro.collectives.pairwise import pairwise_alltoallv
-from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
+from repro.collectives.base import Exchange, volume_rate
+from repro.collectives.exchange import make_exchange
 from repro.compression.base import Codec
 from repro.errors import PlanError
-from repro.faults import ResilienceReport, RetryPolicy
+from repro.faults import ResilienceReport
 from repro.telemetry.recorder import live_update
 from repro.tuning.pool import BufferPool
-from repro.tuning.profile import VARIANTS
 from repro.trace import incr as trace_incr
 from repro.trace import span as trace_span
 from repro.fft.box import Box3d
 from repro.fft.decomposition import CartesianDecomp
-from repro.machine.topology import Topology
 from repro.runtime.base import Comm
 from repro.runtime.virtual import VirtualWorld
 
@@ -60,15 +56,8 @@ class ReshapeStats:
 
     @property
     def achieved_rate(self) -> float:
-        """Compression rate ``logical / wire``.
-
-        0/0 (nothing exchanged) is 1.0 by convention; nonzero logical
-        volume over zero wire bytes is ``inf`` — an accounting anomaly
-        that must not masquerade as "no compression".
-        """
-        if self.wire_bytes:
-            return self.logical_bytes / self.wire_bytes
-        return 1.0 if self.logical_bytes == 0 else float("inf")
+        """Compression rate ``logical / wire`` (see :func:`volume_rate`)."""
+        return volume_rate(self.logical_bytes, self.wire_bytes)
 
     @property
     def clean(self) -> bool:
@@ -84,6 +73,17 @@ class ReshapeStats:
             and self.degradations == 0
             and all(r.clean for r in self.reports)
         )
+
+    def fold(self, exchange: Exchange) -> None:
+        """Add the accounting of ``exchange``'s last call (its stats and
+        its :class:`~repro.faults.ResilienceReport`)."""
+        sent, report = exchange.last_stats, exchange.last_report
+        self.messages += sent.sent_messages
+        self.logical_bytes += sent.original_bytes
+        self.wire_bytes += sent.wire_bytes
+        self.retries += report.retries
+        self.degradations += report.degradations
+        self.reports.append(report)
 
     def merge(self, other: "ReshapeStats") -> "ReshapeStats":
         """Fold another execution's accounting into this one (returns self).
@@ -237,43 +237,32 @@ class ReshapePlan:
         self,
         comm: Comm,
         local: np.ndarray,
+        exchange: Exchange | None = None,
         *,
-        codec: Codec | None = None,
-        method: str = "reference",
-        topology: Topology | None = None,
-        alltoall: CompressedOscAlltoallv | None = None,
         stats: ReshapeStats | None = None,
-        retry_policy: RetryPolicy | None = None,
-        e_tol: float | None = None,
         pool: BufferPool | None = None,
-        pipeline_chunks: int = 1,
-        variant: str = "flat",
-        tuned: str | None = None,
+        free: bool = False,
     ) -> np.ndarray:
         """Execute this rank's part of the reshape on a communicator.
 
-        ``method`` selects the exchange algorithm: ``"reference"`` (the
-        linear alltoallv), ``"pairwise"`` (two-sided ring), ``"osc"``
-        (Algorithm 3) — or pass a prebuilt ``alltoall``
-        (:class:`~repro.collectives.compressed.CompressedOscAlltoallv`)
-        to get compression + cached windows.  ``retry_policy`` and
-        ``e_tol`` configure the resilient compressed path (checksummed
-        wire, retries, lossy→lossless→raw degradation); the resulting
-        :class:`~repro.faults.ResilienceReport` is appended to
-        ``stats.reports`` (per-rank state — the plan itself is shared
-        across rank threads and stays stateless during execution).
+        ``exchange`` is the all-to-all to move the packed chunks with —
+        anything :func:`~repro.collectives.exchange.make_exchange`
+        builds; ``None`` means the communicator's reference
+        ``alltoallv``.  The caller keeps it, so its window is cached
+        across calls, and frees it — or hands it over with ``free=True``
+        when it will not call it again.  Its accounting and
+        :class:`~repro.faults.ResilienceReport` are folded into
+        ``stats`` (per-rank state — the plan itself is shared across
+        rank threads and stays stateless during execution).
 
-        ``pool`` stages pack scratch, wire frames and receive copies in
-        reusable buffers (zero steady-state allocations once warm);
-        ``pipeline_chunks``/``variant`` configure the compressed path
-        built from ``codec`` (``"flat"`` ring or node-aware
-        ``"two-level"`` aggregation), and ``tuned`` stamps the tuning
-        key that chose the configuration onto the exchange span.
+        ``pool`` stages the pack scratch in reusable buffers and takes
+        back the receive copies the exchange drew from it (zero
+        steady-state allocations once warm).
         """
         if comm.size != self.nranks:
             raise PlanError("communicator size does not match plan")
-        if variant not in VARIANTS:
-            raise PlanError(f"unknown exchange variant {variant!r} (use one of {VARIANTS})")
+        if exchange is None:
+            exchange = make_exchange(comm, method="reference")
         rank = comm.rank
         dtype = local.dtype
         batch = local.shape[:-3]
@@ -283,63 +272,25 @@ class ReshapePlan:
             with trace_span("pack", rank=rank, peer=d):
                 send[d] = self.pack(rank, local, d, box, pool=pool)
 
-        report: ResilienceReport | None = None
         # One live-phase beacon per reshape: "exchange" is where a rank
         # spends its blocking time (pack/unpack are sub-ms local work and
         # per-phase beacons there measurably tax the GIL-shared ranks).
         live_update(rank, phase="exchange")
-        with trace_span("exchange", rank=rank, method=method, messages=len(self.pairs[rank])):
-            if alltoall is not None:
-                recv = alltoall(send)
-                report = alltoall.last_report
-                if stats is not None:
-                    stats.messages += alltoall.last_stats.sent_messages
-                    stats.logical_bytes += alltoall.last_stats.original_bytes
-                    stats.wire_bytes += alltoall.last_stats.wire_bytes
-            elif codec is not None:
-                cls = (
-                    TwoLevelCompressedAlltoallv if variant == "two-level" else CompressedOscAlltoallv
-                )
-                op = cls(
-                    comm,
-                    codec,
-                    topology=topology,
-                    pipeline_chunks=pipeline_chunks,
-                    retry_policy=retry_policy,
-                    e_tol=e_tol,
-                    pool=pool,
-                    tuned=tuned,
-                )
-                try:
-                    recv = op(send)
-                finally:
-                    op.free()
-                report = op.last_report
-                if stats is not None:
-                    stats.messages += op.last_stats.sent_messages
-                    stats.logical_bytes += op.last_stats.original_bytes
-                    stats.wire_bytes += op.last_stats.wire_bytes
-            elif method == "reference":
-                recv = comm.alltoallv(send)
-                # The reference path has no stats-carrying collective, so
-                # the reshape layer does its byte accounting (raw wire).
-                sent = sum(int(c.nbytes) for c in send if c is not None)
-                trace_incr("messages", sum(c is not None for c in send), rank=rank)
-                trace_incr("logical_bytes", sent, rank=rank)
-                trace_incr("wire_bytes", sent, rank=rank)
-            elif method == "pairwise":
-                recv = pairwise_alltoallv(comm, send, topology=topology)
-            elif method == "osc":
-                recv = osc_alltoallv(comm, send, topology=topology, pool=pool)
-            else:
-                raise PlanError(f"unknown reshape method {method!r}")
+        with trace_span(
+            "exchange", rank=rank, method=exchange.algorithm, messages=len(self.pairs[rank])
+        ):
+            try:
+                recv = exchange(send)
+            finally:
+                if free:
+                    # Collective, so it waits for the slowest rank: do it
+                    # here, where the closing fence has just lined the ranks
+                    # up, not after they drift apart again in unpack.
+                    exchange.free()
+        if stats is not None:
+            stats.fold(exchange)
 
-        if stats is not None and report is not None:
-            stats.reports.append(report)
-            stats.retries += report.retries
-            stats.degradations += report.degradations
-
-        # Every exchange path has consumed (copied or encoded) the packed
+        # Every exchange has consumed (copied or encoded) the packed
         # send buffers by now; give them back before unpacking so the
         # next reshape reuses them.
         if pool is not None:
@@ -351,7 +302,8 @@ class ReshapePlan:
         for s, box in self.incoming[rank]:
             chunk = np.asarray(recv[s])
             if chunk.dtype != dtype:
-                chunk = chunk.view(np.uint8).view(dtype) if codec is None and alltoall is None else chunk.astype(dtype)
+                # raw window exchanges hand back bytes; codecs hand back values
+                chunk = chunk.view(dtype) if chunk.dtype == np.uint8 else chunk.astype(dtype)
             with trace_span("unpack", rank=rank, peer=s):
                 self.unpack(rank, out, s, box, chunk)
         if pool is not None:

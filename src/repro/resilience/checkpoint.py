@@ -49,13 +49,12 @@ from repro.errors import (
     WireIntegrityError,
 )
 from repro.fft.box import Box3d
-from repro.fft.local_fft import batched_fft, batched_ifft
 from repro.fft.plan import Fft3d
-from repro.fft.reshape import ReshapeStats
 from repro.machine.topology import ShrunkTopology
 from repro.resilience.abft import reshape_checksums, verify_checksums
 from repro.runtime.shm import quiet_close
 from repro.trace import span as trace_span
+from repro.tuning.pool import BufferPool
 
 __all__ = ["CheckpointStore", "ResilientFft3d", "ShmCheckpointStore", "SpmdResult"]
 
@@ -439,11 +438,11 @@ class ResilientFft3d:
     # -- pipeline ---------------------------------------------------------------------
 
     def _run_stages(
-        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool
+        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, pool
     ) -> np.ndarray:
-        """Stages ``start..3`` of the pipeline, checkpointing each one."""
+        """Stages ``start..3`` of the pipeline — :class:`Fft3d`'s own stage
+        halves — checkpointing each one, ABFT-checking each reshape."""
         store = CheckpointStore.for_comm(comm)
-        transform = batched_ifft if inverse else batched_fft
         for step in range(start, _N_STAGES):
             rplan = plan.reshapes[step]
             key = (self.tag, comm.size, step, comm.rank)
@@ -455,25 +454,16 @@ class ResilientFft3d:
                 sent = {}
                 for entries in comm.allgather(mine.entries):
                     sent.update(entries)
-            rstats = ReshapeStats()
-            block = rplan.run_spmd(
-                comm,
-                block,
-                codec=plan._stage_codec(step),
-                method=self.method,
-                variant=self.variant,
-                topology=plan.topology,
-                stats=rstats,
+            block = plan._reshape_stage(
+                comm, block, step,
+                method=self.method, variant=self.variant, stats=plan.last_stats, pool=pool,
             )
-            plan.last_stats.reshapes.append(rstats)
             if self.abft:
                 got = reshape_checksums(
                     rplan, comm.rank, block, stage=step, direction="recv"
                 )
                 verify_checksums(sent, got, self.checksum_tolerance)
-            if step < _N_STAGES - 1:
-                with trace_span("local_fft", rank=comm.rank, axis=step):
-                    block = transform(block, step - 3, plan.precision)
+            block = plan._fft_stage(comm, block, step, inverse)
         return block
 
     # -- recovery ---------------------------------------------------------------------
@@ -505,18 +495,18 @@ class ResilientFft3d:
         return new_plan, np.ascontiguousarray(global_arr[..., sl[0], sl[1], sl[2]])
 
     def _run(
-        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, depth: int
+        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, depth: int, pool
     ) -> SpmdResult:
         try:
-            out = self._run_stages(comm, plan, block, start, inverse)
+            out = self._run_stages(comm, plan, block, start, inverse, pool)
             return SpmdResult(block=out, comm=comm, plan=plan, recovered=depth > 0)
         except (RevokedError, StallError) as exc:
             if depth >= self.max_recoveries:
                 raise
-            return self._recover(comm, plan, inverse, exc, depth)
+            return self._recover(comm, plan, inverse, exc, depth, pool)
 
     def _recover(
-        self, comm, plan: Fft3d, inverse: bool, exc: CommunicatorError, depth: int
+        self, comm, plan: Fft3d, inverse: bool, exc: CommunicatorError, depth: int, pool
     ) -> SpmdResult:
         world = comm.world
         store = CheckpointStore.for_comm(comm)
@@ -533,7 +523,7 @@ class ResilientFft3d:
                     store, plan, comm.size, stage, sub
                 )
                 self.active_plan = new_plan
-                result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1)
+                result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1, pool)
         result.recovered = True
         result.report = world.monitor.build_report(
             recovered=True,
@@ -544,7 +534,9 @@ class ResilientFft3d:
 
     # -- public API --------------------------------------------------------------------
 
-    def run_spmd(self, comm, local: np.ndarray, *, inverse: bool = False) -> SpmdResult:
+    def run_spmd(
+        self, comm, local: np.ndarray, *, inverse: bool = False, pool: BufferPool | None = None
+    ) -> SpmdResult:
         """This rank's part of the transform, surviving rank failures.
 
         ``local`` is the rank's brick block under the plan matching
@@ -561,18 +553,20 @@ class ResilientFft3d:
         with trace_span(
             "fft", rank=comm.rank, shape=self.shape, nranks=comm.size, inverse=inverse
         ):
-            result = self._run(comm, plan, block, 0, inverse, 0)
+            result = self._run(comm, plan, block, 0, inverse, 0, pool)
         self.active_plan = result.plan
         return result
 
-    def forward_spmd(self, comm, local: np.ndarray, *, inverse: bool = False) -> np.ndarray:
+    def forward_spmd(
+        self, comm, local: np.ndarray, *, inverse: bool = False, pool: BufferPool | None = None
+    ) -> np.ndarray:
         """Block-only variant mirroring :meth:`Fft3d.forward_spmd`.
 
         After a recovery the block lives in ``self.active_plan``'s brick
         layout; use :meth:`run_spmd` when you need the surviving
         communicator to chain further collective work.
         """
-        return self.run_spmd(comm, local, inverse=inverse).block
+        return self.run_spmd(comm, local, inverse=inverse, pool=pool).block
 
     def backward_spmd(self, comm, local: np.ndarray) -> np.ndarray:
         """Inverse transform (``1/N^3`` normalised), failure-tolerant."""

@@ -383,6 +383,16 @@ class ProcMonitor:
 
     # -- classification -------------------------------------------------------------------
 
+    def _process_gone(self, g: int) -> bool:
+        """True when rank ``g``'s process died without finishing.
+
+        A rank sets its (monotonic) done bit before it exits, so a pid
+        seen gone proves a crash only if the bit is *still* clear when
+        re-read afterwards — reading it first races a clean exit.
+        """
+        pid = self.state.pid(g)
+        return bool(pid) and not pid_alive(pid) and not self.state.is_done(g)
+
     def classify(self, rank: int) -> str:
         g = self.members[rank]
         for rec in self.state.failures():
@@ -390,8 +400,7 @@ class ProcMonitor:
                 return rec[2]
         if self.state.is_done(g):
             return "alive"
-        pid = self.state.pid(g)
-        if pid and not pid_alive(pid):
+        if self._process_gone(g):
             return "dead"
         if self.state.started and self.state.beacon_age(g) > self.suspect_after:
             return "deadlock"
@@ -408,7 +417,7 @@ class ProcMonitor:
             if g in failed or self.state.is_done(g):
                 continue
             pid = self.state.pid(g)
-            process_gone = bool(pid) and not pid_alive(pid)
+            process_gone = self._process_gone(g)
             age = self.state.beacon_age(g)
             silent = age > self.suspect_after
             if not (process_gone or silent):

@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
+from repro.collectives.exchange import make_exchange
 from repro.compression.selection import codec_for_tolerance
 from repro.errors import TuningError
 from repro.fft.decomposition import brick_decomposition, pencil_decomposition
@@ -128,25 +127,21 @@ def _measure_candidate(
                 rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
             ).astype(np.complex128)
             pool = BufferPool()
-            cls = (
-                TwoLevelCompressedAlltoallv
-                if cand.variant == "two-level"
-                else CompressedOscAlltoallv
-            )
-            op = cls(
+            op = make_exchange(
                 comm,
-                codec,
+                codec=codec,
+                variant=cand.variant,
                 topology=topology,
                 pipeline_chunks=cand.pipeline_chunks,
                 pool=pool,
             )
             try:
                 # Warm-up: creates the cached window, fills the pool.
-                plan.run_spmd(comm, local, alltoall=op, pool=pool)
+                plan.run_spmd(comm, local, op, pool=pool)
                 comm.barrier()
                 t0 = time.perf_counter()
                 for _ in range(iters):
-                    plan.run_spmd(comm, local, alltoall=op, pool=pool)
+                    plan.run_spmd(comm, local, op, pool=pool)
                 elapsed = time.perf_counter() - t0
             finally:
                 op.free()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, OscAlltoallv
+from repro.collectives import CompressedOscAlltoallv, OscAlltoallv, make_exchange
 from repro.compression import CastCodec, IdentityCodec, ShuffleZlibCodec
 from repro.errors import CommunicatorError, ReproError, RetryExhaustedError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
@@ -369,13 +369,9 @@ class TestReshapeUnderFaults:
 
         def kernel(comm):
             stats = ReshapeStats()
-            out = plan.run_spmd(
-                comm,
-                locals_[comm.rank],
-                codec=IdentityCodec(),
-                retry_policy=_fast_retry(),
-                stats=stats,
-            )
+            op = make_exchange(comm, codec=IdentityCodec(), retry_policy=_fast_retry())
+            out = plan.run_spmd(comm, locals_[comm.rank], op, stats=stats)
+            op.free()
             return out, stats
 
         results = world.run(kernel)
@@ -405,7 +401,9 @@ class TestReshapeUnderFaults:
 
         def kernel(comm):
             stats = ReshapeStats()
-            plan.run_spmd(comm, locals_[comm.rank], codec=IdentityCodec(), stats=stats)
+            op = make_exchange(comm, codec=IdentityCodec())
+            plan.run_spmd(comm, locals_[comm.rank], op, stats=stats)
+            op.free()
             return stats
 
         for stats in run_spmd(P, kernel):

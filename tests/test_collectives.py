@@ -85,13 +85,13 @@ class TestOsc:
             op = OscAlltoallv(comm)
             send = _make_send(comm.rank, comm.size)
             a = op(send)
-            win_first = op._win
+            win_first = op.transport.win
             b = op(send)
-            cached = op._win is win_first
+            cached = op.transport.win is win_first
             # changing sizes forces re-creation
             bigger = [np.concatenate([c, c]) for c in send]
             c = op(bigger)
-            recreated = op._win is not win_first
+            recreated = op.transport.win is not win_first
             op.free()
             return cached, recreated, a[0].tobytes() == b[0].tobytes(), len(c)
 

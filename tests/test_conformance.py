@@ -95,6 +95,21 @@ def test_planted_offset_bug_is_caught_and_shrunk() -> None:
         assert replay.failure is not None
 
 
+@pytest.mark.parametrize("variant", ["osc", "compressed"])
+def test_planted_offset_bug_is_caught_on_every_window_exchange(variant: str) -> None:
+    """``osc.put_offset`` guards the one window transport, so the same
+    off-by-one must fail the raw and the compressed exchange alike."""
+    prop = PROPERTIES["alltoallv"]
+    with hooks.mutation("osc.put_offset", lambda off, **ctx: max(0, off - 1)):
+        for index in range(50):
+            sc = generate_case(seed=0, index=index, properties=["alltoallv"])
+            if variant in sc.params["variants"] and check_scenario(
+                prop, sc.with_params(variants=[variant])
+            ):
+                return
+    pytest.fail(f"{variant}: planted off-by-one not caught within 50 cases")
+
+
 def test_planted_pairwise_corruption_replays_identically() -> None:
     """A deterministic two-sided defect reproduces its exact failure message."""
 

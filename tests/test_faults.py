@@ -393,13 +393,13 @@ class TestOscWindowReuse:
             small = [np.full(8, comm.rank, dtype=np.float64)] * comm.size
             huge = [np.full(128, comm.rank, dtype=np.float64)] * comm.size
             op(big)
-            w0 = op._win
+            w0 = op.transport.win
             op(small)  # needs less capacity: must NOT recreate
-            w1 = op._win
+            w1 = op.transport.win
             op(big)  # back up within capacity: still cached
-            w2 = op._win
+            w2 = op.transport.win
             op(huge)  # outgrows capacity: recreates
-            w3 = op._win
+            w3 = op.transport.win
             res = (w0 is w1, w1 is w2, w2 is w3)
             op.free()
             return res

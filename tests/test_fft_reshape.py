@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.collectives import make_exchange
 from repro.compression import CastCodec, IdentityCodec
 from repro.errors import PlanError
 from repro.fft import Box3d, ReshapePlan, brick_decomposition, pencil_decomposition
@@ -19,6 +20,15 @@ def _global_field(shape, rng):
 def _scatter(decomp, x):
     full = Box3d((0, 0, 0), x.shape)
     return [np.ascontiguousarray(x[decomp.box_of(r).slices_within(full)]) for r in range(decomp.nranks)]
+
+
+def _reshape(plan, comm, local, **config):
+    """One reshape through the exchange ``make_exchange(comm, **config)`` builds."""
+    op = make_exchange(comm, **config)
+    try:
+        return plan.run_spmd(comm, local, op)
+    finally:
+        op.free()
 
 
 def _gather(decomp, locals_, shape):
@@ -128,7 +138,7 @@ class TestSpmdExecution:
         locals_ = _scatter(src, x)
 
         def kernel(comm):
-            return plan.run_spmd(comm, locals_[comm.rank], method=method)
+            return _reshape(plan, comm, locals_[comm.rank], method=method)
 
         res = run_spmd(p, kernel)
         for r in range(p):
@@ -144,11 +154,9 @@ class TestSpmdExecution:
         locals_ = _scatter(src, x)
 
         def kernel(comm):
-            from repro.collectives import CompressedOscAlltoallv
-
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"))
+            op = make_exchange(comm, codec=CastCodec("fp32"))
             stats = ReshapeStats()
-            out = plan.run_spmd(comm, locals_[comm.rank], alltoall=op, stats=stats)
+            out = plan.run_spmd(comm, locals_[comm.rank], op, stats=stats)
             op.free()
             return out, stats.achieved_rate
 
@@ -167,10 +175,26 @@ class TestSpmdExecution:
         locals_ = _scatter(src, x)
 
         def kernel(comm):
-            return plan.run_spmd(comm, locals_[comm.rank], codec=IdentityCodec())
+            return _reshape(plan, comm, locals_[comm.rank], codec=IdentityCodec())
 
         res = run_spmd(p, kernel)
         assert np.array_equal(_gather(dst, res, shape), x)
+
+    def test_exchange_is_borrowed_unless_handed_over(self, rng):
+        """The caller's exchange keeps its cached window across reshapes;
+        ``free=True`` hands it over and it is freed behind the exchange."""
+        shape = (8, 8, 8)
+        plan = ReshapePlan(brick_decomposition(shape, 2), pencil_decomposition(shape, 2, 0))
+        locals_ = _scatter(plan.src, _global_field(shape, rng))
+
+        def kernel(comm):
+            op = make_exchange(comm, method="osc")
+            first = plan.run_spmd(comm, locals_[comm.rank], op)
+            cached = op.transport.win
+            second = plan.run_spmd(comm, locals_[comm.rank], op, free=True)
+            return cached is not None, op.transport.win is None, np.array_equal(first, second)
+
+        assert run_spmd(2, kernel) == [(True, True, True)] * 2
 
     def test_wrong_local_shape_rejected(self, rng):
         shape = (8, 8, 8)

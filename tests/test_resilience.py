@@ -417,6 +417,65 @@ class TestKillRecovery:
         assert {"detect", "agree", "shrink", "restart"} <= names
 
 
+class TestResilientSharesTheStageRunner:
+    """The resilient pipeline runs Fft3d's own stage body, so it verifies
+    ``e_tol`` per message and stages through the pool exactly as
+    ``Fft3d.forward_spmd`` does (it used to build its exchanges with
+    ``e_tol=None`` and no pool)."""
+
+    SHAPE, P, E_TOL = (8, 8, 8), 4, 1e-6
+
+    def _telemetry_of(self, run_rank, data):
+        from repro.telemetry import metrics, recorder
+
+        recorder.reset()
+        metrics.get_registry().clear()
+        ThreadWorld(self.P, timeout=30.0).run(run_rank)
+        errors = {
+            rank: [(ev.round, ev.value, ev.value2) for ev in events if ev.kind == "error"]
+            for rank, events in recorder.get_recorder().events_by_rank().items()
+        }
+        reg = metrics.get_registry()
+        headroom = [reg.gauge("repro_error_headroom", rank=r).value for r in range(self.P)]
+        return errors, headroom
+
+    def test_records_the_same_error_telemetry_as_fft3d(self, rng):
+        data = rng.standard_normal(self.SHAPE) + 1j * rng.standard_normal(self.SHAPE)
+        plain = Fft3d(self.SHAPE, self.P, e_tol=self.E_TOL)
+        resilient = ResilientFft3d(self.SHAPE, self.P, e_tol=self.E_TOL)
+        blocks = plain.scatter(data)
+        want = self._telemetry_of(lambda comm: plain.forward_spmd(comm, blocks[comm.rank]), data)
+        got = self._telemetry_of(
+            lambda comm: resilient.forward_spmd(comm, blocks[comm.rank]), data
+        )
+        errors, headroom = got
+        assert got == want
+        assert sorted(errors) == list(range(self.P))
+        assert all(len(evs) == 4 for evs in errors.values())  # one per reshape
+        assert all(0.0 <= h < self.E_TOL for h in headroom)
+        stats = resilient.plan.last_stats.reshapes
+        assert len(stats) == 4 * self.P and all(r.clean for r in stats)
+
+    def test_stages_through_the_pool(self, rng):
+        from repro.tuning import BufferPool
+
+        data = rng.standard_normal(self.SHAPE) + 1j * rng.standard_normal(self.SHAPE)
+        resilient = ResilientFft3d(self.SHAPE, self.P, e_tol=self.E_TOL)
+        blocks = resilient.plan.scatter(data)
+
+        def kernel(comm):
+            pool = BufferPool()
+            first = resilient.forward_spmd(comm, blocks[comm.rank], pool=pool)
+            warm = pool.misses
+            again = resilient.forward_spmd(comm, blocks[comm.rank], pool=pool)
+            return warm, pool.misses, pool.active, np.array_equal(first, again)
+
+        for warm, after, active, stable in ThreadWorld(self.P, timeout=30.0).run(kernel):
+            assert warm > 0, "the pool was never used"
+            assert after == warm, "a warm resilient transform allocated staging memory"
+            assert active == 0 and stable
+
+
 class TestHangRecovery:
     def test_hang_detected_well_under_join_deadline(self, rng):
         shape, nranks = (8, 8, 8), 4

@@ -204,3 +204,40 @@ class TestTracerSpooling:
         spans = [s for s in tracer.span_events() if s.kind == "child-work"]
         assert sorted(s.rank for s in spans) == [0, 1, 2]
         assert all(s.t1_ns >= s.t0_ns for s in spans)
+
+
+class TestMonitorDoneVsDead:
+    """A rank that marks itself done and exits between the watchdog's two
+    reads (done bit, then pid) finished cleanly: it must not be declared
+    crashed.  The exit is replayed inside ``pid_alive`` — no timing."""
+
+    def _monitor(self, monkeypatch):
+        from repro.runtime import proc
+        from repro.runtime.shm import ProcState
+
+        state = ProcState(f"{SEG_PREFIX}donerace{os.getpid()}", 2, mp.get_context("fork"))
+        state.start()
+        for g in range(2):
+            state.set_pid(g, os.getpid())
+
+        def exits_cleanly_while_being_checked(pid):
+            state.mark_done(1)
+            return False
+
+        monkeypatch.setattr(proc, "pid_alive", exits_cleanly_while_being_checked)
+        return proc.ProcMonitor(state, (1,), suspect_after=60.0), state
+
+    def test_poll_does_not_declare_a_finished_rank_dead(self, monkeypatch, leak_check):
+        monitor, state = self._monitor(monkeypatch)
+        try:
+            assert monitor.poll() == []
+            assert monitor.failures() == []
+        finally:
+            state.destroy()
+
+    def test_classify_says_alive(self, monkeypatch, leak_check):
+        monitor, state = self._monitor(monkeypatch)
+        try:
+            assert monitor.classify(0) == "alive"
+        finally:
+            state.destroy()

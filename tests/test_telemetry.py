@@ -17,12 +17,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv
+from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv, make_exchange
 from repro.compression import CastCodec, ShuffleZlibCodec
 from repro.errors import TelemetryError
+from repro.fft import Fft3d
+from repro.fft.plan import FftStats
+from repro.fft.reshape import ReshapeStats
 from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
 from repro.machine.topology import Topology
-from repro.runtime import run_spmd
+from repro.runtime import make_world, run_spmd
+from repro.runtime.shm import fork_available
 from repro.telemetry import blackbox as bb
 from repro.telemetry import jsonlog, metrics, recorder
 from repro.telemetry.monitor_cli import render_table, run_monitor_cli
@@ -406,6 +410,79 @@ class TestErrorHeadroom:
             assert 0 < wire < logical  # fp32 cast halves the wire bytes
             kinds = [e.kind for e in recorder.get_recorder().events(rank)]
             assert "exchange-round" in kinds and "error" in kinds
+
+
+# -- telemetry parity: raw exchanges publish what the window exchanges do --------------
+
+
+RUNTIMES = [
+    "thread",
+    pytest.param(
+        "proc",
+        marks=pytest.mark.skipif(not fork_available(), reason="needs the fork start method"),
+    ),
+]
+
+
+class TestRawExchangeParity:
+    """Pairwise and reference reshapes used to reach neither the flight
+    ring nor the registry; they now go through the one exchange epilogue
+    (observed from inside each rank, so it holds for forked ranks too)."""
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("method", ["reference", "pairwise", "osc"])
+    def test_reshape_reaches_flight_ring_and_registry(self, runtime, method):
+        plan = Fft3d((8, 8, 8), 4)
+        rplan = plan.reshapes[0]
+        blocks = plan.scatter(np.random.default_rng(5).standard_normal((8, 8, 8)))
+
+        def kernel(comm):
+            stats = ReshapeStats()
+            op = make_exchange(comm, method=method)
+            try:
+                for _ in range(2):
+                    rplan.run_spmd(comm, blocks[comm.rank], op, stats=stats)
+            finally:
+                op.free()
+            sink = recorder.get_recorder()
+            ring = getattr(sink, "segment", sink)  # forked ranks write to shared memory
+            rounds = [e for e in ring.events(comm.rank) if e.kind == "exchange-round"]
+            reg = metrics.get_registry()
+            return (
+                [(e.round, e.value, e.detail) for e in rounds],
+                reg.counter("repro_exchange_rounds_total", rank=comm.rank).value,
+                reg.counter("repro_wire_bytes_total", rank=comm.rank).value,
+                reg.counter("repro_logical_bytes_total", rank=comm.rank).value,
+                stats,
+            )
+
+        for rounds, n_rounds, wire, logical, stats in make_world(runtime, 4, timeout=60.0).run(
+            kernel
+        ):
+            per_call = stats.wire_bytes // 2
+            detail = "raw-osc" if method == "osc" else method
+            assert rounds == [(0, float(per_call), detail), (1, float(per_call), detail)]
+            assert n_rounds == 2
+            assert wire == logical == stats.wire_bytes == stats.logical_bytes > 0
+
+    @pytest.mark.parametrize("method", ["reference", "pairwise", "osc"])
+    def test_tracer_counters_match_stats_for_raw_methods(self, method):
+        """The ``repro trace`` consistency check, for exchanges that used
+        to report no stats to compare against."""
+        from repro.trace import tracing
+
+        plan = Fft3d((8, 8, 8), 4)
+        blocks = plan.scatter(np.random.default_rng(6).standard_normal((8, 8, 8)))
+
+        def kernel(comm):
+            stats = FftStats()
+            plan.forward_spmd(comm, blocks[comm.rank], method=method, stats=stats)
+            return stats.totals()
+
+        with tracing() as tracer:
+            totals = run_spmd(4, kernel)
+        for name in ("messages", "logical_bytes", "wire_bytes"):
+            assert tracer.counter_total(name) == sum(getattr(t, name) for t in totals) > 0
 
 
 # -- live monitor rendering ------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, OscAlltoallv
+from repro.collectives import CompressedOscAlltoallv, OscAlltoallv, make_exchange
 from repro.compression.truncation import CastCodec
 from repro.errors import TuningError
 from repro.fft.decomposition import brick_decomposition, pencil_decomposition
@@ -146,10 +146,10 @@ class TestZeroAllocHotPaths:
             pool = BufferPool()
             op = CompressedOscAlltoallv(comm, CastCodec("fp32"), pool=pool)
             try:
-                plan.run_spmd(comm, local, alltoall=op, pool=pool)
+                plan.run_spmd(comm, local, op, pool=pool)
                 warm = pool.misses
-                out_a = plan.run_spmd(comm, local, alltoall=op, pool=pool)
-                out_b = plan.run_spmd(comm, local, alltoall=op, pool=pool)
+                out_a = plan.run_spmd(comm, local, op, pool=pool)
+                out_b = plan.run_spmd(comm, local, op, pool=pool)
                 return warm, pool.misses, pool.active, np.array_equal(out_a, out_b)
             finally:
                 op.free()
@@ -172,7 +172,11 @@ class TestZeroAllocHotPaths:
                 rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
             ).astype(np.complex128)
             pool = BufferPool() if pooled else None
-            return plan.run_spmd(comm, local, codec=CastCodec("fp32"), pool=pool)
+            op = make_exchange(comm, codec=CastCodec("fp32"), pool=pool)
+            try:
+                return plan.run_spmd(comm, local, op, pool=pool)
+            finally:
+                op.free()
 
         plain = ThreadWorld(nranks).run(kernel, False)
         pooled = ThreadWorld(nranks).run(kernel, True)
