@@ -28,6 +28,7 @@ __all__ = [
     "dft_roundoff_bound",
     "fft_roundoff_bound",
     "truncation_error_model",
+    "relative_linf",
     "achieved_relative_error",
     "tolerance_exceeded",
 ]
@@ -71,6 +72,18 @@ def truncation_error_model(mantissa_bits: int, n_compressions: int = 1) -> float
     return n_compressions * u / math.sqrt(3.0)
 
 
+def relative_linf(worst: float, peak: float) -> float:
+    """Relative L-inf error from ``worst = max|x - y|`` and ``peak = max|x|``.
+
+    The one place the two maxima become the number held against
+    ``e_tol``: :func:`achieved_relative_error` computes them from a
+    round trip, a codec's ``compress_measured`` override from its encode
+    pass, and both report through here so they agree exactly.
+    ``0/0 -> 0`` (an all-zero message is transported exactly).
+    """
+    return worst if peak == 0.0 else worst / peak
+
+
 def achieved_relative_error(original: np.ndarray, restored: np.ndarray) -> float:
     """Realised relative L-inf error of one compressed round trip.
 
@@ -78,7 +91,6 @@ def achieved_relative_error(original: np.ndarray, restored: np.ndarray) -> float
     against ``e_tol``: unlike the a-priori bounds above it measures the
     actual perturbation a codec introduced, so data-dependent codecs
     (scaled casts, ZFP-like blocks) are held to the tolerance too.
-    ``0/0 -> 0`` (an all-zero message is transported exactly).
     """
     x = np.asarray(original)
     y = np.asarray(restored)
@@ -91,11 +103,9 @@ def achieved_relative_error(original: np.ndarray, restored: np.ndarray) -> float
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if x.shape != y.shape:
         raise ModelError(f"shape mismatch: {x.shape} vs {y.shape}")
-    denom = float(np.max(np.abs(x))) if x.size else 0.0
-    diff = float(np.max(np.abs(x - y))) if x.size else 0.0
-    if denom == 0.0:
-        return diff
-    return diff / denom
+    if not x.size:
+        return 0.0
+    return relative_linf(float(np.max(np.abs(x - y))), float(np.max(np.abs(x))))
 
 
 def tolerance_exceeded(achieved: float, e_tol: float) -> bool:

@@ -82,9 +82,10 @@ class CompressedOscAlltoallv(Exchange):
         :meth:`RetryPolicy.disabled` degrades on the first failure.
     e_tol:
         Optional per-message error tolerance.  When set, each lossy
-        message is round-tripped locally before the put; if the
-        achieved relative error exceeds ``e_tol`` the message is sent
-        through the lossless fallback instead.
+        message's achieved relative error is measured as it is
+        compressed (:meth:`Codec.compress_measured`); if it exceeds
+        ``e_tol`` the message is sent through the lossless fallback
+        instead.
     lossless_fallback:
         Lossless codec used by the degradation ladder (default:
         byte-shuffle + zlib).
@@ -190,10 +191,17 @@ class CompressedOscAlltoallv(Exchange):
         budget_noted = False
         while True:
             codec = ladder[step]
+            measure = self.e_tol is not None and not codec.lossless
             try:
                 if injector is not None:
                     injector.codec_fault(self.comm.rank, dest)
-                msg = codec.compress(frag)
+                achieved: float | None
+                if measure:
+                    msg, achieved = codec.compress_measured(frag)
+                else:
+                    # a lossless send is exact; with no tolerance nothing
+                    # is measured
+                    msg, achieved = codec.compress(frag), (None if self.e_tol is None else 0.0)
             except TransientCodecError as exc:
                 report.record("transient-codec", peer=dest, codec=codec.name, detail=str(exc))
                 elapsed = time.monotonic() - started
@@ -224,19 +232,11 @@ class CompressedOscAlltoallv(Exchange):
                 report.record("degrade", peer=dest, codec=ladder[step].name,
                               detail=f"{codec.name} -> {ladder[step].name} (transient failures)")
                 continue
-            achieved: float | None = None
-            if self.e_tol is not None and not codec.lossless:
-                # Lazy import: repro.accuracy pulls in the FFT layer,
-                # which itself imports this module at load time.
-                from repro.accuracy.bounds import achieved_relative_error, tolerance_exceeded
+            # Lazy import: repro.accuracy pulls in the FFT layer, which
+            # itself imports this module at load time.
+            from repro.accuracy.bounds import tolerance_exceeded
 
-                achieved = achieved_relative_error(frag, codec.decompress(msg))
-                exceeded = tolerance_exceeded(achieved, self.e_tol)
-            else:
-                if self.e_tol is not None:
-                    achieved = 0.0  # lossless send: the round trip is exact
-                exceeded = False
-            if exceeded:
+            if measure and tolerance_exceeded(achieved, self.e_tol):
                 report.record("tolerance-exceeded", peer=dest, codec=codec.name,
                               detail=f"e_tol={self.e_tol:g}")
                 lossless_step = next(i for i, c in enumerate(ladder) if c.lossless)

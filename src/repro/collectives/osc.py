@@ -27,13 +27,13 @@ the :class:`~repro.faults.RetryPolicy`; the outcome is recorded in
 from __future__ import annotations
 
 import time
-import zlib
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.collectives.base import Exchange, ExchangeStats
 from repro.collectives.pairwise import ring_peers
+from repro.collectives.wire import crc32
 from repro.conformance import hooks
 from repro.errors import RetryExhaustedError
 from repro.faults import ResilienceReport, RetryPolicy
@@ -47,10 +47,6 @@ __all__ = ["OscAlltoallv", "OscTransport", "osc_alltoallv"]
 
 #: Tag base for verify-mode retransmissions (control plane).
 _VERIFY_TAG = -7500
-
-
-def _crc(chunk: np.ndarray) -> int:
-    return zlib.crc32(chunk.tobytes()) & 0xFFFFFFFF
 
 
 class OscTransport:
@@ -225,7 +221,7 @@ class OscAlltoallv(Exchange):
             for source in sorted(failed):
                 report.record("retry", peer=source, attempt=attempt)
                 block = np.ascontiguousarray(comm.recv(source, tag=tag), dtype=np.uint8)
-                if block.size != recv[source].size or _crc(block) != crcs[source]:
+                if block.size != recv[source].size or crc32(block) != crcs[source]:
                     report.record("integrity-failure", peer=source, attempt=attempt,
                                   detail="retransmitted block checksum mismatch")
                     still_failed.append(source)
@@ -256,7 +252,7 @@ class OscAlltoallv(Exchange):
             for c in send
         ]
         regions, riders = self.transport(
-            [(c,) for c in chunks], [_crc(c) for c in chunks] if self.verify else None
+            [(c,) for c in chunks], [crc32(c) for c in chunks] if self.verify else None
         )
         recv: list[np.ndarray] = []
         for region in regions:
@@ -269,7 +265,7 @@ class OscAlltoallv(Exchange):
 
         if riders is not None:
             crcs = [int(row[comm.rank]) for row in riders]  # crcs[s] = what s sent me
-            failed = [s for s, blk in enumerate(recv) if blk.size and _crc(blk) != crcs[s]]
+            failed = [s for s, blk in enumerate(recv) if blk.size and crc32(blk) != crcs[s]]
             for s in failed:
                 report.record("integrity-failure", peer=s, detail="block checksum mismatch")
             with trace_span("retry", rank=comm.rank, failed=len(failed)):

@@ -46,6 +46,7 @@ from repro.errors import WireIntegrityError
 __all__ = [
     "WIRE_MAGIC",
     "WIRE_VERSION",
+    "crc32",
     "encode_wire",
     "decode_wire",
     "frame_length",
@@ -63,6 +64,16 @@ _HDR_BYTES = _HDR_STRUCT.size  # 32
 #: Upper bound on a sane length field — anything larger is corruption
 #: (2**48 B = 256 TiB in a single frame is beyond any plan this code runs).
 _MAX_LEN = 1 << 48
+
+
+def crc32(buf: np.ndarray) -> int:
+    """CRC32 of a C-contiguous array's bytes, read in place.
+
+    ``zlib.crc32`` takes any contiguous buffer, so the array goes in as
+    it is — no ``tobytes()`` copy of a multi-megabyte payload just to
+    checksum it (and zlib drops the GIL while it runs).
+    """
+    return zlib.crc32(buf) & 0xFFFFFFFF
 
 
 # -- restricted metadata deserialization ---------------------------------------
@@ -152,21 +163,24 @@ def encode_wire(msg: CompressedMessage, *, pool=None) -> np.ndarray:
     """
     meta = _pack_meta(msg)
     payload = msg.payload
-    header = _HDR_STRUCT.pack(
+    body = _HDR_BYTES + len(meta)
+    total = body + payload.size
+    frame = np.empty(total, dtype=np.uint8) if pool is None else pool.acquire(total)
+    # Stage first, then checksum the staged bytes where they lie.
+    frame[_HDR_BYTES:body] = np.frombuffer(meta, dtype=np.uint8)
+    frame[body:] = payload
+    _HDR_STRUCT.pack_into(
+        frame,
+        0,
         WIRE_MAGIC,
         WIRE_VERSION,
         0,
         0,
         len(meta),
         payload.size,
-        zlib.crc32(meta) & 0xFFFFFFFF,
-        zlib.crc32(payload.tobytes()) & 0xFFFFFFFF,
+        crc32(frame[_HDR_BYTES:body]),
+        crc32(frame[body:]),
     )
-    total = _HDR_BYTES + len(meta) + payload.size
-    frame = np.empty(total, dtype=np.uint8) if pool is None else pool.acquire(total)
-    frame[:_HDR_BYTES] = np.frombuffer(header, dtype=np.uint8)
-    frame[_HDR_BYTES : _HDR_BYTES + len(meta)] = np.frombuffer(meta, dtype=np.uint8)
-    frame[_HDR_BYTES + len(meta) :] = payload
     return frame
 
 
@@ -180,7 +194,7 @@ def _parse_header(frame: np.ndarray) -> tuple[int, int, int, int]:
             f"wire frame too short: {frame.size} B < {_HDR_BYTES} B header"
         )
     magic, version, _flags, _res, meta_len, payload_len, meta_crc, payload_crc = (
-        _HDR_STRUCT.unpack(frame[:_HDR_BYTES].tobytes())
+        _HDR_STRUCT.unpack_from(frame)
     )
     if magic != WIRE_MAGIC:
         raise WireIntegrityError(f"bad wire magic {magic!r} (expected {WIRE_MAGIC!r})")
@@ -229,13 +243,15 @@ def decode_wire(frame: np.ndarray | bytes) -> tuple[CompressedMessage, int]:
         raise WireIntegrityError(
             f"wire frame truncated: need {consumed} B, have {frame.size} B"
         )
-    meta_raw = frame[_HDR_BYTES : _HDR_BYTES + meta_len].tobytes()
-    if zlib.crc32(meta_raw) & 0xFFFFFFFF != meta_crc:
+    # Checksum the frame's own bytes; the payload is copied out (once)
+    # only after it verified.
+    meta, body = frame[_HDR_BYTES : _HDR_BYTES + meta_len], frame[_HDR_BYTES + meta_len : consumed]
+    if crc32(meta) != meta_crc:
         raise WireIntegrityError("metadata checksum mismatch (corrupted frame)")
-    payload = frame[_HDR_BYTES + meta_len : consumed].copy()
-    if zlib.crc32(payload.tobytes()) & 0xFFFFFFFF != payload_crc:
+    if crc32(body) != payload_crc:
         raise WireIntegrityError("payload checksum mismatch (corrupted frame)")
-    decoded = _safe_loads(meta_raw)
+    payload = body.copy()
+    decoded = _safe_loads(meta.tobytes())
     if not (isinstance(decoded, tuple) and len(decoded) == 4):
         raise WireIntegrityError("wire metadata has unexpected structure")
     codec_name, dtype_name, shape, header = decoded

@@ -14,6 +14,7 @@ Design constraints straight from Section V-B of the paper:
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -21,7 +22,17 @@ import numpy as np
 
 from repro.errors import CompressionError
 
-__all__ = ["CompressedMessage", "Codec", "IdentityCodec", "as_float64_stream"]
+__all__ = [
+    "CompressedMessage",
+    "Codec",
+    "IdentityCodec",
+    "as_float64_stream",
+    "from_float64_stream",
+    "payload_items",
+]
+
+#: float64 scalars per element of the dtypes a codec accepts.
+_SCALARS_PER_ELEMENT = {"float64": 1, "complex128": 2}
 
 
 def as_float64_stream(data: np.ndarray) -> tuple[np.ndarray, str, tuple[int, ...]]:
@@ -40,13 +51,43 @@ def as_float64_stream(data: np.ndarray) -> tuple[np.ndarray, str, tuple[int, ...
 
 
 def from_float64_stream(stream: np.ndarray, dtype_name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`as_float64_stream`."""
+    """Inverse of :func:`as_float64_stream`.
+
+    Every ``decompress`` ends here, so this is where a message whose
+    ``dtype_name``/``shape`` disagree with the decoded stream is
+    rejected — as a :class:`CompressionError` the exchange's recovery
+    can catch, not the ``ValueError`` NumPy's ``reshape``/``view`` raise.
+    """
+    per_element = _SCALARS_PER_ELEMENT.get(dtype_name)
+    if per_element is None:
+        raise CompressionError(f"unknown original dtype {dtype_name!r}")
+    if not all(isinstance(d, (int, np.integer)) and d >= 0 for d in shape):
+        raise CompressionError(f"corrupt metadata: shape {shape!r}")
+    if stream.size != per_element * math.prod(shape):
+        raise CompressionError(
+            f"corrupt metadata: {dtype_name} shape {shape!r} does not describe "
+            f"{stream.size} decoded float64 values"
+        )
     stream = np.ascontiguousarray(stream, dtype=np.float64)
-    if dtype_name == "float64":
-        return stream.reshape(shape)
     if dtype_name == "complex128":
-        return stream.view(np.complex128).reshape(shape)
-    raise CompressionError(f"unknown original dtype {dtype_name!r}")
+        stream = stream.view(np.complex128)
+    return stream.reshape(shape)
+
+
+def payload_items(msg: "CompressedMessage", dtype: np.dtype | type | str) -> np.ndarray:
+    """View a message payload as ``dtype`` items (no copy).
+
+    A payload that is not a whole number of items is corruption and
+    raises :class:`CompressionError` (``ndarray.view`` would raise a
+    bare ``ValueError``).
+    """
+    itemsize = np.dtype(dtype).itemsize
+    if msg.payload.size % itemsize:
+        raise CompressionError(
+            f"corrupt payload: {msg.payload.size} B is not a multiple of the "
+            f"{itemsize} B item size of {msg.codec_name}"
+        )
+    return msg.payload.view(dtype)
 
 
 @dataclass
@@ -116,6 +157,24 @@ class Codec(ABC):
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         """Invert :meth:`compress`, restoring dtype and shape."""
 
+    def compress_measured(self, data: np.ndarray) -> tuple[CompressedMessage, float]:
+        """Compress ``data`` and report the error the receiver will see.
+
+        Returns ``(message, achieved)`` where ``achieved`` is
+        :func:`~repro.accuracy.bounds.achieved_relative_error` of
+        ``data`` against ``decompress(message)`` — the per-message
+        quantity an exchange holds against its ``e_tol``.  This default
+        makes the round trip; a codec whose encode kernel already has
+        the restored values at hand overrides it to measure in the same
+        pass (and must return the identical number).
+        """
+        # Lazy import: repro.accuracy pulls in the FFT layer, which
+        # itself imports this package at load time.
+        from repro.accuracy.bounds import achieved_relative_error
+
+        msg = self.compress(data)
+        return msg, achieved_relative_error(data, self.decompress(msg))
+
     # -- size model -----------------------------------------------------------
 
     @property
@@ -163,5 +222,4 @@ class IdentityCodec(Codec):
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         self._check_roundtrip_args(msg)
-        stream = msg.payload.view(np.float64)
-        return from_float64_stream(stream, msg.dtype_name, msg.shape)
+        return from_float64_stream(payload_items(msg, np.float64), msg.dtype_name, msg.shape)

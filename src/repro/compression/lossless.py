@@ -56,14 +56,14 @@ class ShuffleZlibCodec(Codec):
         raw = stream.view(np.uint8)
         if self.shuffle:
             raw = np.ascontiguousarray(raw.reshape(-1, 8).T).reshape(-1)
-        compressed = zlib.compress(raw.tobytes(), self.level)
+        compressed = zlib.compress(raw, self.level)  # zlib reads the array's buffer in place
         payload = np.frombuffer(compressed, dtype=np.uint8).copy()
         return CompressedMessage(self.name, payload, dtype_name, shape, {"n": stream.size})
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         self._check_roundtrip_args(msg)
         n = int(msg.header["n"])
-        raw = np.frombuffer(zlib.decompress(msg.payload.tobytes()), dtype=np.uint8)
+        raw = np.frombuffer(zlib.decompress(np.ascontiguousarray(msg.payload)), dtype=np.uint8)
         if raw.size != 8 * n:
             raise CompressionError("corrupt lossless payload")
         if self.shuffle:

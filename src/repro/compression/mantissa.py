@@ -2,13 +2,38 @@
 
 The Fig. 2 sweep varies the number of retained mantissa bits between the
 52 of FP64 and the 23 of FP32.  :func:`repro.precision.rounding.trim_mantissa`
-performs the *rounding*; this codec additionally *packs* the surviving
-bits so the wire actually shrinks: a value keeping ``m`` mantissa bits
-occupies ``1 + 11 + m`` bits, which we round up to whole bytes
-(``ceil((12 + m) / 8)``) and store as the top bytes of the big-endian
-binary64 pattern.  Keeping 23 bits therefore costs 5 bytes/value
-(rate 1.6×) — byte granularity is the honest cost of a packing kernel
-that stays memory-bandwidth-bound, and the codec reports it faithfully.
+is the reference *rounding*; this codec rounds the same way and
+additionally *packs* the surviving bits so the wire actually shrinks: a
+value keeping ``m`` mantissa bits occupies ``1 + 11 + m`` bits, which we
+round up to whole bytes (``k = ceil((12 + m) / 8)``) and store as the top
+``k`` bytes of the binary64 pattern.  Keeping 23 bits therefore costs
+5 bytes/value (rate 1.6×) — byte granularity is the honest cost of a
+packing kernel that stays memory-bandwidth-bound, and the codec reports
+it faithfully.
+
+Payload layout
+--------------
+The layout is defined on the little-endian ``uint64`` bit pattern of
+each value (a big-endian host converts on entry; the wire does not
+change).  The top ``k`` bytes of a word are split, widest first, into
+the power-of-two pieces of ``k``'s binary expansion, and the payload is
+**planar**: all ``n`` pieces of the first kind, then all of the second,
+each plane a contiguous little-endian array::
+
+    k = 6:   n x u32 (bytes 4..7)   then   n x u16 (bytes 2..3)
+    k = 7:   n x u32 (bytes 4..7),  n x u16 (bytes 2..3),  n x u8 (byte 1)
+    k = 3:   n x u16 (bytes 6..7),  n x u8 (byte 5)
+
+Every plane is an aligned strided view of the word array, so packing is
+one gather per plane and unpacking one scatter — no ``k``-byte rows,
+which NumPy can only move a byte at a time.
+
+Kernels
+-------
+Both directions walk the message in :data:`CHUNK_VALUES`-sized pieces so
+the handful of passes a piece needs (round, detect specials, measure,
+gather) all hit cache.  Scratch is allocated per call: codec instances
+are shared by rank threads.
 """
 
 from __future__ import annotations
@@ -23,9 +48,29 @@ from repro.compression.base import (
 )
 from repro.errors import CompressionError
 from repro.precision.formats import trimmed_format
-from repro.precision.rounding import trim_mantissa
 
-__all__ = ["MantissaTrimCodec"]
+__all__ = ["MantissaTrimCodec", "CHUNK_VALUES"]
+
+#: Values per kernel pass.  Three 8-byte arrays of this length are live
+#: at once (input, rounded words, float scratch): 384 KiB, L2-resident,
+#: and large enough that per-ufunc dispatch stays under 5 % of a pass.
+CHUNK_VALUES = 16384
+
+_LE64 = np.dtype("<u8")
+_EXP_MASK = 0x7FF0_0000_0000_0000
+_FRAC_MASK = 0x000F_FFFF_FFFF_FFFF
+_QUIET_BIT = 0x0008_0000_0000_0000
+_ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _plane_layout(k: int) -> tuple[tuple[int, int], ...]:
+    """``(byte offset in the LE word, width)`` of each plane, widest first."""
+    planes, top = [], 8
+    for width in (8, 4, 2, 1):
+        if k & width:
+            top -= width
+            planes.append((top, width))
+    return tuple(planes)
 
 
 class MantissaTrimCodec(Codec):
@@ -38,12 +83,19 @@ class MantissaTrimCodec(Codec):
         error per value is the format's unit round-off
         ``2**-(mantissa_bits + 1)``.
     rounding:
-        ``"nearest"`` (default) or ``"truncate"``; forwarded to
-        :func:`~repro.precision.rounding.trim_mantissa`.
+        ``"nearest"`` (default, ties to even) or ``"truncate"``; same
+        semantics as :func:`~repro.precision.rounding.trim_mantissa`.
+
+    NaN and ±Inf are not rounded (a carry out of an all-ones exponent
+    would turn a NaN into a zero); they keep their top ``k`` bytes, and a
+    NaN whose set mantissa bits all lie in the discarded bytes gets the
+    quiet bit forced so it stays a NaN.
     """
 
     def __init__(self, mantissa_bits: int, *, rounding: str = "nearest") -> None:
         self.fmt = trimmed_format(mantissa_bits)
+        if rounding not in ("nearest", "truncate"):
+            raise CompressionError(f"unknown rounding mode {rounding!r}")
         self.mantissa_bits = int(mantissa_bits)
         self.rounding = rounding
         #: Stored bytes per value after packing (sign+exp+mantissa, byte-aligned).
@@ -51,6 +103,7 @@ class MantissaTrimCodec(Codec):
         if not 1 <= self.bytes_per_value <= 8:
             raise CompressionError(f"invalid packing width {self.bytes_per_value}")
         self.name = f"trim_m{mantissa_bits}"
+        self._planes = _plane_layout(self.bytes_per_value)
 
     @property
     def rate(self) -> float:
@@ -63,15 +116,101 @@ class MantissaTrimCodec(Codec):
             return self.fmt.unit_roundoff
         return 2.0 * self.fmt.unit_roundoff
 
+    # -- layout ---------------------------------------------------------------
+
+    def _word_planes(self, words: np.ndarray) -> list[np.ndarray]:
+        """Strided views of the kept bytes of a ``<u8`` word array."""
+        return [words.view(f"<u{w}")[off // w :: 8 // w] for off, w in self._planes]
+
+    def _payload_planes(self, payload: np.ndarray, n: int) -> list[np.ndarray]:
+        """The contiguous per-plane arrays of an ``n``-value payload."""
+        planes, pos = [], 0
+        for _off, w in self._planes:
+            planes.append(payload[pos : pos + w * n].view(f"<u{w}"))
+            pos += w * n
+        return planes
+
+    # -- kernels --------------------------------------------------------------
+
+    def _keep_specials(self, words: np.ndarray, bits: np.ndarray) -> None:
+        """Undo the rounding of NaN/±Inf in a chunk (rare branch)."""
+        idx = np.flatnonzero((bits & np.uint64(_EXP_MASK)) == np.uint64(_EXP_MASK))
+        raw = bits[idx]
+        kept = raw & np.uint64(_ALL_ONES << (64 - 8 * self.bytes_per_value) & _ALL_ONES)
+        frac = np.uint64(_FRAC_MASK)
+        kept[((raw & frac) != 0) & ((kept & frac) == 0)] |= np.uint64(_QUIET_BIT)
+        words[idx] = kept
+
+    def _encode(self, stream: np.ndarray, measure: bool) -> tuple[np.ndarray, float | None]:
+        """Round, pack and (optionally) measure ``stream`` in one chunked pass.
+
+        Returns the planar payload and, when ``measure`` (else ``None``),
+        the achieved relative L-inf error ``max|x - rounded| / max|x|`` —
+        the rounded word is exactly what :meth:`decompress` restores, so
+        this is :func:`~repro.accuracy.bounds.achieved_relative_error` of
+        the round trip without making the round trip.
+        """
+        n = stream.size
+        shift = 52 - self.mantissa_bits
+        s = np.uint64(shift)
+        one = np.uint64(1)
+        half_m1 = np.uint64((1 << max(shift - 1, 0)) - 1)
+        mask = np.uint64(_ALL_ONES << shift & _ALL_ONES)
+        nearest = self.rounding == "nearest"
+
+        payload = np.empty(self.bytes_per_value * n, dtype=np.uint8)
+        out_planes = self._payload_planes(payload, n)
+        bits = stream.view(np.uint64)
+        words = np.empty(min(n, CHUNK_VALUES), dtype=_LE64)
+        scratch = np.empty(words.size, dtype=np.float64)
+        word_planes = self._word_planes(words)
+        peak = worst = 0.0
+        # inf - inf -> NaN is the measured error of a message carrying
+        # infinities; the caller treats NaN as "tolerance exceeded".
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, n, CHUNK_VALUES):
+                x, u = stream[lo : lo + CHUNK_VALUES], bits[lo : lo + CHUNK_VALUES]
+                c = x.size
+                w, f = words[:c], scratch[:c]
+                np.abs(x, out=f)
+                chunk_peak = f.max()
+                if shift == 0:
+                    w[...] = u
+                elif nearest:
+                    # ties-to-even on the bit pattern: add (half - 1) plus
+                    # the LSB of the kept field, then chop; the carry
+                    # walks into the exponent exactly as IEEE rounding does.
+                    np.right_shift(u, s, out=w)
+                    np.bitwise_and(w, one, out=w)
+                    np.add(w, u, out=w)
+                    np.add(w, half_m1, out=w)
+                    np.bitwise_and(w, mask, out=w)
+                else:
+                    np.bitwise_and(u, mask, out=w)
+                if not chunk_peak < np.inf:  # a NaN or an Inf is in here
+                    self._keep_specials(w, u)
+                if measure:
+                    np.subtract(x, w.view("<f8"), out=f)
+                    np.abs(f, out=f)
+                    worst = np.maximum(worst, f.max())
+                    peak = np.maximum(peak, chunk_peak)
+                for dst, src in zip(out_planes, word_planes):
+                    dst[lo : lo + c] = src[:c]
+        if not measure:
+            return payload, None
+        from repro.accuracy.bounds import relative_linf  # lazy: accuracy imports the FFT layer
+
+        return payload, relative_linf(float(worst), float(peak))
+
     def compress(self, data: np.ndarray) -> CompressedMessage:
         stream, dtype_name, shape = as_float64_stream(data)
-        k = self.bytes_per_value
-        # Round first so the discarded low bytes are exactly zero, then
-        # keep the top-k big-endian bytes of each 8-byte pattern.
-        rounded = trim_mantissa(stream, min(self.mantissa_bits, 8 * k - 12), rounding=self.rounding)
-        be = rounded.astype(">f8", copy=False).view(np.uint8).reshape(-1, 8)
-        payload = np.ascontiguousarray(be[:, :k]).reshape(-1)
+        payload, _ = self._encode(stream, measure=False)
         return CompressedMessage(self.name, payload, dtype_name, shape)
+
+    def compress_measured(self, data: np.ndarray) -> tuple[CompressedMessage, float]:
+        stream, dtype_name, shape = as_float64_stream(data)
+        payload, achieved = self._encode(stream, measure=True)
+        return CompressedMessage(self.name, payload, dtype_name, shape), achieved
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         self._check_roundtrip_args(msg)
@@ -79,7 +218,12 @@ class MantissaTrimCodec(Codec):
         if msg.payload.size % k:
             raise CompressionError("corrupt payload: size not a multiple of packing width")
         n = msg.payload.size // k
-        be = np.zeros((n, 8), dtype=np.uint8)
-        be[:, :k] = msg.payload.reshape(n, k)
-        stream = be.reshape(-1).view(">f8").astype(np.float64)
-        return from_float64_stream(stream, msg.dtype_name, msg.shape)
+        words = np.empty(n, dtype=_LE64)
+        in_planes = self._payload_planes(msg.payload, n)
+        for lo in range(0, n, CHUNK_VALUES):
+            w = words[lo : lo + CHUNK_VALUES]
+            if k < 8:
+                w.fill(0)
+            for dst, src in zip(self._word_planes(w), in_planes):
+                dst[...] = src[lo : lo + w.size]
+        return from_float64_stream(words.view("<f8"), msg.dtype_name, msg.shape)

@@ -23,6 +23,7 @@ from repro.compression.base import (
     CompressedMessage,
     as_float64_stream,
     from_float64_stream,
+    payload_items,
 )
 from repro.errors import CompressionError
 from repro.precision.formats import BF16, FP16, FP32, FP64, FloatFormat, get_format
@@ -97,11 +98,11 @@ class CastCodec(Codec):
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         self._check_roundtrip_args(msg)
         if self.fmt is FP32:
-            stream = msg.payload.view(np.float32).astype(np.float64)
+            stream = payload_items(msg, np.float32).astype(np.float64)
         elif self.fmt is FP16:
-            stream = msg.payload.view(np.float16).astype(np.float64)
+            stream = payload_items(msg, np.float16).astype(np.float64)
         else:
-            stream = _bf16_bits_to_fp32(msg.payload.view(np.uint16)).astype(np.float64)
+            stream = _bf16_bits_to_fp32(payload_items(msg, np.uint16)).astype(np.float64)
         if self.scaled:
             stream = stream * float(msg.header["scale"])
         return from_float64_stream(stream, msg.dtype_name, msg.shape)

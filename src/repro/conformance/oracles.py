@@ -14,6 +14,11 @@ Every differential property needs an independent source of truth:
 * :func:`assert_blocks_equal` — dtype-tolerant exact comparison
   (one-sided transports return raw ``uint8``; compressed transports
   restore the original dtype).
+* :func:`trim_roundtrip_reference` — what a
+  :class:`~repro.compression.mantissa.MantissaTrimCodec` round trip must
+  restore, bit for bit, derived from the reference rounding
+  :func:`~repro.precision.rounding.trim_mantissa` and plain bit masks
+  (none of the codec's chunked kernels or its payload layout).
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from repro.errors import ConformanceFailure
 from repro.fft.decomposition import CartesianDecomp
+from repro.precision.rounding import trim_mantissa
 
 __all__ = [
     "make_send_matrix",
@@ -31,6 +37,7 @@ __all__ = [
     "gather_global",
     "numpy_fft_reference",
     "relative_error",
+    "trim_roundtrip_reference",
 ]
 
 
@@ -129,3 +136,25 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     if denom == 0.0:
         return 0.0 if diff == 0.0 else float("inf")
     return diff / denom
+
+
+def trim_roundtrip_reference(
+    x: np.ndarray, mantissa_bits: int, bytes_per_value: int, *, rounding: str = "nearest"
+) -> np.ndarray:
+    """``decompress(compress(x))`` of a mantissa-trim codec, from first principles.
+
+    The reference rounding, then the bytes the packing discards zeroed
+    (only NaN/Inf, which the rounding leaves untouched, have any set),
+    then the one deliberate deviation: a NaN whose set fraction bits
+    were all discarded keeps NaN-ness through the quiet bit instead of
+    collapsing to ±Inf.
+    """
+    exp, frac = np.uint64(0x7FF0_0000_0000_0000), np.uint64(0x000F_FFFF_FFFF_FFFF)
+    x = np.ascontiguousarray(x)
+    src = x.reshape(-1).view(np.uint64)
+    out = trim_mantissa(x, mantissa_bits, rounding=rounding)
+    bits = out.reshape(-1).view(np.uint64)
+    bits &= np.uint64((1 << 64) - (1 << (64 - 8 * bytes_per_value)))
+    was_nan = ((src & exp) == exp) & ((src & frac) != 0)
+    bits[was_nan & ((bits & frac) == 0)] |= np.uint64(0x0008_0000_0000_0000)
+    return out

@@ -25,7 +25,9 @@ The eight families
     particular non-power-of-two and prime — rank counts, including
     zero-size blocks.
 ``codec``
-    Round-trip and bound invariants for every codec family, the wire
+    Round-trip and bound invariants for every codec family (the trim
+    kernels bit-for-bit against the reference rounding, and their
+    in-pass error measurement against a measured round trip), the wire
     frame, and the ``codec_for_tolerance`` ↔ ``tolerance_of_codec``
     selection consistency (margins included).
 ``fft``
@@ -70,6 +72,7 @@ from repro.conformance.oracles import (
     numpy_fft_reference,
     relative_error,
     scatter_global,
+    trim_roundtrip_reference,
 )
 from repro.conformance.scenario import Scenario, draw_data_seed, draw_sizes_matrix
 
@@ -397,6 +400,7 @@ class CodecProperty(Property):
         return real
 
     def check(self, sc: Scenario) -> None:
+        from repro.accuracy.bounds import achieved_relative_error
         from repro.collectives.wire import decode_wire, encode_wire
         from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
 
@@ -417,6 +421,23 @@ class CodecProperty(Property):
         stream = x.view(np.float64).reshape(-1) if x.dtype == np.complex128 else x
         bstream = back.view(np.float64).reshape(-1) if back.dtype == np.complex128 else back
         if spec["family"] == "trim":
+            # the chunked, planar kernels against the reference rounding,
+            # bit for bit; and the error measured while encoding against
+            # the one a round trip measures (NaN matching NaN)
+            want = trim_roundtrip_reference(
+                x, spec["bits"], codec.bytes_per_value, rounding=spec["rounding"]
+            )
+            if not np.array_equal(back.view(np.uint64), want.view(np.uint64)):
+                raise ConformanceFailure(
+                    f"{codec.name}: round trip is not bit-identical to trim_mantissa"
+                )
+            measured = codec.compress_measured(x)[1]
+            achieved = achieved_relative_error(x, back)
+            if not np.array_equal(measured, achieved, equal_nan=True):
+                raise ConformanceFailure(
+                    f"{codec.name}: compress_measured reports {measured!r}, "
+                    f"a round trip measures {achieved!r}"
+                )
             bound = codec.max_relative_error
             bad = np.abs(bstream - stream) > bound * np.abs(stream)
             if bool(np.any(bad)):

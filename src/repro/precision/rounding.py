@@ -81,10 +81,9 @@ def trim_mantissa(x: np.ndarray, mantissa_bits: int, *, rounding: str = "nearest
         # round-to-nearest-even: add (half - 1) + LSB-of-kept-field, then chop.
         half = np.uint64(1) << (shift - np.uint64(1))
         lsb = (bits >> shift) & np.uint64(1)
-        rounded = bits + (half - np.uint64(1)) + lsb
+        rounded = (bits + (half - np.uint64(1)) + lsb) & keep_mask
     else:
-        rounded = bits
-    rounded &= keep_mask
+        rounded = bits & keep_mask  # a new array: `bits` still holds the NaN payloads
     bits[...] = np.where(special, bits, rounded)
     return out
 

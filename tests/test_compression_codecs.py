@@ -15,8 +15,11 @@ from repro.compression import (
     ShuffleZlibCodec,
     evaluate_codec,
 )
+from repro.accuracy.bounds import achieved_relative_error
 from repro.compression.base import CompressedMessage
+from repro.compression.mantissa import CHUNK_VALUES
 from repro.compression.metrics import max_abs_error, rel_l2_error
+from repro.conformance.oracles import trim_roundtrip_reference
 from repro.errors import CompressionError
 
 well_scaled = hnp.arrays(
@@ -167,6 +170,229 @@ class TestMantissaTrimCodec:
         codec = MantissaTrimCodec(m)
         back = codec.decompress(codec.compress(x))
         assert np.all(np.abs(back - x) <= codec.max_relative_error * np.abs(x) + 1e-300)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(x).reshape(-1).view(np.uint64)
+
+
+def _from_bits(*patterns: int) -> np.ndarray:
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
+_FMAX = float(np.finfo(np.float64).max)
+
+#: One mantissa width per packing width k = 2 .. 8, plus the suite's trim_m35.
+_WIDTH_BITS = (4, 12, 20, 28, 35, 36, 44, 52)
+
+
+class TestTrimNanSurvives:
+    """A NaN stays a NaN however few of its payload bits survive the packing."""
+
+    @pytest.mark.parametrize("m", _WIDTH_BITS)
+    @pytest.mark.parametrize("rounding", ["nearest", "truncate"])
+    def test_low_payload_and_signalling_nans(self, m, rounding):
+        codec = MantissaTrimCodec(m, rounding=rounding)
+        x = _from_bits(
+            0x7FF0_0000_0000_0001,  # signalling, payload in the lowest bit (decoded as +inf before)
+            0xFFF0_0000_0000_0400,  # signalling, negative (decoded as -inf with trim_m35 before)
+            0x7FF0_0000_0100_0000,
+            0x7FF4_0000_0000_0000,  # signalling, payload survives every width
+            0xFFF8_0000_0000_0000,  # the default quiet NaN, negative
+            0x7FFF_FFFF_FFFF_FFFF,  # all ones: rounding it would carry into the sign
+        )
+        back = codec.decompress(codec.compress(x))
+        assert np.isnan(back).all()
+        assert np.array_equal(np.signbit(back), np.signbit(x))
+        # kept bytes of a NaN are its own; only an emptied fraction gets the quiet bit
+        keep = np.uint64((1 << 64) - (1 << (64 - 8 * codec.bytes_per_value)))
+        survived = (_bits(x) & keep & np.uint64(0x000F_FFFF_FFFF_FFFF)) != 0
+        assert np.array_equal(_bits(back)[survived], (_bits(x) & keep)[survived])
+        assert np.all(_bits(back)[~survived] & np.uint64(0x0008_0000_0000_0000))
+
+    def test_infinities_stay_infinite(self):
+        x = np.array([np.inf, -np.inf, 1.0])
+        for m in _WIDTH_BITS:
+            codec = MantissaTrimCodec(m)
+            assert np.array_equal(codec.decompress(codec.compress(x)), x)
+
+
+def _adversarial(n: int, rng: np.random.Generator, specials: bool) -> np.ndarray:
+    """``n`` float64 values over 600 decades with the awkward ones mixed in.
+
+    Always: ±0, subnormals, the smallest subnormal.  With ``specials``:
+    the largest finite values (round up to ±inf), ±Inf and NaNs — put
+    where chunk boundaries fall as well as at both ends.
+    """
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    awkward = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.1e-310, -3.3e-320]
+    if specials:
+        awkward += [1.797e308, -_FMAX, np.inf, -np.inf, np.nan]
+        awkward += list(_from_bits(0x7FF0_0000_0000_0001, 0xFFF0_0000_0000_0400))
+    spots = np.unique(
+        np.concatenate(
+            [
+                rng.integers(0, max(n, 1), size=len(awkward)),
+                [0, n - 1, CHUNK_VALUES - 1, CHUNK_VALUES, 2 * CHUNK_VALUES - 1, 3 * CHUNK_VALUES],
+            ]
+        )
+    )
+    spots = spots[(spots >= 0) & (spots < n)]
+    x[spots] = np.resize(np.array(awkward), spots.size)
+    return x
+
+
+class TestTrimKernelEquivalence:
+    """The chunked kernels against the reference rounding, as a property.
+
+    ``decompress(compress(x))`` must be bit-identical to
+    :func:`trim_mantissa` with the discarded bytes zeroed, and
+    ``compress_measured`` must report exactly what a round trip through
+    :func:`achieved_relative_error` would — for every width, both
+    rounding modes, both dtypes, sizes straddling the chunk, and data
+    full of the values rounding gets wrong.
+    """
+
+    SIZES = (0, 1, CHUNK_VALUES - 1, CHUNK_VALUES, CHUNK_VALUES + 1, 3 * CHUNK_VALUES + 7)
+
+    @pytest.mark.parametrize("rounding", ["nearest", "truncate"])
+    @pytest.mark.parametrize("m", range(1, 53))
+    def test_bit_identical_to_reference(self, m, rounding):
+        codec = MantissaTrimCodec(m, rounding=rounding)
+        rng = np.random.default_rng([m, rounding == "nearest"])
+        for dtype in (np.float64, np.complex128):
+            for n in self.SIZES:
+                for specials in (False, True):
+                    x = _adversarial(n, rng, specials)
+                    if dtype is np.complex128:
+                        z = np.empty(n, dtype=np.complex128)
+                        z.real, z.imag = x, _adversarial(n, rng, specials)
+                        x = z
+                    msg, achieved = codec.compress_measured(x)
+                    back = codec.decompress(msg)
+                    want = trim_roundtrip_reference(
+                        x, m, codec.bytes_per_value, rounding=rounding
+                    )
+                    assert back.dtype == x.dtype and back.shape == x.shape
+                    assert np.array_equal(_bits(back), _bits(want)), (dtype, n, specials)
+                    assert np.array_equal(msg.payload, codec.compress(x).payload)
+                    with np.errstate(invalid="ignore"):
+                        reference_error = achieved_relative_error(x, back)
+                    # == on the float, with NaN (an Inf or NaN in x) matching NaN
+                    assert np.array_equal(achieved, reference_error, equal_nan=True), (
+                        dtype, n, specials, achieved, reference_error,
+                    )
+                    assert isinstance(achieved, float)
+
+    @pytest.mark.parametrize(
+        "value", [0.0, -0.0, 5e-324, 1.797e308, _FMAX, np.inf, -np.inf, np.nan]
+    )
+    def test_single_awkward_values(self, value):
+        x = np.array([value])
+        for m in range(1, 53):
+            codec = MantissaTrimCodec(m)
+            msg, achieved = codec.compress_measured(x)
+            back = codec.decompress(msg)
+            assert np.array_equal(
+                _bits(back), _bits(trim_roundtrip_reference(x, m, codec.bytes_per_value))
+            )
+            with np.errstate(invalid="ignore"):
+                assert np.array_equal(
+                    achieved, achieved_relative_error(x, back), equal_nan=True
+                )
+
+    def test_largest_finite_rounds_up_to_inf(self):
+        codec = MantissaTrimCodec(35)
+        msg, achieved = codec.compress_measured(np.array([_FMAX, 1.0]))
+        assert np.isinf(codec.decompress(msg)[0]) and achieved == np.inf
+
+    def test_input_is_not_mutated_and_scratch_is_per_call(self):
+        """Codecs are shared by rank threads: concurrent calls on one
+        instance must not see each other's scratch."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        codec = MantissaTrimCodec(35)
+        rng = np.random.default_rng(7)
+        inputs = [rng.standard_normal(3 * CHUNK_VALUES + 7) * 10.0**i for i in range(8)]
+        copies = [x.copy() for x in inputs]
+        expected = [trim_roundtrip_reference(x, 35, 6) for x in inputs]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(5):
+                got = list(pool.map(lambda x: codec.decompress(codec.compress_measured(x)[0]), inputs))
+                for g, want in zip(got, expected):
+                    assert np.array_equal(_bits(g), _bits(want))
+        for x, original in zip(inputs, copies):
+            assert np.array_equal(_bits(x), _bits(original))
+
+    def test_planar_payload_layout(self):
+        """k = 6: all the high u32 halves, then all the u16 pieces below them."""
+        x = np.array([1.5, -2.25, 3.0e10])
+        msg = MantissaTrimCodec(36).compress(x)
+        words = _bits(x)  # exactly representable: no rounding
+        assert np.array_equal(msg.payload[:12].view("<u4"), (words >> np.uint64(32)).astype("<u4"))
+        assert np.array_equal(
+            msg.payload[12:].view("<u2"), ((words >> np.uint64(16)) & np.uint64(0xFFFF)).astype("<u2")
+        )
+
+
+class TestCompressMeasuredDefault:
+    """The base-class default: compress, round-trip, measure."""
+
+    @pytest.mark.parametrize(
+        "codec",
+        [CastCodec("fp32"), CastCodec("fp16", scaled=True), IdentityCodec(), ShuffleZlibCodec()],
+        ids=lambda c: c.name,
+    )
+    def test_matches_explicit_round_trip(self, codec, random_complex):
+        msg, achieved = codec.compress_measured(random_complex)
+        back = codec.decompress(msg)
+        assert achieved == achieved_relative_error(random_complex, back)
+        assert np.array_equal(msg.payload, codec.compress(random_complex).payload)
+        assert (achieved == 0.0) == codec.lossless
+
+
+class TestCorruptMetadata:
+    """Metadata that disagrees with the payload is a CompressionError — the
+    type the exchange's recovery catches — never a bare ValueError."""
+
+    CODECS = [IdentityCodec(), CastCodec("fp32"), CastCodec("bf16"), MantissaTrimCodec(35),
+              ShuffleZlibCodec()]
+
+    @pytest.mark.parametrize("codec", CODECS, ids=lambda c: c.name)
+    @pytest.mark.parametrize(
+        "dtype_name,shape",
+        [
+            ("float64", (11,)),  # more values than the payload holds
+            ("float64", (3, 3)),  # fewer
+            ("complex128", (10,)),  # twice as many scalars
+            ("complex128", (2, 3)),
+            ("float64", (-10,)),
+            ("float64", (10, "x")),
+            ("float32", (10,)),
+        ],
+    )
+    def test_shape_or_dtype_disagrees_with_payload(self, codec, dtype_name, shape, rng):
+        msg = codec.compress(rng.random(10))
+        bad = CompressedMessage(codec.name, msg.payload, dtype_name, shape, msg.header)
+        with pytest.raises(CompressionError):
+            codec.decompress(bad)
+
+    @pytest.mark.parametrize(
+        "codec", [IdentityCodec(), CastCodec("fp32"), CastCodec("fp16"), CastCodec("bf16")],
+        ids=lambda c: c.name,
+    )
+    def test_ragged_payload_length(self, codec, rng):
+        msg = codec.compress(rng.random(10))
+        bad = CompressedMessage(codec.name, msg.payload[:-1], msg.dtype_name, msg.shape, msg.header)
+        with pytest.raises(CompressionError, match="corrupt"):
+            codec.decompress(bad)
+
+    def test_odd_stream_cannot_be_complex(self, rng):
+        codec = MantissaTrimCodec(23)
+        msg = codec.compress(rng.random(7))
+        bad = CompressedMessage(codec.name, msg.payload, "complex128", (7,))
+        with pytest.raises(CompressionError, match="corrupt metadata"):
+            codec.decompress(bad)
 
 
 class TestShuffleZlibCodec:

@@ -1,4 +1,7 @@
-"""Hot-path regressions: empty regions, single-parse frames, self-copy aliasing."""
+"""Hot-path regressions: empty regions, single-parse frames, self-copy aliasing,
+verification folded into the encode pass."""
+
+import threading
 
 import numpy as np
 
@@ -6,7 +9,12 @@ from repro.collectives import CompressedOscAlltoallv
 from repro.collectives.pairwise import pairwise_alltoallv
 from repro.collectives.variants import linear_alltoallv
 from repro.collectives.wire import decode_wire, encode_wire, frame_length
+from repro.accuracy.bounds import achieved_relative_error
+from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
+from repro.compression import CastCodec, MantissaTrimCodec
 from repro.compression.base import IdentityCodec
+from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
+from repro.machine.topology import Topology
 from repro.runtime.thread_rt import ThreadWorld
 from repro.utils import no_alias_copy
 
@@ -160,3 +168,133 @@ class TestSelfBlockAliasing:
 
     def test_reference_self_block(self):
         self._check_self_block(lambda comm, send: comm.alltoallv(send))
+
+
+class _CountingTrim(MantissaTrimCodec):
+    """``trim_m35`` that counts its calls (shared by the rank threads)."""
+
+    def __init__(self):
+        super().__init__(35)
+        self.calls = {"compress": 0, "compress_measured": 0, "decompress": 0}
+        self._lock = threading.Lock()
+
+    def _count(self, name):
+        with self._lock:
+            self.calls[name] += 1
+
+    def compress(self, data):
+        self._count("compress")
+        return super().compress(data)
+
+    def compress_measured(self, data):
+        self._count("compress_measured")
+        return super().compress_measured(data)
+
+    def decompress(self, msg):
+        self._count("decompress")
+        return super().decompress(msg)
+
+
+class TestVerificationInTheEncodePass:
+    """With ``e_tol`` set the sender used to decompress every fragment it
+    had just compressed; the trim kernel now measures while it encodes."""
+
+    P = 4
+
+    def _run(self, make_op, e_tol):
+        codec = _CountingTrim()
+        rng = np.random.default_rng(3)
+        send = [[rng.standard_normal(500 + 7 * d) for d in range(self.P)] for _ in range(self.P)]
+
+        def kernel(comm):
+            op = make_op(comm, codec, e_tol)
+            try:
+                recv = op(send[comm.rank])
+                return recv, op.last_stats, op.last_report
+            finally:
+                op.free()
+
+        return codec, send, ThreadWorld(self.P).run(kernel)
+
+    def _check_no_sender_side_decompress(self, make_op):
+        codec, send, results = self._run(make_op, 1e-10)
+        messages = self.P * self.P
+        # every message is decoded once, by its receiver, and by nobody else
+        assert codec.calls == {
+            "compress": 0, "compress_measured": messages, "decompress": messages,
+        }
+        for rank, (recv, stats, report) in enumerate(results):
+            assert report.clean and stats.error_measured
+            worst = 0.0
+            for source in range(self.P):
+                sent = send[source][rank]
+                assert np.array_equal(recv[source], codec.decompress(codec.compress(sent)))
+            for block in send[rank]:
+                restored = MantissaTrimCodec(35).decompress(MantissaTrimCodec(35).compress(block))
+                worst = max(worst, achieved_relative_error(block, restored))
+            # the number reported is the number a round trip would have measured
+            assert stats.achieved_error == worst and 0.0 < worst < 1e-10
+
+    def test_flat_exchange(self):
+        self._check_no_sender_side_decompress(
+            lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol)
+        )
+
+    def test_two_level_exchange(self):
+        two_per_node = MachineSpec(
+            name="hotpath", gpus_per_node=2, gpu=GpuSpec(), network=NetworkSpec()
+        )
+        topo = Topology(two_per_node, self.P)
+        self._check_no_sender_side_decompress(
+            lambda comm, codec, e_tol: TwoLevelCompressedAlltoallv(
+                comm, codec, e_tol=e_tol, topology=topo
+            )
+        )
+
+    def test_unmeetable_tolerance_still_degrades_to_lossless(self):
+        codec, send, results = self._run(
+            lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol), 1e-14
+        )
+        # each message: measured once, found wanting, re-sent lossless — the
+        # trim codec itself never decodes anything
+        assert codec.calls["compress_measured"] == self.P * self.P
+        assert codec.calls["decompress"] == 0
+        for rank, (recv, stats, report) in enumerate(results):
+            assert report.count("tolerance-exceeded") == self.P
+            assert report.degradations == self.P
+            assert stats.achieved_error == 0.0 and stats.error_measured
+            for source in range(self.P):
+                assert np.array_equal(recv[source], send[source][rank])
+
+    def test_no_tolerance_measures_nothing(self):
+        codec, _send, results = self._run(
+            lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol), None
+        )
+        assert codec.calls["compress_measured"] == 0
+        assert codec.calls["compress"] == codec.calls["decompress"] == self.P * self.P
+        assert not any(stats.error_measured for _recv, stats, _report in results)
+
+    def test_default_measurement_round_trips_on_the_sender(self):
+        """A codec without an override pays the round trip, as before."""
+        calls = {"decompress": 0}
+        lock = threading.Lock()
+
+        class CountingCast(CastCodec):
+            def decompress(self, msg):
+                with lock:
+                    calls["decompress"] += 1
+                return super().decompress(msg)
+
+        codec = CountingCast("fp32")
+
+        def kernel(comm):
+            op = CompressedOscAlltoallv(comm, codec, e_tol=1e-3)
+            try:
+                op([np.ones(8) * (d + 1.1) for d in range(comm.size)])
+                return op.last_stats.achieved_error
+            finally:
+                op.free()
+
+        errors = ThreadWorld(2).run(kernel)
+        assert calls["decompress"] == 2 * (2 * 2)  # sender verify + receiver decode
+        assert all(0.0 < e < 1e-7 for e in errors)

@@ -70,6 +70,14 @@ class TestTrimMantissa:
         trim_mantissa(x, 8)
         assert np.array_equal(x, x0)
 
+    @pytest.mark.parametrize("rounding", ["nearest", "truncate"])
+    def test_nan_payloads_preserved_unrounded(self, rounding):
+        """Regression: ``truncate`` masked the NaN payload in place, so a
+        NaN carried only by its low bits came back as an infinity."""
+        bits = np.array([0x7FF0_0000_0000_0001, 0xFFF0_0000_0000_0400], dtype=np.uint64)
+        out = trim_mantissa(bits.view(np.float64), 8, rounding=rounding)
+        assert np.array_equal(out.view(np.uint64), bits)
+
     @pytest.mark.parametrize("bad", [0, 53])
     def test_rejects_bad_bits(self, bad, rng):
         with pytest.raises(PrecisionError):

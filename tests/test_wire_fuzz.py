@@ -80,3 +80,123 @@ class TestCorruptPayloads:
         msg = CastCodec("fp32").compress(rng.random(8))
         with pytest.raises(CompressionError):
             CastCodec("fp16").decompress(msg)
+
+
+class TestInconsistentMetadata:
+    """Frames whose checksums verify but whose metadata lies about the
+    payload (a buggy or hostile sender): ``decode_wire`` has nothing to
+    object to, so the codec must — with the error type the exchange's
+    recovery catches."""
+
+    CODECS = [IdentityCodec(), CastCodec("fp32"), CastCodec("bf16"), MantissaTrimCodec(35)]
+
+    @given(
+        st.integers(min_value=0, max_value=len(CODECS) - 1),
+        st.lists(st.integers(min_value=-2, max_value=40), min_size=0, max_size=3),
+        st.sampled_from(["float64", "complex128", "float32", ""]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_decodes_or_raises_a_library_error(self, which, shape, dtype_name):
+        codec = self.CODECS[which]
+        x = np.random.default_rng(0).random(12)
+        msg = codec.compress(x)
+        forged = type(msg)(codec.name, msg.payload, dtype_name, tuple(shape), msg.header)
+        decoded, _ = decode_wire(encode_wire(forged))
+        try:
+            out = codec.decompress(decoded)
+        except CompressionError:
+            return
+        except Exception as exc:  # noqa: BLE001
+            pytest.fail(f"unexpected exception type: {type(exc).__name__}: {exc}")
+        # it decoded: then the metadata did describe the 12 values
+        assert out.shape == tuple(shape) and out.dtype.name == dtype_name
+        assert out.size * (2 if dtype_name == "complex128" else 1) == 12
+
+    def test_exchange_reports_an_integrity_failure(self, rng):
+        """The forged block reaches ``_settle``'s recovery as a failed
+        block instead of escaping it as a bare ValueError."""
+        from repro.collectives import CompressedOscAlltoallv
+        from repro.collectives.base import ExchangeStats
+        from repro.errors import WireIntegrityError
+        from repro.faults import ResilienceReport
+        from repro.runtime.thread_rt import ThreadWorld
+
+        codec = MantissaTrimCodec(35)
+        msg = codec.compress(rng.random(10))
+        forged = encode_wire(type(msg)(codec.name, msg.payload, "float64", (3, 3)))
+
+        def kernel(comm):
+            op = CompressedOscAlltoallv(comm, codec)
+            report = ResilienceReport(rank=0)
+            try:
+                with pytest.raises(WireIntegrityError, match="no fault plan active"):
+                    op._settle([None], [forged], report, ExchangeStats())
+            finally:
+                op.free()
+            return report
+
+        [report] = ThreadWorld(1).run(kernel)
+        assert report.count("integrity-failure") == 1
+
+
+class TestChecksumsInPlace:
+    """The CRCs are computed over the frame's own bytes; the frame format
+    and the order of the checks are what they were."""
+
+    def test_frame_bytes_match_the_v2_layout(self, rng):
+        import pickle
+        import struct
+        import zlib
+
+        msg = MantissaTrimCodec(35).compress(rng.standard_normal(100))
+        meta = pickle.dumps(
+            (msg.codec_name, msg.dtype_name, msg.shape, msg.header),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        payload = msg.payload.tobytes()
+        header = struct.pack(
+            "<4sBBHQQII", b"RPW2", 2, 0, 0, len(meta), len(payload),
+            zlib.crc32(meta), zlib.crc32(payload),
+        )
+        assert encode_wire(msg).tobytes() == header + meta + payload
+
+    def test_pooled_frame_is_byte_identical(self, rng):
+        from repro.tuning.pool import BufferPool
+
+        msg = CastCodec("fp32").compress(rng.standard_normal(257))
+        pool = BufferPool()
+        assert np.array_equal(encode_wire(msg, pool=pool), encode_wire(msg))
+
+    @pytest.mark.parametrize("as_type", [bytes, bytearray, memoryview, np.asarray])
+    def test_decodes_any_contiguous_buffer(self, rng, as_type):
+        x = rng.standard_normal(33)
+        frame = encode_wire(IdentityCodec().compress(x))
+        # an unaligned slice of a larger buffer, as frames sit in a window
+        arena = np.zeros(frame.size + 3, dtype=np.uint8)
+        arena[3:] = frame
+        source = arena[3:] if as_type is np.asarray else as_type(arena[3:].tobytes())
+        msg, consumed = decode_wire(source)
+        assert consumed == frame.size
+        assert np.array_equal(IdentityCodec().decompress(msg), x)
+
+    def test_decoded_payload_owns_its_bytes(self, rng):
+        """One copy on decode: the message must survive the window region
+        it was decoded from being overwritten by the next exchange."""
+        x = rng.standard_normal(64)
+        frame = encode_wire(IdentityCodec().compress(x))
+        msg, _ = decode_wire(frame)
+        assert not np.shares_memory(msg.payload, frame)
+        frame[:] = 0
+        assert np.array_equal(IdentityCodec().decompress(msg), x)
+
+    def test_checks_fire_in_order_meta_then_payload(self, rng):
+        frame = encode_wire(IdentityCodec().compress(rng.standard_normal(8)))
+        both = frame.copy()
+        both[40] ^= 0x01  # metadata byte
+        both[-1] ^= 0x01  # payload byte
+        with pytest.raises(CompressionError, match="metadata checksum"):
+            decode_wire(both)
+        only_payload = frame.copy()
+        only_payload[-1] ^= 0x01
+        with pytest.raises(CompressionError, match="payload checksum"):
+            decode_wire(only_payload)
