@@ -99,6 +99,16 @@ class Exchange:
     def free(self) -> None:
         """Collectively release what the exchange caches (nothing here)."""
 
+    def slot_table(self, elements: np.ndarray, itemsize: int) -> Any:
+        """Window slots for a message matrix known before the first call.
+
+        ``elements[s][d]`` items of ``itemsize`` bytes go from ``s`` to
+        ``d`` in every call.  The window exchanges answer with a
+        :class:`~repro.collectives.osc.SlotTable` their ``transport`` can
+        be bound to; ``None`` (here) means no window is driven.
+        """
+        return None
+
     def _check_send(self, send: Sequence[np.ndarray | None]) -> None:
         if len(send) != self.comm.size:
             raise CommunicatorError(

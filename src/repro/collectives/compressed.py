@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.collectives.base import Exchange, ExchangeStats
-from repro.collectives.osc import OscTransport
+from repro.collectives.osc import OscTransport, SlotTable
 from repro.collectives.wire import decode_wire, encode_wire
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
 from repro.compression.lossless import ShuffleZlibCodec
@@ -60,6 +60,11 @@ __all__ = ["CompressedOscAlltoallv", "ExchangeStats"]
 
 #: Tag base for recovery-round retransmissions (control plane).
 _RETRY_TAG = -7000
+
+#: Room a window slot reserves per frame for the v2 header (32 B) and
+#: the pickled metadata (codec name, dtype, shape, a few header scalars:
+#: ~50-120 B for the codecs of this package).
+_FRAME_ROOM = 256
 
 
 class CompressedOscAlltoallv(Exchange):
@@ -139,6 +144,29 @@ class CompressedOscAlltoallv(Exchange):
         if self.pipeline_chunks == 1 or data.size <= 1:
             return [data]
         return [c for c in np.array_split(data, self.pipeline_chunks) if c.size]
+
+    def _split_sizes(self, n: int) -> list[int]:
+        """Sizes of the fragments :meth:`_split` cuts a flat ``n``-item message into."""
+        k = self.pipeline_chunks
+        if k == 1 or n <= 1:
+            return [n]
+        return [size for i in range(k) if (size := n // k + (i < n % k))]
+
+    def _frame_capacity(self, n_float64: int) -> int:
+        """Bytes a slot reserves for one frame of ``n_float64`` scalars:
+        the worst case over everything the ladder may send, plus header
+        room — so stepping down to lossless, or to raw FP64, always fits."""
+        return max(c.worst_case_nbytes(n_float64) for c in self._ladder()) + _FRAME_ROOM
+
+    def slot_table(self, elements: np.ndarray, itemsize: int) -> SlotTable:
+        """Slots sized for the ladder's worst case, with their frame counts."""
+        elements = np.asarray(elements, dtype=np.int64)
+        capacity, frames = np.zeros_like(elements), np.zeros_like(elements)
+        for at, n in np.ndenumerate(elements):
+            pieces = self._split_sizes(int(n)) if n else []
+            frames[at] = len(pieces)
+            capacity[at] = sum(self._frame_capacity(piece * itemsize // 8) for piece in pieces)
+        return SlotTable(capacity, align=16, frames=frames)
 
     def _ladder(self) -> list[Codec]:
         """Degradation ladder: primary -> lossless fallback -> raw FP64."""
@@ -276,6 +304,22 @@ class CompressedOscAlltoallv(Exchange):
                     msg, achieved = self._compress_fragment(frag, dest, report)
                 else:
                     msg, achieved = codec.compress(frag), None
+            frame = encode_wire(msg, pool=pool)
+            if (
+                codec is None
+                and self.transport.slots is not None
+                and frame.size > self._frame_capacity(msg.n_values)
+            ):
+                # A frame that does not fit its window slot is never
+                # truncated: it steps down to raw FP64, which the slot
+                # was sized for.
+                report.record("degrade", peer=dest, codec=self._raw.name,
+                              detail=f"{msg.codec_name} -> {self._raw.name} "
+                              f"({frame.size} B frame exceeds its slot)")
+                if pool is not None:
+                    pool.release(frame)
+                msg, achieved = self._raw.compress(frag), (None if self.e_tol is None else 0.0)
+                frame = encode_wire(msg, pool=pool)
             if stats is not None:
                 stats.sent_messages += 1
                 stats.original_bytes += 8 * msg.n_values
@@ -283,7 +327,7 @@ class CompressedOscAlltoallv(Exchange):
                 if achieved is not None:
                     stats.achieved_error = max(stats.achieved_error, achieved)
                     stats.error_measured = True
-            frames.append(encode_wire(msg, pool=pool))
+            frames.append(frame)
         return frames
 
     def _encode_all(
@@ -308,18 +352,21 @@ class CompressedOscAlltoallv(Exchange):
 
     # -- decode side -----------------------------------------------------------------
 
-    def _decode_region(self, region: np.ndarray) -> np.ndarray:
+    def _decode_region(self, region: np.ndarray, nframes: int | None = None) -> np.ndarray:
         """Walk and decode the checksummed frames of one source block.
 
         Each header is parsed exactly once — :func:`decode_wire` returns
-        the consumed frame length alongside the message.  An empty
+        the consumed frame length alongside the message.  ``nframes``
+        bounds the walk for a region larger than its content (a fixed
+        window slot: what follows the last frame is an older epoch's,
+        valid but stale); ``None`` walks to the region's end.  An empty
         region decodes to an empty FP64 block (``np.concatenate`` on an
         empty list raises, and a zero-frame region is legitimate when a
         peer's block compressed to nothing).
         """
         parts: list[np.ndarray] = []
         pos = 0
-        while pos < region.size:
+        while (pos < region.size) if nframes is None else (len(parts) < nframes):
             msg, consumed = decode_wire(region[pos:])
             pos += consumed
             parts.append(self._decompress(msg))
@@ -333,9 +380,11 @@ class CompressedOscAlltoallv(Exchange):
         regions: Sequence[np.ndarray],
         report: ResilienceReport,
         stats: ExchangeStats,
+        nframes: Sequence[int] | None = None,
     ) -> list[np.ndarray]:
         """Step 2 onwards: decompress each source's region (CRC-checked per
-        frame), recover the blocks that failed integrity, publish."""
+        frame; ``nframes[s]`` of them when given, else to the region's
+        end), recover the blocks that failed integrity, publish."""
         rank = self.comm.rank
         recv: list[np.ndarray | None] = [None] * len(regions)
         failed: list[int] = []
@@ -345,7 +394,9 @@ class CompressedOscAlltoallv(Exchange):
                 continue
             try:
                 with trace_span("decompress", rank=rank, peer=s, bytes=int(region.size)):
-                    recv[s] = self._decode_region(region)
+                    recv[s] = self._decode_region(
+                        region, None if nframes is None else nframes[s]
+                    )
             except CompressionError as exc:
                 report.record("integrity-failure", peer=s, detail=str(exc))
                 failed.append(s)
@@ -509,4 +560,6 @@ class CompressedOscAlltoallv(Exchange):
                     self.pool.release(frame)
         # "we will decompress the entire buffer later, once communications
         # are done" — straight from the window's borrowed regions.
-        return self._settle(arrays, regions, report, stats)
+        slots = self.transport.slots
+        nframes = None if slots is None else slots.frames[:, self.comm.rank].tolist()
+        return self._settle(arrays, regions, report, stats, nframes)

@@ -35,7 +35,7 @@ from repro.collectives.base import Exchange, ExchangeStats
 from repro.collectives.pairwise import ring_peers
 from repro.collectives.wire import crc32
 from repro.conformance import hooks
-from repro.errors import RetryExhaustedError
+from repro.errors import CommunicatorError, RetryExhaustedError
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
@@ -43,40 +43,115 @@ from repro.runtime.window import Window
 from repro.tuning.pool import BufferPool
 from repro.trace import span as trace_span
 
-__all__ = ["OscAlltoallv", "OscTransport", "osc_alltoallv"]
+__all__ = ["OscAlltoallv", "OscTransport", "PlanWindow", "SlotTable", "osc_alltoallv"]
 
 #: Tag base for verify-mode retransmissions (control plane).
 _VERIFY_TAG = -7500
+
+_EMPTY = np.zeros(0, dtype=np.uint8)
+
+
+class SlotTable:
+    """Where every (source, dest) message lands in ``dest``'s window region.
+
+    ``capacity[s, d]`` bytes are reserved at byte ``offset[s, d]``
+    (sources back to back, each slot rounded up to ``align``), and
+    ``extent[d]`` is what rank ``d``'s region must hold.  ``frames[s, d]``,
+    for slots that may be larger than their content, is the number of
+    wire frames the message is made of: a reader parses exactly that
+    many and never interprets what an earlier epoch left behind them.
+    """
+
+    def __init__(
+        self, capacity: np.ndarray, *, align: int = 1, frames: np.ndarray | None = None
+    ) -> None:
+        self.capacity = np.asarray(capacity, dtype=np.int64)
+        padded = -(-self.capacity // align) * align
+        self.offset = np.cumsum(padded, axis=0) - padded
+        self.extent = padded.sum(axis=0)
+        self.frames = frames
+
+
+class PlanWindow:
+    """One persistent window of two halves for the exchanges of a plan.
+
+    The paper's cached window, taken to its end: a caller that knows
+    every message size up front (an FFT plan) creates the window once
+    and alternates its halves, so an exchange costs **one** fence.  A
+    peer writes half ``h`` in epochs ``e`` and ``e + 2``; it enters
+    epoch ``e + 2`` only after passing the fence of ``e + 1``, which
+    this rank enters only once it has finished reading what epoch ``e``
+    left in ``h`` — the opening fence of Algorithm 3 is implied.  In
+    MPI-RMA terms each half sees the classic fence / put / fence access
+    epoch; the fences of one half are the closing fences of the other.
+    """
+
+    def __init__(self, comm: Comm, half: int) -> None:
+        self.half = -(-int(half) // 16) * 16
+        self.win: Window = comm.win_create(2 * self.half)
+        self.epoch = 0
+
+    def advance(self) -> int:
+        """Start the next epoch; returns the byte base of its half."""
+        base = (self.epoch % 2) * self.half
+        self.epoch += 1
+        return base
+
+    def release(self) -> None:
+        """Drop this rank's handle (no barrier) — the communicator retired."""
+        self.win.release()
+
+    def free(self) -> None:
+        """Collectively release the window."""
+        self.win.free()
 
 
 class OscTransport:
     """Algorithm 3's window protocol, written once for every OSC exchange.
 
-    Sizes allgather -> deterministic (re)creation of the cached window
-    -> open fence -> ring of puts (node-aware with a topology) -> close
-    fence -> per-source regions of the local window.  The raw exchange
-    puts one fragment per destination, the compressed one its wire
-    frames.
+    A slot table says where each message lands; the ring of puts
+    (node-aware with a topology), the closing fence and the per-source
+    regions of the local window are the same however it came about:
+
+    * **negotiated** (no ``slots``): arbitrary send lists.  The sizes
+      allgather *is* the table (capacity = size), the cached window
+      grows deterministically when some rank outgrows it, and an
+      opening fence keeps the previous call's readers apart from this
+      call's puts.
+    * **plan-supplied** (``slots`` + ``window``): nothing collective but
+      the one fence — see :class:`PlanWindow`.  A message larger than
+      its slot is an error here, never a truncation; the compressed
+      exchange steps down its ladder before it gets that far.
     """
 
-    def __init__(self, comm: Comm, topology: Topology | None = None) -> None:
+    def __init__(
+        self,
+        comm: Comm,
+        topology: Topology | None = None,
+        *,
+        slots: SlotTable | None = None,
+        window: PlanWindow | None = None,
+    ) -> None:
         self.comm = comm
         self.topology = topology
-        #: The cached window (``None`` before the first call / after free).
+        self.slots = slots
+        self.window = window
+        #: The negotiated window (``None`` before the first call / after free).
         self.win: Window | None = None
         self._capacities: np.ndarray | None = None
+        self._ring = [
+            ring_peers(comm.rank, step, comm.size, topology)[0] for step in range(comm.size)
+        ]
 
-    def _ensure_window(self, all_sizes: np.ndarray) -> Window:
+    def _ensure_window(self, totals: np.ndarray) -> Window:
         """(Re)create the cached window only when some rank outgrows it.
 
-        ``all_sizes[s, d]`` = bytes rank ``s`` sends to rank ``d``.  The
-        decision is a pure function of the ``all_sizes`` history
-        (identical on every rank), keeping creation collective.  A size
-        matrix that needs *less* capacity everywhere reuses the cached
-        window — offsets are recomputed per call, the window is just a
-        byte arena.
+        ``totals[d]`` = bytes rank ``d`` receives.  The decision is a
+        pure function of the size-matrix history (identical on every
+        rank), keeping creation collective.  A size matrix that needs
+        *less* capacity everywhere reuses the cached window — offsets
+        are recomputed per call, the window is just a byte arena.
         """
-        totals = all_sizes.sum(axis=0).astype(np.int64)  # totals[d] = bytes d receives
         if self.win is None or self._capacities is None or bool(np.any(totals > self._capacities)):
             if self.win is not None:
                 self.win.free()
@@ -86,7 +161,9 @@ class OscTransport:
         return self.win
 
     def free(self) -> None:
-        """Collectively release the cached window (if any)."""
+        """Collectively release the negotiated window (if any).
+
+        A plan-supplied window belongs to whoever built it."""
         if self.win is not None:
             self.win.free()
             self.win = None
@@ -95,49 +172,56 @@ class OscTransport:
     def __call__(
         self, fragments: Sequence[Sequence[np.ndarray]], rider: Any = None
     ) -> tuple[list[np.ndarray], list[Any] | None]:
-        """Put ``fragments[d]`` (``uint8`` pieces, back to back) to rank ``d``.
+        """Put ``fragments[d]`` (arrays of any layout, back to back) to rank ``d``.
 
         Returns ``(regions, riders)``: ``regions[s]`` is a *borrowed*
-        view of the local window holding what rank ``s`` put here, valid
-        until the next call or :meth:`free`; ``riders[r]`` is the
-        ``rider`` rank ``r`` passed (it rides the sizes allgather), or
-        ``None`` when none was given.
+        ``uint8`` view of the local window — the slot rank ``s`` put
+        into — valid until the next call or :meth:`free`; ``riders[r]``
+        is the ``rider`` rank ``r`` passed, or ``None`` when none was
+        given.
         """
-        comm, p, rank = self.comm, self.comm.size, self.comm.rank
-        my_sizes = [sum(int(f.size) for f in frags) for frags in fragments]
-        # Counts exchange: both sides of an Alltoallv know the counts.
-        if rider is None:
-            all_sizes = np.array(comm.allgather(my_sizes), dtype=np.int64)
-            riders = None
-        else:
+        comm, rank = self.comm, self.comm.rank
+        my_sizes = [sum(int(f.nbytes) for f in frags) for frags in fragments]
+        riders = None
+        if self.slots is None:
+            # Counts exchange: both sides of an Alltoallv know the counts.
             gathered = comm.allgather((my_sizes, rider))
-            all_sizes = np.array([g[0] for g in gathered], dtype=np.int64)
-            riders = [g[1] for g in gathered]
-
-        win = self._ensure_window(all_sizes)
-        with trace_span("fence", rank=rank, epoch="open"):
-            win.fence()  # open epoch — "synchronization phase to make sure all processes are ready"
-        for step in range(p):
-            dest, _ = ring_peers(rank, step, p, self.topology)
+            table = SlotTable([g[0] for g in gathered])
+            if rider is not None:
+                riders = [g[1] for g in gathered]
+            win, base = self._ensure_window(table.extent), 0
+            with trace_span("fence", rank=rank, epoch="open"):
+                win.fence()  # "synchronization phase to make sure all processes are ready"
+        else:
+            table, win, base = self.slots, self.window.win, self.window.advance()
+            if rider is not None:
+                riders = comm.allgather(rider)
+        # where my bytes live in dest's window: after earlier sources'
+        offsets, room = table.offset[rank].tolist(), table.capacity[rank].tolist()
+        for dest in self._ring:
             if not my_sizes[dest]:
                 continue
-            # where my bytes live in dest's window: after earlier sources'
+            if my_sizes[dest] > room[dest]:
+                raise CommunicatorError(
+                    f"rank {rank}: {my_sizes[dest]} B for rank {dest} exceed "
+                    f"their {room[dest]} B window slot"
+                )
             offset = hooks.mutate(
-                "osc.put_offset", int(all_sizes[:rank, dest].sum()), rank=rank, dest=dest
+                "osc.put_offset", base + offsets[dest], rank=rank, dest=dest
             )
             intra = self.topology.same_node(rank, dest) if self.topology else dest == rank
             for chunk_idx, frag in enumerate(fragments[dest]):
                 with trace_span(
-                    "put", rank=rank, peer=dest, bytes=int(frag.size), chunk=chunk_idx, intra=intra
+                    "put", rank=rank, peer=dest, bytes=int(frag.nbytes), chunk=chunk_idx, intra=intra
                 ):
                     win.put(frag, dest, offset=offset)
-                offset += frag.size
+                offset += frag.nbytes
         with trace_span("fence", rank=rank, epoch="close"):
             win.fence()  # close epoch — all puts complete everywhere
 
         local = win.local_view()
-        bounds = np.concatenate([[0], np.cumsum(all_sizes[:, rank])]).tolist()
-        return [local[bounds[s] : bounds[s + 1]] for s in range(p)], riders
+        starts, sizes = table.offset[:, rank].tolist(), table.capacity[:, rank].tolist()
+        return [local[base + at : base + at + n] for at, n in zip(starts, sizes)], riders
 
 
 class OscAlltoallv(Exchange):
@@ -180,6 +264,10 @@ class OscAlltoallv(Exchange):
     def free(self) -> None:
         """Collectively release the cached window (if any)."""
         self.transport.free()
+
+    def slot_table(self, elements: np.ndarray, itemsize: int) -> SlotTable:
+        """Raw messages are exactly their bytes: no slack, no frames."""
+        return SlotTable(np.asarray(elements, dtype=np.int64) * itemsize, align=16)
 
     # -- verify-mode recovery ------------------------------------------------------
 
@@ -234,34 +322,25 @@ class OscAlltoallv(Exchange):
 
     # -- the exchange -------------------------------------------------------------
 
-    def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-        """Exchange ``send[d]`` → rank ``d``; returns per-source uint8 chunks.
+    def borrow(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+        """Exchange ``send[d]`` → rank ``d``; returns *borrowed* per-source bytes.
 
-        The window transports raw bytes, so receives are returned as
-        ``uint8`` arrays owned by the caller (copied out of the window,
-        through the pool when one is set); callers re-view them (the FFT
-        layer exchanges packed byte streams anyway).
+        ``send[d]`` may be any array — a strided N-d view goes to the
+        wire as it is, without a pack copy (see :meth:`Window.put`).
+        The returned ``uint8`` arrays are views of the local window,
+        valid until the next call or :meth:`free`: for callers that
+        consume them on the spot (a reshape's unpack) and let none
+        escape.
         """
         comm = self.comm
         self._check_send(send)
         report = ResilienceReport(rank=comm.rank)
-        chunks = [
-            np.zeros(0, dtype=np.uint8)
-            if c is None
-            else np.ascontiguousarray(c).view(np.uint8).reshape(-1)
-            for c in send
-        ]
-        regions, riders = self.transport(
-            [(c,) for c in chunks], [crc32(c) for c in chunks] if self.verify else None
-        )
-        recv: list[np.ndarray] = []
-        for region in regions:
-            if self.pool is None:
-                recv.append(region.copy())
-            else:
-                block = self.pool.acquire(region.size)
-                np.copyto(block, region)
-                recv.append(block)
+        chunks = [_EMPTY if c is None else np.asarray(c) for c in send]
+        crcs = None
+        if self.verify:
+            chunks = [np.ascontiguousarray(c).view(np.uint8).reshape(-1) for c in chunks]
+            crcs = [crc32(c) for c in chunks]
+        recv, riders = self.transport([(c,) for c in chunks], crcs)
 
         if riders is not None:
             crcs = [int(row[comm.rank]) for row in riders]  # crcs[s] = what s sent me
@@ -271,6 +350,24 @@ class OscAlltoallv(Exchange):
             with trace_span("retry", rank=comm.rank, failed=len(failed)):
                 self._recover(chunks, recv, crcs, failed, report)
         self._finish(ExchangeStats.raw(chunks), report)
+        return recv
+
+    def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+        """Exchange ``send[d]`` → rank ``d``; returns per-source uint8 chunks.
+
+        The window transports raw bytes, so receives are returned as
+        ``uint8`` arrays owned by the caller (copied out of the window,
+        through the pool when one is set); callers re-view them (the FFT
+        layer exchanges packed byte streams anyway).
+        """
+        recv: list[np.ndarray] = []
+        for region in self.borrow(send):
+            if self.pool is None:
+                recv.append(region.copy())
+            else:
+                block = self.pool.acquire(region.size)
+                np.copyto(block, region)
+                recv.append(block)
         return recv
 
 

@@ -195,6 +195,15 @@ class Codec(ABC):
             raise CompressionError(f"codec {self.name} has no fixed rate")
         return int(np.ceil(8 * n_float64 / r))
 
+    def worst_case_nbytes(self, n_float64: int) -> int:
+        """Upper bound on the payload of ``n_float64`` scalars.
+
+        What a receiver that must reserve room before the data arrives
+        sizes for.  The default is the input size: a compressor is not
+        expected to expand its input (one that can says by how much).
+        """
+        return 8 * n_float64
+
     def _check_roundtrip_args(self, msg: CompressedMessage) -> None:
         if msg.codec_name != self.name:
             raise CompressionError(

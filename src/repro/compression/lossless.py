@@ -51,6 +51,12 @@ class ShuffleZlibCodec(Codec):
     def rate(self) -> None:
         return None  # data dependent
 
+    def worst_case_nbytes(self, n_float64: int) -> int:
+        """zlib's ``compressBound``: incompressible input is stored, at
+        5 B per 16 KiB block plus the stream wrapper."""
+        n = 8 * n_float64
+        return n + (n >> 12) + (n >> 14) + (n >> 25) + 13
+
     def compress(self, data: np.ndarray) -> CompressedMessage:
         stream, dtype_name, shape = as_float64_stream(data)
         raw = stream.view(np.uint8)

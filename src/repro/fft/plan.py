@@ -15,8 +15,12 @@ Two execution styles:
   uses.  This is how the paper-scale accuracy experiments (Table II,
   1536 ranks) run.
 * **SPMD**: :meth:`Fft3d.forward_spmd` executes one rank's part on a
-  real communicator (thread runtime), exercising the OSC window
-  machinery end to end.
+  real communicator (thread or process runtime).  The exchange is
+  *bound to the plan*: a rank's first transform on a communicator
+  builds the four exchange objects and — every message size being
+  known from the plan — one persistent double-buffered window
+  (:class:`~repro.collectives.osc.PlanWindow`); every later reshape is
+  puts and one fence, nothing else collective.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 
 from repro.collectives.base import volume_rate
 from repro.collectives.exchange import make_exchange
+from repro.collectives.osc import OscTransport, PlanWindow
 from repro.compression.base import Codec
 from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
 from repro.errors import PlanError
@@ -36,7 +41,7 @@ from repro.fft.decomposition import (
     pencil_decomposition,
 )
 from repro.fft.local_fft import batched_fft, batched_ifft, complex_dtype
-from repro.fft.reshape import ReshapePlan, ReshapeStats
+from repro.fft.reshape import BoundReshape, ReshapePlan, ReshapeStats
 from repro.machine.topology import Topology
 from repro.telemetry.recorder import flight, live_update
 from repro.runtime.base import Comm
@@ -81,6 +86,25 @@ class FftStats:
         for r in self.reshapes:
             merged.merge(r)
         return merged
+
+
+class _Binding:
+    """What a rank keeps per (plan, communicator): the four reshapes bound
+    to their exchanges, and the window those exchanges share (if any)."""
+
+    def __init__(self, stages: list[BoundReshape], window: PlanWindow | None) -> None:
+        self.stages = stages
+        self.window = window
+
+    def release(self) -> None:
+        """Local, no barrier: the communicator retired (see ``Comm.release``)."""
+        if self.window is not None:
+            self.window.release()
+
+    def free(self) -> None:
+        """Collective (see :meth:`Fft3d.release`)."""
+        if self.window is not None:
+            self.window.free()
 
 
 class Fft3d:
@@ -276,6 +300,69 @@ class Fft3d:
 
     # -- SPMD execution ------------------------------------------------------------------
 
+    def _bind(
+        self, comm: Comm, method: str, variant: str, batch: tuple[int, ...]
+    ) -> _Binding:
+        """This rank's binding of the plan to ``comm`` (collective when new).
+
+        Built on the first transform and cached *on the communicator*
+        (``comm.attrs``, MPI-attribute style): it is per-rank state, so
+        the plan object stays shared and stateless across rank threads,
+        and it dies with the communicator — a shrink yields a new one,
+        hence a fresh binding with its epoch back at 0 on every
+        survivor.  Every rank derives the same slot tables from
+        ``ReshapePlan.pairs`` alone, so nothing is negotiated.
+        """
+        key = (self, method, variant, batch)
+        binding = comm.attrs.get(key)
+        if binding is not None:
+            return binding
+        entry = self._tuned_entry
+        exchanges = [
+            make_exchange(
+                comm,
+                codec=self._stage_codec(step),
+                method=method,
+                variant=variant,
+                topology=self.topology,
+                # with a tolerance configured the exchange also verifies
+                # it per message (achieved-error / headroom telemetry)
+                e_tol=self.e_tol,
+                pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
+                tuned=self.tuned_key,
+            )
+            for step in range(len(self.reshapes))
+        ]
+        tables = [
+            exchange.slot_table(reshape.message_elements(batch), self.dtype.itemsize)
+            for exchange, reshape in zip(exchanges, self.reshapes)
+        ]
+        window = None
+        if tables[0] is not None:  # same exchange class in every stage
+            window = PlanWindow(comm, max(int(table.extent.max()) for table in tables))
+            for exchange, table in zip(exchanges, tables):
+                exchange.transport = OscTransport(
+                    comm, self.topology, slots=table, window=window
+                )
+        binding = comm.attrs[key] = _Binding(
+            [
+                BoundReshape(reshape, comm.rank, exchange, batch)
+                for reshape, exchange in zip(self.reshapes, exchanges)
+            ],
+            window,
+        )
+        return binding
+
+    def release(self, comm: Comm) -> None:
+        """Collectively free what this plan bound to ``comm`` (every rank calls).
+
+        Only long-lived communicators that cycle through plans need it:
+        a binding is otherwise released, without a barrier, when its
+        communicator retires (the run ends, or a shrink replaces it).
+        """
+        for key in [k for k in comm.attrs if isinstance(k, tuple) and k[0] is self]:
+            comm.attrs.pop(key).free()
+
     def _reshape_stage(
         self,
         comm: Comm,
@@ -287,30 +374,11 @@ class Fft3d:
         stats: FftStats,
         pool: BufferPool | None = None,
     ) -> np.ndarray:
-        """Reshape ``step`` of an SPMD transform (the first half of a stage).
-
-        The exchange is built for this one call (``run_spmd`` frees it as
-        soon as the bytes are out) from the stage codec, the tuned entry
-        (pipeline depth, key), ``e_tol`` — with a tolerance configured
-        the exchange also verifies it per message, which feeds the
-        achieved-error / headroom telemetry gauges — and the topology.
-        """
-        entry = self._tuned_entry
-        exchange = make_exchange(
-            comm,
-            codec=self._stage_codec(step),
-            method=method,
-            variant=variant,
-            topology=self.topology,
-            e_tol=self.e_tol,
-            pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
-            pool=pool,
-            tuned=self.tuned_key,
-        )
+        """Reshape ``step`` of an SPMD transform (the first half of a stage)."""
+        stage = self._bind(comm, method, variant, block.shape[:-3]).stages[step]
+        stage.exchange.pool = pool  # per-call, per-rank staging state
         rstats = ReshapeStats()
-        block = self.reshapes[step].run_spmd(
-            comm, block, exchange, stats=rstats, pool=pool, free=True
-        )
+        block = stage(block, stats=rstats, pool=pool)
         stats.reshapes.append(rstats)
         return block
 
@@ -353,6 +421,11 @@ class Fft3d:
         only reliably reflects the *last* rank to finish.  ``pool`` is
         per-rank staging-buffer state (one :class:`BufferPool` per rank
         thread) eliminating steady-state exchange allocations.
+
+        The first call on a communicator is collective beyond the data
+        (it binds the plan: see :meth:`_bind`); ranks must agree on
+        ``method`` and on the batch shape of ``local``, as they must on
+        the transform itself.
         """
         if comm.size != self.nranks:
             raise PlanError("communicator size does not match plan")

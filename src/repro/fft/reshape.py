@@ -14,11 +14,14 @@ Two executors share the same plan:
   :class:`~repro.runtime.virtual.VirtualWorld` (scales to 1536 ranks);
 * :meth:`ReshapePlan.run_spmd` — per-rank SPMD execution on a real
   communicator, through any of the all-to-all algorithms of
-  :mod:`repro.collectives`.
+  :mod:`repro.collectives`; it is one execution of a
+  :class:`BoundReshape`, which a caller that repeats the reshape
+  (:class:`~repro.fft.plan.Fft3d`) builds once and keeps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro.collectives.base import Exchange, volume_rate
 from repro.collectives.exchange import make_exchange
+from repro.collectives.osc import OscAlltoallv
 from repro.compression.base import Codec
 from repro.errors import PlanError
 from repro.faults import ResilienceReport
@@ -38,7 +42,7 @@ from repro.fft.decomposition import CartesianDecomp
 from repro.runtime.base import Comm
 from repro.runtime.virtual import VirtualWorld
 
-__all__ = ["ReshapePlan", "ReshapeStats"]
+__all__ = ["BoundReshape", "ReshapePlan", "ReshapeStats"]
 
 
 @dataclass
@@ -160,22 +164,21 @@ class ReshapePlan:
             raise PlanError(
                 f"rank {rank}: local array shape {local.shape} != inbox {sbox.shape}"
             )
-        sl = box.slices_within(sbox)
-        view = local[..., sl[0], sl[1], sl[2]]
-        if pool is None:
-            return np.ascontiguousarray(view).reshape(-1)
-        buf = pool.acquire_array(view.shape, view.dtype)
-        np.copyto(buf, view)
-        return buf.reshape(-1)
+        return _pack(local[(..., *box.slices_within(sbox))], pool)
 
     def unpack(
         self, rank: int, out: np.ndarray, source: int, box: Box3d, chunk: np.ndarray
     ) -> None:
         """Insert the chunk received from ``source`` into ``out``."""
-        dbox = self.dst.box_of(rank)
-        sl = box.slices_within(dbox)
-        view = out[..., sl[0], sl[1], sl[2]]
-        out[..., sl[0], sl[1], sl[2]] = chunk.reshape(view.shape)
+        _unpack(out[(..., *box.slices_within(self.dst.box_of(rank)))], chunk)
+
+    def message_elements(self, batch: tuple[int, ...] = ()) -> np.ndarray:
+        """``[s, d]`` -> items rank ``s`` sends rank ``d`` (``batch`` entries per cell)."""
+        elements = np.zeros((self.nranks, self.nranks), dtype=np.int64)
+        for s, row in enumerate(self.pairs):
+            for d, box in row:
+                elements[s, d] = box.size * math.prod(batch)
+        return elements
 
     def _alloc_out(
         self, rank: int, dtype: np.dtype, batch: tuple[int, ...] = ()
@@ -241,74 +244,123 @@ class ReshapePlan:
         *,
         stats: ReshapeStats | None = None,
         pool: BufferPool | None = None,
-        free: bool = False,
     ) -> np.ndarray:
         """Execute this rank's part of the reshape on a communicator.
 
-        ``exchange`` is the all-to-all to move the packed chunks with —
+        ``exchange`` is the all-to-all to move the chunks with —
         anything :func:`~repro.collectives.exchange.make_exchange`
         builds; ``None`` means the communicator's reference
-        ``alltoallv``.  The caller keeps it, so its window is cached
-        across calls, and frees it — or hands it over with ``free=True``
-        when it will not call it again.  Its accounting and
-        :class:`~repro.faults.ResilienceReport` are folded into
-        ``stats`` (per-rank state — the plan itself is shared across
-        rank threads and stays stateless during execution).
-
-        ``pool`` stages the pack scratch in reusable buffers and takes
-        back the receive copies the exchange drew from it (zero
-        steady-state allocations once warm).
+        ``alltoallv``.  The caller keeps it (its window is cached
+        across calls) and frees it.  ``stats`` and ``pool`` are those of
+        :meth:`BoundReshape.__call__`.
         """
         if comm.size != self.nranks:
             raise PlanError("communicator size does not match plan")
         if exchange is None:
             exchange = make_exchange(comm, method="reference")
-        rank = comm.rank
-        dtype = local.dtype
-        batch = local.shape[:-3]
+        bound = BoundReshape(self, comm.rank, exchange, local.shape[:-3])
+        return bound(local, stats=stats, pool=pool)
 
+
+def _pack(view: np.ndarray, pool: BufferPool | None) -> np.ndarray:
+    """``view`` as one flat contiguous chunk (pooled scratch with a ``pool``)."""
+    if pool is None:
+        return np.ascontiguousarray(view).reshape(-1)
+    buf = pool.acquire_array(view.shape, view.dtype)
+    np.copyto(buf, view)
+    return buf.reshape(-1)
+
+
+def _unpack(target: np.ndarray, chunk: np.ndarray) -> None:
+    """Copy the received ``chunk`` (flat values, or raw bytes) into ``target``."""
+    if chunk.dtype != target.dtype:
+        # raw window exchanges hand back bytes; codecs hand back values
+        chunk = chunk.view(target.dtype) if chunk.dtype == np.uint8 else chunk.astype(target.dtype)
+    target[...] = chunk.reshape(target.shape)
+
+
+class BoundReshape:
+    """One rank's side of a reshape, bound to the exchange that moves it.
+
+    What is the same in every execution is worked out here, once: the
+    slices of the rank's block each message is read from and written
+    to, and the shapes.  The plan stays shared and stateless; this is
+    per-rank state.
+    """
+
+    def __init__(
+        self, plan: ReshapePlan, rank: int, exchange: Exchange, batch: tuple[int, ...] = ()
+    ) -> None:
+        sbox, dbox = plan.src.box_of(rank), plan.dst.box_of(rank)
+        self.rank = rank
+        self.exchange = exchange
+        self.nranks = plan.nranks
+        self.in_shape = batch + sbox.shape
+        self.out_shape = batch + dbox.shape
+        self.outgoing = [(d, (..., *box.slices_within(sbox))) for d, box in plan.pairs[rank]]
+        self.incoming = [(s, (..., *box.slices_within(dbox))) for s, box in plan.incoming[rank]]
+
+    def __call__(
+        self,
+        local: np.ndarray,
+        *,
+        stats: ReshapeStats | None = None,
+        pool: BufferPool | None = None,
+    ) -> np.ndarray:
+        """Move ``local`` (this rank's block in the source layout) and
+        return the rank's block in the destination layout.
+
+        The exchange's accounting and
+        :class:`~repro.faults.ResilienceReport` are folded into
+        ``stats`` (per-rank state).  ``pool`` stages the pack scratch in
+        reusable buffers and takes back the receive copies the exchange
+        drew from it (zero steady-state allocations once warm).
+
+        Through the raw one-sided exchange nothing is staged at all:
+        the puts read the strided boxes of ``local`` and the unpack
+        reads the local window (borrowed views that do not outlive this
+        call — the returned block never aliases a window).
+        """
+        if local.shape != self.in_shape:
+            raise PlanError(
+                f"rank {self.rank}: local array shape {local.shape} != inbox {self.in_shape}"
+            )
+        rank, exchange = self.rank, self.exchange
+        direct = isinstance(exchange, OscAlltoallv)
         send: list[np.ndarray | None] = [None] * self.nranks
-        for d, box in self.pairs[rank]:
-            with trace_span("pack", rank=rank, peer=d):
-                send[d] = self.pack(rank, local, d, box, pool=pool)
+        for d, where in self.outgoing:
+            if direct:
+                send[d] = local[where]
+            else:
+                with trace_span("pack", rank=rank, peer=d):
+                    send[d] = _pack(local[where], pool)
 
         # One live-phase beacon per reshape: "exchange" is where a rank
         # spends its blocking time (pack/unpack are sub-ms local work and
         # per-phase beacons there measurably tax the GIL-shared ranks).
         live_update(rank, phase="exchange")
         with trace_span(
-            "exchange", rank=rank, method=exchange.algorithm, messages=len(self.pairs[rank])
+            "exchange", rank=rank, method=exchange.algorithm, messages=len(self.outgoing)
         ):
-            try:
-                recv = exchange(send)
-            finally:
-                if free:
-                    # Collective, so it waits for the slowest rank: do it
-                    # here, where the closing fence has just lined the ranks
-                    # up, not after they drift apart again in unpack.
-                    exchange.free()
+            recv = exchange.borrow(send) if direct else exchange(send)
         if stats is not None:
             stats.fold(exchange)
 
         # Every exchange has consumed (copied or encoded) the packed
         # send buffers by now; give them back before unpacking so the
         # next reshape reuses them.
-        if pool is not None:
+        if pool is not None and not direct:
             for buf in send:
                 if buf is not None:
                     pool.release(buf)
 
-        out = self._alloc_out(rank, dtype, batch)
-        for s, box in self.incoming[rank]:
-            chunk = np.asarray(recv[s])
-            if chunk.dtype != dtype:
-                # raw window exchanges hand back bytes; codecs hand back values
-                chunk = chunk.view(dtype) if chunk.dtype == np.uint8 else chunk.astype(dtype)
+        out = np.empty(self.out_shape, dtype=local.dtype)
+        for s, where in self.incoming:
             with trace_span("unpack", rank=rank, peer=s):
-                self.unpack(rank, out, s, box, chunk)
-        if pool is not None:
-            for s, _ in self.incoming[rank]:
-                # Pooled receive copies (the OSC path) go back too; the
-                # lenient release ignores arrays the pool never owned.
+                _unpack(out[where], np.asarray(recv[s]))
+        if pool is not None and not direct:
+            for s, _ in self.incoming:
+                # Pooled receive copies go back too; the lenient release
+                # ignores arrays the pool never owned.
                 pool.release(np.asarray(recv[s]))
         return out

@@ -387,6 +387,9 @@ class ResilientFft3d:
         self.active_plan: Fft3d = self.plan
         #: FailureReport of the most recent recovery (None = clean run).
         self.last_report = None
+        # Transforms started, per rank thread / forked rank (this object
+        # is shared by the rank threads of a world).
+        self._started = threading.local()
 
     def _plan_for(self, nranks: int, parent_ranks=None) -> Fft3d:
         if parent_ranks is not None:
@@ -438,14 +441,21 @@ class ResilientFft3d:
     # -- pipeline ---------------------------------------------------------------------
 
     def _run_stages(
-        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, pool
+        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, pool, tag: str
     ) -> np.ndarray:
         """Stages ``start..3`` of the pipeline — :class:`Fft3d`'s own stage
-        halves — checkpointing each one, ABFT-checking each reshape."""
+        halves — checkpointing each one, ABFT-checking each reshape.
+
+        The reshapes run on the plan's binding to ``comm`` (see
+        :meth:`Fft3d._bind`): after a shrink ``comm`` is a new
+        communicator, hence a fresh binding — new window, epoch 0 on
+        every survivor — while the dead generation's was released,
+        without a barrier, when ``shrink`` retired its communicator.
+        """
         store = CheckpointStore.for_comm(comm)
         for step in range(start, _N_STAGES):
             rplan = plan.reshapes[step]
-            key = (self.tag, comm.size, step, comm.rank)
+            key = (tag, comm.size, step, comm.rank)
             with trace_span("checkpoint", rank=comm.rank, stage=step):
                 store.save(key, block, meta={"stage": step, "inverse": int(inverse)})
             sent = None
@@ -469,7 +479,7 @@ class ResilientFft3d:
     # -- recovery ---------------------------------------------------------------------
 
     def _restart_block(
-        self, store: CheckpointStore, old_plan: Fft3d, old_size: int, stage: int, sub
+        self, store: CheckpointStore, old_plan: Fft3d, old_size: int, stage: int, sub, tag: str
     ) -> tuple[Fft3d, np.ndarray]:
         """Re-partition the checkpointed stage-``stage`` state for ``sub``.
 
@@ -482,7 +492,7 @@ class ResilientFft3d:
         full = Box3d((0, 0, 0), self.shape)
         global_arr: np.ndarray | None = None
         for r in range(old_size):
-            blk = store.load((self.tag, old_size, stage, r))
+            blk = store.load((tag, old_size, stage, r))
             if global_arr is None:
                 batch = blk.shape[:-3]
                 global_arr = np.empty(batch + self.shape, dtype=blk.dtype)
@@ -495,23 +505,24 @@ class ResilientFft3d:
         return new_plan, np.ascontiguousarray(global_arr[..., sl[0], sl[1], sl[2]])
 
     def _run(
-        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, depth: int, pool
+        self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, depth: int, pool,
+        tag: str,
     ) -> SpmdResult:
         try:
-            out = self._run_stages(comm, plan, block, start, inverse, pool)
+            out = self._run_stages(comm, plan, block, start, inverse, pool, tag)
             return SpmdResult(block=out, comm=comm, plan=plan, recovered=depth > 0)
         except (RevokedError, StallError) as exc:
             if depth >= self.max_recoveries:
                 raise
-            return self._recover(comm, plan, inverse, exc, depth, pool)
+            return self._recover(comm, plan, inverse, exc, depth, pool, tag)
 
     def _recover(
-        self, comm, plan: Fft3d, inverse: bool, exc: CommunicatorError, depth: int, pool
+        self, comm, plan: Fft3d, inverse: bool, exc: CommunicatorError, depth: int, pool, tag: str
     ) -> SpmdResult:
         world = comm.world
         store = CheckpointStore.for_comm(comm)
         sub = comm.shrink()  # agree (on survivors) + shrink; phases recorded
-        stage = store.last_complete_stage(self.tag, comm.size)
+        stage = store.last_complete_stage(tag, comm.size)
         if stage is None:
             raise CheckpointError(
                 f"rank {comm.rank}: no globally consistent checkpoint to restart "
@@ -520,10 +531,10 @@ class ResilientFft3d:
         with trace_span("restart", rank=comm.rank, stage=stage, survivors=sub.size):
             with world.monitor.phase("restart", comm.rank):
                 new_plan, new_block = self._restart_block(
-                    store, plan, comm.size, stage, sub
+                    store, plan, comm.size, stage, sub, tag
                 )
                 self.active_plan = new_plan
-                result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1, pool)
+                result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1, pool, tag)
         result.recovered = True
         result.report = world.monitor.build_report(
             recovered=True,
@@ -550,10 +561,22 @@ class ResilientFft3d:
         plan = self._plan_for(comm.size, getattr(comm, "parent_ranks", None))
         self.active_plan = plan
         block = np.ascontiguousarray(local, dtype=plan.dtype)
+        # Checkpoints are namespaced by the transform they belong to, so
+        # a restart never mixes in the later stages of an earlier
+        # transform (every rank runs the same sequence of transforms, so
+        # the count agrees); this rank's snapshots of the previous
+        # transform — and leftovers of an earlier run under this name —
+        # go now.
+        seq = self._started.n = getattr(self._started, "n", 0) + 1
+        tag = f"{self.tag}#{seq}"
+        store = CheckpointStore.for_comm(comm)
+        for stale in (f"{self.tag}#{seq - 1}", tag):
+            for step in range(_N_STAGES):
+                store.discard((stale, comm.size, step, comm.rank))
         with trace_span(
             "fft", rank=comm.rank, shape=self.shape, nranks=comm.size, inverse=inverse
         ):
-            result = self._run(comm, plan, block, 0, inverse, 0, pool)
+            result = self._run(comm, plan, block, 0, inverse, 0, pool, tag)
         self.active_plan = result.plan
         return result
 

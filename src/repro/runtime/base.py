@@ -85,6 +85,38 @@ class Comm(ABC):
         mapped = getattr(self, "_parent_ranks", None)
         return tuple(mapped) if mapped is not None else tuple(range(self.size))
 
+    # -- cached per-rank state ---------------------------------------------------
+
+    @property
+    def attrs(self) -> dict[Any, Any]:
+        """State cached on this communicator (``MPI_Comm_set_attr`` style).
+
+        A layer that builds something once per communicator — an FFT
+        plan's exchange binding — keeps it here, so it is per-rank state
+        with the communicator's lifetime.  Values have a ``release()``
+        that gives their resources back locally, with no collective.
+        """
+        return self.__dict__.setdefault("_attrs", {})
+
+    def release(self) -> None:
+        """Locally release everything cached on this communicator.
+
+        The runtimes call it when a communicator retires: its run ends,
+        or a ``shrink`` / ``revoke`` replaces it.
+        """
+        for value in self.__dict__.pop("_attrs", {}).values():
+            value.release()
+
+    def _hand_over(self, successor: "Comm") -> None:
+        """``shrink`` replaced this communicator by ``successor``.
+
+        What was cached here goes now (no barrier — the dead cannot
+        join one); what the successor caches goes when this, the run's
+        own communicator, is released at the end of the run.
+        """
+        self.release()
+        self.attrs["shrunk"] = successor
+
     # -- point to point --------------------------------------------------------
 
     @abstractmethod

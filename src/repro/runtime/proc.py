@@ -214,8 +214,8 @@ def _child_main(
         # where the parent can read them even after this process dies.
         install_sink(ShmSink(world.telemetry))
         live_update(rank, alive=1.0, phase="start")
+    comm = ProcComm(world, rank)
     try:
-        comm = ProcComm(world, rank)
         result = fn(comm, *args, **kwargs)
         # Done *before* the result crosses the pipe: a cleanly-finished
         # rank's exit must not read as a crash to peers still working.
@@ -232,6 +232,7 @@ def _child_main(
         payload = _encode_error(rank, exc)
         flight("abort", rank, detail=f"{type(exc).__name__}: {exc}"[:40])
         live_update(rank, alive=0.0, phase="failed")
+    comm.release()  # arenas the kernel left cached on its communicator
     if child_tracer is not None:
         try:
             from repro.trace.export import write_spool
@@ -1299,6 +1300,7 @@ class ProcComm(Comm):
     def revoke(self, reason: str = "revoked by application") -> None:
         """Revoke the communicator (``MPIX_Comm_revoke``)."""
         self._root.state.revoke(f"rank {self._old_rank}: {reason}", self._gen)
+        self.release()
 
     def agree(self, bitmap: int | None = None) -> int:
         """Fault-aware agreement on a liveness bitmap (``MPIX_Comm_agree``).
@@ -1355,6 +1357,7 @@ class ProcComm(Comm):
                 new_world = self._root.shrunk_world(members, new_gen)
                 new_comm = ProcComm(new_world, survivors.index(self.rank))
                 new_comm._monitor.beat(new_comm.rank)
+                self._hand_over(new_comm)
                 return new_comm
 
     def failure_report(self, **kwargs: Any) -> FailureReport:

@@ -381,6 +381,9 @@ class ThreadWorld:
                 # ensuing beacon silence) as a crash.  Injected deaths
                 # are already in the failure registry and keep priority.
                 self.mark_rank_done(rank)
+                # Whatever the kernel cached on its communicator (a plan's
+                # window) must not outlive the run in this world's registry.
+                comm.release()
 
         threads = [
             threading.Thread(target=body, args=(r,), name=f"spmd-rank-{r}", daemon=True)
@@ -555,6 +558,7 @@ class ThreadComm(Comm):
     def revoke(self, reason: str = "revoked by application") -> None:
         """Revoke the communicator (``MPIX_Comm_revoke``)."""
         self.world.revoke(f"rank {self.rank}: {reason}")
+        self.release()
 
     def agree(self, bitmap: int | None = None) -> int:
         """Fault-aware agreement on a liveness bitmap (``MPIX_Comm_agree``).
@@ -609,6 +613,7 @@ class ThreadComm(Comm):
                 # across repeated shrinks) — lets topology-aware layers
                 # keep node placement for the survivors.
                 new_comm._parent_ranks = tuple(self.parent_ranks[r] for r in survivors)
+                self._hand_over(new_comm)
                 return new_comm
 
     def failure_report(self, **kwargs: Any) -> FailureReport:

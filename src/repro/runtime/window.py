@@ -98,33 +98,46 @@ class Window:
     # -- data movement -------------------------------------------------------------
 
     def put(self, data: np.ndarray, target_rank: int, offset: int = 0) -> None:
-        """Write ``data`` (bytes) into ``target_rank``'s buffer at ``offset``."""
+        """Write ``data`` into ``target_rank``'s buffer at byte ``offset``.
+
+        ``data`` may have any dtype and layout.  A non-contiguous N-d
+        source (a box sliced out of a larger block) is copied straight
+        into the target region viewed with the source's dtype and shape
+        — one strided copy, no packing into a staging buffer first.
+        ``offset`` needs no alignment.
+        """
         self._check_alive()
         self._comm._check_rank(target_rank)
         pre = getattr(self._comm, "_pre", None)
         if pre is not None:  # beacon + process-fault injection (kill/hang)
             pre("put", target_rank)
-        raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
+        data = np.asarray(data)
         injector = getattr(self._world, "injector", None)
         if injector is not None:
             delay = injector.straggle_delay(self._comm.rank)
             if delay > 0.0:
                 time.sleep(delay)
+            raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
             corrupted = injector.corrupt_put(self._comm.rank, target_rank, raw)
             if corrupted is not None:
-                raw = corrupted
+                data = corrupted
         target = self._buffers[target_rank]
-        if offset < 0 or offset + raw.size > target.size:
+        nbytes = data.nbytes
+        if offset < 0 or offset + nbytes > target.size:
             raise WindowError(
-                f"put of {raw.size} B at offset {offset} exceeds window "
+                f"put of {nbytes} B at offset {offset} exceeds window "
                 f"size {target.size} on rank {target_rank}"
             )
+        region = target[offset : offset + nbytes]
         held = target_rank in self._held
         lock = self._locks[target_rank]
         if not held:
             lock.acquire()
         try:
-            target[offset : offset + raw.size] = raw
+            if data.flags.c_contiguous:
+                region[...] = data.reshape(-1).view(np.uint8)
+            else:
+                np.copyto(region.view(data.dtype).reshape(data.shape), data)
         finally:
             if not held:
                 lock.release()
@@ -233,6 +246,18 @@ class Window:
             # complete (peers are unwinding); skipping it lets `finally`
             # cleanup run without masking the original failure.
             self._comm.barrier()
+        self.release()
+
+    def release(self) -> None:
+        """The local half of :meth:`free`: drop this rank's handle, no barrier.
+
+        For a window that dies with its communicator (a run ends, a
+        shrink retires it): peers may still hold their own handles and
+        finish a put through them — they keep the buffers alive — but
+        this rank is done with it.  Idempotent.
+        """
+        if self._freed:
+            return
         self._freed = True
         # Views first, backing store second: on the process runtime the
         # buffers are NumPy views of a SharedMemory arena, and the arena

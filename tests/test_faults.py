@@ -385,6 +385,39 @@ class TestWindowRegistryLifecycle:
         assert all(run_spmd(2, kernel))
 
 
+class TestStridedPutUnderFaults:
+    """``Window.put`` takes strided N-d sources; the injector hooks must
+    keep firing for them (they see the same bytes a packed put carries)."""
+
+    def test_bitflip_and_straggle_fire_for_a_strided_source(self):
+        block = np.arange(4 * 6 * 5, dtype=np.float64).reshape(4, 6, 5)
+        box = block[1:3, ::2, 1:4]  # non-contiguous
+        plan = FaultPlan(
+            [
+                FaultRule("bitflip", rank=0, peer=1, bits=1),
+                FaultRule("straggle", rank=0, delay=0.001),
+            ],
+            seed=11,
+        )
+        world = ThreadWorld(2, faults=plan)
+
+        def kernel(comm):
+            win = comm.win_create(box.nbytes + 8)
+            win.fence()
+            if comm.rank == 0:
+                win.put(box, 1, offset=3)
+            win.fence()
+            got = win.local_view()[3 : 3 + box.nbytes].copy()
+            win.free()
+            return got
+
+        got = world.run(kernel)[1]
+        sent = np.ascontiguousarray(box).view(np.uint8).reshape(-1)
+        assert int(np.unpackbits(got ^ sent).sum()) == 1  # exactly the one flipped bit
+        assert world.injector.injected("bitflip") == 1
+        assert world.injector.injected("straggle") == 1
+
+
 class TestOscWindowReuse:
     def test_shrinking_sizes_reuse_cached_window(self):
         def kernel(comm):

@@ -180,9 +180,9 @@ class TestSpmdExecution:
         res = run_spmd(p, kernel)
         assert np.array_equal(_gather(dst, res, shape), x)
 
-    def test_exchange_is_borrowed_unless_handed_over(self, rng):
-        """The caller's exchange keeps its cached window across reshapes;
-        ``free=True`` hands it over and it is freed behind the exchange."""
+    def test_exchange_is_borrowed(self, rng):
+        """The caller's exchange keeps its cached window across reshapes
+        and is the caller's to free."""
         shape = (8, 8, 8)
         plan = ReshapePlan(brick_decomposition(shape, 2), pencil_decomposition(shape, 2, 0))
         locals_ = _scatter(plan.src, _global_field(shape, rng))
@@ -191,8 +191,10 @@ class TestSpmdExecution:
             op = make_exchange(comm, method="osc")
             first = plan.run_spmd(comm, locals_[comm.rank], op)
             cached = op.transport.win
-            second = plan.run_spmd(comm, locals_[comm.rank], op, free=True)
-            return cached is not None, op.transport.win is None, np.array_equal(first, second)
+            second = plan.run_spmd(comm, locals_[comm.rank], op)
+            kept = cached is not None and op.transport.win is cached
+            op.free()
+            return kept, op.transport.win is None, np.array_equal(first, second)
 
         assert run_spmd(2, kernel) == [(True, True, True)] * 2
 

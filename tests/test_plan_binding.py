@@ -1,0 +1,617 @@
+"""The exchange bound to the plan: one persistent double-buffered window,
+strided puts, one fence per reshape.
+
+``Fft3d.forward_spmd`` binds the plan to the communicator on a rank's
+first transform (four exchange objects, one :class:`PlanWindow`, slot
+tables derived from ``ReshapePlan.pairs``) and every later reshape is
+puts plus one fence.  These tests pin the protocol (what is and is not
+collective per call), its equivalence to one-shot exchanges driven
+through ``ReshapePlan.run_spmd``, the single fence under skew, the
+binding's lifetime, and the slot-overflow rule of the compressed path.
+"""
+
+from __future__ import annotations
+
+import glob
+import multiprocessing as mp
+import resource
+import time
+
+import numpy as np
+import pytest
+
+from repro.collectives import make_exchange
+from repro.collectives.compressed import CompressedOscAlltoallv
+from repro.collectives.osc import OscTransport, PlanWindow
+from repro.compression import CastCodec
+from repro.compression.adaptive import schedule_for_tolerance
+from repro.compression.base import Codec, CompressedMessage, IdentityCodec
+from repro.compression.mantissa import MantissaTrimCodec
+from repro.faults import FaultPlan, FaultRule
+from repro.fft import Fft3d
+from repro.fft.plan import FftStats
+from repro.fft.reshape import ReshapeStats
+from repro.machine.spec import laptop_spec
+from repro.machine.topology import Topology
+from repro.resilience.checkpoint import ResilientFft3d
+from repro.runtime import RUNTIMES, make_world
+from repro.runtime.shm import fork_available
+from repro.runtime.thread_rt import ThreadWorld
+from repro.trace import tracing
+from repro.tuning.profile import TuningEntry, TuningProfile
+from tests.test_exchange_factory import _CountingComm
+
+if not fork_available():  # pragma: no cover - non-POSIX
+    RUNTIMES = tuple(r for r in RUNTIMES if r != "proc")
+
+
+def _field(shape, seed=0, batch=()):
+    rng = np.random.default_rng(seed)
+    full = tuple(batch) + tuple(shape)
+    return rng.standard_normal(full) + 1j * rng.standard_normal(full)
+
+
+def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc"):
+    """``forward_spmd`` the way it ran before the binding: every reshape
+    through ``ReshapePlan.run_spmd`` with an exchange built, called once
+    and freed."""
+    entry = plan._tuned_entry
+    block = np.ascontiguousarray(block, dtype=plan.dtype)
+    for step, reshape in enumerate(plan.reshapes):
+        op = make_exchange(
+            comm,
+            codec=plan._stage_codec(step),
+            method=method,
+            variant=entry.variant if entry is not None else "flat",
+            topology=plan.topology,
+            e_tol=plan.e_tol,
+            pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
+        )
+        try:
+            block = reshape.run_spmd(comm, block, op)
+        finally:
+            op.free()
+        block = plan._fft_stage(comm, block, step, inverse)
+    return block
+
+
+def _bound_vs_oneshot(plan: Fft3d, x, runtime="thread", *, method="osc", trips=2):
+    """Per rank: are ``trips`` bound round trips bit-identical to one-shot ones?"""
+    blocks = plan.scatter(x)
+
+    def kernel(comm):
+        b = blocks[comm.rank]
+        same = True
+        for _ in range(trips):
+            y = plan.forward_spmd(comm, b, method=method)
+            z = plan.forward_spmd(comm, y, method=method, inverse=True)
+            y1 = _oneshot_transform(plan, comm, b, method=method)
+            z1 = _oneshot_transform(plan, comm, y1, inverse=True, method=method)
+            same = same and np.array_equal(y, y1) and np.array_equal(z, z1)
+        return same, y
+
+    results = make_world(runtime, plan.nranks, timeout=60.0).run(kernel)
+    assert all(same for same, _ in results)
+    return plan.gather([y for _, y in results])
+
+
+# -- (c) bound == unbound ------------------------------------------------------------
+
+
+class TestBoundEqualsOneShot:
+    @pytest.mark.parametrize(
+        "shape,nranks",
+        [((7, 5, 9), 3), ((5, 7, 3), 5), ((6, 10, 4), 6), ((7, 7, 7), 7)],
+    )
+    def test_prime_and_non_divisible_geometries(self, shape, nranks):
+        """Empty pairs, ranks with nothing incoming, uneven boxes."""
+        x = _field(shape)
+        for codec in (None, CastCodec("fp32")):
+            got = _bound_vs_oneshot(Fft3d(shape, nranks, codec=codec), x)
+            tol = 1e-12 if codec is None else 1e-5
+            assert np.linalg.norm(got - np.fft.fftn(x)) <= tol * np.linalg.norm(x) * x.size**0.5
+
+    def test_leading_batch_dimension_rebinds(self):
+        """The binding is keyed on the batch shape: a plan transforms
+        unbatched, batched and differently batched blocks on one comm."""
+        shape, p = (8, 6, 4), 4
+        plan = Fft3d(shape, p)
+        fields = [_field(shape, 1), _field(shape, 2, batch=(3,)), _field(shape, 3, batch=(5,))]
+        blocks = [plan.scatter(x) for x in fields]
+
+        def kernel(comm):
+            out = []
+            for _ in range(2):  # second pass runs on warm bindings
+                out = [plan.forward_spmd(comm, b[comm.rank]) for b in blocks]
+            windows = {id(v.window) for v in comm.attrs.values()}
+            return out, len(windows)
+
+        results = make_world("thread", p).run(kernel)
+        assert [n for _, n in results] == [3] * p
+        for i, x in enumerate(fields):
+            got = plan.gather([out[i] for out, _ in results])
+            assert np.allclose(got, np.fft.fftn(x, axes=(-3, -2, -1)))
+
+    def test_fp32_precision(self):
+        shape = (8, 8, 8)
+        _bound_vs_oneshot(Fft3d(shape, 4, precision="fp32"), _field(shape))
+
+    def test_codec_schedule(self):
+        shape = (8, 8, 8)
+        plan = Fft3d(shape, 4, codec_schedule=schedule_for_tolerance(1e-6))
+        _bound_vs_oneshot(plan, _field(shape))
+
+    @pytest.mark.parametrize("variant", ["flat", "two-level"])
+    def test_pipeline_chunks_from_a_tuning_profile(self, variant):
+        """Several frames per slot (the reader parses exactly that many),
+        flat and through the node-aware two-level exchange."""
+        shape, p = (12, 12, 12), 4
+        profile = TuningProfile(machine="laptop")
+        profile.record(
+            p, shape,
+            TuningEntry(codec="cast_fp32", pipeline_chunks=3, variant=variant, measured_s=0.001),
+        )
+        plan = Fft3d(shape, p, topology=Topology(laptop_spec(), p), tuning=profile)
+        assert plan._tuned_entry.pipeline_chunks == 3
+        _bound_vs_oneshot(plan, _field(shape))
+
+    @pytest.mark.parametrize("method", ["pairwise", "reference"])
+    def test_two_sided_methods_bind_without_a_window(self, method):
+        shape = (8, 8, 8)
+        plan = Fft3d(shape, 4)
+        _bound_vs_oneshot(plan, _field(shape), method=method)
+
+        def kernel(comm):
+            plan.forward_spmd(comm, plan.scatter(_field(shape))[comm.rank], method=method)
+            return [b.window for b in comm.attrs.values()]
+
+        assert make_world("thread", 4).run(kernel) == [[None]] * 4
+
+    def test_two_plans_bound_to_one_comm(self):
+        shape, p = (8, 8, 8), 4
+        raw, lossy = Fft3d(shape, p), Fft3d(shape, p, codec=CastCodec("fp32"))
+        x = _field(shape)
+        blocks = raw.scatter(x)
+
+        def kernel(comm):
+            b = blocks[comm.rank]
+            outs = []
+            for _ in range(3):  # interleaved: each binding keeps its own epoch
+                outs = [raw.forward_spmd(comm, b), lossy.forward_spmd(comm, b)]
+            return outs, len(comm.attrs)
+
+        results = make_world("thread", p).run(kernel)
+        assert [n for _, n in results] == [2] * p
+        ref = np.fft.fftn(x)
+        assert np.allclose(raw.gather([o[0] for o, _ in results]), ref)
+        assert np.allclose(lossy.gather([o[1] for o, _ in results]), ref, rtol=1e-4, atol=1e-3)
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_raw_osc_on_both_runtimes(self, runtime):
+        """Raw OSC over shm windows is covered by no benchmark workload."""
+        shape = (8, 12, 8)
+        x = _field(shape)
+        got = _bound_vs_oneshot(Fft3d(shape, 4), x, runtime, trips=3)
+        assert np.allclose(got, np.fft.fftn(x))
+
+    def test_epoch_parity_is_per_binding_not_per_transform(self):
+        """An odd number of exchanges between transforms (a resilient
+        restart from a middle stage does this) keeps the halves alternating."""
+        shape, p = (8, 8, 8), 4
+        plan = Fft3d(shape, p)
+        x = _field(shape)
+        blocks = plan.scatter(x)
+
+        def kernel(comm):
+            b = blocks[comm.rank]
+            plan.forward_spmd(comm, b)
+            for _ in range(3):  # 3 lone reshapes: the epoch is now odd
+                plan._reshape_stage(
+                    comm, b, 0, method="osc", variant="flat", stats=FftStats()
+                )
+            (binding,) = comm.attrs.values()
+            return binding.window.epoch, plan.forward_spmd(comm, b)
+
+        results = make_world("thread", p).run(kernel)
+        assert [e for e, _ in results] == [7] * p
+        assert np.allclose(plan.gather([y for _, y in results]), np.fft.fftn(x))
+
+
+# -- (b) what a warm reshape costs ----------------------------------------------------
+
+
+class TestWarmRoundTripProtocol:
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_no_allgather_no_win_create_when_warm(self, codec):
+        shape, p = (8, 8, 8), 4
+        plan = Fft3d(shape, p, codec=codec)
+        blocks = plan.scatter(_field(shape))
+
+        def kernel(comm):
+            counting = _CountingComm(comm)
+            b = blocks[comm.rank]
+
+            def roundtrip():
+                y = plan.forward_spmd(counting, b)
+                plan.forward_spmd(counting, y, inverse=True)
+                return dict(counting.calls)
+
+            return roundtrip(), roundtrip(), roundtrip()
+
+        for cold, warm, warmer in make_world("thread", p).run(kernel):
+            assert cold["win_create"] == 1 and cold["allgather"] == 0
+            assert warm == cold and warmer == cold
+
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_eight_fences_fourteen_puts_per_round_trip(self, codec):
+        shape, p = (8, 8, 8), 4
+        plan = Fft3d(shape, p, codec=codec)
+        blocks = plan.scatter(_field(shape))
+
+        def kernel(comm):
+            b = blocks[comm.rank]
+            for _ in range(3):
+                y = plan.forward_spmd(comm, b)
+                plan.forward_spmd(comm, y, inverse=True)
+
+        with tracing() as tracer:
+            make_world("thread", p).run(kernel)
+        spans = tracer.span_events()
+        for rank in range(p):
+            mine = [e for e in spans if e.rank == rank]
+            assert sum(e.kind == "fence" for e in mine) == 3 * 8
+            assert {e.attrs["epoch"] for e in mine if e.kind == "fence"} == {"close"}
+            assert sum(e.kind == "put" for e in mine) == 3 * 14
+            # the raw path has no pack copy left to span
+            assert any(e.kind == "pack" for e in mine) == (codec is not None)
+
+    def test_no_window_view_escapes_a_transform(self):
+        shape, p = (8, 8, 8), 4
+        blocks = Fft3d(shape, p).scatter(_field(shape))
+
+        def kernel(comm):
+            escaped = []
+            for plan in (Fft3d(shape, p), Fft3d(shape, p, codec=CastCodec("fp32"))):
+                y = plan.forward_spmd(comm, blocks[comm.rank])
+                z = plan.forward_spmd(comm, y, inverse=True)
+                for binding in comm.attrs.values():
+                    view = binding.window.win.local_view()
+                    escaped += [np.shares_memory(a, view) for a in (y, z)]
+            return escaped
+
+        for runtime in RUNTIMES:
+            for escaped in make_world(runtime, p, timeout=60.0).run(kernel):
+                assert escaped and not any(escaped)
+
+
+# -- (a) the single fence under skew --------------------------------------------------
+
+
+class TestSingleFenceUnderSkew:
+    TRIPS = 50
+
+    def _stress(self, runtime, codec, **world_kwargs):
+        shape, p = (8, 8, 8), 4
+        plan = Fft3d(shape, p, codec=codec)
+        blocks = plan.scatter(_field(shape))
+        trips = self.TRIPS
+
+        def kernel(comm):
+            b = blocks[comm.rank]
+            y1 = _oneshot_transform(plan, comm, b)
+            z1 = _oneshot_transform(plan, comm, y1, inverse=True)
+            bad = 0
+            for _ in range(trips):
+                y = plan.forward_spmd(comm, b)
+                z = plan.forward_spmd(comm, y, inverse=True)
+                bad += not (np.array_equal(y, y1) and np.array_equal(z, z1))
+            return bad
+
+        world = make_world(runtime, p, timeout=120.0, **world_kwargs)
+        assert world.run(kernel) == [0] * p
+
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_fault_plan_straggler(self, codec):
+        """A ``FaultPlan`` straggler (thread runtime only): one rank's
+        transport ops stall at random, for the whole run."""
+        straggler = FaultRule(
+            kind="straggle", rank=1, delay=0.0005, probability=0.5, max_triggers=None
+        )
+        self._stress("thread", codec, faults=FaultPlan(rules=[straggler], seed=3))
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_slow_writer(self, runtime, codec, monkeypatch):
+        """One rank's puts arrive late, every time: its peers are a whole
+        epoch ahead when it writes, and must not have been overwritten."""
+        from repro.runtime.window import Window
+
+        put = Window.put
+
+        def slow_put(self, data, target_rank, offset=0):
+            if self._comm.rank == 1:
+                time.sleep(0.0003)
+            put(self, data, target_rank, offset)
+
+        monkeypatch.setattr(Window, "put", slow_put)
+        self._stress(runtime, codec)
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_slow_reader(self, runtime, codec, monkeypatch):
+        """One rank dawdles between the fence and its unpack: nobody may
+        write the half it is still reading."""
+        fold = ReshapeStats.fold
+
+        def slow_fold(self, exchange):
+            if exchange.comm.rank == 2:
+                time.sleep(0.0005)
+            fold(self, exchange)
+
+        monkeypatch.setattr(ReshapeStats, "fold", slow_fold)
+        self._stress(runtime, codec)
+
+
+# -- lifetime -------------------------------------------------------------------------
+
+
+class TestBindingLifetime:
+    def test_bindings_die_with_the_run_on_a_long_lived_world(self):
+        """50 plans bound and run on one ThreadWorld: fresh comms per run,
+        so every binding is released (locally) when its run ends."""
+        shape, p = (32, 32, 32), 4
+        x = _field(shape)
+        world = ThreadWorld(p, timeout=30.0)
+
+        def rss_mb():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+        marks = []
+        for i in range(50):
+            plan = Fft3d(shape, p, codec=CastCodec("fp32") if i % 2 else None)
+            blocks = plan.scatter(x)
+            world.run(lambda comm: plan.forward_spmd(comm, blocks[comm.rank]))
+            assert world._win_registry == {}
+            if i in (9, 49):
+                marks.append(rss_mb())
+        # a leaked binding is >= 1 MiB of window per plan (40 plans apart)
+        assert marks[1] - marks[0] < 15.0
+
+    def test_explicit_release_for_a_comm_that_cycles_through_plans(self):
+        shape, p = (8, 8, 8), 4
+        x = _field(shape)
+
+        def kernel(comm):
+            live = []
+            for _ in range(5):
+                plan = Fft3d(shape, p)
+                y = plan.forward_spmd(comm, plan.scatter(x)[comm.rank])
+                plan.release(comm)  # collective
+                plan.release(comm)  # idempotent
+                comm.barrier()
+                live.append((len(comm.attrs), len(comm.world._win_registry)))
+                comm.barrier()  # nobody binds the next plan before all have looked
+            return live, y
+
+        results = make_world("thread", p).run(kernel)
+        assert all(live == [(0, 0)] * 5 for live, _ in results)
+
+    @pytest.mark.skipif("proc" not in RUNTIMES, reason="needs fork")
+    def test_proc_run_is_clean_without_an_explicit_release(self):
+        shape, p = (8, 8, 8), 4
+        plan = Fft3d(shape, p, codec=CastCodec("fp32"))
+        raw = Fft3d(shape, p)
+        blocks = plan.scatter(_field(shape))
+        world = make_world("proc", p, timeout=60.0)
+
+        def kernel(comm):
+            y = plan.forward_spmd(comm, blocks[comm.rank])
+            raw.forward_spmd(comm, blocks[comm.rank])
+            return y  # bindings never released by the kernel
+
+        world.run(kernel)
+        assert glob.glob(f"/dev/shm/{world.uid}*") == []
+        assert mp.active_children() == []
+
+
+# -- recovery drills on a warm binding -------------------------------------------------
+
+
+def _transport_ops(fft: ResilientFft3d, data, runtime, halves: int) -> int:
+    """Transport ops rank 1 makes in ``halves`` clean transforms (the fault
+    injector counts every op against its kill rules, firing or not)."""
+    probe = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=10**9)])
+
+    def kernel(comm):
+        block = fft.plan.scatter(data)[comm.rank]
+        for half in range(halves):
+            block = fft.forward_spmd(comm, block, inverse=bool(half % 2))
+        return comm.world.injector._ops[("kill", comm.rank)]
+
+    return make_world(runtime, fft.plan.nranks, timeout=30.0, faults=probe).run(kernel)[1]
+
+
+class TestRecoveryOnABoundPlan:
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("kind", ["kill", "hang"])
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_rank_lost_mid_reshape_of_the_third_round_trip(self, runtime, kind, codec):
+        shape, p = (8, 8, 8), 4
+        data = _field(shape)
+        fft = ResilientFft3d(shape, p, codec=codec, method="osc")
+        # two warm round trips and the third one's forward transform are
+        # behind it; the inverse transform is under way
+        after = (_transport_ops(fft, data, runtime, 5) + _transport_ops(fft, data, runtime, 6)) // 2
+        faults = FaultPlan(rules=[FaultRule(kind=kind, rank=1, after=after)])
+        world = make_world(runtime, p, timeout=20.0, faults=faults, suspect_after=0.4)
+
+        def kernel(comm):
+            block = fft.plan.scatter(data)[comm.rank]
+            for _ in range(2):
+                block = fft.forward_spmd(comm, fft.forward_spmd(comm, block), inverse=True)
+            fwd = fft.run_spmd(comm, block)
+            back = fft.run_spmd(fwd.comm, fwd.block, inverse=True)
+            epochs = [
+                b.window.epoch for b in back.comm.attrs.values() if hasattr(b, "window")
+            ]
+            blocks = back.comm.allgather(back.block)
+            if back.comm.rank != 0:
+                return None
+            return back.plan.gather(blocks), back.recovered, back.comm.size, epochs
+
+        results = [r for r in world.run(kernel) if r is not None]
+        assert len(results) == 1
+        full, recovered, survivors, epochs = results[0]
+        assert recovered and survivors == p - 1
+        # the survivors re-bound on the shrunk comm: one binding, whose
+        # epoch counts only the reshapes since the restart
+        assert len(epochs) == 1 and 1 <= epochs[0] <= 4
+        tol = 1e-12 if codec is None else 3 * fft.plan.guaranteed_tolerance
+        assert np.linalg.norm(full - data) <= tol * np.linalg.norm(data)
+        if runtime == "thread":
+            assert world._win_registry == {}
+            assert all(w._win_registry == {} for w in world._shrunk.values())
+        else:
+            assert glob.glob(f"/dev/shm/{world.uid}*") == []
+            assert mp.active_children() == []
+
+
+# -- a frame that does not fit its slot -------------------------------------------------
+
+
+class _LyingCodec(Codec):
+    """Claims to compress, returns more bytes than it was given."""
+
+    name = "liar"
+
+    def compress(self, data):
+        msg = IdentityCodec().compress(data)
+        payload = np.concatenate([msg.payload, np.zeros(4096, dtype=np.uint8)])
+        return CompressedMessage(self.name, payload, msg.dtype_name, msg.shape)
+
+    def decompress(self, msg):  # pragma: no cover - its frames never reach the wire
+        raise AssertionError("an oversized frame was sent")
+
+
+def _bound_exchange(comm, codec, n, **kwargs):
+    """A compressed exchange bound to slots for ``n`` complex items per pair."""
+    op = CompressedOscAlltoallv(comm, codec, **kwargs)
+    table = op.slot_table(np.full((comm.size, comm.size), n), 16)
+    window = PlanWindow(comm, int(table.extent.max()))
+    op.transport = OscTransport(comm, slots=table, window=window)
+    return op, window
+
+
+class TestSlotOverflow:
+    def test_lossless_fallback_fits_its_slot_at_128_cubed_message_size(self):
+        """Unmeetable tolerance on incompressible 4 MiB messages: every one
+        goes through zlib, which *expands* them (0.03 % + 5 B per 16 KiB
+        block) — into a slot sized for exactly that, so nothing degrades
+        further and nothing is truncated."""
+        p, n = 2, 128**3 // 8  # one fft128-p4 message: 4 MiB of complex128
+
+        def incompressible(rng):
+            bits = rng.integers(0, 2**64, size=2 * n, dtype=np.uint64)
+            nonfinite = (bits >> np.uint64(52)) & np.uint64(0x7FF) == np.uint64(0x7FF)
+            bits[nonfinite] &= ~np.uint64(1 << 62)
+            return bits.view(np.complex128)
+
+        def kernel(comm):
+            rng = np.random.default_rng(comm.rank)
+            send = [incompressible(rng) for _ in range(p)]
+            op, window = _bound_exchange(comm, MantissaTrimCodec(35), n, e_tol=1e-30)
+            try:
+                recv = op(send)
+                back = comm.alltoallv(recv)  # what I sent, as the peers decoded it
+                exact = all(
+                    np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                    for a, b in zip(send, back)
+                )
+                events = [(e.kind, e.codec) for e in op.last_report.events]
+                return exact, events, op.last_stats
+            finally:
+                window.free()
+
+        for exact, events, stats in make_world("thread", p, timeout=60.0).run(kernel):
+            assert exact
+            assert stats.wire_bytes > stats.original_bytes  # zlib expanded every message
+            assert [k for k, _ in events].count("tolerance-exceeded") == p
+            assert {c for k, c in events if k == "degrade"} == {"zlib1_shuffle"}
+
+    def test_oversized_frame_steps_down_to_raw_never_truncates(self):
+        p, n = 3, 500
+
+        def kernel(comm):
+            send = [np.arange(n) * (1.0 + 1j) + comm.rank + d for d in range(p)]
+            op, window = _bound_exchange(comm, _LyingCodec(), n)
+            try:
+                recv = op(send)
+                return recv, [(e.kind, e.codec) for e in op.last_report.events], op.last_stats
+            finally:
+                window.free()
+
+        for rank, (recv, events, stats) in enumerate(make_world("thread", p).run(kernel)):
+            for s in range(p):
+                assert np.array_equal(recv[s], np.arange(n) * (1.0 + 1j) + s + rank)
+            assert events == [("degrade", "identity")] * p
+            assert stats.wire_bytes == stats.original_bytes == 16 * n * p
+
+    def test_a_message_larger_than_its_slot_is_an_error_at_the_window(self):
+        """The transport's own guard (the raw path has no ladder to walk)."""
+        from repro.errors import CommunicatorError
+
+        def kernel(comm):
+            op = make_exchange(comm, method="osc")
+            table = op.slot_table(np.full((2, 2), 8), 16)
+            window = PlanWindow(comm, int(table.extent.max()))
+            op.transport = OscTransport(comm, slots=table, window=window)
+            fits = op([np.ones(8, complex)] * 2)
+            try:
+                op([np.ones(9, complex)] * 2)  # every rank trips before its first put
+            except CommunicatorError as exc:
+                return [r.view(np.complex128).tolist() for r in fits], str(exc)
+            finally:
+                window.release()
+
+        for fits, error in make_world("thread", 2, timeout=10.0).run(kernel):
+            assert fits == [[1.0] * 8] * 2
+            assert "144 B" in error and "128 B window slot" in error
+
+    def test_verify_mode_rides_its_own_allgather_on_a_bound_exchange(self):
+        """With plan-supplied slots there is no sizes allgather for the
+        CRCs to ride; a corrupted put is still caught and retransmitted."""
+        from repro.collectives.osc import OscAlltoallv
+
+        flip = FaultPlan([FaultRule("bitflip", rank=0, peer=1)], seed=2)
+
+        def kernel(comm):
+            op = OscAlltoallv(comm, verify=True)
+            table = op.slot_table(np.full((2, 2), 32), 8)
+            window = PlanWindow(comm, int(table.extent.max()))
+            op.transport = OscTransport(comm, slots=table, window=window)
+            send = [np.arange(32.0) + 10 * comm.rank + d for d in range(2)]
+            recv = [r.view(np.float64).copy() for r in op(send)]
+            window.free()
+            return recv, op.last_report.recovered
+
+        world = ThreadWorld(2, timeout=20.0, faults=flip)
+        for rank, (recv, recovered) in enumerate(world.run(kernel)):
+            assert all(np.array_equal(recv[s], np.arange(32.0) + 10 * s + rank) for s in range(2))
+            assert recovered == (rank == 1)
+        assert world.injector.injected("bitflip") == 1
+
+    def test_split_sizes_mirror_split(self):
+        for chunks in (1, 2, 3, 7):
+            op = CompressedOscAlltoallv.__new__(CompressedOscAlltoallv)
+            op.pipeline_chunks = chunks
+            for n in (1, 2, 5, 7, 64, 100):
+                assert op._split_sizes(n) == [c.size for c in op._split(np.zeros(n))]
+
+    def test_zlib_worst_case_bound_holds_on_incompressible_bytes(self):
+        from repro.compression.lossless import ShuffleZlibCodec
+
+        codec = ShuffleZlibCodec(level=1)
+        rng = np.random.default_rng(5)
+        for n in (1, 17, 4096, 300_000):
+            data = rng.integers(0, 2**63, size=n, dtype=np.int64).view(np.float64)
+            assert codec.compress(data).payload.size <= codec.worst_case_nbytes(n)

@@ -404,6 +404,73 @@ class TestWindowContract:
         res = spmd(runtime, 2, kernel)
         assert res[1] == [0] * 12 + [9] * 4
 
+    def test_put_strided_nd_source_at_unaligned_offset(self, runtime):
+        """A non-contiguous N-d source goes to the window as it is — the
+        target holds its C-order bytes — at any byte offset."""
+        block = np.arange(4 * 6 * 5).reshape(4, 6, 5) * (1.0 + 0.5j)
+        box = block[1:3, ::2, 1:4]
+        assert not box.flags.c_contiguous
+
+        def kernel(comm):
+            win = comm.win_create(5 + box.nbytes + 3)
+            win.fence()
+            if comm.rank == 0:
+                win.put(box, 1, offset=5)
+            win.fence()
+            view = win.local_view()
+            got = view[5 : 5 + box.nbytes].copy().view(np.complex128).reshape(box.shape)
+            untouched = (int(view[:5].sum()), int(view[5 + box.nbytes :].sum()))
+            win.free()
+            return got, untouched
+
+        got, untouched = spmd(runtime, 2, kernel)[1]
+        assert np.array_equal(got, box) and untouched == (0, 0)
+
+    def test_strided_put_out_of_bounds_raises(self, runtime):
+        from repro.errors import WindowError
+
+        box = np.arange(64.0).reshape(8, 8)[::2, ::2]  # 16 values, 128 B
+
+        def kernel(comm):
+            win = comm.win_create(128)
+            win.fence()
+            outcomes = []
+            for offset in (0, 1, -1):
+                try:
+                    win.put(box, comm.rank, offset=offset)
+                    outcomes.append("ok")
+                except WindowError:
+                    outcomes.append("bounds")
+            win.fence()
+            win.free()
+            return outcomes
+
+        assert spmd(runtime, 2, kernel) == [["ok", "bounds", "bounds"]] * 2
+
+    def test_release_is_local_and_final(self, runtime):
+        """``release`` is ``free`` without the barrier: one rank lets go
+        while its peer still uses its own handle."""
+        from repro.errors import WindowError
+
+        def kernel(comm):
+            win = comm.win_create(4)
+            win.fence()
+            if comm.rank == 0:
+                win.release()
+                win.release()  # idempotent
+                try:
+                    win.local_view()
+                except WindowError:
+                    comm.send(np.zeros(1), 1, tag=3)
+                    return "released"
+            comm.recv(0, tag=3)  # rank 0 is gone from the window by now
+            win.put(np.full(4, 7, dtype=np.uint8), 1)
+            got = win.local_view().tolist()
+            win.release()
+            return got
+
+        assert spmd(runtime, 2, kernel) == ["released", [7, 7, 7, 7]]
+
     def test_windows_are_independent(self, runtime):
         """Two live windows must not alias each other's buffers."""
 

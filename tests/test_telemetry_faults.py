@@ -47,8 +47,10 @@ class TestThreadWorldBlackbox:
         nranks, shape = 4, (8, 8, 8)
         fft = Fft3d(shape, nranks, e_tol=1e-6)
         # Fire the fault deep enough into the plan that at least one
-        # reshape exchange completed and sits in the ring.
-        plan = FaultPlan(rules=[FaultRule(kind=kind, rank=1, after=24)])
+        # reshape exchange completed and sits in the ring (a bound
+        # transform is 12 transport ops per rank: 1 win_create, 7 puts,
+        # 4 fences).
+        plan = FaultPlan(rules=[FaultRule(kind=kind, rank=1, after=8)])
         world = ThreadWorld(nranks, timeout=8.0, faults=plan, suspect_after=0.3)
         with pytest.raises(RankFailureError) as excinfo:
             world.run(_fft_kernel(fft, _field(shape)))
