@@ -4,47 +4,52 @@ The fault layer (``repro.faults``) recovers *messages* — a dropped
 fragment, a flipped bit, a codec hiccup.  This package recovers from a
 whole rank dying or wedging mid-FFT, the ULFM-style story:
 
-* :mod:`~repro.resilience.monitor` — heartbeat watchdog: per-rank
-  liveness beacons, deadline-tracked blocking ops, straggler / dead /
-  deadlock classification, structured :class:`~repro.resilience.monitor.FailureReport`;
-* :mod:`~repro.resilience.agreement` — fault-aware agreement on
-  liveness bitmaps (the ``MPIX_Comm_agree`` analogue) so survivors
-  shrink to the *same* communicator;
+* :mod:`~repro.resilience.monitor` — the control plane both runtimes
+  share: :class:`~repro.resilience.monitor.ControlState` (beacons,
+  blocked-op rows, failure registry, revoke word, agreement slots,
+  timeline) over a private buffer or a shared-memory segment, the one
+  :class:`~repro.resilience.monitor.Watchdog` (straggler / dead /
+  deadlock classification) and the structured
+  :class:`~repro.resilience.monitor.FailureReport`;
+* :mod:`~repro.resilience.agreement` — the liveness bitmaps survivors
+  agree on (the ``MPIX_Comm_agree`` analogue) so they shrink to the
+  *same* communicator;
 * :mod:`~repro.resilience.abft` — algorithm-based per-reshape checksums
   validated against the codec error budget;
 * :mod:`~repro.resilience.checkpoint` — CRC-framed pencil checkpoints in
   a world-shared store ("burst buffer") plus the shrink-and-restart
   driver for :class:`~repro.fft.plan.Fft3d`.
 
-Import discipline: the thread runtime imports :mod:`monitor` and
+Import discipline: the runtimes import :mod:`monitor` and
 :mod:`agreement`; :mod:`checkpoint` imports the runtime and the FFT
 layer back, so it is exposed lazily to keep the package cycle-free.
 """
 
 from repro.resilience.abft import AbftChecksums, reshape_checksums, verify_checksums
-from repro.resilience.agreement import AgreementSpace, bitmap_ranks, ranks_bitmap
+from repro.resilience.agreement import bitmap_ranks, ranks_bitmap
 from repro.resilience.monitor import (
     STALL_CLASSIFICATIONS,
+    ControlState,
     FailureReport,
-    HeartbeatMonitor,
     PhaseSpan,
     RankFailure,
     RevocableBarrier,
+    Watchdog,
 )
 
 __all__ = [
     "STALL_CLASSIFICATIONS",
     "AbftChecksums",
-    "AgreementSpace",
     "CheckpointStore",
+    "ControlState",
     "FailureReport",
-    "HeartbeatMonitor",
     "PhaseSpan",
     "RankFailure",
     "ResilientFft3d",
     "RevocableBarrier",
     "ShmCheckpointStore",
     "SpmdResult",
+    "Watchdog",
     "bitmap_ranks",
     "ranks_bitmap",
     "reshape_checksums",

@@ -1,43 +1,19 @@
-"""Fault-aware agreement (the ULFM ``MPIX_Comm_agree`` analogue).
+"""Liveness bitmaps, the currency of fault-aware agreement.
 
 After a failure is detected, survivors must reach a *consistent* view
 of who is alive before they can shrink: if rank 0 thinks {0, 2, 3}
 survived while rank 2 thinks {0, 1, 2, 3} did, the shrunk communicators
 disagree on size and the ring permutation, and recovery itself
-deadlocks.
-
-:class:`AgreementSpace` runs rounds of a simple crash-tolerant
-agreement over liveness *bitmaps* (bit ``r`` set = rank ``r`` believed
-alive by the contributor):
-
-* every participating rank contributes its local bitmap for the round;
-* a round completes once every rank **not declared dead** by the
-  failure registry has contributed — so the protocol terminates even
-  while ranks are dying, as the watchdog shrinks the expected set;
-* the decided value is the bitwise **AND** of the contributions, with
-  the registry's dead ranks masked out — any rank suspected by anyone
-  is excluded (pessimistic, like ULFM: false suspicion costs a healthy
-  rank, disagreement costs the whole job);
-* the first rank to observe completion freezes the decision; everyone
-  else (including late contributors that were wrongly suspected)
-  returns the *same* frozen value.  Decisions are linearizable per
-  round.
-
-Waiters poll in quanta, invoking a caller-supplied callback outside the
-lock each quantum — the callback beacons and runs the watchdog, so a
-rank dying *mid-agreement* is still detected and removed from the
-expected set.  Agreement must make progress on a revoked world (it is
-the recovery path), so the callback used here must not raise on revoke.
+deadlocks.  The agreement (the ULFM ``MPIX_Comm_agree`` analogue) runs
+over bitmaps — bit ``r`` set = rank ``r`` believed alive by the
+contributor — in the slots of
+:meth:`repro.resilience.monitor.ControlState.agree_wait`, driven by
+:meth:`repro.runtime.base.Comm.agree`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-
-from repro.errors import CommunicatorError
-
-__all__ = ["AgreementSpace", "bitmap_ranks", "ranks_bitmap"]
+__all__ = ["bitmap_ranks", "ranks_bitmap"]
 
 
 def bitmap_ranks(bitmap: int, nranks: int) -> tuple[int, ...]:
@@ -51,85 +27,3 @@ def ranks_bitmap(ranks) -> int:
     for r in ranks:
         out |= 1 << int(r)
     return out
-
-
-class AgreementSpace:
-    """Shared-memory arena for rounds of fault-aware agreement."""
-
-    def __init__(self, nranks: int, *, quantum: float = 0.02) -> None:
-        self.nranks = int(nranks)
-        self.quantum = float(quantum)
-        self._cond = threading.Condition()
-        self._round = [0] * self.nranks  # per-rank next round number
-        self._contrib: dict[int, dict[int, int]] = {}
-        self._decided: dict[int, int] = {}
-
-    def next_round(self, rank: int) -> int:
-        """Allocate ``rank``'s next agreement round number."""
-        with self._cond:
-            round_no = self._round[rank]
-            self._round[rank] = round_no + 1
-            return round_no
-
-    def _try_decide_locked(self, round_no: int, dead: frozenset[int]) -> int | None:
-        if round_no in self._decided:
-            return self._decided[round_no]
-        contrib = self._contrib.get(round_no, {})
-        expected = [r for r in range(self.nranks) if r not in dead]
-        if not expected or any(r not in contrib for r in expected):
-            return None
-        value = ~0
-        for r in expected:
-            value &= contrib[r]
-        for r in dead:
-            value &= ~(1 << r)
-        value &= (1 << self.nranks) - 1
-        self._decided[round_no] = value
-        return value
-
-    def agree(
-        self,
-        rank: int,
-        round_no: int,
-        bitmap: int,
-        *,
-        dead_ranks,
-        poll=None,
-        timeout: float | None = None,
-    ) -> int:
-        """Contribute ``bitmap`` to ``round_no`` and block for the decision.
-
-        ``dead_ranks`` is a zero-argument callable returning the failure
-        registry's current dead set (a frozenset of ranks) — re-read
-        every quantum so deaths during the agreement shrink the expected
-        contributor set.  ``poll`` runs outside the lock each quantum
-        (beacon + watchdog scan); it must not raise on revoke.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            self._contrib.setdefault(round_no, {})[rank] = int(bitmap)
-            self._cond.notify_all()
-        while True:
-            dead = frozenset(dead_ranks())
-            with self._cond:
-                value = self._try_decide_locked(round_no, dead)
-                if value is not None:
-                    self._cond.notify_all()
-                    return value
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    contrib = sorted(self._contrib.get(round_no, {}))
-                    missing = [
-                        r for r in range(self.nranks) if r not in dead and r not in contrib
-                    ]
-                    raise CommunicatorError(
-                        f"rank {rank}: agreement round {round_no} timed out after "
-                        f"{timeout}s (have {contrib}, waiting on {missing}, dead {sorted(dead)})"
-                    )
-                wait_t = self.quantum if deadline is None else min(self.quantum, deadline - now)
-                self._cond.wait(timeout=wait_t)
-            # Outside the lock: beacon liveness, run the watchdog so a
-            # contributor dying mid-round gets declared and removed from
-            # the expected set on the next iteration.
-            if poll is not None:
-                poll()

@@ -1,51 +1,58 @@
-"""Heartbeat watchdog: liveness beacons, stall classification, reports.
+"""The ULFM control plane: one control state, one watchdog, reports.
 
 The fence-synchronised exchanges of the paper (Alg. 3) have the classic
 failure mode of bulk-synchronous code: one dead or wedged rank stalls
-every peer for the full window.  This module supplies the *detection*
-half of the fault-tolerance story:
+every peer for the full window.  This module is the *detection and
+bookkeeping* half of the fault-tolerance story, written once for rank
+threads and forked ranks:
 
-* every rank beacons (:meth:`HeartbeatMonitor.beat`) at each transport
-  operation — and keeps beaconing while *blocked* in a receive or
-  barrier, because a rank waiting on a dead peer is itself perfectly
-  alive;
-* blocked operations register themselves (:meth:`HeartbeatMonitor.blocked`)
-  so a stall can be attributed to a specific (op, peer, tag);
-* :meth:`HeartbeatMonitor.poll` — run by whichever rank happens to be
-  blocked, every wait quantum; no watchdog thread needed — declares a
-  rank dead when its beacon goes silent past ``suspect_after`` or its
-  thread has exited;
-* a stall is *classified*, not just timed out: ``dead`` (thread gone or
-  explicitly killed), ``deadlock`` (thread alive but silent — a wedged
-  rank, or every live rank blocked on another), ``straggler`` (peer
-  still beaconing, just slow).
+* :class:`ControlState` — beacons, done flags, blocked-op rows, the
+  failure registry, the generational revoke word, the agreement slots
+  and the recovery timeline in one flat buffer: a private ``bytearray``
+  under a ``threading.Condition`` for a thread world, a named
+  shared-memory segment under a fork-shared condition for a process
+  world (the caller supplies both; this module imports nothing from the
+  runtime — the runtimes import *it*);
+* :class:`Watchdog` — a member view over that state.  Every rank
+  beacons at each transport operation and keeps beaconing while
+  *blocked* (a rank waiting on a dead peer is itself perfectly alive);
+  :meth:`Watchdog.poll` — run by whichever rank happens to be blocked,
+  no watchdog thread — declares a rank failed when it is gone or its
+  beacon is silent past ``suspect_after``; a stall is *classified*, not
+  just timed out: ``dead``, ``deadlock`` (alive but silent, or every
+  unfinished rank blocked past the deadline), ``straggler`` (blocked
+  past the deadline while someone still makes progress);
+* :class:`FailureReport` — who failed, how each stall was classified,
+  and the detect → agree → shrink → restart timeline, instead of an
+  opaque ``TimeoutError``.
 
-Everything the watchdog concludes lands in a structured
-:class:`FailureReport` — which ranks failed, how each stall was
-classified, when detection happened, and the detect → agree → shrink →
-restart recovery timeline — instead of an opaque ``TimeoutError``.
-
-This module deliberately imports nothing from the runtime: the thread
-runtime imports *it*.
+The recovery arc that drives all this (``agree`` / ``shrink`` /
+``revoke``) is :class:`repro.runtime.base.Comm`'s.
 """
 
 from __future__ import annotations
 
+import struct
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
+import numpy as np
+
+from repro.errors import CommunicatorError, StallError
 from repro.telemetry.metrics import counter as metrics_counter
-from repro.telemetry.recorder import flight
+from repro.telemetry.recorder import flight, live_update
+from repro.trace import get_tracer as trace_get_tracer
 
 __all__ = [
     "STALL_CLASSIFICATIONS",
     "RankFailure",
     "PhaseSpan",
     "FailureReport",
-    "HeartbeatMonitor",
+    "ControlState",
+    "Watchdog",
     "RevocableBarrier",
 ]
 
@@ -176,261 +183,570 @@ class FailureReport:
         return f"{self.nranks} ranks: " + "; ".join(parts) + f" — {tail}"
 
 
-class HeartbeatMonitor:
-    """Per-world liveness registry (beacons, blocked ops, failures).
+#: One recorded rank failure: rank, detected_at s, last_beat_age s,
+#: kind, classification, detail.
+_FAIL_REC = struct.Struct("<qdd16s16s96s")
+#: One recovery-phase span: rank, t0 s, t1 s, phase name.
+_SPAN_REC = struct.Struct("<qdd16s")
+_MAX_FAILURES = 32
+_MAX_SPANS = 512
+#: Agreement slots; each shrink generation owns :data:`ROUNDS_PER_GEN`
+#: consecutive ones (slot = generation * ROUNDS_PER_GEN + round).
+_MAX_ROUNDS = 128
+ROUNDS_PER_GEN = 16
+#: How often a blocked agreement or barrier re-checks and runs its poll.
+QUANTUM = 0.02
+#: Operations a rank can be recorded as blocked in (row code = index).
+_BLOCKED_OPS = ("", "recv", "barrier", "agree")
 
-    Parameters
-    ----------
-    nranks:
-        World size.
-    suspect_after:
-        Beacon silence (seconds) after which a rank is declared dead by
-        :meth:`poll`.  Kept well under the blocking-op timeout so a
-        failure is *detected and classified* long before peers would
-        have timed out on their own.
+
+def _text(raw: bytes) -> str:
+    return raw.rstrip(b"\x00").decode("utf-8", "replace")
+
+
+class ControlState:
+    """The ULFM control plane of one world, in one flat buffer.
+
+    ``buf``/``cond`` select the backing: omitted, a private ``bytearray``
+    under a ``threading.Condition`` (rank threads — no ``/dev/shm`` entry,
+    no ``multiprocessing`` primitive); given, a named shared-memory
+    segment's buffer of :meth:`nbytes` bytes under a fork-shared
+    condition (forked ranks — the state survives the death of any rank
+    process and is readable by the parent and every sibling).  Layout
+    and methods are the same either way:
+
+    * header words — revoked flag, reason length, revoked generation,
+      current generation, failure count, span count, clock origin,
+      started flag — then the revocation reason;
+    * one row per rank: beacon (machine-wide monotonic ns), pid, flags
+      (bit 0 = *done*, exempting a cleanly-finished rank from
+      suspicion), and the *blocked-op* row (since ns, op, peer, tag) —
+      single-writer stores, lockless like the beacon, so the stall
+      lattice works across processes;
+    * the failure registry: fixed-size records, first declaration per
+      rank wins (kind 16 B, classification 16 B, detail 96 B);
+    * generational revocation: unlike an abort, a revoked world stays
+      usable for recovery, and a revocation is scoped to a shrink
+      *generation* — survivors that shrank past it keep communicating;
+    * the agreement arena: per-slot contribution bitmaps decided by a
+      pessimistic AND (the ``MPIX_Comm_agree`` analogue);
+    * the recovery timeline: detect/agree/shrink/restart spans, appended
+      by whoever observed them, so anyone can assemble the report.
+
+    Ranks here are always *original-world* ranks; :class:`Watchdog`
+    translates a shrunk communicator's dense numbering.
     """
 
-    #: Stamped onto the ``repro_recoveries_total`` metric so dashboards
-    #: can tell thread-world drills from real process recoveries.
-    runtime_label = "thread"
+    _REVOKED, _REASON_LEN, _REVOKE_GEN, _CUR_GEN, _N_FAIL, _N_SPAN, _T0, _STARTED = range(8)
+    _HDR_WORDS = 16
+    _REASON_CAP = 1024
+    _BEACON, _PID, _FLAGS, _B_SINCE, _B_OP, _B_PEER, _B_TAG = range(7)
+    _ROW_WORDS = 8
 
-    def __init__(self, nranks: int, *, suspect_after: float = 30.0) -> None:
+    @classmethod
+    def _offsets(cls, nranks: int) -> tuple[int, int, int, int, int]:
+        rank_off = cls._HDR_WORDS * 8 + cls._REASON_CAP
+        fail_off = rank_off + cls._ROW_WORDS * 8 * nranks
+        span_off = fail_off + _MAX_FAILURES * _FAIL_REC.size
+        agree_off = span_off + _MAX_SPANS * _SPAN_REC.size
+        return rank_off, fail_off, span_off, agree_off, agree_off + _MAX_ROUNDS * (3 + nranks) * 8
+
+    @classmethod
+    def nbytes(cls, nranks: int) -> int:
+        """Size of the buffer a state for ``nranks`` ranks needs."""
+        return cls._offsets(nranks)[-1]
+
+    def __init__(self, nranks: int, buf=None, cond=None) -> None:
+        if nranks > 62:
+            raise CommunicatorError(
+                f"agreement bitmaps support at most 62 ranks, got {nranks}"
+            )
         self.nranks = int(nranks)
-        self.suspect_after = float(suspect_after)
-        self._lock = threading.Lock()
-        self._t0 = time.monotonic()
-        self._started = False
-        self._beats = [0.0] * self.nranks
-        self._threads: dict[int, threading.Thread] = {}
-        self._done: set[int] = set()
-        self._failures: dict[int, RankFailure] = {}
-        # rank -> (op, peer, tag, since) while blocked in a wait loop
-        self._blocked: dict[int, tuple[str, int | None, int | None, float]] = {}
-        self._phase_spans: list[PhaseSpan] = []
+        self._reason_off = self._HDR_WORDS * 8
+        self._rank_off, self._fail_off, self._span_off, self._agree_off, size = self._offsets(
+            self.nranks
+        )
+        self.buf = bytearray(size) if buf is None else buf
+        self.cond = threading.Condition() if cond is None else cond
+        self._map()
+        self._words[self._T0] = time.perf_counter_ns()
 
-    # -- clock --------------------------------------------------------------------
+    def _map(self) -> None:
+        n = self.nranks
+        self._words = np.frombuffer(self.buf, dtype=np.int64, count=self._HDR_WORDS)
+        self._ranks = np.frombuffer(
+            self.buf, dtype=np.int64, count=self._ROW_WORDS * n, offset=self._rank_off
+        ).reshape(n, self._ROW_WORDS)
+        self._agree = np.frombuffer(
+            self.buf, dtype=np.int64, count=_MAX_ROUNDS * (3 + n), offset=self._agree_off
+        ).reshape(_MAX_ROUNDS, 3 + n)
+
+    def freeze(self) -> None:
+        """Swap the buffer for a private copy.
+
+        The parent of a process world interprets the run (failure
+        registry, recovery timeline) *after* the segment is unlinked; a
+        frozen copy keeps every read method working post-mortem.
+        """
+        self.buf = bytearray(self.buf)
+        self._map()
+
+    # -- clock ------------------------------------------------------------------------
 
     def now(self) -> float:
-        """Seconds since monitor creation (the report's time base)."""
-        return time.monotonic() - self._t0
+        """Seconds since state creation (``perf_counter_ns`` is
+        CLOCK_MONOTONIC: machine-wide, shared by every process)."""
+        return (time.perf_counter_ns() - int(self._words[self._T0])) / 1e9
 
-    # -- liveness beacons ----------------------------------------------------------
+    # -- liveness ----------------------------------------------------------------------
 
     def start(self) -> None:
-        """Arm the watchdog (all beacons reset to *now*)."""
-        with self._lock:
-            now = self.now()
-            self._beats = [now] * self.nranks
-            self._started = True
+        """Arm the watchdog for one run epoch.
+
+        Resets every beacon to *now* and clears the done flags, the
+        blocked rows and the agreement arena.  The failure registry, the
+        revoke word, the generation and the timeline carry over on
+        purpose: a world revoked in one run stays revoked in the next,
+        as ULFM keeps a revoked communicator revoked.
+        """
+        with self.cond:
+            self._ranks[:, self._BEACON] = time.perf_counter_ns()
+            self._ranks[:, self._FLAGS] = 0
+            self._ranks[:, self._B_SINCE] = 0
+            self._agree[:] = 0
+            self._words[self._STARTED] = 1
+
+    @property
+    def started(self) -> bool:
+        return bool(self._words[self._STARTED])
+
+    def beacon(self, rank: int) -> None:
+        self._ranks[rank, self._BEACON] = time.perf_counter_ns()
+
+    def beacon_age(self, rank: int) -> float:
+        return (time.perf_counter_ns() - int(self._ranks[rank, self._BEACON])) / 1e9
+
+    def set_pid(self, rank: int, pid: int) -> None:
+        self._ranks[rank, self._PID] = int(pid)
+
+    def pid(self, rank: int) -> int:
+        return int(self._ranks[rank, self._PID])
+
+    def mark_done(self, rank: int) -> None:
+        with self.cond:
+            self._ranks[rank, self._FLAGS] |= 1
+
+    def is_done(self, rank: int) -> bool:
+        return bool(int(self._ranks[rank, self._FLAGS]) & 1)
+
+    def set_blocked(self, rank: int, op: str, peer: int = -1, tag: int = -1) -> None:
+        """``rank`` (the only writer of its row) starts waiting in ``op``;
+        ``since`` is stored last, so a reader never sees a half-new row."""
+        row = self._ranks[rank]
+        row[self._B_OP], row[self._B_PEER], row[self._B_TAG] = _BLOCKED_OPS.index(op), peer, tag
+        row[self._B_SINCE] = time.perf_counter_ns()
+
+    def clear_blocked(self, rank: int) -> None:
+        self._ranks[rank, self._B_SINCE] = 0
+
+    def blocked(self, rank: int) -> tuple[str, int, int, float] | None:
+        """``(op, peer, tag, seconds so far)`` while ``rank`` is blocked."""
+        row = self._ranks[rank]
+        since = int(row[self._B_SINCE])
+        if not since:
+            return None
+        return (
+            _BLOCKED_OPS[int(row[self._B_OP])],
+            int(row[self._B_PEER]),
+            int(row[self._B_TAG]),
+            (time.perf_counter_ns() - since) / 1e9,
+        )
+
+    # -- failure registry ---------------------------------------------------------------
+
+    def _failure_records(self) -> Iterator[tuple]:
+        for i in range(int(self._words[self._N_FAIL])):
+            yield _FAIL_REC.unpack_from(self.buf, self._fail_off + i * _FAIL_REC.size)
+
+    def record_failure(
+        self,
+        rank: int,
+        kind: str,
+        classification: str,
+        detail: str,
+        detected_at: float,
+        last_beat_age: float,
+    ) -> bool:
+        """Append a failure record; idempotent per rank (first wins).
+
+        Returns True when this call created the record.
+        """
+        with self.cond:
+            n = int(self._words[self._N_FAIL])
+            if n >= _MAX_FAILURES or any(rec[0] == rank for rec in self._failure_records()):
+                return False
+            _FAIL_REC.pack_into(
+                self.buf,
+                self._fail_off + n * _FAIL_REC.size,
+                rank,
+                detected_at,
+                last_beat_age,
+                kind.encode("utf-8", "replace")[:16],
+                classification.encode("utf-8", "replace")[:16],
+                detail.encode("utf-8", "replace")[:96],
+            )
+            self._words[self._N_FAIL] = n + 1
+            self.cond.notify_all()
+            return True
+
+    def failures(self) -> list[tuple[int, str, str, str, float, float]]:
+        """Recorded failures as (rank, kind, classification, detail, at, age)."""
+        with self.cond:
+            return sorted(
+                (int(rank), _text(kind), _text(cls), _text(detail), float(at), float(age))
+                for rank, at, age, kind, cls, detail in self._failure_records()
+            )
+
+    def failed_ranks(self) -> frozenset[int]:
+        with self.cond:
+            return frozenset(int(rec[0]) for rec in self._failure_records())
+
+    # -- generational revocation ---------------------------------------------------------
+
+    def revoke(self, reason: str, gen: int) -> None:
+        """Revoke every communicator at generation ``<= gen``.
+
+        A later revocation at a *higher* generation (a second failure
+        after a shrink) replaces the reason; same-generation revocations
+        keep the first reason.
+        """
+        encoded = reason.encode("utf-8", "replace")[: self._REASON_CAP]
+        with self.cond:
+            if not self._words[self._REVOKED] or gen > int(self._words[self._REVOKE_GEN]):
+                self.buf[self._reason_off : self._reason_off + len(encoded)] = encoded
+                self._words[self._REASON_LEN] = len(encoded)
+            self._words[self._REVOKE_GEN] = max(int(self._words[self._REVOKE_GEN]), gen)
+            self._words[self._REVOKED] = 1
+            self.cond.notify_all()
+
+    def revoked_reason(self, gen: int = 0) -> str | None:
+        """The revocation reason applying to generation ``gen`` (or None)."""
+        if not self._words[self._REVOKED] or int(self._words[self._REVOKE_GEN]) < gen:
+            return None
+        n = int(self._words[self._REASON_LEN])
+        return bytes(self.buf[self._reason_off : self._reason_off + n]).decode("utf-8", "replace")
+
+    def bump_gen(self, gen: int) -> None:
+        with self.cond:
+            self._words[self._CUR_GEN] = max(int(self._words[self._CUR_GEN]), gen)
+
+    def cur_gen(self) -> int:
+        return int(self._words[self._CUR_GEN])
+
+    # -- recovery timeline ---------------------------------------------------------------
+
+    def add_span(self, name: str, rank: int, t0: float, t1: float) -> None:
+        with self.cond:
+            n = int(self._words[self._N_SPAN])
+            if n >= _MAX_SPANS:  # pragma: no cover - timeline overflow
+                return
+            _SPAN_REC.pack_into(
+                self.buf,
+                self._span_off + n * _SPAN_REC.size,
+                rank,
+                t0,
+                t1,
+                name.encode("utf-8", "replace")[:16],
+            )
+            self._words[self._N_SPAN] = n + 1
+
+    def spans(self) -> list[tuple[str, int, float, float]]:
+        out = []
+        with self.cond:
+            for i in range(int(self._words[self._N_SPAN])):
+                rank, t0, t1, name = _SPAN_REC.unpack_from(
+                    self.buf, self._span_off + i * _SPAN_REC.size
+                )
+                out.append((_text(name), int(rank), float(t0), float(t1)))
+        return out
+
+    # -- agreement (MPIX_Comm_agree analogue) --------------------------------------------
+
+    def agree_wait(
+        self,
+        slot: int,
+        rank: int,
+        bitmap: int,
+        *,
+        nranks: int,
+        absent: Callable[[], frozenset[int]],
+        poll: Callable[[], None] | None = None,
+        timeout: float | None = None,
+    ) -> int:
+        """Contribute ``bitmap`` to round ``slot`` and block for the decision.
+
+        ``nranks`` is the caller communicator's size (ranks and bitmap
+        bits use its dense numbering).  A round completes once every
+        rank **not absent** has contributed; ``absent`` returns the
+        ranks that will never contribute (dead or cleanly done) and is
+        re-read every quantum, so the protocol terminates while ranks
+        are dying.  The decision is the bitwise AND of the expected
+        contributions with the absent ranks masked out — any rank
+        suspected by anyone is excluded (pessimistic, like ULFM: false
+        suspicion costs a healthy rank, disagreement costs the job).
+        The first observer of a complete round freezes the decision;
+        everyone else, late contributors included, returns the same
+        frozen value.  ``poll`` runs outside the lock each quantum
+        (beacon + watchdog scan) and must not raise on revoke: this is
+        the recovery path.
+        """
+        if not 0 <= slot < _MAX_ROUNDS:
+            raise CommunicatorError(f"agreement slot {slot} out of range [0, {_MAX_ROUNDS})")
+        row = self._agree[slot]
+        start = time.monotonic()
+        deadline = None if timeout is None else start + timeout
+        with self.cond:
+            row[3 + rank] = int(bitmap)
+            row[2] |= 1 << rank
+            self.cond.notify_all()
+        while True:
+            gone = frozenset(absent())
+            exp = tuple(r for r in range(nranks) if r not in gone)
+            with self.cond:
+                if row[0]:
+                    return int(row[1])
+                mask = int(row[2])
+                if exp and all(mask >> r & 1 for r in exp):
+                    value = ~0
+                    for r in exp:
+                        value &= int(row[3 + r])
+                    for r in gone:
+                        value &= ~(1 << r)
+                    row[1] = value & ((1 << nranks) - 1)
+                    row[0] = 1
+                    self.cond.notify_all()
+                    return int(row[1])
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    have = [r for r in range(nranks) if mask >> r & 1]
+                    raise CommunicatorError(
+                        f"rank {rank}: agreement round {slot} timed out after "
+                        f"{now - start:.3f}s (have {have}, waiting on "
+                        f"{[r for r in exp if r not in have]}, absent {sorted(gone)})"
+                    )
+                self.cond.wait(QUANTUM if deadline is None else min(QUANTUM, deadline - now))
+            if poll is not None:
+                poll()
+
+
+class Watchdog:
+    """Member view of a :class:`ControlState`: beacons, lattice, reports.
+
+    ``members`` maps the view's dense ranks to the original world's, so
+    a shrunk communicator's watchdog speaks its own numbering while
+    reading the state every generation shares.  The runtime supplies
+    only ``gone(rank)``: why original rank ``rank``'s executor is known
+    to be gone (thread exited, pid gone or zombie), or ``None``.  The
+    classification lattice, first match wins:
+
+    * recorded failure            → its recorded classification
+    * marked done                 → ``alive`` (silence is expected)
+    * gone, done bit still clear  → ``dead``     (kind ``crash``)
+    * beacon silent too long      → ``deadlock`` (kind ``hang``)
+    * blocked past the deadline   → ``deadlock`` when every unfinished
+      member is — a wait cycle: nobody can ever post the message
+      everybody waits for — else ``straggler``
+    * otherwise                   → ``alive``
+    """
+
+    def __init__(
+        self,
+        state: ControlState,
+        members: tuple[int, ...],
+        *,
+        suspect_after: float,
+        gone: Callable[[int], str | None],
+        runtime_label: str,
+    ) -> None:
+        self.state = state
+        self.members = tuple(members)
+        self.nranks = len(self.members)
+        #: Beacon silence (seconds) after which :meth:`poll` declares a
+        #: rank failed — well under the blocking-op timeout, so a failure
+        #: is classified long before peers would time out on their own.
+        self.suspect_after = float(suspect_after)
+        self._gone = gone
+        #: Stamped onto ``repro_recoveries_total`` so dashboards can tell
+        #: thread-world drills from real process recoveries.
+        self.runtime_label = runtime_label
+        self._index = {g: r for r, g in enumerate(self.members)}
+
+    # -- liveness beacons ----------------------------------------------------------------
+
+    def start(self) -> None:
+        self.state.start()
 
     def beat(self, rank: int) -> None:
         """Liveness beacon from ``rank`` (called at every transport op)."""
-        # A plain float store is atomic under the GIL; no lock on the hot path.
-        self._beats[rank] = self.now()
-
-    def beat_age(self, rank: int) -> float:
-        """Seconds since ``rank`` last beaconed."""
-        return self.now() - self._beats[rank]
-
-    def register_thread(self, rank: int, thread: threading.Thread) -> None:
-        """Associate ``rank`` with its executing thread (for is-alive checks)."""
-        with self._lock:
-            self._threads[rank] = thread
+        self.state.beacon(self.members[rank])
 
     def mark_done(self, rank: int) -> None:
-        """Record that ``rank`` finished its kernel cleanly.
+        """``rank`` finished its kernel cleanly: it stops beaconing and
+        its executor exits — both of which look exactly like death.
+        Done exempts it from suspicion and from agreement's expected set."""
+        self.state.mark_done(self.members[rank])
 
-        A done rank stops beaconing and its thread exits — both of which
-        look exactly like death to the watchdog.  Marking completion
-        exempts it from suspicion (and from agreement's expected set) so
-        peers still blocked in their own final exchanges are not tricked
-        into revoking a healthy world.
-        """
-        with self._lock:
-            self._done.add(rank)
+    # -- failure registry -----------------------------------------------------------------
 
-    @contextmanager
-    def blocked(
-        self, rank: int, op: str, peer: int | None = None, tag: int | None = None
-    ) -> Iterator[None]:
-        """Mark ``rank`` as blocked in ``op`` for the duration of the body."""
-        with self._lock:
-            self._blocked[rank] = (op, peer, tag, self.now())
-        try:
-            yield
-        finally:
-            with self._lock:
-                self._blocked.pop(rank, None)
-
-    # -- failure registry -----------------------------------------------------------
+    def _record(self, rank: int, kind: str, cls: str, detail: str) -> RankFailure | None:
+        """Record a failure; the first observer alone gets it back and
+        emits the detection window (last sign of life → verdict)."""
+        state, g = self.state, self.members[rank]
+        now, age = state.now(), state.beacon_age(g)
+        if not state.record_failure(g, kind, cls, detail, now, age):
+            return None
+        state.add_span("detect", g, now - age, now)
+        flight("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
+        flight("detect", g, value=age)
+        tracer = trace_get_tracer()
+        if tracer is not None:
+            tracer.record_span(
+                "detect", g, duration_ns=int(age * 1e9), failure_kind=kind, classification=cls
+            )
+        return RankFailure(rank, kind, cls, detail, now, age)
 
     def declare_failed(
         self, rank: int, kind: str, detail: str = "", classification: str | None = None
     ) -> RankFailure:
-        """Record a rank failure (idempotent: first declaration wins)."""
-        with self._lock:
-            existing = self._failures.get(rank)
-            if existing is not None:
-                return existing
-            now = self.now()
-            age = self.beat_age(rank)
-            failure = RankFailure(
-                rank=rank,
-                kind=kind,
-                classification=classification or self._classify_locked(rank),
-                detail=detail,
-                detected_at=now,
-                last_beat_age=age,
-            )
-            self._failures[rank] = failure
-            # The detection window: from the victim's last sign of life
-            # to the moment the failure was pinned down.
-            self._phase_spans.append(PhaseSpan("detect", rank, now - age, now))
-        flight(
-            "rank-failed",
-            rank,
-            value=age,
-            detail=f"{kind}/{failure.classification}"[:40],
+        """Record a rank failure (idempotent: the first declaration wins)."""
+        cls = classification or self.classify(rank)
+        self._record(rank, kind, "dead" if cls == "alive" else cls, detail)
+        for failure in self.failures():
+            if failure.rank == rank:
+                return failure
+        raise CommunicatorError(  # pragma: no cover - registry overflow
+            f"failure registry full; cannot record rank {self.members[rank]}"
         )
-        flight("detect", rank, value=age)
-        return failure
 
     def failures(self) -> list[RankFailure]:
-        with self._lock:
-            return sorted(self._failures.values(), key=lambda f: f.rank)
+        return [
+            RankFailure(self._index[g], kind, cls, detail, at, age)
+            for g, kind, cls, detail, at, age in self.state.failures()
+            if g in self._index
+        ]
 
     def dead_ranks(self) -> frozenset[int]:
-        with self._lock:
-            return frozenset(self._failures)
+        return frozenset(self._index[g] for g in self.state.failed_ranks() if g in self._index)
 
     def absent_ranks(self) -> frozenset[int]:
         """Ranks that will never contribute again: dead or cleanly done."""
-        with self._lock:
-            return frozenset(self._failures) | frozenset(self._done)
-
-    def alive_ranks(self) -> tuple[int, ...]:
-        dead = self.dead_ranks()
-        return tuple(r for r in range(self.nranks) if r not in dead)
+        done = frozenset(r for r, g in enumerate(self.members) if self.state.is_done(g))
+        return self.dead_ranks() | done
 
     def alive_bitmap(self) -> int:
         """Liveness as a bitmap (bit ``r`` set = rank ``r`` believed alive)."""
-        bitmap = 0
-        for r in self.alive_ranks():
-            bitmap |= 1 << r
-        return bitmap
+        dead = self.dead_ranks()
+        return sum(1 << r for r in range(self.nranks) if r not in dead)
 
-    # -- classification ---------------------------------------------------------------
+    # -- classification -------------------------------------------------------------------
 
-    def _classify_locked(self, rank: int) -> str:
-        if rank in self._failures:
-            return self._failures[rank].classification
-        if rank in self._done:
-            return "alive"  # finished cleanly; silence is expected
-        thread = self._threads.get(rank)
-        if thread is not None and not thread.is_alive():
-            return "dead"
-        age = self.now() - self._beats[rank]
-        if self._started and age > self.suspect_after:
-            # Alive thread, silent beacon: wedged (our `hang` fault) or a
-            # participant in a mutual-wait cycle.
-            return "deadlock"
-        blocked = self._blocked.get(rank)
-        if blocked is not None and self.now() - blocked[3] > self.suspect_after:
-            # Still beaconing, just slow — unless *every* unfinished rank
-            # is blocked past its deadline, which is a wait cycle: nobody
-            # can ever post the message everybody is waiting for.
-            pending = self.nranks - len(self._failures) - len(self._done)
-            stuck = sum(
-                1
-                for r, (_, _, _, since) in self._blocked.items()
-                if self.now() - since > self.suspect_after
-            )
-            return "deadlock" if stuck >= pending else "straggler"
-        return "alive"
+    def _why_gone(self, g: int) -> str | None:
+        """A rank sets its (monotonic) done bit before it exits, so an
+        executor seen gone proves a crash only if the bit is *still*
+        clear when re-read afterwards — reading it first races a clean
+        exit."""
+        why = self._gone(g)
+        return why if why and not self.state.is_done(g) else None
+
+    def _stuck(self, g: int) -> bool:
+        blocked = self.state.blocked(g)
+        return blocked is not None and blocked[3] > self.suspect_after
 
     def classify(self, rank: int) -> str:
-        """Watchdog's current verdict on ``rank`` (see STALL_CLASSIFICATIONS)."""
-        with self._lock:
-            return self._classify_locked(rank)
+        """The watchdog's current verdict on ``rank`` (see STALL_CLASSIFICATIONS)."""
+        state, g = self.state, self.members[rank]
+        failures = state.failures()
+        for rec in failures:
+            if rec[0] == g:
+                return rec[2]
+        if state.is_done(g):
+            return "alive"
+        if self._why_gone(g):
+            return "dead"
+        if state.started and state.beacon_age(g) > self.suspect_after:
+            return "deadlock"
+        if self._stuck(g):
+            failed = {rec[0] for rec in failures}
+            pending = [m for m in self.members if m not in failed and not state.is_done(m)]
+            return "deadlock" if all(self._stuck(m) for m in pending) else "straggler"
+        return "alive"
 
     def poll(self) -> list[RankFailure]:
-        """Scan beacons; declare silent/exited ranks dead.  Returns *new* deaths.
+        """Scan members; declare gone or silent ranks failed.
 
-        Run opportunistically by blocked ranks every wait quantum — the
-        watchdog rides on the threads that are already awake, no
-        dedicated monitor thread.
+        Returns the deaths recorded by *this* call (other observers race
+        idempotently).  Run opportunistically by ranks that are already
+        awake — at transport operations and in blocked waits, rate
+        limited by the communicator — never by a dedicated thread.
         """
-        if not self._started:
+        state = self.state
+        if not state.started:
             return []
         new: list[RankFailure] = []
-        with self._lock:
-            now = self.now()
-            for rank in range(self.nranks):
-                if rank in self._failures or rank in self._done:
-                    continue
-                thread = self._threads.get(rank)
-                thread_dead = thread is not None and not thread.is_alive()
-                silent = now - self._beats[rank] > self.suspect_after
-                if not (thread_dead or silent):
-                    continue
-                classification = "dead" if thread_dead else "deadlock"
-                kind = "crash" if thread_dead else "hang"
-                failure = RankFailure(
-                    rank=rank,
-                    kind=kind,
-                    classification=classification,
-                    detail=(
-                        "thread exited without unwinding"
-                        if thread_dead
-                        else f"beacon silent for {now - self._beats[rank]:.3f}s "
-                        f"(> suspect_after={self.suspect_after:g}s)"
-                    ),
-                    detected_at=now,
-                    last_beat_age=now - self._beats[rank],
+        failed = state.failed_ranks()
+        for r, g in enumerate(self.members):
+            if g in failed or state.is_done(g):
+                continue
+            why = self._why_gone(g)
+            age = state.beacon_age(g)
+            if why:
+                failure = self._record(r, "crash", "dead", why)
+            elif age > self.suspect_after:
+                failure = self._record(
+                    r,
+                    "hang",
+                    "deadlock",
+                    f"beacon silent for {age:.3f}s (> suspect_after={self.suspect_after:g}s)",
                 )
-                self._failures[rank] = failure
-                self._phase_spans.append(PhaseSpan("detect", rank, self._beats[rank], now))
+            else:
+                continue
+            if failure is not None:
                 new.append(failure)
-        for failure in new:
-            flight(
-                "rank-failed",
-                failure.rank,
-                value=failure.last_beat_age,
-                detail=f"{failure.kind}/{failure.classification}"[:40],
-            )
-            flight("detect", failure.rank, value=failure.last_beat_age)
         return new
 
-    # -- recovery timeline -------------------------------------------------------------
+    # -- recovery timeline -----------------------------------------------------------------
 
     @contextmanager
     def phase(self, name: str, rank: int) -> Iterator[None]:
-        """Record one recovery phase interval for the report timeline."""
-        t0 = self.now()
+        """Record one recovery phase interval in the shared timeline."""
+        g = self.members[rank]
+        t0 = self.state.now()
+        live_update(g, phase=name)  # `repro monitor` shows recovery progress live
         try:
             yield
         finally:
-            span = PhaseSpan(name, rank, t0, self.now())
-            with self._lock:
-                self._phase_spans.append(span)
-            flight(name, rank, value=span.duration)
+            t1 = self.state.now()
+            self.state.add_span(name, g, t0, t1)
+            flight(name, g, value=t1 - t0)
             metrics_counter(
                 "repro_recoveries_total", phase=name, runtime=self.runtime_label
             ).inc()
 
-    # -- reporting -----------------------------------------------------------------------
+    # -- reporting ---------------------------------------------------------------------------
 
     def build_report(self, *, recovered: bool = False, detail: str = "") -> FailureReport:
-        """Snapshot everything the watchdog knows into a FailureReport."""
-        with self._lock:
-            failures = sorted(self._failures.values(), key=lambda f: f.rank)
-            spans = list(self._phase_spans)
-        survivors = [r for r in range(self.nranks) if all(f.rank != r for f in failures)]
+        """Snapshot the state into a :class:`FailureReport` (view numbering)."""
+        failures = self.failures()
+        failed = {f.rank for f in failures}
         return FailureReport(
             nranks=self.nranks,
             failures=failures,
-            survivors=survivors,
-            phase_spans=spans,
+            survivors=[r for r in range(self.nranks) if r not in failed],
+            phase_spans=[
+                PhaseSpan(name, self._index[g], t0, t1)
+                for name, g, t0, t1 in self.state.spans()
+                if g in self._index
+            ],
             recovered=recovered,
             detail=detail,
         )
@@ -451,7 +767,7 @@ class RevocableBarrier:
     on a departed participant.
     """
 
-    def __init__(self, parties: int, *, quantum: float = 0.02) -> None:
+    def __init__(self, parties: int, *, quantum: float = QUANTUM) -> None:
         self.parties = int(parties)
         self.quantum = float(quantum)
         self._cond = threading.Condition()
@@ -470,8 +786,14 @@ class RevocableBarrier:
         return self._broken
 
     def wait(self, timeout: float | None = None, *, poll=None) -> None:
-        """Wait for all parties; raises ``BrokenBarrierError`` on break/timeout."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        """Wait for all parties.
+
+        Raises ``BrokenBarrierError`` when another waiter broke the
+        barrier and :class:`StallError` when this waiter's own deadline
+        passed.
+        """
+        start = time.monotonic()
+        deadline = None if timeout is None else start + timeout
         with self._cond:
             if self._broken:
                 raise threading.BrokenBarrierError
@@ -491,9 +813,13 @@ class RevocableBarrier:
                         raise threading.BrokenBarrierError
                     now = time.monotonic()
                     if deadline is not None and now >= deadline:
-                        raise threading.BrokenBarrierError
+                        raise StallError(
+                            f"barrier broken (rank timed out after {now - start:.3f}s)"
+                        )
                     wait_t = self.quantum if deadline is None else min(self.quantum, deadline - now)
                     self._cond.wait(timeout=wait_t)
+                    if self._generation != generation:
+                        return  # released: the wake-up path runs no poll
                 # Poll outside the lock: the callback may beacon, run the
                 # watchdog, or raise to revoke — none of which may nest
                 # under this condition (lock-ordering).

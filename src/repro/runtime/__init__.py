@@ -8,7 +8,7 @@ semantics the paper's algorithms rely on:
   barriers, and one-sided RMA windows (``Put``/``Get``/``Fence``/
   ``Lock``) with the same completion rules as MPI.  This is where the
   pairwise and OSC all-to-all algorithms run and are tested, and the
-  only runtime with fault injection / ULFM recovery.
+  only runtime with message-level fault injection.
 * :class:`~repro.runtime.proc.ProcessWorld` — every rank is a real OS
   process (forked).  Point-to-point moves through pickle-free
   shared-memory rings and RMA windows map onto one collectively-created
@@ -21,7 +21,9 @@ semantics the paper's algorithms rely on:
   *accuracy* experiments (Table II) where real networks are irrelevant.
 
 SPMD code is written against the abstract :class:`~repro.runtime.base.Comm`
-handle, mirroring the mpi4py API shape (``comm.rank``, ``comm.size``,
+handle — which also carries the ULFM recovery arc (``revoke`` /
+``agree`` / ``shrink``), written once for the first two worlds —
+mirroring the mpi4py API shape (``comm.rank``, ``comm.size``,
 upper-case-style buffer semantics are implicit since everything is a
 NumPy array).  :func:`make_world` maps a CLI-level runtime name to a
 fresh world instance.

@@ -1,16 +1,53 @@
-"""Abstract communicator API shared by the thread and virtual runtimes."""
+"""The communicator API and everything the runtimes share about failure.
+
+A runtime supplies transport — how a message is posted and matched, how
+its barrier waits, how a window is created, how a survivor world is
+built — and :class:`World` / :class:`Comm` supply the rest once: the
+operation preamble (beacon, injected process faults, abort / scan /
+revoked checks), the ULFM recovery arc (``revoke`` / ``agree`` /
+``shrink``) over the world's
+:class:`~repro.resilience.monitor.ControlState`, the stall enrichment,
+and the reading of a finished run.
+"""
 
 from __future__ import annotations
 
+import threading
+import time
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import CommunicatorError
+from repro.errors import (
+    CommunicatorError,
+    RankFailureError,
+    RankHungError,
+    RevokedError,
+    RuntimeAbort,
+    StallError,
+)
+from repro.resilience.agreement import bitmap_ranks
+from repro.resilience.monitor import (
+    QUANTUM,
+    ROUNDS_PER_GEN,
+    STALL_CLASSIFICATIONS,
+    FailureReport,
+    Watchdog,
+)
+from repro.telemetry.recorder import flight, live_update
+from repro.trace import span as trace_span
 from repro.utils.arrays import no_alias_copy
 
-__all__ = ["ANY_SOURCE", "ANY_TAG", "Request", "Comm"]
+__all__ = ["ANY_SOURCE", "ANY_TAG", "DEFAULT_TIMEOUT", "Request", "World", "Comm"]
+
+#: Default blocking-op timeout — generous, but converts deadlocks into errors.
+DEFAULT_TIMEOUT = 120.0
+
+#: Fraction of the blocking-op timeout after which a silent rank is
+#: declared dead.  Detection must land *well before* peers would have
+#: timed out on their own (and far under the 2x join deadline).
+SUSPECT_FRACTION = 0.25
 
 #: Wildcard source rank for ``recv``/``irecv`` (mirrors ``MPI_ANY_SOURCE``).
 ANY_SOURCE = -1
@@ -67,23 +104,162 @@ class Request:
         return [r.wait(timeout) for r in requests]
 
 
-class Comm(ABC):
-    """Per-rank communicator handle for SPMD code."""
+def is_echo(exc: BaseException) -> bool:
+    """Is ``exc`` the echo of a failure elsewhere?  An aborting or dying
+    rank makes its peers unwind with abort, revocation and broken-barrier
+    errors; none of those is a root cause."""
+    return isinstance(exc, (RuntimeAbort, RevokedError)) or (
+        isinstance(exc, CommunicatorError) and "barrier broken" in str(exc)
+    )
 
-    rank: int
-    size: int
+
+class World:
+    """What a thread world and a process world share.
+
+    The handles of one control plane — ``state`` (the
+    :class:`~repro.resilience.monitor.ControlState`) and ``monitor`` (a
+    :class:`~repro.resilience.monitor.Watchdog` over ``members``, this
+    world's ranks in the original world's numbering) — plus the cache
+    of survivor worlds and the reading of a finished run.  A survivor
+    world is a view one shrink ``gen`` up over its ``root``'s state; how
+    its transport is *built* is the runtime's (:meth:`_survivor_world`),
+    as are :meth:`_gone`, ``abort`` / ``abort_reason`` / ``check_abort``
+    and ``create_window`` / ``release_window``.
+    """
+
+    #: Names the runtime on recovery metrics.
+    runtime_label: str
+
+    def __init__(self, nranks: int, timeout: float, suspect_after: float | None) -> None:
+        if nranks < 1:
+            raise CommunicatorError(f"nranks must be >= 1, got {nranks}")
+        self.nranks = nranks
+        self.timeout = timeout
+        if suspect_after is None:
+            suspect_after = max(0.05, SUSPECT_FRACTION * timeout)
+        self.suspect_after = float(suspect_after)
+        self.root: World = self
+        self.members: tuple[int, ...] = tuple(range(nranks))
+        self.gen = 0
+        #: Survivor worlds by (members, generation): two sequential
+        #: failures that leave the same survivor set must not resurrect
+        #: the earlier world — it is revoked at a lower generation.
+        self._shrunk: dict[tuple[tuple[int, ...], int], World] = {}
+        self._shrink_lock = threading.Lock()
+
+    def _watch(self, state) -> None:
+        """Adopt ``state`` and build this world's member view of it."""
+        self.state = state
+        self.monitor = Watchdog(
+            state,
+            self.members,
+            suspect_after=self.suspect_after,
+            gone=self._gone,
+            runtime_label=self.runtime_label,
+        )
+
+    # -- revocation ----------------------------------------------------------------
+
+    @property
+    def revoked(self) -> str | None:
+        return self.state.revoked_reason(self.gen)
+
+    @property
+    def halted(self) -> bool:
+        """True once the world is aborted or revoked (no new collectives)."""
+        return self.abort_reason() is not None or self.revoked is not None
+
+    def revoke(self, reason: str) -> None:
+        """ULFM-style revocation of every generation up to the current one.
+
+        Unlike ``abort``, the world stays *usable for recovery*:
+        ``agree`` / ``shrink`` keep working.  Blocked ranks notice within
+        one wait quantum.  Idempotent; the first reason wins.
+        """
+        self.state.revoke(reason, self.state.cur_gen())
+
+    def declare_failed(
+        self, rank: int, kind: str, detail: str = "", classification: str | None = None
+    ) -> None:
+        """Record a rank death (classified by the watchdog unless the
+        caller knows better) and revoke the world so peers wake."""
+        failure = self.monitor.declare_failed(rank, kind, detail, classification)
+        self.revoke(
+            f"rank {rank} {kind} ({failure.classification})" + (f": {detail}" if detail else "")
+        )
+
+    # -- shrink ----------------------------------------------------------------------
+
+    def shrunk_world(self, members: tuple[int, ...], gen: int) -> "World":
+        """The survivor world over ``members`` at generation ``gen``:
+        every survivor asking gets the same one."""
+        root = self.root
+        key = (tuple(members), int(gen))
+        with root._shrink_lock:
+            world = root._shrunk.get(key)
+            if world is None:
+                world = root._shrunk[key] = root._survivor_world(*key)
+            return world
+
+    # -- reading a finished run ---------------------------------------------------------
+
+    def _rank_failure_error(self) -> RankFailureError:
+        """The run failed *because ranks died* and nothing recovered:
+        surface the failure registry, not whichever echo a survivor
+        happened to raise."""
+        report = self.monitor.build_report(detail="no recovery attempted")
+        detail = "; ".join(f"rank {f.rank}: {f.detail}" for f in report.failures)
+        exc = RankFailureError(
+            report.summary() + (f" — {detail}" if detail else ""), report=report
+        )
+        exc.blackbox = self._blackbox(report)  # type: ignore[attr-defined]
+        return exc
+
+    def _root_cause(self, errors: list[tuple]) -> tuple:
+        """The entry of ``errors`` — ``(rank, exception, ...)`` tuples — a
+        failed run raises: the lowest-ranked root cause, not whichever
+        echo came first.  When every error echoes a recorded rank death,
+        raises the :class:`RankFailureError` instead."""
+        originals = [e for e in errors if not is_echo(e[1])]
+        if not originals and self.state.failed_ranks():
+            raise self._rank_failure_error()
+        return min(originals or errors, key=lambda e: e[0])
+
+
+class Comm(ABC):
+    """Per-rank communicator handle for SPMD code.
+
+    Subclasses supply transport (``send``, ``_match``, ``_probe``,
+    ``_barrier_wait``, optionally ``_drain``) and how an injected
+    ``kill`` lands (``_kill_self``); the failure handling is here.
+    """
+
+    def __init__(self, world: World, rank: int) -> None:
+        self.world = world
+        self.rank = rank
+        self.size = world.nranks
+        #: This rank in the original world's numbering (the control
+        #: state's, whatever the generation).
+        self._me = world.members[rank]
+        self._state = world.state
+        self._watchdog: Watchdog = world.monitor
+        self._gen: int = world.gen
+        #: The watchdog scans at most this often per rank, however many
+        #: operations and wake-ups there are in between.
+        self._scan_every = min(0.05, world.suspect_after / 4)
+        self._last_scan = 0.0
+        self._agree_round = 0
 
     @property
     def parent_ranks(self) -> tuple[int, ...]:
         """Original-world rank of each member of this communicator.
 
-        The identity ``(0, .., size-1)`` for a world communicator;
-        shrunk communicators override (via ``_parent_ranks``) with the
-        survivor map, so layers that hold machine placement by original
-        rank (topologies, window locks) can follow a shrink.
+        The identity ``(0, .., size-1)`` for a world communicator, the
+        survivor map after a shrink (it composes across repeated
+        shrinks), so layers that hold machine placement by original rank
+        (topologies, window locks) can follow one.
         """
-        mapped = getattr(self, "_parent_ranks", None)
-        return tuple(mapped) if mapped is not None else tuple(range(self.size))
+        return self.world.members
 
     # -- cached per-rank state ---------------------------------------------------
 
@@ -117,6 +293,202 @@ class Comm(ABC):
         self.release()
         self.attrs["shrunk"] = successor
 
+    # -- transport preamble and progress -------------------------------------------
+
+    def _pre(self, op: str, peer: int | None = None) -> None:
+        """Run before every transport operation.
+
+        Beacon, then the injected process faults — a matching ``kill``
+        rule ends this rank now, a ``hang`` rule parks it — then the
+        abort check, the rate-limited watchdog scan and the revoked
+        check.
+        """
+        self._watchdog.beat(self.rank)
+        injector = self.world.injector
+        if injector is not None:
+            action = injector.fail_action(self.rank, op)
+            if action == "kill":
+                self._kill_self(op)
+            elif action == "hang":
+                self._hang_self(op)
+        self.world.check_abort()
+        self._scan()
+        self._check_revoked()
+
+    def _progress(self) -> None:
+        """One quantum of a blocked wait (full-ring send, recv, barrier).
+
+        Drains what the transport queued for this rank — a rank blocked
+        *sending* still consumes what peers sent it, so mutual floods
+        cannot deadlock — and keeps beaconing (a rank waiting on a dead
+        peer is itself alive); aborts, deaths and revocations surface
+        within one quantum.
+        """
+        self._drain()
+        self._watchdog.beat(self.rank)
+        self.world.check_abort()
+        self._scan()
+        self._check_revoked()
+
+    def _progress_recovery(self) -> None:
+        """Progress for agree/shrink: drains and scans but never raises —
+        agreement must terminate on a revoked communicator (that is its
+        entire purpose)."""
+        self._drain()
+        self._watchdog.beat(self.rank)
+        self._scan()
+
+    def _drain(self) -> None:
+        """Move what the transport queued for this rank to where
+        ``_match`` looks (nothing to do when peers post there directly)."""
+
+    def _scan(self) -> None:
+        """Run the watchdog, at most once per ``_scan_every`` seconds; a
+        new death revokes this generation."""
+        now = time.monotonic()
+        if now - self._last_scan < self._scan_every:
+            return
+        self._last_scan = now
+        if self.world.abort_reason() is not None:
+            return
+        for failure in self._watchdog.poll():
+            self._state.revoke(
+                f"rank {self.parent_ranks[failure.rank]} declared "
+                f"{failure.classification} ({failure.kind}): {failure.detail}",
+                self._gen,
+            )
+
+    def _check_revoked(self) -> None:
+        reason = self._state.revoked_reason(self._gen)
+        if reason is not None:
+            raise RevokedError(
+                f"communicator revoked: {reason}",
+                report=self._watchdog.build_report(detail=reason),
+            )
+
+    @abstractmethod
+    def _kill_self(self, op: str) -> None:
+        """Injected ``kill``: this rank dies now, the way ranks of this
+        runtime die."""
+
+    def _hang_self(self, op: str) -> None:
+        """Injected ``hang``: park without beacons — silence IS the
+        fault — until peers declare this rank dead (beacon staleness,
+        classification ``deadlock``) and revoke, then unwind."""
+        me = self._me
+        flight("fault-hang", me, detail=op[:40])
+        live_update(me, phase="hung")
+        world, state = self.world, self._state
+
+        def released() -> bool:
+            return state.revoked_reason(self._gen) is not None or world.abort_reason() is not None
+
+        deadline = time.monotonic() + world.timeout * 2
+        while not released() and time.monotonic() < deadline:
+            time.sleep(QUANTUM)
+        detail = f"injected hang at {op}"
+        if not released():
+            detail += " (never detected: no peer polled the watchdog)"
+        self._watchdog.declare_failed(self.rank, "hang", detail, classification="deadlock")
+        state.revoke(f"rank {me} hang (deadlock): {detail}", self._gen)
+        live_update(me, alive=0.0, phase="failed")
+        raise RankHungError(
+            f"rank {me} wedged by fault injection at {op}",
+            report=self._watchdog.build_report(detail=detail),
+        )
+
+    def _explain_stall(self, exc: StallError, peer: int | None = None) -> None:
+        """A deadline miss says what the watchdog saw: the report, and the
+        classification of the awaited peer (with none to name — a
+        barrier, a wildcard receive — the worst among the other ranks)."""
+        exc.report = self.failure_report(detail=str(exc))
+        peers = [peer] if peer is not None else [r for r in range(self.size) if r != self.rank]
+        exc.classification = max(
+            (self._watchdog.classify(r) for r in peers),
+            key=STALL_CLASSIFICATIONS.index,
+            default="unknown",
+        )
+
+    # -- failure handling (ULFM analogues) --------------------------------------------
+
+    def revoke(self, reason: str = "revoked by application") -> None:
+        """Revoke the communicator (``MPIX_Comm_revoke``)."""
+        self._state.revoke(f"rank {self._me}: {reason}", self._gen)
+        self.release()
+
+    def agree(self, bitmap: int | None = None) -> int:
+        """Fault-aware agreement on a liveness bitmap (``MPIX_Comm_agree``).
+
+        Contributes this rank's view (default: the watchdog's) and
+        returns the decided bitmap — identical on every survivor.
+        Usable on a revoked world; that is its purpose.  Runs in the
+        control state's agreement slot ``generation * 16 + round``.
+        """
+        watchdog = self._watchdog
+        if bitmap is None:
+            bitmap = watchdog.alive_bitmap()
+        round_no = self._agree_round
+        self._agree_round += 1
+        if round_no >= ROUNDS_PER_GEN:
+            raise CommunicatorError(
+                f"rank {self.rank}: agreement rounds exhausted for generation "
+                f"{self._gen} ({ROUNDS_PER_GEN} per generation)"
+            )
+        watchdog.beat(self.rank)
+        with trace_span("agree", rank=self.rank, round=round_no):
+            with watchdog.phase("agree", self.rank):
+                self._state.set_blocked(self._me, "agree")
+                try:
+                    return self._state.agree_wait(
+                        self._gen * ROUNDS_PER_GEN + round_no,
+                        self.rank,
+                        int(bitmap),
+                        nranks=self.size,
+                        absent=watchdog.absent_ranks,
+                        poll=self._progress_recovery,
+                        timeout=self.world.timeout,
+                    )
+                finally:
+                    self._state.clear_blocked(self._me)
+
+    def shrink(self, survivors: tuple[int, ...] | None = None) -> "Comm":
+        """Build a working communicator over the survivors (``MPIX_Comm_shrink``).
+
+        Without an explicit survivor set, runs :meth:`agree` first so
+        every caller shrinks to the *same* world.  The new communicator
+        is one generation up; its rank is this rank's index among the
+        survivors (ranks are dense again; ring permutations recompute
+        from the new size) and its traffic is isolated from everything
+        that came before.
+        """
+        if survivors is None:
+            survivors = bitmap_ranks(self.agree(), self.size)
+        survivors = tuple(sorted(survivors))
+        if self.rank not in survivors:
+            raise CommunicatorError(
+                f"rank {self.rank} cannot shrink onto survivors {survivors} "
+                "(it is not one of them)"
+            )
+        with trace_span("shrink", rank=self.rank, survivors=len(survivors)):
+            with self._watchdog.phase("shrink", self.rank):
+                gen = self._gen + 1
+                self._state.bump_gen(gen)
+                world = self.world.shrunk_world(
+                    tuple(self.parent_ranks[r] for r in survivors), gen
+                )
+                new_comm = type(self)(world, survivors.index(self.rank))
+                new_comm._watchdog.beat(new_comm.rank)
+                self._hand_over(new_comm)
+                return new_comm
+
+    def failure_report(self, **kwargs: Any) -> FailureReport:
+        """Snapshot the watchdog's view of this world (see FailureReport)."""
+        return self._watchdog.build_report(**kwargs)
+
+    def abort(self, msg: str = "user abort") -> None:
+        self.world.abort(f"rank {self._me}: {msg}")
+        raise RuntimeAbort(msg)
+
     # -- point to point --------------------------------------------------------
 
     @abstractmethod
@@ -124,6 +496,34 @@ class Comm(ABC):
         """Buffered-blocking send: ``data`` is copied; safe to reuse after."""
 
     @abstractmethod
+    def _match(self, source: int, tag: int, limit: float) -> np.ndarray:
+        """Block (in quanta, running :meth:`_progress`) until a matching
+        message arrives; :class:`StallError` after ``limit`` seconds."""
+
+    @abstractmethod
+    def _probe(self, source: int, tag: int) -> bool:
+        """Is a matching message queued right now?  Never consumes it."""
+
+    def _matched_recv(self, source: int, tag: int, timeout: float | None) -> np.ndarray:
+        """Blocking-receive core of recv and irecv completion.
+
+        ``timeout=None`` means the world default; a caller-supplied
+        ``0`` is honoured as an immediate deadline, not swallowed.
+        """
+        limit = self.world.timeout if timeout is None else timeout
+        peer = None if source == ANY_SOURCE else source
+        # The blocked row: what this rank waits for, for everyone's lattice.
+        self._state.set_blocked(
+            self._me, "recv", -1 if peer is None else self.parent_ranks[peer], tag
+        )
+        try:
+            return self._match(source, tag, limit)
+        except StallError as exc:
+            self._explain_stall(exc, peer)
+            raise
+        finally:
+            self._state.clear_blocked(self._me)
+
     def recv(
         self,
         source: int = ANY_SOURCE,
@@ -134,21 +534,60 @@ class Comm(ABC):
 
         ``timeout`` bounds the wait in seconds; ``None`` defers to the
         runtime default.  ``0`` is honoured as an immediate deadline.
+        A deadline miss is a :class:`StallError` carrying the watchdog's
+        classification of the awaited peer and the current
+        :class:`FailureReport`.
         """
+        if source != ANY_SOURCE:
+            self._check_rank(source)
+        self._pre("recv")
+        return self._matched_recv(source, tag, timeout)
 
-    @abstractmethod
     def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send (buffered, completes immediately on post)."""
+        """Non-blocking send (eager buffered: completes on post)."""
+        self.send(data, dest, tag)
+        return Request.completed()
 
-    @abstractmethod
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Non-blocking receive; ``request.wait()`` returns the data."""
+        if source != ANY_SOURCE:
+            self._check_rank(source)
+        self._pre("irecv")
+        return Request(
+            lambda timeout: self._matched_recv(source, tag, timeout),
+            probe=lambda: self._probe(source, tag),
+        )
 
     # -- collectives -----------------------------------------------------------
 
     @abstractmethod
+    def _barrier_wait(self) -> None:
+        """The runtime's barrier primitive, polling :meth:`_progress`:
+        :class:`StallError` when this rank's own deadline passes, a
+        "barrier broken" :class:`CommunicatorError` when a peer left."""
+
     def barrier(self) -> None:
         """Synchronise all ranks."""
+        self._pre("barrier")
+        self._sync()
+
+    def _sync(self) -> None:
+        """The barrier proper, without the preamble (window creation
+        synchronises through it without counting as an operation)."""
+        self._state.set_blocked(self._me, "barrier")
+        try:
+            self._barrier_wait()
+        except CommunicatorError as exc:
+            # A barrier breaks for everyone when any waiter unwinds;
+            # surface the *cause* (abort, death, revocation) over the
+            # generic "barrier broken" echo where there is one.
+            self.world.check_abort()
+            self._check_revoked()
+            if isinstance(exc, StallError):
+                self._explain_stall(exc)
+            raise
+        finally:
+            self._state.clear_blocked(self._me)
 
     def bcast(self, data: Any, root: int = 0) -> Any:
         """Broadcast a Python object from ``root`` (linear reference impl)."""
@@ -211,9 +650,10 @@ class Comm(ABC):
 
     # -- one-sided -------------------------------------------------------------
 
-    @abstractmethod
     def win_create(self, nbytes: int) -> "Window":  # noqa: F821 - runtime import
         """Collectively create an RMA window exposing ``nbytes`` locally."""
+        self._pre("win_create")
+        return self.world.create_window(self, nbytes)
 
     # -- misc -------------------------------------------------------------------
 

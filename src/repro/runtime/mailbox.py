@@ -24,11 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import RuntimeAbort, StallError
+from repro.resilience.monitor import QUANTUM
 
 __all__ = ["Envelope", "Mailbox"]
 
-#: How often a blocked match re-checks state and runs its poll callback.
-WAIT_QUANTUM = 0.02
+#: How often a blocked match re-checks state and runs its poll callback:
+#: the control plane's one wait quantum.
+WAIT_QUANTUM = QUANTUM
 
 
 @dataclass

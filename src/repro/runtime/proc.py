@@ -40,24 +40,20 @@ original traceback appended as a note.
 A :class:`ProcessWorld` is **one-shot**: ``run`` executes one SPMD
 kernel and then closes the world (segments unlinked).
 
-Failure model (the ULFM port): every transport operation beacons the
-rank's liveness into a shared :class:`~repro.runtime.shm.ProcState`
-segment and runs a peer-scan watchdog — blocked ranks classify each
-member every quantum by *pid liveness* (a SIGKILLed child is gone from
-``/proc`` — or a zombie, which counts as gone) and *beacon staleness*
-(an alive-but-silent process is wedged).  A detected death revokes the
-world generationally: every blocked survivor wakes with
-:class:`~repro.errors.RevokedError` within one quantum, while
-:meth:`ProcComm.agree` / :meth:`ProcComm.shrink` keep working — shrink
-builds a survivor communicator over the *existing* rings and window
-locks with rank remapping (no re-fork), and generation-encoded message
-tags keep post-shrink traffic from matching pre-failure leftovers.
-Fault plans are supported for the *process* kinds only: a ``kill`` rule
-delivers a real ``SIGKILL`` to the victim's own pid, a ``hang`` rule
-parks the victim without beacons until peers detect it.  Message-level
-kinds (bitflip/drop/...) still raise
-:class:`~repro.errors.UnsupportedFaultError` — they need the thread
-runtime's mailbox hooks.
+Failure model: the one both runtimes share (:mod:`repro.runtime.base`,
+:mod:`repro.resilience.monitor`), with the
+:class:`~repro.resilience.monitor.ControlState` laid out in a named
+segment under a fork-shared condition, so it survives the death of any
+rank process and the parent reads it post-mortem.  What is the process
+runtime's own: a rank is *gone* when its pid is (a SIGKILLed child is
+gone from ``/proc`` — or a zombie, which counts as gone); an injected
+``kill`` is a real ``SIGKILL`` to the victim's own pid; a survivor
+world is a view over the *existing* rings and window locks with rank
+remapping (no re-fork), and generation-encoded message tags keep
+post-shrink traffic from matching pre-failure leftovers.  Fault plans
+are supported for the *process* kinds only; message-level kinds
+(bitflip/drop/...) raise :class:`~repro.errors.UnsupportedFaultError` —
+they need the thread runtime's mailbox hooks.
 """
 
 from __future__ import annotations
@@ -72,32 +68,25 @@ import time
 import traceback
 import weakref
 from collections import deque
-from contextlib import contextmanager
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import (
     CommunicatorError,
-    RankFailureError,
     RankHungError,
     RankKilledError,
-    RevokedError,
-    RuntimeAbort,
     StallError,
     UnsupportedFaultError,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import PROCESS_FAULT_KINDS
-from repro.resilience.agreement import bitmap_ranks
-from repro.resilience.monitor import FailureReport, PhaseSpan, RankFailure
-from repro.runtime.base import ANY_SOURCE, ANY_TAG, Comm, Request
+from repro.resilience.monitor import ControlState
+from repro.runtime.base import ANY_SOURCE, ANY_TAG, DEFAULT_TIMEOUT, Comm, World
 from repro.runtime.mailbox import WAIT_QUANTUM
 from repro.runtime.shm import (
-    _PS_ROUNDS_PER_GEN,
     DEFAULT_RING_CAPACITY,
-    ProcState,
     ShmRecord,
     ShmRing,
     WorldControl,
@@ -123,20 +112,11 @@ from repro.telemetry.shmseg import (
     remove_runfile,
     write_runfile,
 )
-from repro.telemetry.metrics import counter as metrics_counter
-from repro.trace import span as trace_span
 from repro.trace.core import Tracer
 from repro.trace.core import get_tracer as trace_get_tracer
 from repro.trace.core import install as trace_install
 
-__all__ = ["ProcessWorld", "ProcComm", "ProcMonitor", "run_spmd_proc"]
-
-#: Default blocking-op timeout (same figure as the thread runtime).
-DEFAULT_TIMEOUT = 120.0
-
-#: Fraction of the blocking-op timeout after which a silent rank is
-#: declared dead (same figure as the thread runtime).
-SUSPECT_FRACTION = 0.25
+__all__ = ["ProcessWorld", "ProcComm", "run_spmd_proc"]
 
 #: Generation stride for message tags: a shrunk communicator's traffic
 #: is tagged ``tag + gen * _GEN_STRIDE`` on the wire, so survivors never
@@ -155,8 +135,9 @@ def _cleanup_segments(
     rings: list[ShmRing],
     ctl: WorldControl,
     uid: str,
-    telemetry: ShmTelemetry | None = None,
-    state: ProcState | None = None,
+    telemetry: ShmTelemetry | None,
+    state: ControlState,
+    state_seg: SharedMemory,
 ) -> None:
     """Parent-side teardown; a no-op in forked children.
 
@@ -171,8 +152,13 @@ def _cleanup_segments(
     ctl.destroy()
     if telemetry is not None:
         telemetry.destroy()
-    if state is not None:
-        state.destroy()
+    # The parent reads the registry and the timeline after the unlink.
+    state.freeze()
+    quiet_close(state_seg)
+    try:
+        state_seg.unlink()
+    except FileNotFoundError:
+        pass
     remove_runfile(uid)
     sweep_segments(uid)
 
@@ -252,251 +238,90 @@ def _child_main(
     conn.close()
 
 
-class ProcMonitor:
-    """Heartbeat watchdog over a shared :class:`ProcState` segment.
-
-    API-compatible with :class:`~repro.resilience.monitor.HeartbeatMonitor`
-    where the recovery stack needs it (beat/poll/declare_failed/phase/
-    build_report/...), but every fact lives in shared memory: any
-    process — parent or sibling — sees a death the instant the first
-    observer records it, and the recovery timeline assembles across
-    address spaces.
-
-    A monitor instance is a *view*: ``members`` maps the view's dense
-    ranks to the original world's ranks, so a shrunk world's monitor
-    reports in its own numbering while reading the same segment.  The
-    classification lattice for processes:
-
-    * recorded failure         → its recorded classification
-    * marked done              → ``alive`` (silence is expected)
-    * pid gone or zombie       → ``dead``   (kind ``crash``)
-    * beacon silent too long   → ``deadlock`` (kind ``hang``)
-    * otherwise                → ``alive``
-    """
+class _ProcView(World):
+    """What the root world and its survivor views do the same way, each
+    over its own ``members`` / ``gen``: abort through the shared control
+    block, pid liveness, and window arenas."""
 
     runtime_label = "proc"
 
-    def __init__(
-        self,
-        state: ProcState,
-        members: tuple[int, ...],
-        *,
-        suspect_after: float,
-    ) -> None:
-        self.state = state
-        self.members = tuple(members)
-        self.nranks = len(self.members)
-        self.suspect_after = float(suspect_after)
-        self._member_set = frozenset(self.members)
+    def abort(self, reason: str, cause: BaseException | None = None) -> None:
+        """Raise the world-wide abort flag; every blocked rank unwinds."""
+        self._ctl.abort(reason)
 
-    # -- clock -------------------------------------------------------------------------
+    def abort_reason(self) -> str | None:
+        return self._ctl.abort_reason()
 
-    def now(self) -> float:
-        return self.state.now()
+    def check_abort(self) -> None:
+        self._ctl.check_abort()
 
-    # -- liveness beacons ----------------------------------------------------------------
+    def _gone(self, rank: int) -> str | None:
+        pid = self.state.pid(rank)
+        if pid and not pid_alive(pid):
+            return f"process died (pid {pid} gone)"
+        return None
 
-    def start(self) -> None:
-        self.state.start()
+    # -- collective window creation ------------------------------------------------------
 
-    def beat(self, rank: int) -> None:
-        self.state.beacon(self.members[rank])
+    def create_window(self, comm: "ProcComm", nbytes: int) -> Window:
+        """Collective: one SharedMemory arena holds every rank's buffer.
 
-    def beat_age(self, rank: int) -> float:
-        return self.state.beacon_age(self.members[rank])
-
-    def mark_done(self, rank: int) -> None:
-        self.state.mark_done(self.members[rank])
-
-    @contextmanager
-    def blocked(
-        self, rank: int, op: str, peer: int | None = None, tag: int | None = None
-    ) -> Iterator[None]:
-        """Blocked-op attribution is not tracked across processes."""
-        yield
-
-    # -- failure registry -----------------------------------------------------------------
-
-    def _to_failure(self, rec: tuple[int, str, str, str, float, float]) -> RankFailure:
-        g, kind, cls, detail, at, age = rec
-        return RankFailure(
-            rank=self.members.index(g),
-            kind=kind,
-            classification=cls,
-            detail=detail,
-            detected_at=at,
-            last_beat_age=age,
-        )
-
-    def declare_failed(
-        self, rank: int, kind: str, detail: str = "", classification: str | None = None
-    ) -> RankFailure:
-        """Record a rank failure (idempotent: the first declaration wins)."""
-        g = self.members[rank]
-        cls = classification or self.classify(rank)
-        if cls == "alive":
-            cls = "dead"
-        now = self.state.now()
-        age = self.state.beacon_age(g)
-        if self.state.record_failure(g, kind, cls, detail, now, age):
-            # The detection window (last sign of life -> verdict) and the
-            # flight events come from the first observer only.
-            self.state.add_span("detect", g, now - age, now)
-            flight("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
-            flight("detect", g, value=age)
-        for rec in self.state.failures():
-            if rec[0] == g:
-                return self._to_failure(rec)
-        raise CommunicatorError(  # pragma: no cover - registry overflow
-            f"failure registry full; cannot record rank {g}"
-        )
-
-    def failures(self) -> list[RankFailure]:
-        return [
-            self._to_failure(rec)
-            for rec in self.state.failures()
-            if rec[0] in self._member_set
-        ]
-
-    def dead_ranks(self) -> frozenset[int]:
-        return frozenset(
-            self.members.index(g)
-            for g in self.state.failed_ranks()
-            if g in self._member_set
-        )
-
-    def absent_ranks(self) -> frozenset[int]:
-        """Ranks that will never contribute again: dead or cleanly done."""
-        done = frozenset(
-            r for r, g in enumerate(self.members) if self.state.is_done(g)
-        )
-        return self.dead_ranks() | done
-
-    def alive_ranks(self) -> tuple[int, ...]:
-        dead = self.dead_ranks()
-        return tuple(r for r in range(self.nranks) if r not in dead)
-
-    def alive_bitmap(self) -> int:
-        bitmap = 0
-        for r in self.alive_ranks():
-            bitmap |= 1 << r
-        return bitmap
-
-    # -- classification -------------------------------------------------------------------
-
-    def _process_gone(self, g: int) -> bool:
-        """True when rank ``g``'s process died without finishing.
-
-        A rank sets its (monotonic) done bit before it exits, so a pid
-        seen gone proves a crash only if the bit is *still* clear when
-        re-read afterwards — reading it first races a clean exit.
+        The arena name is deterministic (``{uid}w{win_id}``, generation-
+        scoped for a survivor view, with the per-process window counter
+        advancing identically on every rank because creation is
+        collective), so no name exchange is needed: rank 0 creates, a
+        barrier publishes, everyone else attaches.  The locks are the
+        members' share of the root's fork-shared ones.
         """
-        pid = self.state.pid(g)
-        return bool(pid) and not pid_alive(pid) and not self.state.is_done(g)
-
-    def classify(self, rank: int) -> str:
-        g = self.members[rank]
-        for rec in self.state.failures():
-            if rec[0] == g:
-                return rec[2]
-        if self.state.is_done(g):
-            return "alive"
-        if self._process_gone(g):
-            return "dead"
-        if self.state.started and self.state.beacon_age(g) > self.suspect_after:
-            return "deadlock"
-        return "alive"
-
-    def poll(self) -> list[RankFailure]:
-        """Scan members; declare gone/silent processes dead.  Returns *new*
-        deaths recorded by THIS call (other observers race idempotently)."""
-        if not self.state.started:
-            return []
-        new: list[RankFailure] = []
-        failed = self.state.failed_ranks()
-        for r, g in enumerate(self.members):
-            if g in failed or self.state.is_done(g):
-                continue
-            pid = self.state.pid(g)
-            process_gone = self._process_gone(g)
-            age = self.state.beacon_age(g)
-            silent = age > self.suspect_after
-            if not (process_gone or silent):
-                continue
-            if process_gone:
-                kind, cls = "crash", "dead"
-                detail = f"process died (pid {pid} gone)"
-            else:
-                kind, cls = "hang", "deadlock"
-                detail = (
-                    f"beacon silent for {age:.3f}s "
-                    f"(> suspect_after={self.suspect_after:g}s)"
-                )
-            now = self.state.now()
-            if self.state.record_failure(g, kind, cls, detail, now, age):
-                self.state.add_span("detect", g, now - age, now)
-                failure = RankFailure(
-                    rank=r,
-                    kind=kind,
-                    classification=cls,
-                    detail=detail,
-                    detected_at=now,
-                    last_beat_age=age,
-                )
-                new.append(failure)
-                flight("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
-                flight("detect", g, value=age)
-        return new
-
-    # -- recovery timeline -----------------------------------------------------------------
-
-    @contextmanager
-    def phase(self, name: str, rank: int) -> Iterator[None]:
-        """Record one recovery phase interval in the shared timeline."""
-        g = self.members[rank]
-        t0 = self.state.now()
-        live_update(g, phase=name)  # `repro monitor` shows recovery progress live
-        try:
-            yield
-        finally:
-            t1 = self.state.now()
-            self.state.add_span(name, g, t0, t1)
-            flight(name, g, value=t1 - t0)
-            metrics_counter(
-                "repro_recoveries_total", phase=name, runtime=self.runtime_label
-            ).inc()
-
-    # -- reporting ---------------------------------------------------------------------------
-
-    def build_report(self, *, recovered: bool = False, detail: str = "") -> FailureReport:
-        """Snapshot the shared segment into a FailureReport (view numbering)."""
-        failures = self.failures()
-        spans = [
-            PhaseSpan(name, self.members.index(g), t0, t1)
-            for name, g, t0, t1 in self.state.spans()
-            if g in self._member_set
+        win_id = self._win_counter
+        self._win_counter += 1
+        sizes = comm.allgather(max(0, int(nbytes)))
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        total = int(offsets[-1])
+        scope = "w" if self.gen == 0 else f"wg{self.gen}x"
+        name = f"{self.uid}{scope}{win_id}"
+        if comm.rank == 0:
+            shm = SharedMemory(name=name, create=True, size=max(1, total))
+            comm.barrier()
+        else:
+            comm.barrier()  # arena exists after this
+            shm = SharedMemory(name=name, create=False)
+        base = np.frombuffer(shm.buf, dtype=np.uint8, count=total)
+        buffers = [
+            base[int(offsets[r]) : int(offsets[r]) + sizes[r]] for r in range(self.nranks)
         ]
-        survivors = [
-            r for r in range(self.nranks) if all(f.rank != r for f in failures)
-        ]
-        return FailureReport(
-            nranks=self.nranks,
-            failures=failures,
-            survivors=survivors,
-            phase_spans=spans,
-            recovered=recovered,
-            detail=detail,
-        )
+        self._windows[win_id] = (shm, comm.rank == 0)
+        comm.barrier()  # every rank attached before any put flies
+        locks = [self.root._win_locks[g] for g in self.members]
+        return Window(self, comm, buffers, locks, win_id=win_id)
+
+    def release_window(self, win_id: int) -> None:
+        """Close this rank's arena mapping; the creating rank unlinks.
+
+        A kernel still holding views of the arena leaves the mapping
+        alive until the process exits (``quiet_close``); the unlink —
+        what leak-cleanliness needs — happens regardless.
+        """
+        entry = self._windows.pop(win_id, None)
+        if entry is None:
+            return
+        shm, creator = entry
+        quiet_close(shm)
+        if creator:
+            try:
+                shm.unlink()
+            except FileNotFoundError:
+                pass
 
 
-class ProcessWorld:
+class ProcessWorld(_ProcView):
     """Shared state of one process-per-rank SPMD execution.
 
-    API-compatible with :class:`~repro.runtime.thread_rt.ThreadWorld`
-    where the algorithms need it (``run``, ``timeout``, ``halted``,
-    ``injector``, ``monitor``, ``release_window``, ULFM recovery via
-    ``ProcComm.agree``/``shrink``); fault plans are accepted for the
-    process kinds (``kill``/``hang``) and delivered to real child pids.
+    The same surface as :class:`~repro.runtime.thread_rt.ThreadWorld`
+    (``run``, ``timeout``, ``halted``, ``injector``, ``monitor``, ULFM
+    recovery via ``comm.agree``/``shrink``); fault plans are accepted
+    for the process kinds (``kill``/``hang``) and delivered to real
+    child pids.
     """
 
     def __init__(
@@ -509,8 +334,7 @@ class ProcessWorld:
         ring_capacity: int = DEFAULT_RING_CAPACITY,
         telemetry_capacity: int = DEFAULT_SHM_CAPACITY,
     ) -> None:
-        if nranks < 1:
-            raise CommunicatorError(f"nranks must be >= 1, got {nranks}")
+        super().__init__(nranks, timeout, suspect_after)
         if faults is None:
             self.injector = None
         else:
@@ -536,27 +360,18 @@ class ProcessWorld:
             raise CommunicatorError(
                 "ProcessWorld requires the 'fork' start method (POSIX only)"
             )
-        self.nranks = nranks
-        self.timeout = timeout
-        if suspect_after is None:
-            suspect_after = max(0.05, SUSPECT_FRACTION * timeout)
-        self.suspect_after = float(suspect_after)
         self.uid = make_uid()
         self._ctx = mp.get_context("fork")
         self._ctl = WorldControl(f"{self.uid}c", nranks, self._ctx)
-        #: Shared resilience control plane: beacons, pids, failure
+        #: The control plane in a named segment: beacons, pids, failure
         #: registry, generational revocation, agreement arena, timeline.
-        self.state = ProcState(f"{self.uid}s", nranks, self._ctx)
-        self.monitor = ProcMonitor(
-            self.state, tuple(range(nranks)), suspect_after=self.suspect_after
+        self._state_seg = SharedMemory(
+            name=f"{self.uid}s", create=True, size=ControlState.nbytes(nranks)
         )
+        self._watch(ControlState(nranks, self._state_seg.buf, self._ctx.Condition()))
         #: Per-process drained-but-unmatched records (shared by every
         #: communicator generation of this process — see ProcComm).
         self._local_pending: deque[ShmRecord] | None = None
-        #: Per-process cache of shrunk-world wrappers, keyed on
-        #: (survivor members, generation) so sequential failures with
-        #: the same survivor set never resurrect a stale world.
-        self._shrunk: dict[tuple[tuple[int, ...], int], "_ShrunkProcWorld"] = {}
         self.rings = [
             ShmRing(f"{self.uid}r{r}", ring_capacity, self._ctx) for r in range(nranks)
         ]
@@ -603,119 +418,15 @@ class ProcessWorld:
             self.uid,
             self.telemetry,
             self.state,
+            self._state_seg,
         )
 
-    # -- abort / state -----------------------------------------------------------------
 
-    def abort(self, reason: str, cause: BaseException | None = None) -> None:
-        """Raise the world-wide abort flag; every blocked rank unwinds."""
-        self._ctl.abort(reason)
+    def _survivor_world(self, members: tuple[int, ...], gen: int) -> "_ShrunkProcWorld":
+        return _ShrunkProcWorld(self, members, gen)
 
-    def abort_reason(self) -> str | None:
-        return self._ctl.abort_reason()
-
-    def check_abort(self) -> None:
-        self._ctl.check_abort()
-
-    @property
-    def halted(self) -> bool:
-        """True once the world is aborted or revoked (no new collectives)."""
-        return (
-            self._ctl.abort_reason() is not None
-            or self.state.revoked_reason(0) is not None
-        )
-
-    # -- failure detection & revocation ---------------------------------------------------
-
-    def revoke(self, reason: str) -> None:
-        """ULFM-style revocation: wake every blocked rank promptly.
-
-        Unlike :meth:`abort`, the world stays usable for recovery —
-        :meth:`ProcComm.agree` / :meth:`ProcComm.shrink` keep working.
-        Revokes every communicator generation up to the current one.
-        """
-        self.state.revoke(reason, self.state.cur_gen())
-
-    @property
-    def revoked(self) -> str | None:
-        return self.state.revoked_reason(0)
-
-    def declare_failed(self, rank: int, kind: str, detail: str = "") -> None:
-        """Record a rank death and revoke the world so peers wake."""
-        failure = self.monitor.declare_failed(
-            rank, kind, detail, classification="dead"
-        )
-        self.revoke(
-            f"rank {rank} {kind} ({failure.classification})"
-            + (f": {detail}" if detail else "")
-        )
-
-    def shrunk_world(self, members: tuple[int, ...], gen: int) -> "_ShrunkProcWorld":
-        """The (per-process, cache-keyed) survivor world over ``members``.
-
-        Keyed on (members, generation): two sequential failures that
-        leave the same survivor set must NOT resurrect the earlier
-        shrunk world — its communicators are revoked at a lower
-        generation and would fail every operation.
-        """
-        key = (tuple(members), int(gen))
-        world = self._shrunk.get(key)
-        if world is None:
-            world = self._shrunk[key] = _ShrunkProcWorld(self, key[0], key[1])
-        return world
-
-    # -- barrier -----------------------------------------------------------------------
-
-    def barrier_wait(self, rank: int | None = None, poll=None) -> None:
-        self._ctl.barrier(self.timeout, poll=poll)
-
-    # -- collective window creation ------------------------------------------------------
-
-    def create_window(self, comm: "ProcComm", nbytes: int) -> Window:
-        """Collective: one SharedMemory arena holds every rank's buffer.
-
-        The arena name is deterministic (``{uid}w{win_id}``, with the
-        per-process window counter advancing identically on every rank
-        because creation is collective), so no name exchange is needed:
-        rank 0 creates, a barrier publishes, everyone else attaches.
-        """
-        win_id = self._win_counter
-        self._win_counter += 1
-        sizes = comm.allgather(max(0, int(nbytes)))
-        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        total = int(offsets[-1])
-        name = f"{self.uid}w{win_id}"
-        if comm.rank == 0:
-            shm = SharedMemory(name=name, create=True, size=max(1, total))
-            comm.barrier()
-        else:
-            comm.barrier()  # arena exists after this
-            shm = SharedMemory(name=name, create=False)
-        base = np.frombuffer(shm.buf, dtype=np.uint8, count=total)
-        buffers = [
-            base[int(offsets[r]) : int(offsets[r]) + sizes[r]] for r in range(self.nranks)
-        ]
-        self._windows[win_id] = (shm, comm.rank == 0)
-        comm.barrier()  # every rank attached before any put flies
-        return Window(self, comm, buffers, self._win_locks, win_id=win_id)
-
-    def release_window(self, win_id: int) -> None:
-        """Close this rank's arena mapping; the creating rank unlinks.
-
-        A kernel still holding views of the arena leaves the mapping
-        alive until the process exits (``quiet_close``); the unlink —
-        what leak-cleanliness needs — happens regardless.
-        """
-        entry = self._windows.pop(win_id, None)
-        if entry is None:
-            return
-        shm, creator = entry
-        quiet_close(shm)
-        if creator:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+    def _blackbox(self, report: Any) -> dict[str, Any] | None:
+        return self.last_blackbox
 
     # -- execution ---------------------------------------------------------------------
 
@@ -809,7 +520,7 @@ class ProcessWorld:
                 return
             kind = "kill" if exitcode == -signal.SIGKILL else "crash"
             self.declare_failed(
-                rank, kind, f"process died with exit code {exitcode}"
+                rank, kind, f"process died with exit code {exitcode}", classification="dead"
             )
         except Exception:  # noqa: BLE001 - bookkeeping must not mask the root error
             pass
@@ -933,18 +644,6 @@ class ProcessWorld:
                 except Exception:  # noqa: BLE001 - a torn spool must not mask results
                     pass
 
-    def _rank_failure_error(self) -> RankFailureError:
-        """The run failed *because ranks died* and nothing recovered:
-        surface the failure registry, not whichever echo a survivor
-        happened to raise."""
-        report = self.monitor.build_report(detail="no recovery attempted")
-        detail = "; ".join(f"rank {f.rank}: {f.detail}" for f in report.failures)
-        exc = RankFailureError(
-            report.summary() + (f" — {detail}" if detail else ""), report=report
-        )
-        exc.blackbox = self.last_blackbox  # type: ignore[attr-defined]
-        return exc
-
     def _interpret(self, payloads: list[Any], procs: list) -> list[Any]:
         results: list[Any] = [None] * self.nranks
         errors: list[tuple[int, BaseException, str]] = []
@@ -974,18 +673,7 @@ class ProcessWorld:
                     exc = CommunicatorError(f"rank {rank_} failed:\n{text}")
                 errors.append((rank_, exc, text))
         if errors:
-            # Surface the root cause, not whichever echo came from the
-            # lowest rank (same policy as ThreadWorld.run).
-            def is_echo(exc: BaseException) -> bool:
-                return isinstance(exc, (RuntimeAbort, RevokedError)) or (
-                    isinstance(exc, CommunicatorError) and "barrier broken" in str(exc)
-                )
-
-            originals = [e for e in errors if not is_echo(e[1])]
-            if not originals and failed:
-                # Every error is a revocation/abort echo of a real death.
-                raise self._rank_failure_error()
-            rank, exc, text = sorted(originals or errors, key=lambda e: e[0])[0]
+            rank, exc, text = self._root_cause(errors)
             exc.rank = rank  # type: ignore[attr-defined]
             if text and hasattr(exc, "add_note"):
                 exc.add_note(f"raised on rank {rank} of ProcessWorld; child traceback:\n{text}")
@@ -1004,7 +692,13 @@ class ProcessWorld:
         self._closed = True
         self._finalizer.detach()
         _cleanup_segments(
-            self._owner_pid, self.rings, self._ctl, self.uid, self.telemetry, self.state
+            self._owner_pid,
+            self.rings,
+            self._ctl,
+            self.uid,
+            self.telemetry,
+            self.state,
+            self._state_seg,
         )
 
     def __enter__(self) -> "ProcessWorld":
@@ -1015,7 +709,8 @@ class ProcessWorld:
 
 
 class ProcComm(Comm):
-    """Per-process communicator handle (lives only inside a rank).
+    """Per-process communicator handle (lives only inside a rank): ring
+    transport.
 
     Generalized over worlds: the root :class:`ProcessWorld` (generation
     0, identity rank mapping) and :class:`_ShrunkProcWorld` survivors
@@ -1026,33 +721,18 @@ class ProcComm(Comm):
     matches leftovers a dead rank posted before the failure.
     """
 
-    def __init__(self, world: Any, rank: int) -> None:
-        self.world = world
-        self.rank = rank
-        self.size = world.nranks
-        self._root: ProcessWorld = getattr(world, "root", world)
-        members = getattr(world, "members", None)
-        self._members: tuple[int, ...] = (
-            tuple(members) if members is not None else tuple(range(world.nranks))
-        )
+    def __init__(self, world: _ProcView, rank: int) -> None:
+        super().__init__(world, rank)
+        self._root: ProcessWorld = world.root
+        self._members = world.members
         self._member_set = frozenset(self._members)
-        self._gen: int = getattr(world, "gen", 0)
-        self._old_rank = self._members[rank]
-        self._ring = self._root.rings[self._old_rank]
+        self._ring = self._root.rings[self._me]
         if self._root._local_pending is None:
             self._root._local_pending = deque()
         #: Shared with every other generation in this process: one ring
         #: drain must never swallow another generation's records.
         self._pending: deque[ShmRecord] = self._root._local_pending
-        self._monitor: ProcMonitor = world.monitor
-        self._last_scan = 0.0
-        self._agree_round = 0
         self._barrier_seq = 0
-
-    @property
-    def parent_ranks(self) -> tuple[int, ...]:
-        """This communicator's ranks in the *original* world's numbering."""
-        return self._members
 
     # -- generation-encoded tags ----------------------------------------------------------
 
@@ -1067,109 +747,26 @@ class ProcComm(Comm):
         gen = (raw + _GEN_STRIDE // 2) // _GEN_STRIDE
         return gen, raw - gen * _GEN_STRIDE
 
-    # -- transport preamble --------------------------------------------------------------
-
-    def _pre(self, op: str, peer: int | None = None) -> None:
-        self._monitor.beat(self.rank)
-        if self._gen == 0 and self._root.injector is not None:
-            action = self._root.injector.fail_action(self.rank, op)
-            if action == "kill":
-                self._kill_self(op)
-            elif action == "hang":
-                self._hang_self(op)
-        self._root.check_abort()
-        self._scan()
-        self._check_revoked()
+    # -- runtime hooks of the shared failure handling ---------------------------------------
 
     def _kill_self(self, op: str) -> None:
         """Injected ``kill``: a *real* SIGKILL to our own pid — peers
         must detect the death from the outside, exactly as they would a
         node OOM-killing the rank."""
-        flight("fault-kill", self._old_rank, detail=op[:40])
-        live_update(self._old_rank, alive=0.0, phase="killed")
+        flight("fault-kill", self._me, detail=op[:40])
+        live_update(self._me, alive=0.0, phase="killed")
         os.kill(os.getpid(), signal.SIGKILL)
         raise RankKilledError(  # pragma: no cover - SIGKILL is not catchable
-            f"rank {self._old_rank}: injected kill in {op}"
+            f"rank {self._me}: injected kill in {op}"
         )
 
-    def _hang_self(self, op: str) -> None:
-        """Injected ``hang``: park without beacons until peers detect us
-        (the watchdog's beacon-staleness path), then unwind."""
-        flight("fault-hang", self._old_rank, detail=op[:40])
-        live_update(self._old_rank, phase="hung")
-        state = self._root.state
-        deadline = time.monotonic() + self._root.timeout * 2
-        while (
-            state.revoked_reason(0) is None
-            and self._root.abort_reason() is None
-            and time.monotonic() < deadline
-        ):
-            time.sleep(WAIT_QUANTUM)  # no beacons: silence IS the fault
-        detail = f"injected hang in {op}"
-        if state.revoked_reason(0) is None and self._root.abort_reason() is None:
-            detail += " (never detected: no peer polled the watchdog)"
-        self._monitor.declare_failed(
-            self.rank, "hang", detail, classification="deadlock"
-        )
-        state.revoke(f"rank {self._old_rank} hang (deadlock): {detail}", self._gen)
-        live_update(self._old_rank, alive=0.0, phase="failed")
-        raise RankHungError(
-            f"rank {self._old_rank}: {detail}",
-            report=self._monitor.build_report(detail=detail),
-        )
-
-    def _scan(self) -> None:
-        """Peer-scan watchdog: classify members by pid liveness and
-        beacon staleness; a new death revokes this generation."""
-        now = time.monotonic()
-        if now - self._last_scan < min(0.05, self._root.suspect_after / 4):
-            return
-        self._last_scan = now
-        if self._root.abort_reason() is not None:
-            return
-        for failure in self._monitor.poll():
-            g = self._monitor.members[failure.rank]
-            self._root.state.revoke(
-                f"rank {g} declared {failure.classification} "
-                f"({failure.kind}): {failure.detail}",
-                self._gen,
-            )
-
-    def _check_revoked(self) -> None:
-        reason = self._root.state.revoked_reason(self._gen)
-        if reason is not None:
-            raise RevokedError(
-                f"communicator revoked: {reason}",
-                report=self._monitor.build_report(detail=reason),
-            )
-
-    def _progress(self) -> None:
-        """Drain this rank's own ring into the pending queue.
-
-        Runs inside every blocked wait (full-ring sends, barriers,
-        recv quanta): a rank blocked *sending* still consumes what
-        peers sent it, so mutual floods cannot deadlock, and aborts,
-        deaths and revocations surface within one quantum.
-        """
+    def _drain(self) -> None:
+        """Drain this rank's own ring into the pending queue."""
         records = self._ring.drain()
         if records:
             self._pending.extend(records)
-        self._monitor.beat(self.rank)
-        self._root.check_abort()
-        self._scan()
-        self._check_revoked()
 
-    def _progress_recovery(self) -> None:
-        """Progress for agree/shrink: drains and scans but never raises —
-        agreement must terminate on a revoked communicator (that is its
-        entire purpose)."""
-        records = self._ring.drain()
-        if records:
-            self._pending.extend(records)
-        self._monitor.beat(self.rank)
-        self._scan()
-
-    def _find_pending(self, source: int, tag: int) -> ShmRecord | None:
+    def _find_pending(self, source: int, tag: int, *, take: bool = True) -> ShmRecord | None:
         src_old = None if source == ANY_SOURCE else self._members[source]
         for i, rec in enumerate(self._pending):
             gen, base = self._dec(rec.tag)
@@ -1182,24 +779,10 @@ class ProcComm(Comm):
                 continue
             if tag != ANY_TAG and base != tag:
                 continue
-            del self._pending[i]
+            if take:
+                del self._pending[i]
             return rec
         return None
-
-    def _has_pending(self, source: int, tag: int) -> bool:
-        src_old = None if source == ANY_SOURCE else self._members[source]
-        for rec in self._pending:
-            gen, base = self._dec(rec.tag)
-            if gen != self._gen:
-                continue
-            if src_old is None:
-                if rec.source not in self._member_set:
-                    continue
-            elif rec.source != src_old:
-                continue
-            if tag == ANY_TAG or base == tag:
-                return True
-        return False
 
     # -- point to point ------------------------------------------------------------------
 
@@ -1207,15 +790,14 @@ class ProcComm(Comm):
         self._check_rank(dest)
         self._pre("send", dest)
         self._root.rings[self._members[dest]].post(
-            self._old_rank,
+            self._me,
             self._enc(tag),
             np.asarray(data),
             timeout=self._root.timeout,
             poll=self._progress,
         )
 
-    def _matched_recv(self, source: int, tag: int, timeout: float | None) -> np.ndarray:
-        limit = self._root.timeout if timeout is None else timeout
+    def _match(self, source: int, tag: int, limit: float) -> np.ndarray:
         start = time.monotonic()
         deadline = start + limit
         while True:
@@ -1232,58 +814,21 @@ class ProcComm(Comm):
                 )
             self._ring.wait(deadline - now, quantum=WAIT_QUANTUM)
 
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        self._pre("recv", None if source == ANY_SOURCE else source)
-        return self._matched_recv(source, tag, timeout)
-
-    def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> Request:
-        self.send(data, dest, tag)  # eager buffered: complete on post
-        return Request.completed()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        self._pre("irecv", None if source == ANY_SOURCE else source)
-
-        def complete(timeout: float | None) -> np.ndarray:
-            return self._matched_recv(source, tag, timeout)
-
-        def probe() -> bool:
-            # Non-consuming: drains the transport into pending (which a
-            # later wait() matches from), never removes a match.
-            self._progress()
-            return self._has_pending(source, tag)
-
-        return Request(complete, probe=probe)
+    def _probe(self, source: int, tag: int) -> bool:
+        # Non-consuming: drains the transport into pending (which a
+        # later wait() matches from), never removes a match.
+        self._progress()
+        return self._find_pending(source, tag, take=False) is not None
 
     # -- collectives ---------------------------------------------------------------------
 
-    def barrier(self) -> None:
-        self._pre("barrier")
+    def _barrier_wait(self) -> None:
         if self._gen == 0:
-            try:
-                self._root._ctl.barrier(self._root.timeout, poll=self._progress)
-            except CommunicatorError:
-                # The shared barrier breaks for everyone when any waiter
-                # unwinds; surface the *cause* (death/revocation) over
-                # the generic "barrier broken" echo where we can.
-                self._root.check_abort()
-                self._check_revoked()
-                raise
+            self._root._ctl.barrier(self._root.timeout, poll=self._progress)
             return
-        self._dissemination_barrier()
-
-    def _dissemination_barrier(self) -> None:
-        """Tag-disambiguated dissemination barrier for shrunk worlds:
-        the WorldControl barrier counts the *original* rank count and is
-        unusable after a death."""
+        # A shrunk world: the WorldControl barrier counts the *original*
+        # rank count and is unusable after a death, so survivors run a
+        # tag-disambiguated dissemination barrier over the rings.
         seq = self._barrier_seq
         self._barrier_seq += 1
         token = np.zeros(1, dtype=np.uint8)
@@ -1295,184 +840,27 @@ class ProcComm(Comm):
             step <<= 1
             k += 1
 
-    # -- failure handling (ULFM analogues) -----------------------------------------------
 
-    def revoke(self, reason: str = "revoked by application") -> None:
-        """Revoke the communicator (``MPIX_Comm_revoke``)."""
-        self._root.state.revoke(f"rank {self._old_rank}: {reason}", self._gen)
-        self.release()
-
-    def agree(self, bitmap: int | None = None) -> int:
-        """Fault-aware agreement on a liveness bitmap (``MPIX_Comm_agree``).
-
-        Contributes this rank's view (default: the watchdog's) and
-        returns the decided bitmap — identical on every survivor.
-        Usable on a revoked world; that is its purpose.  Runs in a
-        shared-memory agreement slot keyed on (generation, round).
-        """
-        if bitmap is None:
-            bitmap = self._monitor.alive_bitmap()
-        round_no = self._agree_round
-        self._agree_round += 1
-        if round_no >= _PS_ROUNDS_PER_GEN:
-            raise CommunicatorError(
-                f"rank {self.rank}: agreement rounds exhausted for generation "
-                f"{self._gen} ({_PS_ROUNDS_PER_GEN} per generation)"
-            )
-        slot = self._gen * _PS_ROUNDS_PER_GEN + round_no
-        self._monitor.beat(self.rank)
-        with trace_span("agree", rank=self.rank, round=round_no):
-            with self._monitor.phase("agree", self.rank):
-                return self._root.state.agree_wait(
-                    slot,
-                    self.rank,
-                    int(bitmap),
-                    nranks=self.size,
-                    absent=self._monitor.absent_ranks,
-                    poll=self._progress_recovery,
-                    timeout=self._root.timeout,
-                )
-
-    def shrink(self, survivors: tuple[int, ...] | None = None) -> "ProcComm":
-        """Build a working communicator over the survivors
-        (``MPIX_Comm_shrink``).
-
-        No re-fork: the survivor world reuses the existing rings and
-        window locks with a dense rank remapping, one generation up —
-        its traffic is tag-isolated from everything that came before.
-        """
-        if survivors is None:
-            survivors = bitmap_ranks(self.agree(), self.size)
-        survivors = tuple(sorted(survivors))
-        if self.rank not in survivors:
-            raise CommunicatorError(
-                f"rank {self.rank} cannot shrink onto survivors {survivors} "
-                "(it is not one of them)"
-            )
-        with trace_span("shrink", rank=self.rank, survivors=len(survivors)):
-            with self._monitor.phase("shrink", self.rank):
-                members = tuple(self._members[r] for r in survivors)
-                new_gen = self._gen + 1
-                self._root.state.bump_gen(new_gen)
-                new_world = self._root.shrunk_world(members, new_gen)
-                new_comm = ProcComm(new_world, survivors.index(self.rank))
-                new_comm._monitor.beat(new_comm.rank)
-                self._hand_over(new_comm)
-                return new_comm
-
-    def failure_report(self, **kwargs: Any) -> FailureReport:
-        """Snapshot the watchdog's view of this world (see FailureReport)."""
-        return self._monitor.build_report(**kwargs)
-
-    # -- one sided -----------------------------------------------------------------------
-
-    def win_create(self, nbytes: int) -> Window:
-        self._pre("win_create")
-        return self.world.create_window(self, nbytes)
-
-    # -- misc ----------------------------------------------------------------------------
-
-    def abort(self, msg: str = "user abort") -> None:
-        self._root._ctl.abort(f"rank {self._old_rank}: {msg}")
-        raise RuntimeAbort(msg)
-
-
-class _ShrunkProcWorld:
+class _ShrunkProcWorld(_ProcView):
     """Survivor view over a :class:`ProcessWorld`: same rings, window
     locks and control plane, dense rank numbering over ``members``, one
-    generation up.  Built by ``ProcComm.shrink`` (never directly); one
+    generation up.  Built by ``Comm.shrink`` (never directly); one
     instance per (members, generation) per process."""
 
-    def __init__(
-        self, root: ProcessWorld, members: tuple[int, ...], gen: int
-    ) -> None:
-        self.root = root
-        self.members = tuple(members)
-        self.gen = int(gen)
-        self.nranks = len(self.members)
-        self.timeout = root.timeout
+    def __init__(self, root: ProcessWorld, members: tuple[int, ...], gen: int) -> None:
+        super().__init__(len(members), root.timeout, root.suspect_after)
+        self.root, self.members, self.gen = root, members, gen
         self.uid = root.uid
-        self.suspect_after = root.suspect_after
-        #: Injected faults target generation 0 only: the episode is over.
-        self.injector = None
-        self.state = root.state
+        self._ctl = root._ctl
         self.rings = root.rings
         self.telemetry = root.telemetry
-        self.monitor = ProcMonitor(
-            root.state, self.members, suspect_after=root.suspect_after
-        )
+        #: Injected faults target generation 0 only: the episode is over.
+        self.injector = None
         self.store = root.store
         self.store_lock = root.store_lock
         self._win_counter = 0
         self._windows: dict[int, tuple[SharedMemory, bool]] = {}
-        self._local_pending = None  # unused: ProcComm resolves via root
-
-    # -- delegation ----------------------------------------------------------------------
-
-    def abort(self, reason: str, cause: BaseException | None = None) -> None:
-        self.root.abort(reason, cause)
-
-    def abort_reason(self) -> str | None:
-        return self.root.abort_reason()
-
-    def check_abort(self) -> None:
-        self.root.check_abort()
-
-    @property
-    def halted(self) -> bool:
-        return (
-            self.root.abort_reason() is not None
-            or self.state.revoked_reason(self.gen) is not None
-        )
-
-    def revoke(self, reason: str) -> None:
-        self.state.revoke(reason, self.gen)
-
-    @property
-    def revoked(self) -> str | None:
-        return self.state.revoked_reason(self.gen)
-
-    def shrunk_world(self, members: tuple[int, ...], gen: int) -> "_ShrunkProcWorld":
-        return self.root.shrunk_world(members, gen)
-
-    # -- collective window creation --------------------------------------------------------
-
-    def create_window(self, comm: "ProcComm", nbytes: int) -> Window:
-        """Same protocol as the root world's, with a generation-scoped
-        arena name and the survivor subset of the fork-shared locks."""
-        win_id = self._win_counter
-        self._win_counter += 1
-        sizes = comm.allgather(max(0, int(nbytes)))
-        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        total = int(offsets[-1])
-        name = f"{self.uid}wg{self.gen}x{win_id}"
-        if comm.rank == 0:
-            shm = SharedMemory(name=name, create=True, size=max(1, total))
-            comm.barrier()
-        else:
-            comm.barrier()  # arena exists after this
-            shm = SharedMemory(name=name, create=False)
-        base = np.frombuffer(shm.buf, dtype=np.uint8, count=total)
-        buffers = [
-            base[int(offsets[r]) : int(offsets[r]) + sizes[r]]
-            for r in range(self.nranks)
-        ]
-        self._windows[win_id] = (shm, comm.rank == 0)
-        comm.barrier()  # every rank attached before any put flies
-        locks = [self.root._win_locks[g] for g in self.members]
-        return Window(self, comm, buffers, locks, win_id=win_id)
-
-    def release_window(self, win_id: int) -> None:
-        entry = self._windows.pop(win_id, None)
-        if entry is None:
-            return
-        shm, creator = entry
-        quiet_close(shm)
-        if creator:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
+        self._watch(root.state)
 
 
 def run_spmd_proc(

@@ -53,7 +53,6 @@ __all__ = [
     "ShmRecord",
     "ShmRing",
     "WorldControl",
-    "ProcState",
     "pid_alive",
     "sweep_segments",
 ]
@@ -403,7 +402,8 @@ class WorldControl:
 
         A timed-out participant marks the barrier *broken* (so peers do
         not serve out their full deadlines independently) and raises
-        :class:`CommunicatorError` — the same surface the thread
+        :class:`StallError`; the peers it leaves behind get a "barrier
+        broken" :class:`CommunicatorError` — the same surface the thread
         runtime's revocable barrier presents.  Aborts win over broken.
         """
         start = time.monotonic()
@@ -431,11 +431,13 @@ class WorldControl:
                     if deadline is not None and now >= deadline:
                         self._words[self._BROKEN] = 1
                         self.cond.notify_all()
-                        raise CommunicatorError(
+                        raise StallError(
                             f"barrier broken (rank timed out after {now - start:.3f}s)"
                         )
                     wait_t = quantum if deadline is None else min(quantum, deadline - now)
                     self.cond.wait(timeout=wait_t)
+                    if int(self._words[self._GEN]) != generation:
+                        return  # released: the wake-up path runs no poll
                 if poll is not None:
                     poll()
         except BaseException:
@@ -488,363 +490,6 @@ def pid_alive(pid: int) -> bool:
         return True
 
 
-#: One recorded rank failure: rank, detected_at s, last_beat_age s,
-#: kind, classification, detail.
-_FAIL_REC = struct.Struct("<qdd16s16s96s")
-#: One recovery-phase span: rank, t0 s, t1 s, phase name.
-_SPAN_REC = struct.Struct("<qdd16s")
-
-_PS_MAX_FAILURES = 32
-_PS_MAX_SPANS = 512
-#: Agreement slots; each shrink generation owns a block of
-#: :data:`_PS_ROUNDS_PER_GEN` consecutive slots.
-_PS_MAX_ROUNDS = 128
-_PS_ROUNDS_PER_GEN = 16
-
-
-class ProcState:
-    """Cross-process resilience state: the ULFM control plane in one segment.
-
-    The process-runtime analogue of the thread runtime's
-    ``HeartbeatMonitor`` + ``AgreementSpace`` + revocation flag, laid
-    out in shared memory so it survives the death of any rank process
-    and is readable by the parent and every sibling:
-
-    * per-rank liveness: pid, beacon timestamp (machine-wide monotonic
-      ns), and a *done* flag exempting cleanly-finished ranks from
-      suspicion;
-    * the failure registry: fixed-size records (first declaration per
-      rank wins) mirroring :class:`repro.resilience.monitor.RankFailure`;
-    * generational revocation: unlike the world-fatal abort flag, a
-      revoked world stays usable for recovery, and a revocation is
-      scoped to a shrink *generation* — survivors that shrank past it
-      keep communicating;
-    * the agreement arena: per-round contribution bitmaps decided by a
-      pessimistic AND (the ``MPIX_Comm_agree`` analogue), with the
-      expected contributor set re-read every quantum so mid-round
-      deaths cannot wedge a decision;
-    * the recovery timeline: detect/agree/shrink/restart phase spans,
-      appended by whichever process observed them, so any process can
-      assemble the complete ``FailureReport``.
-
-    All mutation happens under one fork-shared condition; beacons are
-    single-writer i64 stores and go lockless.
-    """
-
-    _REVOKED, _REASON_LEN, _REVOKE_GEN, _CUR_GEN, _N_FAIL, _N_SPAN, _T0_LO, _STARTED = range(8)
-    _HDR_WORDS = 16
-    _REASON_CAP = 1024
-
-    def __init__(self, name: str, nranks: int, ctx) -> None:
-        if nranks > 62:
-            raise CommunicatorError(
-                f"ProcState agreement bitmaps support at most 62 ranks, got {nranks}"
-            )
-        self.name = name
-        self.nranks = int(nranks)
-        self._hdr_off = 0
-        self._reason_off = self._HDR_WORDS * 8
-        self._rank_off = self._reason_off + self._REASON_CAP
-        self._fail_off = self._rank_off + 3 * 8 * self.nranks
-        self._span_off = self._fail_off + _PS_MAX_FAILURES * _FAIL_REC.size
-        self._agree_off = self._span_off + _PS_MAX_SPANS * _SPAN_REC.size
-        self._round_words = 3 + self.nranks
-        size = self._agree_off + _PS_MAX_ROUNDS * self._round_words * 8
-        self.shm = SharedMemory(name=name, create=True, size=size)
-        self.lock = ctx.Lock()
-        self.cond = ctx.Condition(self.lock)
-        self._words = np.frombuffer(self.shm.buf, dtype=np.int64, count=self._HDR_WORDS)
-        # rank rows: [beacon_ns, pid, flags] (flags bit 0 = done)
-        self._ranks = np.frombuffer(
-            self.shm.buf, dtype=np.int64, count=3 * self.nranks, offset=self._rank_off
-        ).reshape(self.nranks, 3)
-        self._agree = np.frombuffer(
-            self.shm.buf,
-            dtype=np.int64,
-            count=_PS_MAX_ROUNDS * self._round_words,
-            offset=self._agree_off,
-        ).reshape(_PS_MAX_ROUNDS, self._round_words)
-        self._words[self._T0_LO] = clock_ns()
-
-    # -- clock ------------------------------------------------------------------------
-
-    def now(self) -> float:
-        """Seconds since state creation (shared across all processes)."""
-        return (clock_ns() - int(self._words[self._T0_LO])) / 1e9
-
-    # -- liveness ----------------------------------------------------------------------
-
-    def start(self) -> None:
-        """Arm the watchdog: reset every beacon to *now*."""
-        now_ns = clock_ns()
-        with self.cond:
-            for r in range(self.nranks):
-                self._ranks[r, 0] = now_ns
-            self._words[self._STARTED] = 1
-
-    @property
-    def started(self) -> bool:
-        return bool(self._words[self._STARTED])
-
-    def beacon(self, rank: int) -> None:
-        self._ranks[rank, 0] = clock_ns()
-
-    def beacon_age(self, rank: int) -> float:
-        return (clock_ns() - int(self._ranks[rank, 0])) / 1e9
-
-    def set_pid(self, rank: int, pid: int) -> None:
-        self._ranks[rank, 1] = int(pid)
-
-    def pid(self, rank: int) -> int:
-        return int(self._ranks[rank, 1])
-
-    def mark_done(self, rank: int) -> None:
-        with self.cond:
-            self._ranks[rank, 2] |= 1
-
-    def is_done(self, rank: int) -> bool:
-        return bool(int(self._ranks[rank, 2]) & 1)
-
-    # -- failure registry ---------------------------------------------------------------
-
-    def record_failure(
-        self,
-        rank: int,
-        kind: str,
-        classification: str,
-        detail: str,
-        detected_at: float,
-        last_beat_age: float,
-    ) -> bool:
-        """Append a failure record; idempotent per rank (first wins).
-
-        Returns True when this call created the record.
-        """
-        rec = _FAIL_REC.pack(
-            rank,
-            detected_at,
-            last_beat_age,
-            kind.encode("utf-8", "replace")[:16],
-            classification.encode("utf-8", "replace")[:16],
-            detail.encode("utf-8", "replace")[:96],
-        )
-        with self.cond:
-            n = int(self._words[self._N_FAIL])
-            for i in range(n):
-                off = self._fail_off + i * _FAIL_REC.size
-                if _FAIL_REC.unpack_from(self.shm.buf, off)[0] == rank:
-                    return False
-            if n >= _PS_MAX_FAILURES:  # pragma: no cover - registry overflow
-                return False
-            self.shm.buf[
-                self._fail_off + n * _FAIL_REC.size : self._fail_off + (n + 1) * _FAIL_REC.size
-            ] = rec
-            self._words[self._N_FAIL] = n + 1
-            self.cond.notify_all()
-            return True
-
-    def failures(self) -> list[tuple[int, str, str, str, float, float]]:
-        """Recorded failures as (rank, kind, classification, detail, at, age)."""
-        out = []
-        with self.cond:
-            n = int(self._words[self._N_FAIL])
-            for i in range(n):
-                off = self._fail_off + i * _FAIL_REC.size
-                rank, at, age, kind_b, cls_b, det_b = _FAIL_REC.unpack_from(self.shm.buf, off)
-                out.append(
-                    (
-                        int(rank),
-                        kind_b.rstrip(b"\x00").decode("utf-8", "replace"),
-                        cls_b.rstrip(b"\x00").decode("utf-8", "replace"),
-                        det_b.rstrip(b"\x00").decode("utf-8", "replace"),
-                        float(at),
-                        float(age),
-                    )
-                )
-        return sorted(out)
-
-    def failed_ranks(self) -> frozenset[int]:
-        out = set()
-        with self.cond:
-            n = int(self._words[self._N_FAIL])
-            for i in range(n):
-                off = self._fail_off + i * _FAIL_REC.size
-                out.add(int(_FAIL_REC.unpack_from(self.shm.buf, off)[0]))
-        return frozenset(out)
-
-    # -- generational revocation ---------------------------------------------------------
-
-    def revoke(self, reason: str, gen: int) -> None:
-        """Revoke every communicator at generation ``<= gen``.
-
-        A later revocation at a *higher* generation (a second failure
-        after a shrink) replaces the reason; same-generation revocations
-        keep the first reason, mirroring the thread runtime.
-        """
-        encoded = reason.encode("utf-8", "replace")[: self._REASON_CAP]
-        with self.cond:
-            newer = gen > int(self._words[self._REVOKE_GEN])
-            if not self._words[self._REVOKED] or newer:
-                buf = np.frombuffer(
-                    self.shm.buf, dtype=np.uint8, count=self._REASON_CAP, offset=self._reason_off
-                )
-                buf[: len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
-                self._words[self._REASON_LEN] = len(encoded)
-            self._words[self._REVOKE_GEN] = max(int(self._words[self._REVOKE_GEN]), gen)
-            self._words[self._REVOKED] = 1
-            self.cond.notify_all()
-
-    def revoked_reason(self, gen: int = 0) -> str | None:
-        """The revocation reason applying to generation ``gen`` (or None)."""
-        if not int(self._words[self._REVOKED]) or int(self._words[self._REVOKE_GEN]) < gen:
-            return None
-        n = int(self._words[self._REASON_LEN])
-        return bytes(self.shm.buf[self._reason_off : self._reason_off + n]).decode(
-            "utf-8", "replace"
-        )
-
-    def bump_gen(self, gen: int) -> None:
-        with self.cond:
-            self._words[self._CUR_GEN] = max(int(self._words[self._CUR_GEN]), gen)
-
-    def cur_gen(self) -> int:
-        return int(self._words[self._CUR_GEN])
-
-    # -- recovery timeline ---------------------------------------------------------------
-
-    def add_span(self, name: str, rank: int, t0: float, t1: float) -> None:
-        rec = _SPAN_REC.pack(rank, t0, t1, name.encode("utf-8", "replace")[:16])
-        with self.cond:
-            n = int(self._words[self._N_SPAN])
-            if n >= _PS_MAX_SPANS:  # pragma: no cover - timeline overflow
-                return
-            off = self._span_off + n * _SPAN_REC.size
-            self.shm.buf[off : off + _SPAN_REC.size] = rec
-            self._words[self._N_SPAN] = n + 1
-
-    def spans(self) -> list[tuple[str, int, float, float]]:
-        out = []
-        with self.cond:
-            n = int(self._words[self._N_SPAN])
-            for i in range(n):
-                off = self._span_off + i * _SPAN_REC.size
-                rank, t0, t1, name_b = _SPAN_REC.unpack_from(self.shm.buf, off)
-                out.append(
-                    (name_b.rstrip(b"\x00").decode("utf-8", "replace"), int(rank), float(t0), float(t1))
-                )
-        return out
-
-    # -- agreement (MPIX_Comm_agree analogue) --------------------------------------------
-
-    def agree_wait(
-        self,
-        slot: int,
-        rank: int,
-        bitmap: int,
-        *,
-        nranks: int,
-        absent,
-        poll: Callable[[], None] | None = None,
-        timeout: float | None = None,
-        quantum: float = WAIT_QUANTUM,
-    ) -> int:
-        """Contribute ``bitmap`` to round ``slot`` and block for the decision.
-
-        Same contract as :meth:`repro.resilience.agreement.AgreementSpace.agree`
-        but over shared memory: ``nranks`` is the caller communicator's
-        size (ranks and bitmap bits use its dense numbering), ``absent``
-        is a zero-argument callable returning the ranks that will never
-        contribute (dead or cleanly done) — re-read every quantum so
-        deaths mid-round shrink the expected set.  The first process to
-        observe a complete round freezes the decision: the AND of the
-        expected contributions, with absent ranks' bits masked out.
-        """
-        if not 0 <= slot < _PS_MAX_ROUNDS:
-            raise CommunicatorError(f"agreement slot {slot} out of range [0, {_PS_MAX_ROUNDS})")
-        row = self._agree[slot]
-        deadline = None if timeout is None else time.monotonic() + timeout
-        start = time.monotonic()
-        with self.cond:
-            row[3 + rank] = int(bitmap)
-            row[2] |= 1 << rank
-            self.cond.notify_all()
-        while True:
-            gone = frozenset(absent())
-            exp = tuple(r for r in range(nranks) if r not in gone)
-            with self.cond:
-                if row[0]:
-                    return int(row[1])
-                mask = int(row[2])
-                if exp and all(mask >> r & 1 for r in exp):
-                    value = ~0
-                    for r in exp:
-                        value &= int(row[3 + r])
-                    for r in gone:
-                        value &= ~(1 << r)
-                    row[1] = value & ((1 << nranks) - 1)
-                    row[0] = 1
-                    self.cond.notify_all()
-                    return int(row[1])
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    have = [r for r in range(nranks) if mask >> r & 1]
-                    raise CommunicatorError(
-                        f"rank {rank}: agreement round {slot} timed out after "
-                        f"{now - start:.3f}s (have {have}, waiting on "
-                        f"{[r for r in exp if r not in have]}, absent {sorted(gone)})"
-                    )
-                wait_t = quantum if deadline is None else min(quantum, deadline - now)
-                self.cond.wait(timeout=wait_t)
-            # Outside the lock: beacon + watchdog scan, so a contributor
-            # dying mid-round is declared and drops out of the expected set.
-            if poll is not None:
-                poll()
-
-    # -- lifecycle -----------------------------------------------------------------------
-
-    def _rebuild_views(self) -> None:
-        self._words = np.frombuffer(self.shm.buf, dtype=np.int64, count=self._HDR_WORDS)
-        self._ranks = np.frombuffer(
-            self.shm.buf, dtype=np.int64, count=3 * self.nranks, offset=self._rank_off
-        ).reshape(self.nranks, 3)
-        self._agree = np.frombuffer(
-            self.shm.buf,
-            dtype=np.int64,
-            count=_PS_MAX_ROUNDS * self._round_words,
-            offset=self._agree_off,
-        ).reshape(_PS_MAX_ROUNDS, self._round_words)
-
-    def detach(self) -> None:
-        """Swap the mapping for a process-local snapshot and close it.
-
-        The parent interprets the run (failure registry, recovery
-        timeline) *after* the segments are unlinked; freezing a copy
-        keeps every read method working post-mortem."""
-        if isinstance(self.shm, _FrozenSeg):
-            return
-        snapshot = bytearray(self.shm.buf)
-        old = self.shm
-        self.shm = _FrozenSeg(snapshot)
-        self._rebuild_views()
-        quiet_close(old)
-
-    def destroy(self) -> None:
-        old = self.shm if not isinstance(self.shm, _FrozenSeg) else None
-        self.detach()
-        if old is not None:
-            try:
-                old.unlink()
-            except FileNotFoundError:
-                pass
-
-
-class _FrozenSeg:
-    """Stand-in for an unlinked ProcState segment: a local byte copy."""
-
-    def __init__(self, buf: bytearray) -> None:
-        self.buf = buf
-
-
 def sweep_segments(uid: str) -> list[str]:
     """Unlink every leftover ``/dev/shm`` segment of world ``uid``.
 
@@ -875,15 +520,6 @@ def fork_available() -> bool:
     import multiprocessing as mp
 
     return "fork" in mp.get_all_start_methods()
-
-
-def clock_ns() -> int:
-    """Cross-process-comparable monotonic nanoseconds.
-
-    ``time.perf_counter_ns`` is CLOCK_MONOTONIC on Linux — machine-wide,
-    not per-process — so child spans merge onto the parent timeline.
-    """
-    return time.perf_counter_ns()
 
 
 def any_to_describe(source: int, tag: int) -> str:

@@ -13,24 +13,20 @@ Usage::
 
     results = run_spmd(4, kernel, 1024)   # list of per-rank returns
 
-Failure model (``repro.resilience``): every transport operation beacons
-the rank's liveness to a :class:`~repro.resilience.monitor.HeartbeatMonitor`
-and consults the fault injector for ``kill``/``hang`` process faults.
-Blocked operations (recv, barrier, fences) wait in quanta and run the
-watchdog each quantum, so a dead or wedged peer is detected, classified
-(straggler / dead / deadlock) and broadcast as a *revocation* — every
-blocked rank wakes with :class:`~repro.errors.RevokedError` within one
-quantum instead of timing out independently.  Survivors then run the
-ULFM-style recovery sequence: :meth:`ThreadComm.agree` for a consistent
-liveness view, :meth:`ThreadComm.shrink` for a working communicator over
-the survivors.
+Failure model: the one both runtimes share (:mod:`repro.runtime.base`,
+:mod:`repro.resilience.monitor`), over a private
+:class:`~repro.resilience.monitor.ControlState` — no ``/dev/shm`` entry,
+no ``multiprocessing`` primitive.  What is the thread runtime's own: a
+rank is *gone* when its thread has exited; an injected ``kill`` unwinds
+the victim's thread with :class:`~repro.errors.RankKilledError` after
+recording the death; a survivor world is a fresh set of mailboxes and a
+fresh barrier, one generation up over the same control state.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from contextlib import nullcontext
 from typing import Any, Callable
 
 import numpy as np
@@ -40,33 +36,20 @@ from repro.errors import (
     RankFailureError,
     RankHungError,
     RankKilledError,
-    RevokedError,
     RuntimeAbort,
-    StallError,
 )
 from repro.faults import FaultInjector, FaultPlan
-from repro.resilience.agreement import AgreementSpace, bitmap_ranks
-from repro.resilience.monitor import FailureReport, HeartbeatMonitor, RevocableBarrier
-from repro.runtime.base import ANY_SOURCE, ANY_TAG, Comm, Request
+from repro.resilience.monitor import ControlState, FailureReport, RevocableBarrier
+from repro.runtime.base import DEFAULT_TIMEOUT, Comm, World
 from repro.runtime.mailbox import Envelope, Mailbox
 from repro.runtime.window import Window
 from repro.telemetry.blackbox import emit_blackbox
 from repro.trace import bind_rank as trace_bind_rank
-from repro.trace import get_tracer as trace_get_tracer
-from repro.trace import span as trace_span
 
 __all__ = ["ThreadWorld", "ThreadComm", "run_spmd"]
 
-#: Default blocking-op timeout — generous, but converts deadlocks into errors.
-DEFAULT_TIMEOUT = 120.0
 
-#: Fraction of the blocking-op timeout after which a silent rank is
-#: declared dead.  Detection must land *well before* peers would have
-#: timed out on their own (and far under the 2x join deadline).
-SUSPECT_FRACTION = 0.25
-
-
-class ThreadWorld:
+class ThreadWorld(World):
     """Shared state of one SPMD execution (mailboxes, barrier, windows).
 
     Pass ``faults`` (a :class:`~repro.faults.FaultPlan` or a prebuilt
@@ -74,7 +57,17 @@ class ThreadWorld:
     deterministic fault injection; ``None`` (the default) leaves every
     transport hook a no-op.  ``suspect_after`` overrides the watchdog's
     silence threshold (default: ``SUSPECT_FRACTION * timeout``).
+
+    A ThreadWorld is multi-shot.  Each :meth:`run` is a new epoch of the
+    control state: beacons, done flags, blocked rows and the agreement
+    arena start afresh, and so do the survivor worlds.  What a run
+    *concluded* carries over on purpose — the failure registry, the
+    revoke word, the recovery timeline: a world revoked in one run
+    answers :class:`~repro.errors.RevokedError` at the first operation
+    of the next, as ULFM keeps a revoked communicator revoked.
     """
+
+    runtime_label = "thread"
 
     def __init__(
         self,
@@ -84,10 +77,7 @@ class ThreadWorld:
         faults: FaultPlan | FaultInjector | None = None,
         suspect_after: float | None = None,
     ) -> None:
-        if nranks < 1:
-            raise CommunicatorError(f"nranks must be >= 1, got {nranks}")
-        self.nranks = nranks
-        self.timeout = timeout
+        super().__init__(nranks, timeout, suspect_after)
         self.mailboxes = [Mailbox(r) for r in range(nranks)]
         self._barrier = RevocableBarrier(nranks)
         self._win_lock = threading.Lock()
@@ -99,178 +89,46 @@ class ThreadWorld:
             self.injector = faults
         else:
             self.injector = FaultInjector(faults)
-        if suspect_after is None:
-            suspect_after = max(0.05, SUSPECT_FRACTION * timeout)
-        self.monitor = HeartbeatMonitor(nranks, suspect_after=suspect_after)
-        self.agreement = AgreementSpace(nranks)
-        self._revoke_lock = threading.Lock()
-        self._revoked: str | None = None
-        self._hang_release = threading.Event()
-        self._shrink_lock = threading.Lock()
-        # Keyed on (survivor set, run epoch): a ThreadWorld is multi-shot,
-        # and a failure episode in a later run() must not resurrect the
-        # shrunk world (stale mailboxes, finished monitor) of an earlier
-        # run that happened to lose the same ranks.
-        self._shrunk: dict[tuple[tuple[int, ...], int], "ThreadWorld"] = {}
-        self._epoch = 0
-        self._detect_traced: set[int] = set()
+        #: Original rank -> its thread of the current run (shared with
+        #: the survivor worlds: the watchdog asks it who is gone).
+        self._threads: dict[int, threading.Thread] = {}
+        self._watch(ControlState(nranks))
         #: World-shared key/value store surviving rank death (see
         #: repro.resilience.checkpoint — the "burst buffer").
         self.store: dict[Any, Any] = {}
         self.store_lock = threading.Lock()
 
+    def _gone(self, rank: int) -> str | None:
+        thread = self._threads.get(rank)
+        if thread is None or thread.ident is None or thread.is_alive():
+            return None
+        return "thread exited without unwinding"
+
+    def _blackbox(self, report: FailureReport) -> dict[str, Any]:
+        return emit_blackbox(
+            f"thread-world rank failure: {report.summary()}", failure_report=report
+        )
+
     # -- abort handling ----------------------------------------------------------
 
     def abort(self, reason: str, cause: BaseException | None = None) -> None:
         """Poison every blocking primitive so all ranks unwind promptly."""
-        if self._abort_reason is None:
-            self._abort_reason = reason
-            self._abort_cause = cause
-        self._barrier.abort()
-        self._hang_release.set()
-        for mb in self.mailboxes:
-            mb.abort(reason, cause)
+        root = self.root
+        if root._abort_reason is None:
+            root._abort_reason = reason
+            root._abort_cause = cause
+        for world in (root, *root._shrunk.values()):
+            world._barrier.abort()
+            for mb in world.mailboxes:
+                mb.abort(reason, cause)
+
+    def abort_reason(self) -> str | None:
+        return self.root._abort_reason
 
     def check_abort(self) -> None:
-        if self._abort_reason is not None:
-            if self._abort_cause is not None:
-                raise RuntimeAbort(self._abort_reason) from self._abort_cause
-            raise RuntimeAbort(self._abort_reason)
-
-    # -- failure detection & revocation --------------------------------------------
-
-    @property
-    def halted(self) -> bool:
-        """True once the world is aborted or revoked (no new collectives)."""
-        return self._abort_reason is not None or self._revoked is not None
-
-    def revoke(self, reason: str) -> None:
-        """ULFM-style revocation: wake every blocked rank promptly.
-
-        Unlike :meth:`abort`, the world stays *usable for recovery*:
-        mailboxes are kicked, not poisoned, and :meth:`ThreadComm.agree`
-        / :meth:`ThreadComm.shrink` keep working.  Idempotent; the first
-        reason wins.
-        """
-        with self._revoke_lock:
-            if self._revoked is None:
-                self._revoked = reason
-        self._hang_release.set()
-        self._barrier.abort()
-        for mb in self.mailboxes:
-            mb.kick()
-
-    @property
-    def revoked(self) -> str | None:
-        return self._revoked
-
-    def check_revoked(self) -> None:
-        if self._revoked is not None:
-            raise RevokedError(
-                f"communicator revoked: {self._revoked}",
-                report=self.monitor.build_report(detail=self._revoked),
-            )
-
-    def _trace_detect(self, failure: Any) -> None:
-        """Record the detection window (last beacon -> verdict) as a span.
-
-        The interval is only known in hindsight, so it goes through
-        :meth:`Tracer.record_span` rather than a context manager; deduped
-        per rank since declarations are idempotent.
-        """
-        with self._revoke_lock:
-            if failure.rank in self._detect_traced:
-                return
-            self._detect_traced.add(failure.rank)
-        tracer = trace_get_tracer()
-        if tracer is not None:
-            tracer.record_span(
-                "detect",
-                failure.rank,
-                duration_ns=int(failure.last_beat_age * 1e9),
-                failure_kind=failure.kind,
-                classification=failure.classification,
-            )
-
-    def declare_failed(self, rank: int, kind: str, detail: str = "") -> None:
-        """Record a rank death and revoke the world so peers wake."""
-        failure = self.monitor.declare_failed(rank, kind, detail)
-        self._trace_detect(failure)
-        self.revoke(
-            f"rank {rank} {kind} ({failure.classification})"
-            + (f": {detail}" if detail else "")
-        )
-
-    def poll_rank(self, rank: int, *, recovery: bool = False) -> None:
-        """Per-quantum callback for rank ``rank``'s blocked waits.
-
-        Beacons liveness, runs the watchdog (newly detected deaths
-        revoke the world), then surfaces abort/revocation — except in
-        ``recovery`` mode, where agree/shrink must keep progressing on a
-        revoked world.
-        """
-        self.monitor.beat(rank)
-        for failure in self.monitor.poll():
-            self._trace_detect(failure)
-            self.revoke(
-                f"rank {failure.rank} declared {failure.classification} "
-                f"({failure.kind}): {failure.detail}"
-            )
-        if not recovery:
-            self.check_abort()
-            self.check_revoked()
-
-    # -- process-fault endpoints (called on the victim's own thread) ------------------
-
-    def kill_rank(self, rank: int, op: str) -> None:
-        """Terminate ``rank`` now: record the death, revoke, unwind."""
-        failure = self.monitor.declare_failed(
-            rank, "kill", f"injected kill at {op}", classification="dead"
-        )
-        self._trace_detect(failure)
-        self.revoke(f"rank {rank} killed at {op}")
-        raise RankKilledError(
-            f"rank {rank} killed by fault injection at {op}",
-            report=self.monitor.build_report(),
-        )
-
-    def hang_rank(self, rank: int, op: str) -> None:
-        """Wedge ``rank``: stop beaconing and park until peers revoke.
-
-        The thread makes no progress and sends no beacons, so the
-        watchdog running on *blocked peers* declares it dead (silence >
-        ``suspect_after``, classification ``deadlock``) and revokes the
-        world — which sets the release event and lets the wedged thread
-        unwind with :class:`RankHungError`.
-        """
-        released = self._hang_release.wait(timeout=self.timeout * 2)
-        detail = f"injected hang at {op}"
-        if not released:
-            detail += " (never detected: no peer polled the watchdog)"
-        self._trace_detect(self.monitor.declare_failed(rank, "hang", detail))
-        raise RankHungError(
-            f"rank {rank} wedged by fault injection at {op}",
-            report=self.monitor.build_report(),
-        )
-
-    # -- barrier ---------------------------------------------------------------------
-
-    def barrier_wait(self, rank: int | None = None) -> None:
-        self.check_abort()
-        self.check_revoked()
-        poll = None if rank is None else (lambda: self.poll_rank(rank))
-        blocked = (
-            nullcontext() if rank is None else self.monitor.blocked(rank, "barrier")
-        )
-        with blocked:
-            try:
-                self._barrier.wait(timeout=self.timeout, poll=poll)
-            except threading.BrokenBarrierError:
-                self.check_abort()
-                self.check_revoked()
-                raise CommunicatorError(
-                    "barrier broken (timeout or aborted peer)"
-                ) from None
+        root = self.root
+        if root._abort_reason is not None:
+            raise RuntimeAbort(root._abort_reason) from root._abort_cause
 
     # -- collective window creation ------------------------------------------------
 
@@ -282,7 +140,7 @@ class ThreadWorld:
             self._win_counter[rank] = win_id + 1
             slot = self._win_registry.setdefault(win_id, [None] * self.nranks)
             slot[rank] = np.zeros(max(0, int(nbytes)), dtype=np.uint8)
-        self.barrier_wait(rank)  # all contributions visible
+        comm._sync()  # all contributions visible
         with self._win_lock:
             entry = self._win_registry[win_id]
             buffers = list(entry)
@@ -307,39 +165,17 @@ class ThreadWorld:
 
     # -- shrink (ULFM MPIX_Comm_shrink analogue) --------------------------------------
 
-    def shrunk_world(self, survivors: tuple[int, ...]) -> "ThreadWorld":
-        """The (cached) replacement world over ``survivors``.
-
-        Every survivor asking for the same tuple *within one run* gets
-        the *same* world — fresh mailboxes, a barrier sized to the
-        survivor count, no fault plan (the injected episode is over),
-        and an armed monitor.  The cache key includes the run epoch so
-        a repeat failure episode in a later ``run()`` builds a fresh
-        world instead of reusing one with stale state.
-        """
-        with self._shrink_lock:
-            key = (survivors, self._epoch)
-            world = self._shrunk.get(key)
-            if world is None:
-                world = ThreadWorld(len(survivors), timeout=self.timeout, faults=None)
-                world.monitor.start()
-                # Survivors share the parent's burst-buffer store so
-                # checkpoints written before the failure stay reachable.
-                world.store = self.store
-                world.store_lock = self.store_lock
-                self._shrunk[key] = world
-            return world
-
-    def mark_rank_done(self, rank: int) -> None:
-        """Exempt ``rank`` from the watchdog in this world and any shrunk
-        descendants it survived into (its thread is about to exit; that
-        must not read as a crash to peers still finishing)."""
-        self.monitor.mark_done(rank)
-        with self._shrink_lock:
-            shrunk = list(self._shrunk.items())
-        for (survivors, _epoch), world in shrunk:
-            if rank in survivors:
-                world.mark_rank_done(survivors.index(rank))
+    def _survivor_world(self, members: tuple[int, ...], gen: int) -> "ThreadWorld":
+        """Fresh mailboxes and a barrier sized to the survivor count, no
+        fault plan (the injected episode is over), over this world's
+        control state, threads and burst-buffer store — checkpoints
+        written before the failure stay reachable."""
+        world = ThreadWorld(len(members), timeout=self.timeout, suspect_after=self.suspect_after)
+        world.root, world.members, world.gen = self, members, gen
+        world._threads = self._threads
+        world._watch(self.state)
+        world.store, world.store_lock = self.store, self.store_lock
+        return world
 
     # -- execution -------------------------------------------------------------------
 
@@ -358,12 +194,9 @@ class ThreadWorld:
         results: list[Any] = [None] * self.nranks
         errors: list[tuple[int, BaseException]] = []
         err_lock = threading.Lock()
-        self._epoch += 1  # new run = new shrink-cache generation
-        self.monitor.start()
 
         def body(rank: int) -> None:
             comm = ThreadComm(self, rank)
-            self.monitor.register_thread(rank, threading.current_thread())
             trace_bind_rank(rank)  # spans on this thread attribute to its rank
             try:
                 results[rank] = fn(comm, *args, **kwargs)
@@ -380,7 +213,7 @@ class ThreadWorld:
                 # purpose — the watchdog must not read the exit (or the
                 # ensuing beacon silence) as a crash.  Injected deaths
                 # are already in the failure registry and keep priority.
-                self.mark_rank_done(rank)
+                self.monitor.mark_done(rank)
                 # Whatever the kernel cached on its communicator (a plan's
                 # window) must not outlive the run in this world's registry.
                 comm.release()
@@ -389,6 +222,13 @@ class ThreadWorld:
             threading.Thread(target=body, args=(r,), name=f"spmd-rank-{r}", daemon=True)
             for r in range(self.nranks)
         ]
+        # A new epoch: the last run's survivor worlds retire, the
+        # watchdog learns the new threads (not yet started is not gone)
+        # and is armed before the first of them can scan.
+        self._shrunk.clear()
+        self._threads.clear()
+        self._threads.update(enumerate(threads))
+        self.monitor.start()
         for t in threads:
             t.start()
         for rank, t in enumerate(threads):
@@ -409,61 +249,27 @@ class ThreadWorld:
                     )
                     raise exc
         if errors:
-            # An aborting rank makes its peers unwind with RuntimeAbort /
-            # revocation / broken-barrier errors; surface the *root
-            # cause* instead of whichever echo happened to come from the
-            # lowest rank.
-            def is_echo(exc: BaseException) -> bool:
-                return isinstance(exc, (RuntimeAbort, RevokedError)) or (
-                    isinstance(exc, CommunicatorError) and "barrier broken" in str(exc)
-                )
-
-            originals = [(r, e) for r, e in errors if not is_echo(e)]
-            if not originals and self.monitor.failures():
-                # Every error is an echo of an injected rank death that
-                # nobody recovered from: report the failure structurally.
-                report = self.monitor.build_report(detail="no recovery attempted")
-                exc = RankFailureError(report.summary(), report=report)
-                exc.blackbox = emit_blackbox(  # type: ignore[attr-defined]
-                    f"thread-world rank failure: {report.summary()}",
-                    failure_report=report,
-                )
-                raise exc
-            rank, exc = sorted(originals or errors, key=lambda e: e[0])[0]
+            rank, exc = self._root_cause(errors)
             emit_blackbox(f"thread-world abort: rank {rank} raised {type(exc).__name__}")
             raise exc
         return results
 
 
 class ThreadComm(Comm):
-    """Per-thread communicator handle."""
+    """Per-thread communicator handle: mailbox transport."""
 
-    def __init__(self, world: ThreadWorld, rank: int) -> None:
-        self.world = world
-        self.rank = rank
-        self.size = world.nranks
+    world: ThreadWorld
 
-    # -- transport preamble ----------------------------------------------------------
-
-    def _pre(self, op: str, peer: int | None = None) -> None:
-        """Run before every transport operation: beacon, check, inject.
-
-        This is where process faults land: a matching ``kill`` rule
-        unwinds this rank immediately, a ``hang`` rule parks it (no
-        beacons, no progress) until the watchdog-driven revocation
-        releases it.
-        """
-        world = self.world
-        world.monitor.beat(self.rank)
-        world.check_abort()
-        world.check_revoked()
-        injector = world.injector
-        if injector is not None:
-            action = injector.fail_action(self.rank, op)
-            if action == "kill":
-                world.kill_rank(self.rank, op)
-            elif action == "hang":
-                world.hang_rank(self.rank, op)
+    def _kill_self(self, op: str) -> None:
+        """Injected ``kill``: record the death, revoke, unwind this thread."""
+        me = self._me
+        self._watchdog.declare_failed(
+            self.rank, "kill", f"injected kill at {op}", classification="dead"
+        )
+        self._state.revoke(f"rank {me} killed at {op}", self._gen)
+        raise RankKilledError(
+            f"rank {me} killed by fault injection at {op}", report=self.failure_report()
+        )
 
     # -- point to point -------------------------------------------------------------
 
@@ -485,146 +291,18 @@ class ThreadComm(Comm):
             return
         self.world.mailboxes[dest].post(Envelope(self.rank, tag, payload))
 
-    def _matched_recv(
-        self, source: int, tag: int, timeout: float | None
-    ) -> np.ndarray:
-        """Shared blocking-receive core for recv and irecv completion.
-
-        ``timeout=None`` means the world default (a caller-supplied
-        ``0`` is honoured as an immediate deadline, not swallowed).  A
-        deadline miss is re-raised as a :class:`StallError` carrying the
-        watchdog's classification of the awaited peer and the current
-        :class:`FailureReport`.
-        """
-        world = self.world
-        limit = world.timeout if timeout is None else timeout
-        peer = None if source == ANY_SOURCE else source
-        with world.monitor.blocked(self.rank, "recv", peer, tag):
-            try:
-                env = world.mailboxes[self.rank].match(
-                    source, tag, limit, poll=lambda: world.poll_rank(self.rank)
-                )
-            except StallError as exc:
-                exc.report = world.monitor.build_report(detail=str(exc))
-                if peer is not None:
-                    exc.classification = world.monitor.classify(peer)
-                raise
-        return env.payload
-
-    def recv(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        self._pre("recv", None if source == ANY_SOURCE else source)
-        return self._matched_recv(source, tag, timeout)
-
-    def isend(self, data: np.ndarray, dest: int, tag: int = 0) -> Request:
-        self.send(data, dest, tag)  # eager buffered: completes on post
-        return Request.completed()
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        if source != ANY_SOURCE:
-            self._check_rank(source)
-        self._pre("irecv", None if source == ANY_SOURCE else source)
-
-        def complete(timeout: float | None) -> np.ndarray:
-            # The caller's wait(timeout) is honoured verbatim — 0 is a
-            # valid immediate deadline, only None falls back to the
-            # world default (previously `timeout or world.timeout`
-            # silently discarded both).
-            return self._matched_recv(source, tag, timeout)
-
+    def _match(self, source: int, tag: int, limit: float) -> np.ndarray:
         mailbox = self.world.mailboxes[self.rank]
-        return Request(complete, probe=lambda: mailbox.peek(source, tag))
+        return mailbox.match(source, tag, limit, poll=self._progress).payload
 
-    # -- collectives ------------------------------------------------------------------
+    def _probe(self, source: int, tag: int) -> bool:
+        return self.world.mailboxes[self.rank].peek(source, tag)
 
-    def barrier(self) -> None:
-        self._pre("barrier")
-        self.world.barrier_wait(self.rank)
-
-    # -- one sided ---------------------------------------------------------------------
-
-    def win_create(self, nbytes: int) -> Window:
-        self._pre("win_create")
-        return self.world.create_window(self, nbytes)
-
-    # -- failure handling (ULFM analogues) -----------------------------------------------
-
-    def revoke(self, reason: str = "revoked by application") -> None:
-        """Revoke the communicator (``MPIX_Comm_revoke``)."""
-        self.world.revoke(f"rank {self.rank}: {reason}")
-        self.release()
-
-    def agree(self, bitmap: int | None = None) -> int:
-        """Fault-aware agreement on a liveness bitmap (``MPIX_Comm_agree``).
-
-        Contributes this rank's view (default: the watchdog's) and
-        returns the decided bitmap — identical on every survivor.
-        Usable on a revoked world; that is its purpose.
-        """
-        world = self.world
-        if bitmap is None:
-            bitmap = world.monitor.alive_bitmap()
-        round_no = world.agreement.next_round(self.rank)
-        with trace_span("agree", rank=self.rank, round=round_no):
-            with world.monitor.phase("agree", self.rank), world.monitor.blocked(
-                self.rank, "agree"
-            ):
-                return world.agreement.agree(
-                    self.rank,
-                    round_no,
-                    bitmap,
-                    dead_ranks=world.monitor.absent_ranks,
-                    poll=lambda: world.poll_rank(self.rank, recovery=True),
-                    timeout=world.timeout,
-                )
-
-    def shrink(self, survivors: tuple[int, ...] | None = None) -> "ThreadComm":
-        """Build a working communicator over the survivors (``MPIX_Comm_shrink``).
-
-        Without an explicit survivor set, runs :meth:`agree` first so
-        every caller shrinks to the *same* world.  Returns a new
-        :class:`ThreadComm` whose rank is this rank's index among the
-        survivors (ranks are dense again; ring permutations recompute
-        from the new size).
-        """
-        world = self.world
-        if survivors is None:
-            survivors = bitmap_ranks(self.agree(), self.size)
-        survivors = tuple(sorted(survivors))
-        if self.rank not in survivors:
-            raise CommunicatorError(
-                f"rank {self.rank} cannot shrink onto survivors {survivors} "
-                "(it is not one of them)"
-            )
-        with trace_span("shrink", rank=self.rank, survivors=len(survivors)):
-            with world.monitor.phase("shrink", self.rank):
-                new_world = world.shrunk_world(survivors)
-                new_rank = survivors.index(self.rank)
-                new_world.monitor.register_thread(new_rank, threading.current_thread())
-                new_world.monitor.beat(new_rank)
-                new_comm = ThreadComm(new_world, new_rank)
-                # Survivor map in *original-world* ranks (composes
-                # across repeated shrinks) — lets topology-aware layers
-                # keep node placement for the survivors.
-                new_comm._parent_ranks = tuple(self.parent_ranks[r] for r in survivors)
-                self._hand_over(new_comm)
-                return new_comm
-
-    def failure_report(self, **kwargs: Any) -> FailureReport:
-        """Snapshot the watchdog's view of this world (see FailureReport)."""
-        return self.world.monitor.build_report(**kwargs)
-
-    # -- misc ---------------------------------------------------------------------------
-
-    def abort(self, msg: str = "user abort") -> None:
-        self.world.abort(f"rank {self.rank}: {msg}")
-        raise RuntimeAbort(msg)
+    def _barrier_wait(self) -> None:
+        try:
+            self.world._barrier.wait(timeout=self.world.timeout, poll=self._progress)
+        except threading.BrokenBarrierError:
+            raise CommunicatorError("barrier broken (timeout or aborted peer)") from None
 
 
 def run_spmd(

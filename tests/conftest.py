@@ -33,6 +33,21 @@ def _no_runtime_leaks():
         assert not leaked, f"leaked shared-memory segments after session: {leaked}"
 
 
+@pytest.fixture
+def leak_check():
+    """The test must leave /dev/shm and the child table as it found them."""
+
+    def segments() -> list[str]:
+        return sorted(os.path.basename(p) for p in glob.glob(f"/dev/shm/{SEG_PREFIX}*"))
+
+    before = segments()
+    yield
+    for proc in mp.active_children():
+        proc.join(timeout=5.0)
+    assert segments() == before, "leaked shared-memory segments"
+    assert mp.active_children() == [], "leaked child processes"
+
+
 @pytest.fixture(autouse=True)
 def _seed_global_rngs(request) -> None:
     """Pin the *global* RNG states per test, keyed by the test's node id.

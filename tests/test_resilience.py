@@ -1,11 +1,11 @@
 """Rank-failure tolerance: detection, agreement, shrink, restart.
 
 Covers the ``repro.resilience`` package plus the runtime plumbing it
-rides on (DESIGN.md §10): the heartbeat watchdog and its stall
-classifications, liveness agreement and communicator shrink, the
-CRC-framed checkpoint store, ABFT reshape checksums, the end-to-end
-kill/hang FFT drills, the :class:`RetryPolicy` total-deadline budget,
-and the virtual runtime's refusal of fault plans.
+rides on (DESIGN.md §10): the CRC-framed checkpoint store, ABFT reshape
+checksums, the end-to-end kill/hang FFT drills, the :class:`RetryPolicy`
+total-deadline budget, and the virtual runtime's refusal of fault plans.
+The control state and the watchdog are in ``test_control_plane.py``, the
+communicator-level recovery arc in ``test_runtime_contract.py``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,7 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPlan, FaultRule, RetryPolicy
 from repro.fft.plan import Fft3d
 from repro.resilience import (
-    AgreementSpace,
     CheckpointStore,
-    FailureReport,
-    HeartbeatMonitor,
     ResilientFft3d,
     bitmap_ranks,
     ranks_bitmap,
@@ -186,58 +183,8 @@ class TestRecvTimeout:
         run_spmd(2, kernel, timeout=30.0)
 
 
-# -- heartbeat monitor --------------------------------------------------------------
-
-
-class TestHeartbeatMonitor:
-    def test_done_ranks_never_declared_dead(self):
-        mon = HeartbeatMonitor(2, suspect_after=0.01)
-        mon.start()
-        mon.mark_done(0)
-        time.sleep(0.03)
-        mon.beat(1)  # the other rank is genuinely alive
-        assert mon.classify(0) == "alive"
-        assert mon.poll() == []  # silence after a clean finish is expected
-        assert 0 in mon.absent_ranks()  # but it no longer counts for agreement
-
-    def test_silent_rank_declared_deadlocked(self):
-        mon = HeartbeatMonitor(2, suspect_after=0.01)
-        mon.start()
-        mon.beat(0)
-        time.sleep(0.05)
-        mon.beat(0)  # rank 0 stays chatty; rank 1 never beats
-        failures = mon.poll()
-        assert [f.rank for f in failures] == [1]
-        assert failures[0].classification in ("dead", "deadlock")
-        assert mon.dead_ranks() == frozenset({1})
-        assert mon.alive_ranks() == (0,)
-
-    def test_declare_failed_idempotent(self):
-        mon = HeartbeatMonitor(3, suspect_after=10.0)
-        mon.start()
-        first = mon.declare_failed(2, "kill", "test")
-        second = mon.declare_failed(2, "crash", "later duplicate")
-        assert first is second  # first declaration wins
-        assert len(mon.failures()) == 1
-
-    def test_report_sequence_and_json(self):
-        mon = HeartbeatMonitor(4, suspect_after=10.0)
-        mon.start()
-        mon.declare_failed(3, "kill", "test")
-        for phase in ("agree", "shrink", "restart"):
-            with mon.phase(phase, rank=0):
-                time.sleep(0.002)
-        report = mon.build_report(recovered=True)
-        assert isinstance(report, FailureReport)
-        assert report.failed_ranks == [3]
-        assert report.survivors == [0, 1, 2]
-        assert report.phase_sequence_complete()
-        payload = report.to_json()
-        assert payload["schema"] == "repro-failure-report-v1"
-        json.dumps(payload)  # artefact must be JSON-serialisable as-is
-
-
 # -- agreement ----------------------------------------------------------------------
+# (the watchdog and the agreement slots themselves: tests/test_control_plane.py)
 
 
 class TestAgreement:
@@ -247,30 +194,6 @@ class TestAgreement:
         assert bitmap == 0b100101
         assert bitmap_ranks(bitmap, 6) == ranks
         assert bitmap_ranks(ranks_bitmap(()), 4) == ()
-
-    def test_agree_is_and_of_contributions(self):
-        space = AgreementSpace(3)
-        rounds = [space.next_round(r) for r in range(3)]
-        assert len(set(rounds)) == 1
-        contributions = {0: 0b111, 1: 0b011, 2: 0b111}
-        results = {}
-        import threading
-
-        def contribute(rank):
-            results[rank] = space.agree(
-                rank,
-                rounds[rank],
-                contributions[rank],
-                dead_ranks=frozenset,
-                timeout=5.0,
-            )
-
-        threads = [threading.Thread(target=contribute, args=(r,)) for r in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert set(results.values()) == {0b011}
 
 
 # -- checkpoint store ---------------------------------------------------------------

@@ -55,6 +55,16 @@ def spmd(runtime: str, nranks: int, fn, *, timeout: float = 60.0, **kwargs):
     return make_world(runtime, nranks, timeout=timeout, **kwargs).run(fn)
 
 
+def ring_exchange(comm, rounds: int = 200) -> None:
+    """Pass a token round the ring — the traffic a fault plan interrupts
+    (three transport operations per rank per round)."""
+    me = comm.rank
+    for i in range(rounds):
+        req = comm.isend(np.array([i, me]), (me + 1) % comm.size, tag=5)
+        comm.recv((me - 1) % comm.size, tag=5)
+        req.wait()
+
+
 # -- point to point ---------------------------------------------------------------
 
 
@@ -630,12 +640,8 @@ class TestUlfmContract:
         victim = 1
 
         def kernel(comm):
-            me = comm.rank
             try:
-                for i in range(200):
-                    req = comm.isend(np.array([i, me]), (me + 1) % comm.size, tag=5)
-                    comm.recv((me - 1) % comm.size, tag=5)
-                    req.wait()
+                ring_exchange(comm)
             except (RevokedError, StallError):
                 sub = comm.shrink()
                 gathered = sub.allgather(sub.parent_ranks[sub.rank])
@@ -692,15 +698,197 @@ class TestUlfmContract:
         assert res[1] == (0, [1, 11])
 
 
+    def test_agreement_rounds_are_bounded_per_generation(self, runtime):
+        """16 slots per generation; the 17th round is one typed error."""
+
+        def kernel(comm):
+            decided = [comm.agree() for _ in range(16)]
+            try:
+                comm.agree()
+            except CommunicatorError as exc:
+                return decided, "rounds exhausted" in str(exc)
+            return decided, False
+
+        assert spmd(runtime, 2, kernel) == [([0b11] * 16, True)] * 2
+
+    def test_hang_is_detected_and_classified(self, runtime):
+        """A wedged rank — alive, silent — is declared ``deadlock`` by its
+        blocked peers within 2 x ``suspect_after``; they wake with
+        ``RevokedError``, not ``StallError`` after ``timeout``."""
+        from repro.faults import FaultPlan, FaultRule
+
+        suspect = 0.3
+
+        def kernel(comm):
+            try:
+                ring_exchange(comm)
+            except RevokedError:
+                (failure,) = comm.failure_report().failures
+                return (failure.rank, failure.kind, failure.classification, failure.last_beat_age)
+            except StallError:
+                return "sat out the timeout"
+            return "finished"
+
+        plan = FaultPlan(rules=[FaultRule(kind="hang", rank=1, after=8)])
+        t0 = time.monotonic()
+        res = spmd(runtime, 3, kernel, timeout=8.0, faults=plan, suspect_after=suspect)
+        assert time.monotonic() - t0 < 8.0
+        assert res[1] is None
+        for rank, kind, classification, silence in (res[0], res[2]):
+            assert (rank, kind, classification) == (1, "hang", "deadlock")
+            assert suspect < silence <= 2 * suspect
+
+    def test_contributor_dying_mid_agreement_drops_out(self, runtime):
+        from repro.faults import FaultPlan, FaultRule
+
+        def kernel(comm):
+            if comm.rank == 2:
+                time.sleep(0.3)  # the others already wait for this contribution
+                comm.barrier()  # its first transport operation: killed here
+                return "unreachable"
+            return comm.agree()
+
+        plan = FaultPlan(rules=[FaultRule(kind="kill", rank=2, after=0)])
+        res = spmd(runtime, 3, kernel, timeout=20.0, faults=plan, suspect_after=0.5)
+        assert res == [0b011, 0b011, None]  # decided without it, identically
+
+    def test_two_sequential_failures(self, runtime):
+        """Shrink, lose another rank, shrink again: a working communicator
+        and one report with both failures, in original-world ranks."""
+        from repro.faults import FaultPlan, FaultRule
+
+        def kernel(comm):
+            try:
+                ring_exchange(comm)
+            except (RevokedError, StallError):
+                sub = comm.shrink()  # original ranks (0, 2, 3)
+            else:
+                return "victim-finished"
+            if sub.rank == sub.size - 1:
+                # Second episode: this survivor goes silent — no operation,
+                # no beacon — until its peers have declared it.
+                while sub.world.revoked is None:
+                    time.sleep(0.01)
+                return "lost"
+            try:
+                sub.barrier()
+            except RevokedError:
+                last = sub.shrink()
+            else:
+                return "the barrier passed without its third member"
+            gathered = last.allgather(last.parent_ranks[last.rank])
+            report = comm.failure_report()
+            second = report.failures[1]
+            return (
+                last.size,
+                tuple(last.parent_ranks),
+                tuple(gathered),
+                report.failed_ranks,
+                (second.kind, second.classification),
+                sub.failure_report().failed_ranks,  # the same failure, in sub's ranks
+            )
+
+        plan = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=8)])
+        res = spmd(runtime, 4, kernel, timeout=30.0, faults=plan, suspect_after=0.5)
+        assert res[1] is None and res[3] == "lost"
+        expected = (2, (0, 2), (0, 2), [1, 3], ("hang", "deadlock"), [2])
+        assert [res[0], res[2]] == [expected] * 2
+
+    def test_failure_report_carries_the_whole_recovery_timeline(self, runtime):
+        from repro.faults import FaultPlan, FaultRule
+        from repro.resilience import ResilientFft3d
+
+        shape, p = (8, 8, 8), 4
+        fft = ResilientFft3d(shape, p)
+        rng = np.random.default_rng(5)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def kernel(comm):
+            out = fft.run_spmd(comm, fft.plan.scatter(data)[comm.rank])
+            report = comm.failure_report()
+            return out.recovered, report.failed_ranks, report.phase_sequence_complete()
+
+        plan = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=8)])
+        res = spmd(runtime, p, kernel, timeout=20.0, faults=plan, suspect_after=0.5)
+        assert res[1] is None
+        assert [res[0], res[2], res[3]] == [(True, [1], True)] * 3
+
+
+class TestStallContract:
+    """A deadline miss says the same thing on both runtimes: the
+    ``FailureReport`` and the watchdog's classification of the awaited
+    peer, from the blocked-op rows every rank publishes."""
+
+    SUSPECT = 0.4
+
+    def test_late_but_beaconing_peer_is_a_straggler(self, runtime):
+        def kernel(comm):
+            if comm.rank == 0:
+                try:
+                    comm.recv(source=1, tag=1, timeout=1.0)
+                except StallError as exc:
+                    verdict = (exc.classification, exc.report.failed_ranks)
+                comm.recv(source=1, tag=1)  # it does arrive, late
+                return verdict
+            if comm.rank == 1:  # waits on rank 2 in turn: blocked, beaconing
+                comm.send(comm.recv(source=2, tag=1), 0, tag=1)
+                return None
+            busy_until = time.monotonic() + 1.6  # rank 2 works on: every op beacons
+            while time.monotonic() < busy_until:
+                comm.send(np.zeros(1), 2, tag=9)
+                comm.recv(2, tag=9)
+                time.sleep(0.01)
+            comm.send(np.zeros(1), 1, tag=1)
+            return None
+
+        res = spmd(runtime, 3, kernel, timeout=30.0, suspect_after=self.SUSPECT)
+        assert res[0] == ("straggler", [])
+
+    def test_everyone_blocked_past_the_deadline_is_a_deadlock(self, runtime):
+        def kernel(comm):
+            peer = 1 - comm.rank
+            comm.barrier()
+            if comm.rank == 1:
+                comm.recv(source=peer, tag=1)  # until rank 0 breaks the cycle
+                return None
+            try:
+                comm.recv(source=peer, tag=1, timeout=1.0)
+            except StallError as exc:
+                verdict = (exc.classification, exc.report.failed_ranks)
+            comm.send(np.zeros(1), peer, tag=1)
+            return verdict
+
+        res = spmd(runtime, 2, kernel, timeout=30.0, suspect_after=self.SUSPECT)
+        assert res[0] == ("deadlock", [])  # a wait cycle; nobody was declared dead
+
+    def test_barrier_deadline_miss_is_a_stall_too(self, runtime):
+        def kernel(comm):
+            if comm.rank == 1:  # never joins, but is visibly alive
+                busy_until = time.monotonic() + 0.9
+                while time.monotonic() < busy_until:
+                    comm.send(np.zeros(1), 1, tag=9)
+                    comm.recv(1, tag=9)
+                    time.sleep(0.01)
+                return "busy"
+            try:
+                comm.barrier()
+            except StallError as exc:
+                return exc.classification, exc.report.nranks, "barrier broken" in str(exc)
+            return "the barrier passed without its second member"
+
+        res = spmd(runtime, 2, kernel, timeout=0.6, suspect_after=5.0)
+        assert res == [("alive", 2, True), "busy"]
+
+
 class TestShrunkWorldCache:
     def test_same_object_within_run_fresh_across_runs(self):
         """A ThreadWorld is multi-shot: every run() epoch must get its own
-        shrunk world for a given survivor set (a stale one carries dead
-        mailboxes and a finished monitor)."""
+        shrunk world for a given (survivor set, generation) — a stale one
+        carries dead mailboxes."""
         from repro.runtime.thread_rt import ThreadWorld
 
         def kernel(comm):
-            return id(comm.world.shrunk_world((0, 1)))
+            return id(comm.world.shrunk_world((0, 1), 1))
 
         world = ThreadWorld(2, timeout=10.0)
         first = world.run(kernel)

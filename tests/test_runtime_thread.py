@@ -5,17 +5,23 @@ collectives, windows, abort propagation) moved to
 ``test_runtime_contract.py``, where they run against *every* runtime.
 What stays here is behaviour only the thread substrate promises: ranks
 share one address space, so closures over Python objects are visible
-across ranks, and a world object can be driven directly.
+across ranks, and a world object can be driven directly — run after
+run, with a control plane that stays private to the process and a
+watchdog that scans at a bounded rate.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, RevokedError, StallError
+from repro.faults import FaultPlan, FaultRule
+from repro.fft import Fft3d
 from repro.runtime import ThreadWorld, run_spmd
 
 
@@ -66,3 +72,106 @@ class TestWorldLifecycle:
         second = world.run(lambda comm: comm.allgather(comm.rank + 10))
         assert first == [[0, 1]] * 2
         assert second == [[10, 11]] * 2
+
+
+class TestRunEpochs:
+    """Each ``run()`` is a new epoch of the control state; what a run
+    concluded (registry, revoke word) carries over on purpose."""
+
+    SUSPECT = 0.3
+
+    @staticmethod
+    def _kernel(comm):
+        try:
+            for _ in range(3):
+                comm.barrier()
+        except RevokedError as exc:
+            (failure,) = exc.report.failures
+            return ("revoked", failure.rank, failure.classification, failure.last_beat_age)
+        except StallError:
+            return "stalled"
+        return "clean"
+
+    def test_hang_in_the_second_run_is_detected_like_in_the_first(self):
+        """The watchdog used to be blind from the second run on (the done
+        flags of run 1 were never cleared): survivors sat out ``timeout``
+        and the victim was never detected."""
+        # the hang lands on rank 1's sixth transport op: run 2, third barrier
+        faults = FaultPlan(rules=[FaultRule(kind="hang", rank=1, after=5, max_triggers=1)])
+        world = ThreadWorld(3, timeout=4.0, suspect_after=self.SUSPECT, faults=faults)
+        assert world.run(self._kernel) == ["clean"] * 3
+        t0 = time.monotonic()
+        second = world.run(self._kernel)
+        assert time.monotonic() - t0 < 4.0  # nobody sat out the timeout
+        assert second[1] is None  # the wedged rank returns nothing
+        for verdict, rank, classification, silence in (second[0], second[2]):
+            assert (verdict, rank, classification) == ("revoked", 1, "deadlock")
+            assert self.SUSPECT < silence <= 2 * self.SUSPECT
+        # Carried over on purpose: a revoked world stays revoked, and says
+        # so at the first operation of the next run.
+        third = world.run(self._kernel)
+        assert [v[:3] for v in third] == [("revoked", 1, "deadlock")] * 3
+
+    def test_agreement_arena_is_per_run(self):
+        """16 rounds per generation is a per-run budget on a multi-shot world."""
+        world = ThreadWorld(2, timeout=10.0)
+
+        def kernel(comm):
+            return [comm.agree() for _ in range(12)]
+
+        for _ in range(3):  # 36 rounds in all
+            assert world.run(kernel) == [[0b11] * 12] * 2
+
+
+class TestPrivateControlPlane:
+    def test_thread_world_touches_no_shared_memory(self):
+        """No ``/dev/shm`` entry, no file, no ``multiprocessing`` primitive."""
+        before = sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
+        world = ThreadWorld(4, timeout=10.0)
+        world.run(lambda comm: (comm.agree(), comm.allgather(comm.rank)))
+        assert (sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []) == before
+        assert isinstance(world.state.buf, bytearray)
+        assert type(world.state.cond) is threading.Condition
+
+
+class TestScanRate:
+    """The watchdog scan is rate limited per rank — ``min(0.05,
+    suspect_after / 4)`` s apart — not run on every wake-up of a waiter
+    (it used to be: ~25 scans per warm 64^3 round trip over 4 ranks on
+    the one-sided path, ~55 on the pairwise one)."""
+
+    @pytest.mark.parametrize("method", ["osc", "pairwise"])
+    def test_scans_per_round_trip(self, method):
+        shape, p, trips = (64, 64, 64), 4, 10
+        plan = Fft3d(shape, p)
+        rng = np.random.default_rng(7)
+        blocks = plan.scatter(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        world = ThreadWorld(p, timeout=60.0)
+        scans: list[float] = []
+        poll = world.monitor.poll
+
+        def counting_poll():
+            scans.append(time.monotonic())
+            return poll()
+
+        world.monitor.poll = counting_poll
+
+        def kernel(comm):
+            def round_trip(block):
+                return plan.forward_spmd(
+                    comm, plan.forward_spmd(comm, block, method=method), method=method, inverse=True
+                )
+
+            block = round_trip(blocks[comm.rank])  # warm: binds the plan
+            comm.barrier()
+            t0 = time.monotonic()
+            for _ in range(trips):
+                block = round_trip(block)
+            comm.barrier()
+            return t0, time.monotonic()
+
+        spans = world.run(kernel)
+        t0, t1 = min(s[0] for s in spans), max(s[1] for s in spans)
+        timed = sum(t0 <= t <= t1 for t in scans)
+        # one scan per rank per 50 ms, whatever the number of wake-ups
+        assert timed <= p * ((t1 - t0) / 0.05 + 1)
