@@ -11,7 +11,7 @@ flight ring and the metrics registry agree for every algorithm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -48,18 +48,24 @@ def volume_rate(logical: int, wire: int) -> float:
 
 @dataclass
 class ExchangeStats:
-    """Volume accounting of one exchange (this rank's sends)."""
+    """The one volume record: what one rank sent in an exchange — or, merged,
+    in a reshape or a whole transform (a reshape's stats *are* its
+    exchange's; :class:`~repro.fft.plan.FftStats` lists one per reshape)."""
 
-    sent_messages: int = 0
-    original_bytes: int = 0
-    wire_bytes: int = 0
+    messages: int = 0
+    logical_bytes: int = 0  # uncompressed payload volume
+    wire_bytes: int = 0  # after compression
+    retries: int = 0  # recovery retries
+    degradations: int = 0  # codec ladder step-downs
     retransmissions: int = 0
     retransmitted_bytes: int = 0
-    #: Largest measured round-trip relative error of this exchange's
-    #: lossy messages (0.0 for lossless sends); only meaningful when
-    #: ``error_measured`` — i.e. the exchange ran with an ``e_tol``.
+    #: Largest measured round-trip relative error of the lossy messages
+    #: (0.0 for lossless sends); only meaningful when ``error_measured``
+    #: — i.e. the exchange ran with an ``e_tol``.
     achieved_error: float = 0.0
     error_measured: bool = False
+    #: Resilience audit trails, one per exchange call (per-rank state).
+    reports: list[ResilienceReport] = field(default_factory=list)
 
     @classmethod
     def raw(cls, send: Sequence[np.ndarray | None]) -> "ExchangeStats":
@@ -71,8 +77,38 @@ class ExchangeStats:
 
     @property
     def achieved_rate(self) -> float:
-        """``original / wire`` (see :func:`volume_rate`)."""
-        return volume_rate(self.original_bytes, self.wire_bytes)
+        """Compression rate ``logical / wire`` (see :func:`volume_rate`)."""
+        return volume_rate(self.logical_bytes, self.wire_bytes)
+
+    @property
+    def clean(self) -> bool:
+        """True when no exchange recorded any resilience event.
+
+        The counters must agree with the reports: an empty ``reports``
+        list with nonzero ``retries``/``degradations`` (stats from a
+        source that dropped its reports) is *not* clean.
+        """
+        return (
+            self.retries == 0
+            and self.degradations == 0
+            and all(r.clean for r in self.reports)
+        )
+
+    def merge(self, *others: "ExchangeStats") -> "ExchangeStats":
+        """Fold other records into this one (returns self): volumes and
+        counters add, reports concatenate, the achieved error is the max."""
+        for other in others:
+            self.messages += other.messages
+            self.logical_bytes += other.logical_bytes
+            self.wire_bytes += other.wire_bytes
+            self.retries += other.retries
+            self.degradations += other.degradations
+            self.retransmissions += other.retransmissions
+            self.retransmitted_bytes += other.retransmitted_bytes
+            self.achieved_error = max(self.achieved_error, other.achieved_error)
+            self.error_measured = self.error_measured or other.error_measured
+            self.reports.extend(other.reports)
+        return self
 
 
 class Exchange:
@@ -135,10 +171,13 @@ class Exchange:
         (ring events + live gauges) and the metrics registry.
         """
         rank = self.comm.rank
+        stats.retries = report.retries
+        stats.degradations = report.degradations
+        stats.reports = [report]
         self.last_stats = stats
         self.last_report = report
-        trace_incr("messages", stats.sent_messages, rank=rank)
-        trace_incr("logical_bytes", stats.original_bytes, rank=rank)
+        trace_incr("messages", stats.messages, rank=rank)
+        trace_incr("logical_bytes", stats.logical_bytes, rank=rank)
         trace_incr("wire_bytes", stats.wire_bytes, rank=rank)
         trace_report(report)
 
@@ -156,7 +195,7 @@ class Exchange:
         )
         self._metric(tele_counter, "repro_exchange_rounds_total").inc()
         self._metric(tele_counter, "repro_wire_bytes_total").inc(stats.wire_bytes)
-        self._metric(tele_counter, "repro_logical_bytes_total").inc(stats.original_bytes)
+        self._metric(tele_counter, "repro_logical_bytes_total").inc(stats.logical_bytes)
         if ratio != float("inf"):
             self._metric(tele_gauge, "repro_compression_ratio").set(ratio)
         error_gauges = None
@@ -182,7 +221,7 @@ class Exchange:
             {
                 "rounds": 1.0,
                 "wire_bytes": float(stats.wire_bytes),
-                "logical_bytes": float(stats.original_bytes),
+                "logical_bytes": float(stats.logical_bytes),
             },
             sets=error_gauges,
         )

@@ -56,7 +56,7 @@ from repro.telemetry.metrics import histogram as tele_histogram
 from repro.tuning.pool import BufferPool
 from repro.trace import span as trace_span
 
-__all__ = ["CompressedOscAlltoallv", "ExchangeStats"]
+__all__ = ["CompressedOscAlltoallv"]
 
 #: Tag base for recovery-round retransmissions (control plane).
 _RETRY_TAG = -7000
@@ -321,8 +321,8 @@ class CompressedOscAlltoallv(Exchange):
                 msg, achieved = self._raw.compress(frag), (None if self.e_tol is None else 0.0)
                 frame = encode_wire(msg, pool=pool)
             if stats is not None:
-                stats.sent_messages += 1
-                stats.original_bytes += 8 * msg.n_values
+                stats.messages += 1
+                stats.logical_bytes += 8 * msg.n_values
                 stats.wire_bytes += msg.nbytes
                 if achieved is not None:
                     stats.achieved_error = max(stats.achieved_error, achieved)

@@ -42,7 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.compressed import CompressedOscAlltoallv, ExchangeStats
+from repro.collectives.base import ExchangeStats
+from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.faults import ResilienceReport
 from repro.telemetry.metrics import counter as metrics_counter
 from repro.telemetry.recorder import flight

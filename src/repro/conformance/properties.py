@@ -43,7 +43,7 @@ The eight families
 ``trace``
     Metamorphic: running an exchange under an installed tracer, the
     tracer's byte/message counters must equal the stats objects the
-    collectives report (``ExchangeStats`` / ``ReshapeStats``).
+    collectives report (``ExchangeStats``, the one volume record).
 ``faults``
     Self-healing: under a seeded fault plan (bit-flips, transient codec
     faults, stragglers), a lossless-codec compressed exchange still
@@ -129,6 +129,33 @@ def _topology(p: int, gpus_per_node: int):
 
 def _divisors(p: int) -> list[int]:
     return [g for g in range(1, p + 1) if p % g == 0]
+
+
+#: The volume fields of an ``ExchangeStats`` every executor must agree on.
+_VOLUME = ("messages", "logical_bytes", "wire_bytes")
+
+
+def _check_spmd_matches_virtual(label: str, kernel, blocks, totals) -> None:
+    """The virtual ≡ SPMD differential: ``kernel(comm) -> (block, stats)``
+    on a :class:`ThreadWorld` must give every rank the bit-identical
+    ``blocks[rank]`` the virtual walk produced, and per-rank
+    ``ExchangeStats`` summing to the virtual ``totals``."""
+    from repro.collectives.base import ExchangeStats
+    from repro.runtime.thread_rt import ThreadWorld
+
+    summed = ExchangeStats()
+    for rank, (block, stats) in enumerate(ThreadWorld(len(blocks)).run(kernel)):
+        if block.shape != blocks[rank].shape or not np.array_equal(block, blocks[rank]):
+            raise ConformanceFailure(
+                f"{label}: rank {rank}'s SPMD block differs from the virtual one"
+            )
+        summed.merge(stats)
+    for name in _VOLUME:
+        if getattr(summed, name) != getattr(totals, name):
+            raise ConformanceFailure(
+                f"{label}: SPMD {name} summed over ranks = {getattr(summed, name)}, "
+                f"virtual walk says {getattr(totals, name)}"
+            )
 
 
 def _shrunk_matrix(sizes: list[list[int]], drop: int) -> list[list[int]]:
@@ -530,17 +557,38 @@ def _valid_fft_geometry(shape: list[int], nranks: int) -> bool:
     return True
 
 
+def _draw_fft_geometry(rng: random.Random, dims: list[int], ranks: list[int]):
+    """A random ``(shape, nranks)`` every layout of the pipeline admits."""
+    for _ in range(64):
+        shape = [rng.choice(dims) for _ in range(3)]
+        nranks = rng.choice(ranks)
+        if _valid_fft_geometry(shape, nranks):
+            return shape, nranks
+    return [4, 4, 4], 2  # pragma: no cover - the menus always admit (2,2,2) x 1
+
+
+def _shrink_fft_geometry(sc: Scenario) -> Iterator[Scenario]:
+    """Fewer ranks, then each axis cut to 2 — while the geometry stays valid."""
+    p = sc.params["nranks"]
+    shape = sc.params["shape"]
+    for cand_p in sorted({1, 2, p - 1}):
+        if 0 < cand_p < p and _valid_fft_geometry(shape, cand_p):
+            yield sc.with_params(nranks=cand_p)
+    for axis in range(3):
+        if shape[axis] > 2:
+            cand = list(shape)
+            cand[axis] = 2
+            if _valid_fft_geometry(cand, p):
+                yield sc.with_params(shape=cand)
+    if sc.params["batch"]:
+        yield sc.with_params(batch=0)
+
+
 class FftProperty(Property):
     name = "fft"
 
     def generate(self, rng: random.Random) -> Scenario:
-        for _ in range(64):
-            shape = [rng.choice([2, 3, 4, 5, 6, 7, 8]) for _ in range(3)]
-            nranks = rng.choice([1, 2, 2, 3, 4, 4, 5, 6])
-            if _valid_fft_geometry(shape, nranks):
-                break
-        else:  # pragma: no cover - the menu always admits (2,2,2) x 1
-            shape, nranks = [4, 4, 4], 2
+        shape, nranks = _draw_fft_geometry(rng, [2, 3, 4, 5, 6, 7, 8], [1, 2, 2, 3, 4, 4, 5, 6])
         mode = rng.choice(["exact", "exact", "e_tol"])
         return Scenario(
             self.name,
@@ -552,11 +600,13 @@ class FftProperty(Property):
                 "e_tol": rng.choice([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
                 "roundtrip": rng.random() < 0.4,
                 "data_seed": draw_data_seed(rng),
+                # drawn last, so the fields above keep their per-seed values
+                "method": rng.choice(["reference", "pairwise", "osc"]),
             },
         )
 
     def check(self, sc: Scenario) -> None:
-        from repro.fft.plan import Fft3d
+        from repro.fft.plan import Fft3d, FftStats
 
         shape = tuple(sc.params["shape"])
         batch = (sc.params["batch"],) if sc.params["batch"] else ()
@@ -590,6 +640,18 @@ class FftProperty(Property):
                 f"fft: truncation-family exchange expanded on the wire: "
                 f"{stats.wire_bytes} > {stats.logical_bytes} B"
             )
+        # Same plan, same bytes on a real communicator (e_tol plans run the
+        # compressed exchange whatever the method).
+        locals_ = plan.scatter(x)
+
+        def kernel(comm):
+            mine = FftStats()
+            block = plan.forward_spmd(
+                comm, locals_[comm.rank], method=sc.params.get("method", "osc"), stats=mine
+            )
+            return block, mine.totals()
+
+        _check_spmd_matches_virtual("fft", kernel, plan.scatter(y), stats.totals())
         if sc.params["roundtrip"]:
             back = plan.backward(y)
             rel = relative_error(back, x)
@@ -597,19 +659,7 @@ class FftProperty(Property):
                 raise ConformanceFailure(f"fft: round-trip error {rel:.3e} > {2.0 * tol:.3e}")
 
     def shrink(self, sc: Scenario) -> Iterator[Scenario]:
-        p = sc.params["nranks"]
-        shape = sc.params["shape"]
-        for cand_p in sorted({1, 2, p - 1}):
-            if 0 < cand_p < p and _valid_fft_geometry(shape, cand_p):
-                yield sc.with_params(nranks=cand_p)
-        for axis in range(3):
-            if shape[axis] > 2:
-                cand = list(shape)
-                cand[axis] = 2
-                if _valid_fft_geometry(cand, p):
-                    yield sc.with_params(shape=cand)
-        if sc.params["batch"]:
-            yield sc.with_params(batch=0)
+        yield from _shrink_fft_geometry(sc)
         if sc.params["roundtrip"]:
             yield sc.with_params(roundtrip=False)
 
@@ -630,13 +680,7 @@ class ReshapeProperty(Property):
 
     def generate(self, rng: random.Random) -> Scenario:
         kinds = ["brick", "pencil0", "pencil1", "pencil2"]
-        for _ in range(64):
-            shape = [rng.choice([2, 3, 4, 5, 6, 7, 8, 9]) for _ in range(3)]
-            nranks = rng.choice([1, 2, 3, 4, 5, 6])
-            if _valid_fft_geometry(shape, nranks):
-                break
-        else:  # pragma: no cover
-            shape, nranks = [4, 4, 4], 2
+        shape, nranks = _draw_fft_geometry(rng, [2, 3, 4, 5, 6, 7, 8, 9], [1, 2, 3, 4, 5, 6])
         return Scenario(
             self.name,
             {
@@ -651,7 +695,8 @@ class ReshapeProperty(Property):
         )
 
     def check(self, sc: Scenario) -> None:
-        from repro.fft.reshape import ReshapePlan, ReshapeStats
+        from repro.collectives.base import ExchangeStats
+        from repro.fft.reshape import ReshapePlan
         from repro.runtime.virtual import VirtualWorld
 
         shape = tuple(sc.params["shape"])
@@ -666,8 +711,9 @@ class ReshapeProperty(Property):
             x = (x + 1j * rng.standard_normal(batch + shape)).astype(np.complex128)
 
         world = VirtualWorld(p)
-        stats = ReshapeStats()
-        out = plan.run_virtual(world, scatter_global(src, x), stats=stats)
+        stats = ExchangeStats()
+        locals_ = scatter_global(src, x)
+        out = plan.run_virtual(world, locals_, stats=stats)
         got = gather_global(dst, out)
         if not np.array_equal(got, x):
             bad = int(np.flatnonzero((got != x).reshape(-1))[0])
@@ -698,20 +744,14 @@ class ReshapeProperty(Property):
                 f"{expected_bytes} B)"
             )
 
+        def kernel(comm):  # the same stage objects behind the reference exchange
+            mine = ExchangeStats()
+            return plan.run_spmd(comm, locals_[comm.rank], stats=mine), mine
+
+        _check_spmd_matches_virtual("reshape", kernel, out, stats)
+
     def shrink(self, sc: Scenario) -> Iterator[Scenario]:
-        p = sc.params["nranks"]
-        shape = sc.params["shape"]
-        for cand_p in sorted({1, 2, p - 1}):
-            if 0 < cand_p < p and _valid_fft_geometry(shape, cand_p):
-                yield sc.with_params(nranks=cand_p)
-        for axis in range(3):
-            if shape[axis] > 2:
-                cand = list(shape)
-                cand[axis] = 2
-                if _valid_fft_geometry(cand, p):
-                    yield sc.with_params(shape=cand)
-        if sc.params["batch"]:
-            yield sc.with_params(batch=0)
+        yield from _shrink_fft_geometry(sc)
         if sc.params["dtype"] != "float64":
             yield sc.with_params(dtype="float64")
 
@@ -745,22 +785,20 @@ class TraceProperty(Property):
         mode = sc.params["mode"]
         with tracing() as tracer:
             expect = self._run(sc)
-        got = {
-            name: int(tracer.counter_total(name))
-            for name in ("messages", "logical_bytes", "wire_bytes")
-        }
-        for name, want in expect.items():
-            if got[name] != want:
+        for name in _VOLUME:
+            got, want = int(tracer.counter_total(name)), getattr(expect, name)
+            if got != want:
                 raise ConformanceFailure(
-                    f"trace[{mode}]: tracer {name}={got[name]} but stats say {want} "
-                    f"(all counters: {got} vs {expect})"
+                    f"trace[{mode}]: tracer {name}={got} but stats say {want} ({expect})"
                 )
 
-    def _run(self, sc: Scenario) -> dict[str, int]:
-        """Run the scenario's exchange; return stats-side expected totals."""
+    def _run(self, sc: Scenario):
+        """Run the scenario's exchange; return the stats-side ``ExchangeStats``."""
+        from repro.collectives.base import ExchangeStats
+
         mode = sc.params["mode"]
         if mode == "virtual":
-            from repro.fft.reshape import ReshapePlan, ReshapeStats
+            from repro.fft.reshape import ReshapePlan
             from repro.runtime.virtual import VirtualWorld
 
             shape = tuple(sc.params["shape"])
@@ -770,13 +808,9 @@ class TraceProperty(Property):
             )
             rng = np.random.default_rng(sc.params["data_seed"])
             x = rng.standard_normal(shape)
-            stats = ReshapeStats()
+            stats = ExchangeStats()
             plan.run_virtual(VirtualWorld(p), scatter_global(plan.src, x), stats=stats)
-            return {
-                "messages": stats.messages,
-                "logical_bytes": stats.logical_bytes,
-                "wire_bytes": stats.wire_bytes,
-            }
+            return stats
 
         from repro.runtime.thread_rt import ThreadWorld
 
@@ -790,7 +824,7 @@ class TraceProperty(Property):
 
             ThreadWorld(p).run(kernel)
             sizes = [arr.nbytes for row in send for arr in row if arr.size]
-            return {"messages": len(sizes), "logical_bytes": sum(sizes), "wire_bytes": sum(sizes)}
+            return ExchangeStats(len(sizes), sum(sizes), sum(sizes))
 
         from repro.collectives import CompressedOscAlltoallv
         from repro.compression.base import IdentityCodec
@@ -811,12 +845,7 @@ class TraceProperty(Property):
                 op.free()
             return op.last_stats
 
-        per_rank = ThreadWorld(p).run(kernel)
-        return {
-            "messages": sum(s.sent_messages for s in per_rank),
-            "logical_bytes": sum(s.original_bytes for s in per_rank),
-            "wire_bytes": sum(s.wire_bytes for s in per_rank),
-        }
+        return ExchangeStats().merge(*ThreadWorld(p).run(kernel))
 
     def shrink(self, sc: Scenario) -> Iterator[Scenario]:
         if sc.params["mode"] == "virtual":

@@ -9,12 +9,13 @@ three batched 1-D FFT phases.  This package re-implements that pipeline:
 * :mod:`~repro.fft.box` / :mod:`~repro.fft.decomposition` — box algebra
   and brick/pencil Cartesian decompositions;
 * :mod:`~repro.fft.reshape` — overlap-based reshape plans (pack →
-  alltoallv → unpack) with optional per-message compression, executable
-  on the functional :class:`~repro.runtime.virtual.VirtualWorld` or as
-  SPMD code on a real communicator;
+  alltoallv → unpack) with optional per-message compression; the
+  functional :class:`~repro.runtime.virtual.VirtualWorld` walk and the
+  SPMD code on a real communicator execute the same per-rank stage;
 * :mod:`~repro.fft.local_fft` — batched 1-D FFTs per precision;
 * :mod:`~repro.fft.plan` — the user-facing :class:`~repro.fft.plan.Fft3d`
-  (Algorithm 1: forward/backward with an ``e_tol``-driven codec).
+  (Algorithm 1: forward/backward with an ``e_tol``-driven codec) and the
+  stage list + one executor loop the 2-D and r2c plans share with it.
 """
 
 from repro.fft.box import Box3d

@@ -20,8 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
-from repro.errors import DecompositionError
+import numpy as np
+
+from repro.errors import DecompositionError, PlanError
 from repro.fft.box import Box3d
 
 __all__ = [
@@ -65,9 +68,9 @@ def process_grid(p: int, ndim: int, *, extents: tuple[int, ...] | None = None) -
     proportional splits and forbid factors larger than the dimension.
 
     >>> process_grid(12, 3)
-    (3, 2, 2)
+    (2, 2, 3)
     >>> process_grid(12, 2, extents=(1024, 1024))
-    (4, 3)
+    (3, 4)
     """
     if p < 1:
         raise DecompositionError(f"p must be >= 1, got {p}")
@@ -157,6 +160,30 @@ class CartesianDecomp:
 
     def boxes(self) -> list[Box3d]:
         return [self.box_of(r) for r in range(self.nranks)]
+
+    def where(self, rank: int) -> tuple:
+        """Index of ``rank``'s block in a global ``(..., n0, n1, n2)`` array."""
+        box = self.box_of(rank)
+        return (..., *(slice(lo, hi) for lo, hi in zip(box.lo, box.hi)))
+
+    def scatter(self, x: np.ndarray, dtype=None) -> list[np.ndarray]:
+        """Split a global array into contiguous per-rank blocks.
+
+        Leading batch dimensions ride along: all batch entries of a cell
+        travel together, heFFTe-style.
+        """
+        if x.shape[-3:] != self.shape:
+            raise PlanError(f"array shape {x.shape} != plan shape {self.shape}")
+        return [
+            np.ascontiguousarray(x[self.where(r)], dtype=dtype) for r in range(self.nranks)
+        ]
+
+    def gather(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """Assemble per-rank blocks back into the global array."""
+        out = np.empty(blocks[0].shape[:-3] + self.shape, dtype=blocks[0].dtype)
+        for r, block in enumerate(blocks):
+            out[self.where(r)] = block
+        return out
 
     def overlapping_ranks(self, box: Box3d) -> list[int]:
         """Ranks whose boxes intersect ``box`` (grid search, no full scan)."""

@@ -26,21 +26,18 @@ def complex_dtype(precision: str) -> np.dtype:
         raise PlanError(f"unknown precision {precision!r}; use 'fp64' or 'fp32'") from None
 
 
+def _batched(transform, a: np.ndarray, axis: int, precision: str) -> np.ndarray:
+    dtype = complex_dtype(precision)
+    out = transform(np.ascontiguousarray(a, dtype=dtype), axis=axis)
+    # older NumPy may promote; force working precision
+    return out if out.dtype == dtype else out.astype(dtype)
+
+
 def batched_fft(a: np.ndarray, axis: int, precision: str = "fp64") -> np.ndarray:
     """Forward unnormalised FFT along ``axis`` in the given precision."""
-    dtype = complex_dtype(precision)
-    a = np.ascontiguousarray(a, dtype=dtype)
-    out = np.fft.fft(a, axis=axis)
-    if out.dtype != dtype:  # older NumPy may promote; force working precision
-        out = out.astype(dtype)
-    return out
+    return _batched(np.fft.fft, a, axis, precision)
 
 
 def batched_ifft(a: np.ndarray, axis: int, precision: str = "fp64") -> np.ndarray:
     """Inverse FFT along ``axis`` (``1/n`` normalised) in the given precision."""
-    dtype = complex_dtype(precision)
-    a = np.ascontiguousarray(a, dtype=dtype)
-    out = np.fft.ifft(a, axis=axis)
-    if out.dtype != dtype:
-        out = out.astype(dtype)
-    return out
+    return _batched(np.fft.ifft, a, axis, precision)

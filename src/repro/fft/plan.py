@@ -6,6 +6,13 @@ batched 1-D FFT phases — with optional lossy compression inside every
 reshape, controlled either by an explicit codec or by an error
 tolerance ``e_tol`` (Section III).
 
+A transform is data: an ordered list of :class:`Stage` — *reshape, then
+transform the local pencils* — built once by the constructor.
+:class:`StagedTransform` is everything else a plan needs (codec
+resolution, the virtual stage loop, the accuracy metric and
+``describe``), shared with :class:`~repro.fft.plan2d.Fft2d` and
+:class:`~repro.fft.real.Rfft3d`, which supply only their lists.
+
 Two execution styles:
 
 * **virtual** (default): all rank-local blocks live in one process;
@@ -26,10 +33,12 @@ Two execution styles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.collectives.base import volume_rate
+from repro.collectives.base import ExchangeStats
 from repro.collectives.exchange import make_exchange
 from repro.collectives.osc import OscTransport, PlanWindow
 from repro.compression.base import Codec
@@ -41,7 +50,7 @@ from repro.fft.decomposition import (
     pencil_decomposition,
 )
 from repro.fft.local_fft import batched_fft, batched_ifft, complex_dtype
-from repro.fft.reshape import BoundReshape, ReshapePlan, ReshapeStats
+from repro.fft.reshape import BoundReshape, ReshapePlan
 from repro.machine.topology import Topology
 from repro.telemetry.recorder import flight, live_update
 from repro.runtime.base import Comm
@@ -50,51 +59,179 @@ from repro.trace import span as trace_span
 from repro.tuning.pool import BufferPool
 from repro.tuning.profile import TuningEntry, TuningProfile
 
-__all__ = ["Fft3d", "FftStats"]
+__all__ = ["Fft3d", "FftStats", "Stage", "StagedTransform"]
+
+
+def _summed(name: str) -> property:
+    return property(lambda self: sum(getattr(r, name) for r in self.reshapes))
 
 
 @dataclass
 class FftStats:
-    """Aggregated communication accounting of one transform."""
+    """Communication accounting of one transform: one record per reshape."""
 
-    reshapes: list[ReshapeStats] = field(default_factory=list)
+    reshapes: list[ExchangeStats] = field(default_factory=list)
 
-    @property
-    def logical_bytes(self) -> int:
-        return sum(r.logical_bytes for r in self.reshapes)
-
-    @property
-    def wire_bytes(self) -> int:
-        return sum(r.wire_bytes for r in self.reshapes)
+    messages = _summed("messages")
+    logical_bytes = _summed("logical_bytes")
+    wire_bytes = _summed("wire_bytes")
+    retries = _summed("retries")
+    degradations = _summed("degradations")
 
     @property
     def achieved_rate(self) -> float:
         """``logical / wire`` (see :func:`~repro.collectives.base.volume_rate`)."""
-        return volume_rate(self.logical_bytes, self.wire_bytes)
+        return self.totals().achieved_rate
+
+    def totals(self) -> ExchangeStats:
+        """All reshapes merged into one :class:`ExchangeStats`."""
+        return ExchangeStats().merge(*self.reshapes)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One step of a transform: a reshape, then the local 1-D transforms
+    it made possible (``op=None``: nothing follows the last reshape)."""
+
+    reshape: ReshapePlan
+    op: Callable[[np.ndarray], np.ndarray] | None = None
+    axis: int | None = None  # the grid axis ``op`` transforms
+
+    def apply(self, rank: int, block: np.ndarray) -> np.ndarray:
+        with trace_span("local_fft", rank=rank, axis=self.axis):
+            return self.op(block)
+
+
+class StagedTransform:
+    """What every plan is besides its stage lists (``stages`` and
+    ``inverse_stages``, set by the subclass constructor)."""
+
+    def _configure(
+        self,
+        shape: Sequence[int],
+        ndim: int,
+        nranks: int,
+        *,
+        precision: str = "fp64",
+        codec: Codec | None = None,
+        e_tol: float | None = None,
+        data_hint: str = "random",
+        topology: Topology | None = None,
+        codec_schedule=None,
+    ) -> None:
+        """The one resolution of shape, precision and ``codec``/``e_tol``."""
+        if len(shape) != ndim or any(n < 2 for n in shape):
+            raise PlanError(f"shape must be {ndim} dims >= 2, got {shape}")
+        if sum(x is not None for x in (codec, e_tol, codec_schedule)) > 1:
+            raise PlanError("pass at most one of codec=, e_tol=, codec_schedule=")
+        if e_tol is not None:
+            codec = codec_for_tolerance(e_tol, data_hint=data_hint)
+        self.shape = tuple(shape)
+        self.nranks = int(nranks)
+        self.precision = precision.lower()
+        self.dtype = complex_dtype(self.precision)
+        if (codec is not None or codec_schedule is not None) and self.precision != "fp64":
+            raise PlanError("compressed reshapes require fp64 working precision")
+        self.codec = codec
+        self.codec_schedule = codec_schedule
+        self.e_tol = e_tol
+        self.topology = topology
+        self.last_stats = FftStats()
 
     @property
-    def retries(self) -> int:
-        return sum(r.retries for r in self.reshapes)
+    def reshapes(self) -> list[ReshapePlan]:
+        return [stage.reshape for stage in self.stages]
 
     @property
-    def degradations(self) -> int:
-        return sum(r.degradations for r in self.reshapes)
+    def guaranteed_tolerance(self) -> float:
+        """Error bound honoured by the configured codec (0 = exact)."""
+        if self.codec is None:
+            return 0.0
+        return tolerance_of_codec(self.codec)
 
-    def totals(self) -> "ReshapeStats":
-        """All reshape stages merged into one :class:`ReshapeStats`."""
-        merged = ReshapeStats()
-        for r in self.reshapes:
-            merged.merge(r)
-        return merged
+    def describe(self) -> str:
+        """One-paragraph plan summary (layouts, codec, message counts)."""
+        lines = [
+            f"{type(self).__name__} {self.shape} on {self.nranks} ranks",
+            f"  precision: {self.precision}",
+            f"  codec: {self.codec.name if self.codec else 'none (exact)'}",
+            f"  bricks grid: {self.stages[0].reshape.src.grid}",
+        ]
+        for i, stage in enumerate(self.stages):
+            then = "bricks" if stage.op is None else f"transform axis {stage.axis}"
+            lines.append(
+                f"  reshape {i}: {stage.reshape.n_messages} messages -> "
+                f"grid {stage.reshape.dst.grid}, {then}"
+            )
+        return "\n".join(lines)
+
+    def _stage_codec(self, step: int) -> Codec | None:
+        if self.codec_schedule is not None:
+            return self.codec_schedule.codec_for_stage(step)
+        return self.codec
+
+    def _pipeline(self, inverse: bool) -> list[Stage]:
+        return self.inverse_stages if inverse else self.stages
+
+    def _run_virtual(
+        self, x: np.ndarray, stages: list[Stage], world: VirtualWorld | None, dtype=None
+    ) -> np.ndarray:
+        """The virtual executor: scatter, then *reshape, transform the local
+        pencils* once per stage, then gather — for every transform."""
+        world = world or VirtualWorld(self.nranks, topology=self.topology)
+        stats = FftStats()
+        locals_ = stages[0].reshape.src.scatter(np.asarray(x), dtype or self.dtype)
+        for step, stage in enumerate(stages):
+            rstats = ExchangeStats()
+            locals_ = stage.reshape.run_virtual(
+                world, locals_, codec=self._stage_codec(step), stats=rstats
+            )
+            stats.reshapes.append(rstats)
+            if stage.op is not None:
+                locals_ = [stage.apply(r, b) for r, b in enumerate(locals_)]
+        self.last_stats = stats
+        return stages[-1].reshape.dst.gather(locals_)
+
+    def forward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
+        """Approximate forward transform of the global array ``x``."""
+        return self._run_virtual(x, self.stages, world)
+
+    def backward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
+        """Approximate inverse transform (``1/N`` normalised)."""
+        return self._run_virtual(x, self.inverse_stages, world)
+
+    def roundtrip_error(self, x: np.ndarray) -> float:
+        """Paper's accuracy metric: ``||x - IFFT(FFT(x))|| / ||x||``."""
+        x = np.asarray(x)
+        back = self.backward(self.forward(x))
+        return float(np.linalg.norm((x - back).reshape(-1)) / np.linalg.norm(x.reshape(-1)))
 
 
-class _Binding:
+def fft_stages(
+    layouts: Sequence[CartesianDecomp], precision: str
+) -> tuple[list[Stage], list[Stage]]:
+    """Forward and inverse stage lists of a c2c pipeline: one reshape per
+    consecutive pair of ``layouts``, a batched FFT along grid axis ``k``
+    after reshape ``k`` (negative axes: transparent to batch dimensions)
+    and nothing after the last."""
+    reshapes = [ReshapePlan(a, b) for a, b in zip(layouts, layouts[1:])]
+    forward, inverse = (
+        [
+            Stage(reshape, partial(transform, axis=k - 3, precision=precision), k)
+            for k, reshape in enumerate(reshapes[:-1])
+        ]
+        + [Stage(reshapes[-1])]
+        for transform in (batched_fft, batched_ifft)
+    )
+    return forward, inverse
+
+
+class _Binding(NamedTuple):
     """What a rank keeps per (plan, communicator): the four reshapes bound
     to their exchanges, and the window those exchanges share (if any)."""
 
-    def __init__(self, stages: list[BoundReshape], window: PlanWindow | None) -> None:
-        self.stages = stages
-        self.window = window
+    bound: list[BoundReshape]
+    window: PlanWindow | None
 
     def release(self) -> None:
         """Local, no barrier: the communicator retired (see ``Comm.release``)."""
@@ -107,7 +244,7 @@ class _Binding:
             self.window.free()
 
 
-class Fft3d:
+class Fft3d(StagedTransform):
     """Distributed (or virtually distributed) approximate 3-D FFT plan.
 
     Parameters
@@ -154,10 +291,6 @@ class Fft3d:
         codec_schedule=None,
         tuning: TuningProfile | str | None = None,
     ) -> None:
-        if len(shape) != 3 or any(n < 2 for n in shape):
-            raise PlanError(f"shape must be 3 dims >= 2, got {shape}")
-        if sum(x is not None for x in (codec, e_tol, codec_schedule)) > 1:
-            raise PlanError("pass at most one of codec=, e_tol=, codec_schedule=")
         self.tuned_key: str | None = None
         self._tuned_entry: TuningEntry | None = None
         if tuning is not None:
@@ -175,55 +308,19 @@ class Fft3d:
                 )
                 if adopt_codec:
                     codec = entry.make_codec()
-        if e_tol is not None:
-            codec = codec_for_tolerance(e_tol, data_hint=data_hint)
         if codec_schedule is not None and len(codec_schedule) != 4:
             raise PlanError("codec_schedule needs exactly 4 stages (one per reshape)")
-        self.shape = tuple(shape)
-        self.nranks = int(nranks)
-        self.precision = precision.lower()
-        self.dtype = complex_dtype(self.precision)
-        if (codec is not None or codec_schedule is not None) and self.precision != "fp64":
-            raise PlanError("compressed reshapes require fp64 working precision")
-        self.codec = codec
-        self.codec_schedule = codec_schedule
-        self.e_tol = e_tol
-        self.topology = topology
+        self._configure(
+            shape, 3, nranks, precision=precision, codec=codec, e_tol=e_tol,
+            data_hint=data_hint, topology=topology, codec_schedule=codec_schedule,
+        )
 
         # Layout pipeline of Fig. 1: bricks -> x -> y -> z -> bricks.
         self.bricks: CartesianDecomp = brick_decomposition(self.shape, nranks)
-        self.pencils: list[CartesianDecomp] = [
-            pencil_decomposition(self.shape, nranks, axis) for axis in range(3)
-        ]
-        layouts = [self.bricks, *self.pencils, self.bricks]
-        self.reshapes: list[ReshapePlan] = [
-            ReshapePlan(a, b) for a, b in zip(layouts, layouts[1:])
-        ]
-        self.last_stats = FftStats()
-
-    # -- reporting ----------------------------------------------------------------
-
-    @property
-    def guaranteed_tolerance(self) -> float:
-        """Error bound honoured by the configured codec (0 = exact)."""
-        if self.codec is None:
-            return 0.0
-        return tolerance_of_codec(self.codec)
-
-    def describe(self) -> str:
-        """One-paragraph plan summary (layouts, codec, message counts)."""
-        lines = [
-            f"Fft3d {self.shape} on {self.nranks} ranks, precision={self.precision}",
-            f"  codec: {self.codec.name if self.codec else 'none (exact)'}",
-            f"  bricks grid: {self.bricks.grid}",
-        ]
-        for i, (pencil, plan) in enumerate(zip(self.pencils, self.reshapes)):
-            lines.append(
-                f"  reshape {i}: -> pencil axis {i} grid {pencil.grid}, "
-                f"{plan.n_messages} messages"
-            )
-        lines.append(f"  reshape 3: -> bricks, {self.reshapes[3].n_messages} messages")
-        return "\n".join(lines)
+        pencils = [pencil_decomposition(self.shape, nranks, axis) for axis in range(3)]
+        self.stages, self.inverse_stages = fft_stages(
+            [self.bricks, *pencils, self.bricks], self.precision
+        )
 
     # -- scatter / gather -----------------------------------------------------------
 
@@ -233,70 +330,11 @@ class Fft3d:
         ``x`` may carry leading batch dimensions (``(..., n0, n1, n2)``)
         — all batch entries of a cell travel together, heFFTe-style.
         """
-        x = np.asarray(x)
-        if x.shape[-3:] != self.shape:
-            raise PlanError(f"array shape {x.shape} != plan shape {self.shape}")
-        full = Box3d_full(self.shape)
-        out = []
-        for r in range(self.nranks):
-            sl = self.bricks.box_of(r).slices_within(full)
-            out.append(np.ascontiguousarray(x[..., sl[0], sl[1], sl[2]], dtype=self.dtype))
-        return out
+        return self.bricks.scatter(np.asarray(x), self.dtype)
 
     def gather(self, locals_: list[np.ndarray]) -> np.ndarray:
         """Assemble per-rank brick blocks back into a global array."""
-        batch = locals_[0].shape[:-3]
-        out = np.empty(batch + self.shape, dtype=locals_[0].dtype)
-        full = Box3d_full(self.shape)
-        for r in range(self.nranks):
-            sl = self.bricks.box_of(r).slices_within(full)
-            out[..., sl[0], sl[1], sl[2]] = locals_[r]
-        return out
-
-    # -- virtual execution -------------------------------------------------------------
-
-    def _stage_codec(self, stage: int) -> Codec | None:
-        if self.codec_schedule is not None:
-            return self.codec_schedule.codec_for_stage(stage)
-        return self.codec
-
-    def _run_virtual(
-        self, x: np.ndarray, *, inverse: bool, world: VirtualWorld | None
-    ) -> np.ndarray:
-        world = world or VirtualWorld(self.nranks, topology=self.topology)
-        stats = FftStats()
-        locals_ = self.scatter(np.asarray(x, dtype=self.dtype))
-        transform = batched_ifft if inverse else batched_fft
-        for step, plan in enumerate(self.reshapes):
-            rstats = ReshapeStats()
-            locals_ = plan.run_virtual(
-                world, locals_, codec=self._stage_codec(step), stats=rstats
-            )
-            stats.reshapes.append(rstats)
-            if step == 3:
-                break
-            # negative axis: transparent to leading batch dimensions
-            transformed = []
-            for r, b in enumerate(locals_):
-                with trace_span("local_fft", rank=r, axis=step):
-                    transformed.append(transform(b, step - 3, self.precision))
-            locals_ = transformed
-        self.last_stats = stats
-        return self.gather(locals_)
-
-    def forward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
-        """Approximate forward 3-D FFT of the global array ``x``."""
-        return self._run_virtual(x, inverse=False, world=world)
-
-    def backward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
-        """Approximate inverse 3-D FFT (``1/N^3`` normalised)."""
-        return self._run_virtual(x, inverse=True, world=world)
-
-    def roundtrip_error(self, x: np.ndarray) -> float:
-        """Paper's accuracy metric: ``||x - IFFT(FFT(x))|| / ||x||``."""
-        x = np.asarray(x)
-        back = self.backward(self.forward(x))
-        return float(np.linalg.norm((x - back).reshape(-1)) / np.linalg.norm(x.reshape(-1)))
+        return self.bricks.gather(locals_)
 
     # -- SPMD execution ------------------------------------------------------------------
 
@@ -317,7 +355,7 @@ class Fft3d:
         binding = comm.attrs.get(key)
         if binding is not None:
             return binding
-        entry = self._tuned_entry
+        entry, reshapes = self._tuned_entry, self.reshapes
         exchanges = [
             make_exchange(
                 comm,
@@ -331,11 +369,11 @@ class Fft3d:
                 pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
                 tuned=self.tuned_key,
             )
-            for step in range(len(self.reshapes))
+            for step in range(len(reshapes))
         ]
         tables = [
             exchange.slot_table(reshape.message_elements(batch), self.dtype.itemsize)
-            for exchange, reshape in zip(exchanges, self.reshapes)
+            for exchange, reshape in zip(exchanges, reshapes)
         ]
         window = None
         if tables[0] is not None:  # same exchange class in every stage
@@ -347,7 +385,7 @@ class Fft3d:
         binding = comm.attrs[key] = _Binding(
             [
                 BoundReshape(reshape, comm.rank, exchange, batch)
-                for reshape, exchange in zip(self.reshapes, exchanges)
+                for reshape, exchange in zip(reshapes, exchanges)
             ],
             window,
         )
@@ -364,38 +402,27 @@ class Fft3d:
             comm.attrs.pop(key).free()
 
     def _reshape_stage(
-        self,
-        comm: Comm,
-        block: np.ndarray,
-        step: int,
-        *,
-        method: str,
-        variant: str,
-        stats: FftStats,
-        pool: BufferPool | None = None,
+        self, bound: BoundReshape, block: np.ndarray, stats: FftStats, pool: BufferPool | None
     ) -> np.ndarray:
-        """Reshape ``step`` of an SPMD transform (the first half of a stage)."""
-        stage = self._bind(comm, method, variant, block.shape[:-3]).stages[step]
-        stage.exchange.pool = pool  # per-call, per-rank staging state
-        rstats = ReshapeStats()
-        block = stage(block, stats=rstats, pool=pool)
+        """One bound reshape of an SPMD transform (the first half of a stage)."""
+        bound.exchange.pool = pool  # per-call, per-rank staging state
+        rstats = ExchangeStats()
+        block = bound(block, stats=rstats, pool=pool)
         stats.reshapes.append(rstats)
         return block
 
-    def _fft_stage(self, comm: Comm, block: np.ndarray, step: int, inverse: bool) -> np.ndarray:
-        """The batched 1-D FFTs that follow reshape ``step`` (none after the last).
+    def _fft_stage(self, comm: Comm, block: np.ndarray, stage: Stage) -> np.ndarray:
+        """The local transforms that follow ``stage``'s reshape (the second half).
 
         A call of its own rather than the tail of :meth:`_reshape_stage`:
         a caller's frame keeps its argument alive for the whole call, and
         the pre-reshape block must not outlive the reshape into the FFT's
         peak working set.
         """
-        if step == 3:
+        if stage.op is None:
             return block
         live_update(comm.rank, phase="local_fft")
-        with trace_span("local_fft", rank=comm.rank, axis=step):
-            transform = batched_ifft if inverse else batched_fft
-            return transform(block, step - 3, self.precision)
+        return stage.apply(comm.rank, block)
 
     def forward_spmd(
         self,
@@ -449,18 +476,10 @@ class Fft3d:
         ):
             entry = self._tuned_entry
             variant = entry.variant if entry is not None else "flat"
-            for step in range(len(self.reshapes)):
-                block = self._reshape_stage(
-                    comm, block, step, method=method, variant=variant, stats=stats, pool=pool
-                )
-                block = self._fft_stage(comm, block, step, inverse)
+            bound = self._bind(comm, method, variant, block.shape[:-3]).bound
+            for reshape, stage in zip(bound, self._pipeline(inverse)):
+                block = self._reshape_stage(reshape, block, stats, pool)
+                block = self._fft_stage(comm, block, stage)
         self.last_stats = stats
         live_update(comm.rank, phase="idle")
         return block
-
-
-def Box3d_full(shape: tuple[int, int, int]):
-    """The box covering the whole grid (helper for scatter/gather)."""
-    from repro.fft.box import Box3d
-
-    return Box3d((0, 0, 0), tuple(shape))  # type: ignore[arg-type]

@@ -2,8 +2,9 @@
 
 The 2-D pipeline is the 3-D one with a unit third dimension: bricks →
 x-pencils → y-pencils → bricks, i.e. three reshapes and two compute
-phases.  We embed the 2-D grid as ``(n0, n1, 1)`` and drive the same
-box/reshape machinery — one code path, one set of invariants.
+phases.  We embed the 2-D grid as ``(n0, n1, 1)``; the plan is that
+stage list and nothing else — the executor, the accounting and the
+invariants are :class:`~repro.fft.plan.StagedTransform`'s.
 """
 
 from __future__ import annotations
@@ -11,20 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import Codec
-from repro.compression.selection import codec_for_tolerance
-from repro.errors import PlanError
-from repro.fft.box import Box3d
 from repro.fft.decomposition import brick_decomposition, pencil_decomposition
-from repro.fft.local_fft import batched_fft, batched_ifft, complex_dtype
-from repro.fft.plan import FftStats
-from repro.fft.reshape import ReshapePlan, ReshapeStats
+from repro.fft.plan import StagedTransform, fft_stages
 from repro.machine.topology import Topology
 from repro.runtime.virtual import VirtualWorld
 
 __all__ = ["Fft2d"]
 
 
-class Fft2d:
+class Fft2d(StagedTransform):
     """Virtually-distributed approximate 2-D FFT (Algorithm 1, 2-D case).
 
     >>> import numpy as np
@@ -45,77 +41,23 @@ class Fft2d:
         data_hint: str = "random",
         topology: Topology | None = None,
     ) -> None:
-        if len(shape) != 2 or any(n < 2 for n in shape):
-            raise PlanError(f"shape must be 2 dims >= 2, got {shape}")
-        if codec is not None and e_tol is not None:
-            raise PlanError("pass either codec= or e_tol=, not both")
-        if e_tol is not None:
-            codec = codec_for_tolerance(e_tol, data_hint=data_hint)
-        self.shape = tuple(shape)
-        self._shape3 = (shape[0], shape[1], 1)
-        self.nranks = int(nranks)
-        self.precision = precision.lower()
-        self.dtype = complex_dtype(self.precision)
-        if codec is not None and self.precision != "fp64":
-            raise PlanError("compressed reshapes require fp64 working precision")
-        self.codec = codec
-        self.topology = topology
-
-        self.bricks = brick_decomposition(self._shape3, nranks)
-        self.xpencils = pencil_decomposition(self._shape3, nranks, 0)
-        self.ypencils = pencil_decomposition(self._shape3, nranks, 1)
-        layouts = [self.bricks, self.xpencils, self.ypencils, self.bricks]
-        self.reshapes = [ReshapePlan(a, b) for a, b in zip(layouts, layouts[1:])]
-        self.last_stats = FftStats()
-
-    # -- layout helpers ----------------------------------------------------------
+        self._configure(
+            shape, 2, nranks, precision=precision, codec=codec, e_tol=e_tol,
+            data_hint=data_hint, topology=topology,
+        )
+        shape3 = (*self.shape, 1)
+        self.bricks = brick_decomposition(shape3, nranks)
+        pencils = [pencil_decomposition(shape3, nranks, axis) for axis in (0, 1)]
+        self.stages, self.inverse_stages = fft_stages(
+            [self.bricks, *pencils, self.bricks], self.precision
+        )
 
     def scatter(self, x: np.ndarray) -> list[np.ndarray]:
-        x3 = np.asarray(x).reshape(self._shape3)
-        full = Box3d((0, 0, 0), self._shape3)
-        return [
-            np.ascontiguousarray(x3[self.bricks.box_of(r).slices_within(full)], dtype=self.dtype)
-            for r in range(self.nranks)
-        ]
+        """Per-rank ``(a, b, 1)`` brick blocks of a global ``(..., n0, n1)`` array."""
+        return self.bricks.scatter(np.asarray(x)[..., None], self.dtype)
 
     def gather(self, locals_: list[np.ndarray]) -> np.ndarray:
-        out = np.empty(self._shape3, dtype=locals_[0].dtype)
-        full = Box3d((0, 0, 0), self._shape3)
-        for r in range(self.nranks):
-            out[self.bricks.box_of(r).slices_within(full)] = locals_[r]
-        return out.reshape(self.shape)
+        return self.bricks.gather(locals_)[..., 0]
 
-    # -- execution -----------------------------------------------------------------
-
-    def _run(self, x: np.ndarray, *, inverse: bool, world: VirtualWorld | None) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != self.shape:
-            raise PlanError(f"array shape {x.shape} != plan shape {self.shape}")
-        world = world or VirtualWorld(self.nranks, topology=self.topology)
-        transform = batched_ifft if inverse else batched_fft
-        stats = FftStats()
-        locals_ = self.scatter(x.astype(self.dtype))
-        for axis in range(2):
-            rs = ReshapeStats()
-            locals_ = self.reshapes[axis].run_virtual(world, locals_, codec=self.codec, stats=rs)
-            stats.reshapes.append(rs)
-            locals_ = [transform(b, axis, self.precision) for b in locals_]
-        rs = ReshapeStats()
-        locals_ = self.reshapes[2].run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-        self.last_stats = stats
-        return self.gather(locals_)
-
-    def forward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
-        """Approximate 2-D FFT of the global array ``x``."""
-        return self._run(x, inverse=False, world=world)
-
-    def backward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
-        """Approximate inverse 2-D FFT (``1/N^2`` normalised)."""
-        return self._run(x, inverse=True, world=world)
-
-    def roundtrip_error(self, x: np.ndarray) -> float:
-        """``||x - IFFT(FFT(x))|| / ||x||`` through the 2-D pipeline."""
-        x = np.asarray(x)
-        back = self.backward(self.forward(x))
-        return float(np.linalg.norm((x - back).reshape(-1)) / np.linalg.norm(x.reshape(-1)))
+    def _run_virtual(self, x, stages, world: VirtualWorld | None, dtype=None) -> np.ndarray:
+        return super()._run_virtual(np.asarray(x)[..., None], stages, world, dtype)[..., 0]

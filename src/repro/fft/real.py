@@ -5,36 +5,38 @@ produces the half-spectrum ``(n0, n1, n2//2 + 1)`` (Hermitian symmetry
 makes the other half redundant), halving both compute and — crucially
 for this paper — *communication* volume after the first stage.
 
-Pipeline (mirror of Fig. 1, starting along the contracted axis):
+Stage list (mirror of Fig. 1, starting along the contracted axis):
 
     bricks(real) --reshape--> z-pencils(real) --rfft(z)-->
     z-pencils(half complex) --reshape--> y-pencils --fft(y)-->
     --reshape--> x-pencils --fft(x)--> --reshape--> bricks(out)
 
 Four reshapes, like the complex transform; the first moves float64
-reals (8 B/cell), the rest move complex128 on the reduced grid.  All
+reals (8 B/cell), the rest move complex128 on the reduced grid.  The
+inverse list is the mirror image (each reshape reversed, c2r last).  All
 reshapes accept the same codecs as :class:`~repro.fft.plan.Fft3d` —
 real-data messages compress through the identical float64 stream path.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.compression.base import Codec
-from repro.compression.selection import codec_for_tolerance
 from repro.errors import PlanError
-from repro.fft.box import Box3d
 from repro.fft.decomposition import brick_decomposition, pencil_decomposition
-from repro.fft.plan import FftStats
-from repro.fft.reshape import ReshapePlan, ReshapeStats
+from repro.fft.local_fft import batched_fft, batched_ifft
+from repro.fft.plan import Stage, StagedTransform
+from repro.fft.reshape import ReshapePlan
 from repro.machine.topology import Topology
 from repro.runtime.virtual import VirtualWorld
 
 __all__ = ["Rfft3d"]
 
 
-class Rfft3d:
+class Rfft3d(StagedTransform):
     """Distributed real-to-complex 3-D FFT with compressed reshapes.
 
     Parameters mirror :class:`~repro.fft.plan.Fft3d`; the working
@@ -58,124 +60,45 @@ class Rfft3d:
         data_hint: str = "random",
         topology: Topology | None = None,
     ) -> None:
-        if len(shape) != 3 or any(n < 2 for n in shape):
-            raise PlanError(f"shape must be 3 dims >= 2, got {shape}")
-        if codec is not None and e_tol is not None:
-            raise PlanError("pass either codec= or e_tol=, not both")
-        if e_tol is not None:
-            codec = codec_for_tolerance(e_tol, data_hint=data_hint)
-        self.shape = tuple(shape)
+        self._configure(
+            shape, 3, nranks, codec=codec, e_tol=e_tol, data_hint=data_hint, topology=topology
+        )
         self.half = self.shape[2] // 2 + 1
         self.out_shape = (self.shape[0], self.shape[1], self.half)
-        self.nranks = int(nranks)
-        self.codec = codec
-        self.topology = topology
 
         # Real-side layouts (full grid) and spectral-side layouts (half grid).
-        self.bricks_in = brick_decomposition(self.shape, nranks)
-        self.zpencils_in = pencil_decomposition(self.shape, nranks, 2)
-        self.zpencils_out = pencil_decomposition(self.out_shape, nranks, 2)
-        self.ypencils = pencil_decomposition(self.out_shape, nranks, 1)
-        self.xpencils = pencil_decomposition(self.out_shape, nranks, 0)
-        self.bricks_out = brick_decomposition(self.out_shape, nranks)
-        if self.zpencils_in.grid[:2] != self.zpencils_out.grid[:2]:
+        bricks_in = brick_decomposition(self.shape, nranks)
+        z_in = pencil_decomposition(self.shape, nranks, 2)
+        z_out, y, x = (pencil_decomposition(self.out_shape, nranks, axis) for axis in (2, 1, 0))
+        bricks_out = brick_decomposition(self.out_shape, nranks)
+        if z_in.grid[:2] != z_out.grid[:2]:
             raise PlanError("internal: z-pencil grids diverge between real/half layouts")
 
-        self.reshape_to_z = ReshapePlan(self.bricks_in, self.zpencils_in)
-        self.reshape_z_to_y = ReshapePlan(self.zpencils_out, self.ypencils)
-        self.reshape_y_to_x = ReshapePlan(self.ypencils, self.xpencils)
-        self.reshape_to_bricks = ReshapePlan(self.xpencils, self.bricks_out)
-        self.last_stats = FftStats()
-
-    # -- scatter/gather on either side ------------------------------------------
-
-    def _scatter(self, x: np.ndarray, decomp, dtype) -> list[np.ndarray]:
-        full = Box3d((0, 0, 0), x.shape)  # type: ignore[arg-type]
-        return [
-            np.ascontiguousarray(x[decomp.box_of(r).slices_within(full)], dtype=dtype)
-            for r in range(self.nranks)
+        reshapes = [
+            ReshapePlan(a, b) for a, b in ((bricks_in, z_in), (z_out, y), (y, x), (x, bricks_out))
         ]
-
-    def _gather(self, locals_: list[np.ndarray], decomp, shape) -> np.ndarray:
-        out = np.empty(shape, dtype=locals_[0].dtype)
-        full = Box3d((0, 0, 0), shape)
-        for r in range(self.nranks):
-            out[decomp.box_of(r).slices_within(full)] = locals_[r]
-        return out
-
-    # -- transforms ----------------------------------------------------------------
+        # local r2c along z: real (..., nz) -> complex (..., nz//2+1), and back
+        r2c = partial(np.fft.rfft, axis=-1)
+        c2r = partial(np.fft.irfft, n=self.shape[2], axis=-1)
+        self.stages = [
+            Stage(reshapes[0], r2c, 2),
+            Stage(reshapes[1], partial(batched_fft, axis=-2), 1),
+            Stage(reshapes[2], partial(batched_fft, axis=-3), 0),
+            Stage(reshapes[3]),
+        ]
+        back = [ReshapePlan(r.dst, r.src) for r in reversed(reshapes)]
+        self.inverse_stages = [
+            Stage(back[0], partial(batched_ifft, axis=-3), 0),
+            Stage(back[1], partial(batched_ifft, axis=-2), 1),
+            Stage(back[2], c2r, 2),
+            Stage(back[3]),
+        ]
 
     def forward(self, x: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
         """Half-spectrum FFT of the real field ``x``."""
-        x = np.asarray(x)
-        if x.shape != self.shape:
-            raise PlanError(f"array shape {x.shape} != plan shape {self.shape}")
         if np.iscomplexobj(x):
             raise PlanError("r2c forward expects real input; use Fft3d for complex")
-        world = world or VirtualWorld(self.nranks, topology=self.topology)
-        stats = FftStats()
-
-        locals_ = self._scatter(x.astype(np.float64), self.bricks_in, np.float64)
-        rs = ReshapeStats()
-        locals_ = self.reshape_to_z.run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-
-        # local r2c along z: real (..., nz) -> complex (..., nz//2+1)
-        locals_ = [np.fft.rfft(b, axis=2).astype(np.complex128) for b in locals_]
-
-        for plan, axis in ((self.reshape_z_to_y, 1), (self.reshape_y_to_x, 0)):
-            rs = ReshapeStats()
-            locals_ = plan.run_virtual(world, locals_, codec=self.codec, stats=rs)
-            stats.reshapes.append(rs)
-            locals_ = [np.fft.fft(b, axis=axis).astype(np.complex128) for b in locals_]
-
-        rs = ReshapeStats()
-        locals_ = self.reshape_to_bricks.run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-        self.last_stats = stats
-        return self._gather(locals_, self.bricks_out, self.out_shape)
-
-    def backward(self, X: np.ndarray, *, world: VirtualWorld | None = None) -> np.ndarray:
-        """Inverse transform: half spectrum back to the real field."""
-        X = np.asarray(X)
-        if X.shape != self.out_shape:
-            raise PlanError(f"array shape {X.shape} != spectrum shape {self.out_shape}")
-        world = world or VirtualWorld(self.nranks, topology=self.topology)
-        stats = FftStats()
-
-        locals_ = self._scatter(X.astype(np.complex128), self.bricks_out, np.complex128)
-        # reverse pipeline: bricks -> x -> y -> z -> bricks(real)
-        plan_back_x = ReshapePlan(self.bricks_out, self.xpencils)
-        plan_x_to_y = ReshapePlan(self.xpencils, self.ypencils)
-        plan_y_to_z = ReshapePlan(self.ypencils, self.zpencils_out)
-        plan_z_to_bricks = ReshapePlan(self.zpencils_in, self.bricks_in)
-
-        rs = ReshapeStats()
-        locals_ = plan_back_x.run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-        locals_ = [np.fft.ifft(b, axis=0).astype(np.complex128) for b in locals_]
-
-        rs = ReshapeStats()
-        locals_ = plan_x_to_y.run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-        locals_ = [np.fft.ifft(b, axis=1).astype(np.complex128) for b in locals_]
-
-        rs = ReshapeStats()
-        locals_ = plan_y_to_z.run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-        locals_ = [np.fft.irfft(b, n=self.shape[2], axis=2) for b in locals_]
-
-        rs = ReshapeStats()
-        locals_ = plan_z_to_bricks.run_virtual(world, locals_, codec=self.codec, stats=rs)
-        stats.reshapes.append(rs)
-        self.last_stats = stats
-        return self._gather(locals_, self.bricks_in, self.shape)
-
-    def roundtrip_error(self, x: np.ndarray) -> float:
-        """``||x - IRFFT(RFFT(x))|| / ||x||`` through the full pipeline."""
-        x = np.asarray(x, dtype=np.float64)
-        back = self.backward(self.forward(x))
-        return float(np.linalg.norm((x - back).reshape(-1)) / np.linalg.norm(x.reshape(-1)))
+        return self._run_virtual(x, self.stages, world, np.float64)
 
     @property
     def communication_savings_vs_complex(self) -> float:

@@ -8,31 +8,33 @@ Algorithm 1 line 2), and *unpacked* on the receiver.  The compression
 "plays a similar role as packing and unpacking operation in MPI"
 (Section V-B): the wire always carries contiguous bytes.
 
-Two executors share the same plan:
+Two executors share the same stage — :class:`ReshapeStage`, one rank's
+slice tables and pack/unpack, the only definition of how a block is cut
+and pasted:
 
 * :meth:`ReshapePlan.run_virtual` — functional execution on a
-  :class:`~repro.runtime.virtual.VirtualWorld` (scales to 1536 ranks);
+  :class:`~repro.runtime.virtual.VirtualWorld` (scales to 1536 ranks):
+  every rank's stage in one process, one message in flight;
 * :meth:`ReshapePlan.run_spmd` — per-rank SPMD execution on a real
   communicator, through any of the all-to-all algorithms of
   :mod:`repro.collectives`; it is one execution of a
-  :class:`BoundReshape`, which a caller that repeats the reshape
-  (:class:`~repro.fft.plan.Fft3d`) builds once and keeps.
+  :class:`BoundReshape` (a stage bound to an exchange), which a caller
+  that repeats the reshape (:class:`~repro.fft.plan.Fft3d`) builds once
+  and keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.base import Exchange, volume_rate
+from repro.collectives.base import Exchange, ExchangeStats
 from repro.collectives.exchange import make_exchange
 from repro.collectives.osc import OscAlltoallv
 from repro.compression.base import Codec
 from repro.errors import PlanError
-from repro.faults import ResilienceReport
 from repro.telemetry.recorder import live_update
 from repro.tuning.pool import BufferPool
 from repro.trace import incr as trace_incr
@@ -42,66 +44,7 @@ from repro.fft.decomposition import CartesianDecomp
 from repro.runtime.base import Comm
 from repro.runtime.virtual import VirtualWorld
 
-__all__ = ["BoundReshape", "ReshapePlan", "ReshapeStats"]
-
-
-@dataclass
-class ReshapeStats:
-    """Volume accounting of one reshape execution."""
-
-    messages: int = 0
-    logical_bytes: int = 0  # uncompressed payload volume
-    wire_bytes: int = 0  # after compression
-    retries: int = 0  # recovery retries across resilient exchanges
-    degradations: int = 0  # codec ladder step-downs
-    #: Per-exchange resilience audit trails (this rank's exchanges only —
-    #: a ReshapeStats instance is per-rank state, unlike the shared plan).
-    reports: list[ResilienceReport] = field(default_factory=list)
-
-    @property
-    def achieved_rate(self) -> float:
-        """Compression rate ``logical / wire`` (see :func:`volume_rate`)."""
-        return volume_rate(self.logical_bytes, self.wire_bytes)
-
-    @property
-    def clean(self) -> bool:
-        """True when no resilient exchange recorded any event.
-
-        Requires the counters to agree with the reports: an empty
-        ``reports`` list with nonzero ``retries``/``degradations``
-        (e.g. stats merged from a source that dropped its reports) is
-        *not* clean.
-        """
-        return (
-            self.retries == 0
-            and self.degradations == 0
-            and all(r.clean for r in self.reports)
-        )
-
-    def fold(self, exchange: Exchange) -> None:
-        """Add the accounting of ``exchange``'s last call (its stats and
-        its :class:`~repro.faults.ResilienceReport`)."""
-        sent, report = exchange.last_stats, exchange.last_report
-        self.messages += sent.sent_messages
-        self.logical_bytes += sent.original_bytes
-        self.wire_bytes += sent.wire_bytes
-        self.retries += report.retries
-        self.degradations += report.degradations
-        self.reports.append(report)
-
-    def merge(self, other: "ReshapeStats") -> "ReshapeStats":
-        """Fold another execution's accounting into this one (returns self).
-
-        Lets multi-reshape pipelines aggregate per-stage stats without
-        hand-summing fields.
-        """
-        self.messages += other.messages
-        self.logical_bytes += other.logical_bytes
-        self.wire_bytes += other.wire_bytes
-        self.retries += other.retries
-        self.degradations += other.degradations
-        self.reports.extend(other.reports)
-        return self
+__all__ = ["BoundReshape", "ReshapePlan", "ReshapeStage"]
 
 
 class ReshapePlan:
@@ -128,6 +71,8 @@ class ReshapePlan:
                     row.append((d, overlap))
                     self.incoming[d].append((s, overlap))
             self.pairs.append(row)
+        #: Each rank's side of the reshape (its slice tables), by rank.
+        self.rank_stages = [ReshapeStage(self, rank) for rank in range(self.nranks)]
 
     # -- introspection -----------------------------------------------------------
 
@@ -180,11 +125,6 @@ class ReshapePlan:
                 elements[s, d] = box.size * math.prod(batch)
         return elements
 
-    def _alloc_out(
-        self, rank: int, dtype: np.dtype, batch: tuple[int, ...] = ()
-    ) -> np.ndarray:
-        return np.empty(batch + self.dst.box_of(rank).shape, dtype=dtype)
-
     # -- virtual (functional) execution ----------------------------------------------
 
     def run_virtual(
@@ -193,45 +133,43 @@ class ReshapePlan:
         locals_: Sequence[np.ndarray],
         *,
         codec: Codec | None = None,
-        stats: ReshapeStats | None = None,
+        stats: ExchangeStats | None = None,
     ) -> list[np.ndarray]:
         """Execute the reshape over all ranks' local arrays at once.
 
-        Each message is packed, (optionally) compressed, logged to the
-        world's traffic accounting at its *wire* size, decompressed and
-        unpacked — the same byte stream the SPMD path produces.
+        A streaming walk over every rank's :class:`ReshapeStage`, one
+        message in flight: packed by the sender's stage, (optionally)
+        compressed, logged to the world's traffic accounting at its
+        *wire* size, decompressed and unpacked by the receiver's stage —
+        the same byte stream, spans and counters the SPMD path produces.
         """
         if world.nranks != self.nranks:
             raise PlanError("world size does not match plan")
         if len(locals_) != self.nranks:
             raise PlanError("need one local array per rank")
-        dtype = locals_[0].dtype
-        batch = locals_[0].shape[:-3]
-        out = [self._alloc_out(r, dtype, batch) for r in range(self.nranks)]
-        for s in range(self.nranks):
-            for d, box in self.pairs[s]:
-                with trace_span("pack", rank=s, peer=d):
-                    chunk = self.pack(s, locals_[s], d, box)
-                if codec is None:
-                    world.traffic.record(s, d, chunk.nbytes)
-                    received = chunk
-                    wire = chunk.nbytes
-                else:
+        stages = self.rank_stages
+        out = [stage.empty_out(locals_[0]) for stage in stages]
+        for s, (sender, local) in enumerate(zip(stages, locals_)):
+            sent = ExchangeStats()
+            for d in sender.outgoing:
+                chunk = received = sender.pack(local, d)
+                wire = chunk.nbytes
+                if codec is not None:
                     with trace_span("compress", rank=s, peer=d, bytes=chunk.nbytes):
                         msg = codec.compress(chunk)
-                    world.traffic.record(s, d, msg.nbytes)
                     with trace_span("decompress", rank=d, peer=s, bytes=msg.nbytes):
                         received = codec.decompress(msg)
                     wire = msg.nbytes
-                trace_incr("messages", 1, rank=s)
-                trace_incr("logical_bytes", chunk.nbytes, rank=s)
-                trace_incr("wire_bytes", wire, rank=s)
-                if stats is not None:
-                    stats.messages += 1
-                    stats.logical_bytes += chunk.nbytes
-                    stats.wire_bytes += wire
-                with trace_span("unpack", rank=d, peer=s):
-                    self.unpack(d, out[d], s, box, received)
+                world.traffic.record(s, d, wire)
+                sent.messages += 1
+                sent.logical_bytes += chunk.nbytes
+                sent.wire_bytes += wire
+                stages[d].unpack(out[d], s, received)
+            trace_incr("messages", sent.messages, rank=s)
+            trace_incr("logical_bytes", sent.logical_bytes, rank=s)
+            trace_incr("wire_bytes", sent.wire_bytes, rank=s)
+            if stats is not None:
+                stats.merge(sent)
         return out
 
     # -- SPMD execution ------------------------------------------------------------------
@@ -242,7 +180,7 @@ class ReshapePlan:
         local: np.ndarray,
         exchange: Exchange | None = None,
         *,
-        stats: ReshapeStats | None = None,
+        stats: ExchangeStats | None = None,
         pool: BufferPool | None = None,
     ) -> np.ndarray:
         """Execute this rank's part of the reshape on a communicator.
@@ -279,39 +217,67 @@ def _unpack(target: np.ndarray, chunk: np.ndarray) -> None:
     target[...] = chunk.reshape(target.shape)
 
 
-class BoundReshape:
-    """One rank's side of a reshape, bound to the exchange that moves it.
+class ReshapeStage:
+    """One rank's side of a reshape: how its block is cut and pasted.
 
     What is the same in every execution is worked out here, once: the
-    slices of the rank's block each message is read from and written
-    to, and the shapes.  The plan stays shared and stateless; this is
-    per-rank state.
+    slices of the rank's block each message is read from (``outgoing``,
+    by destination) and written to (``incoming``, by source), and the
+    block shapes.  Leading batch dimensions pass through (``...``).
+    """
+
+    def __init__(self, plan: ReshapePlan, rank: int) -> None:
+        sbox, dbox = plan.src.box_of(rank), plan.dst.box_of(rank)
+        self.rank = rank
+        self.in_shape, self.out_shape = sbox.shape, dbox.shape
+        self.outgoing = {d: (..., *box.slices_within(sbox)) for d, box in plan.pairs[rank]}
+        self.incoming = {s: (..., *box.slices_within(dbox)) for s, box in plan.incoming[rank]}
+
+    def pack(self, local: np.ndarray, dest: int, pool: BufferPool | None = None) -> np.ndarray:
+        """The flat contiguous chunk this rank owes ``dest``."""
+        if local.shape[-3:] != self.in_shape:
+            raise PlanError(
+                f"rank {self.rank}: local array shape {local.shape} != inbox {self.in_shape}"
+            )
+        with trace_span("pack", rank=self.rank, peer=dest):
+            return _pack(local[self.outgoing[dest]], pool)
+
+    def empty_out(self, like: np.ndarray) -> np.ndarray:
+        """An unfilled destination block with ``like``'s batch and dtype."""
+        return np.empty(like.shape[:-3] + self.out_shape, dtype=like.dtype)
+
+    def unpack(self, out: np.ndarray, source: int, chunk: np.ndarray) -> None:
+        """Paste the chunk received from ``source`` into ``out``."""
+        with trace_span("unpack", rank=self.rank, peer=source):
+            _unpack(out[self.incoming[source]], chunk)
+
+
+class BoundReshape:
+    """A rank's :class:`ReshapeStage` bound to the exchange that moves it.
+
+    The plan and its stages stay shared and stateless; the exchange
+    (and behind it the window) is per-rank state.
     """
 
     def __init__(
         self, plan: ReshapePlan, rank: int, exchange: Exchange, batch: tuple[int, ...] = ()
     ) -> None:
-        sbox, dbox = plan.src.box_of(rank), plan.dst.box_of(rank)
-        self.rank = rank
+        self.stage = plan.rank_stages[rank]
         self.exchange = exchange
-        self.nranks = plan.nranks
-        self.in_shape = batch + sbox.shape
-        self.out_shape = batch + dbox.shape
-        self.outgoing = [(d, (..., *box.slices_within(sbox))) for d, box in plan.pairs[rank]]
-        self.incoming = [(s, (..., *box.slices_within(dbox))) for s, box in plan.incoming[rank]]
+        self.in_shape = batch + self.stage.in_shape
 
     def __call__(
         self,
         local: np.ndarray,
         *,
-        stats: ReshapeStats | None = None,
+        stats: ExchangeStats | None = None,
         pool: BufferPool | None = None,
     ) -> np.ndarray:
         """Move ``local`` (this rank's block in the source layout) and
         return the rank's block in the destination layout.
 
-        The exchange's accounting and
-        :class:`~repro.faults.ResilienceReport` are folded into
+        The exchange's accounting (its
+        :class:`~repro.faults.ResilienceReport` included) is merged into
         ``stats`` (per-rank state).  ``pool`` stages the pack scratch in
         reusable buffers and takes back the receive copies the exchange
         drew from it (zero steady-state allocations once warm).
@@ -321,30 +287,26 @@ class BoundReshape:
         reads the local window (borrowed views that do not outlive this
         call — the returned block never aliases a window).
         """
+        stage, exchange = self.stage, self.exchange
         if local.shape != self.in_shape:
             raise PlanError(
-                f"rank {self.rank}: local array shape {local.shape} != inbox {self.in_shape}"
+                f"rank {stage.rank}: local array shape {local.shape} != inbox {self.in_shape}"
             )
-        rank, exchange = self.rank, self.exchange
         direct = isinstance(exchange, OscAlltoallv)
-        send: list[np.ndarray | None] = [None] * self.nranks
-        for d, where in self.outgoing:
-            if direct:
-                send[d] = local[where]
-            else:
-                with trace_span("pack", rank=rank, peer=d):
-                    send[d] = _pack(local[where], pool)
+        send: list[np.ndarray | None] = [None] * exchange.comm.size
+        for d, where in stage.outgoing.items():
+            send[d] = local[where] if direct else stage.pack(local, d, pool)
 
         # One live-phase beacon per reshape: "exchange" is where a rank
         # spends its blocking time (pack/unpack are sub-ms local work and
         # per-phase beacons there measurably tax the GIL-shared ranks).
-        live_update(rank, phase="exchange")
+        live_update(stage.rank, phase="exchange")
         with trace_span(
-            "exchange", rank=rank, method=exchange.algorithm, messages=len(self.outgoing)
+            "exchange", rank=stage.rank, method=exchange.algorithm, messages=len(stage.outgoing)
         ):
             recv = exchange.borrow(send) if direct else exchange(send)
         if stats is not None:
-            stats.fold(exchange)
+            stats.merge(exchange.last_stats)
 
         # Every exchange has consumed (copied or encoded) the packed
         # send buffers by now; give them back before unpacking so the
@@ -354,12 +316,11 @@ class BoundReshape:
                 if buf is not None:
                     pool.release(buf)
 
-        out = np.empty(self.out_shape, dtype=local.dtype)
-        for s, where in self.incoming:
-            with trace_span("unpack", rank=rank, peer=s):
-                _unpack(out[where], np.asarray(recv[s]))
+        out = stage.empty_out(local)
+        for s in stage.incoming:
+            stage.unpack(out, s, np.asarray(recv[s]))
         if pool is not None and not direct:
-            for s, _ in self.incoming:
+            for s in stage.incoming:
                 # Pooled receive copies go back too; the lenient release
                 # ignores arrays the pool never owned.
                 pool.release(np.asarray(recv[s]))

@@ -84,10 +84,8 @@ def reshape_checksums(
             chunk = plan.pack(rank, block, d, box)
             out.entries[(rank, d)] = (complex(chunk.sum()), float(np.abs(chunk).sum()))
     else:
-        dbox = plan.dst.box_of(rank)
-        for s, box in plan.incoming[rank]:
-            sl = box.slices_within(dbox)
-            chunk = block[..., sl[0], sl[1], sl[2]]
+        for s, where in plan.rank_stages[rank].incoming.items():
+            chunk = block[where]
             out.entries[(s, rank)] = (complex(chunk.sum()), float(np.abs(chunk).sum()))
     return out
 

@@ -48,7 +48,6 @@ from repro.errors import (
     StallError,
     WireIntegrityError,
 )
-from repro.fft.box import Box3d
 from repro.fft.plan import Fft3d
 from repro.machine.topology import ShrunkTopology
 from repro.resilience.abft import reshape_checksums, verify_checksums
@@ -300,11 +299,6 @@ class ShmCheckpointStore(CheckpointStore):
         self._attached.clear()
 
 
-def _layouts(plan: Fft3d):
-    """The five-layout pipeline of Fig. 1 (stage s input = layouts[s])."""
-    return [plan.bricks, *plan.pencils, plan.bricks]
-
-
 @dataclass
 class SpmdResult:
     """One rank's outcome of a failure-tolerant SPMD transform.
@@ -443,8 +437,9 @@ class ResilientFft3d:
     def _run_stages(
         self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, pool, tag: str
     ) -> np.ndarray:
-        """Stages ``start..3`` of the pipeline — :class:`Fft3d`'s own stage
-        halves — checkpointing each one, ABFT-checking each reshape.
+        """Stages ``start..`` of the plan's stage list — through
+        :class:`Fft3d`'s own stage halves — checkpointing each one,
+        ABFT-checking each reshape.
 
         The reshapes run on the plan's binding to ``comm`` (see
         :meth:`Fft3d._bind`): after a shrink ``comm`` is a new
@@ -453,8 +448,8 @@ class ResilientFft3d:
         without a barrier, when ``shrink`` retired its communicator.
         """
         store = CheckpointStore.for_comm(comm)
-        for step in range(start, _N_STAGES):
-            rplan = plan.reshapes[step]
+        for step, stage in enumerate(plan._pipeline(inverse)[start:], start):
+            rplan = stage.reshape
             key = (tag, comm.size, step, comm.rank)
             with trace_span("checkpoint", rank=comm.rank, stage=step):
                 store.save(key, block, meta={"stage": step, "inverse": int(inverse)})
@@ -464,16 +459,14 @@ class ResilientFft3d:
                 sent = {}
                 for entries in comm.allgather(mine.entries):
                     sent.update(entries)
-            block = plan._reshape_stage(
-                comm, block, step,
-                method=self.method, variant=self.variant, stats=plan.last_stats, pool=pool,
-            )
+            bound = plan._bind(comm, self.method, self.variant, block.shape[:-3]).bound[step]
+            block = plan._reshape_stage(bound, block, plan.last_stats, pool)
             if self.abft:
                 got = reshape_checksums(
                     rplan, comm.rank, block, stage=step, direction="recv"
                 )
                 verify_checksums(sent, got, self.checksum_tolerance)
-            block = plan._fft_stage(comm, block, step, inverse)
+            block = plan._fft_stage(comm, block, stage)
         return block
 
     # -- recovery ---------------------------------------------------------------------
@@ -488,21 +481,11 @@ class ResilientFft3d:
         survivor count, and slices out this survivor's block in the new
         stage layout.
         """
-        old_layout = _layouts(old_plan)[stage]
-        full = Box3d((0, 0, 0), self.shape)
-        global_arr: np.ndarray | None = None
-        for r in range(old_size):
-            blk = store.load((tag, old_size, stage, r))
-            if global_arr is None:
-                batch = blk.shape[:-3]
-                global_arr = np.empty(batch + self.shape, dtype=blk.dtype)
-            sl = old_layout.box_of(r).slices_within(full)
-            global_arr[..., sl[0], sl[1], sl[2]] = blk
-        assert global_arr is not None  # old_size >= 1
+        blocks = [store.load((tag, old_size, stage, r)) for r in range(old_size)]
+        global_arr = old_plan.reshapes[stage].src.gather(blocks)
         new_plan = self._plan_for(sub.size, getattr(sub, "parent_ranks", None))
-        new_layout = _layouts(new_plan)[stage]
-        sl = new_layout.box_of(sub.rank).slices_within(full)
-        return new_plan, np.ascontiguousarray(global_arr[..., sl[0], sl[1], sl[2]])
+        new_layout = new_plan.reshapes[stage].src
+        return new_plan, np.ascontiguousarray(global_arr[new_layout.where(sub.rank)])
 
     def _run(
         self, comm, plan: Fft3d, block: np.ndarray, start: int, inverse: bool, depth: int, pool,

@@ -31,11 +31,9 @@ __all__ = ["run_trace_case", "TRACE_CASES"]
 TRACE_CASES = ("fft", "alltoall")
 
 
-def _traced_fft(
-    nranks: int, n: int, e_tol: float, seed: int, runtime: str = "thread"
-) -> tuple[int, int]:
-    """Forward 3-D FFT on the chosen runtime; returns (wire, logical) bytes
-    summed over every rank's :class:`~repro.fft.plan.FftStats`."""
+def _traced_fft(nranks: int, n: int, e_tol: float, seed: int, runtime: str = "thread") -> list:
+    """Forward 3-D FFT on the chosen runtime; returns every rank's
+    :class:`~repro.collectives.base.ExchangeStats` (its reshapes merged)."""
     from repro.fft.plan import Fft3d, FftStats
     from repro.runtime import make_world
 
@@ -47,19 +45,13 @@ def _traced_fft(
     def kernel(comm):
         stats = FftStats()
         plan.forward_spmd(comm, locals_[comm.rank], stats=stats)
-        return stats
+        return stats.totals()
 
-    per_rank = make_world(runtime, nranks).run(kernel)
-    return (
-        sum(s.wire_bytes for s in per_rank),
-        sum(s.logical_bytes for s in per_rank),
-    )
+    return make_world(runtime, nranks).run(kernel)
 
 
-def _traced_alltoall(
-    nranks: int, n: int, e_tol: float, seed: int, runtime: str = "thread"
-) -> tuple[int, int]:
-    """One compressed OSC exchange; returns (wire, logical) byte totals."""
+def _traced_alltoall(nranks: int, n: int, e_tol: float, seed: int, runtime: str = "thread") -> list:
+    """One compressed OSC exchange; returns every rank's ``ExchangeStats``."""
     from repro.collectives.compressed import CompressedOscAlltoallv
     from repro.compression.selection import codec_for_tolerance
     from repro.runtime import make_world
@@ -77,11 +69,7 @@ def _traced_alltoall(
             op.free()
         return op.last_stats
 
-    per_rank = make_world(runtime, nranks).run(kernel)
-    return (
-        sum(s.wire_bytes for s in per_rank),
-        sum(s.original_bytes for s in per_rank),
-    )
+    return make_world(runtime, nranks).run(kernel)
 
 
 def run_trace_case(
@@ -112,10 +100,12 @@ def run_trace_case(
     install(tracer)
     try:
         runner = _traced_fft if case == "fft" else _traced_alltoall
-        stats_wire, stats_logical = runner(nranks, n, e_tol, seed, runtime)
+        per_rank = runner(nranks, n, e_tol, seed, runtime)
     finally:
         uninstall()
 
+    stats_wire = sum(s.wire_bytes for s in per_rank)
+    stats_logical = sum(s.logical_bytes for s in per_rank)
     traced_wire = int(tracer.counter_total("wire_bytes"))
     traced_logical = int(tracer.counter_total("logical_bytes"))
     consistent = traced_wire == stats_wire and traced_logical == stats_logical

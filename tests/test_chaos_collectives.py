@@ -17,7 +17,7 @@ from repro.compression import CastCodec, IdentityCodec, ShuffleZlibCodec
 from repro.errors import CommunicatorError, ReproError, RetryExhaustedError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.fft import ReshapePlan, brick_decomposition, pencil_decomposition
-from repro.fft.reshape import ReshapeStats
+from repro.collectives.base import ExchangeStats
 from repro.runtime import ThreadWorld, run_spmd
 
 P = 4  # world size used throughout
@@ -368,7 +368,7 @@ class TestReshapeUnderFaults:
         world = ThreadWorld(P, faults=fault_plan)
 
         def kernel(comm):
-            stats = ReshapeStats()
+            stats = ExchangeStats()
             op = make_exchange(comm, codec=IdentityCodec(), retry_policy=_fast_retry())
             out = plan.run_spmd(comm, locals_[comm.rank], op, stats=stats)
             op.free()
@@ -400,7 +400,7 @@ class TestReshapeUnderFaults:
         ]
 
         def kernel(comm):
-            stats = ReshapeStats()
+            stats = ExchangeStats()
             op = make_exchange(comm, codec=IdentityCodec())
             plan.run_spmd(comm, locals_[comm.rank], op, stats=stats)
             op.free()

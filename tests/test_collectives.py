@@ -188,7 +188,7 @@ class TestCompressedOsc:
             op([np.ones(10) for _ in range(comm.size)])
             st = op.last_stats
             op.free()
-            return st.sent_messages, st.original_bytes, st.wire_bytes
+            return st.messages, st.logical_bytes, st.wire_bytes
 
         res = run_spmd(2, kernel)
         for msgs, orig, wire in res:

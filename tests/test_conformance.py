@@ -110,6 +110,35 @@ def test_planted_offset_bug_is_caught_on_every_window_exchange(variant: str) -> 
     pytest.fail(f"{variant}: planted off-by-one not caught within 50 cases")
 
 
+@pytest.mark.filterwarnings("ignore:invalid value")  # a misplaced put feeds the FFT garbage
+def test_virtual_spmd_differential_catches_a_transport_defect() -> None:
+    """The virtual walk never touches a window, so an off-by-one put can
+    only show as virtual ≠ SPMD — which the ``fft`` family now checks."""
+    assert run_conformance(seed=0, cases=12, properties=["fft"]).ok
+    with hooks.mutation("osc.put_offset", lambda off, **ctx: max(0, off - 1)):
+        report = run_conformance(seed=0, cases=12, properties=["fft"])
+    assert report.failures
+
+
+def test_reshape_differential_catches_a_corrupting_exchange(monkeypatch) -> None:
+    from repro.collectives.exchange import ReferenceAlltoallv
+
+    call = ReferenceAlltoallv.__call__
+
+    def corrupting(self, send):
+        recv = [np.array(chunk) for chunk in call(self, send)]
+        for chunk in recv:
+            if chunk.size:
+                chunk.reshape(-1).view(np.uint8)[0] ^= 0xFF
+                break
+        return recv
+
+    assert run_conformance(seed=0, cases=6, properties=["reshape"]).ok
+    monkeypatch.setattr(ReferenceAlltoallv, "__call__", corrupting)
+    failures = run_conformance(seed=0, cases=6, properties=["reshape"]).failures
+    assert failures and all("SPMD block differs" in o.failure for o in failures)
+
+
 def test_planted_pairwise_corruption_replays_identically() -> None:
     """A deterministic two-sided defect reproduces its exact failure message."""
 

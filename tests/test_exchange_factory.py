@@ -92,8 +92,8 @@ def test_matches_reference_and_accounts_for_its_send_list(runtime: str, name: st
                 assert got[s].shape == want[s].shape
                 assert np.all(np.abs(got[s] - want[s]) <= bound), f"{rank} <- {s}"
         sizes = [c.nbytes for c in _send(rank) if c is not None and c.size]
-        assert stats.sent_messages == fragments * len(sizes)
-        assert stats.original_bytes == sum(sizes)
+        assert stats.messages == fragments * len(sizes)
+        assert stats.logical_bytes == sum(sizes)
         if codec is None or isinstance(codec, IdentityCodec):
             assert stats.wire_bytes == sum(sizes)
         else:

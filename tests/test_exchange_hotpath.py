@@ -90,7 +90,7 @@ class TestOriginalBytesAccounting:
         rng = np.random.default_rng(0)
         send = [[rng.standard_normal(6 + d) for d in range(2)] for _ in range(2)]
         for rank, stats in enumerate(self._stats_for(send)):
-            assert stats.original_bytes == sum(b.nbytes for b in send[rank])
+            assert stats.logical_bytes == sum(b.nbytes for b in send[rank])
 
     def test_complex128_blocks_count_both_components(self):
         rng = np.random.default_rng(1)
@@ -100,8 +100,8 @@ class TestOriginalBytesAccounting:
         ]
         for rank, stats in enumerate(self._stats_for(send)):
             # 16 bytes per complex element == arr.nbytes, not 8
-            assert stats.original_bytes == sum(b.nbytes for b in send[rank])
-            assert stats.original_bytes == 2 * 5 * 16
+            assert stats.logical_bytes == sum(b.nbytes for b in send[rank])
+            assert stats.logical_bytes == 2 * 5 * 16
 
     def test_batched_blocks(self):
         rng = np.random.default_rng(2)
@@ -113,7 +113,7 @@ class TestOriginalBytesAccounting:
             for _ in range(2)
         ]
         for rank, stats in enumerate(self._stats_for(send)):
-            assert stats.original_bytes == sum(b.nbytes for b in send[rank])
+            assert stats.logical_bytes == sum(b.nbytes for b in send[rank])
 
 
 class TestSelfBlockAliasing:

@@ -7,7 +7,8 @@ import pytest
 
 from repro.compression import CastCodec
 from repro.errors import PlanError
-from repro.fft import Fft2d
+from repro.fft import Fft2d, Fft3d
+from repro.trace import tracing
 
 
 class TestForward:
@@ -55,3 +56,27 @@ class TestForward:
             Fft2d((8, 8), 2, precision="fp32", codec=CastCodec("fp32"))
         with pytest.raises(PlanError):
             Fft2d((8, 8), 2).forward(np.zeros((4, 4)))
+
+
+class TestSharedPipeline:
+    def test_traced_forward_has_one_compute_span_per_rank_and_stage(self, rng):
+        p = 4
+        with tracing() as tracer:
+            Fft2d((32, 32), p).forward(rng.random((32, 32)))
+        spans = [s for s in tracer.span_events() if s.kind == "local_fft"]
+        assert len(spans) == 2 * p  # used to be zero: the 2-D loop had no spans
+        assert sorted((s.rank, s.attrs["axis"]) for s in spans) == sorted(
+            (r, axis) for r in range(p) for axis in (0, 1)
+        )
+
+    def test_fft3d_compute_span_count_is_unchanged(self, rng):
+        p = 4
+        with tracing() as tracer:
+            Fft3d((8, 8, 8), p).forward(rng.random((8, 8, 8)))
+        assert sum(s.kind == "local_fft" for s in tracer.span_events()) == 3 * p
+
+    def test_batch_dimension_rides_along(self, rng):
+        """Negative transform axes, as in Fft3d: a leading batch passes through."""
+        x = rng.random((3, 12, 10)) + 1j * rng.random((3, 12, 10))
+        plan = Fft2d((12, 10), 4)
+        assert np.allclose(plan.forward(x), np.fft.fft2(x), rtol=1e-12)

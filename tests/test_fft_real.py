@@ -8,7 +8,9 @@ import pytest
 from repro.compression import CastCodec, MantissaTrimCodec
 from repro.errors import PlanError
 from repro.fft import Rfft3d
+from repro.fft.reshape import ReshapePlan
 from repro.runtime import VirtualWorld
+from repro.trace import tracing
 
 
 class TestForward:
@@ -93,3 +95,42 @@ class TestVolumeSavings:
             Rfft3d((8, 8), 2)  # not 3-D
         with pytest.raises(PlanError):
             Rfft3d((8, 8, 8), 2, codec=CastCodec("fp32"), e_tol=1e-6)
+
+
+class TestStageLists:
+    @pytest.mark.parametrize("codec,tol", [(None, 1e-12), (CastCodec("fp32"), 1e-6)])
+    def test_transforms_construct_no_plans(self, rng, monkeypatch, codec, tol):
+        """Both stage lists are built by the constructor: ``backward`` used
+        to rebuild its four reshape plans on every call."""
+        shape = (16, 16, 15)
+        plan = Rfft3d(shape, 4, codec=codec)
+        built = []
+        init = ReshapePlan.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReshapePlan, "__init__", counting_init)
+        x = rng.random(shape)
+        for _ in range(2):
+            back = plan.backward(plan.forward(x))
+        assert built == []
+        assert np.linalg.norm(back - x) <= tol * np.linalg.norm(x)
+
+    def test_inverse_list_mirrors_the_forward_one(self):
+        plan = Rfft3d((12, 10, 9), 6)
+        for fwd, inv in zip(plan.stages, reversed(plan.inverse_stages)):
+            assert (inv.reshape.src, inv.reshape.dst) == (fwd.reshape.dst, fwd.reshape.src)
+        assert [s.axis for s in plan.inverse_stages] == [0, 1, 2, None]
+
+    def test_traced_forward_has_one_compute_span_per_rank_and_stage(self, rng):
+        p = 4
+        plan = Rfft3d((16, 16, 16), p)
+        with tracing() as tracer:
+            plan.forward(rng.random((16, 16, 16)))
+        spans = [s for s in tracer.span_events() if s.kind == "local_fft"]
+        assert len(spans) == 3 * p  # used to be zero: the r2c loop had no spans
+        assert sorted((s.rank, s.attrs["axis"]) for s in spans) == sorted(
+            (r, axis) for r in range(p) for axis in (2, 1, 0)
+        )

@@ -9,7 +9,7 @@ from repro.collectives import make_exchange
 from repro.compression import CastCodec, IdentityCodec
 from repro.errors import PlanError
 from repro.fft import Box3d, ReshapePlan, brick_decomposition, pencil_decomposition
-from repro.fft.reshape import ReshapeStats
+from repro.collectives.base import ExchangeStats
 from repro.runtime import VirtualWorld, run_spmd
 
 
@@ -97,7 +97,7 @@ class TestVirtualExecution:
         dst = pencil_decomposition(shape, p, 2)
         plan = ReshapePlan(src, dst)
         world = VirtualWorld(p)
-        stats = ReshapeStats()
+        stats = ExchangeStats()
         out = plan.run_virtual(world, _scatter(src, x), codec=CastCodec("fp32"), stats=stats)
         got = _gather(dst, out, shape)
         assert not np.array_equal(got, x)  # lossy
@@ -155,7 +155,7 @@ class TestSpmdExecution:
 
         def kernel(comm):
             op = make_exchange(comm, codec=CastCodec("fp32"))
-            stats = ReshapeStats()
+            stats = ExchangeStats()
             out = plan.run_spmd(comm, locals_[comm.rank], op, stats=stats)
             op.free()
             return out, stats.achieved_rate

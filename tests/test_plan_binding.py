@@ -30,7 +30,7 @@ from repro.compression.mantissa import MantissaTrimCodec
 from repro.faults import FaultPlan, FaultRule
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
-from repro.fft.reshape import ReshapeStats
+from repro.collectives.base import ExchangeStats
 from repro.machine.spec import laptop_spec
 from repro.machine.topology import Topology
 from repro.resilience.checkpoint import ResilientFft3d
@@ -57,7 +57,7 @@ def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc")
     and freed."""
     entry = plan._tuned_entry
     block = np.ascontiguousarray(block, dtype=plan.dtype)
-    for step, reshape in enumerate(plan.reshapes):
+    for step, stage in enumerate(plan._pipeline(inverse)):
         op = make_exchange(
             comm,
             codec=plan._stage_codec(step),
@@ -68,10 +68,10 @@ def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc")
             pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
         )
         try:
-            block = reshape.run_spmd(comm, block, op)
+            block = stage.reshape.run_spmd(comm, block, op)
         finally:
             op.free()
-        block = plan._fft_stage(comm, block, step, inverse)
+        block = plan._fft_stage(comm, block, stage)
     return block
 
 
@@ -205,10 +205,9 @@ class TestBoundEqualsOneShot:
         def kernel(comm):
             b = blocks[comm.rank]
             plan.forward_spmd(comm, b)
+            first = plan._bind(comm, "osc", "flat", ()).bound[0]
             for _ in range(3):  # 3 lone reshapes: the epoch is now odd
-                plan._reshape_stage(
-                    comm, b, 0, method="osc", variant="flat", stats=FftStats()
-                )
+                plan._reshape_stage(first, b, FftStats(), None)
             (binding,) = comm.attrs.values()
             return binding.window.epoch, plan.forward_spmd(comm, b)
 
@@ -341,14 +340,15 @@ class TestSingleFenceUnderSkew:
     def test_slow_reader(self, runtime, codec, monkeypatch):
         """One rank dawdles between the fence and its unpack: nobody may
         write the half it is still reading."""
-        fold = ReshapeStats.fold
+        merge = ExchangeStats.merge
 
-        def slow_fold(self, exchange):
-            if exchange.comm.rank == 2:
+        def slow_merge(self, *others):
+            # a reshape merges its exchange's record between fence and unpack
+            if others and others[0].reports and others[0].reports[0].rank == 2:
                 time.sleep(0.0005)
-            fold(self, exchange)
+            return merge(self, *others)
 
-        monkeypatch.setattr(ReshapeStats, "fold", slow_fold)
+        monkeypatch.setattr(ExchangeStats, "merge", slow_merge)
         self._stress(runtime, codec)
 
 
@@ -534,7 +534,7 @@ class TestSlotOverflow:
 
         for exact, events, stats in make_world("thread", p, timeout=60.0).run(kernel):
             assert exact
-            assert stats.wire_bytes > stats.original_bytes  # zlib expanded every message
+            assert stats.wire_bytes > stats.logical_bytes  # zlib expanded every message
             assert [k for k, _ in events].count("tolerance-exceeded") == p
             assert {c for k, c in events if k == "degrade"} == {"zlib1_shuffle"}
 
@@ -554,7 +554,7 @@ class TestSlotOverflow:
             for s in range(p):
                 assert np.array_equal(recv[s], np.arange(n) * (1.0 + 1j) + s + rank)
             assert events == [("degrade", "identity")] * p
-            assert stats.wire_bytes == stats.original_bytes == 16 * n * p
+            assert stats.wire_bytes == stats.logical_bytes == 16 * n * p
 
     def test_a_message_larger_than_its_slot_is_an_error_at_the_window(self):
         """The transport's own guard (the raw path has no ladder to walk)."""

@@ -22,7 +22,7 @@ from repro.compression import CastCodec, ShuffleZlibCodec
 from repro.errors import TelemetryError
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
-from repro.fft.reshape import ReshapeStats
+from repro.collectives.base import ExchangeStats
 from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
 from repro.machine.topology import Topology
 from repro.runtime import make_world, run_spmd
@@ -437,7 +437,7 @@ class TestRawExchangeParity:
         blocks = plan.scatter(np.random.default_rng(5).standard_normal((8, 8, 8)))
 
         def kernel(comm):
-            stats = ReshapeStats()
+            stats = ExchangeStats()
             op = make_exchange(comm, method=method)
             try:
                 for _ in range(2):

@@ -59,7 +59,7 @@ class TestTwoLevelEquivalence:
                     assert np.array_equal(two[d][0][s], want), (p, g, d, s)
                     assert np.array_equal(two[d][0][s], flat[d][0][s]), (p, g, d, s)
                 # same payloads -> identical volume accounting
-                assert two[d][1].original_bytes == flat[d][1].original_bytes
+                assert two[d][1].logical_bytes == flat[d][1].logical_bytes
                 assert two[d][1].wire_bytes == flat[d][1].wire_bytes
 
     def test_lossy_codec_matches_flat_bitwise(self):
