@@ -67,6 +67,8 @@ class CastCodec(Codec):
         if fmt not in (FP32, FP16, BF16):
             raise CompressionError(f"CastCodec targets FP32/FP16/BF16, got {fmt.name}")
         self.fmt = fmt
+        #: What the payload holds (BF16 travels as uint16 bit patterns).
+        self._item_dtype = {FP32: np.float32, FP16: np.float16, BF16: np.uint16}[fmt]
         self.scaled = bool(scaled)
         self.name = f"cast_{fmt.name.lower()}" + ("_scaled" if scaled else "")
 
@@ -76,33 +78,58 @@ class CastCodec(Codec):
 
     # -- compression ----------------------------------------------------------
 
-    def compress(self, data: np.ndarray) -> CompressedMessage:
+    def _encode(self, data: np.ndarray) -> tuple[CompressedMessage, np.ndarray, np.ndarray]:
+        """``data`` as a message, with the float64 stream it was cast
+        from and the narrow items (BF16 as uint16 bit patterns) it holds."""
         stream, dtype_name, shape = as_float64_stream(data)
         header: dict[str, float | int | str] = {}
+        values = stream
         if self.scaled:
             peak = float(np.max(np.abs(stream))) if stream.size else 0.0
             scale = peak if peak > 0.0 else 1.0
-            stream = stream / scale
+            values = stream / scale
             header["scale"] = scale
         # overflow-to-inf is the defined cast behaviour for out-of-range
         # values (plain truncation, Section IV-A); silence the warning.
         with np.errstate(over="ignore"):
-            if self.fmt is FP32:
-                payload = stream.astype(np.float32).view(np.uint8)
-            elif self.fmt is FP16:
-                payload = stream.astype(np.float16).view(np.uint8)
-            else:  # BF16
-                payload = _fp32_to_bf16_bits(stream.astype(np.float32)).view(np.uint8)
-        return CompressedMessage(self.name, payload, dtype_name, shape, header)
+            if self.fmt is BF16:
+                items = _fp32_to_bf16_bits(values.astype(np.float32))
+            else:
+                items = values.astype(self._item_dtype)
+        msg = CompressedMessage(self.name, items.view(np.uint8), dtype_name, shape, header)
+        return msg, stream, items
+
+    def _widen(self, items: np.ndarray, header: dict) -> np.ndarray:
+        """The float64 stream a receiver restores from ``items``."""
+        if self.fmt is BF16:
+            items = _bf16_bits_to_fp32(items)
+        stream = items.astype(np.float64)
+        if self.scaled:
+            stream *= float(header["scale"])
+        return stream
+
+    def compress(self, data: np.ndarray) -> CompressedMessage:
+        return self._encode(data)[0]
+
+    def compress_measured(self, data: np.ndarray) -> tuple[CompressedMessage, float]:
+        # The cast values are at hand: widen them as the receiver will
+        # and measure here, without the message round trip.
+        from repro.accuracy.bounds import relative_linf  # lazy: accuracy imports the FFT layer
+
+        msg, stream, items = self._encode(data)
+        if not stream.size:
+            return msg, 0.0
+        # One scratch array, reused in place: fresh 512 KiB temporaries
+        # cost more in page faults than the arithmetic.  inf - inf -> NaN
+        # is the measured error of a message carrying infinities; the
+        # caller treats NaN as "tolerance exceeded".
+        scratch = self._widen(items, msg.header)
+        with np.errstate(invalid="ignore"):
+            np.subtract(stream, scratch, out=scratch)
+        worst = float(np.abs(scratch, out=scratch).max())
+        return msg, relative_linf(worst, float(np.abs(stream, out=scratch).max()))
 
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         self._check_roundtrip_args(msg)
-        if self.fmt is FP32:
-            stream = payload_items(msg, np.float32).astype(np.float64)
-        elif self.fmt is FP16:
-            stream = payload_items(msg, np.float16).astype(np.float64)
-        else:
-            stream = _bf16_bits_to_fp32(payload_items(msg, np.uint16)).astype(np.float64)
-        if self.scaled:
-            stream = stream * float(msg.header["scale"])
+        stream = self._widen(payload_items(msg, self._item_dtype), msg.header)
         return from_float64_stream(stream, msg.dtype_name, msg.shape)

@@ -28,6 +28,8 @@ __all__ = [
     "RankHungError",
     "RevokedError",
     "StallError",
+    "BarrierBrokenError",
+    "BarrierStallError",
     "UnsupportedFaultError",
     "CheckpointError",
     "AbftError",
@@ -155,6 +157,19 @@ class StallError(CommunicatorError):
         super().__init__(message)
         self.report = report
         self.classification = classification
+
+
+class BarrierBrokenError(CommunicatorError):
+    """A participant left the barrier this rank waits in.
+
+    Its deadline passed, or it unwound through a revocation or an abort:
+    the echo of a failure elsewhere, never a root cause.
+    """
+
+
+class BarrierStallError(StallError, BarrierBrokenError):
+    """This rank's own deadline passed in a barrier: a stall to classify,
+    and for its peers the departure that breaks the barrier."""
 
 
 class UnsupportedFaultError(FaultConfigError):

@@ -6,8 +6,9 @@ whole rank dying or wedging mid-FFT, the ULFM-style story:
 
 * :mod:`~repro.resilience.monitor` — the control plane both runtimes
   share: :class:`~repro.resilience.monitor.ControlState` (beacons,
-  blocked-op rows, failure registry, revoke word, agreement slots,
-  timeline) over a private buffer or a shared-memory segment, the one
+  blocked-op rows, failure registry, abort and revoke words, agreement
+  slots, barrier rows, timeline) over a private buffer or a
+  shared-memory segment, the one
   :class:`~repro.resilience.monitor.Watchdog` (straggler / dead /
   deadlock classification) and the structured
   :class:`~repro.resilience.monitor.FailureReport`;
@@ -33,7 +34,6 @@ from repro.resilience.monitor import (
     FailureReport,
     PhaseSpan,
     RankFailure,
-    RevocableBarrier,
     Watchdog,
 )
 
@@ -46,7 +46,6 @@ __all__ = [
     "PhaseSpan",
     "RankFailure",
     "ResilientFft3d",
-    "RevocableBarrier",
     "ShmCheckpointStore",
     "SpmdResult",
     "Watchdog",

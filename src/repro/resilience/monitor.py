@@ -7,8 +7,9 @@ bookkeeping* half of the fault-tolerance story, written once for rank
 threads and forked ranks:
 
 * :class:`ControlState` — beacons, done flags, blocked-op rows, the
-  failure registry, the generational revoke word, the agreement slots
-  and the recovery timeline in one flat buffer: a private ``bytearray``
+  failure registry, the abort word, the generational revoke word, the
+  agreement slots, the barrier rows and the recovery timeline in one
+  flat buffer: a private ``bytearray``
   under a ``threading.Condition`` for a thread world, a named
   shared-memory segment under a fork-shared condition for a process
   world (the caller supplies both; this module imports nothing from the
@@ -41,7 +42,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.errors import CommunicatorError, StallError
+from repro.errors import BarrierBrokenError, BarrierStallError, CommunicatorError
 from repro.telemetry.metrics import counter as metrics_counter
 from repro.telemetry.recorder import flight, live_update
 from repro.trace import get_tracer as trace_get_tracer
@@ -53,7 +54,6 @@ __all__ = [
     "FailureReport",
     "ControlState",
     "Watchdog",
-    "RevocableBarrier",
 ]
 
 #: How a stalled rank can be classified by the watchdog.
@@ -194,6 +194,8 @@ _MAX_SPANS = 512
 #: consecutive ones (slot = generation * ROUNDS_PER_GEN + round).
 _MAX_ROUNDS = 128
 ROUNDS_PER_GEN = 16
+#: Shrink generations the arena has room for; each also owns one barrier row.
+_MAX_GENS = _MAX_ROUNDS // ROUNDS_PER_GEN
 #: How often a blocked agreement or barrier re-checks and runs its poll.
 QUANTUM = 0.02
 #: Operations a rank can be recorded as blocked in (row code = index).
@@ -217,7 +219,8 @@ class ControlState:
 
     * header words — revoked flag, reason length, revoked generation,
       current generation, failure count, span count, clock origin,
-      started flag — then the revocation reason;
+      started flag, aborted flag, abort-reason length — then the
+      revocation reason and the abort reason;
     * one row per rank: beacon (machine-wide monotonic ns), pid, flags
       (bit 0 = *done*, exempting a cleanly-finished rank from
       suspicion), and the *blocked-op* row (since ns, op, peer, tag) —
@@ -228,8 +231,12 @@ class ControlState:
     * generational revocation: unlike an abort, a revoked world stays
       usable for recovery, and a revocation is scoped to a shrink
       *generation* — survivors that shrank past it keep communicating;
+    * the abort word: set once with the first reason, it ends the world
+      for every generation — every barrier row reads as broken;
     * the agreement arena: per-slot contribution bitmaps decided by a
       pessimistic AND (the ``MPIX_Comm_agree`` analogue);
+    * the barrier rows, one per shrink generation (count, sense,
+      broken), all waited on in :meth:`barrier`;
     * the recovery timeline: detect/agree/shrink/restart spans, appended
       by whoever observed them, so anyone can assemble the report.
 
@@ -238,18 +245,23 @@ class ControlState:
     """
 
     _REVOKED, _REASON_LEN, _REVOKE_GEN, _CUR_GEN, _N_FAIL, _N_SPAN, _T0, _STARTED = range(8)
+    _ABORTED, _ABORT_LEN = 8, 9
     _HDR_WORDS = 16
     _REASON_CAP = 1024
     _BEACON, _PID, _FLAGS, _B_SINCE, _B_OP, _B_PEER, _B_TAG = range(7)
     _ROW_WORDS = 8
+    _COUNT, _SENSE, _BROKEN = range(3)
+    _BAR_WORDS = 4
 
     @classmethod
-    def _offsets(cls, nranks: int) -> tuple[int, int, int, int, int]:
-        rank_off = cls._HDR_WORDS * 8 + cls._REASON_CAP
+    def _offsets(cls, nranks: int) -> tuple[int, int, int, int, int, int]:
+        rank_off = cls._HDR_WORDS * 8 + 2 * cls._REASON_CAP
         fail_off = rank_off + cls._ROW_WORDS * 8 * nranks
         span_off = fail_off + _MAX_FAILURES * _FAIL_REC.size
         agree_off = span_off + _MAX_SPANS * _SPAN_REC.size
-        return rank_off, fail_off, span_off, agree_off, agree_off + _MAX_ROUNDS * (3 + nranks) * 8
+        bar_off = agree_off + _MAX_ROUNDS * (3 + nranks) * 8
+        end = bar_off + _MAX_GENS * cls._BAR_WORDS * 8
+        return rank_off, fail_off, span_off, agree_off, bar_off, end
 
     @classmethod
     def nbytes(cls, nranks: int) -> int:
@@ -263,9 +275,11 @@ class ControlState:
             )
         self.nranks = int(nranks)
         self._reason_off = self._HDR_WORDS * 8
-        self._rank_off, self._fail_off, self._span_off, self._agree_off, size = self._offsets(
-            self.nranks
+        self._abort_off = self._reason_off + self._REASON_CAP
+        self._rank_off, self._fail_off, self._span_off, self._agree_off, self._bar_off, size = (
+            self._offsets(self.nranks)
         )
+        self._bar_end = size
         self.buf = bytearray(size) if buf is None else buf
         self.cond = threading.Condition() if cond is None else cond
         self._map()
@@ -273,7 +287,12 @@ class ControlState:
 
     def _map(self) -> None:
         n = self.nranks
-        self._words = np.frombuffer(self.buf, dtype=np.int64, count=self._HDR_WORDS)
+        # Header words and barrier rows are read on every transport
+        # operation and every fence: plain ints through a memoryview,
+        # not NumPy scalars.
+        view = memoryview(self.buf)
+        self._words = view[: self._HDR_WORDS * 8].cast("q")
+        self._bars = view[self._bar_off : self._bar_end].cast("q")
         self._ranks = np.frombuffer(
             self.buf, dtype=np.int64, count=self._ROW_WORDS * n, offset=self._rank_off
         ).reshape(n, self._ROW_WORDS)
@@ -304,16 +323,19 @@ class ControlState:
         """Arm the watchdog for one run epoch.
 
         Resets every beacon to *now* and clears the done flags, the
-        blocked rows and the agreement arena.  The failure registry, the
-        revoke word, the generation and the timeline carry over on
-        purpose: a world revoked in one run stays revoked in the next,
-        as ULFM keeps a revoked communicator revoked.
+        blocked rows, the agreement arena and the barrier rows (a row
+        the last run left broken or half-counted is whole again).  The
+        failure registry, the abort and revoke words, the generation and
+        the timeline carry over on purpose: a world revoked in one run
+        stays revoked in the next, as ULFM keeps a revoked communicator
+        revoked.
         """
         with self.cond:
             self._ranks[:, self._BEACON] = time.perf_counter_ns()
             self._ranks[:, self._FLAGS] = 0
             self._ranks[:, self._B_SINCE] = 0
             self._agree[:] = 0
+            self.buf[self._bar_off : self._bar_end] = bytes(self._bar_end - self._bar_off)
             self._words[self._STARTED] = 1
 
     @property
@@ -411,7 +433,30 @@ class ControlState:
         with self.cond:
             return frozenset(int(rec[0]) for rec in self._failure_records())
 
-    # -- generational revocation ---------------------------------------------------------
+    # -- abort and generational revocation ------------------------------------------------
+
+    def _store_reason(self, off: int, len_word: int, reason: str) -> None:
+        encoded = reason.encode("utf-8", "replace")[: self._REASON_CAP]
+        self.buf[off : off + len(encoded)] = encoded
+        self._words[len_word] = len(encoded)
+
+    def _load_reason(self, off: int, len_word: int) -> str:
+        n = int(self._words[len_word])
+        return bytes(self.buf[off : off + n]).decode("utf-8", "replace")
+
+    def abort(self, reason: str) -> None:
+        """End the world (``MPI_Abort``): the first reason wins, every
+        barrier row reads as broken from now on, every waiter wakes."""
+        with self.cond:
+            if not self._words[self._ABORTED]:
+                self._store_reason(self._abort_off, self._ABORT_LEN, reason)
+                self._words[self._ABORTED] = 1
+            self.cond.notify_all()
+
+    def abort_reason(self) -> str | None:
+        if not self._words[self._ABORTED]:
+            return None
+        return self._load_reason(self._abort_off, self._ABORT_LEN)
 
     def revoke(self, reason: str, gen: int) -> None:
         """Revoke every communicator at generation ``<= gen``.
@@ -420,11 +465,9 @@ class ControlState:
         after a shrink) replaces the reason; same-generation revocations
         keep the first reason.
         """
-        encoded = reason.encode("utf-8", "replace")[: self._REASON_CAP]
         with self.cond:
             if not self._words[self._REVOKED] or gen > int(self._words[self._REVOKE_GEN]):
-                self.buf[self._reason_off : self._reason_off + len(encoded)] = encoded
-                self._words[self._REASON_LEN] = len(encoded)
+                self._store_reason(self._reason_off, self._REASON_LEN, reason)
             self._words[self._REVOKE_GEN] = max(int(self._words[self._REVOKE_GEN]), gen)
             self._words[self._REVOKED] = 1
             self.cond.notify_all()
@@ -433,8 +476,7 @@ class ControlState:
         """The revocation reason applying to generation ``gen`` (or None)."""
         if not self._words[self._REVOKED] or int(self._words[self._REVOKE_GEN]) < gen:
             return None
-        n = int(self._words[self._REASON_LEN])
-        return bytes(self.buf[self._reason_off : self._reason_off + n]).decode("utf-8", "replace")
+        return self._load_reason(self._reason_off, self._REASON_LEN)
 
     def bump_gen(self, gen: int) -> None:
         with self.cond:
@@ -537,6 +579,70 @@ class ControlState:
                 self.cond.wait(QUANTUM if deadline is None else min(QUANTUM, deadline - now))
             if poll is not None:
                 poll()
+
+    # -- barrier -------------------------------------------------------------------------
+
+    def barrier(
+        self,
+        gen: int,
+        parties: int,
+        timeout: float | None = None,
+        *,
+        poll: Callable[[], None] | None = None,
+    ) -> None:
+        """Wait in generation ``gen``'s row until ``parties`` ranks have.
+
+        Sense-reversing: the last arrival resets the count and advances
+        the sense, so the row is reusable at once.  Waiters wake every
+        quantum and run ``poll`` *outside* the lock (beacon, watchdog
+        scan, and whatever it raises — revocation, abort — ends the
+        wait).  A waiter that leaves abnormally, through its own
+        deadline (:class:`BarrierStallError`) or a raising ``poll``,
+        breaks the row, so no peer counts on a departed participant;
+        they get :class:`BarrierBrokenError`, as does everyone in any
+        row once the world is aborted.  Rows are independent: survivors
+        one generation up never see the row a dead rank broke.
+        """
+        if not 0 <= gen < _MAX_GENS:
+            raise CommunicatorError(f"barrier generation {gen} out of range [0, {_MAX_GENS})")
+        bars, words = self._bars, self._words
+        row = gen * self._BAR_WORDS
+        count, sense_at, broken = row + self._COUNT, row + self._SENSE, row + self._BROKEN
+        start = time.monotonic()
+        deadline = None if timeout is None else start + timeout
+        with self.cond:
+            if bars[broken] or words[self._ABORTED]:
+                raise BarrierBrokenError("barrier broken (timeout or aborted peer)")
+            sense = bars[sense_at]
+            bars[count] += 1
+            if bars[count] == parties:
+                bars[count] = 0
+                bars[sense_at] = sense + 1
+                self.cond.notify_all()
+                return
+        try:
+            while True:
+                with self.cond:
+                    if bars[sense_at] != sense:
+                        return
+                    if bars[broken] or words[self._ABORTED]:
+                        raise BarrierBrokenError("barrier broken (timeout or aborted peer)")
+                    now = time.monotonic()
+                    if deadline is not None and now >= deadline:
+                        raise BarrierStallError(
+                            f"barrier broken (rank timed out after {now - start:.3f}s)"
+                        )
+                    self.cond.wait(QUANTUM if deadline is None else min(QUANTUM, deadline - now))
+                    if bars[sense_at] != sense:
+                        return  # released: the wake-up path runs no poll
+                # Outside the lock: the callback takes this condition itself.
+                if poll is not None:
+                    poll()
+        except BaseException:
+            with self.cond:
+                bars[broken] = 1
+                self.cond.notify_all()
+            raise
 
 
 class Watchdog:
@@ -751,84 +857,3 @@ class Watchdog:
             detail=detail,
         )
 
-
-class RevocableBarrier:
-    """Generation-counting barrier whose waiters poll for revocation.
-
-    ``threading.Barrier`` blocks opaquely for its whole timeout; a peer
-    failure detected elsewhere cannot wake it early, and its ``abort``
-    leaves it permanently broken.  This barrier waits in small quanta
-    and runs a caller-supplied ``poll`` callback *outside* the lock each
-    quantum — the callback beacons, runs the watchdog, and raises
-    (``RevokedError`` / ``RuntimeAbort``) to wake the waiter promptly.
-
-    A waiter that unwinds abnormally (timeout or a raising poll) breaks
-    the barrier for the current generation, so no peer is left counting
-    on a departed participant.
-    """
-
-    def __init__(self, parties: int, *, quantum: float = QUANTUM) -> None:
-        self.parties = int(parties)
-        self.quantum = float(quantum)
-        self._cond = threading.Condition()
-        self._count = 0
-        self._generation = 0
-        self._broken = False
-
-    def abort(self) -> None:
-        """Break the barrier: current and future waiters fail fast."""
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
-
-    @property
-    def broken(self) -> bool:
-        return self._broken
-
-    def wait(self, timeout: float | None = None, *, poll=None) -> None:
-        """Wait for all parties.
-
-        Raises ``BrokenBarrierError`` when another waiter broke the
-        barrier and :class:`StallError` when this waiter's own deadline
-        passed.
-        """
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        with self._cond:
-            if self._broken:
-                raise threading.BrokenBarrierError
-            generation = self._generation
-            self._count += 1
-            if self._count == self.parties:
-                self._count = 0
-                self._generation += 1
-                self._cond.notify_all()
-                return
-        try:
-            while True:
-                with self._cond:
-                    if self._generation != generation:
-                        return
-                    if self._broken:
-                        raise threading.BrokenBarrierError
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        raise StallError(
-                            f"barrier broken (rank timed out after {now - start:.3f}s)"
-                        )
-                    wait_t = self.quantum if deadline is None else min(self.quantum, deadline - now)
-                    self._cond.wait(timeout=wait_t)
-                    if self._generation != generation:
-                        return  # released: the wake-up path runs no poll
-                # Poll outside the lock: the callback may beacon, run the
-                # watchdog, or raise to revoke — none of which may nest
-                # under this condition (lock-ordering).
-                if poll is not None:
-                    poll()
-        except BaseException:
-            # A departing waiter (timeout, revoke, abort) must not leave
-            # peers counting on it.
-            with self._cond:
-                self._broken = True
-                self._cond.notify_all()
-            raise

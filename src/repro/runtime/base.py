@@ -1,13 +1,12 @@
 """The communicator API and everything the runtimes share about failure.
 
 A runtime supplies transport — how a message is posted and matched, how
-its barrier waits, how a window is created, how a survivor world is
-built — and :class:`World` / :class:`Comm` supply the rest once: the
-operation preamble (beacon, injected process faults, abort / scan /
-revoked checks), the ULFM recovery arc (``revoke`` / ``agree`` /
-``shrink``) over the world's
-:class:`~repro.resilience.monitor.ControlState`, the stall enrichment,
-and the reading of a finished run.
+a window is created, how a survivor world is built — and :class:`World`
+/ :class:`Comm` supply the rest once: the operation preamble (beacon,
+injected process faults, abort / scan / revoked checks), abort and the
+barrier, the ULFM recovery arc (``revoke`` / ``agree`` / ``shrink``)
+over the world's :class:`~repro.resilience.monitor.ControlState`, the
+stall enrichment, and the reading of a finished run.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.errors import (
+    BarrierBrokenError,
     CommunicatorError,
     RankFailureError,
     RankHungError,
@@ -108,9 +108,7 @@ def is_echo(exc: BaseException) -> bool:
     """Is ``exc`` the echo of a failure elsewhere?  An aborting or dying
     rank makes its peers unwind with abort, revocation and broken-barrier
     errors; none of those is a root cause."""
-    return isinstance(exc, (RuntimeAbort, RevokedError)) or (
-        isinstance(exc, CommunicatorError) and "barrier broken" in str(exc)
-    )
+    return isinstance(exc, (RuntimeAbort, RevokedError, BarrierBrokenError))
 
 
 class World:
@@ -123,12 +121,14 @@ class World:
     of survivor worlds and the reading of a finished run.  A survivor
     world is a view one shrink ``gen`` up over its ``root``'s state; how
     its transport is *built* is the runtime's (:meth:`_survivor_world`),
-    as are :meth:`_gone`, ``abort`` / ``abort_reason`` / ``check_abort``
-    and ``create_window`` / ``release_window``.
+    as are :meth:`_gone` and ``create_window`` / ``release_window``.
     """
 
     #: Names the runtime on recovery metrics.
     runtime_label: str
+    #: The aborting rank's exception where it was raised in this process
+    #: (rank threads); it cannot live in the control state's flat buffer.
+    _abort_cause: BaseException | None = None
 
     def __init__(self, nranks: int, timeout: float, suspect_after: float | None) -> None:
         if nranks < 1:
@@ -158,7 +158,20 @@ class World:
             runtime_label=self.runtime_label,
         )
 
-    # -- revocation ----------------------------------------------------------------
+    # -- abort and revocation ---------------------------------------------------------
+
+    def abort(self, reason: str) -> None:
+        """Raise the world-wide abort word (first reason wins): every
+        barrier breaks and every blocked rank unwinds."""
+        self.state.abort(reason)
+
+    def abort_reason(self) -> str | None:
+        return self.state.abort_reason()
+
+    def check_abort(self) -> None:
+        reason = self.state.abort_reason()
+        if reason is not None:
+            raise RuntimeAbort(reason) from self.root._abort_cause
 
     @property
     def revoked(self) -> str | None:
@@ -230,8 +243,8 @@ class Comm(ABC):
     """Per-rank communicator handle for SPMD code.
 
     Subclasses supply transport (``send``, ``_match``, ``_probe``,
-    ``_barrier_wait``, optionally ``_drain``) and how an injected
-    ``kill`` lands (``_kill_self``); the failure handling is here.
+    optionally ``_drain``) and how an injected ``kill`` lands
+    (``_kill_self``); the barrier and the failure handling are here.
     """
 
     def __init__(self, world: World, rank: int) -> None:
@@ -560,11 +573,11 @@ class Comm(ABC):
 
     # -- collectives -----------------------------------------------------------
 
-    @abstractmethod
     def _barrier_wait(self) -> None:
-        """The runtime's barrier primitive, polling :meth:`_progress`:
-        :class:`StallError` when this rank's own deadline passes, a
-        "barrier broken" :class:`CommunicatorError` when a peer left."""
+        """Wait in this generation's barrier row, polling
+        :meth:`_progress`: :class:`StallError` when this rank's own
+        deadline passes, :class:`BarrierBrokenError` when a peer left."""
+        self._state.barrier(self._gen, self.size, self.world.timeout, poll=self._progress)
 
     def barrier(self) -> None:
         """Synchronise all ranks."""

@@ -9,9 +9,11 @@ Waiting is *quantised*: instead of parking on the condition for the
 whole timeout, :meth:`match` wakes every ``quantum`` seconds and runs a
 caller-supplied ``poll`` callback **outside the lock**.  The thread
 runtime uses that callback to beacon liveness, run the failure watchdog
-and raise (:class:`~repro.errors.RevokedError`, abort echoes) — so a
-receiver blocked on a rank that just died is woken within one quantum
-instead of sitting out its full deadline.
+and raise (:class:`~repro.errors.RevokedError`,
+:class:`~repro.errors.RuntimeAbort`) — so a receiver blocked on a rank
+that just died is woken within one quantum instead of sitting out its
+full deadline, and an aborting world wakes it at once
+(:meth:`Mailbox.kick`).
 """
 
 from __future__ import annotations
@@ -23,14 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import RuntimeAbort, StallError
+from repro.errors import StallError
 from repro.resilience.monitor import QUANTUM
 
 __all__ = ["Envelope", "Mailbox"]
-
-#: How often a blocked match re-checks state and runs its poll callback:
-#: the control plane's one wait quantum.
-WAIT_QUANTUM = QUANTUM
 
 
 @dataclass
@@ -53,8 +51,6 @@ class Mailbox:
         self.owner_rank = owner_rank
         self._queue: deque[Envelope] = deque()
         self._cond = threading.Condition()
-        self._aborted: str | None = None
-        self._abort_cause: BaseException | None = None
 
     def post(self, env: Envelope) -> None:
         """Deliver an envelope (called from the sender's thread)."""
@@ -62,25 +58,11 @@ class Mailbox:
             self._queue.append(env)
             self._cond.notify_all()
 
-    def abort(self, reason: str, cause: BaseException | None = None) -> None:
-        """Poison the mailbox: all pending/future matches raise.
-
-        ``cause`` (the original exception on the aborting rank, when
-        known) is chained onto every :class:`RuntimeAbort` raised here,
-        so a peer unwinding from the broadcast abort sees *why* in its
-        traceback instead of an opaque echo.
-        """
-        with self._cond:
-            self._aborted = reason
-            self._abort_cause = cause
-            self._cond.notify_all()
-
     def kick(self) -> None:
-        """Wake all blocked matchers without poisoning the mailbox.
+        """Wake all blocked matchers to run their poll callbacks now.
 
-        Used by revocation: the waiters' poll callbacks decide what to
-        raise; the mailbox itself stays usable (a revoked world still
-        moves control-plane messages during recovery).
+        Used by abort: the world's state says what happened and the
+        callbacks raise it; the mailbox itself holds no verdict.
         """
         with self._cond:
             self._cond.notify_all()
@@ -99,17 +81,10 @@ class Mailbox:
         ``match`` (``wait``) still receives it.
         """
         with self._cond:
-            if self._aborted is not None:
-                self._raise_aborted()
             return any(
                 (source == -1 or env.source == source) and (tag == -1 or env.tag == tag)
                 for env in self._queue
             )
-
-    def _raise_aborted(self) -> None:
-        if self._abort_cause is not None:
-            raise RuntimeAbort(self._aborted) from self._abort_cause
-        raise RuntimeAbort(self._aborted)
 
     def match(
         self,
@@ -118,22 +93,20 @@ class Mailbox:
         timeout: float | None,
         *,
         poll=None,
-        quantum: float = WAIT_QUANTUM,
+        quantum: float = QUANTUM,
     ) -> Envelope:
         """Block until a matching envelope arrives (wildcards: -1).
 
-        Raises :class:`RuntimeAbort` (cause-chained) when the mailbox is
-        poisoned, and a :class:`StallError` naming the awaited source,
-        tag and elapsed time on deadline.  ``poll`` runs outside the
-        lock once per quantum; anything it raises propagates (that is
-        how revocation and watchdog verdicts preempt the deadline).
+        Raises a :class:`StallError` naming the awaited source, tag and
+        elapsed time on deadline.  ``poll`` runs outside the lock once
+        per quantum and after a :meth:`kick`; anything it raises
+        propagates (that is how abort, revocation and watchdog verdicts
+        preempt the deadline).
         """
         start = time.monotonic()
         deadline = None if timeout is None else start + timeout
         while True:
             with self._cond:
-                if self._aborted is not None:
-                    self._raise_aborted()
                 env = self._find(source, tag)
                 if env is not None:
                     return env

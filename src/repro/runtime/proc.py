@@ -31,9 +31,9 @@ exit, and the parent merges every spool back into the installed tracer
 the parent timeline).
 
 Teardown is leak-clean by construction: the parent unlinks every ring
-and control segment after the run, sweeps any uid-prefixed leftovers
-(spill segments of crashed receivers, unfreed window arenas), and
-reaps children through a join → terminate → kill ladder.  A child's
+and the control-state segment after the run, sweeps any uid-prefixed
+leftovers (spill segments of crashed receivers, unfreed window arenas),
+and reaps children through a join → terminate → kill ladder.  A child's
 exception is re-raised in the parent with ``.rank`` attached and the
 original traceback appended as a note.
 
@@ -84,12 +84,10 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import PROCESS_FAULT_KINDS
 from repro.resilience.monitor import ControlState
 from repro.runtime.base import ANY_SOURCE, ANY_TAG, DEFAULT_TIMEOUT, Comm, World
-from repro.runtime.mailbox import WAIT_QUANTUM
 from repro.runtime.shm import (
     DEFAULT_RING_CAPACITY,
     ShmRecord,
     ShmRing,
-    WorldControl,
     any_to_describe,
     fork_available,
     make_uid,
@@ -124,16 +122,10 @@ __all__ = ["ProcessWorld", "ProcComm", "run_spmd_proc"]
 #: that every algorithm tag (|tag| < ~2^20) decodes unambiguously.
 _GEN_STRIDE = 1 << 44
 
-#: Tag base for the dissemination barrier of shrunk communicators
-#: (WorldControl's barrier counts the *original* rank count and is
-#: unusable after a death).  Far below every algorithm tag.
-_BARRIER_TAG = -1_000_000
-
 
 def _cleanup_segments(
     owner_pid: int,
     rings: list[ShmRing],
-    ctl: WorldControl,
     uid: str,
     telemetry: ShmTelemetry | None,
     state: ControlState,
@@ -149,7 +141,6 @@ def _cleanup_segments(
         return
     for ring in rings:
         ring.destroy()
-    ctl.destroy()
     if telemetry is not None:
         telemetry.destroy()
     # The parent reads the registry and the timeline after the unlink.
@@ -214,7 +205,7 @@ def _child_main(
         payload = ("died", rank, None)
         live_update(rank, alive=0.0, phase="failed")
     except BaseException as exc:  # noqa: BLE001 - must not hang peers
-        world._ctl.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
+        world.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
         payload = _encode_error(rank, exc)
         flight("abort", rank, detail=f"{type(exc).__name__}: {exc}"[:40])
         live_update(rank, alive=0.0, phase="failed")
@@ -240,20 +231,9 @@ def _child_main(
 
 class _ProcView(World):
     """What the root world and its survivor views do the same way, each
-    over its own ``members`` / ``gen``: abort through the shared control
-    block, pid liveness, and window arenas."""
+    over its own ``members`` / ``gen``: pid liveness and window arenas."""
 
     runtime_label = "proc"
-
-    def abort(self, reason: str, cause: BaseException | None = None) -> None:
-        """Raise the world-wide abort flag; every blocked rank unwinds."""
-        self._ctl.abort(reason)
-
-    def abort_reason(self) -> str | None:
-        return self._ctl.abort_reason()
-
-    def check_abort(self) -> None:
-        self._ctl.check_abort()
 
     def _gone(self, rank: int) -> str | None:
         pid = self.state.pid(rank)
@@ -362,9 +342,9 @@ class ProcessWorld(_ProcView):
             )
         self.uid = make_uid()
         self._ctx = mp.get_context("fork")
-        self._ctl = WorldControl(f"{self.uid}c", nranks, self._ctx)
         #: The control plane in a named segment: beacons, pids, failure
-        #: registry, generational revocation, agreement arena, timeline.
+        #: registry, abort word, generational revocation, agreement
+        #: arena, barrier rows, timeline.
         self._state_seg = SharedMemory(
             name=f"{self.uid}s", create=True, size=ControlState.nbytes(nranks)
         )
@@ -414,7 +394,6 @@ class ProcessWorld(_ProcView):
             _cleanup_segments,
             self._owner_pid,
             self.rings,
-            self._ctl,
             self.uid,
             self.telemetry,
             self.state,
@@ -544,7 +523,7 @@ class ProcessWorld(_ProcView):
         is a success and gets no dump."""
         if self.telemetry is None:
             return
-        reason = self._ctl.abort_reason()
+        reason = self.abort_reason()
         failures = self.state.failures()
         # Recovered = an *injected* episode that survivors worked around.
         # An unexpected death always dumps, even if peers finished fine.
@@ -613,7 +592,7 @@ class ProcessWorld(_ProcView):
             if all(done):
                 break
             if time.monotonic() >= deadline:
-                self._ctl.abort("parent join deadline exceeded")
+                self.abort("parent join deadline exceeded")
                 break
             if not progressed:
                 time.sleep(0.01)
@@ -694,7 +673,6 @@ class ProcessWorld(_ProcView):
         _cleanup_segments(
             self._owner_pid,
             self.rings,
-            self._ctl,
             self.uid,
             self.telemetry,
             self.state,
@@ -732,7 +710,6 @@ class ProcComm(Comm):
         #: Shared with every other generation in this process: one ring
         #: drain must never swallow another generation's records.
         self._pending: deque[ShmRecord] = self._root._local_pending
-        self._barrier_seq = 0
 
     # -- generation-encoded tags ----------------------------------------------------------
 
@@ -742,7 +719,7 @@ class ProcComm(Comm):
     @staticmethod
     def _dec(raw: int) -> tuple[int, int]:
         # Round-to-nearest stride: algorithm tags may be negative
-        # (barrier/bcast internals), and Python floor-division keeps
+        # (bcast/gather internals), and Python floor-division keeps
         # the decode exact for |tag| < _GEN_STRIDE / 2.
         gen = (raw + _GEN_STRIDE // 2) // _GEN_STRIDE
         return gen, raw - gen * _GEN_STRIDE
@@ -812,7 +789,7 @@ class ProcComm(Comm):
                     f"timed out after {now - start:.3f}s "
                     f"(limit {limit}s) — peer dead, wedged, or deadlocked"
                 )
-            self._ring.wait(deadline - now, quantum=WAIT_QUANTUM)
+            self._ring.wait(deadline - now)
 
     def _probe(self, source: int, tag: int) -> bool:
         # Non-consuming: drains the transport into pending (which a
@@ -820,30 +797,10 @@ class ProcComm(Comm):
         self._progress()
         return self._find_pending(source, tag, take=False) is not None
 
-    # -- collectives ---------------------------------------------------------------------
-
-    def _barrier_wait(self) -> None:
-        if self._gen == 0:
-            self._root._ctl.barrier(self._root.timeout, poll=self._progress)
-            return
-        # A shrunk world: the WorldControl barrier counts the *original*
-        # rank count and is unusable after a death, so survivors run a
-        # tag-disambiguated dissemination barrier over the rings.
-        seq = self._barrier_seq
-        self._barrier_seq += 1
-        token = np.zeros(1, dtype=np.uint8)
-        step, k = 1, 0
-        while step < self.size:
-            tag = _BARRIER_TAG - seq * 64 - k
-            self.send(token, (self.rank + step) % self.size, tag)
-            self.recv((self.rank - step) % self.size, tag)
-            step <<= 1
-            k += 1
-
 
 class _ShrunkProcWorld(_ProcView):
     """Survivor view over a :class:`ProcessWorld`: same rings, window
-    locks and control plane, dense rank numbering over ``members``, one
+    locks and control state, dense rank numbering over ``members``, one
     generation up.  Built by ``Comm.shrink`` (never directly); one
     instance per (members, generation) per process."""
 
@@ -851,7 +808,6 @@ class _ShrunkProcWorld(_ProcView):
         super().__init__(len(members), root.timeout, root.suspect_after)
         self.root, self.members, self.gen = root, members, gen
         self.uid = root.uid
-        self._ctl = root._ctl
         self.rings = root.rings
         self.telemetry = root.telemetry
         #: Injected faults target generation 0 only: the episode is over.

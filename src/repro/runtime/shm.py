@@ -1,6 +1,6 @@
 """Shared-memory transport primitives for the process runtime.
 
-Three building blocks, all layered on ``multiprocessing.shared_memory``
+Two building blocks, layered on ``multiprocessing.shared_memory``
 segments plus fork-inherited ``multiprocessing`` locks/conditions:
 
 * :class:`ShmRing` — one bounded MPSC byte ring per rank.  Any rank
@@ -10,19 +10,17 @@ segments plus fork-inherited ``multiprocessing`` locks/conditions:
   larger than a quarter of the ring *spill* into a dedicated one-shot
   segment named inside the record, so a single huge message can never
   wedge the ring.
-* :class:`WorldControl` — the per-world control segment: the abort
-  flag + reason buffer and a sense-reversing (generation-counted)
-  barrier, all under one fork-shared condition variable.
 * :func:`sweep_segments` — the crash backstop: unlink every leftover
   ``/dev/shm`` segment carrying a world's uid prefix (attach + unlink,
   which keeps the shared resource-tracker ledger balanced).
 
 Waiting follows the thread runtime's discipline (see
-:mod:`repro.runtime.mailbox`): blocked posts/matches/barriers wake
-every ``WAIT_QUANTUM`` seconds and run a caller-supplied ``poll``
-callback *outside* the lock — the process runtime uses it to drain the
-caller's own ring (progress under back-pressure) and to surface aborts
-within one quantum.
+:mod:`repro.runtime.mailbox`): blocked posts and matches wake every
+``QUANTUM`` seconds and run a caller-supplied ``poll`` callback
+*outside* the lock — the process runtime uses it to drain the caller's
+own ring (progress under back-pressure) and to surface aborts within
+one quantum.  (Abort and the barrier live in the world's
+:class:`~repro.resilience.monitor.ControlState`.)
 
 Resource-tracker notes (CPython 3.11): ``SharedMemory.__init__``
 registers the segment with the tracker on *attach* as well as create,
@@ -43,8 +41,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import CommunicatorError, RuntimeAbort, StallError
-from repro.runtime.mailbox import WAIT_QUANTUM
+from repro.errors import CommunicatorError, StallError
+from repro.resilience.monitor import QUANTUM
 
 __all__ = [
     "DEFAULT_RING_CAPACITY",
@@ -52,13 +50,12 @@ __all__ = [
     "make_uid",
     "ShmRecord",
     "ShmRing",
-    "WorldControl",
     "pid_alive",
     "sweep_segments",
 ]
 
 #: ``/dev/shm`` name prefix shared by every segment this module creates
-#: (rings, control blocks, window arenas, spill segments).  The leak
+#: (rings, the control state, window arenas, spill segments).  The leak
 #: fixture and :func:`sweep_segments` key off it.
 SEG_PREFIX = "repro-"
 
@@ -140,7 +137,7 @@ class ShmRing:
     and tail are monotonic byte counters (they never wrap, positions
     do), so ``head - tail`` is always the live byte count.  All counter
     and data access happens under ``lock``; blocked producers and the
-    draining owner both wait on ``cond`` in :data:`WAIT_QUANTUM` slices.
+    draining owner both wait on ``cond`` in ``QUANTUM`` slices.
     """
 
     def __init__(self, name: str, capacity: int, ctx) -> None:
@@ -194,7 +191,7 @@ class ShmRing:
         *,
         timeout: float | None,
         poll: Callable[[], None] | None = None,
-        quantum: float = WAIT_QUANTUM,
+        quantum: float = QUANTUM,
     ) -> None:
         """Append one message; blocks (in quanta) while the ring is full.
 
@@ -315,7 +312,7 @@ class ShmRing:
         timeout: float,
         *,
         poll: Callable[[], None] | None = None,
-        quantum: float = WAIT_QUANTUM,
+        quantum: float = QUANTUM,
     ) -> None:
         """Park until new bytes arrive, one quantum at most; then poll."""
         with self.cond:
@@ -335,128 +332,6 @@ class ShmRing:
 
     def destroy(self) -> None:
         """Owner-side teardown: detach and unlink the segment."""
-        self.detach()
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class WorldControl:
-    """Abort flag + reason and a sense-reversing barrier in one segment.
-
-    Layout: eight i64 control words (abort flag, barrier count, barrier
-    generation, barrier broken) followed by a UTF-8 abort-reason buffer.
-    A single fork-shared condition guards all of it — barrier traffic
-    and abort broadcast are control-plane-rare, so one lock is plenty.
-    """
-
-    _ABORT, _COUNT, _GEN, _BROKEN, _REASON_LEN = range(5)
-    _REASON_OFF = 64
-    _REASON_CAP = 4096 - _REASON_OFF
-
-    def __init__(self, name: str, nranks: int, ctx) -> None:
-        self.name = name
-        self.nranks = nranks
-        self.shm = SharedMemory(name=name, create=True, size=4096)
-        self.lock = ctx.Lock()
-        self.cond = ctx.Condition(self.lock)
-        self._words = np.frombuffer(self.shm.buf, dtype=np.int64, count=8)
-        self._reason_buf = np.frombuffer(
-            self.shm.buf, dtype=np.uint8, count=self._REASON_CAP, offset=self._REASON_OFF
-        )
-
-    # -- abort --------------------------------------------------------------------------
-
-    def abort(self, reason: str) -> None:
-        """Raise the world-wide abort flag (first reason wins) and wake waiters."""
-        encoded = reason.encode("utf-8", errors="replace")[: self._REASON_CAP]
-        with self.cond:
-            if not self._words[self._ABORT]:
-                self._reason_buf[: len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
-                self._words[self._REASON_LEN] = len(encoded)
-                self._words[self._ABORT] = 1
-            self.cond.notify_all()
-
-    def abort_reason(self) -> str | None:
-        if not int(self._words[self._ABORT]):
-            return None
-        n = int(self._words[self._REASON_LEN])
-        return self._reason_buf[:n].tobytes().decode("utf-8", errors="replace")
-
-    def check_abort(self) -> None:
-        reason = self.abort_reason()
-        if reason is not None:
-            raise RuntimeAbort(reason)
-
-    # -- barrier ------------------------------------------------------------------------
-
-    def barrier(
-        self,
-        timeout: float | None,
-        *,
-        poll: Callable[[], None] | None = None,
-        quantum: float = WAIT_QUANTUM,
-    ) -> None:
-        """Sense-reversing barrier across every rank's process.
-
-        A timed-out participant marks the barrier *broken* (so peers do
-        not serve out their full deadlines independently) and raises
-        :class:`StallError`; the peers it leaves behind get a "barrier
-        broken" :class:`CommunicatorError` — the same surface the thread
-        runtime's revocable barrier presents.  Aborts win over broken.
-        """
-        start = time.monotonic()
-        deadline = None if timeout is None else start + timeout
-        with self.cond:
-            self.check_abort()
-            if self._words[self._BROKEN]:
-                raise CommunicatorError("barrier broken (timeout or aborted peer)")
-            generation = int(self._words[self._GEN])
-            self._words[self._COUNT] += 1
-            if int(self._words[self._COUNT]) == self.nranks:
-                self._words[self._COUNT] = 0
-                self._words[self._GEN] = generation + 1
-                self.cond.notify_all()
-                return
-        try:
-            while True:
-                with self.cond:
-                    if int(self._words[self._GEN]) != generation:
-                        return
-                    self.check_abort()
-                    if self._words[self._BROKEN]:
-                        raise CommunicatorError("barrier broken (timeout or aborted peer)")
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        self._words[self._BROKEN] = 1
-                        self.cond.notify_all()
-                        raise StallError(
-                            f"barrier broken (rank timed out after {now - start:.3f}s)"
-                        )
-                    wait_t = quantum if deadline is None else min(quantum, deadline - now)
-                    self.cond.wait(timeout=wait_t)
-                    if int(self._words[self._GEN]) != generation:
-                        return  # released: the wake-up path runs no poll
-                if poll is not None:
-                    poll()
-        except BaseException:
-            # A waiter unwinding abnormally (timeout, or a raising poll:
-            # revocation, abort) already registered in the count — peers
-            # must not be left waiting on a departed participant.
-            with self.cond:
-                self._words[self._BROKEN] = 1
-                self.cond.notify_all()
-            raise
-
-    # -- lifecycle -----------------------------------------------------------------------
-
-    def detach(self) -> None:
-        self._words = None  # type: ignore[assignment]
-        self._reason_buf = None  # type: ignore[assignment]
-        quiet_close(self.shm)
-
-    def destroy(self) -> None:
         self.detach()
         try:
             self.shm.unlink()

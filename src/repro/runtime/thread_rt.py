@@ -19,8 +19,8 @@ Failure model: the one both runtimes share (:mod:`repro.runtime.base`,
 no ``multiprocessing`` primitive.  What is the thread runtime's own: a
 rank is *gone* when its thread has exited; an injected ``kill`` unwinds
 the victim's thread with :class:`~repro.errors.RankKilledError` after
-recording the death; a survivor world is a fresh set of mailboxes and a
-fresh barrier, one generation up over the same control state.
+recording the death; a survivor world is a fresh set of mailboxes one
+generation up over the same control state.
 """
 
 from __future__ import annotations
@@ -31,15 +31,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.errors import (
-    CommunicatorError,
-    RankFailureError,
-    RankHungError,
-    RankKilledError,
-    RuntimeAbort,
-)
+from repro.errors import RankFailureError, RankHungError, RankKilledError
 from repro.faults import FaultInjector, FaultPlan
-from repro.resilience.monitor import ControlState, FailureReport, RevocableBarrier
+from repro.resilience.monitor import ControlState, FailureReport
 from repro.runtime.base import DEFAULT_TIMEOUT, Comm, World
 from repro.runtime.mailbox import Envelope, Mailbox
 from repro.runtime.window import Window
@@ -50,7 +44,7 @@ __all__ = ["ThreadWorld", "ThreadComm", "run_spmd"]
 
 
 class ThreadWorld(World):
-    """Shared state of one SPMD execution (mailboxes, barrier, windows).
+    """Shared state of one SPMD execution (mailboxes, windows).
 
     Pass ``faults`` (a :class:`~repro.faults.FaultPlan` or a prebuilt
     :class:`~repro.faults.FaultInjector`) to run the world under
@@ -59,10 +53,11 @@ class ThreadWorld(World):
     silence threshold (default: ``SUSPECT_FRACTION * timeout``).
 
     A ThreadWorld is multi-shot.  Each :meth:`run` is a new epoch of the
-    control state: beacons, done flags, blocked rows and the agreement
-    arena start afresh, and so do the survivor worlds.  What a run
-    *concluded* carries over on purpose — the failure registry, the
-    revoke word, the recovery timeline: a world revoked in one run
+    control state: beacons, done flags, blocked rows, the agreement
+    arena and the barrier rows start afresh, and so do the survivor
+    worlds.  What a run *concluded* carries over on purpose — the
+    failure registry, the abort and revoke words, the recovery
+    timeline: a world revoked in one run
     answers :class:`~repro.errors.RevokedError` at the first operation
     of the next, as ULFM keeps a revoked communicator revoked.
     """
@@ -79,12 +74,9 @@ class ThreadWorld(World):
     ) -> None:
         super().__init__(nranks, timeout, suspect_after)
         self.mailboxes = [Mailbox(r) for r in range(nranks)]
-        self._barrier = RevocableBarrier(nranks)
         self._win_lock = threading.Lock()
         self._win_registry: dict[Any, list[Any]] = {}
         self._win_counter: dict[int, int] = {}
-        self._abort_reason: str | None = None
-        self._abort_cause: BaseException | None = None
         if faults is None or isinstance(faults, FaultInjector):
             self.injector = faults
         else:
@@ -112,23 +104,18 @@ class ThreadWorld(World):
     # -- abort handling ----------------------------------------------------------
 
     def abort(self, reason: str, cause: BaseException | None = None) -> None:
-        """Poison every blocking primitive so all ranks unwind promptly."""
+        """Abort, chaining ``cause`` (the aborting rank's exception) onto
+        every peer's :class:`RuntimeAbort`, and wake blocked receivers
+        now: the abort word notifies barrier waiters only."""
         root = self.root
-        if root._abort_reason is None:
-            root._abort_reason = reason
+        if self.abort_reason() is None:
             root._abort_cause = cause
-        for world in (root, *root._shrunk.values()):
-            world._barrier.abort()
+        super().abort(reason)
+        with root._shrink_lock:  # a peer may be shrinking right now
+            worlds = (root, *root._shrunk.values())
+        for world in worlds:
             for mb in world.mailboxes:
-                mb.abort(reason, cause)
-
-    def abort_reason(self) -> str | None:
-        return self.root._abort_reason
-
-    def check_abort(self) -> None:
-        root = self.root
-        if root._abort_reason is not None:
-            raise RuntimeAbort(root._abort_reason) from root._abort_cause
+                mb.kick()
 
     # -- collective window creation ------------------------------------------------
 
@@ -166,8 +153,8 @@ class ThreadWorld(World):
     # -- shrink (ULFM MPIX_Comm_shrink analogue) --------------------------------------
 
     def _survivor_world(self, members: tuple[int, ...], gen: int) -> "ThreadWorld":
-        """Fresh mailboxes and a barrier sized to the survivor count, no
-        fault plan (the injected episode is over), over this world's
+        """Fresh mailboxes for the survivor count, no fault plan (the
+        injected episode is over), over this world's
         control state, threads and burst-buffer store — checkpoints
         written before the failure stay reachable."""
         world = ThreadWorld(len(members), timeout=self.timeout, suspect_after=self.suspect_after)
@@ -296,13 +283,8 @@ class ThreadComm(Comm):
         return mailbox.match(source, tag, limit, poll=self._progress).payload
 
     def _probe(self, source: int, tag: int) -> bool:
+        self.world.check_abort()
         return self.world.mailboxes[self.rank].peek(source, tag)
-
-    def _barrier_wait(self) -> None:
-        try:
-            self.world._barrier.wait(timeout=self.world.timeout, poll=self._progress)
-        except threading.BrokenBarrierError:
-            raise CommunicatorError("barrier broken (timeout or aborted peer)") from None
 
 
 def run_spmd(

@@ -335,8 +335,56 @@ class TestTrimKernelEquivalence:
         )
 
 
+class TestCastMeasuresInTheEncodePass:
+    """``CastCodec.compress_measured`` widens the cast values it already
+    holds instead of making the message round trip; it must report the
+    identical float the base-class default (compress, decompress,
+    :func:`achieved_relative_error`) does."""
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    @pytest.mark.parametrize("fmt", ["fp32", "fp16", "bf16"])
+    def test_identical_to_the_round_trip(self, fmt, scaled):
+        from repro.compression.base import Codec
+
+        codec = CastCodec(fmt, scaled=scaled)
+        rng = np.random.default_rng([ord(fmt[0]), len(fmt), scaled])
+        for dtype in (np.float64, np.complex128):
+            for n in (0, 1, 2, 257, 4096):
+                # in range of every format (finite errors), then 600 decades
+                # (overflow to Inf), then NaN, +-Inf and FMAX among the values
+                for specials in (None, False, True):
+                    draw = (
+                        (lambda: rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n))
+                        if specials is None
+                        else (lambda: _adversarial(n, rng, specials))
+                    )
+                    x = draw()
+                    if dtype is np.complex128:
+                        z = np.empty(n, dtype=np.complex128)
+                        z.real, z.imag = x, draw()
+                        x = z
+                    original = x.copy()
+                    with np.errstate(all="ignore"):
+                        msg, achieved = codec.compress_measured(x)
+                        want_msg, want = Codec.compress_measured(codec, x)
+                    assert isinstance(achieved, float)
+                    # == on the float, with NaN (an Inf or NaN in x) matching NaN
+                    assert np.array_equal(achieved, want, equal_nan=True), (
+                        dtype, n, specials, achieved, want,
+                    )
+                    assert np.array_equal(msg.payload, want_msg.payload)
+                    assert msg.header == want_msg.header and msg.shape == want_msg.shape
+                    assert np.array_equal(_bits(x), _bits(original))  # input not mutated
+
+    def test_all_zero_and_overflowing_messages(self):
+        assert CastCodec("fp16", scaled=True).compress_measured(np.zeros(8))[1] == 0.0
+        with np.errstate(over="ignore"):
+            assert CastCodec("fp16").compress_measured(np.array([1e6, 1.0]))[1] == np.inf
+
+
 class TestCompressMeasuredDefault:
-    """The base-class default: compress, round-trip, measure."""
+    """``compress_measured`` against an explicit round trip: the
+    base-class default and :class:`CastCodec`'s in-pass override."""
 
     @pytest.mark.parametrize(
         "codec",

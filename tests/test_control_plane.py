@@ -16,12 +16,20 @@ from __future__ import annotations
 import json
 import multiprocessing as mp
 import os
+import sys
 import threading
 import time
 from multiprocessing.shared_memory import SharedMemory
 
 import pytest
 
+from repro.errors import (
+    BarrierBrokenError,
+    CommunicatorError,
+    RevokedError,
+    RuntimeAbort,
+    StallError,
+)
 from repro.resilience import ControlState, FailureReport, Watchdog
 from repro.runtime.shm import SEG_PREFIX, fork_available
 
@@ -60,6 +68,51 @@ def make_state(request):
         state.freeze()  # drops the views of the mapping
         seg.close()
         seg.unlink()
+
+
+@pytest.fixture
+def run_parties(request, make_state):
+    """``run_parties(fns)`` -> one outcome per function, each run on an
+    executor of the backing under test: a thread over the private
+    buffer, a forked child over the named segment.  An outcome is
+    ``("ok", value)`` or ``(exception type name, message)``."""
+
+    def outcome(fn):
+        try:
+            return ("ok", fn())
+        except BaseException as exc:  # noqa: BLE001 - the outcome *is* the exception
+            return (type(exc).__name__, str(exc))
+
+    def in_threads(fns, join=30.0):
+        out = [None] * len(fns)
+
+        def body(i):
+            out[i] = outcome(fns[i])
+
+        threads = [threading.Thread(target=body, args=(i,), daemon=True) for i in range(len(fns))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(join)
+        assert not any(t.is_alive() for t in threads), "a party never came back"
+        return out
+
+    def in_children(fns, join=30.0):
+        ctx = mp.get_context("fork")
+        pipes, procs = [], []
+        for fn in fns:
+            recv_end, send_end = ctx.Pipe(duplex=False)
+            procs.append(ctx.Process(target=lambda fn=fn, c=send_end: c.send(outcome(fn)), daemon=True))
+            pipes.append(recv_end)
+        for proc in procs:
+            proc.start()
+        out = [pipe.recv() if pipe.poll(join) else None for pipe in pipes]
+        for proc in procs:
+            proc.join(join)
+        assert None not in out and not any(p.is_alive() for p in procs), "a party never came back"
+        return out
+
+    return in_children if request.node.callspec.params["make_state"] == "segment" else in_threads
 
 
 def watchdog(state: ControlState, members=None, *, suspect_after: float, gone=None) -> Watchdog:
@@ -267,3 +320,155 @@ class TestControlPlane:
         assert isinstance(state.buf, bytearray)
         assert [f.rank for f in mon.failures()] == [1]
         assert mon.build_report().phases().keys() == {"detect"}
+
+
+class TestBarrierAndAbort:
+    """The one barrier and the one abort word, with real waiters on both
+    backings.  Row rules: a world abort breaks every row; a departing
+    waiter (own deadline, raising poll) breaks its own; rows are
+    independent per shrink generation; ``start()`` re-arms the rows and
+    nothing else."""
+
+    def _break_row(self, state, gen, parties):
+        """A lone waiter's deadline passes: the row is left broken."""
+        with pytest.raises(StallError, match="barrier broken .rank timed out"):
+            state.barrier(gen, parties, 0.03)
+
+    def test_release_and_reuse_across_generations(self, make_state, run_parties):
+        """1200 back-to-back episodes on one row, in lockstep: nobody
+        passes episode ``k`` before every party has announced it (the pid
+        word of the rank rows is the shared scratch)."""
+        parties, episodes = 3, 1200
+        state = make_state(parties)
+
+        def party(me):
+            def run():
+                for k in range(1, episodes + 1):
+                    state.set_pid(me, k)
+                    state.barrier(0, parties, 20.0)
+                    behind = [r for r in range(parties) if state.pid(r) < k]
+                    if behind:
+                        return f"episode {k} released before ranks {behind} arrived"
+                return episodes
+
+            return run
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # rank threads: preempt inside the row updates too
+        try:
+            outcomes = run_parties([party(r) for r in range(parties)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [("ok", episodes)] * parties
+
+    def test_own_deadline_is_a_stall_and_breaks_the_row_for_peers(self, make_state, run_parties):
+        state = make_state(3)
+
+        def impatient():
+            state.barrier(0, 3, 0.3)
+
+        def patient():
+            t0 = time.monotonic()
+            try:
+                state.barrier(0, 3, 20.0)
+            except BarrierBrokenError as exc:
+                assert not isinstance(exc, StallError)  # a peer left, this rank did not stall
+                return time.monotonic() - t0
+            return "released without its third party"
+
+        (kind, message), (ok, waited) = run_parties([impatient, patient])
+        assert kind == "BarrierStallError" and message.startswith("barrier broken (rank timed out")
+        assert ok == "ok" and waited < 10.0  # woken by the departure, not by its own deadline
+        with pytest.raises(BarrierBrokenError):  # and the row stays broken
+            state.barrier(0, 3, 1.0)
+
+    def test_a_raising_poll_breaks_the_row(self, make_state, run_parties):
+        state = make_state(3)
+
+        def revoked():
+            def poll():
+                raise RevokedError("the communicator was revoked under me")
+
+            state.barrier(0, 3, 20.0, poll=poll)
+
+        def bystander():
+            state.barrier(0, 3, 20.0)
+
+        assert run_parties([revoked, bystander]) == [
+            ("RevokedError", "the communicator was revoked under me"),
+            ("BarrierBrokenError", "barrier broken (timeout or aborted peer)"),
+        ]
+
+    def test_abort_wakes_every_waiter(self, make_state, run_parties):
+        """A waiter that polls surfaces the abort itself (what a
+        communicator's progress callback does); one that does not gets
+        the echo.  Neither sits out its 60 s deadline."""
+        state = make_state(3)
+
+        def check_abort():
+            if state.abort_reason() is not None:
+                raise RuntimeAbort(state.abort_reason())
+
+        def waiter(poll):
+            def run():
+                t0 = time.monotonic()
+                try:
+                    state.barrier(0, 3, 60.0, poll=poll)
+                finally:
+                    assert time.monotonic() - t0 < 30.0
+            return run
+
+        def aborter():
+            while state._bars[state._COUNT] < 2:  # both are counted in (generation 0's row)
+                time.sleep(0.005)
+            state.abort("rank 2 raised ValueError: boom")
+            state.abort("a later reason loses")
+
+        assert run_parties([waiter(check_abort), waiter(None), aborter]) == [
+            ("RuntimeAbort", "rank 2 raised ValueError: boom"),
+            ("BarrierBrokenError", "barrier broken (timeout or aborted peer)"),
+            ("ok", None),
+        ]
+        assert state.abort_reason() == "rank 2 raised ValueError: boom"
+        with pytest.raises(BarrierBrokenError):  # every row, whatever its generation or size
+            state.barrier(3, 1, 1.0)
+
+    def test_abort_reason_is_bounded(self, make_state):
+        state = make_state(2)
+        assert state.abort_reason() is None
+        state.abort("x" * 5000)
+        assert state.abort_reason() == "x" * 1024
+
+    def test_rows_are_independent_per_generation(self, make_state, run_parties):
+        """Generation 0's row was broken by the failure; the survivors'
+        row one generation up — fewer parties — works."""
+        state = make_state(3)
+        self._break_row(state, 0, 3)
+
+        def survivor():
+            for _ in range(50):
+                state.barrier(1, 2, 20.0)
+            return "through"
+
+        assert run_parties([survivor, survivor]) == [("ok", "through")] * 2
+        with pytest.raises(BarrierBrokenError):
+            state.barrier(0, 3, 1.0)
+
+    def test_start_rearms_the_rows_but_not_abort_or_revoke(self, make_state):
+        state = make_state(2)
+        self._break_row(state, 0, 2)
+        state.revoke("run 1 lost rank 1", 0)
+        state.start()  # the next run of a multi-shot world
+        state.barrier(0, 1, 1.0)  # whole again (a single party releases itself)
+        assert state.revoked_reason(0) == "run 1 lost rank 1"
+        state.abort("run 2 gave up")
+        state.start()
+        assert state.abort_reason() == "run 2 gave up"
+        with pytest.raises(BarrierBrokenError):
+            state.barrier(0, 1, 1.0)
+
+    def test_generation_out_of_range_is_a_typed_error(self, make_state):
+        state = make_state(2)
+        for gen in (-1, 8):
+            with pytest.raises(CommunicatorError, match="out of range"):
+                state.barrier(gen, 2, 1.0)

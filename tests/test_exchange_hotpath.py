@@ -275,7 +275,10 @@ class TestVerificationInTheEncodePass:
         assert not any(stats.error_measured for _recv, stats, _report in results)
 
     def test_default_measurement_round_trips_on_the_sender(self):
-        """A codec without an override pays the round trip, as before."""
+        """A codec without an override pays the round trip, as before;
+        the cast codec, which measures in its encode pass, no longer does."""
+        from repro.compression.base import Codec
+
         calls = {"decompress": 0}
         lock = threading.Lock()
 
@@ -285,16 +288,23 @@ class TestVerificationInTheEncodePass:
                     calls["decompress"] += 1
                 return super().decompress(msg)
 
-        codec = CountingCast("fp32")
+        class WithoutOverride(CountingCast):
+            compress_measured = Codec.compress_measured
 
-        def kernel(comm):
-            op = CompressedOscAlltoallv(comm, codec, e_tol=1e-3)
-            try:
-                op([np.ones(8) * (d + 1.1) for d in range(comm.size)])
-                return op.last_stats.achieved_error
-            finally:
-                op.free()
+        def run(codec):
+            def kernel(comm):
+                op = CompressedOscAlltoallv(comm, codec, e_tol=1e-3)
+                try:
+                    op([np.ones(8) * (d + 1.1) for d in range(comm.size)])
+                    return op.last_stats.achieved_error
+                finally:
+                    op.free()
 
-        errors = ThreadWorld(2).run(kernel)
+            calls["decompress"] = 0
+            return ThreadWorld(2).run(kernel)
+
+        errors = run(WithoutOverride("fp32"))
         assert calls["decompress"] == 2 * (2 * 2)  # sender verify + receiver decode
         assert all(0.0 < e < 1e-7 for e in errors)
+        assert run(CountingCast("fp32")) == errors  # the same numbers ...
+        assert calls["decompress"] == 2 * 2  # ... from the receiver's decode alone

@@ -22,6 +22,8 @@ import numpy as np
 import pytest
 
 from repro.errors import (
+    BarrierBrokenError,
+    BarrierStallError,
     CommunicatorError,
     RevokedError,
     RuntimeAbort,
@@ -525,6 +527,39 @@ class TestErrorContract:
         with pytest.raises((RuntimeAbort, CommunicatorError)):
             spmd(runtime, 2, kernel, timeout=10.0)
 
+    def test_blocked_peers_get_the_abort_not_the_broken_barrier(self, runtime):
+        """Two ranks wait in a barrier and one in a receive when the
+        fourth aborts: each of them unwinds with the abort and its reason
+        — never the "barrier broken" echo, never its own deadline."""
+
+        def kernel(comm):
+            try:
+                if comm.rank == 3:
+                    time.sleep(0.3)  # the others are blocked by now
+                    comm.abort("giving up")
+                elif comm.rank == 2:
+                    comm.recv(source=3, tag=1)
+                else:
+                    comm.barrier()
+            except RuntimeAbort as exc:
+                return str(exc)
+            return "passed"
+
+        t0 = time.monotonic()
+        res = spmd(runtime, 4, kernel, timeout=20.0)
+        assert time.monotonic() - t0 < 10.0
+        assert res == ["rank 3: giving up"] * 3 + ["giving up"]
+
+    def test_echoes_are_told_by_type_not_by_message(self):
+        from repro.runtime.base import is_echo
+
+        assert is_echo(BarrierBrokenError("barrier broken (timeout or aborted peer)"))
+        assert is_echo(BarrierStallError("barrier broken (rank timed out after 1.000s)"))
+        assert is_echo(RuntimeAbort("x")) and is_echo(RevokedError("x"))
+        assert not is_echo(StallError("rank 0: recv(source=rank 1, tag=1) timed out"))
+        assert not is_echo(CommunicatorError("my kernel said: barrier broken"))
+        assert not is_echo(ValueError("boom"))
+
     def test_world_rejects_zero_ranks(self, runtime):
         with pytest.raises(CommunicatorError):
             make_world(runtime, 0)
@@ -812,6 +847,103 @@ class TestUlfmContract:
         res = spmd(runtime, p, kernel, timeout=20.0, faults=plan, suspect_after=0.5)
         assert res[1] is None
         assert [res[0], res[2], res[3]] == [(True, [1], True)] * 3
+
+
+class TestShrunkBarrierContract:
+    """After a shrink the survivors' barrier is the one barrier, in the
+    row of their generation: it synchronises, it carries a plan's
+    fences, and a survivor that leaves it breaks it for its peers."""
+
+    @staticmethod
+    def _survive(comm):
+        """Lose rank 1 of the world, return the survivors' communicator
+        (``None`` on the victim, which never gets here)."""
+        try:
+            ring_exchange(comm)
+        except (RevokedError, StallError):
+            return comm.shrink()
+        return None
+
+    @staticmethod
+    def _kill_rank_1():
+        from repro.faults import FaultPlan, FaultRule
+
+        return FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=8)])
+
+    def test_barrier_and_plan_window_fence_on_a_shrunk_communicator(self, runtime):
+        from repro.collectives import make_exchange
+        from repro.collectives.osc import OscTransport, PlanWindow
+
+        n, epochs = 8, 5
+
+        def kernel(comm):
+            sub = self._survive(comm)
+            if sub is None:
+                return "victim-finished"
+            # Lockstep through the barrier: a token goes round only after
+            # everyone passed barrier k, and is read before barrier k + 1.
+            for k in range(40):
+                sub.barrier()
+                sub.send(np.array([k]), (sub.rank + 1) % sub.size, tag=3)
+                assert int(sub.recv((sub.rank - 1) % sub.size, tag=3)[0]) == k
+            # A bound exchange: one fence per call on the survivors' window.
+            op = make_exchange(sub, method="osc")
+            table = op.slot_table(np.full((sub.size, sub.size), n), 16)
+            window = PlanWindow(sub, int(table.extent.max()))
+            op.transport = OscTransport(sub, slots=table, window=window)
+            got = []
+            for epoch in range(epochs):
+                recv = op([np.full(n, 100 * epoch + 10 * sub.rank + d, complex) for d in range(sub.size)])
+                got.append([int(r.view(np.complex128)[0].real) for r in recv])
+            window.free()
+            return sub.size, got
+
+        res = spmd(runtime, 4, kernel, timeout=30.0, faults=self._kill_rank_1(), suspect_after=0.5)
+        assert res[1] is None
+        for new_rank, old_rank in enumerate((0, 2, 3)):
+            size, got = res[old_rank]
+            assert size == 3
+            assert got == [[100 * e + 10 * s + new_rank for s in range(3)] for e in range(5)]
+
+    def test_a_survivor_leaving_a_shrunk_barrier_breaks_it_for_its_peers(self, runtime):
+        """Three survivors, one of which never joins.  The first to have
+        entered is the first whose deadline passes (a stall, classified);
+        its departure releases the one that entered later at once, with
+        the typed echo — it does not wait out a deadline of its own."""
+        timeout = 2.0
+
+        def stay_busy(sub, seconds):  # visibly alive: every operation beacons
+            until = time.monotonic() + seconds
+            while time.monotonic() < until:
+                sub.send(np.zeros(1), sub.rank, tag=9)
+                sub.recv(sub.rank, tag=9)
+                time.sleep(0.01)
+
+        def kernel(comm):
+            sub = self._survive(comm)
+            if sub is None:
+                return "victim-finished"
+            if sub.rank == 2:
+                stay_busy(sub, 1.5 * timeout)
+                return "never joined"
+            if sub.rank == 1:
+                stay_busy(sub, timeout / 2)
+            t0 = time.monotonic()
+            try:
+                sub.barrier()
+            except BarrierBrokenError as exc:
+                stalled = isinstance(exc, StallError)
+                return stalled, getattr(exc, "classification", None), time.monotonic() - t0
+            return "the barrier passed without its third member"
+
+        res = spmd(runtime, 4, kernel, timeout=timeout, faults=self._kill_rank_1(), suspect_after=0.3)
+        assert res[1] is None and res[3] == "never joined"
+        stalled, classification, waited = res[0]
+        # (the peer blocked beside it may already have left when it is classified)
+        assert stalled and classification in ("straggler", "alive") and waited >= timeout
+        stalled, classification, waited = res[2]
+        assert not stalled and classification is None
+        assert waited < 0.85 * timeout  # entered at timeout / 2, released when rank 0 left
 
 
 class TestStallContract:

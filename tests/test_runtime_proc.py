@@ -164,6 +164,43 @@ class TestLifecycle:
             assert world.uid.startswith(SEG_PREFIX)
         # leak_check asserts the segments are gone
 
+    def test_segment_and_primitive_census(self, leak_check, monkeypatch):
+        """A live world owns exactly its control state ``{uid}s``, the
+        telemetry block ``{uid}t`` and one ring per rank — no private
+        control segment beside the state — and 2p + 1 fork-shared locks
+        (ring, window target, store) and p + 1 conditions (ring, state)."""
+        import collections
+
+        import repro.runtime.proc as proc
+
+        made = collections.Counter()
+
+        class CountingContext:
+            def __init__(self, ctx):
+                self._ctx = ctx
+
+            def Lock(self):
+                made["Lock"] += 1
+                return self._ctx.Lock()
+
+            def Condition(self, lock=None):
+                made["Condition"] += 1
+                return self._ctx.Condition(lock)
+
+            def __getattr__(self, name):
+                return getattr(self._ctx, name)
+
+        get_context = proc.mp.get_context
+        monkeypatch.setattr(proc.mp, "get_context", lambda method: CountingContext(get_context(method)))
+        before = set(_shm_segments())
+        with ProcessWorld(4, timeout=10.0) as world:
+            uid = world.uid
+            expected = {f"{uid}s"} | {f"{uid}r{r}" for r in range(4)}
+            if world.telemetry is not None:
+                expected.add(f"{uid}t")
+            assert set(_shm_segments()) - before == expected
+            assert made == {"Lock": 9, "Condition": 5}
+
     def test_close_is_idempotent(self, leak_check):
         world = ProcessWorld(2, timeout=10.0)
         world.close()

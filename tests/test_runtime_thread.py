@@ -74,6 +74,59 @@ class TestWorldLifecycle:
         assert second == [[10, 11]] * 2
 
 
+class TestAbort:
+    def test_abort_wakes_a_blocked_recv_on_the_notify(self, monkeypatch):
+        """The mailboxes hold no abort state of their own; an abort kicks
+        them, and the woken receiver's progress callback raises.  With
+        the wait quantum stretched to 5 s, only the kick can be what
+        wakes rank 1 in time."""
+        from repro.errors import RuntimeAbort
+        from repro.runtime.mailbox import Mailbox
+
+        monkeypatch.setitem(Mailbox.match.__kwdefaults__, "quantum", 5.0)
+        seen = {}
+
+        def kernel(comm):
+            if comm.rank == 0:
+                time.sleep(0.2)  # rank 1 is parked in its mailbox by now
+                raise ValueError("boom")
+            t0 = time.monotonic()
+            try:
+                comm.recv(source=0, tag=1)
+            except RuntimeAbort as exc:
+                seen["waited"], seen["cause"] = time.monotonic() - t0, exc.__cause__
+                raise
+
+        with pytest.raises(ValueError, match="boom"):
+            ThreadWorld(2, timeout=20.0).run(kernel)
+        assert seen["waited"] < 2.5
+        assert isinstance(seen["cause"], ValueError)  # the aborting rank's exception, chained
+
+    def test_abort_snapshots_the_survivor_worlds_under_the_shrink_lock(self):
+        """One rank aborts while a peer is inside ``shrunk_world``: the
+        peer's insert used to land in the middle of abort's unlocked walk
+        ("dictionary changed size during iteration").  Replayed without
+        timing: the walk itself hands a concurrent shrink all the time it
+        wants."""
+        world = ThreadWorld(3, timeout=5.0)
+        world.shrunk_world((0, 1), 1)
+        shrinker = threading.Thread(target=world.shrunk_world, args=((0, 2), 1), daemon=True)
+
+        class LetsAPeerShrinkMidWalk(dict):
+            def values(self):
+                for value in dict.values(self):
+                    shrinker.start()
+                    shrinker.join(0.3)  # inserts now, unless the walk holds the lock
+                    yield value
+
+        world._shrunk = LetsAPeerShrinkMidWalk(world._shrunk)
+        world.abort("rank 0 raised ValueError: boom")
+        shrinker.join(5.0)
+        assert not shrinker.is_alive()
+        assert set(world._shrunk) == {((0, 1), 1), ((0, 2), 1)}
+        assert world.abort_reason() == "rank 0 raised ValueError: boom"
+
+
 class TestRunEpochs:
     """Each ``run()`` is a new epoch of the control state; what a run
     concluded (registry, revoke word) carries over on purpose."""
