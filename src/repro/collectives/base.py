@@ -12,7 +12,7 @@ flight ring and the metrics registry agree for every algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +30,12 @@ from repro.telemetry.recorder import (
 )
 from repro.trace import incr as trace_incr
 from repro.trace import record_report as trace_report
+from repro.trace import span as trace_span
 
-__all__ = ["Exchange", "ExchangeStats", "volume_rate"]
+__all__ = ["Boxes", "Exchange", "ExchangeStats", "pack", "unpack", "volume_rate"]
+
+#: One strided view per rank (``None`` = nothing for / from that rank).
+Boxes = Sequence[Optional[np.ndarray]]
 
 
 def volume_rate(logical: int, wire: int) -> float:
@@ -44,6 +48,23 @@ def volume_rate(logical: int, wire: int) -> float:
     if wire:
         return logical / wire
     return 1.0 if logical == 0 else float("inf")
+
+
+def pack(view: np.ndarray, pool: Any = None) -> np.ndarray:
+    """``view`` as one flat contiguous chunk (pooled scratch with a ``pool``)."""
+    if pool is None:
+        return np.ascontiguousarray(view).reshape(-1)
+    buf = pool.acquire_array(view.shape, view.dtype)
+    np.copyto(buf, view)
+    return buf.reshape(-1)
+
+
+def unpack(target: np.ndarray, chunk: np.ndarray) -> None:
+    """Copy the received ``chunk`` (flat values, or raw bytes) into ``target``."""
+    if chunk.dtype != target.dtype:
+        # raw window exchanges hand back bytes; codecs hand back values
+        chunk = chunk.view(target.dtype) if chunk.dtype == np.uint8 else chunk.astype(target.dtype)
+    target[...] = chunk.reshape(target.shape)
 
 
 @dataclass
@@ -135,15 +156,57 @@ class Exchange:
     def free(self) -> None:
         """Collectively release what the exchange caches (nothing here)."""
 
-    def slot_table(self, elements: np.ndarray, itemsize: int) -> Any:
+    def slot_table(
+        self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
+    ) -> Any:
         """Window slots for a message matrix known before the first call.
 
         ``elements[s][d]`` items of ``itemsize`` bytes go from ``s`` to
-        ``d`` in every call.  The window exchanges answer with a
+        ``d`` in every call, as views whose leading axis is
+        ``leading[s][d]`` long (``None``: flat).  The window exchanges
+        answer with a
         :class:`~repro.collectives.osc.SlotTable` their ``transport`` can
         be bound to; ``None`` (here) means no window is driven.
         """
         return None
+
+    def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
+        """Exchange between strided views: ``send[d]`` (a box of this
+        rank's block, only read) goes to rank ``d``, and what rank ``s``
+        sent fills ``receive()[s]`` (a box of the caller's new block);
+        ``None`` = nothing that way.  ``receive`` is called once, when the
+        data has arrived.  What a reshape calls.
+
+        Here: pack each view (scratch from ``pool`` when given), exchange
+        the chunks, unpack — an exchange that can carry a strided view as
+        it is overrides this and skips the staging.
+        """
+        rank = self.comm.rank
+        packed: list[np.ndarray | None] = [None] * len(send)
+        for d, view in enumerate(send):
+            if view is not None:
+                with trace_span("pack", rank=rank, peer=d):
+                    packed[d] = pack(view, pool)
+        recv = self(packed)
+        # The exchange has consumed (copied or encoded) the packed chunks;
+        # give them back before unpacking so the next reshape reuses them.
+        # Pooled receive copies go back too; the lenient release ignores
+        # arrays the pool never owned.
+        if pool is not None:
+            for chunk in packed:
+                if chunk is not None:
+                    pool.release(chunk)
+        self._unpack_all(receive(), recv)
+        if pool is not None:
+            for chunk in recv:
+                pool.release(np.asarray(chunk))
+
+    def _unpack_all(self, out: Boxes, recv: Sequence[Any]) -> None:
+        """Paste ``recv[s]`` (decoded values or raw bytes) into ``out[s]``."""
+        for s, target in enumerate(out):
+            if target is not None and recv[s] is not None:
+                with trace_span("unpack", rank=self.comm.rank, peer=s):
+                    unpack(target, np.asarray(recv[s]))
 
     def _check_send(self, send: Sequence[np.ndarray | None]) -> None:
         if len(send) != self.comm.size:

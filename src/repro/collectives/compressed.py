@@ -32,13 +32,14 @@ volume reduction that drives the speedup.
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.base import Boxes, Exchange, ExchangeStats
 from repro.collectives.osc import OscTransport, SlotTable
-from repro.collectives.wire import decode_wire, encode_wire
+from repro.collectives.wire import decode_wire, encode_wire, open_frame, seal, stage
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
 from repro.compression.lossless import ShuffleZlibCodec
 from repro.errors import (
@@ -51,6 +52,7 @@ from repro.errors import (
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
+from repro.runtime.window import Reservation
 from repro.telemetry.metrics import gauge as tele_gauge
 from repro.telemetry.metrics import histogram as tele_histogram
 from repro.tuning.pool import BufferPool
@@ -133,6 +135,11 @@ class CompressedOscAlltoallv(Exchange):
                 f"lossless_fallback must be lossless, got {self._lossless.name}"
             )
         self._raw = IdentityCodec()
+        #: Degradation ladder: primary -> lossless fallback -> raw FP64.
+        self._ladder: list[Codec] = [codec]
+        for fallback in (self._lossless, self._raw):
+            if all(fallback.name != c.name for c in self._ladder):
+                self._ladder.append(fallback)
         self.pool = pool
         self.tuned = tuned
         self.transport = OscTransport(comm, topology)
@@ -140,52 +147,46 @@ class CompressedOscAlltoallv(Exchange):
     # -- helpers ------------------------------------------------------------------
 
     def _split(self, data: np.ndarray) -> list[np.ndarray]:
-        """Fragment a message for the compression/transfer pipeline."""
-        if self.pipeline_chunks == 1 or data.size <= 1:
+        """Fragment a message for the compression/transfer pipeline: slabs
+        of its leading axis, so a fragment of a strided view is one too."""
+        if self.pipeline_chunks == 1 or len(data) <= 1:
             return [data]
         return [c for c in np.array_split(data, self.pipeline_chunks) if c.size]
 
-    def _split_sizes(self, n: int) -> list[int]:
-        """Sizes of the fragments :meth:`_split` cuts a flat ``n``-item message into."""
-        k = self.pipeline_chunks
-        if k == 1 or n <= 1:
+    def _split_sizes(self, n: int, lead: int | None = None) -> list[int]:
+        """Sizes of the fragments :meth:`_split` cuts an ``n``-item message
+        whose leading axis is ``lead`` long (a flat one: ``n``) into."""
+        k, lead = self.pipeline_chunks, n if lead is None else lead
+        if k == 1 or lead <= 1:
             return [n]
-        return [size for i in range(k) if (size := n // k + (i < n % k))]
+        return [rows * (n // lead) for i in range(k) if (rows := lead // k + (i < lead % k))]
 
     def _frame_capacity(self, n_float64: int) -> int:
         """Bytes a slot reserves for one frame of ``n_float64`` scalars:
         the worst case over everything the ladder may send, plus header
         room — so stepping down to lossless, or to raw FP64, always fits."""
-        return max(c.worst_case_nbytes(n_float64) for c in self._ladder()) + _FRAME_ROOM
+        return max(c.worst_case_nbytes(n_float64) for c in self._ladder) + _FRAME_ROOM
 
-    def slot_table(self, elements: np.ndarray, itemsize: int) -> SlotTable:
+    def slot_table(
+        self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
+    ) -> SlotTable:
         """Slots sized for the ladder's worst case, with their frame counts."""
         elements = np.asarray(elements, dtype=np.int64)
         capacity, frames = np.zeros_like(elements), np.zeros_like(elements)
         for at, n in np.ndenumerate(elements):
-            pieces = self._split_sizes(int(n)) if n else []
+            lead = None if leading is None else int(leading[at])
+            pieces = self._split_sizes(int(n), lead) if n else []
             frames[at] = len(pieces)
             capacity[at] = sum(self._frame_capacity(piece * itemsize // 8) for piece in pieces)
         return SlotTable(capacity, align=16, frames=frames)
 
-    def _ladder(self) -> list[Codec]:
-        """Degradation ladder: primary -> lossless fallback -> raw FP64."""
-        ladder: list[Codec] = [self.codec]
-        for fallback in (self._lossless, self._raw):
-            if all(fallback.name != c.name for c in ladder):
-                ladder.append(fallback)
-        return ladder
-
-    def _decompress(self, msg: CompressedMessage) -> np.ndarray:
-        """Resolve the decompressor from the frame's codec name.
-
-        Degraded retransmissions arrive encoded by a ladder codec, not
-        necessarily the primary one.
-        """
+    def _codec_named(self, name: str) -> Codec:
+        """The decompressor a frame names: degraded retransmissions arrive
+        encoded by a ladder codec, not necessarily the primary one."""
         for codec in (self.codec, self._lossless, self._raw):
-            if msg.codec_name == codec.name:
-                return codec.decompress(msg)
-        raise CompressionError(f"frame names unknown codec {msg.codec_name!r}")
+            if name == codec.name:
+                return codec
+        raise CompressionError(f"frame names unknown codec {name!r}")
 
     def _injector(self):
         world = getattr(self.comm, "world", None)
@@ -198,22 +199,25 @@ class CompressedOscAlltoallv(Exchange):
     # -- encode side ----------------------------------------------------------------
 
     def _compress_fragment(
-        self, frag: np.ndarray, dest: int, report: ResilienceReport
-    ) -> tuple[CompressedMessage, float | None]:
+        self, dest: int, report: ResilienceReport, encode: Callable[[Codec, bool], tuple[Any, Any]]
+    ) -> tuple[Any, float | None]:
         """Compress one fragment, riding out transient codec failures.
 
-        Same-codec retries follow the policy's backoff; once exhausted
-        the ladder steps down (the fallback is then also given
-        ``max_attempts`` tries before the next step).
+        ``encode(codec, measure)`` does the compression proper — into a
+        message or into a window slot — and returns ``(result,
+        achieved)``.  Same-codec retries follow the policy's backoff;
+        once exhausted the ladder steps down (the fallback is then also
+        given ``max_attempts`` tries before the next step).
 
-        Returns the message plus the measured round-trip relative error
-        of the fragment: a float whenever ``e_tol`` is set (0.0 for a
-        lossless send — the round trip is exact), ``None`` when no
-        tolerance is configured and nothing was measured.
+        Returns the accepted result plus the measured round-trip
+        relative error of the fragment: a float whenever ``e_tol`` is
+        set (0.0 for a lossless send — the round trip is exact),
+        ``None`` when no tolerance is configured and nothing was
+        measured.
         """
         injector = self._injector()
         policy = self.retry_policy
-        ladder = self._ladder()
+        ladder = self._ladder
         step, retries_in_step = 0, 0
         started = time.monotonic()
         budget_noted = False
@@ -223,13 +227,11 @@ class CompressedOscAlltoallv(Exchange):
             try:
                 if injector is not None:
                     injector.codec_fault(self.comm.rank, dest)
-                achieved: float | None
-                if measure:
-                    msg, achieved = codec.compress_measured(frag)
-                else:
+                result, achieved = encode(codec, measure)
+                if not measure:
                     # a lossless send is exact; with no tolerance nothing
                     # is measured
-                    msg, achieved = codec.compress(frag), (None if self.e_tol is None else 0.0)
+                    achieved = None if self.e_tol is None else 0.0
             except TransientCodecError as exc:
                 report.record("transient-codec", peer=dest, codec=codec.name, detail=str(exc))
                 elapsed = time.monotonic() - started
@@ -272,7 +274,7 @@ class CompressedOscAlltoallv(Exchange):
                 report.record("degrade", peer=dest, codec=ladder[step].name,
                               detail=f"{codec.name} -> {ladder[step].name} (e_tol)")
                 continue
-            return msg, achieved
+            return result, achieved
 
     def _encode_block(
         self,
@@ -282,16 +284,34 @@ class CompressedOscAlltoallv(Exchange):
         report: ResilienceReport,
         stats: ExchangeStats | None,
         pool: BufferPool | None = None,
+        slot: Reservation | None = None,
     ) -> list[np.ndarray]:
         """Encode one destination's data into wire frames.
 
         ``codec=None`` uses the resilient primary path (transient-fault
         retries + e_tol check); recovery rounds pass an explicit ladder
-        codec instead.  ``pool`` stages the frames in reusable buffers
-        (the hot path releases them once the puts have landed).
+        codec instead.  The frames are staged in arrays (``pool``'s
+        reusable buffers when given: the hot path releases them once the
+        puts have landed) — or, with ``slot``, this rank's reserved slot
+        in ``dest``'s window, produced where they land: ``arr`` may be any
+        strided view, it is only read, and the slot *is* the paper's
+        staging buffer.
         """
         frames: list[np.ndarray] = []
+        written = 0
         for chunk_idx, frag in enumerate(self._split(arr)):
+            n_values = frag.size * frag.itemsize // 8
+            capacity = self._frame_capacity(n_values)
+            room = None if slot is None else slot.view[written : written + capacity]
+
+            def encode(c: Codec, measure: bool) -> tuple[Any, float | None]:
+                """((codec, modelled wire bytes, what finishes the frame), achieved error)"""
+                if room is None:
+                    msg, achieved = c.compress_measured(frag) if measure else (c.compress(frag), None)
+                    return (c, msg.nbytes, partial(encode_wire, msg, pool=pool)), achieved
+                meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
+                return (c, nbytes + 8 * len(header), partial(seal, room, meta_len, nbytes)), achieved
+
             with trace_span(
                 "compress",
                 rank=self.comm.rank,
@@ -301,33 +321,33 @@ class CompressedOscAlltoallv(Exchange):
                 chunk=chunk_idx,
             ):
                 if codec is None:
-                    msg, achieved = self._compress_fragment(frag, dest, report)
+                    (used, wire, finish), achieved = self._compress_fragment(dest, report, encode)
                 else:
-                    msg, achieved = codec.compress(frag), None
-            frame = encode_wire(msg, pool=pool)
-            if (
-                codec is None
-                and self.transport.slots is not None
-                and frame.size > self._frame_capacity(msg.n_values)
+                    (used, wire, finish), achieved = encode(codec, False)[0], None
+            frame = finish()
+            if frame is None or (
+                codec is None and self.transport.slots is not None and frame.size > capacity
             ):
                 # A frame that does not fit its window slot is never
                 # truncated: it steps down to raw FP64, which the slot
                 # was sized for.
                 report.record("degrade", peer=dest, codec=self._raw.name,
-                              detail=f"{msg.codec_name} -> {self._raw.name} "
-                              f"({frame.size} B frame exceeds its slot)")
-                if pool is not None:
+                              detail=f"{used.name} -> {self._raw.name} (the frame exceeds its slot)")
+                if pool is not None and frame is not None:
                     pool.release(frame)
-                msg, achieved = self._raw.compress(frag), (None if self.e_tol is None else 0.0)
-                frame = encode_wire(msg, pool=pool)
+                (used, wire, finish), _ = encode(self._raw, False)
+                frame, achieved = finish(), (None if self.e_tol is None else 0.0)
             if stats is not None:
                 stats.messages += 1
-                stats.logical_bytes += 8 * msg.n_values
-                stats.wire_bytes += msg.nbytes
+                stats.logical_bytes += 8 * n_values
+                stats.wire_bytes += wire
                 if achieved is not None:
                     stats.achieved_error = max(stats.achieved_error, achieved)
                     stats.error_measured = True
             frames.append(frame)
+            written += frame.size
+        if slot is not None:
+            slot.written = written
         return frames
 
     def _encode_all(
@@ -352,50 +372,80 @@ class CompressedOscAlltoallv(Exchange):
 
     # -- decode side -----------------------------------------------------------------
 
-    def _decode_region(self, region: np.ndarray, nframes: int | None = None) -> np.ndarray:
+    def _decode_region(
+        self, region: np.ndarray, nframes: int | None = None, into: np.ndarray | None = None
+    ) -> np.ndarray | None:
         """Walk and decode the checksummed frames of one source block.
 
-        Each header is parsed exactly once — :func:`decode_wire` returns
-        the consumed frame length alongside the message.  ``nframes``
+        Each header is parsed exactly once — the reader returns the
+        consumed frame length alongside the message.  ``nframes``
         bounds the walk for a region larger than its content (a fixed
         window slot: what follows the last frame is an older epoch's,
         valid but stale); ``None`` walks to the region's end.  An empty
         region decodes to an empty FP64 block (``np.concatenate`` on an
         empty list raises, and a zero-frame region is legitimate when a
         peer's block compressed to nothing).
+
+        With ``into`` — the strided box of the output block this source
+        fills — every frame is checked where it lies and decoded straight
+        into its slab of the box (the cut :meth:`_split` made of the
+        sender's view); nothing is returned.
         """
         parts: list[np.ndarray] = []
+        slabs = None if into is None else self._split(into)
         pos = 0
         while (pos < region.size) if nframes is None else (len(parts) < nframes):
-            msg, consumed = decode_wire(region[pos:])
+            if slabs is None:
+                msg, consumed = decode_wire(region[pos:])
+                parts.append(self._codec_named(msg.codec_name).decompress(msg))
+            else:
+                msg, consumed = open_frame(region[pos:])
+                slab = slabs[len(parts)]
+                # (the scalar type's name: dtype.name costs 2 us a message)
+                if (msg.dtype_name, msg.shape) != (slab.dtype.type.__name__, (slab.size,)):
+                    raise CompressionError(
+                        f"corrupt metadata: frame holds {msg.dtype_name}{msg.shape}, "
+                        f"the plan expects {slab.dtype.name}({slab.size},)"
+                    )
+                self._codec_named(msg.codec_name).decode_into(msg.payload, msg.header, slab)
+                parts.append(slab)
             pos += consumed
-            parts.append(self._decompress(msg))
+        if slabs is not None:
+            return None
         if not parts:
             return np.zeros(0, dtype=np.float64)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _settle(
         self,
-        arrays: list[np.ndarray | None],
+        arrays: Sequence[np.ndarray | None],
         regions: Sequence[np.ndarray],
         report: ResilienceReport,
         stats: ExchangeStats,
         nframes: Sequence[int] | None = None,
+        into: Sequence[np.ndarray | None] | None = None,
     ) -> list[np.ndarray]:
         """Step 2 onwards: decompress each source's region (CRC-checked per
         frame; ``nframes[s]`` of them when given, else to the region's
-        end), recover the blocks that failed integrity, publish."""
+        end), recover the blocks that failed integrity, publish.
+
+        With ``into``, region ``s`` is decoded straight into ``into[s]``
+        and its entry of the result is ``None`` — unless it had to be
+        retransmitted: a recovered block comes back as an array for the
+        caller to paste over whatever the failed decode left behind."""
         rank = self.comm.rank
         recv: list[np.ndarray | None] = [None] * len(regions)
         failed: list[int] = []
         for s, region in enumerate(regions):
             if region.size == 0:
-                recv[s] = np.zeros(0, dtype=np.float64)
+                recv[s] = None if into is not None else np.zeros(0, dtype=np.float64)
                 continue
             try:
                 with trace_span("decompress", rank=rank, peer=s, bytes=int(region.size)):
                     recv[s] = self._decode_region(
-                        region, None if nframes is None else nframes[s]
+                        region,
+                        None if nframes is None else nframes[s],
+                        None if into is None else into[s],
                     )
             except CompressionError as exc:
                 report.record("integrity-failure", peer=s, detail=str(exc))
@@ -421,7 +471,7 @@ class CompressedOscAlltoallv(Exchange):
 
     def _recover(
         self,
-        arrays: list[np.ndarray | None],
+        arrays: Sequence[np.ndarray | None],
         recv: list[np.ndarray | None],
         failed: list[int],
         report: ResilienceReport,
@@ -437,7 +487,7 @@ class CompressedOscAlltoallv(Exchange):
         silent corruption.
         """
         comm, policy = self.comm, self.retry_policy
-        ladder = self._ladder()
+        ladder = self._ladder
         started = time.monotonic()
         # Exhaustion of the total-deadline budget is agreed alongside the
         # failure sets: round tags and codec choice derive from `attempt`,
@@ -517,6 +567,21 @@ class CompressedOscAlltoallv(Exchange):
 
     def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
         """Exchange with compression; returns decompressed per-source arrays."""
+        return self._timed(self._exchange, send)
+
+    def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
+        """On plan-supplied slots every message is encoded straight from
+        its strided view into the destination's slot and decoded from the
+        local slot straight into its strided box: no pack, staging frame,
+        decompressed temporary or unpack, nothing from ``pool``.  An
+        unbound exchange has no slot to write before its sizes are
+        agreed, and stages as the base class does."""
+        if self.transport.slots is None:
+            return super().move(send, receive, pool)
+        self._timed(self._exchange_in_place, send, receive)
+
+    def _timed(self, body: Callable[..., Any], *args: Any) -> Any:
+        """Run one collective call under its exchange span and metrics."""
         # The exchange span makes one collective call a critical-path
         # scope of its own even outside a reshape (repro.perf groups
         # outermost exchange spans into rounds).
@@ -530,9 +595,9 @@ class CompressedOscAlltoallv(Exchange):
             attrs["tuned"] = self.tuned
         started = time.monotonic()
         with trace_span("exchange", **attrs):
-            recv = self._exchange(send)
+            result = body(*args)
         self._observe_exchange_time(time.monotonic() - started)
-        return recv
+        return result
 
     def _observe_exchange_time(self, elapsed: float) -> None:
         """Per-link bandwidth gauge + latency histogram for the metrics
@@ -563,3 +628,21 @@ class CompressedOscAlltoallv(Exchange):
         slots = self.transport.slots
         nframes = None if slots is None else slots.frames[:, self.comm.rank].tolist()
         return self._settle(arrays, regions, report, stats, nframes)
+
+    def _exchange_in_place(self, send: Boxes, receive: Callable[[], Boxes]) -> None:
+        self._check_send(send)
+        stats = ExchangeStats()
+        report = ResilienceReport(rank=self.comm.rank)
+        regions, _ = self.transport(
+            [
+                partial(self._encode_block, view, d, None, report, stats, None)
+                if view is not None and view.size
+                else ()
+                for d, view in enumerate(send)
+            ]
+        )
+        nframes = self.transport.slots.frames[:, self.comm.rank].tolist()
+        # Recovery retransmits from the still-live send views; what it
+        # recovered lands through a temporary, over the partial decode.
+        out = receive()
+        self._unpack_all(out, self._settle(send, regions, report, stats, nframes, out))

@@ -27,11 +27,11 @@ the :class:`~repro.faults.RetryPolicy`; the outcome is recorded in
 from __future__ import annotations
 
 import time
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.base import Boxes, Exchange, ExchangeStats
 from repro.collectives.pairwise import ring_peers
 from repro.collectives.wire import crc32
 from repro.conformance import hooks
@@ -170,9 +170,13 @@ class OscTransport:
             self._capacities = None
 
     def __call__(
-        self, fragments: Sequence[Sequence[np.ndarray]], rider: Any = None
+        self, fragments: Sequence[Sequence[np.ndarray] | Callable], rider: Any = None
     ) -> tuple[list[np.ndarray], list[Any] | None]:
         """Put ``fragments[d]`` (arrays of any layout, back to back) to rank ``d``.
+
+        On a plan-supplied table ``fragments[d]`` may instead be a
+        callable: it is handed the reservation of this rank's whole slot
+        on ``d`` (:meth:`Window.reserve`) and produces the message there.
 
         Returns ``(regions, riders)``: ``regions[s]`` is a *borrowed*
         ``uint8`` view of the local window — the slot rank ``s`` put
@@ -181,7 +185,9 @@ class OscTransport:
         given.
         """
         comm, rank = self.comm, self.comm.rank
-        my_sizes = [sum(int(f.nbytes) for f in frags) for frags in fragments]
+        my_sizes = [
+            0 if callable(frags) else sum(int(f.nbytes) for f in frags) for frags in fragments
+        ]
         riders = None
         if self.slots is None:
             # Counts exchange: both sides of an Alltoallv know the counts.
@@ -199,7 +205,8 @@ class OscTransport:
         # where my bytes live in dest's window: after earlier sources'
         offsets, room = table.offset[rank].tolist(), table.capacity[rank].tolist()
         for dest in self._ring:
-            if not my_sizes[dest]:
+            frags = fragments[dest]
+            if not (my_sizes[dest] or callable(frags)):
                 continue
             if my_sizes[dest] > room[dest]:
                 raise CommunicatorError(
@@ -210,7 +217,13 @@ class OscTransport:
                 "osc.put_offset", base + offsets[dest], rank=rank, dest=dest
             )
             intra = self.topology.same_node(rank, dest) if self.topology else dest == rank
-            for chunk_idx, frag in enumerate(fragments[dest]):
+            if callable(frags):
+                with trace_span("put", rank=rank, peer=dest, chunk=0, intra=intra) as span:
+                    with win.reserve(dest, offset, room[dest]) as slot:
+                        frags(slot)
+                    span.note(bytes=slot.written)
+                continue
+            for chunk_idx, frag in enumerate(frags):
                 with trace_span(
                     "put", rank=rank, peer=dest, bytes=int(frag.nbytes), chunk=chunk_idx, intra=intra
                 ):
@@ -265,7 +278,9 @@ class OscAlltoallv(Exchange):
         """Collectively release the cached window (if any)."""
         self.transport.free()
 
-    def slot_table(self, elements: np.ndarray, itemsize: int) -> SlotTable:
+    def slot_table(
+        self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
+    ) -> SlotTable:
         """Raw messages are exactly their bytes: no slack, no frames."""
         return SlotTable(np.asarray(elements, dtype=np.int64) * itemsize, align=16)
 
@@ -351,6 +366,13 @@ class OscAlltoallv(Exchange):
                 self._recover(chunks, recv, crcs, failed, report)
         self._finish(ExchangeStats.raw(chunks), report)
         return recv
+
+    def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
+        """Nothing is staged: the puts read the strided views and the
+        unpack reads the local window (borrowed views that do not outlive
+        this call)."""
+        recv = self.borrow(send)
+        self._unpack_all(receive(), recv)
 
     def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
         """Exchange ``send[d]`` → rank ``d``; returns per-source uint8 chunks.

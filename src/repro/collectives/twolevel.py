@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.base import ExchangeStats
+from repro.collectives.base import Exchange, ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.faults import ResilienceReport
 from repro.telemetry.metrics import counter as metrics_counter
@@ -71,6 +71,10 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
     """
 
     algorithm = "compressed-twolevel"
+
+    #: Aggregates are routed two-sided, never through a slot: a reshape
+    #: packs, calls and unpacks around this exchange.
+    move = Exchange.move
 
     # -- helpers ------------------------------------------------------------------
 

@@ -18,10 +18,15 @@ v2 frame is::
     32      ...   pickled metadata, then payload bytes
 
 Frames are self-delimiting (needed when several pipeline fragments land
-back-to-back in one window region) and now *self-validating*: a flipped
-bit anywhere — header, metadata or payload — surfaces as a typed
-:class:`~repro.errors.WireIntegrityError` instead of unpickling
-garbage.  The metadata pickle carries only small plain values (codec
+back-to-back in one window region) and *self-validating*: a flipped
+bit anywhere — header (reserved bytes included), metadata or payload —
+surfaces as a typed :class:`~repro.errors.WireIntegrityError` instead of
+unpickling garbage.  A frame is written and checked *where it lies*:
+:func:`begin` / :func:`seal` build one in memory the caller supplies (a
+window slot: the payload is produced straight into it, the checksums are
+taken in place), :func:`open_frame` validates one without copying it, and
+:func:`encode_wire` / :func:`decode_wire` are those on an array of their
+own.  The metadata pickle carries only small plain values (codec
 name, dtype, shape, scalar header entries) — never data — and is
 deserialized through a restricted unpickler that refuses every global
 lookup outside a tiny builtin allow-list, so a corrupted (or hostile)
@@ -40,13 +45,18 @@ import zlib
 
 import numpy as np
 
-from repro.compression.base import CompressedMessage
+from repro.compression.base import Codec, CompressedMessage
 from repro.errors import WireIntegrityError
 
 __all__ = [
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "crc32",
+    "begin",
+    "stage",
+    "seal",
+    "open_frame",
+    "pack_meta",
     "encode_wire",
     "decode_wire",
     "frame_length",
@@ -147,40 +157,80 @@ def control_loads(raw: bytes):
 # -- encode ---------------------------------------------------------------------
 
 
-def _pack_meta(msg: CompressedMessage) -> bytes:
-    return pickle.dumps(
-        (msg.codec_name, msg.dtype_name, msg.shape, msg.header),
-        protocol=pickle.HIGHEST_PROTOCOL,
+def pack_meta(codec_name: str, dtype_name: str, shape: tuple[int, ...], header: dict) -> bytes:
+    """The pickled metadata of a frame."""
+    return pickle.dumps((codec_name, dtype_name, shape, header), protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def begin(region: np.ndarray, meta: bytes) -> np.ndarray:
+    """Start a frame at ``region[0]`` (contiguous ``uint8`` memory of the
+    caller's): stage ``meta`` and return the room behind it, for the
+    payload to be produced into — none when not even ``meta`` fits."""
+    body = _HDR_BYTES + len(meta)
+    if body > region.size:
+        return region[:0]
+    region[_HDR_BYTES:body] = np.frombuffer(meta, dtype=np.uint8)
+    return region[body:]
+
+
+def stage(
+    region: np.ndarray, codec: Codec, values: np.ndarray, measure: bool = False
+) -> tuple[int, int, dict, float | None]:
+    """:func:`begin` a frame of ``values`` — a strided view, described as
+    its flat C-order stream — and have ``codec`` encode the payload where
+    it will lie (:meth:`Codec.encode_into`).  Returns ``(meta_len,
+    payload_len, header, achieved)``; :func:`seal` completes the frame."""
+    # (the scalar type's name is the dtype's, without dtype.name's 2 us)
+    ident = (codec.name, values.dtype.type.__name__, (values.size,))
+    meta = pack_meta(*ident, {})
+    payload = begin(region, meta)
+    nbytes, header, achieved = codec.encode_into(values, payload, measure)
+    if header:
+        # Header scalars (a scale, a count) are known only now: the
+        # metadata grows by their pickle and the payload moves up behind it.
+        meta = pack_meta(*ident, header)
+        at = _HDR_BYTES + len(meta)
+        if nbytes <= payload.size and at + nbytes <= region.size:
+            region[at : at + nbytes] = payload[:nbytes]
+            begin(region, meta)
+    return len(meta), nbytes, header, achieved
+
+
+def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | None:
+    """Finish the frame begun in ``region``: checksum metadata and payload
+    where they lie, write the header.  Returns the frame, or ``None`` when
+    it would have outgrown ``region`` (nothing is sealed then)."""
+    body = _HDR_BYTES + meta_len
+    total = body + payload_len
+    if total > region.size:
+        return None
+    _HDR_STRUCT.pack_into(
+        region,
+        0,
+        WIRE_MAGIC,
+        WIRE_VERSION,
+        0,
+        0,
+        meta_len,
+        payload_len,
+        crc32(region[_HDR_BYTES:body]),
+        crc32(region[body:total]),
     )
+    return region[:total]
 
 
 def encode_wire(msg: CompressedMessage, *, pool=None) -> np.ndarray:
     """Flatten a compressed message into a contiguous uint8 frame.
 
     ``pool`` (any object with a ``BufferPool``-style ``acquire``) stages
-    the frame in a reusable buffer instead of allocating — the exchange
-    hot path releases frames back once their puts have completed.
+    the frame in a reusable buffer instead of allocating — the one-shot
+    exchange releases frames back once their puts have completed.
     """
-    meta = _pack_meta(msg)
-    payload = msg.payload
-    body = _HDR_BYTES + len(meta)
-    total = body + payload.size
+    meta = pack_meta(msg.codec_name, msg.dtype_name, msg.shape, msg.header)
+    total = _HDR_BYTES + len(meta) + msg.payload.size
     frame = np.empty(total, dtype=np.uint8) if pool is None else pool.acquire(total)
-    # Stage first, then checksum the staged bytes where they lie.
-    frame[_HDR_BYTES:body] = np.frombuffer(meta, dtype=np.uint8)
-    frame[body:] = payload
-    _HDR_STRUCT.pack_into(
-        frame,
-        0,
-        WIRE_MAGIC,
-        WIRE_VERSION,
-        0,
-        0,
-        len(meta),
-        payload.size,
-        crc32(frame[_HDR_BYTES:body]),
-        crc32(frame[body:]),
-    )
+    begin(frame, meta)[...] = msg.payload
+    seal(frame, len(meta), msg.payload.size)
     return frame
 
 
@@ -188,12 +238,12 @@ def encode_wire(msg: CompressedMessage, *, pool=None) -> np.ndarray:
 
 
 def _parse_header(frame: np.ndarray) -> tuple[int, int, int, int]:
-    """Validate magic/version and return (meta_len, payload_len, crcs)."""
+    """Validate the fixed header and return (meta_len, payload_len, crcs)."""
     if frame.size < _HDR_BYTES:
         raise WireIntegrityError(
             f"wire frame too short: {frame.size} B < {_HDR_BYTES} B header"
         )
-    magic, version, _flags, _res, meta_len, payload_len, meta_crc, payload_crc = (
+    magic, version, flags, reserved, meta_len, payload_len, meta_crc, payload_crc = (
         _HDR_STRUCT.unpack_from(frame)
     )
     if magic != WIRE_MAGIC:
@@ -201,6 +251,10 @@ def _parse_header(frame: np.ndarray) -> tuple[int, int, int, int]:
     if version != WIRE_VERSION:
         raise WireIntegrityError(
             f"unsupported wire format version {version} (expected {WIRE_VERSION})"
+        )
+    if flags or reserved:  # writers store 0: anything else is a flipped bit
+        raise WireIntegrityError(
+            f"nonzero reserved header bytes (flags={flags:#x}, reserved={reserved:#x})"
         )
     if meta_len > _MAX_LEN or payload_len > _MAX_LEN:
         raise WireIntegrityError(
@@ -224,33 +278,29 @@ def frame_length(frame: np.ndarray | bytes) -> int:
     return _HDR_BYTES + meta_len + payload_len
 
 
-def decode_wire(frame: np.ndarray | bytes) -> tuple[CompressedMessage, int]:
-    """Re-inflate the frame starting at ``frame[0]`` (extra bytes ignored).
+def open_frame(frame: np.ndarray) -> tuple[CompressedMessage, int]:
+    """Validate the frame at ``frame[0]`` (contiguous ``uint8``; extra
+    bytes ignored) where it lies.
 
-    Returns ``(message, consumed)`` where ``consumed`` is the total byte
-    length of the frame just decoded — the offset of the next frame when
-    several land back-to-back in one window region.  Previously callers
-    re-parsed the header through :func:`frame_length` to advance; the
-    decode already knows the length, so it is returned instead.
+    Returns ``(message, consumed)``: the message's payload is a *view* of
+    ``frame``, for a reader that decodes it on the spot, and ``consumed``
+    the frame's length — the offset of the next frame when several lie
+    back to back in one window region.
 
     Raises :class:`WireIntegrityError` — a :class:`CompressionError`
     subclass — on any magic, version, truncation or checksum violation.
     """
-    frame = _as_u8(frame)
     meta_len, payload_len, meta_crc, payload_crc = _parse_header(frame)
     consumed = _HDR_BYTES + meta_len + payload_len
     if frame.size < consumed:
         raise WireIntegrityError(
             f"wire frame truncated: need {consumed} B, have {frame.size} B"
         )
-    # Checksum the frame's own bytes; the payload is copied out (once)
-    # only after it verified.
-    meta, body = frame[_HDR_BYTES : _HDR_BYTES + meta_len], frame[_HDR_BYTES + meta_len : consumed]
+    meta, payload = frame[_HDR_BYTES : _HDR_BYTES + meta_len], frame[_HDR_BYTES + meta_len : consumed]
     if crc32(meta) != meta_crc:
         raise WireIntegrityError("metadata checksum mismatch (corrupted frame)")
-    if crc32(body) != payload_crc:
+    if crc32(payload) != payload_crc:
         raise WireIntegrityError("payload checksum mismatch (corrupted frame)")
-    payload = body.copy()
     decoded = _safe_loads(meta.tobytes())
     if not (isinstance(decoded, tuple) and len(decoded) == 4):
         raise WireIntegrityError("wire metadata has unexpected structure")
@@ -262,6 +312,14 @@ def decode_wire(frame: np.ndarray | bytes) -> tuple[CompressedMessage, int]:
     return CompressedMessage(codec_name, payload, dtype_name, tuple(shape), header), consumed
 
 
+def decode_wire(frame: np.ndarray | bytes) -> tuple[CompressedMessage, int]:
+    """:func:`open_frame` on arrays or bytes, with the payload copied out
+    (once, after it verified): the message outlives ``frame``."""
+    msg, consumed = open_frame(_as_u8(frame))
+    msg.payload = msg.payload.copy()
+    return msg, consumed
+
+
 def wire_overhead(msg: CompressedMessage) -> int:
     """Framing bytes added on top of the payload for this message."""
-    return _HDR_BYTES + len(_pack_meta(msg))
+    return _HDR_BYTES + len(pack_meta(msg.codec_name, msg.dtype_name, msg.shape, msg.header))

@@ -25,8 +25,10 @@ from repro.errors import CompressionError
 __all__ = [
     "CompressedMessage",
     "Codec",
+    "FixedWidthCodec",
     "IdentityCodec",
     "as_float64_stream",
+    "as_float64_view",
     "from_float64_stream",
     "payload_items",
 ]
@@ -47,6 +49,19 @@ def as_float64_stream(data: np.ndarray) -> tuple[np.ndarray, str, tuple[int, ...
         return data.reshape(-1), "float64", data.shape
     if data.dtype == np.complex128:
         return data.reshape(-1).view(np.float64), "complex128", data.shape
+    raise CompressionError(f"codecs operate on float64/complex128 data, got {data.dtype}")
+
+
+def as_float64_view(data: np.ndarray) -> np.ndarray:
+    """``data``, whatever its strides, as float64 scalars — no copy.
+
+    A complex array gains a trailing ``(re, im)`` axis; C order over the
+    view is the stream :func:`as_float64_stream` would have copied out.
+    """
+    if data.dtype == np.float64:
+        return data
+    if data.dtype == np.complex128:
+        return data[..., np.newaxis].view(np.float64)
     raise CompressionError(f"codecs operate on float64/complex128 data, got {data.dtype}")
 
 
@@ -175,6 +190,34 @@ class Codec(ABC):
         msg = self.compress(data)
         return msg, achieved_relative_error(data, self.decompress(msg))
 
+    # -- in place: strided view -> caller's bytes -> strided view ----------------
+
+    def encode_into(
+        self, values: np.ndarray, payload: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """Encode ``values`` — a float64/complex128 view of any strides,
+        read in C order, never written — into the head of ``payload``,
+        contiguous ``uint8`` memory the caller owns (a window slot, say).
+
+        Returns ``(nbytes, header, achieved)``: length and header scalars
+        of the payload :meth:`compress` would have produced, and with
+        ``measure`` the error :meth:`compress_measured` reports (else
+        ``None``).  ``nbytes > payload.size``: it did not fit, and nothing
+        usable was written.  This default compresses and copies; a codec
+        whose kernel can write where it is told overrides it.
+        """
+        msg, achieved = self.compress_measured(values) if measure else (self.compress(values), None)
+        nbytes = msg.payload.size
+        if nbytes <= payload.size:
+            payload[:nbytes] = msg.payload
+        return nbytes, msg.header, achieved
+
+    def decode_into(self, payload: np.ndarray, header: dict, out: np.ndarray) -> None:
+        """Fill ``out`` (a view like :meth:`encode_into`'s ``values``) from
+        exactly the bytes it wrote for one; ``payload`` is only read."""
+        msg = CompressedMessage(self.name, payload, out.dtype.name, out.shape, header)
+        np.copyto(out, self.decompress(msg))
+
     # -- size model -----------------------------------------------------------
 
     @property
@@ -212,6 +255,47 @@ class Codec(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, rate={self.rate})"
+
+
+class FixedWidthCodec(Codec):
+    """A codec that stores ``width`` bytes per float64 scalar and whose
+    kernels are :meth:`encode_into` / :meth:`decode_into`: the allocating
+    calls are those two on a fresh array, so there is one kernel each way."""
+
+    width: int
+
+    def _compress(self, data: np.ndarray, measure: bool) -> tuple[CompressedMessage, float | None]:
+        data = np.atleast_1d(data)
+        payload = np.empty(self.width * as_float64_view(data).size, dtype=np.uint8)
+        _, header, achieved = self.encode_into(data, payload, measure)
+        return CompressedMessage(self.name, payload, data.dtype.name, data.shape, header), achieved
+
+    def compress(self, data: np.ndarray) -> CompressedMessage:
+        return self._compress(data, measure=False)[0]
+
+    def compress_measured(self, data: np.ndarray) -> tuple[CompressedMessage, float]:
+        return self._compress(data, measure=True)
+
+    def decompress(self, msg: CompressedMessage) -> np.ndarray:
+        self._check_roundtrip_args(msg)
+        try:
+            out = np.empty(msg.shape, dtype=msg.dtype_name)
+        except (TypeError, ValueError) as exc:
+            raise CompressionError(f"corrupt metadata: {msg.dtype_name!r} {msg.shape!r}") from exc
+        self.decode_into(msg.payload, msg.header, out)
+        return out
+
+    def _scalars_of(self, payload: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` as float64 scalars, once ``payload`` is seen to hold
+        ``width`` bytes for each: any other length is corruption (of it, or
+        of the metadata that sized ``out``)."""
+        real = as_float64_view(out)
+        if payload.size != self.width * real.size:
+            raise CompressionError(
+                f"corrupt metadata or payload: {payload.size} B of {self.name} "
+                f"do not hold {real.size} float64 values"
+            )
+        return real
 
 
 class IdentityCodec(Codec):

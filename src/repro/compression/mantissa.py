@@ -40,12 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import (
-    Codec,
-    CompressedMessage,
-    as_float64_stream,
-    from_float64_stream,
-)
+from repro.compression.base import FixedWidthCodec, as_float64_view
 from repro.errors import CompressionError
 from repro.precision.formats import trimmed_format
 
@@ -73,7 +68,25 @@ def _plane_layout(k: int) -> tuple[tuple[int, int], ...]:
     return tuple(planes)
 
 
-class MantissaTrimCodec(Codec):
+def _slabs(view: np.ndarray, limit: int, start: int = 0):
+    """Cut an N-d view into ``(flat offset, piece)`` pairs of at most
+    ``limit`` items, each piece one C-order range of the whole (slabs of
+    the outermost axis that does not fit; a 1-D stream is cut flat)."""
+    if view.size <= limit or view.ndim == 0:
+        if view.size:
+            yield start, view
+        return
+    inner = view.size // len(view)
+    if inner > limit:
+        for i in range(len(view)):
+            yield from _slabs(view[i], limit, start + i * inner)
+    else:
+        step = limit // inner
+        for at in range(0, len(view), step):
+            yield start + at * inner, view[at : at + step]
+
+
+class MantissaTrimCodec(FixedWidthCodec):
     """Keep ``mantissa_bits`` fraction bits of every FP64 scalar.
 
     Parameters
@@ -99,7 +112,7 @@ class MantissaTrimCodec(Codec):
         self.mantissa_bits = int(mantissa_bits)
         self.rounding = rounding
         #: Stored bytes per value after packing (sign+exp+mantissa, byte-aligned).
-        self.bytes_per_value = int(np.ceil((1 + 11 + mantissa_bits) / 8))
+        self.bytes_per_value = self.width = int(np.ceil((1 + 11 + mantissa_bits) / 8))
         if not 1 <= self.bytes_per_value <= 8:
             raise CompressionError(f"invalid packing width {self.bytes_per_value}")
         self.name = f"trim_m{mantissa_bits}"
@@ -141,16 +154,23 @@ class MantissaTrimCodec(Codec):
         kept[((raw & frac) != 0) & ((kept & frac) == 0)] |= np.uint64(_QUIET_BIT)
         words[idx] = kept
 
-    def _encode(self, stream: np.ndarray, measure: bool) -> tuple[np.ndarray, float | None]:
-        """Round, pack and (optionally) measure ``stream`` in one chunked pass.
+    def encode_into(
+        self, values: np.ndarray, payload: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """Round, pack and (optionally) measure in one chunked pass, from
+        the (strided) view straight into the planes of ``payload``.
 
-        Returns the planar payload and, when ``measure`` (else ``None``),
-        the achieved relative L-inf error ``max|x - rounded| / max|x|`` —
-        the rounded word is exactly what :meth:`decompress` restores, so
-        this is :func:`~repro.accuracy.bounds.achieved_relative_error` of
-        the round trip without making the round trip.
+        With ``measure`` the third result is the achieved relative L-inf
+        error ``max|x - rounded| / max|x|`` — the rounded word is exactly
+        what :meth:`decode_into` restores, so this is
+        :func:`~repro.accuracy.bounds.achieved_relative_error` of the
+        round trip without making the round trip.
         """
-        n = stream.size
+        real = as_float64_view(values)
+        n = real.size
+        nbytes = self.bytes_per_value * n
+        if nbytes > payload.size:
+            return nbytes, {}, None
         shift = 52 - self.mantissa_bits
         s = np.uint64(shift)
         one = np.uint64(1)
@@ -158,19 +178,25 @@ class MantissaTrimCodec(Codec):
         mask = np.uint64(_ALL_ONES << shift & _ALL_ONES)
         nearest = self.rounding == "nearest"
 
-        payload = np.empty(self.bytes_per_value * n, dtype=np.uint8)
         out_planes = self._payload_planes(payload, n)
-        bits = stream.view(np.uint64)
         words = np.empty(min(n, CHUNK_VALUES), dtype=_LE64)
         scratch = np.empty(words.size, dtype=np.float64)
+        gathered = None  # a strided chunk is made contiguous here, in cache
         word_planes = self._word_planes(words)
         peak = worst = 0.0
         # inf - inf -> NaN is the measured error of a message carrying
         # infinities; the caller treats NaN as "tolerance exceeded".
         with np.errstate(invalid="ignore"):
-            for lo in range(0, n, CHUNK_VALUES):
-                x, u = stream[lo : lo + CHUNK_VALUES], bits[lo : lo + CHUNK_VALUES]
-                c = x.size
+            for lo, piece in _slabs(real, CHUNK_VALUES):
+                c = piece.size
+                if piece.flags.c_contiguous:
+                    x = piece.reshape(-1)
+                else:
+                    if gathered is None:
+                        gathered = np.empty(words.size, dtype=np.float64)
+                    x = gathered[:c]
+                    np.copyto(x.reshape(piece.shape), piece)
+                u = x.view(np.uint64)
                 w, f = words[:c], scratch[:c]
                 np.abs(x, out=f)
                 chunk_peak = f.max()
@@ -197,33 +223,26 @@ class MantissaTrimCodec(Codec):
                 for dst, src in zip(out_planes, word_planes):
                     dst[lo : lo + c] = src[:c]
         if not measure:
-            return payload, None
+            return nbytes, {}, None
         from repro.accuracy.bounds import relative_linf  # lazy: accuracy imports the FFT layer
 
-        return payload, relative_linf(float(worst), float(peak))
+        return nbytes, {}, relative_linf(float(worst), float(peak))
 
-    def compress(self, data: np.ndarray) -> CompressedMessage:
-        stream, dtype_name, shape = as_float64_stream(data)
-        payload, _ = self._encode(stream, measure=False)
-        return CompressedMessage(self.name, payload, dtype_name, shape)
-
-    def compress_measured(self, data: np.ndarray) -> tuple[CompressedMessage, float]:
-        stream, dtype_name, shape = as_float64_stream(data)
-        payload, achieved = self._encode(stream, measure=True)
-        return CompressedMessage(self.name, payload, dtype_name, shape), achieved
-
-    def decompress(self, msg: CompressedMessage) -> np.ndarray:
-        self._check_roundtrip_args(msg)
-        k = self.bytes_per_value
-        if msg.payload.size % k:
-            raise CompressionError("corrupt payload: size not a multiple of packing width")
-        n = msg.payload.size // k
-        words = np.empty(n, dtype=_LE64)
-        in_planes = self._payload_planes(msg.payload, n)
-        for lo in range(0, n, CHUNK_VALUES):
-            w = words[lo : lo + CHUNK_VALUES]
-            if k < 8:
+    def decode_into(self, payload: np.ndarray, header: dict, out: np.ndarray) -> None:
+        real = self._scalars_of(payload, out)
+        in_planes = self._payload_planes(payload, real.size)
+        words = None  # staging for chunks of ``out`` that are not contiguous
+        for lo, piece in _slabs(real, CHUNK_VALUES):
+            c, direct = piece.size, piece.flags.c_contiguous
+            if direct:
+                w = piece.reshape(-1).view(_LE64)
+            else:
+                if words is None:
+                    words = np.empty(min(real.size, CHUNK_VALUES), dtype=_LE64)
+                w = words[:c]
+            if self.bytes_per_value < 8:
                 w.fill(0)
             for dst, src in zip(self._word_planes(w), in_planes):
-                dst[...] = src[lo : lo + w.size]
-        return from_float64_stream(words.view("<f8"), msg.dtype_name, msg.shape)
+                dst[...] = src[lo : lo + c]
+            if not direct:
+                np.copyto(piece, w.view("<f8").reshape(piece.shape))

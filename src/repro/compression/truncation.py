@@ -18,13 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compression.base import (
-    Codec,
-    CompressedMessage,
-    as_float64_stream,
-    from_float64_stream,
-    payload_items,
-)
+from repro.compression.base import FixedWidthCodec, as_float64_view
 from repro.errors import CompressionError
 from repro.precision.formats import BF16, FP16, FP32, FP64, FloatFormat, get_format
 
@@ -44,7 +38,7 @@ def _bf16_bits_to_fp32(u16: np.ndarray) -> np.ndarray:
     return (u16.astype(np.uint32) << np.uint32(16)).view(np.float32)
 
 
-class CastCodec(Codec):
+class CastCodec(FixedWidthCodec):
     """Compress by casting each FP64 scalar to a narrower native format.
 
     Parameters
@@ -69,6 +63,7 @@ class CastCodec(Codec):
         self.fmt = fmt
         #: What the payload holds (BF16 travels as uint16 bit patterns).
         self._item_dtype = {FP32: np.float32, FP16: np.float16, BF16: np.uint16}[fmt]
+        self.width = fmt.bits // 8
         self.scaled = bool(scaled)
         self.name = f"cast_{fmt.name.lower()}" + ("_scaled" if scaled else "")
 
@@ -78,29 +73,46 @@ class CastCodec(Codec):
 
     # -- compression ----------------------------------------------------------
 
-    def _encode(self, data: np.ndarray) -> tuple[CompressedMessage, np.ndarray, np.ndarray]:
-        """``data`` as a message, with the float64 stream it was cast
-        from and the narrow items (BF16 as uint16 bit patterns) it holds."""
-        stream, dtype_name, shape = as_float64_stream(data)
+    def encode_into(
+        self, values: np.ndarray, payload: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """The cast, straight from the (strided) view into ``payload``."""
+        real = as_float64_view(values)
+        nbytes = self.width * real.size
+        if nbytes > payload.size:
+            return nbytes, {}, None
+        items = payload[:nbytes].view(self._item_dtype).reshape(real.shape)
         header: dict[str, float | int | str] = {}
-        values = stream
+        source = real
         if self.scaled:
-            peak = float(np.max(np.abs(stream))) if stream.size else 0.0
+            peak = float(np.max(np.abs(real))) if real.size else 0.0
             scale = peak if peak > 0.0 else 1.0
-            values = stream / scale
+            source = real / scale
             header["scale"] = scale
         # overflow-to-inf is the defined cast behaviour for out-of-range
         # values (plain truncation, Section IV-A); silence the warning.
         with np.errstate(over="ignore"):
             if self.fmt is BF16:
-                items = _fp32_to_bf16_bits(values.astype(np.float32))
-            else:
-                items = values.astype(self._item_dtype)
-        msg = CompressedMessage(self.name, items.view(np.uint8), dtype_name, shape, header)
-        return msg, stream, items
+                source = _fp32_to_bf16_bits(source.astype(np.float32))
+            np.copyto(items, source, casting="same_kind")
+        if not (measure and real.size):
+            return nbytes, header, 0.0 if measure else None
+        # The cast values are at hand: widen them as the receiver will
+        # and measure here, without the message round trip.  One scratch
+        # array, reused in place: fresh 512 KiB temporaries cost more in
+        # page faults than the arithmetic.  inf - inf -> NaN is the
+        # measured error of a message carrying infinities; the caller
+        # treats NaN as "tolerance exceeded".
+        from repro.accuracy.bounds import relative_linf  # lazy: accuracy imports the FFT layer
+
+        scratch = self._widen(items, header)
+        with np.errstate(invalid="ignore"):
+            np.subtract(real, scratch, out=scratch)
+        worst = float(np.abs(scratch, out=scratch).max())
+        return nbytes, header, relative_linf(worst, float(np.abs(real, out=scratch).max()))
 
     def _widen(self, items: np.ndarray, header: dict) -> np.ndarray:
-        """The float64 stream a receiver restores from ``items``."""
+        """The float64 values a receiver restores from ``items``."""
         if self.fmt is BF16:
             items = _bf16_bits_to_fp32(items)
         stream = items.astype(np.float64)
@@ -108,28 +120,11 @@ class CastCodec(Codec):
             stream *= float(header["scale"])
         return stream
 
-    def compress(self, data: np.ndarray) -> CompressedMessage:
-        return self._encode(data)[0]
-
-    def compress_measured(self, data: np.ndarray) -> tuple[CompressedMessage, float]:
-        # The cast values are at hand: widen them as the receiver will
-        # and measure here, without the message round trip.
-        from repro.accuracy.bounds import relative_linf  # lazy: accuracy imports the FFT layer
-
-        msg, stream, items = self._encode(data)
-        if not stream.size:
-            return msg, 0.0
-        # One scratch array, reused in place: fresh 512 KiB temporaries
-        # cost more in page faults than the arithmetic.  inf - inf -> NaN
-        # is the measured error of a message carrying infinities; the
-        # caller treats NaN as "tolerance exceeded".
-        scratch = self._widen(items, msg.header)
-        with np.errstate(invalid="ignore"):
-            np.subtract(stream, scratch, out=scratch)
-        worst = float(np.abs(scratch, out=scratch).max())
-        return msg, relative_linf(worst, float(np.abs(stream, out=scratch).max()))
-
-    def decompress(self, msg: CompressedMessage) -> np.ndarray:
-        self._check_roundtrip_args(msg)
-        stream = self._widen(payload_items(msg, self._item_dtype), msg.header)
-        return from_float64_stream(stream, msg.dtype_name, msg.shape)
+    def decode_into(self, payload: np.ndarray, header: dict, out: np.ndarray) -> None:
+        real = self._scalars_of(payload, out)
+        items = payload.view(self._item_dtype).reshape(real.shape)
+        if self.fmt is BF16:
+            items = _bf16_bits_to_fp32(items)
+        np.copyto(real, items)
+        if self.scaled:
+            real *= float(header["scale"])

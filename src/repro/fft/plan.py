@@ -371,10 +371,10 @@ class Fft3d(StagedTransform):
             )
             for step in range(len(reshapes))
         ]
-        tables = [
-            exchange.slot_table(reshape.message_elements(batch), self.dtype.itemsize)
-            for exchange, reshape in zip(exchanges, reshapes)
-        ]
+        tables = []
+        for exchange, reshape in zip(exchanges, reshapes):
+            elements, leading = reshape.message_elements(batch)
+            tables.append(exchange.slot_table(elements, self.dtype.itemsize, leading))
         window = None
         if tables[0] is not None:  # same exchange class in every stage
             window = PlanWindow(comm, max(int(table.extent.max()) for table in tables))

@@ -30,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.base import Exchange, ExchangeStats, pack, unpack
 from repro.collectives.exchange import make_exchange
-from repro.collectives.osc import OscAlltoallv
 from repro.compression.base import Codec
 from repro.errors import PlanError
 from repro.telemetry.recorder import live_update
@@ -109,21 +108,25 @@ class ReshapePlan:
             raise PlanError(
                 f"rank {rank}: local array shape {local.shape} != inbox {sbox.shape}"
             )
-        return _pack(local[(..., *box.slices_within(sbox))], pool)
+        return pack(local[(..., *box.slices_within(sbox))], pool)
 
     def unpack(
         self, rank: int, out: np.ndarray, source: int, box: Box3d, chunk: np.ndarray
     ) -> None:
         """Insert the chunk received from ``source`` into ``out``."""
-        _unpack(out[(..., *box.slices_within(self.dst.box_of(rank)))], chunk)
+        unpack(out[(..., *box.slices_within(self.dst.box_of(rank)))], chunk)
 
-    def message_elements(self, batch: tuple[int, ...] = ()) -> np.ndarray:
-        """``[s, d]`` -> items rank ``s`` sends rank ``d`` (``batch`` entries per cell)."""
+    def message_elements(self, batch: tuple[int, ...] = ()) -> tuple[np.ndarray, np.ndarray]:
+        """``[s, d]`` -> items rank ``s`` sends rank ``d`` (``batch`` entries
+        per cell), and the length of that message's leading axis — where
+        an exchange may cut it into strided fragments."""
         elements = np.zeros((self.nranks, self.nranks), dtype=np.int64)
+        leading = np.zeros_like(elements)
         for s, row in enumerate(self.pairs):
             for d, box in row:
                 elements[s, d] = box.size * math.prod(batch)
-        return elements
+                leading[s, d] = (batch + box.shape)[0]
+        return elements, leading
 
     # -- virtual (functional) execution ----------------------------------------------
 
@@ -200,23 +203,6 @@ class ReshapePlan:
         return bound(local, stats=stats, pool=pool)
 
 
-def _pack(view: np.ndarray, pool: BufferPool | None) -> np.ndarray:
-    """``view`` as one flat contiguous chunk (pooled scratch with a ``pool``)."""
-    if pool is None:
-        return np.ascontiguousarray(view).reshape(-1)
-    buf = pool.acquire_array(view.shape, view.dtype)
-    np.copyto(buf, view)
-    return buf.reshape(-1)
-
-
-def _unpack(target: np.ndarray, chunk: np.ndarray) -> None:
-    """Copy the received ``chunk`` (flat values, or raw bytes) into ``target``."""
-    if chunk.dtype != target.dtype:
-        # raw window exchanges hand back bytes; codecs hand back values
-        chunk = chunk.view(target.dtype) if chunk.dtype == np.uint8 else chunk.astype(target.dtype)
-    target[...] = chunk.reshape(target.shape)
-
-
 class ReshapeStage:
     """One rank's side of a reshape: how its block is cut and pasted.
 
@@ -233,14 +219,14 @@ class ReshapeStage:
         self.outgoing = {d: (..., *box.slices_within(sbox)) for d, box in plan.pairs[rank]}
         self.incoming = {s: (..., *box.slices_within(dbox)) for s, box in plan.incoming[rank]}
 
-    def pack(self, local: np.ndarray, dest: int, pool: BufferPool | None = None) -> np.ndarray:
+    def pack(self, local: np.ndarray, dest: int) -> np.ndarray:
         """The flat contiguous chunk this rank owes ``dest``."""
         if local.shape[-3:] != self.in_shape:
             raise PlanError(
                 f"rank {self.rank}: local array shape {local.shape} != inbox {self.in_shape}"
             )
         with trace_span("pack", rank=self.rank, peer=dest):
-            return _pack(local[self.outgoing[dest]], pool)
+            return pack(local[self.outgoing[dest]])
 
     def empty_out(self, like: np.ndarray) -> np.ndarray:
         """An unfilled destination block with ``like``'s batch and dtype."""
@@ -249,7 +235,7 @@ class ReshapeStage:
     def unpack(self, out: np.ndarray, source: int, chunk: np.ndarray) -> None:
         """Paste the chunk received from ``source`` into ``out``."""
         with trace_span("unpack", rank=self.rank, peer=source):
-            _unpack(out[self.incoming[source]], chunk)
+            unpack(out[self.incoming[source]], chunk)
 
 
 class BoundReshape:
@@ -276,26 +262,31 @@ class BoundReshape:
         """Move ``local`` (this rank's block in the source layout) and
         return the rank's block in the destination layout.
 
-        The exchange's accounting (its
+        The exchange is handed the strided boxes of ``local`` it is to
+        send and, when it asks, the strided boxes of the new block it is
+        to fill (:meth:`Exchange.move`): a window exchange reads and
+        writes them as they are, any other packs and unpacks around its
+        call, with scratch from ``pool``.  Its accounting (its
         :class:`~repro.faults.ResilienceReport` included) is merged into
-        ``stats`` (per-rank state).  ``pool`` stages the pack scratch in
-        reusable buffers and takes back the receive copies the exchange
-        drew from it (zero steady-state allocations once warm).
-
-        Through the raw one-sided exchange nothing is staged at all:
-        the puts read the strided boxes of ``local`` and the unpack
-        reads the local window (borrowed views that do not outlive this
-        call — the returned block never aliases a window).
+        ``stats`` (per-rank state).  The returned block never aliases a
+        window.
         """
         stage, exchange = self.stage, self.exchange
         if local.shape != self.in_shape:
             raise PlanError(
                 f"rank {stage.rank}: local array shape {local.shape} != inbox {self.in_shape}"
             )
-        direct = isinstance(exchange, OscAlltoallv)
-        send: list[np.ndarray | None] = [None] * exchange.comm.size
+        size = exchange.comm.size
+        send: list[np.ndarray | None] = [None] * size
         for d, where in stage.outgoing.items():
-            send[d] = local[where] if direct else stage.pack(local, d, pool)
+            send[d] = local[where]
+        out: list[np.ndarray] = []
+
+        def receive() -> list[np.ndarray | None]:
+            # Allocated when the exchange asks, i.e. once the data has
+            # arrived: the new block is not held while ranks wait.
+            out.append(stage.empty_out(local))
+            return [out[0][stage.incoming[s]] if s in stage.incoming else None for s in range(size)]
 
         # One live-phase beacon per reshape: "exchange" is where a rank
         # spends its blocking time (pack/unpack are sub-ms local work and
@@ -304,24 +295,7 @@ class BoundReshape:
         with trace_span(
             "exchange", rank=stage.rank, method=exchange.algorithm, messages=len(stage.outgoing)
         ):
-            recv = exchange.borrow(send) if direct else exchange(send)
+            exchange.move(send, receive, pool)
         if stats is not None:
             stats.merge(exchange.last_stats)
-
-        # Every exchange has consumed (copied or encoded) the packed
-        # send buffers by now; give them back before unpacking so the
-        # next reshape reuses them.
-        if pool is not None and not direct:
-            for buf in send:
-                if buf is not None:
-                    pool.release(buf)
-
-        out = stage.empty_out(local)
-        for s in stage.incoming:
-            stage.unpack(out, s, np.asarray(recv[s]))
-        if pool is not None and not direct:
-            for s in stage.incoming:
-                # Pooled receive copies go back too; the lenient release
-                # ignores arrays the pool never owned.
-                pool.release(np.asarray(recv[s]))
-        return out
+        return out[0]

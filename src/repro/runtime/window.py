@@ -26,12 +26,45 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 
 import numpy as np
 
 from repro.errors import WindowError
 
-__all__ = ["Window"]
+__all__ = ["Reservation", "Window"]
+
+
+class Reservation:
+    """What :meth:`Window.reserve` lends, as a context manager: ``view``,
+    a writable region of a target's buffer, held under the target's lock
+    for the scope, and ``written``, how many leading bytes of it the
+    borrower says it wrote (all of them unless told otherwise)."""
+
+    __slots__ = ("view", "written", "_lock", "_flip")
+
+    def __init__(self, view: np.ndarray, lock, flip) -> None:
+        self.view = view
+        self.written = view.size
+        self._lock = lock  # None: the caller already holds a passive-target epoch
+        self._flip = flip  # None: no fault injector
+
+    def __enter__(self) -> "Reservation":
+        if self._lock is not None:
+            self._lock.acquire()
+        return self
+
+    def __exit__(self, exc_type, *_exc: object) -> bool:
+        try:
+            if self._flip is not None and exc_type is None:
+                written = self.view[: self.written]
+                corrupted = self._flip(written)
+                if corrupted is not None:
+                    written[...] = corrupted
+        finally:
+            if self._lock is not None:
+                self._lock.release()
+        return False
 
 
 class Window:
@@ -97,6 +130,38 @@ class Window:
 
     # -- data movement -------------------------------------------------------------
 
+    def reserve(self, target_rank: int, offset: int, nbytes: int) -> Reservation:
+        """Borrow ``nbytes`` of ``target_rank``'s buffer at byte ``offset``
+        to write in place — a put whose source is produced where it lands.
+
+        ``with win.reserve(...) as slot``: for the scope ``slot.view`` is
+        that region (``uint8``, ``offset`` needs no alignment) and the
+        target's lock is held.  Like a put it beacons and takes the
+        injected process faults and straggle delay on entry; on a clean
+        exit an injected ``bitflip`` lands in the ``slot.written`` leading
+        bytes, so a receiver's checksum sees it.
+        """
+        self._check_alive()
+        self._comm._check_rank(target_rank)
+        pre = getattr(self._comm, "_pre", None)
+        if pre is not None:  # beacon + process-fault injection (kill/hang)
+            pre("put", target_rank)
+        injector = getattr(self._world, "injector", None)
+        flip = None
+        if injector is not None:
+            delay = injector.straggle_delay(self._comm.rank)
+            if delay > 0.0:
+                time.sleep(delay)
+            flip = partial(injector.corrupt_put, self._comm.rank, target_rank)
+        target = self._buffers[target_rank]
+        if offset < 0 or nbytes < 0 or offset + nbytes > target.size:
+            raise WindowError(
+                f"{nbytes} B at offset {offset} exceed window "
+                f"size {target.size} on rank {target_rank}"
+            )
+        lock = None if target_rank in self._held else self._locks[target_rank]
+        return Reservation(target[offset : offset + nbytes], lock, flip)
+
     def put(self, data: np.ndarray, target_rank: int, offset: int = 0) -> None:
         """Write ``data`` into ``target_rank``'s buffer at byte ``offset``.
 
@@ -106,41 +171,12 @@ class Window:
         — one strided copy, no packing into a staging buffer first.
         ``offset`` needs no alignment.
         """
-        self._check_alive()
-        self._comm._check_rank(target_rank)
-        pre = getattr(self._comm, "_pre", None)
-        if pre is not None:  # beacon + process-fault injection (kill/hang)
-            pre("put", target_rank)
         data = np.asarray(data)
-        injector = getattr(self._world, "injector", None)
-        if injector is not None:
-            delay = injector.straggle_delay(self._comm.rank)
-            if delay > 0.0:
-                time.sleep(delay)
-            raw = np.ascontiguousarray(data).view(np.uint8).reshape(-1)
-            corrupted = injector.corrupt_put(self._comm.rank, target_rank, raw)
-            if corrupted is not None:
-                data = corrupted
-        target = self._buffers[target_rank]
-        nbytes = data.nbytes
-        if offset < 0 or offset + nbytes > target.size:
-            raise WindowError(
-                f"put of {nbytes} B at offset {offset} exceeds window "
-                f"size {target.size} on rank {target_rank}"
-            )
-        region = target[offset : offset + nbytes]
-        held = target_rank in self._held
-        lock = self._locks[target_rank]
-        if not held:
-            lock.acquire()
-        try:
+        with self.reserve(target_rank, offset, data.nbytes) as slot:
             if data.flags.c_contiguous:
-                region[...] = data.reshape(-1).view(np.uint8)
+                slot.view[...] = data.reshape(-1).view(np.uint8)
             else:
-                np.copyto(region.view(data.dtype).reshape(data.shape), data)
-        finally:
-            if not held:
-                lock.release()
+                np.copyto(slot.view.view(data.dtype).reshape(data.shape), data)
 
     def accumulate(
         self,

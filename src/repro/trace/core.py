@@ -127,6 +127,9 @@ class _NullSpan:
     def __exit__(self, *exc: object) -> bool:
         return False
 
+    def note(self, **attrs: Any) -> None:
+        """No-op (see :meth:`_Span.note`)."""
+
 
 _NULL_SPAN = _NullSpan()
 
@@ -168,6 +171,10 @@ class _Span:
         buf.depth += 1
         self._t0 = self._tracer._clock()
         return self
+
+    def note(self, **attrs: Any) -> None:
+        """Add attributes only known inside the scope (bytes written, say)."""
+        self._attrs.update(attrs)
 
     def __exit__(self, *exc: object) -> bool:
         t1 = self._tracer._clock()

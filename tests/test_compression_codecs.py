@@ -496,3 +496,131 @@ class TestMetrics:
         rep = evaluate_codec(CastCodec("fp32"), rng.random(64))
         s = str(rep)
         assert "cast_fp32" in s and "rate" in s
+
+
+# -- encode_into / decode_into: the same bytes, written and read in place ------------
+
+
+#: NaN (quiet, and one whose set bits all sit in the trimmed bytes), ±Inf,
+#: subnormals, signed zeros, extremes — next to ordinary values.
+_SPECIAL_BITS = [
+    0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0xFFF0_0000_0000_0000, 0x7FF0_0000_0000_0000,
+    0x0000_0000_0000_0001, 0x800F_FFFF_FFFF_FFFF, 0x0000_0000_0000_0000, 0x8000_0000_0000_0000,
+    0x7FEF_FFFF_FFFF_FFFF, 0x0010_0000_0000_0000, 0x3FF0_0000_0000_0001, 0xC08F_FFFF_FFFF_FFFF,
+]
+
+
+@st.composite
+def strided_boxes(draw, special: bool = True):
+    """``(base, where)``: a float64/complex128 block with batch dimensions
+    and the index of a strided (possibly empty, possibly reversed) box of it."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+    dtype = draw(st.sampled_from([np.float64, np.complex128]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scalars = int(np.prod(shape)) * (2 if dtype is np.complex128 else 1)
+    values = rng.standard_normal(scalars) * 10.0 ** rng.integers(-3, 4, size=scalars)
+    if special and draw(st.booleans()):
+        hit = rng.random(scalars) < 0.3
+        values.view(np.uint64)[hit] = rng.choice(np.array(_SPECIAL_BITS, dtype=np.uint64), int(hit.sum()))
+    base = values.view(dtype).reshape(shape)
+    where = []
+    for n in shape:
+        lo = draw(st.integers(0, n))
+        hi = draw(st.integers(lo, n))
+        step = draw(st.sampled_from([1, 1, 2, -1]))
+        if step > 0 or hi == lo:
+            where.append(slice(lo, hi, abs(step)))
+        else:  # [lo, hi) walked backwards
+            where.append(slice(hi - 1, lo - 1 if lo else None, -1))
+    return base, tuple(where)
+
+
+def _in_place_codecs():
+    from repro.compression import ZfpLikeCodec
+
+    exact = [
+        CastCodec("fp32"), CastCodec("fp16"), CastCodec("bf16"),
+        CastCodec("fp32", scaled=True), CastCodec("fp16", scaled=True),
+        *[MantissaTrimCodec(m, rounding=r) for m in (1, 23, 35, 52) for r in ("nearest", "truncate")],
+        IdentityCodec(), ShuffleZlibCodec(level=1),
+    ]
+    return exact, [ZfpLikeCodec(rate=4.0), ZfpLikeCodec(tolerance=1e-6)]
+
+
+class TestEncodeIntoDecodeInto:
+    """One kernel per codec: what ``encode_into`` writes into a caller's
+    bytes *is* ``compress(...).payload``, what ``decode_into`` fills *is*
+    ``decompress(...)``, and the measured error is the identical float —
+    on any strided N-d box, with a batch dimension, empty, or full of
+    NaN/Inf/subnormals."""
+
+    EXACT, FINITE_ONLY = _in_place_codecs()
+
+    def _check(self, codec, base, where):
+        view = base[where]
+        before = base.copy()
+        flat = np.ascontiguousarray(view)
+        with np.errstate(all="ignore"):
+            ref = codec.compress(flat)
+            ref_m, ref_err = codec.compress_measured(flat)
+        n = ref.payload.size
+        # an unaligned region with slack behind it, as a payload sits in a slot
+        arena = np.full(n + 3 + 64, 0xAA, dtype=np.uint8)
+        room = arena[3:]
+        with np.errstate(all="ignore"):
+            nbytes, header, achieved = codec.encode_into(view, room)
+        assert (nbytes, header, achieved) == (n, ref.header, None)
+        assert np.array_equal(room[:n], ref.payload)
+        assert np.all(room[n:] == 0xAA) and np.all(arena[:3] == 0xAA), "wrote outside its payload"
+        with np.errstate(all="ignore"):
+            nbytes, header, achieved = codec.encode_into(view, room, True)
+        assert nbytes == n and header == ref_m.header and np.array_equal(room[:n], ref_m.payload)
+        assert achieved == ref_err or (np.isnan(achieved) and np.isnan(ref_err))
+        assert np.array_equal(_bits(base), _bits(before)), "the source was written"
+        if n:  # one byte too few: reported, not truncated
+            assert codec.encode_into(view, np.zeros(n - 1, dtype=np.uint8))[0] == n
+
+        with np.errstate(all="ignore"):
+            expected = codec.decompress(ref)
+        out_base = np.full(base.shape, -7.25, dtype=base.dtype)
+        with np.errstate(all="ignore"):
+            codec.decode_into(room[:n], header, out_base[where])
+        assert np.array_equal(_bits(out_base[where]), _bits(expected))
+        untouched = np.ones(base.shape, dtype=bool)
+        untouched[where] = False
+        assert np.all(out_base[untouched] == -7.25), "decoded outside its box"
+
+    @given(st.data(), strided_boxes())
+    @settings(max_examples=150, deadline=None)
+    def test_cast_trim_identity_zlib(self, data, box):
+        self._check(data.draw(st.sampled_from(self.EXACT)), *box)
+
+    @given(st.data(), strided_boxes(special=False))
+    @settings(max_examples=40, deadline=None)
+    def test_zfp_like(self, data, box):
+        self._check(data.draw(st.sampled_from(self.FINITE_ONLY)), *box)
+
+    def test_chunked_kernel_on_strided_blocks_larger_than_a_chunk(self, rng):
+        """The trim kernel's slab walk: boxes whose rows, planes and whole
+        exceed CHUNK_VALUES, contiguous and not."""
+        base = rng.standard_normal((3, 40, 70, 9)) + 1j * rng.standard_normal((3, 40, 70, 9))
+        big_row = rng.standard_normal((2, 3 * CHUNK_VALUES + 5))
+        for codec in (MantissaTrimCodec(35), MantissaTrimCodec(23, rounding="truncate"), CastCodec("fp32")):
+            for b, where in (
+                (base, np.s_[:, 3:37, ::2, 1:8]),
+                (base, np.s_[1:, :, :, :]),
+                (big_row, np.s_[:, 1::2]),
+                (big_row, np.s_[1, :]),
+            ):
+                self._check(codec, b, where)
+
+    def test_wrong_sized_payload_or_output_is_a_compression_error(self, rng):
+        x = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        for codec in self.EXACT:
+            payload = codec.compress(x).payload
+            header = codec.compress(x).header
+            for out in (np.empty((4, 4), complex), np.empty((4, 5)), np.empty((5, 5), complex)):
+                with pytest.raises(CompressionError):
+                    codec.decode_into(payload, header, out)
+            with pytest.raises(CompressionError):
+                codec.encode_into(np.arange(6, dtype=np.float32), np.zeros(64, dtype=np.uint8))

@@ -308,3 +308,118 @@ class TestVerificationInTheEncodePass:
         assert all(0.0 < e < 1e-7 for e in errors)
         assert run(CountingCast("fp32")) == errors  # the same numbers ...
         assert calls["decompress"] == 2 * 2  # ... from the receiver's decode alone
+
+
+class TestBoundLossyExchangeTouchesEachCellOncePerSide:
+    """A warm bound round trip stages nothing: every message is one
+    ``encode_into`` straight into the destination's slot and one
+    ``decode_into`` straight into the output block — no pack, no
+    allocating codec call, no frame copy either way, nothing from the
+    pool — and what comes out is what the staged exchange produces."""
+
+    N, P = 32, 4
+    FIELDS = ("messages", "logical_bytes", "wire_bytes", "achieved_error", "error_measured",
+              "retries", "degradations", "retransmissions")
+
+    def _run(self, monkeypatch, runtime, **plan_kwargs):
+        import collections
+
+        import repro.collectives.base as base_mod
+        import repro.collectives.compressed as compressed_mod
+        from repro.collectives.base import ExchangeStats
+        from repro.compression.base import FixedWidthCodec
+        from repro.fft import Fft3d
+        from repro.fft.plan import FftStats
+        from repro.fft.reshape import ReshapeStage
+        from repro.runtime import make_world
+        from repro.tuning.pool import BufferPool
+
+        plan = Fft3d((self.N,) * 3, self.P, **plan_kwargs)
+        kernels = type(plan.codec)  # CastCodec / MantissaTrimCodec: both override the pair
+        assert "encode_into" in vars(kernels) and "decode_into" in vars(kernels)
+        # Counters: shared by rank threads, private to each forked rank.
+        counts, lock = collections.Counter(), threading.Lock()
+        for owner, name in [
+            (ReshapeStage, "pack"), (base_mod, "pack"), (base_mod, "unpack"),
+            (FixedWidthCodec, "compress"), (FixedWidthCodec, "compress_measured"),
+            (FixedWidthCodec, "decompress"),
+            (compressed_mod, "encode_wire"), (compressed_mod, "decode_wire"),
+            (BufferPool, "acquire"), (kernels, "encode_into"), (kernels, "decode_into"),
+        ]:
+            def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
+                with lock:
+                    counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((self.N,) * 3) + 1j * rng.standard_normal((self.N,) * 3)
+        blocks = plan.scatter(x)
+
+        def kernel(comm):
+            pool, b = BufferPool(), blocks[comm.rank]
+            plan.forward_spmd(comm, plan.forward_spmd(comm, b, pool=pool), inverse=True, pool=pool)
+            comm.barrier()  # bound and warm, everywhere
+            before = dict(counts)
+            comm.barrier()
+            stats = FftStats()
+            y = plan.forward_spmd(comm, b, stats=stats, pool=pool)
+            z = plan.forward_spmd(comm, y, inverse=True, stats=stats, pool=pool)
+            comm.barrier()
+            delta = {k: counts[k] - before.get(k, 0) for k in counts}
+            comm.barrier()
+            # the forward transform again, staged: one-shot exchanges
+            # through pack -> compress -> frame -> put, as before the binding
+            staged, block = ExchangeStats(), b
+            for step, stage in enumerate(plan._pipeline(False)):
+                op = CompressedOscAlltoallv(comm, plan._stage_codec(step), e_tol=plan.e_tol)
+                try:
+                    block = stage.reshape.run_spmd(comm, block, op, stats=staged)
+                finally:
+                    op.free()
+                block = plan._fft_stage(comm, block, stage)
+            forward = ExchangeStats().merge(*stats.reshapes[:4])
+            return delta, y, z, forward, staged, np.array_equal(block, y), pool.counters()
+
+        return plan, x, make_world(runtime, self.P, timeout=120.0).run(kernel)
+
+    def _check(self, monkeypatch, runtime, **plan_kwargs):
+        from repro.collectives.base import ExchangeStats
+
+        plan, x, results = self._run(monkeypatch, runtime, **plan_kwargs)
+        everyone = sum(r.n_messages for r in plan.reshapes)
+        for rank, (delta, _y, _z, forward, staged, same_as_staged, pool) in enumerate(results):
+            sent = sum(len(r.pairs[rank]) for r in plan.reshapes)
+            received = sum(len(r.incoming[rank]) for r in plan.reshapes)
+            if runtime == "thread":  # one shared counter saw every rank
+                sent = received = everyone
+            # one kernel call per message and side, over forward + inverse ...
+            assert (delta.pop("encode_into"), delta.pop("decode_into")) == (2 * sent, 2 * received)
+            # ... and nothing else
+            assert not any(delta.values()), f"rank {rank} staged something: {delta}"
+            assert pool["hits"] == pool["misses"] == 0
+            assert same_as_staged
+            for field in self.FIELDS:
+                assert getattr(forward, field) == getattr(staged, field), field
+            assert forward.clean and forward.error_measured == (plan.e_tol is not None)
+        # virtual == SPMD: bit for bit, and in summed volume
+        assert np.array_equal(plan.gather([r[1] for r in results]), plan.forward(x))
+        total = ExchangeStats().merge(*[r[3] for r in results])
+        virtual = plan.last_stats.totals()
+        for field in ("messages", "logical_bytes", "wire_bytes"):
+            assert getattr(total, field) == getattr(virtual, field), field
+        back = plan.gather([r[2] for r in results])
+        assert np.linalg.norm(back - x) <= 3 * plan.guaranteed_tolerance * np.linalg.norm(x)
+
+    def test_fp32_cast_on_rank_threads(self, monkeypatch):
+        self._check(monkeypatch, "thread", codec=CastCodec("fp32"))
+
+    def test_e_tol_trim_on_rank_threads(self, monkeypatch):
+        self._check(monkeypatch, "thread", e_tol=1e-10)
+
+    def test_fp32_cast_on_forked_ranks(self, monkeypatch):
+        self._check(monkeypatch, "proc", codec=CastCodec("fp32"))
+
+    def test_e_tol_trim_on_forked_ranks(self, monkeypatch):
+        self._check(monkeypatch, "proc", e_tol=1e-10)

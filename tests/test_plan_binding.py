@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.collectives import make_exchange
+from repro.collectives.base import ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.collectives.osc import OscTransport, PlanWindow
 from repro.compression import CastCodec
@@ -30,7 +31,6 @@ from repro.compression.mantissa import MantissaTrimCodec
 from repro.faults import FaultPlan, FaultRule
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
-from repro.collectives.base import ExchangeStats
 from repro.machine.spec import laptop_spec
 from repro.machine.topology import Topology
 from repro.resilience.checkpoint import ResilientFft3d
@@ -261,8 +261,18 @@ class TestWarmRoundTripProtocol:
             assert sum(e.kind == "fence" for e in mine) == 3 * 8
             assert {e.attrs["epoch"] for e in mine if e.kind == "fence"} == {"close"}
             assert sum(e.kind == "put" for e in mine) == 3 * 14
-            # the raw path has no pack copy left to span
-            assert any(e.kind == "pack" for e in mine) == (codec is not None)
+            # no bound window path has a pack copy left to span: the raw
+            # one puts the strided box, the lossy one encodes it into the slot
+            assert not any(e.kind == "pack" for e in mine)
+            # ... and only the raw one unpacks (the lossy decode fills the box)
+            assert any(e.kind == "unpack" for e in mine) == (codec is None)
+            if codec is not None:  # every put is a reserve scope around its compress
+                puts = [e for e in mine if e.kind == "put"]
+                assert all(
+                    any(c.kind == "compress" and p.t0_ns <= c.t0_ns and c.t1_ns <= p.t1_ns for c in mine)
+                    for p in puts
+                )
+                assert all(0 < p.attrs["bytes"] < 8 * 8 * 8 * 16 for p in puts)
 
     def test_no_window_view_escapes_a_transform(self):
         shape, p = (8, 8, 8), 4
@@ -325,14 +335,14 @@ class TestSingleFenceUnderSkew:
         epoch ahead when it writes, and must not have been overwritten."""
         from repro.runtime.window import Window
 
-        put = Window.put
+        reserve = Window.reserve  # every write goes through it, a put included
 
-        def slow_put(self, data, target_rank, offset=0):
+        def slow_reserve(self, target_rank, offset, nbytes):
             if self._comm.rank == 1:
                 time.sleep(0.0003)
-            put(self, data, target_rank, offset)
+            return reserve(self, target_rank, offset, nbytes)
 
-        monkeypatch.setattr(Window, "put", slow_put)
+        monkeypatch.setattr(Window, "reserve", slow_reserve)
         self._stress(runtime, codec)
 
     @pytest.mark.parametrize("runtime", RUNTIMES)
@@ -340,15 +350,18 @@ class TestSingleFenceUnderSkew:
     def test_slow_reader(self, runtime, codec, monkeypatch):
         """One rank dawdles between the fence and its unpack: nobody may
         write the half it is still reading."""
-        merge = ExchangeStats.merge
+        from repro.runtime.window import Window
 
-        def slow_merge(self, *others):
-            # a reshape merges its exchange's record between fence and unpack
-            if others and others[0].reports and others[0].reports[0].rank == 2:
+        local_view = Window.local_view
+
+        def slow_local_view(self):
+            # the transport takes its regions between the fence and the
+            # unpack (raw) or the in-place decode (lossy)
+            if self._comm.rank == 2:
                 time.sleep(0.0005)
-            return merge(self, *others)
+            return local_view(self)
 
-        monkeypatch.setattr(ExchangeStats, "merge", slow_merge)
+        monkeypatch.setattr(Window, "local_view", slow_local_view)
         self._stress(runtime, codec)
 
 
@@ -474,6 +487,135 @@ class TestRecoveryOnABoundPlan:
         else:
             assert glob.glob(f"/dev/shm/{world.uid}*") == []
             assert mp.active_children() == []
+
+
+# -- faults on the in-place path ---------------------------------------------------------
+
+
+def _bound_reshape(comm, reshape, codec, **kwargs):
+    """``reshape`` bound to a compressed exchange on plan-supplied slots."""
+    from repro.fft.reshape import BoundReshape
+
+    op = CompressedOscAlltoallv(comm, codec, **kwargs)
+    elements, leading = reshape.message_elements()
+    table = op.slot_table(elements, 16, leading)
+    window = PlanWindow(comm, int(table.extent.max()))
+    op.transport = OscTransport(comm, slots=table, window=window)
+    return BoundReshape(reshape, comm.rank, op), window
+
+
+class TestInPlaceExchangeUnderFaults:
+    """Encoding into the slot and decoding into the block keep the whole
+    ladder: a corrupted slot is retransmitted over the partial decode, a
+    codec fault is retried where it writes, an ``e_tol`` violation and an
+    oversized frame step down in the slot — typed errors or exact data,
+    never silent corruption."""
+
+    SHAPE, P = (12, 10, 8), 4
+
+    def _run(self, codec, *, faults=None, epochs=2, **kwargs):
+        plan = Fft3d(self.SHAPE, self.P)
+        reshape = plan.reshapes[1]  # x-pencils -> y-pencils: every rank has remote peers
+        blocks = reshape.src.scatter(_field(self.SHAPE), np.complex128)
+
+        def kernel(comm):
+            bound, window = _bound_reshape(comm, reshape, codec, **kwargs)
+            outs, trails = [], []
+            try:
+                for _ in range(epochs):
+                    stats = ExchangeStats()
+                    outs.append(bound(blocks[comm.rank], stats=stats))
+                    trails.append((stats, [(e.kind, e.codec) for e in stats.reports[0].events]))
+            finally:
+                window.free()
+            return outs, trails
+
+        world = ThreadWorld(self.P, timeout=30.0, faults=faults)
+        return world, world.run(kernel), reshape, blocks
+
+    def _expected(self, reshape, blocks, codec):
+        """What the staged exchange delivers: each box through compress -> decompress."""
+        outs = [stage.empty_out(blocks[0]) for stage in reshape.rank_stages]
+        for s, stage in enumerate(reshape.rank_stages):
+            for d in stage.outgoing:
+                chunk = stage.pack(blocks[s], d)
+                reshape.rank_stages[d].unpack(outs[d], s, codec.decompress(codec.compress(chunk)))
+        return outs
+
+    def test_bitflip_in_a_slot_is_retransmitted_over_the_partial_decode(self):
+        codec = CastCodec("fp32")
+        flip = FaultPlan([FaultRule("bitflip", rank=0, peer=2, max_triggers=1)], seed=4)
+        world, results, reshape, blocks = self._run(codec, faults=flip)
+        assert world.injector.injected("bitflip") == 1
+        want = self._expected(reshape, blocks, codec)
+        for rank, (outs, trails) in enumerate(results):
+            assert all(np.array_equal(out, want[rank]) for out in outs)
+        first = results[2][1][0][0]
+        assert first.reports[0].count("integrity-failure") == 1 and first.reports[0].recovered
+        assert results[0][1][0][0].retransmissions == 1
+        assert all(t[0].clean for r in results for t in r[1][1:])  # the next epoch is clean
+
+    def test_transient_codec_fault_is_retried_where_it_writes(self):
+        codec = MantissaTrimCodec(35)
+        hiccup = FaultPlan([FaultRule("codec", rank=1, max_triggers=2)], seed=0)
+        world, results, reshape, blocks = self._run(codec, faults=hiccup, e_tol=1e-10)
+        assert world.injector.injected("codec") == 2
+        want = self._expected(reshape, blocks, codec)
+        for rank, (outs, trails) in enumerate(results):
+            assert all(np.array_equal(out, want[rank]) for out in outs)
+        kinds = [k for k, _ in results[1][1][0][1]]
+        assert kinds.count("transient-codec") == 2 and kinds.count("retry") == 2
+        assert results[1][1][0][0].error_measured
+
+    def test_e_tol_violation_steps_down_to_lossless_in_the_slot(self):
+        """zlib's header scalar is known only after the encode: its
+        metadata grows and the payload moves up behind it, in the slot."""
+        world, results, reshape, blocks = self._run(MantissaTrimCodec(20), e_tol=1e-12)
+        for rank, (outs, trails) in enumerate(results):
+            exact = reshape.rank_stages[rank].empty_out(blocks[0])
+            for s in reshape.rank_stages[rank].incoming:
+                chunk = reshape.rank_stages[s].pack(blocks[s], rank)
+                reshape.rank_stages[rank].unpack(exact, s, chunk)
+            assert all(np.array_equal(out, exact) for out in outs)
+            stats, events = trails[0]
+            sent = len(reshape.rank_stages[rank].outgoing)
+            assert [k for k, _ in events].count("tolerance-exceeded") == sent
+            assert {c for k, c in events if k == "degrade"} == {"zlib1_shuffle"}
+            assert stats.achieved_error == 0.0 and stats.error_measured
+
+    def test_oversized_payload_steps_down_to_raw_in_the_slot(self):
+        world, results, reshape, blocks = self._run(_LyingCodec())
+        for rank, (outs, trails) in enumerate(results):
+            stats, events = trails[0]
+            sent = len(reshape.rank_stages[rank].outgoing)
+            assert events == [("degrade", "identity")] * sent
+            assert stats.wire_bytes == stats.logical_bytes
+            want = self._expected(reshape, blocks, IdentityCodec())
+            assert all(np.array_equal(out, want[rank]) for out in outs)
+
+    @pytest.mark.parametrize("chunks", [2, 3, 5])
+    def test_pipeline_chunks_cut_leading_axis_slabs(self, chunks):
+        """``frames[s, d]`` frames per slot; element-wise codecs give the
+        bits of the unchunked exchange, per-fragment-state codecs stay
+        within their bound."""
+        from repro.compression import ZfpLikeCodec
+
+        for codec, exact in [(CastCodec("fp32"), True), (MantissaTrimCodec(35), True),
+                             (CastCodec("fp16", scaled=True), False),
+                             (ZfpLikeCodec(tolerance=1e-6), False)]:
+            _, results, reshape, blocks = self._run(codec, epochs=1, pipeline_chunks=chunks)
+            want = self._expected(reshape, blocks, codec)
+            exact_want = self._expected(reshape, blocks, IdentityCodec())
+            for rank, (outs, trails) in enumerate(results):
+                stats, events = trails[0]
+                assert events == []
+                lead = [min(chunks, box.shape[0]) for _, box in reshape.pairs[rank]]
+                assert stats.messages == sum(lead)
+                if exact:
+                    assert np.array_equal(outs[0], want[rank])
+                else:
+                    scale = np.abs(exact_want[rank]).max()
+                    assert np.abs(outs[0] - exact_want[rank]).max() <= 2e-3 * scale
 
 
 # -- a frame that does not fit its slot -------------------------------------------------

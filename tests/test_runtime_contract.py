@@ -459,6 +459,100 @@ class TestWindowContract:
 
         assert spmd(runtime, 2, kernel) == [["ok", "bounds", "bounds"]] * 2
 
+    def test_reserve_writes_in_place_what_the_target_reads_after_a_fence(self, runtime):
+        """A reservation is the target's own bytes: what is produced
+        through the view — by a ufunc with ``out=``, at an unaligned
+        offset — is what ``local_view`` holds after the fence."""
+        values = np.arange(24.0).reshape(4, 6)[:, ::2]  # strided source
+
+        def kernel(comm):
+            win = comm.win_create(3 + 4 * values.size + 9)
+            win.fence()
+            with win.reserve((comm.rank + 1) % comm.size, 3, 4 * values.size + 9) as slot:
+                assert slot.view.dtype == np.uint8 and slot.written == slot.view.size
+                room = slot.view[: 4 * values.size].view(np.float32).reshape(values.shape)
+                np.add(values, comm.rank, out=room, casting="same_kind")
+                slot.written = 4 * values.size
+            win.fence()
+            view = win.local_view()
+            got = view[3 : 3 + 4 * values.size].copy().view(np.float32).reshape(values.shape)
+            untouched = int(view[:3].sum()) + int(view[3 + 4 * values.size :].sum())
+            win.free()
+            return got, untouched
+
+        for rank, (got, untouched) in enumerate(spmd(runtime, 3, kernel)):
+            assert np.array_equal(got, (values + (rank - 1) % 3).astype(np.float32))
+            assert untouched == 0
+
+    def test_reserve_out_of_range_or_after_free_raises(self, runtime):
+        from repro.errors import WindowError
+
+        def kernel(comm):
+            win = comm.win_create(64)
+            win.fence()
+            outcomes = []
+            for target, offset, nbytes in [(0, 0, 64), (0, 1, 64), (0, -1, 8), (0, 8, -1),
+                                           (comm.size, 0, 8), (1, 64, 0)]:
+                try:
+                    with win.reserve(target, offset, nbytes) as slot:
+                        outcomes.append(slot.view.size)
+                except (WindowError, CommunicatorError) as exc:
+                    outcomes.append(type(exc).__name__)
+            win.fence()
+            win.free()
+            try:
+                win.reserve(0, 0, 8)
+            except WindowError:
+                outcomes.append("freed")
+            return outcomes
+
+        expected = [64, "WindowError", "WindowError", "WindowError", "CommunicatorError", 0, "freed"]
+        assert spmd(runtime, 2, kernel) == [expected] * 2
+
+    def test_reserve_holds_the_target_lock_for_its_scope(self, runtime):
+        """Two origins fill the same bytes of one target, each in two
+        steps with a pause between: per-target exclusion means the slot
+        ends up wholly one writer's, never a mix."""
+
+        def kernel(comm):
+            win = comm.win_create(4096)
+            win.fence()
+            if comm.rank > 0:
+                with win.reserve(0, 0, 4096) as slot:
+                    slot.view[:2048] = comm.rank
+                    time.sleep(0.05)
+                    slot.view[2048:] = comm.rank
+            win.fence()
+            seen = sorted(set(win.local_view().tolist()))
+            win.free()
+            return seen
+
+        assert spmd(runtime, 3, kernel)[0] in ([1], [2])
+
+    def test_process_faults_fire_on_reserve_entry(self, runtime):
+        """``kill`` lands in the preamble of the reservation (the beacon
+        and fault hook a put runs), before the lock is taken."""
+        from repro.faults import FaultPlan, FaultRule
+
+        def kernel(comm, probe):
+            win = comm.win_create(16)
+            win.fence()
+            if probe:
+                return comm.world.injector._ops.get(("kill", comm.rank), 0)
+            with win.reserve(comm.rank, 0, 16) as slot:
+                slot.view[...] = 1
+            return int(win.local_view().sum())
+
+        never = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=10**9)])
+        after = make_world(runtime, 2, faults=never).run(kernel, True)[1]
+        faults = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=after)])
+        world = make_world(runtime, 2, timeout=10.0, faults=faults, suspect_after=0.3)
+        results = world.run(kernel, False)
+        assert results[0] == 16 and results[1] is None  # rank 1 died entering; rank 0 wrote
+        if runtime == "thread":
+            (fired,) = [e for e in world.injector.log if e["kind"] == "kill"]
+            assert fired["at"] == "put" and fired["rank"] == 1
+
     def test_release_is_local_and_final(self, runtime):
         """``release`` is ``free`` without the barrier: one rank lets go
         while its peer still uses its own handle."""

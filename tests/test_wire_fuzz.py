@@ -200,3 +200,55 @@ class TestChecksumsInPlace:
         only_payload[-1] ^= 0x01
         with pytest.raises(CompressionError, match="payload checksum"):
             decode_wire(only_payload)
+
+    @pytest.mark.parametrize("slack", [0, 64], ids=["exact", "in-a-larger-slot"])
+    def test_every_single_bit_flip_of_the_header_is_rejected(self, rng, slack):
+        """All 256 bits of the 32-byte header — the flags and reserved
+        bytes (5-7) included, which used to be unpacked and ignored."""
+        from repro.errors import WireIntegrityError
+
+        frame = encode_wire(MantissaTrimCodec(35).compress(rng.standard_normal(40)))
+        region = np.concatenate([frame, rng.integers(0, 256, slack, dtype=np.uint8)])
+        decode_wire(region)  # intact: decodes, slack or not
+        survived = []
+        for bit in range(32 * 8):
+            forged = region.copy()
+            forged[bit // 8] ^= np.uint8(1 << (bit % 8))
+            try:
+                decode_wire(forged)
+                survived.append(bit)
+            except WireIntegrityError:
+                pass
+        assert survived == []
+
+    def test_a_frame_sealed_in_a_slot_equals_encode_wire(self, rng):
+        """One frame writer: produced where it lies — from a strided view,
+        at an unaligned place in a larger region — a frame is byte for
+        byte ``encode_wire(codec.compress(flat view))``, header-carrying
+        codecs (whose metadata grows after the encode) included."""
+        from repro.collectives.wire import open_frame, seal, stage
+        from repro.compression import ShuffleZlibCodec
+
+        base = rng.standard_normal((5, 6, 7)) + 1j * rng.standard_normal((5, 6, 7))
+        for view in (base[1:4, ::2, 2:6], base[:, 0, :].real, base[2:2]):
+            flat = np.ascontiguousarray(view).reshape(-1)
+            for codec in (
+                CastCodec("fp32"), CastCodec("fp16", scaled=True), MantissaTrimCodec(35),
+                MantissaTrimCodec(23, rounding="truncate"), IdentityCodec(),
+                ShuffleZlibCodec(level=1), ZfpLikeCodec(rate=4.0),
+            ):
+                want_msg, want_err = codec.compress_measured(flat)
+                want = encode_wire(want_msg)
+                arena = np.full(want.size + 5 + 40, 0x5A, dtype=np.uint8)
+                region = arena[5:]
+                meta_len, nbytes, header, achieved = stage(region, codec, view, measure=True)
+                frame = seal(region, meta_len, nbytes)
+                assert frame.tobytes() == want.tobytes(), codec.name
+                assert header == want_msg.header and achieved == want_err
+                assert np.all(arena[:5] == 0x5A) and np.all(region[want.size :] == 0x5A)
+                msg, consumed = open_frame(region)
+                assert consumed == want.size
+                assert not msg.payload.size or np.shares_memory(msg.payload, arena)
+                # one byte short of the frame: reported, nothing sealed
+                tight = np.zeros(want.size - 1, dtype=np.uint8)
+                assert seal(tight, *stage(tight, codec, view)[:2]) is None and not tight[:4].any()
