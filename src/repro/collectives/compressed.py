@@ -10,6 +10,18 @@ Adds the two steps the paper describes on top of Algorithm 3:
    buffer later, once communications are done" — the RMA API lacks the
    constructs for target-side pipelining).
 
+There is one encoder and one decoder.  The staging buffer is the
+destination's window slot — or, for a message that is routed
+(two-level) or retransmitted rather than put, a byte region of its own
+— and every message is encoded straight from the strided view it is
+read from into it (:meth:`Codec.encode_into`, the wire frame sealed
+where it lies); every received frame is checked where it lies and
+decoded straight into the strided box it fills
+(:meth:`Codec.decode_into`).  A plan-bound exchange is handed its views
+and boxes by the reshape; a one-shot call (``op(send)``) announces each
+message's dtype and shape in one allgather — both sides of an
+Alltoallv know counts and types — and allocates its boxes itself.
+
 On top of that the exchange is *resilient*: every frame on the wire is
 checksummed (wire format v2), decode failures are detected per source
 block, and a bounded recovery protocol retransmits failed blocks —
@@ -23,14 +35,15 @@ the exchange is byte-identical to the non-resilient one.
 
 The GPU-stream pipeline (compress chunk *k+1* while chunk *k* flies) is
 mirrored functionally by splitting each message into ``pipeline_chunks``
-fragments, compressing and putting them one at a time; its *timing*
-benefit is modelled in :mod:`repro.netsim.alltoall_model`.  The class
-reports per-call :class:`ExchangeStats` so callers can verify the
-volume reduction that drives the speedup.
+fragments, compressing them one at a time; its *timing* benefit is
+modelled in :mod:`repro.netsim.alltoall_model`.  The class reports
+per-call :class:`ExchangeStats` so callers can verify the volume
+reduction that drives the speedup.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -39,8 +52,8 @@ import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats
 from repro.collectives.osc import OscTransport, SlotTable
-from repro.collectives.wire import decode_wire, encode_wire, open_frame, seal, stage
-from repro.compression.base import Codec, CompressedMessage, IdentityCodec
+from repro.collectives.wire import open_frame, seal, stage
+from repro.compression.base import Codec, IdentityCodec, as_float64_view
 from repro.compression.lossless import ShuffleZlibCodec
 from repro.errors import (
     CommunicatorError,
@@ -52,7 +65,6 @@ from repro.errors import (
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
-from repro.runtime.window import Reservation
 from repro.telemetry.metrics import gauge as tele_gauge
 from repro.telemetry.metrics import histogram as tele_histogram
 from repro.tuning.pool import BufferPool
@@ -67,6 +79,21 @@ _RETRY_TAG = -7000
 #: the pickled metadata (codec name, dtype, shape, a few header scalars:
 #: ~50-120 B for the codecs of this package).
 _FRAME_ROOM = 256
+
+
+def _kind(view: np.ndarray | None) -> tuple[str, tuple[int, ...]] | None:
+    """A message's announcement: what a receiver needs to allocate the box
+    ``view`` fills, ``None`` for nothing (validated here, before any
+    collective: a codec takes float64/complex128 only)."""
+    if view is None or view.size == 0:
+        return None
+    as_float64_view(view)
+    return view.dtype.name, view.shape
+
+
+def _boxes(kinds: Sequence[tuple | None]) -> list[np.ndarray]:
+    """Receive boxes for announced kinds; nothing announced is an empty FP64 block."""
+    return [np.zeros(0) if k is None else np.empty(k[1], dtype=k[0]) for k in kinds]
 
 
 class CompressedOscAlltoallv(Exchange):
@@ -90,16 +117,16 @@ class CompressedOscAlltoallv(Exchange):
     e_tol:
         Optional per-message error tolerance.  When set, each lossy
         message's achieved relative error is measured as it is
-        compressed (:meth:`Codec.compress_measured`); if it exceeds
-        ``e_tol`` the message is sent through the lossless fallback
-        instead.
+        compressed (:meth:`Codec.encode_into` with ``measure``); if it
+        exceeds ``e_tol`` the message is sent through the lossless
+        fallback instead.
     lossless_fallback:
         Lossless codec used by the degradation ladder (default:
         byte-shuffle + zlib).
     pool:
-        Optional :class:`~repro.tuning.pool.BufferPool` staging the wire
-        frames; with a warm pool a steady-state exchange allocates no
-        per-call staging memory.
+        Accepted for callers that pass one, and unused: frames are
+        produced in the window slot (or a region of their own) and
+        decoded into the output boxes, so nothing is staged.
     tuned:
         Tuning-profile key that selected this exchange's configuration
         (stamped on the exchange span for the perf gate); ``None`` for
@@ -140,7 +167,6 @@ class CompressedOscAlltoallv(Exchange):
         for fallback in (self._lossless, self._raw):
             if all(fallback.name != c.name for c in self._ladder):
                 self._ladder.append(fallback)
-        self.pool = pool
         self.tuned = tuned
         self.transport = OscTransport(comm, topology)
 
@@ -170,15 +196,26 @@ class CompressedOscAlltoallv(Exchange):
     def slot_table(
         self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
     ) -> SlotTable:
-        """Slots sized for the ladder's worst case, with their frame counts."""
+        """Slots sized for the ladder's worst case, fragment by fragment."""
         elements = np.asarray(elements, dtype=np.int64)
-        capacity, frames = np.zeros_like(elements), np.zeros_like(elements)
+        capacity = np.zeros_like(elements)
         for at, n in np.ndenumerate(elements):
             lead = None if leading is None else int(leading[at])
             pieces = self._split_sizes(int(n), lead) if n else []
-            frames[at] = len(pieces)
             capacity[at] = sum(self._frame_capacity(piece * itemsize // 8) for piece in pieces)
-        return SlotTable(capacity, align=16, frames=frames)
+        return SlotTable(capacity, align=16)
+
+    def _announced_table(self, kinds: Sequence[Sequence[tuple | None]]) -> SlotTable:
+        """Worst-case slots for one call's announced ``kinds[s][d]``."""
+        scalars = np.zeros((len(kinds), len(kinds)), dtype=np.int64)
+        leading = np.ones_like(scalars)
+        for s, row in enumerate(kinds):
+            for d, kind in enumerate(row):
+                if kind is not None:
+                    dtype, shape = kind
+                    scalars[s, d] = math.prod(shape) * np.dtype(dtype).itemsize // 8
+                    leading[s, d] = shape[0] if shape else 1
+        return self.slot_table(scalars, 8, leading)
 
     def _codec_named(self, name: str) -> Codec:
         """The decompressor a frame names: degraded retransmissions arrive
@@ -203,11 +240,11 @@ class CompressedOscAlltoallv(Exchange):
     ) -> tuple[Any, float | None]:
         """Compress one fragment, riding out transient codec failures.
 
-        ``encode(codec, measure)`` does the compression proper — into a
-        message or into a window slot — and returns ``(result,
-        achieved)``.  Same-codec retries follow the policy's backoff;
-        once exhausted the ladder steps down (the fallback is then also
-        given ``max_attempts`` tries before the next step).
+        ``encode(codec, measure)`` does the compression proper, into the
+        fragment's room, and returns ``(result, achieved)``.  Same-codec
+        retries follow the policy's backoff; once exhausted the ladder
+        steps down (the fallback is then also given ``max_attempts``
+        tries before the next step).
 
         Returns the accepted result plus the measured round-trip
         relative error of the fragment: a float whenever ``e_tol`` is
@@ -278,37 +315,29 @@ class CompressedOscAlltoallv(Exchange):
 
     def _encode_block(
         self,
-        arr: np.ndarray,
+        view: np.ndarray,
         dest: int,
         codec: Codec | None,
         report: ResilienceReport,
         stats: ExchangeStats | None,
-        pool: BufferPool | None = None,
-        slot: Reservation | None = None,
-    ) -> list[np.ndarray]:
-        """Encode one destination's data into wire frames.
+        region: np.ndarray,
+    ) -> int:
+        """Encode one destination's data as wire frames at the head of
+        ``region`` — this rank's slot in ``dest``'s window, or a private
+        array — and return how many bytes they take.
 
-        ``codec=None`` uses the resilient primary path (transient-fault
-        retries + e_tol check); recovery rounds pass an explicit ladder
-        codec instead.  The frames are staged in arrays (``pool``'s
-        reusable buffers when given: the hot path releases them once the
-        puts have landed) — or, with ``slot``, this rank's reserved slot
-        in ``dest``'s window, produced where they land: ``arr`` may be any
-        strided view, it is only read, and the slot *is* the paper's
-        staging buffer.
+        ``view`` may be any strided view; it is only read, and ``region``
+        *is* the paper's staging buffer.  ``codec=None`` uses the
+        resilient primary path (transient-fault retries + e_tol check);
+        recovery rounds pass an explicit ladder codec instead.
         """
-        frames: list[np.ndarray] = []
         written = 0
-        for chunk_idx, frag in enumerate(self._split(arr)):
+        for chunk_idx, frag in enumerate(self._split(view)):
             n_values = frag.size * frag.itemsize // 8
-            capacity = self._frame_capacity(n_values)
-            room = None if slot is None else slot.view[written : written + capacity]
+            room = region[written : written + self._frame_capacity(n_values)]
 
             def encode(c: Codec, measure: bool) -> tuple[Any, float | None]:
-                """((codec, modelled wire bytes, what finishes the frame), achieved error)"""
-                if room is None:
-                    msg, achieved = c.compress_measured(frag) if measure else (c.compress(frag), None)
-                    return (c, msg.nbytes, partial(encode_wire, msg, pool=pool)), achieved
+                """((codec, modelled wire bytes, what seals the frame), achieved error)"""
                 meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
                 return (c, nbytes + 8 * len(header), partial(seal, room, meta_len, nbytes)), achieved
 
@@ -325,16 +354,11 @@ class CompressedOscAlltoallv(Exchange):
                 else:
                     (used, wire, finish), achieved = encode(codec, False)[0], None
             frame = finish()
-            if frame is None or (
-                codec is None and self.transport.slots is not None and frame.size > capacity
-            ):
-                # A frame that does not fit its window slot is never
-                # truncated: it steps down to raw FP64, which the slot
-                # was sized for.
+            if frame is None:
+                # A frame that does not fit its room is never truncated:
+                # it steps down to raw FP64, which the room was sized for.
                 report.record("degrade", peer=dest, codec=self._raw.name,
                               detail=f"{used.name} -> {self._raw.name} (the frame exceeds its slot)")
-                if pool is not None and frame is not None:
-                    pool.release(frame)
                 (used, wire, finish), _ = encode(self._raw, False)
                 frame, achieved = finish(), (None if self.e_tol is None else 0.0)
             if stats is not None:
@@ -344,109 +368,69 @@ class CompressedOscAlltoallv(Exchange):
                 if achieved is not None:
                     stats.achieved_error = max(stats.achieved_error, achieved)
                     stats.error_measured = True
-            frames.append(frame)
             written += frame.size
-        if slot is not None:
-            slot.written = written
-        return frames
+        return written
 
-    def _encode_all(
-        self, send: Sequence[np.ndarray | None], report: ResilienceReport, stats: ExchangeStats
-    ) -> tuple[list[np.ndarray | None], list[list[np.ndarray]]]:
-        """Step 1: compress every destination's data into internal staging
-        frames (never in place).  Returns the contiguous source arrays
-        (``None`` = nothing to send; recovery retransmits from them) and
-        the per-destination wire frames."""
-        self._check_send(send)
-        arrays: list[np.ndarray | None] = []
-        frames: list[list[np.ndarray]] = []
-        for dest, data in enumerate(send):
-            if data is None or np.asarray(data).size == 0:
-                arrays.append(None)
-                frames.append([])
-                continue
-            arr = np.ascontiguousarray(data)
-            arrays.append(arr)
-            frames.append(self._encode_block(arr, dest, None, report, stats, self.pool))
-        return arrays, frames
+    def _encode_private(
+        self,
+        view: np.ndarray,
+        dest: int,
+        codec: Codec | None,
+        report: ResilienceReport,
+        stats: ExchangeStats | None,
+    ) -> np.ndarray:
+        """:meth:`_encode_block` into a region of the message's own, for a
+        message that is routed or retransmitted rather than put."""
+        room = sum(self._frame_capacity(f.size * f.itemsize // 8) for f in self._split(view))
+        region = np.empty(room, dtype=np.uint8)
+        return region[: self._encode_block(view, dest, codec, report, stats, region)]
 
     # -- decode side -----------------------------------------------------------------
 
-    def _decode_region(
-        self, region: np.ndarray, nframes: int | None = None, into: np.ndarray | None = None
-    ) -> np.ndarray | None:
-        """Walk and decode the checksummed frames of one source block.
+    def _decode_region(self, region: np.ndarray, into: np.ndarray) -> None:
+        """Check the frames of one source's block where they lie and decode
+        each straight into its slab of ``into`` — the strided box of the
+        output block this source fills, cut as :meth:`_split` cut the
+        sender's view.
 
-        Each header is parsed exactly once — the reader returns the
-        consumed frame length alongside the message.  ``nframes``
-        bounds the walk for a region larger than its content (a fixed
-        window slot: what follows the last frame is an older epoch's,
-        valid but stale); ``None`` walks to the region's end.  An empty
-        region decodes to an empty FP64 block (``np.concatenate`` on an
-        empty list raises, and a zero-frame region is legitimate when a
-        peer's block compressed to nothing).
-
-        With ``into`` — the strided box of the output block this source
-        fills — every frame is checked where it lies and decoded straight
-        into its slab of the box (the cut :meth:`_split` made of the
-        sender's view); nothing is returned.
+        Each header is parsed exactly once, and the walk stops after the
+        box's last slab: in a window slot what follows is an older
+        epoch's, valid but stale.  A region that holds fewer frames than
+        the box's cut, or a frame that does not describe its slab, is a
+        :class:`CompressionError`.
         """
-        parts: list[np.ndarray] = []
-        slabs = None if into is None else self._split(into)
         pos = 0
-        while (pos < region.size) if nframes is None else (len(parts) < nframes):
-            if slabs is None:
-                msg, consumed = decode_wire(region[pos:])
-                parts.append(self._codec_named(msg.codec_name).decompress(msg))
-            else:
-                msg, consumed = open_frame(region[pos:])
-                slab = slabs[len(parts)]
-                # (the scalar type's name: dtype.name costs 2 us a message)
-                if (msg.dtype_name, msg.shape) != (slab.dtype.type.__name__, (slab.size,)):
-                    raise CompressionError(
-                        f"corrupt metadata: frame holds {msg.dtype_name}{msg.shape}, "
-                        f"the plan expects {slab.dtype.name}({slab.size},)"
-                    )
-                self._codec_named(msg.codec_name).decode_into(msg.payload, msg.header, slab)
-                parts.append(slab)
+        for slab in self._split(into):
+            msg, consumed = open_frame(region[pos:])
+            # (the scalar type's name: dtype.name costs 2 us a message)
+            if (msg.dtype_name, msg.shape) != (slab.dtype.type.__name__, (slab.size,)):
+                raise CompressionError(
+                    f"corrupt metadata: frame holds {msg.dtype_name}{msg.shape}, "
+                    f"the receiver expects {slab.dtype.name}({slab.size},)"
+                )
+            self._codec_named(msg.codec_name).decode_into(msg.payload, msg.header, slab)
             pos += consumed
-        if slabs is not None:
-            return None
-        if not parts:
-            return np.zeros(0, dtype=np.float64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _settle(
         self,
-        arrays: Sequence[np.ndarray | None],
+        send: Boxes,
         regions: Sequence[np.ndarray],
         report: ResilienceReport,
         stats: ExchangeStats,
-        nframes: Sequence[int] | None = None,
-        into: Sequence[np.ndarray | None] | None = None,
-    ) -> list[np.ndarray]:
-        """Step 2 onwards: decompress each source's region (CRC-checked per
-        frame; ``nframes[s]`` of them when given, else to the region's
-        end), recover the blocks that failed integrity, publish.
-
-        With ``into``, region ``s`` is decoded straight into ``into[s]``
-        and its entry of the result is ``None`` — unless it had to be
-        retransmitted: a recovered block comes back as an array for the
-        caller to paste over whatever the failed decode left behind."""
+        into: Boxes,
+    ) -> None:
+        """Step 2 onwards: decode each source's region straight into its
+        box ``into[s]`` (CRC-checked per frame), recover the blocks that
+        failed integrity — retransmitted from the still-live ``send``
+        views and decoded into the same boxes — and publish."""
         rank = self.comm.rank
-        recv: list[np.ndarray | None] = [None] * len(regions)
         failed: list[int] = []
         for s, region in enumerate(regions):
             if region.size == 0:
-                recv[s] = None if into is not None else np.zeros(0, dtype=np.float64)
                 continue
             try:
                 with trace_span("decompress", rank=rank, peer=s, bytes=int(region.size)):
-                    recv[s] = self._decode_region(
-                        region,
-                        None if nframes is None else nframes[s],
-                        None if into is None else into[s],
-                    )
+                    self._decode_region(region, into[s])
             except CompressionError as exc:
                 report.record("integrity-failure", peer=s, detail=str(exc))
                 failed.append(s)
@@ -458,21 +442,20 @@ class CompressedOscAlltoallv(Exchange):
         # bug: raise it rather than mask it with a retransmission.
         if self._injector() is not None:
             with trace_span("retry", rank=rank, failed=len(failed)):
-                self._recover(arrays, recv, failed, report, stats)
+                self._recover(send, into, failed, report, stats)
         elif failed:
             raise WireIntegrityError(
                 f"rank {rank}: corrupted block(s) from rank(s) {sorted(failed)} "
                 f"with no fault plan active"
             )
         self._finish(stats, report)
-        return recv  # type: ignore[return-value]
 
     # -- recovery --------------------------------------------------------------------
 
     def _recover(
         self,
-        arrays: Sequence[np.ndarray | None],
-        recv: list[np.ndarray | None],
+        send: Boxes,
+        into: Boxes,
         failed: list[int],
         report: ResilienceReport,
         stats: ExchangeStats,
@@ -483,8 +466,10 @@ class CompressedOscAlltoallv(Exchange):
         agreed via allgather) so senders and receivers stay matched.
         Rounds ``0 .. max_attempts-1`` retransmit with the original
         codec; the next rounds walk the ladder (lossless, then raw).
-        When the ladder is exhausted a typed error is raised — never a
-        silent corruption.
+        A retransmission re-encodes the still-live send view into a
+        region of its own; the receiver decodes it into the same box,
+        over whatever the failed decode left there.  When the ladder is
+        exhausted a typed error is raised — never a silent corruption.
         """
         comm, policy = self.comm, self.retry_policy
         ladder = self._ladder
@@ -534,10 +519,9 @@ class CompressedOscAlltoallv(Exchange):
             for dest, sources in enumerate(needs):
                 if comm.rank not in sources:
                     continue
-                arr = arrays[dest]
-                assert arr is not None  # zero-size blocks cannot fail decode
-                frames = self._encode_block(arr, dest, codec, report, None)
-                blob = frames[0] if len(frames) == 1 else np.concatenate(frames)
+                view = send[dest]
+                assert view is not None  # zero-size blocks cannot fail decode
+                blob = self._encode_private(view, dest, codec, report, None)
                 report.record("retransmit", peer=dest, attempt=attempt, codec=codec.name)
                 stats.retransmissions += 1
                 stats.retransmitted_bytes += int(blob.size)
@@ -547,9 +531,9 @@ class CompressedOscAlltoallv(Exchange):
             for source in sorted(failed):
                 if extra < 0:
                     report.record("retry", peer=source, attempt=attempt, codec=codec.name)
-                region = comm.recv(source, tag=tag)
+                region = np.ascontiguousarray(comm.recv(source, tag=tag), dtype=np.uint8)
                 try:
-                    recv[source] = self._decode_region(np.ascontiguousarray(region, dtype=np.uint8))
+                    self._decode_region(region, into[source])
                 except CompressionError as exc:
                     report.record("integrity-failure", peer=source, attempt=attempt,
                                   detail=str(exc))
@@ -566,19 +550,19 @@ class CompressedOscAlltoallv(Exchange):
     # -- the exchange ----------------------------------------------------------------
 
     def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-        """Exchange with compression; returns decompressed per-source arrays."""
-        return self._timed(self._exchange, send)
+        """One-shot exchange: returns each source's decoded block, in a box
+        allocated from the dtype and shape the source announced — a
+        :meth:`move` whose boxes are the result."""
+        send = [None if data is None else np.asarray(data) for data in send]
+        return self._timed(self._exchange, send, None)
 
     def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
-        """On plan-supplied slots every message is encoded straight from
-        its strided view into the destination's slot and decoded from the
-        local slot straight into its strided box: no pack, staging frame,
-        decompressed temporary or unpack, nothing from ``pool``.  An
-        unbound exchange has no slot to write before its sizes are
-        agreed, and stages as the base class does."""
-        if self.transport.slots is None:
-            return super().move(send, receive, pool)
-        self._timed(self._exchange_in_place, send, receive)
+        """Every message is encoded straight from its strided view into the
+        destination's slot and decoded from the local slot straight into
+        its strided box: no pack, staging frame, decompressed temporary or
+        unpack, nothing from ``pool``.  Unbound, the slots are agreed in
+        one allgather first."""
+        self._timed(self._exchange, send, receive)
 
     def _timed(self, body: Callable[..., Any], *args: Any) -> Any:
         """Run one collective call under its exchange span and metrics."""
@@ -609,40 +593,33 @@ class CompressedOscAlltoallv(Exchange):
                 self.last_stats.wire_bytes / elapsed
             )
 
-    def _exchange(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-        stats = ExchangeStats()
-        report = ResilienceReport(rank=self.comm.rank)
-        arrays, frames = self._encode_all(send, report, stats)
-        # Pipelined puts: each destination's fragments go out back to
-        # back (they were all staged above; a real GPU stream interleaves,
-        # the data movement is identical).
-        regions, _ = self.transport(frames)
-        # Puts have landed in every target window; the staging frames
-        # can go back to the pool for the next exchange.
-        if self.pool is not None:
-            for dest_frames in frames:
-                for frame in dest_frames:
-                    self.pool.release(frame)
-        # "we will decompress the entire buffer later, once communications
-        # are done" — straight from the window's borrowed regions.
-        slots = self.transport.slots
-        nframes = None if slots is None else slots.frames[:, self.comm.rank].tolist()
-        return self._settle(arrays, regions, report, stats, nframes)
-
-    def _exchange_in_place(self, send: Boxes, receive: Callable[[], Boxes]) -> None:
+    def _exchange(self, send: Boxes, receive: Callable[[], Boxes] | None) -> Boxes:
+        """Move ``send`` into ``receive()``'s boxes — or, with ``receive``
+        ``None``, into boxes allocated from the announced kinds — and
+        return the boxes."""
         self._check_send(send)
         stats = ExchangeStats()
         report = ResilienceReport(rank=self.comm.rank)
-        regions, _ = self.transport(
+        table, boxes = self.transport.slots, None
+        if receive is None or table is None:
+            # Both sides of an Alltoallv know counts and types: one
+            # allgather of every message's (dtype, shape).
+            kinds = self.comm.allgather([_kind(view) for view in send])
+            if receive is None:
+                boxes = _boxes([row[self.comm.rank] for row in kinds])
+            if table is None:
+                table = self._announced_table(kinds)
+        regions = self.transport(
             [
-                partial(self._encode_block, view, d, None, report, stats, None)
+                partial(self._encode_block, view, d, None, report, stats)
                 if view is not None and view.size
                 else ()
                 for d, view in enumerate(send)
-            ]
+            ],
+            table,
         )
-        nframes = self.transport.slots.frames[:, self.comm.rank].tolist()
-        # Recovery retransmits from the still-live send views; what it
-        # recovered lands through a temporary, over the partial decode.
-        out = receive()
-        self._unpack_all(out, self._settle(send, regions, report, stats, nframes, out))
+        # "we will decompress the entire buffer later, once communications
+        # are done" — straight from the window's borrowed regions.
+        out = boxes if receive is None else receive()
+        self._settle(send, regions, report, stats, out)
+        return out

@@ -56,7 +56,9 @@ def make_exchange(
     aggregation, and ``e_tol``/``retry_policy``/``pipeline_chunks``/
     ``tuned`` configure it; otherwise ``method`` picks the uncompressed
     algorithm.  Unknown names raise :class:`~repro.errors.PlanError`
-    whether or not they would have been used.
+    whether or not they would have been used.  ``pool`` stages the raw
+    OSC exchange's receive copies; a compressed exchange stages nothing
+    and ignores it.
     """
     if method not in METHODS:
         raise PlanError(f"unknown reshape method {method!r} (use one of {METHODS})")

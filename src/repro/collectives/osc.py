@@ -56,20 +56,14 @@ class SlotTable:
 
     ``capacity[s, d]`` bytes are reserved at byte ``offset[s, d]``
     (sources back to back, each slot rounded up to ``align``), and
-    ``extent[d]`` is what rank ``d``'s region must hold.  ``frames[s, d]``,
-    for slots that may be larger than their content, is the number of
-    wire frames the message is made of: a reader parses exactly that
-    many and never interprets what an earlier epoch left behind them.
+    ``extent[d]`` is what rank ``d``'s region must hold.
     """
 
-    def __init__(
-        self, capacity: np.ndarray, *, align: int = 1, frames: np.ndarray | None = None
-    ) -> None:
+    def __init__(self, capacity: np.ndarray, *, align: int = 1) -> None:
         self.capacity = np.asarray(capacity, dtype=np.int64)
         padded = -(-self.capacity // align) * align
         self.offset = np.cumsum(padded, axis=0) - padded
         self.extent = padded.sum(axis=0)
-        self.frames = frames
 
 
 class PlanWindow:
@@ -109,19 +103,21 @@ class PlanWindow:
 class OscTransport:
     """Algorithm 3's window protocol, written once for every OSC exchange.
 
-    A slot table says where each message lands; the ring of puts
+    It puts into whatever slot table it is handed — the plan's, or one
+    the caller has just agreed with its peers; the ring of puts
     (node-aware with a topology), the closing fence and the per-source
-    regions of the local window are the same however it came about:
+    regions of the local window are the same however the table came
+    about.  What the transport owns is where the window comes from:
 
-    * **negotiated** (no ``slots``): arbitrary send lists.  The sizes
-      allgather *is* the table (capacity = size), the cached window
-      grows deterministically when some rank outgrows it, and an
-      opening fence keeps the previous call's readers apart from this
-      call's puts.
-    * **plan-supplied** (``slots`` + ``window``): nothing collective but
-      the one fence — see :class:`PlanWindow`.  A message larger than
-      its slot is an error here, never a truncation; the compressed
-      exchange steps down its ladder before it gets that far.
+    * **cached** (no ``window``): the window grows deterministically
+      when some rank outgrows it, and an opening fence keeps the
+      previous call's readers apart from this call's puts.
+    * **plan-supplied** (``window``, with the plan's table as ``slots``):
+      nothing collective but the one fence — see :class:`PlanWindow`.
+
+    A message larger than its slot is an error here, never a
+    truncation; the compressed exchange steps down its ladder before it
+    gets that far.
     """
 
     def __init__(
@@ -134,9 +130,10 @@ class OscTransport:
     ) -> None:
         self.comm = comm
         self.topology = topology
+        #: The plan's table (``None``: every call brings its own).
         self.slots = slots
         self.window = window
-        #: The negotiated window (``None`` before the first call / after free).
+        #: The cached window (``None`` before the first call / after free).
         self.win: Window | None = None
         self._capacities: np.ndarray | None = None
         self._ring = [
@@ -161,7 +158,7 @@ class OscTransport:
         return self.win
 
     def free(self) -> None:
-        """Collectively release the negotiated window (if any).
+        """Collectively release the cached window (if any).
 
         A plan-supplied window belongs to whoever built it."""
         if self.win is not None:
@@ -170,38 +167,29 @@ class OscTransport:
             self._capacities = None
 
     def __call__(
-        self, fragments: Sequence[Sequence[np.ndarray] | Callable], rider: Any = None
-    ) -> tuple[list[np.ndarray], list[Any] | None]:
-        """Put ``fragments[d]`` (arrays of any layout, back to back) to rank ``d``.
+        self, fragments: Sequence[Sequence[np.ndarray] | Callable], table: SlotTable
+    ) -> list[np.ndarray]:
+        """Put ``fragments[d]`` to rank ``d``, into its slot of ``table``.
 
-        On a plan-supplied table ``fragments[d]`` may instead be a
-        callable: it is handed the reservation of this rank's whole slot
-        on ``d`` (:meth:`Window.reserve`) and produces the message there.
+        ``fragments[d]`` is arrays of any layout, put back to back, or a
+        callable: it is handed this rank's whole slot on ``d`` (``uint8``,
+        under :meth:`Window.reserve`), produces the message there and
+        returns how many bytes it wrote.
 
-        Returns ``(regions, riders)``: ``regions[s]`` is a *borrowed*
-        ``uint8`` view of the local window — the slot rank ``s`` put
-        into — valid until the next call or :meth:`free`; ``riders[r]``
-        is the ``rider`` rank ``r`` passed, or ``None`` when none was
-        given.
+        Returns ``regions``: ``regions[s]`` is a *borrowed* ``uint8`` view
+        of the local window — the slot rank ``s`` put into — valid until
+        the next call or :meth:`free`.
         """
         comm, rank = self.comm, self.comm.rank
         my_sizes = [
             0 if callable(frags) else sum(int(f.nbytes) for f in frags) for frags in fragments
         ]
-        riders = None
-        if self.slots is None:
-            # Counts exchange: both sides of an Alltoallv know the counts.
-            gathered = comm.allgather((my_sizes, rider))
-            table = SlotTable([g[0] for g in gathered])
-            if rider is not None:
-                riders = [g[1] for g in gathered]
+        if self.window is None:
             win, base = self._ensure_window(table.extent), 0
             with trace_span("fence", rank=rank, epoch="open"):
                 win.fence()  # "synchronization phase to make sure all processes are ready"
         else:
-            table, win, base = self.slots, self.window.win, self.window.advance()
-            if rider is not None:
-                riders = comm.allgather(rider)
+            win, base = self.window.win, self.window.advance()
         # where my bytes live in dest's window: after earlier sources'
         offsets, room = table.offset[rank].tolist(), table.capacity[rank].tolist()
         for dest in self._ring:
@@ -220,7 +208,7 @@ class OscTransport:
             if callable(frags):
                 with trace_span("put", rank=rank, peer=dest, chunk=0, intra=intra) as span:
                     with win.reserve(dest, offset, room[dest]) as slot:
-                        frags(slot)
+                        slot.written = frags(slot.view)
                     span.note(bytes=slot.written)
                 continue
             for chunk_idx, frag in enumerate(frags):
@@ -234,7 +222,7 @@ class OscTransport:
 
         local = win.local_view()
         starts, sizes = table.offset[:, rank].tolist(), table.capacity[:, rank].tolist()
-        return [local[base + at : base + at + n] for at, n in zip(starts, sizes)], riders
+        return [local[base + at : base + at + n] for at, n in zip(starts, sizes)]
 
 
 class OscAlltoallv(Exchange):
@@ -355,9 +343,17 @@ class OscAlltoallv(Exchange):
         if self.verify:
             chunks = [np.ascontiguousarray(c).view(np.uint8).reshape(-1) for c in chunks]
             crcs = [crc32(c) for c in chunks]
-        recv, riders = self.transport([(c,) for c in chunks], crcs)
+        table = self.transport.slots
+        if table is None:
+            # Counts exchange: both sides of an Alltoallv know the counts
+            # (and, in verify mode, the CRCs ride along).
+            gathered = comm.allgather(([int(c.nbytes) for c in chunks], crcs))
+            table, riders = SlotTable([g[0] for g in gathered]), [g[1] for g in gathered]
+        else:
+            riders = comm.allgather(crcs) if self.verify else None
+        recv = self.transport([(c,) for c in chunks], table)
 
-        if riders is not None:
+        if self.verify:
             crcs = [int(row[comm.rank]) for row in riders]  # crcs[s] = what s sent me
             failed = [s for s, blk in enumerate(recv) if blk.size and crc32(blk) != crcs[s]]
             for s in failed:

@@ -24,8 +24,11 @@ single rank serialises the node's NIC traffic.
 The payload bytes on the wire are *identical* to the flat exchange
 (same codec, same per-destination frames, same CRC-checked wire
 format), so the class reuses the whole encode/decode/recovery machinery
-of :class:`~repro.collectives.compressed.CompressedOscAlltoallv` and is
-validated byte-for-byte against it by the conformance oracles.  No
+of :class:`~repro.collectives.compressed.CompressedOscAlltoallv` — each
+destination's strided view is encoded into a byte region of its own,
+the regions are routed, and each arriving region is decoded straight
+into its box — and is validated byte-for-byte against it by the
+conformance oracles.  No
 routing headers are needed anywhere: every rank knows the full
 ``p × p`` size matrix from the counts allgather, so gather parts and
 scatter slices are located by walking that matrix in deterministic
@@ -38,12 +41,12 @@ flat one-sided ring.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.collectives.base import Exchange, ExchangeStats
-from repro.collectives.compressed import CompressedOscAlltoallv
+from repro.collectives.base import Boxes, ExchangeStats
+from repro.collectives.compressed import CompressedOscAlltoallv, _boxes, _kind
 from repro.faults import ResilienceReport
 from repro.telemetry.metrics import counter as metrics_counter
 from repro.telemetry.recorder import flight
@@ -60,6 +63,8 @@ _TL_GATHER = -8000
 _TL_INTER = -9000
 _TL_SCATTER = -10000
 
+_EMPTY = np.zeros(0, dtype=np.uint8)
+
 
 class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
     """Compressed all-to-all with node-level message aggregation.
@@ -71,10 +76,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
     """
 
     algorithm = "compressed-twolevel"
-
-    #: Aggregates are routed two-sided, never through a slot: a reshape
-    #: packs, calls and unpacks around this exchange.
-    move = Exchange.move
 
     # -- helpers ------------------------------------------------------------------
 
@@ -99,27 +100,14 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         live = tuple(topo.ranks_on_node(dst_node))
         return live[src_node % len(live)]
 
-    def _concat(self, parts: list[np.ndarray], total: int) -> np.ndarray:
-        """Concatenate uint8 parts into one (possibly pooled) buffer."""
-        if total == 0:
-            return np.zeros(0, dtype=np.uint8)
-        buf = np.empty(total, dtype=np.uint8) if self.pool is None else self.pool.acquire(total)
-        off = 0
-        for part in parts:
-            n = int(part.size)
-            if n:
-                buf[off : off + n] = part
-                off += n
-        return buf
-
     # -- the exchange --------------------------------------------------------------
 
-    def _exchange(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
+    def _exchange(self, send: Boxes, receive: Callable[[], Boxes] | None) -> Boxes:
         topo = self.topology
         if topo is None or topo.nnodes <= 1:
             # Nothing to aggregate across — the flat one-sided ring is
             # the same exchange with less plumbing.
-            return super()._exchange(send)
+            return super()._exchange(send, receive)
         if not getattr(topo, "uniform", True):
             # Survivor topology: some nodes lost ranks.  A node with no
             # live rank cannot host a leader at either end, and with at
@@ -139,7 +127,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 metrics_counter(
                     "repro_exchange_degraded_total", reason="empty_node"
                 ).inc()
-                return super()._exchange(send)
+                return super()._exchange(send, receive)
             demoted = [
                 m for m in range(topo.nnodes) if live_counts[m] < topo.ranks_per_node
             ]
@@ -153,30 +141,29 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                     detail=f"nodes {demoted}"[:40],
                 )
                 metrics_counter("repro_leader_failovers_total").inc()
+        self._check_send(send)
         comm, p = self.comm, self.comm.size
         me = comm.rank
         my_node = topo.node_of(me)
         stats = ExchangeStats()
         report = ResilienceReport(rank=me)
 
-        # Encode per destination exactly as the flat exchange does; each
-        # destination's frames are concatenated into one contiguous blob
-        # (the unit the gather/scatter stages route around).
-        arrays, frames = self._encode_all(send, report, stats)
-        blobs: list[np.ndarray] = []
-        for dest_frames in frames:
-            if len(dest_frames) == 1:
-                blobs.append(dest_frames[0])
-                continue
-            blobs.append(self._concat(dest_frames, int(sum(f.size for f in dest_frames))))
-            if self.pool is not None:
-                for frame in dest_frames:
-                    self.pool.release(frame)
-        blob_sizes = [int(b.size) for b in blobs]
+        # Encode per destination exactly as the flat exchange does, into a
+        # region of the destination's own: the unit the gather/scatter
+        # stages route around.
+        blobs = [
+            self._encode_private(view, d, None, report, stats)
+            if view is not None and view.size
+            else _EMPTY
+            for d, view in enumerate(send)
+        ]
 
         # Counts exchange: the p x p size matrix locates every gather
-        # part and scatter slice — no routing headers on the wire.
-        all_sizes = np.array(comm.allgather(blob_sizes), dtype=np.int64)
+        # part and scatter slice — no routing headers on the wire.  A
+        # one-shot call's (dtype, shape) announcements ride along.
+        kinds = [_kind(view) for view in send] if receive is None else None
+        gathered = comm.allgather(([int(b.size) for b in blobs], kinds))
+        all_sizes = np.array([g[0] for g in gathered], dtype=np.int64)
 
         # Stage 0: same-node destinations go direct (sends are eager).
         for dest in topo.ranks_on_node(my_node):
@@ -194,8 +181,8 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             if m == my_node:
                 continue
             dests = topo.ranks_on_node(m)
-            total = int(sum(blobs[d].size for d in dests))
-            part = self._concat([blobs[d] for d in dests], total)
+            part = np.concatenate([blobs[d] for d in dests])
+            total = int(part.size)
             leader = self._send_leader(my_node, m)
             if leader == me:
                 gathered_parts[m] = part
@@ -205,15 +192,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                     intra=True, stage="gather",
                 ):
                     comm.send(part, leader, tag=_TL_GATHER - m)
-            if self.pool is not None and leader != me:
-                self.pool.release(part)
-
-        # The per-destination blobs are consumed (sends are buffered
-        # copies) except the self block, which is decoded later.
-        if self.pool is not None:
-            for dest in range(p):
-                if dest != me:
-                    self.pool.release(blobs[dest])
 
         # Stage 2: inter-node — where I lead, collect my node's parts in
         # local-rank order and send ONE aggregate per peer node.
@@ -230,7 +208,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                     parts.append(np.ascontiguousarray(comm.recv(r, tag=_TL_GATHER - m), dtype=np.uint8))
             total = int(all_sizes[np.ix_(list(topo.ranks_on_node(my_node)), list(dests))].sum())
             if total:
-                aggregate = self._concat(parts, total)
+                aggregate = np.concatenate(parts)
                 peer = self._recv_leader(my_node, m)
                 with trace_span(
                     "sendrecv", rank=me, peer=peer, bytes=total,
@@ -238,11 +216,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 ):
                     comm.send(aggregate, peer, tag=_TL_INTER - my_node)
                 trace_incr("internode_messages", 1, rank=me)
-                if self.pool is not None:
-                    self.pool.release(aggregate)
-            if self.pool is not None:
-                for part in parts:
-                    self.pool.release(part)
 
         # Stage 3: scatter — where I receive a node's aggregate, slice it
         # along the size matrix and forward each block to its rank.
@@ -273,12 +246,13 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                             comm.send(block, d, tag=_TL_SCATTER - r)
 
         # Stage 4: collect my per-source regions; the flat exchange's
-        # CRC-checked decode and its topology-agnostic recovery (two-sided
-        # retransmissions under allgather-agreed failure sets) take over.
+        # CRC-checked decode into the boxes and its topology-agnostic
+        # recovery (two-sided retransmissions under allgather-agreed
+        # failure sets) take over.
         regions: list[np.ndarray] = []
         for s in range(p):
             if int(all_sizes[s, me]) == 0:
-                region = np.zeros(0, dtype=np.uint8)
+                region = _EMPTY
             elif s == me:
                 region = blobs[me]
             elif topo.same_node(s, me):
@@ -289,7 +263,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 leader = self._recv_leader(topo.node_of(s), my_node)
                 region = np.ascontiguousarray(comm.recv(leader, tag=_TL_SCATTER - s), dtype=np.uint8)
             regions.append(region)
-        recv = self._settle(arrays, regions, report, stats)
-        if self.pool is not None:
-            self.pool.release(blobs[me])
-        return recv
+        out = _boxes([g[1][me] for g in gathered]) if receive is None else receive()
+        self._settle(send, regions, report, stats, out)
+        return out

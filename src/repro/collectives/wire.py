@@ -219,19 +219,12 @@ def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | No
     return region[:total]
 
 
-def encode_wire(msg: CompressedMessage, *, pool=None) -> np.ndarray:
-    """Flatten a compressed message into a contiguous uint8 frame.
-
-    ``pool`` (any object with a ``BufferPool``-style ``acquire``) stages
-    the frame in a reusable buffer instead of allocating — the one-shot
-    exchange releases frames back once their puts have completed.
-    """
+def encode_wire(msg: CompressedMessage) -> np.ndarray:
+    """Flatten a compressed message into a contiguous uint8 frame of its own."""
     meta = pack_meta(msg.codec_name, msg.dtype_name, msg.shape, msg.header)
-    total = _HDR_BYTES + len(meta) + msg.payload.size
-    frame = np.empty(total, dtype=np.uint8) if pool is None else pool.acquire(total)
+    frame = np.empty(_HDR_BYTES + len(meta) + msg.payload.size, dtype=np.uint8)
     begin(frame, meta)[...] = msg.payload
-    seal(frame, len(meta), msg.payload.size)
-    return frame
+    return seal(frame, len(meta), msg.payload.size)
 
 
 # -- decode ---------------------------------------------------------------------

@@ -405,7 +405,6 @@ class Fft3d(StagedTransform):
         self, bound: BoundReshape, block: np.ndarray, stats: FftStats, pool: BufferPool | None
     ) -> np.ndarray:
         """One bound reshape of an SPMD transform (the first half of a stage)."""
-        bound.exchange.pool = pool  # per-call, per-rank staging state
         rstats = ExchangeStats()
         block = bound(block, stats=rstats, pool=pool)
         stats.reshapes.append(rstats)
@@ -447,7 +446,8 @@ class Fft3d(StagedTransform):
         plan object is shared across rank threads, so ``last_stats``
         only reliably reflects the *last* rank to finish.  ``pool`` is
         per-rank staging-buffer state (one :class:`BufferPool` per rank
-        thread) eliminating steady-state exchange allocations.
+        thread) for the pack scratch of the two-sided methods; the
+        window exchanges of a bound plan stage nothing.
 
         The first call on a communicator is collective beyond the data
         (it binds the plan: see :meth:`_bind`); ranks must agree on

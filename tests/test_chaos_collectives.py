@@ -12,11 +12,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, OscAlltoallv, make_exchange
+from repro.collectives import (
+    CompressedOscAlltoallv,
+    OscAlltoallv,
+    TwoLevelCompressedAlltoallv,
+    make_exchange,
+)
 from repro.compression import CastCodec, IdentityCodec, ShuffleZlibCodec
 from repro.errors import CommunicatorError, ReproError, RetryExhaustedError
 from repro.faults import FaultPlan, FaultRule, RetryPolicy
 from repro.fft import ReshapePlan, brick_decomposition, pencil_decomposition
+from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
+from repro.machine.topology import Topology
 from repro.collectives.base import ExchangeStats
 from repro.runtime import ThreadWorld, run_spmd
 
@@ -468,3 +475,108 @@ class TestNoFaultPlanIsNoOp:
             for r in range(P):
                 for s in range(P):
                     assert np.array_equal(results[r][s], ref[r][s])
+
+
+# -- one-shot exchanges: encoded into a region, decoded into a box ------------------
+
+
+def _blocks(rank: int, size: int) -> list[np.ndarray]:
+    """2-D complex blocks, unique per (source, dest), cut three ways at chunks=3."""
+    rng = np.random.default_rng(300 + rank)
+    shapes = [(3 + (rank + d) % 3, 5) for d in range(size)]
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+
+
+class _RoutedBitflip(TwoLevelCompressedAlltoallv):
+    """Two-level exchange whose routed regions pass the injector's put hook
+    (``corrupt_put``) as they leave their sender: a plan's ``bitflip``
+    rule, which otherwise hits one-sided puts only, reaches them too."""
+
+    def _encode_private(self, view, dest, codec, report, stats):
+        region = super()._encode_private(view, dest, codec, report, stats)
+        injector, flipped = self._injector(), None
+        if injector is not None and codec is None:  # not on retransmissions
+            flipped = injector.corrupt_put(self.comm.rank, dest, region)
+        return region if flipped is None else flipped
+
+
+class _MiscutFirstSend(CompressedOscAlltoallv):
+    """Rank 0's first transmission to rank 1 is cut into ``frames`` frames,
+    whatever ``pipeline_chunks`` says: its region no longer matches the
+    cut of the receiver's box."""
+
+    frames = 1
+
+    def _encode_block(self, view, dest, codec, report, stats, region):
+        if codec is not None or (self.comm.rank, dest) != (0, 1):
+            return super()._encode_block(view, dest, codec, report, stats, region)
+        chunks, self.pipeline_chunks = self.pipeline_chunks, self.frames
+        try:
+            return super()._encode_block(view, dest, codec, report, stats, region)
+        finally:
+            self.pipeline_chunks = chunks
+
+
+class TestOneShotUnderFaults:
+    """One-shot flat and two-level exchanges of 2-D blocks at
+    ``pipeline_chunks=3``: a corrupted region is retransmitted from the
+    still-live send view and decoded into the same box, over the partial
+    decode — identical to a clean run, or exact after a step down the
+    ladder."""
+
+    TOPOLOGY = Topology(
+        MachineSpec(name="chaos", gpus_per_node=2, gpu=GpuSpec(), network=NetworkSpec()), P
+    )
+
+    def _run(self, cls, faults=None, retry_policy=None):
+        world = ThreadWorld(P, faults=faults, timeout=30.0)
+
+        def kernel(comm):
+            op = cls(comm, CastCodec("fp32"), topology=self.TOPOLOGY, pipeline_chunks=3,
+                     retry_policy=retry_policy or _fast_retry())
+            try:
+                recv = op(_blocks(comm.rank, comm.size))
+            finally:
+                op.free()
+            return recv, op.last_report
+
+        return world, world.run(kernel)
+
+    @pytest.mark.parametrize("cls", [CompressedOscAlltoallv, _RoutedBitflip], ids=["flat", "two-level"])
+    def test_bitflip_is_retransmitted_into_the_box(self, cls):
+        _, clean = self._run(cls)
+        flip = FaultPlan([FaultRule("bitflip", rank=0, peer=3)], seed=5)
+        world, results = self._run(cls, faults=flip)
+        assert world.injector.injected("bitflip") == 1
+        for r in range(P):
+            recv, report = results[r]
+            assert [b.shape for b in recv] == [b.shape for b in clean[r][0]]
+            assert all(np.array_equal(a, b) for a, b in zip(recv, clean[r][0]))
+        victim = results[3][1]
+        assert victim.integrity_failures == 1 and victim.recovered == 1
+        assert results[0][1].retransmissions == 1
+        assert all(results[r][1].clean for r in (1, 2))
+
+    @pytest.mark.parametrize("cls", [CompressedOscAlltoallv, _RoutedBitflip], ids=["flat", "two-level"])
+    def test_bitflip_without_retries_steps_down_to_lossless(self, cls):
+        _, clean = self._run(cls)
+        flip = FaultPlan([FaultRule("bitflip", rank=0, peer=3)], seed=5)
+        _, results = self._run(cls, faults=flip, retry_policy=RetryPolicy.disabled())
+        recv, report = results[3]
+        assert np.array_equal(recv[0], _blocks(0, P)[3])  # exact: the lossless fallback
+        assert recv[0] == pytest.approx(clean[3][0][0], rel=1e-6)  # within the fp32 bound
+        assert all(np.array_equal(recv[s], clean[3][0][s]) for s in range(1, P))
+        assert report.of_kind("recovered")[0].codec == ShuffleZlibCodec(level=1).name
+
+    @pytest.mark.parametrize("frames", [1, 5])
+    def test_a_miscut_region_goes_into_recovery(self, frames):
+        """More or fewer frames than the box's cut: a CompressionError the
+        recovery catches — never an IndexError out of the decode walk."""
+        _, clean = self._run(CompressedOscAlltoallv)
+        miscut = type("Miscut", (_MiscutFirstSend,), {"frames": frames})
+        _, results = self._run(miscut, faults=FaultPlan())
+        for r in range(P):
+            assert all(np.array_equal(a, b) for a, b in zip(results[r][0], clean[r][0]))
+        failures = results[1][1].of_kind("integrity-failure")
+        assert len(failures) == 1 and "corrupt metadata" in failures[0].detail
+        assert results[1][1].recovered == 1

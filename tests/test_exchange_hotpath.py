@@ -1,9 +1,14 @@
 """Hot-path regressions: empty regions, single-parse frames, self-copy aliasing,
-verification folded into the encode pass."""
+verification folded into the encode pass, one encode and one decode per
+fragment on every compressed path."""
 
+import collections
+import dataclasses
+import hashlib
 import threading
 
 import numpy as np
+import pytest
 
 from repro.collectives import CompressedOscAlltoallv
 from repro.collectives.pairwise import pairwise_alltoallv
@@ -21,18 +26,24 @@ from repro.utils import no_alias_copy
 
 class TestDecodeRegionEmpty:
     def test_empty_region_decodes_to_empty_fp64(self):
-        """Regression: np.concatenate([]) used to raise ValueError."""
+        """An empty region (a peer had nothing for this rank) reads no frame
+        and leaves its empty FP64 box as it is.  Regression: decoding one
+        used to np.concatenate([]), which raises ValueError."""
+        from repro.collectives.base import ExchangeStats
+        from repro.faults import ResilienceReport
 
         def kernel(comm):
             op = CompressedOscAlltoallv(comm, IdentityCodec())
             try:
-                out = op._decode_region(np.zeros(0, dtype=np.uint8))
-                return out.size, str(out.dtype)
+                box = np.zeros(0)
+                region = np.zeros(0, dtype=np.uint8)
+                op._settle([None], [region], ResilienceReport(rank=0), ExchangeStats(), [box])
+                return box.size, str(box.dtype), op.last_report.clean
             finally:
                 op.free()
 
-        [(size, dtype)] = ThreadWorld(1).run(kernel)
-        assert size == 0 and dtype == "float64"
+        [(size, dtype, clean)] = ThreadWorld(1).run(kernel)
+        assert size == 0 and dtype == "float64" and clean
 
     def test_all_empty_exchange(self):
         p = 3
@@ -171,28 +182,25 @@ class TestSelfBlockAliasing:
 
 
 class _CountingTrim(MantissaTrimCodec):
-    """``trim_m35`` that counts its calls (shared by the rank threads)."""
+    """``trim_m35`` that counts its kernel calls (shared by the rank threads):
+    encodes with and without measurement, and decodes."""
 
     def __init__(self):
         super().__init__(35)
-        self.calls = {"compress": 0, "compress_measured": 0, "decompress": 0}
+        self.calls = {"encode": 0, "encode_measured": 0, "decode": 0}
         self._lock = threading.Lock()
 
     def _count(self, name):
         with self._lock:
             self.calls[name] += 1
 
-    def compress(self, data):
-        self._count("compress")
-        return super().compress(data)
+    def encode_into(self, values, payload, measure=False):
+        self._count("encode_measured" if measure else "encode")
+        return super().encode_into(values, payload, measure)
 
-    def compress_measured(self, data):
-        self._count("compress_measured")
-        return super().compress_measured(data)
-
-    def decompress(self, msg):
-        self._count("decompress")
-        return super().decompress(msg)
+    def decode_into(self, payload, header, out):
+        self._count("decode")
+        return super().decode_into(payload, header, out)
 
 
 class TestVerificationInTheEncodePass:
@@ -219,10 +227,9 @@ class TestVerificationInTheEncodePass:
     def _check_no_sender_side_decompress(self, make_op):
         codec, send, results = self._run(make_op, 1e-10)
         messages = self.P * self.P
-        # every message is decoded once, by its receiver, and by nobody else
-        assert codec.calls == {
-            "compress": 0, "compress_measured": messages, "decompress": messages,
-        }
+        # every message is encoded once, measuring, and decoded once, by
+        # its receiver, and by nobody else
+        assert codec.calls == {"encode": 0, "encode_measured": messages, "decode": messages}
         for rank, (recv, stats, report) in enumerate(results):
             assert report.clean and stats.error_measured
             worst = 0.0
@@ -257,8 +264,8 @@ class TestVerificationInTheEncodePass:
         )
         # each message: measured once, found wanting, re-sent lossless — the
         # trim codec itself never decodes anything
-        assert codec.calls["compress_measured"] == self.P * self.P
-        assert codec.calls["decompress"] == 0
+        assert codec.calls["encode_measured"] == self.P * self.P
+        assert codec.calls["decode"] == 0
         for rank, (recv, stats, report) in enumerate(results):
             assert report.count("tolerance-exceeded") == self.P
             assert report.degradations == self.P
@@ -270,44 +277,60 @@ class TestVerificationInTheEncodePass:
         codec, _send, results = self._run(
             lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol), None
         )
-        assert codec.calls["compress_measured"] == 0
-        assert codec.calls["compress"] == codec.calls["decompress"] == self.P * self.P
+        assert codec.calls["encode_measured"] == 0
+        assert codec.calls["encode"] == codec.calls["decode"] == self.P * self.P
         assert not any(stats.error_measured for _recv, stats, _report in results)
 
     def test_default_measurement_round_trips_on_the_sender(self):
-        """A codec without an override pays the round trip, as before;
-        the cast codec, which measures in its encode pass, no longer does."""
-        from repro.compression.base import Codec
+        """A lossy codec with no ``encode_into`` of its own (zfp-like) pays
+        the round trip on the sender — the default measures by compress ->
+        decompress — on top of the receiver's decode; the cast codec, which
+        measures in its encode pass, decodes nothing on the sender."""
+        from repro.compression import ZfpLikeCodec
 
-        calls = {"decompress": 0}
+        calls = collections.Counter()
         lock = threading.Lock()
+
+        def count(name):
+            with lock:
+                calls[name] += 1
+
+        class CountingZfp(ZfpLikeCodec):
+            def decompress(self, msg):
+                count("zfp decompress")
+                return super().decompress(msg)
 
         class CountingCast(CastCodec):
             def decompress(self, msg):
-                with lock:
-                    calls["decompress"] += 1
+                count("cast decompress")
                 return super().decompress(msg)
 
-        class WithoutOverride(CountingCast):
-            compress_measured = Codec.compress_measured
+            def decode_into(self, payload, header, out):
+                count("cast decode_into")
+                return super().decode_into(payload, header, out)
 
         def run(codec):
             def kernel(comm):
+                rng = np.random.default_rng(comm.rank)
                 op = CompressedOscAlltoallv(comm, codec, e_tol=1e-3)
                 try:
-                    op([np.ones(8) * (d + 1.1) for d in range(comm.size)])
-                    return op.last_stats.achieved_error
+                    op([rng.standard_normal(64) for _ in range(comm.size)])
+                    return op.last_stats.achieved_error, op.last_report.clean
                 finally:
                     op.free()
 
-            calls["decompress"] = 0
+            calls.clear()
             return ThreadWorld(2).run(kernel)
 
-        errors = run(WithoutOverride("fp32"))
-        assert calls["decompress"] == 2 * (2 * 2)  # sender verify + receiver decode
-        assert all(0.0 < e < 1e-7 for e in errors)
-        assert run(CountingCast("fp32")) == errors  # the same numbers ...
-        assert calls["decompress"] == 2 * 2  # ... from the receiver's decode alone
+        messages = 2 * 2
+        assert "encode_into" not in vars(ZfpLikeCodec)
+        for error, clean in run(CountingZfp(tolerance=1e-6)):
+            assert clean and 0.0 < error < 1e-3
+        # sender verify + receiver decode (the default decode_into decompresses)
+        assert calls == {"zfp decompress": 2 * messages}
+        for error, clean in run(CountingCast("fp32")):
+            assert clean and 0.0 < error < 1e-7
+        assert calls == {"cast decode_into": messages}  # the receivers' alone
 
 
 class TestBoundLossyExchangeTouchesEachCellOncePerSide:
@@ -325,7 +348,7 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
         import collections
 
         import repro.collectives.base as base_mod
-        import repro.collectives.compressed as compressed_mod
+        import repro.collectives.wire as wire_mod
         from repro.collectives.base import ExchangeStats
         from repro.compression.base import FixedWidthCodec
         from repro.fft import Fft3d
@@ -343,7 +366,7 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
             (ReshapeStage, "pack"), (base_mod, "pack"), (base_mod, "unpack"),
             (FixedWidthCodec, "compress"), (FixedWidthCodec, "compress_measured"),
             (FixedWidthCodec, "decompress"),
-            (compressed_mod, "encode_wire"), (compressed_mod, "decode_wire"),
+            (wire_mod, "encode_wire"), (wire_mod, "decode_wire"),
             (BufferPool, "acquire"), (kernels, "encode_into"), (kernels, "decode_into"),
         ]:
             def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
@@ -423,3 +446,134 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
 
     def test_e_tol_trim_on_forked_ranks(self, monkeypatch):
         self._check(monkeypatch, "proc", e_tol=1e-10)
+
+
+def _digest(recv, stats, report) -> str:
+    """One rank's result of an exchange call as one hash: the decoded
+    blocks (dtype, shape, bytes), every ``ExchangeStats`` field and the
+    report's events."""
+    h = hashlib.sha256()
+    for block in recv:
+        block = np.asarray(block)
+        h.update(f"{block.dtype}{block.shape}".encode())
+        h.update(np.ascontiguousarray(block).tobytes())
+    fields = [getattr(stats, f.name) for f in dataclasses.fields(stats) if f.name != "reports"]
+    h.update(repr(fields).encode())
+    h.update(repr([(e.kind, e.peer, e.attempt, e.codec, e.detail) for e in report.events]).encode())
+    return h.hexdigest()
+
+
+class TestOneShotExchangesTouchEachCellOncePerSide:
+    """A one-shot call (``op(send)``) is a move into boxes the exchange
+    allocates from one announcement allgather: every fragment is one
+    ``encode_into`` straight into the destination's slot (flat) or a
+    region of its own (two-level), and one ``decode_into`` straight into
+    its box — no allocating codec call, no frame copy, nothing from the
+    pool — and it delivers what the staged exchange it replaced
+    delivered (digests of outputs, stats and reports pinned from it)."""
+
+    P = 4
+    CODECS = {"fp32": (CastCodec("fp32"), None), "trim": (MantissaTrimCodec(35), 1e-10)}
+    #: ``(codec, pipeline_chunks, send rank)`` -> sha256 of the per-rank
+    #: digests, as the staged exchange produced them — on either runtime,
+    #: and for the flat and the two-level exchange alike.
+    PINNED = {
+        ("fp32", 1, 1): "b5d9b9444b62caa5", ("fp32", 1, 2): "8ef3de0f9258e21f",
+        ("fp32", 3, 1): "7f878de9814e64f1", ("fp32", 3, 2): "021830fa28401cf8",
+        ("trim", 1, 1): "520a6d2c094981f5", ("trim", 1, 2): "a9bfcbebb7cfc373",
+        ("trim", 3, 1): "ba1fd56de8c31aa0", ("trim", 3, 2): "4dbecb81ea639594",
+    }
+
+    def _send(self, rank, ndim):
+        rng = np.random.default_rng(40 + rank)
+        send = []
+        for d in range(self.P):
+            shape = (7 + 2 * d + rank,) if ndim == 1 else (3 + d + rank % 2, 5)
+            block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            send.append(None if d == (rank + 1) % self.P else block)
+        return send
+
+    def _run(self, monkeypatch, runtime, variant, codec_name, chunks, ndim):
+        import repro.collectives.compressed as compressed_mod
+        import repro.collectives.wire as wire_mod
+        from repro.collectives import make_exchange
+        from repro.compression.base import FixedWidthCodec
+        from repro.runtime import make_world
+        from repro.tuning.pool import BufferPool
+
+        codec, e_tol = self.CODECS[codec_name]
+        kernels = type(codec)
+        assert "encode_into" in vars(kernels) and "decode_into" in vars(kernels)
+        counts, lock = collections.Counter(), threading.Lock()
+        for owner, name in [
+            (FixedWidthCodec, "compress"), (FixedWidthCodec, "compress_measured"),
+            (FixedWidthCodec, "decompress"), (BufferPool, "acquire"),
+            (wire_mod, "encode_wire"), (wire_mod, "decode_wire"),
+            # where the staged path looked the frame calls up; gone with it
+            (compressed_mod, "encode_wire"), (compressed_mod, "decode_wire"),
+            (kernels, "encode_into"), (kernels, "decode_into"),
+        ]:
+            def counted(*args, _original=getattr(owner, name, None), _key=name, **kwargs):
+                with lock:
+                    counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted, raising=False)
+
+        topology = None
+        if variant == "two-level":
+            spec = MachineSpec(name="hotpath", gpus_per_node=2, gpu=GpuSpec(), network=NetworkSpec())
+            topology = Topology(spec, self.P)
+
+        def kernel(comm):
+            op = make_exchange(comm, codec=codec, variant=variant, topology=topology, e_tol=e_tol,
+                               pipeline_chunks=chunks, pool=BufferPool())
+            send = self._send(comm.rank, ndim)
+            try:
+                comm.barrier()
+                before = dict(counts)
+                comm.barrier()
+                recv = op(send)
+                comm.barrier()
+                delta = {k: counts[k] - before.get(k, 0) for k in counts}
+                comm.barrier()
+            finally:
+                op.free()
+            return delta, _digest(recv, op.last_stats, op.last_report)
+
+        return make_world(runtime, self.P, timeout=60.0).run(kernel)
+
+    def _fragments(self, chunks, ndim, source=None, dest=None):
+        """Fragments sent from ``source`` to ``dest`` (``None``: every rank)."""
+        total = 0
+        for s in range(self.P) if source is None else [source]:
+            for d, block in enumerate(self._send(s, ndim)):
+                if block is not None and dest in (None, d):
+                    total += min(chunks, len(block))
+        return total
+
+    def _check(self, monkeypatch, runtime, variant, codec_name, chunks, ndim):
+        results = self._run(monkeypatch, runtime, variant, codec_name, chunks, ndim)
+        for rank, (delta, _digest_) in enumerate(results):
+            if runtime == "thread":  # one shared counter saw every rank
+                sent = received = self._fragments(chunks, ndim)
+            else:
+                sent = self._fragments(chunks, ndim, source=rank)
+                received = self._fragments(chunks, ndim, dest=rank)
+            assert (delta.pop("encode_into"), delta.pop("decode_into")) == (sent, received)
+            assert not any(delta.values()), f"rank {rank} staged something: {delta}"
+        combined = hashlib.sha256("".join(d for _, d in results).encode()).hexdigest()[:16]
+        assert combined == self.PINNED[codec_name, chunks, ndim]
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("codec_name", ["fp32", "trim"])
+    @pytest.mark.parametrize("variant", ["flat", "two-level"])
+    def test_on_rank_threads(self, monkeypatch, variant, codec_name, chunks, ndim):
+        self._check(monkeypatch, "thread", variant, codec_name, chunks, ndim)
+
+    @pytest.mark.parametrize("ndim", [1, 2])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("codec_name", ["fp32", "trim"])
+    def test_flat_on_forked_ranks(self, monkeypatch, codec_name, chunks, ndim):
+        self._check(monkeypatch, "proc", "flat", codec_name, chunks, ndim)

@@ -595,9 +595,9 @@ class TestInPlaceExchangeUnderFaults:
 
     @pytest.mark.parametrize("chunks", [2, 3, 5])
     def test_pipeline_chunks_cut_leading_axis_slabs(self, chunks):
-        """``frames[s, d]`` frames per slot; element-wise codecs give the
-        bits of the unchunked exchange, per-fragment-state codecs stay
-        within their bound."""
+        """As many frames per slot as the receiver cuts its box into;
+        element-wise codecs give the bits of the unchunked exchange,
+        per-fragment-state codecs stay within their bound."""
         from repro.compression import ZfpLikeCodec
 
         for codec, exact in [(CastCodec("fp32"), True), (MantissaTrimCodec(35), True),

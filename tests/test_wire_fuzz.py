@@ -113,8 +113,9 @@ class TestInconsistentMetadata:
         assert out.size * (2 if dtype_name == "complex128" else 1) == 12
 
     def test_exchange_reports_an_integrity_failure(self, rng):
-        """The forged block reaches ``_settle``'s recovery as a failed
-        block instead of escaping it as a bare ValueError."""
+        """The forged block — its metadata does not describe the box it is
+        to fill — reaches ``_settle``'s recovery as a failed block instead
+        of escaping it as a bare ValueError."""
         from repro.collectives import CompressedOscAlltoallv
         from repro.collectives.base import ExchangeStats
         from repro.errors import WireIntegrityError
@@ -130,7 +131,7 @@ class TestInconsistentMetadata:
             report = ResilienceReport(rank=0)
             try:
                 with pytest.raises(WireIntegrityError, match="no fault plan active"):
-                    op._settle([None], [forged], report, ExchangeStats())
+                    op._settle([None], [forged], report, ExchangeStats(), [np.empty(10)])
             finally:
                 op.free()
             return report
@@ -161,11 +162,17 @@ class TestChecksumsInPlace:
         assert encode_wire(msg).tobytes() == header + meta + payload
 
     def test_pooled_frame_is_byte_identical(self, rng):
-        from repro.tuning.pool import BufferPool
+        """A slot is reused epoch after epoch: a frame sealed over what an
+        older epoch left in it is byte for byte ``encode_wire``'s."""
+        from repro.collectives.wire import seal, stage
+        from repro.compression import ShuffleZlibCodec
 
-        msg = CastCodec("fp32").compress(rng.standard_normal(257))
-        pool = BufferPool()
-        assert np.array_equal(encode_wire(msg, pool=pool), encode_wire(msg))
+        older = encode_wire(MantissaTrimCodec(35).compress(rng.standard_normal(400)))
+        x = rng.standard_normal(257)
+        for codec in (CastCodec("fp32"), ShuffleZlibCodec(level=1)):
+            slot = older.copy()  # still holding the older epoch's frame
+            frame = seal(slot, *stage(slot, codec, x)[:2])
+            assert frame.tobytes() == encode_wire(codec.compress(x)).tobytes(), codec.name
 
     @pytest.mark.parametrize("as_type", [bytes, bytearray, memoryview, np.asarray])
     def test_decodes_any_contiguous_buffer(self, rng, as_type):
