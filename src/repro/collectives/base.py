@@ -174,8 +174,10 @@ class Exchange:
         """Exchange between strided views: ``send[d]`` (a box of this
         rank's block, only read) goes to rank ``d``, and what rank ``s``
         sent fills ``receive()[s]`` (a box of the caller's new block);
-        ``None`` = nothing that way.  ``receive`` is called once, when the
-        data has arrived.  What a reshape calls.
+        ``None`` = nothing that way.  ``receive`` is called once, before
+        the first box is written: once the data has arrived, or — a
+        lossy window exchange, which decodes the self block at step 0 of
+        its ring — before the first put.  What a reshape calls.
 
         Here: pack each view (scratch from ``pool`` when given), exchange
         the chunks, unpack — an exchange that can carry a strided view as

@@ -17,7 +17,10 @@ destination's window slot — or, for a message that is routed
 read from into it (:meth:`Codec.encode_into`, the wire frame sealed
 where it lies); every received frame is checked where it lies and
 decoded straight into the strided box it fills
-(:meth:`Codec.decode_into`).  A plan-bound exchange is handed its views
+(:meth:`Codec.decode_into`).  The self block never crosses a wire: it
+takes the same ladder into a scratch and is decoded into its box at
+once, unframed and unchecksummed, and counted as any message.  A
+plan-bound exchange is handed its views
 and boxes by the reshape; a one-shot call (``op(send)``) announces each
 message's dtype and shape in one allgather — both sides of an
 Alltoallv know counts and types — and allocates its boxes itself.
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats
 from repro.collectives.osc import OscTransport, SlotTable
-from repro.collectives.wire import open_frame, seal, stage
+from repro.collectives.wire import open_frame, payload_of, seal, stage
 from repro.compression.base import Codec, IdentityCodec, as_float64_view
 from repro.compression.lossless import ShuffleZlibCodec
 from repro.errors import (
@@ -313,6 +316,60 @@ class CompressedOscAlltoallv(Exchange):
                 continue
             return result, achieved
 
+    def _encode_fragment(
+        self,
+        frag: np.ndarray,
+        chunk_idx: int,
+        dest: int,
+        codec: Codec | None,
+        report: ResilienceReport,
+        stats: ExchangeStats | None,
+        room: np.ndarray,
+        finish: Callable[[np.ndarray, int, int], np.ndarray | None],
+    ) -> tuple[np.ndarray, Codec, dict]:
+        """Stage one fragment at the head of ``room`` and ``finish`` it
+        (:func:`seal` it, or take its :func:`payload_of`); returns the
+        finished bytes with the codec and header that produced them.
+
+        ``codec=None`` uses the resilient primary path (transient-fault
+        retries + e_tol check); recovery rounds pass an explicit ladder
+        codec instead.  A fragment that outgrows ``room`` is never
+        truncated: it steps down to raw FP64, which the room was sized for.
+        """
+        n_values = frag.size * frag.itemsize // 8
+
+        def encode(c: Codec, measure: bool) -> tuple[Any, float | None]:
+            """((codec, modelled wire bytes, header, what finishes it), achieved error)"""
+            meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
+            return (c, nbytes + 8 * len(header), header, partial(finish, room, meta_len, nbytes)), achieved
+
+        with trace_span(
+            "compress",
+            rank=self.comm.rank,
+            peer=dest,
+            bytes=int(frag.nbytes),
+            codec=(codec or self.codec).name,
+            chunk=chunk_idx,
+        ):
+            if codec is None:
+                (used, wire, header, done), achieved = self._compress_fragment(dest, report, encode)
+            else:
+                (used, wire, header, done), achieved = encode(codec, False)[0], None
+        out = done()
+        if out is None:
+            report.record("degrade", peer=dest, codec=self._raw.name,
+                          detail=f"{used.name} -> {self._raw.name} (the frame exceeds its slot)")
+            (used, wire, header, done), _ = encode(self._raw, False)
+            out, achieved = done(), (None if self.e_tol is None else 0.0)
+        if stats is not None:
+            stats.messages += 1
+            stats.logical_bytes += 8 * n_values
+            stats.wire_bytes += wire
+            if achieved is not None:
+                stats.achieved_error = max(stats.achieved_error, achieved)
+                stats.error_measured = True
+        return out, used, header
+
     def _encode_block(
         self,
         view: np.ndarray,
@@ -327,49 +384,33 @@ class CompressedOscAlltoallv(Exchange):
         array — and return how many bytes they take.
 
         ``view`` may be any strided view; it is only read, and ``region``
-        *is* the paper's staging buffer.  ``codec=None`` uses the
-        resilient primary path (transient-fault retries + e_tol check);
-        recovery rounds pass an explicit ladder codec instead.
+        *is* the paper's staging buffer.
         """
         written = 0
         for chunk_idx, frag in enumerate(self._split(view)):
-            n_values = frag.size * frag.itemsize // 8
-            room = region[written : written + self._frame_capacity(n_values)]
-
-            def encode(c: Codec, measure: bool) -> tuple[Any, float | None]:
-                """((codec, modelled wire bytes, what seals the frame), achieved error)"""
-                meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
-                return (c, nbytes + 8 * len(header), partial(seal, room, meta_len, nbytes)), achieved
-
-            with trace_span(
-                "compress",
-                rank=self.comm.rank,
-                peer=dest,
-                bytes=int(frag.nbytes),
-                codec=(codec or self.codec).name,
-                chunk=chunk_idx,
-            ):
-                if codec is None:
-                    (used, wire, finish), achieved = self._compress_fragment(dest, report, encode)
-                else:
-                    (used, wire, finish), achieved = encode(codec, False)[0], None
-            frame = finish()
-            if frame is None:
-                # A frame that does not fit its room is never truncated:
-                # it steps down to raw FP64, which the room was sized for.
-                report.record("degrade", peer=dest, codec=self._raw.name,
-                              detail=f"{used.name} -> {self._raw.name} (the frame exceeds its slot)")
-                (used, wire, finish), _ = encode(self._raw, False)
-                frame, achieved = finish(), (None if self.e_tol is None else 0.0)
-            if stats is not None:
-                stats.messages += 1
-                stats.logical_bytes += 8 * n_values
-                stats.wire_bytes += wire
-                if achieved is not None:
-                    stats.achieved_error = max(stats.achieved_error, achieved)
-                    stats.error_measured = True
+            room = region[written : written + self._frame_capacity(frag.size * frag.itemsize // 8)]
+            frame, _, _ = self._encode_fragment(frag, chunk_idx, dest, codec, report, stats, room, seal)
             written += frame.size
         return written
+
+    def _move_self(
+        self, view: np.ndarray | None, report: ResilienceReport, stats: ExchangeStats, into: np.ndarray
+    ) -> None:
+        """The self block, at its step of the ring: every fragment through
+        the same ladder as any message (and counted as one), staged in a
+        scratch and decoded straight into its slab of ``into`` — it never
+        crosses a wire, so it is neither framed nor checksummed."""
+        if view is None or view.size == 0:
+            return
+        rank, frags = self.comm.rank, self._split(view)
+        rooms = [self._frame_capacity(f.size * f.itemsize // 8) for f in frags]
+        scratch = np.empty(max(rooms), dtype=np.uint8)
+        for chunk_idx, (frag, slab, room) in enumerate(zip(frags, self._split(into), rooms)):
+            payload, used, header = self._encode_fragment(
+                frag, chunk_idx, rank, None, report, stats, scratch[:room], payload_of
+            )
+            with trace_span("decompress", rank=rank, peer=rank, bytes=int(payload.size)):
+                used.decode_into(payload, header, slab)
 
     def _encode_private(
         self,
@@ -560,8 +601,10 @@ class CompressedOscAlltoallv(Exchange):
         """Every message is encoded straight from its strided view into the
         destination's slot and decoded from the local slot straight into
         its strided box: no pack, staging frame, decompressed temporary or
-        unpack, nothing from ``pool``.  Unbound, the slots are agreed in
-        one allgather first."""
+        unpack, nothing from ``pool``.  The self block goes first, at
+        step 0 of the ring, from view to box without a slot — so
+        ``receive`` is asked before the first put.  Unbound, the slots
+        are agreed in one allgather first."""
         self._timed(self._exchange, send, receive)
 
     def _timed(self, body: Callable[..., Any], *args: Any) -> Any:
@@ -598,21 +641,22 @@ class CompressedOscAlltoallv(Exchange):
         ``None``, into boxes allocated from the announced kinds — and
         return the boxes."""
         self._check_send(send)
+        rank = self.comm.rank
         stats = ExchangeStats()
-        report = ResilienceReport(rank=self.comm.rank)
-        table, boxes = self.transport.slots, None
+        report = ResilienceReport(rank=rank)
+        table = self.transport.slots
         if receive is None or table is None:
             # Both sides of an Alltoallv know counts and types: one
             # allgather of every message's (dtype, shape).
             kinds = self.comm.allgather([_kind(view) for view in send])
-            if receive is None:
-                boxes = _boxes([row[self.comm.rank] for row in kinds])
             if table is None:
                 table = self._announced_table(kinds)
+        out = _boxes([row[rank] for row in kinds]) if receive is None else receive()
+        self._move_self(send[rank], report, stats, out[rank])  # step 0 of the ring
         regions = self.transport(
             [
                 partial(self._encode_block, view, d, None, report, stats)
-                if view is not None and view.size
+                if d != rank and view is not None and view.size
                 else ()
                 for d, view in enumerate(send)
             ],
@@ -620,6 +664,5 @@ class CompressedOscAlltoallv(Exchange):
         )
         # "we will decompress the entire buffer later, once communications
         # are done" — straight from the window's borrowed regions.
-        out = boxes if receive is None else receive()
         self._settle(send, regions, report, stats, out)
         return out

@@ -56,11 +56,14 @@ class SlotTable:
 
     ``capacity[s, d]`` bytes are reserved at byte ``offset[s, d]``
     (sources back to back, each slot rounded up to ``align``), and
-    ``extent[d]`` is what rank ``d``'s region must hold.
+    ``extent[d]`` is what rank ``d``'s region must hold.  The diagonal is
+    zero whatever ``capacity`` says: a rank's message to itself never
+    crosses the window (its exchange moves it in place).
     """
 
     def __init__(self, capacity: np.ndarray, *, align: int = 1) -> None:
-        self.capacity = np.asarray(capacity, dtype=np.int64)
+        self.capacity = np.array(capacity, dtype=np.int64)
+        np.fill_diagonal(self.capacity, 0)
         padded = -(-self.capacity // align) * align
         self.offset = np.cumsum(padded, axis=0) - padded
         self.extent = padded.sum(axis=0)
@@ -117,7 +120,10 @@ class OscTransport:
 
     A message larger than its slot is an error here, never a
     truncation; the compressed exchange steps down its ladder before it
-    gets that far.
+    gets that far.  The self block is not a put: the ring starts at step
+    1, and ``fragments[rank]`` must be empty.  A table with no capacity
+    anywhere — the same on every rank, plan-derived or agreed — moves
+    nothing, so it costs no epoch and no fence (DESIGN §15.3).
     """
 
     def __init__(
@@ -137,7 +143,7 @@ class OscTransport:
         self.win: Window | None = None
         self._capacities: np.ndarray | None = None
         self._ring = [
-            ring_peers(comm.rank, step, comm.size, topology)[0] for step in range(comm.size)
+            ring_peers(comm.rank, step, comm.size, topology)[0] for step in range(1, comm.size)
         ]
 
     def _ensure_window(self, totals: np.ndarray) -> Window:
@@ -184,27 +190,30 @@ class OscTransport:
         my_sizes = [
             0 if callable(frags) else sum(int(f.nbytes) for f in frags) for frags in fragments
         ]
+        # where my bytes live in dest's window: after earlier sources'
+        offsets, room = table.offset[rank].tolist(), table.capacity[rank].tolist()
+        for dest, size in enumerate(my_sizes):
+            if size > room[dest]:
+                raise CommunicatorError(
+                    f"rank {rank}: {size} B for rank {dest} exceed "
+                    f"their {room[dest]} B window slot"
+                )
+        if not table.capacity.any():
+            return [_EMPTY] * comm.size
         if self.window is None:
             win, base = self._ensure_window(table.extent), 0
             with trace_span("fence", rank=rank, epoch="open"):
                 win.fence()  # "synchronization phase to make sure all processes are ready"
         else:
             win, base = self.window.win, self.window.advance()
-        # where my bytes live in dest's window: after earlier sources'
-        offsets, room = table.offset[rank].tolist(), table.capacity[rank].tolist()
         for dest in self._ring:
             frags = fragments[dest]
             if not (my_sizes[dest] or callable(frags)):
                 continue
-            if my_sizes[dest] > room[dest]:
-                raise CommunicatorError(
-                    f"rank {rank}: {my_sizes[dest]} B for rank {dest} exceed "
-                    f"their {room[dest]} B window slot"
-                )
             offset = hooks.mutate(
                 "osc.put_offset", base + offsets[dest], rank=rank, dest=dest
             )
-            intra = self.topology.same_node(rank, dest) if self.topology else dest == rank
+            intra = self.topology is not None and self.topology.same_node(rank, dest)
             if callable(frags):
                 with trace_span("put", rank=rank, peer=dest, chunk=0, intra=intra) as span:
                     with win.reserve(dest, offset, room[dest]) as slot:
@@ -333,16 +342,21 @@ class OscAlltoallv(Exchange):
         The returned ``uint8`` arrays are views of the local window,
         valid until the next call or :meth:`free`: for callers that
         consume them on the spot (a reshape's unpack) and let none
-        escape.
+        escape.  The self block is not among them — it never travels,
+        so it is neither put nor checksummed: ``send[rank]`` is the
+        caller's to copy, and the returned ``[rank]`` is empty.
         """
-        comm = self.comm
+        comm, rank = self.comm, self.comm.rank
         self._check_send(send)
-        report = ResilienceReport(rank=comm.rank)
+        report = ResilienceReport(rank=rank)
         chunks = [_EMPTY if c is None else np.asarray(c) for c in send]
         crcs = None
         if self.verify:
-            chunks = [np.ascontiguousarray(c).view(np.uint8).reshape(-1) for c in chunks]
-            crcs = [crc32(c) for c in chunks]
+            chunks = [
+                c if d == rank else np.ascontiguousarray(c).view(np.uint8).reshape(-1)
+                for d, c in enumerate(chunks)
+            ]
+            crcs = [0 if d == rank else crc32(c) for d, c in enumerate(chunks)]
         table = self.transport.slots
         if table is None:
             # Counts exchange: both sides of an Alltoallv know the counts
@@ -351,14 +365,14 @@ class OscAlltoallv(Exchange):
             table, riders = SlotTable([g[0] for g in gathered]), [g[1] for g in gathered]
         else:
             riders = comm.allgather(crcs) if self.verify else None
-        recv = self.transport([(c,) for c in chunks], table)
+        recv = self.transport([() if d == rank else (c,) for d, c in enumerate(chunks)], table)
 
         if self.verify:
-            crcs = [int(row[comm.rank]) for row in riders]  # crcs[s] = what s sent me
+            crcs = [int(row[rank]) for row in riders]  # crcs[s] = what s sent me
             failed = [s for s, blk in enumerate(recv) if blk.size and crc32(blk) != crcs[s]]
             for s in failed:
                 report.record("integrity-failure", peer=s, detail="block checksum mismatch")
-            with trace_span("retry", rank=comm.rank, failed=len(failed)):
+            with trace_span("retry", rank=rank, failed=len(failed)):
                 self._recover(chunks, recv, crcs, failed, report)
         self._finish(ExchangeStats.raw(chunks), report)
         return recv
@@ -366,8 +380,10 @@ class OscAlltoallv(Exchange):
     def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
         """Nothing is staged: the puts read the strided views and the
         unpack reads the local window (borrowed views that do not outlive
-        this call)."""
+        this call) — and the self box is one strided copy from the send
+        view, in its turn of the unpack."""
         recv = self.borrow(send)
+        recv[self.comm.rank] = send[self.comm.rank]
         self._unpack_all(receive(), recv)
 
     def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
@@ -378,8 +394,12 @@ class OscAlltoallv(Exchange):
         through the pool when one is set); callers re-view them (the FFT
         layer exchanges packed byte streams anyway).
         """
+        regions = self.borrow(send)
+        mine = send[self.comm.rank]  # copied out like a window region: never aliased
+        if mine is not None:
+            regions[self.comm.rank] = np.ascontiguousarray(mine).reshape(-1).view(np.uint8)
         recv: list[np.ndarray] = []
-        for region in self.borrow(send):
+        for region in regions:
             if self.pool is None:
                 recv.append(region.copy())
             else:

@@ -17,9 +17,10 @@ exchange around it:
    rank on the node.
 
 Blocks bound for the sender's own node skip all three stages and go
-directly (stage 0).  Leader duty is spread across the node's ranks —
-the leader for peer node ``m`` is the local rank ``m % g`` — so no
-single rank serialises the node's NIC traffic.
+directly (stage 0); the block a rank owes itself never leaves it.
+Leader duty is spread across the node's ranks — the leader for peer
+node ``m`` is the local rank ``m % g`` — so no single rank serialises
+the node's NIC traffic.
 
 The payload bytes on the wire are *identical* to the flat exchange
 (same codec, same per-destination frames, same CRC-checked wire
@@ -150,13 +151,16 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
 
         # Encode per destination exactly as the flat exchange does, into a
         # region of the destination's own: the unit the gather/scatter
-        # stages route around.
-        blobs = [
-            self._encode_private(view, d, None, report, stats)
-            if view is not None and view.size
-            else _EMPTY
-            for d, view in enumerate(send)
-        ]
+        # stages route around.  The self block is moved in place in its
+        # turn, into a box of its own kind when the exchange allocates.
+        out = None if receive is None else receive()
+        mine = _boxes([_kind(send[me])])[0] if out is None else out[me]
+        blobs = [_EMPTY] * p
+        for d, view in enumerate(send):
+            if d == me:
+                self._move_self(view, report, stats, mine)
+            elif view is not None and view.size:
+                blobs[d] = self._encode_private(view, d, None, report, stats)
 
         # Counts exchange: the p x p size matrix locates every gather
         # part and scatter slice — no routing headers on the wire.  A
@@ -167,7 +171,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
 
         # Stage 0: same-node destinations go direct (sends are eager).
         for dest in topo.ranks_on_node(my_node):
-            if dest != me and blobs[dest].size:
+            if blobs[dest].size:
                 with trace_span(
                     "sendrecv", rank=me, peer=dest, bytes=int(blobs[dest].size),
                     intra=True, stage="local",
@@ -253,8 +257,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         for s in range(p):
             if int(all_sizes[s, me]) == 0:
                 region = _EMPTY
-            elif s == me:
-                region = blobs[me]
             elif topo.same_node(s, me):
                 region = np.ascontiguousarray(comm.recv(s, tag=_TL_LOCAL), dtype=np.uint8)
             elif self._recv_leader(topo.node_of(s), my_node) == me:
@@ -263,6 +265,8 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 leader = self._recv_leader(topo.node_of(s), my_node)
                 region = np.ascontiguousarray(comm.recv(leader, tag=_TL_SCATTER - s), dtype=np.uint8)
             regions.append(region)
-        out = _boxes([g[1][me] for g in gathered]) if receive is None else receive()
+        if out is None:
+            out = _boxes([g[1][me] for g in gathered])
+            out[me] = mine
         self._settle(send, regions, report, stats, out)
         return out

@@ -283,8 +283,8 @@ class BoundReshape:
         out: list[np.ndarray] = []
 
         def receive() -> list[np.ndarray | None]:
-            # Allocated when the exchange asks, i.e. once the data has
-            # arrived: the new block is not held while ranks wait.
+            # Allocated when the exchange asks, i.e. before it writes the
+            # first box (see Exchange.move).
             out.append(stage.empty_out(local))
             return [out[0][stage.incoming[s]] if s in stage.incoming else None for s in range(size)]
 

@@ -120,23 +120,23 @@ class ThreadWorld(World):
     # -- collective window creation ------------------------------------------------
 
     def create_window(self, comm: "ThreadComm", nbytes: int) -> Window:
-        """Collective: every rank contributes its exposed buffer size."""
+        """Collective: every rank contributes its exposed buffer size.
+
+        Each rank holds the entry it filled in, not its registry key: a
+        peer past the synchronisation may release the window (it ended,
+        or died) before a slower rank looks it up.
+        """
         rank = comm.rank
         with self._win_lock:
             win_id = self._win_counter.get(rank, 0)
             self._win_counter[rank] = win_id + 1
-            slot = self._win_registry.setdefault(win_id, [None] * self.nranks)
-            slot[rank] = np.zeros(max(0, int(nbytes)), dtype=np.uint8)
+            buffers = self._win_registry.setdefault(win_id, [None] * self.nranks)
+            buffers[rank] = np.zeros(max(0, int(nbytes)), dtype=np.uint8)
+            locks = self._win_registry.setdefault(
+                ("locks", win_id), [threading.Lock() for _ in range(self.nranks)]
+            )
         comm._sync()  # all contributions visible
-        with self._win_lock:
-            entry = self._win_registry[win_id]
-            buffers = list(entry)
-            locks_key = ("locks", win_id)
-            locks = self._win_registry.get(locks_key)  # type: ignore[arg-type]
-            if locks is None:
-                locks = [threading.Lock() for _ in range(self.nranks)]
-                self._win_registry[locks_key] = locks  # type: ignore[index]
-        return Window(self, comm, buffers, locks, win_id=win_id)
+        return Window(self, comm, list(buffers), locks, win_id=win_id)
 
     def release_window(self, win_id: int) -> None:
         """Deregister a freed window's buffers and locks (idempotent).

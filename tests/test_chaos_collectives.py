@@ -580,3 +580,82 @@ class TestOneShotUnderFaults:
         failures = results[1][1].of_kind("integrity-failure")
         assert len(failures) == 1 and "corrupt metadata" in failures[0].detail
         assert results[1][1].recovered == 1
+
+
+# -- the self block: moved in place, through the same ladder --------------------------
+
+
+class TestSelfBlockFaults:
+    """The block a rank owes itself is not put, so no put fault can hit
+    it — and it is still encoded, so every codec fault and tolerance
+    check still can, with the report events a put block would have."""
+
+    def _run(self, make_op, send_of, faults=None):
+        world = ThreadWorld(P, faults=faults, timeout=30.0)
+
+        def kernel(comm):
+            op = make_op(comm)
+            try:
+                recv = op(send_of(comm.rank))
+            finally:
+                op.free()
+            return recv, op.last_report, op.last_stats
+
+        return world, world.run(kernel)
+
+    def test_codec_fault_on_the_self_block_retries_then_degrades(self):
+        hiccups = FaultPlan([FaultRule("codec", rank=0, peer=0, max_triggers=3)], seed=2)
+        world, results = self._run(
+            lambda comm: CompressedOscAlltoallv(comm, CastCodec("fp32"), retry_policy=_fast_retry()),
+            lambda rank: _payloads(rank, P),
+            hiccups,
+        )
+        assert world.injector.injected("codec") == 3
+        recv, report, _ = results[0]
+        assert [(e.kind, e.peer, e.attempt, e.codec) for e in report.events] == [
+            ("transient-codec", 0, 0, "cast_fp32"), ("retry", 0, 0, "cast_fp32"),
+            ("transient-codec", 0, 0, "cast_fp32"), ("retry", 0, 1, "cast_fp32"),
+            ("transient-codec", 0, 0, "cast_fp32"), ("degrade", 0, 0, "zlib1_shuffle"),
+        ]
+        assert np.array_equal(recv[0], _payloads(0, P)[0])  # the lossless fallback: exact
+        assert recv[1] == pytest.approx(_payloads(1, P)[0], rel=1e-6)
+        assert all(results[r][1].clean for r in range(1, P))
+
+    def test_e_tol_overrun_on_the_self_block_goes_lossless(self):
+        """Integers survive the fp32 cast exactly; only the self block does not."""
+
+        def send_of(rank):
+            rng = np.random.default_rng(rank)
+            return [rng.standard_normal(40) if d == rank else np.arange(40.0) + d for d in range(P)]
+
+        _, results = self._run(
+            lambda comm: CompressedOscAlltoallv(comm, CastCodec("fp32"), e_tol=1e-12),
+            send_of,
+        )
+        for rank, (recv, report, stats) in enumerate(results):
+            assert [(e.kind, e.peer, e.codec) for e in report.events] == [
+                ("tolerance-exceeded", rank, "cast_fp32"), ("degrade", rank, "zlib1_shuffle"),
+            ]
+            assert all(np.array_equal(recv[s], send_of(s)[rank]) for s in range(P))
+            assert stats.error_measured and stats.achieved_error == 0.0
+
+    @pytest.mark.parametrize("cls", [CompressedOscAlltoallv, _RoutedBitflip], ids=["flat", "two-level"])
+    def test_a_bitflip_on_every_put_misses_only_the_self_block(self, cls):
+        """Every put (flat) or routed region (two-level) is corrupted: each
+        rank fails, and recovers, the p - 1 blocks that crossed to it — the
+        self block, which used to be one of them, is never sent."""
+        topology = TestOneShotUnderFaults.TOPOLOGY
+
+        def make_op(comm):
+            return cls(comm, CastCodec("fp32"), topology=topology, pipeline_chunks=3,
+                       retry_policy=_fast_retry())
+
+        _, clean = self._run(make_op, lambda rank: _blocks(rank, P))
+        flips = FaultPlan([FaultRule("bitflip", max_triggers=None)], seed=6)
+        world, results = self._run(make_op, lambda rank: _blocks(rank, P), flips)
+        assert world.injector.injected("bitflip") == P * (P - 1)
+        for rank, (recv, report, stats) in enumerate(results):
+            assert all(np.array_equal(a, b) for a, b in zip(recv, clean[rank][0]))
+            failed = sorted(e.peer for e in report.of_kind("integrity-failure"))
+            assert failed == [s for s in range(P) if s != rank]
+            assert report.recovered == P - 1 and stats.retransmissions == P - 1

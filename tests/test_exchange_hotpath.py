@@ -577,3 +577,155 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
     @pytest.mark.parametrize("codec_name", ["fp32", "trim"])
     def test_flat_on_forked_ranks(self, monkeypatch, codec_name, chunks, ndim):
         self._check(monkeypatch, "proc", "flat", codec_name, chunks, ndim)
+
+
+def _digest_run(block, records) -> str:
+    """:func:`_digest` of a transform: its output block, then the record
+    and report of every exchange call it made, in order."""
+    return "".join(_digest([block] if i == 0 else [], r, r.reports[0]) for i, r in enumerate(records))
+
+
+class TestSelfBlockStaysLocal:
+    """The block a rank owes itself never takes the wire, on every window
+    exchange — plan-bound, one-shot flat and two-level: no reservation or
+    put on the own window, no frame sealed or opened for it, one
+    ``encode_into`` and one ``decode_into`` per fragment of it, as for any
+    message.  It stays in the accounting: outputs, every ``ExchangeStats``
+    field and the report events are those of the exchange that sent it
+    through its own window slot (digests pinned from it)."""
+
+    #: name -> (shape, ranks, ranks per node of the two-level topology)
+    GEOMETRIES = {"17^3-p4": ((17, 17, 17), 4, 2), "12x10x9-p3": ((12, 10, 9), 3, 1)}
+    CODECS = {"raw": {}, "fp32": {"codec": CastCodec("fp32")}, "e_tol": {"e_tol": 1e-10}}
+    CASES = [("raw", 1), ("fp32", 1), ("fp32", 3), ("e_tol", 1), ("e_tol", 3)]
+    #: ``(geometry, codec, pipeline_chunks)`` -> sha256 of every rank's
+    #: :func:`_digest_run` of the bound, flat and two-level transforms, as
+    #: the exchange that put the self block produced them — on either
+    #: runtime.
+    PINNED = {
+        ("17^3-p4", "raw", 1): "bb7f1f96c8ae771d", ("12x10x9-p3", "raw", 1): "9d89d86d3f029961",
+        ("17^3-p4", "fp32", 1): "8e03f14172f4102e", ("12x10x9-p3", "fp32", 1): "6add126ee30870a8",
+        ("17^3-p4", "fp32", 3): "7452e447ae88c318", ("12x10x9-p3", "fp32", 3): "890389a10abeb24c",
+        ("17^3-p4", "e_tol", 1): "9bdb6546006230f1", ("12x10x9-p3", "e_tol", 1): "179371caadbcac9b",
+        ("17^3-p4", "e_tol", 3): "7a99219275a5246e", ("12x10x9-p3", "e_tol", 3): "e922221b654fb905",
+    }
+
+    def _run(self, monkeypatch, runtime, geometry, codec_name, chunks):
+        import repro.collectives.compressed as compressed_mod
+        from repro.collectives import make_exchange
+        from repro.collectives.base import unpack
+        from repro.fft import Fft3d
+        from repro.fft.plan import FftStats
+        from repro.runtime import make_world
+        from repro.runtime.window import Window
+        from repro.tuning.profile import TuningEntry, TuningProfile
+
+        shape, p, per_node = self.GEOMETRIES[geometry]
+        spec = MachineSpec(name="selfblock", gpus_per_node=per_node, gpu=GpuSpec(), network=NetworkSpec())
+        topology = Topology(spec, p)
+        profile = None
+        if codec_name != "raw":  # (a raw plan would adopt the entry's codec)
+            profile = TuningProfile(machine=spec.name)
+            entry = TuningEntry(codec="cast_fp32", pipeline_chunks=chunks, variant="flat", measured_s=1e-3)
+            profile.record(p, shape, entry)
+        plan = Fft3d(shape, p, topology=topology, tuning=profile, **self.CODECS[codec_name])
+
+        counts, lock = collections.Counter(), threading.Lock()
+
+        def count(key):
+            with lock:
+                counts[key] += 1
+
+        def reserve(win, target_rank, offset, nbytes, _original=Window.reserve):
+            count("own reserve" if target_rank == win._comm.rank else "reserve")
+            return _original(win, target_rank, offset, nbytes)
+
+        monkeypatch.setattr(Window, "reserve", reserve)  # every put goes through it
+        hooked = [(compressed_mod, "seal"), (compressed_mod, "open_frame")]
+        if plan.codec is not None:
+            hooked += [(type(plan.codec), "encode_into"), (type(plan.codec), "decode_into")]
+        for owner, name in hooked:
+            def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
+                count(_key)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        rng = np.random.default_rng(26)
+        blocks = plan.scatter(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+        def oneshot(comm, variant):
+            """The forward transform through one-shot ``op(send)`` calls."""
+            block, records = blocks[comm.rank], []
+            for stage in plan.stages:
+                side = stage.reshape.rank_stages[comm.rank]
+                op = make_exchange(comm, codec=plan.codec, e_tol=plan.e_tol, variant=variant,
+                                   topology=topology, pipeline_chunks=chunks)
+                try:
+                    recv = op([block[side.outgoing[d]] if d in side.outgoing else None
+                               for d in range(comm.size)])
+                finally:
+                    op.free()
+                records.append(op.last_stats)
+                block = side.empty_out(block)
+                for s, where in side.incoming.items():
+                    unpack(block[where], np.asarray(recv[s]))
+                block = plan._fft_stage(comm, block, stage)
+            return block, records
+
+        def kernel(comm):
+            comm.barrier()
+            before = dict(counts)
+            comm.barrier()
+            stats = FftStats()
+            runs = [(plan.forward_spmd(comm, blocks[comm.rank], stats=stats), stats.reshapes)]
+            runs += [oneshot(comm, variant) for variant in ("flat", "two-level")]
+            comm.barrier()
+            delta = {k: counts[k] - before.get(k, 0) for k in counts}
+            comm.barrier()
+            return delta, "".join(_digest_run(*run) for run in runs)
+
+        return plan, make_world(runtime, p, timeout=60.0).run(kernel)
+
+    @staticmethod
+    def _fragments(plan, chunks, rank):
+        """Fragments ``rank`` sends to others, to itself, and gets from
+        others in one transform (a box is cut along its leading axis)."""
+        def cut(box):
+            return 1 if chunks == 1 or box.shape[0] <= 1 else min(chunks, box.shape[0])
+
+        def total(which, mine):
+            return sum(cut(box) for r in plan.reshapes for peer, box in which(r)[rank]
+                       if (peer == rank) == mine)
+
+        sent, own = total(lambda r: r.pairs, False), total(lambda r: r.pairs, True)
+        return sent, own, total(lambda r: r.incoming, False)
+
+    def _check(self, monkeypatch, runtime, geometry, codec_name, chunks):
+        plan, results = self._run(monkeypatch, runtime, geometry, codec_name, chunks)
+        per_rank = [self._fragments(plan, chunks, rank) for rank in range(plan.nranks)]
+        assert sum(own for _, own, _ in per_rank) > 0  # the geometry has self blocks
+        for rank, (delta, _) in enumerate(results):
+            sent, own, got = (
+                [sum(col) for col in zip(*per_rank)] if runtime == "thread"  # one shared counter
+                else per_rank[rank]
+            )
+            assert delta.get("own reserve", 0) == 0 and delta["reserve"] > 0
+            if plan.codec is None:
+                assert not {"seal", "open_frame"} & delta.keys()
+                continue
+            # three transforms (bound, flat, two-level), one call per fragment
+            assert (delta["seal"], delta["open_frame"]) == (3 * sent, 3 * got)
+            assert (delta["encode_into"], delta["decode_into"]) == (3 * (sent + own), 3 * (got + own))
+        combined = hashlib.sha256("".join(d for _, d in results).encode()).hexdigest()[:16]
+        assert combined == self.PINNED[geometry, codec_name, chunks]
+
+    @pytest.mark.parametrize("codec_name,chunks", CASES, ids=[f"{c}-x{k}" for c, k in CASES])
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_on_rank_threads(self, monkeypatch, geometry, codec_name, chunks):
+        self._check(monkeypatch, "thread", geometry, codec_name, chunks)
+
+    @pytest.mark.parametrize("codec_name,chunks", CASES, ids=[f"{c}-x{k}" for c, k in CASES])
+    @pytest.mark.parametrize("geometry", list(GEOMETRIES))
+    def test_on_forked_ranks(self, monkeypatch, geometry, codec_name, chunks):
+        self._check(monkeypatch, "proc", geometry, codec_name, chunks)

@@ -182,9 +182,12 @@ class TestSpmdExecution:
 
     def test_exchange_is_borrowed(self, rng):
         """The caller's exchange keeps its cached window across reshapes
-        and is the caller's to free."""
+        and is the caller's to free.  (Bricks -> z-pencils: bricks ->
+        x-pencils keeps every cell on its rank at p = 2, and a reshape
+        with nothing to put creates no window.)"""
         shape = (8, 8, 8)
-        plan = ReshapePlan(brick_decomposition(shape, 2), pencil_decomposition(shape, 2, 0))
+        plan = ReshapePlan(brick_decomposition(shape, 2), pencil_decomposition(shape, 2, 2))
+        assert any(d != s for s, row in enumerate(plan.pairs) for d, _ in row)
         locals_ = _scatter(plan.src, _global_field(shape, rng))
 
         def kernel(comm):

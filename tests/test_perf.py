@@ -415,7 +415,8 @@ class TestTracedIntegration:
     def test_bandwidth_report_covers_all_link_classes(self, pipelined_tracer):
         tracer, topo = pipelined_tracer
         classes = bandwidth_report(tracer, topo)
-        assert {"self", "intra-node", "inter-node"} <= set(classes)
+        # the self block is moved in place, never put: no "self" wire class
+        assert set(classes) == {"intra-node", "inter-node"}
         assert all(c.bytes > 0 and c.busy_s > 0 for c in classes.values())
 
     def test_fft_run_yields_four_exchange_rounds(self):

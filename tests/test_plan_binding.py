@@ -15,6 +15,7 @@ from __future__ import annotations
 import glob
 import multiprocessing as mp
 import resource
+import threading
 import time
 
 import numpy as np
@@ -201,13 +202,14 @@ class TestBoundEqualsOneShot:
         plan = Fft3d(shape, p)
         x = _field(shape)
         blocks = plan.scatter(x)
+        pencils = plan.reshapes[1].src.scatter(x, plan.dtype)
 
         def kernel(comm):
             b = blocks[comm.rank]
-            plan.forward_spmd(comm, b)
-            first = plan._bind(comm, "osc", "flat", ()).bound[0]
-            for _ in range(3):  # 3 lone reshapes: the epoch is now odd
-                plan._reshape_stage(first, b, FftStats(), None)
+            plan.forward_spmd(comm, b)  # 3 epochs: reshape 0 is all self at p = 4
+            crossing = plan._bind(comm, "osc", "flat", ()).bound[1]
+            for _ in range(4):  # 4 lone reshapes across ranks: the epoch is now odd
+                plan._reshape_stage(crossing, pencils[comm.rank], FftStats(), None)
             (binding,) = comm.attrs.values()
             return binding.window.epoch, plan.forward_spmd(comm, b)
 
@@ -242,10 +244,17 @@ class TestWarmRoundTripProtocol:
             assert warm == cold and warmer == cold
 
     @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
-    def test_eight_fences_fourteen_puts_per_round_trip(self, codec):
+    def test_six_fences_no_self_put_per_round_trip(self, codec):
+        """At p = 4 a rank sends 14 messages per round trip, 8 of them
+        (ranks 0, 3) or 6 (ranks 1, 2) to itself, which take no put; and
+        reshape 0 (bricks -> x-pencils) moves nothing across ranks in
+        either direction, so it takes no fence: 6 fences, and 6 puts
+        (ranks 0, 3) or 8 (ranks 1, 2)."""
         shape, p = (8, 8, 8), 4
         plan = Fft3d(shape, p, codec=codec)
         blocks = plan.scatter(_field(shape))
+        remote = [sum(d != rank for r in plan.reshapes for d, _ in r.pairs[rank]) for rank in range(p)]
+        assert [2 * n for n in remote] == [6, 8, 8, 6]
 
         def kernel(comm):
             b = blocks[comm.rank]
@@ -258,9 +267,10 @@ class TestWarmRoundTripProtocol:
         spans = tracer.span_events()
         for rank in range(p):
             mine = [e for e in spans if e.rank == rank]
-            assert sum(e.kind == "fence" for e in mine) == 3 * 8
+            assert sum(e.kind == "fence" for e in mine) == 3 * 6
             assert {e.attrs["epoch"] for e in mine if e.kind == "fence"} == {"close"}
-            assert sum(e.kind == "put" for e in mine) == 3 * 14
+            assert sum(e.kind == "put" for e in mine) == 3 * 2 * remote[rank]
+            assert not any(e.kind == "put" and e.attrs["peer"] == rank for e in mine)
             # no bound window path has a pack copy left to span: the raw
             # one puts the strided box, the lossy one encodes it into the slot
             assert not any(e.kind == "pack" for e in mine)
@@ -489,6 +499,131 @@ class TestRecoveryOnABoundPlan:
             assert mp.active_children() == []
 
 
+# -- identity and degenerate plans -------------------------------------------------------
+
+
+def _stage_marks(fft: ResilientFft3d, data, runtime, monkeypatch) -> list[int]:
+    """Transport ops rank 1 has made as it checkpoints each stage of a clean
+    forward transform.  A kill rule ``after`` one less than stage ``k + 1``'s
+    mark fires at rank 1's last op of stage ``k``: every rank has passed
+    stage ``k``'s checkpoint (rank 1's stage began with a collective) and
+    rank 1 never takes stage ``k + 1``'s, so the restart is from ``k``."""
+    from repro.resilience.checkpoint import CheckpointStore, ShmCheckpointStore
+
+    marks, injectors = [], {}
+    for cls in (CheckpointStore, ShmCheckpointStore):
+        def save(store, key, block, meta=None, _original=cls.save):
+            if key[3] == 1:
+                marks.append(injectors[1]._ops.get(("kill", 1), 0))
+            return _original(store, key, block, meta)
+
+        monkeypatch.setattr(cls, "save", save)
+    probe = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=10**9)])
+
+    def kernel(comm):
+        injectors[comm.rank] = comm.world.injector
+        fft.forward_spmd(comm, fft.plan.scatter(data)[comm.rank])
+        return list(marks)
+
+    try:
+        return make_world(runtime, fft.plan.nranks, timeout=30.0, faults=probe).run(kernel)[1]
+    finally:
+        monkeypatch.undo()
+
+
+class TestIdentityAndDegeneratePlans:
+    """A reshape with no remote message — every reshape at p = 1, reshape 0
+    (bricks -> x-pencils) at p = 4 — costs no fence and no epoch, and the
+    self blocks it moves in place keep results bit for bit."""
+
+    @pytest.mark.parametrize("codec", [None, CastCodec("fp32")], ids=["raw", "fp32"])
+    def test_no_fence_and_no_epoch_without_a_remote_message(self, codec, monkeypatch):
+        from repro.runtime.window import Window
+
+        fences, lock = {}, threading.Lock()
+
+        def fence(win, _original=Window.fence):
+            with lock:
+                fences[win._comm.rank] = fences.get(win._comm.rank, 0) + 1
+            return _original(win)
+
+        monkeypatch.setattr(Window, "fence", fence)
+        shape = (8, 12, 8)
+        x = _field(shape)
+
+        def lone(plan, step):
+            def kernel(comm):
+                b = plan.scatter(x)[comm.rank]
+                y = plan.forward_spmd(comm, b)  # bound and warm
+                binding = plan._bind(comm, "osc", "flat", ())
+                comm.barrier()
+                before = fences.get(comm.rank, 0), binding.window.epoch
+                block = plan.reshapes[step].src.scatter(x, plan.dtype)[comm.rank]
+                out = plan._reshape_stage(binding.bound[step], block, FftStats(), None)
+                after = fences.get(comm.rank, 0), binding.window.epoch
+                # every cell is its own rank's: the block, through the codec
+                want = block if codec is None else codec.decompress(codec.compress(block))
+                return y, before, after, np.array_equal(out, want)
+
+            return make_world("thread", plan.nranks).run(kernel)
+
+        single = Fft3d(shape, 1, codec=codec)
+        [(y, before, after, same)] = lone(single, 2)
+        assert before == after == (0, 0) and same  # p = 1: no fence ever, epoch 0
+        assert np.array_equal(y, single.forward(x))
+        plan = Fft3d(shape, 4, codec=codec)
+        assert plan.reshapes[0].src.grid == plan.reshapes[0].dst.grid
+        results = lone(plan, 0)
+        for y, before, after, same in results:
+            assert before == after and before[1] == 3 and same  # 3 crossing reshapes
+        assert np.array_equal(plan.gather([r[0] for r in results]), plan.forward(x))
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("stage", [0, 2])
+    def test_restart_from_a_stage_is_bit_identical_to_an_unfailed_run(
+        self, runtime, stage, monkeypatch
+    ):
+        shape, p = (8, 8, 8), 4
+        data = _field(shape, 5)
+        fft = ResilientFft3d(shape, p, codec=CastCodec("fp32"), method="osc")
+        after = _stage_marks(fft, data, runtime, monkeypatch)[stage + 1] - 1
+        faults = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=after)])
+        world = make_world(runtime, p, timeout=20.0, faults=faults, suspect_after=0.4)
+
+        def kernel(comm):
+            res = fft.run_spmd(comm, fft.plan.scatter(data)[comm.rank])
+            blocks = res.comm.allgather(res.block)
+            if res.comm.rank != 0:
+                return None
+            return res.plan.gather(blocks), res.report.detail
+
+        [(full, detail)] = [r for r in world.run(kernel) if r is not None]
+        assert detail == f"restarted from stage {stage} on {p - 1} survivors"
+        assert np.array_equal(full, Fft3d(shape, p, codec=CastCodec("fp32")).forward(data))
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_forward_spmd_never_writes_the_callers_block(self, runtime):
+        shape = (8, 6, 4)
+        x = _field(shape)
+        plans = [Fft3d(shape, p, codec=codec) for p in (1, 4) for codec in (None, CastCodec("fp32"))]
+
+        def kernel(comm):
+            untouched = []
+            for plan in plans:
+                if plan.nranks != comm.size:
+                    continue
+                local = plan.scatter(x)[comm.rank]
+                copy = local.copy()
+                for inverse in (False, True, False):
+                    out = plan.forward_spmd(comm, local, inverse=inverse)
+                    untouched.append(np.array_equal(local, copy) and not np.shares_memory(out, local))
+            return untouched
+
+        for p in (1, 4):
+            for untouched in make_world(runtime, p, timeout=60.0).run(kernel):
+                assert len(untouched) == 6 and all(untouched)
+
+
 # -- faults on the in-place path ---------------------------------------------------------
 
 
@@ -584,11 +719,15 @@ class TestInPlaceExchangeUnderFaults:
             assert stats.achieved_error == 0.0 and stats.error_measured
 
     def test_oversized_payload_steps_down_to_raw_in_the_slot(self):
+        """... and in the self block's scratch, which is sized the same way."""
         world, results, reshape, blocks = self._run(_LyingCodec())
+        stages = reshape.rank_stages
+        assert any(rank in stage.outgoing for rank, stage in enumerate(stages))
         for rank, (outs, trails) in enumerate(results):
             stats, events = trails[0]
-            sent = len(reshape.rank_stages[rank].outgoing)
+            sent = len(stages[rank].outgoing)
             assert events == [("degrade", "identity")] * sent
+            assert sorted(e.peer for e in stats.reports[0].events) == sorted(stages[rank].outgoing)
             assert stats.wire_bytes == stats.logical_bytes
             want = self._expected(reshape, blocks, IdentityCodec())
             assert all(np.array_equal(out, want[rank]) for out in outs)
