@@ -5,8 +5,9 @@ compressed OSC, two-level — is an :class:`Exchange`: ``op(send) ->
 recv``, ``op.free()``, and after every call ``op.last_stats``
 (:class:`ExchangeStats`) and ``op.last_report``
 (:class:`~repro.faults.ResilienceReport`).  The accounting is published
-by the single :meth:`Exchange._finish`, so the tracer counters, the
-flight ring and the metrics registry agree for every algorithm.
+by the single :meth:`Exchange._finish` as one ``exchange-round`` record,
+so the tracer counters, the flight ring and the metrics registry agree
+for every algorithm.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from repro.errors import CommunicatorError
 from repro.faults import ResilienceReport
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
-from repro.telemetry.metrics import counter as tele_counter
-from repro.telemetry.metrics import gauge as tele_gauge
-from repro.telemetry.recorder import (
-    flight,
-    live_add,
-    live_add_many,
-    record_resilience_report,
-)
-from repro.trace import incr as trace_incr
-from repro.trace import record_report as trace_report
+from repro.telemetry import emit
 from repro.trace import span as trace_span
 
 __all__ = ["Boxes", "Exchange", "ExchangeStats", "pack", "unpack", "volume_rate"]
@@ -148,7 +140,6 @@ class Exchange:
         self.last_stats = ExchangeStats()
         self.last_report = ResilienceReport(rank=comm.rank)
         self._round = 0
-        self._handles: dict[str, Any] = {}
 
     def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
         raise NotImplementedError
@@ -216,85 +207,26 @@ class Exchange:
                 f"send list has {len(send)} entries for {self.comm.size} ranks"
             )
 
-    def _metric(self, make: Callable[..., Any], name: str) -> Any:
-        """Metric handle for this op's rank, resolved once.
-
-        The registry's get-or-create builds a sorted-tuple key under a
-        lock per call; on the per-round hot path that lookup is most of
-        the telemetry overhead, so the handles are cached.
-        """
-        handle = self._handles.get(name)
-        if handle is None:
-            handle = self._handles[name] = make(name, rank=self.comm.rank)
-        return handle
-
-    def _finish(self, stats: ExchangeStats, report: ResilienceReport) -> None:
-        """The exchange epilogue, shared by every algorithm.
-
-        Publishes the round to every observability surface at once: the
-        opt-in tracer (counters + report), the always-on flight recorder
-        (ring events + live gauges) and the metrics registry.
-        """
-        rank = self.comm.rank
+    def _finish(
+        self, stats: ExchangeStats, report: ResilienceReport, seconds: float | None = None
+    ) -> None:
+        """The exchange epilogue, shared by every algorithm: completes
+        ``stats`` from ``report`` and publishes the round (and the call's
+        duration, when the caller timed it) as one ``exchange-round``
+        record — the tracer, the flight ring and live row, the registry."""
         stats.retries = report.retries
         stats.degradations = report.degradations
         stats.reports = [report]
         self.last_stats = stats
         self.last_report = report
-        trace_incr("messages", stats.messages, rank=rank)
-        trace_incr("logical_bytes", stats.logical_bytes, rank=rank)
-        trace_incr("wire_bytes", stats.wire_bytes, rank=rank)
-        trace_report(report)
-
-        round_no = self._round
-        self._round += 1
-        detail = self.codec.name if self.codec is not None else self.algorithm
-        ratio = stats.achieved_rate
-        flight(
+        emit(
             "exchange-round",
-            rank,
-            round_=round_no,
-            value=float(stats.wire_bytes),
-            value2=ratio if ratio != float("inf") else 0.0,
-            detail=detail,
+            self.comm.rank,
+            stats=stats,
+            report=report,
+            round=self._round,
+            detail=self.codec.name if self.codec is not None else self.algorithm,
+            e_tol=self.e_tol,
+            seconds=seconds,
         )
-        self._metric(tele_counter, "repro_exchange_rounds_total").inc()
-        self._metric(tele_counter, "repro_wire_bytes_total").inc(stats.wire_bytes)
-        self._metric(tele_counter, "repro_logical_bytes_total").inc(stats.logical_bytes)
-        if ratio != float("inf"):
-            self._metric(tele_gauge, "repro_compression_ratio").set(ratio)
-        error_gauges = None
-        if self.e_tol is not None and stats.error_measured:
-            headroom = self.e_tol - stats.achieved_error
-            flight(
-                "error",
-                rank,
-                round_=round_no,
-                value=stats.achieved_error,
-                value2=headroom,
-                detail=detail,
-            )
-            self._metric(tele_gauge, "repro_achieved_error").set(stats.achieved_error)
-            self._metric(tele_gauge, "repro_error_headroom").set(headroom)
-            error_gauges = {
-                "achieved_error": stats.achieved_error,
-                "error_headroom": headroom,
-                "e_tol": self.e_tol,
-            }
-        live_add_many(
-            rank,
-            {
-                "rounds": 1.0,
-                "wire_bytes": float(stats.wire_bytes),
-                "logical_bytes": float(stats.logical_bytes),
-            },
-            sets=error_gauges,
-        )
-        if not report.clean:
-            record_resilience_report(report, round_=round_no)
-            if report.retries:
-                self._metric(tele_counter, "repro_retries_total").inc(report.retries)
-                live_add(rank, "retries", float(report.retries))
-            if report.degradations:
-                self._metric(tele_counter, "repro_degradations_total").inc(report.degradations)
-                live_add(rank, "degradations", float(report.degradations))
+        self._round += 1

@@ -68,8 +68,6 @@ from repro.errors import (
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
-from repro.telemetry.metrics import gauge as tele_gauge
-from repro.telemetry.metrics import histogram as tele_histogram
 from repro.tuning.pool import BufferPool
 from repro.trace import span as trace_span
 
@@ -461,9 +459,9 @@ class CompressedOscAlltoallv(Exchange):
         into: Boxes,
     ) -> None:
         """Step 2 onwards: decode each source's region straight into its
-        box ``into[s]`` (CRC-checked per frame), recover the blocks that
-        failed integrity — retransmitted from the still-live ``send``
-        views and decoded into the same boxes — and publish."""
+        box ``into[s]`` (CRC-checked per frame), and recover the blocks
+        that failed integrity — retransmitted from the still-live
+        ``send`` views and decoded into the same boxes."""
         rank = self.comm.rank
         failed: list[int] = []
         for s, region in enumerate(regions):
@@ -489,7 +487,6 @@ class CompressedOscAlltoallv(Exchange):
                 f"rank {rank}: corrupted block(s) from rank(s) {sorted(failed)} "
                 f"with no fault plan active"
             )
-        self._finish(stats, report)
 
     # -- recovery --------------------------------------------------------------------
 
@@ -595,7 +592,7 @@ class CompressedOscAlltoallv(Exchange):
         allocated from the dtype and shape the source announced — a
         :meth:`move` whose boxes are the result."""
         send = [None if data is None else np.asarray(data) for data in send]
-        return self._timed(self._exchange, send, None)
+        return self._timed(send, None)
 
     def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
         """Every message is encoded straight from its strided view into the
@@ -605,13 +602,15 @@ class CompressedOscAlltoallv(Exchange):
         step 0 of the ring, from view to box without a slot — so
         ``receive`` is asked before the first put.  Unbound, the slots
         are agreed in one allgather first."""
-        self._timed(self._exchange, send, receive)
+        self._timed(send, receive)
 
-    def _timed(self, body: Callable[..., Any], *args: Any) -> Any:
-        """Run one collective call under its exchange span and metrics."""
+    def _timed(self, send: Boxes, receive: Callable[[], Boxes] | None) -> Boxes:
+        """Run one collective call under its exchange span, then publish
+        it — with its duration — as one ``exchange-round`` record."""
         # The exchange span makes one collective call a critical-path
         # scope of its own even outside a reshape (repro.perf groups
-        # outermost exchange spans into rounds).
+        # outermost exchange spans into rounds); the live phase is the
+        # reshape's, so the span is the tracer's alone.
         attrs = dict(
             rank=self.comm.rank,
             algorithm=self.algorithm,
@@ -622,24 +621,16 @@ class CompressedOscAlltoallv(Exchange):
             attrs["tuned"] = self.tuned
         started = time.monotonic()
         with trace_span("exchange", **attrs):
-            result = body(*args)
-        self._observe_exchange_time(time.monotonic() - started)
-        return result
+            out, stats, report = self._exchange(send, receive)
+        self._finish(stats, report, time.monotonic() - started)
+        return out
 
-    def _observe_exchange_time(self, elapsed: float) -> None:
-        """Per-link bandwidth gauge + latency histogram for the metrics
-        registry (the tracer records the same span; this survives runs
-        with no tracer installed)."""
-        self._metric(tele_histogram, "repro_exchange_seconds").observe(elapsed)
-        if elapsed > 0.0 and self.last_stats.wire_bytes:
-            self._metric(tele_gauge, "repro_link_bandwidth_bytes_per_s").set(
-                self.last_stats.wire_bytes / elapsed
-            )
-
-    def _exchange(self, send: Boxes, receive: Callable[[], Boxes] | None) -> Boxes:
+    def _exchange(
+        self, send: Boxes, receive: Callable[[], Boxes] | None
+    ) -> tuple[Boxes, ExchangeStats, ResilienceReport]:
         """Move ``send`` into ``receive()``'s boxes — or, with ``receive``
         ``None``, into boxes allocated from the announced kinds — and
-        return the boxes."""
+        return the boxes with the call's accounting."""
         self._check_send(send)
         rank = self.comm.rank
         stats = ExchangeStats()
@@ -665,4 +656,4 @@ class CompressedOscAlltoallv(Exchange):
         # "we will decompress the entire buffer later, once communications
         # are done" — straight from the window's borrowed regions.
         self._settle(send, regions, report, stats, out)
-        return out
+        return out, stats, report

@@ -49,8 +49,7 @@ import numpy as np
 from repro.collectives.base import Boxes, ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv, _boxes, _kind
 from repro.faults import ResilienceReport
-from repro.telemetry.metrics import counter as metrics_counter
-from repro.telemetry.recorder import flight
+from repro.telemetry import emit
 from repro.trace import incr as trace_incr
 from repro.trace import span as trace_span
 
@@ -103,7 +102,9 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
 
     # -- the exchange --------------------------------------------------------------
 
-    def _exchange(self, send: Boxes, receive: Callable[[], Boxes] | None) -> Boxes:
+    def _exchange(
+        self, send: Boxes, receive: Callable[[], Boxes] | None
+    ) -> tuple[Boxes, ExchangeStats, ResilienceReport]:
         topo = self.topology
         if topo is None or topo.nnodes <= 1:
             # Nothing to aggregate across — the flat one-sided ring is
@@ -119,15 +120,9 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 len(tuple(topo.ranks_on_node(m))) for m in range(topo.nnodes)
             ]
             if min(live_counts) == 0 or sum(1 for c in live_counts if c) <= 1:
-                flight(
-                    "exchange-degrade",
-                    self.comm.rank,
-                    value=float(live_counts.count(0)),
-                    detail=f"{live_counts.count(0)} empty node(s)"[:40],
-                )
-                metrics_counter(
-                    "repro_exchange_degraded_total", reason="empty_node"
-                ).inc()
+                empty = live_counts.count(0)
+                emit("exchange-degrade", self.comm.rank,
+                     value=empty, detail=f"{empty} empty node(s)")
                 return super()._exchange(send, receive)
             demoted = [
                 m for m in range(topo.nnodes) if live_counts[m] < topo.ranks_per_node
@@ -135,13 +130,8 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             if demoted:
                 # Leader duties on these nodes just moved: survivors
                 # re-elect (m % live) over the shrunk node membership.
-                flight(
-                    "leader-failover",
-                    self.comm.rank,
-                    value=float(len(demoted)),
-                    detail=f"nodes {demoted}"[:40],
-                )
-                metrics_counter("repro_leader_failovers_total").inc()
+                emit("leader-failover", self.comm.rank,
+                     value=len(demoted), detail=f"nodes {demoted}")
         self._check_send(send)
         comm, p = self.comm, self.comm.size
         me = comm.rank
@@ -269,4 +259,4 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             out = _boxes([g[1][me] for g in gathered])
             out[me] = mine
         self._settle(send, regions, report, stats, out)
-        return out
+        return out, stats, report

@@ -52,7 +52,7 @@ from repro.fft.decomposition import (
 from repro.fft.local_fft import batched_fft, batched_ifft, complex_dtype
 from repro.fft.reshape import BoundReshape, ReshapePlan
 from repro.machine.topology import Topology
-from repro.telemetry.recorder import flight, live_update
+from repro.telemetry import scope
 from repro.runtime.base import Comm
 from repro.runtime.virtual import VirtualWorld
 from repro.trace import span as trace_span
@@ -98,6 +98,8 @@ class Stage:
     axis: int | None = None  # the grid axis ``op`` transforms
 
     def apply(self, rank: int, block: np.ndarray) -> np.ndarray:
+        """``op`` on virtual rank ``rank``'s block (the SPMD executor runs
+        it in :meth:`Fft3d._fft_stage`, a phase of a live rank)."""
         with trace_span("local_fft", rank=rank, axis=self.axis):
             return self.op(block)
 
@@ -144,17 +146,18 @@ class StagedTransform:
 
     @property
     def guaranteed_tolerance(self) -> float:
-        """Error bound honoured by the configured codec (0 = exact)."""
-        if self.codec is None:
-            return 0.0
-        return tolerance_of_codec(self.codec)
+        """Error bound honoured by every reshape's codec (0 = exact)."""
+        return max(
+            (tolerance_of_codec(c) for c in self._stage_codecs() if c is not None), default=0.0
+        )
 
     def describe(self) -> str:
-        """One-paragraph plan summary (layouts, codec, message counts)."""
+        """One-paragraph plan summary (layouts, codecs, message counts)."""
+        codecs = dict.fromkeys(c.name for c in self._stage_codecs() if c is not None)
         lines = [
             f"{type(self).__name__} {self.shape} on {self.nranks} ranks",
             f"  precision: {self.precision}",
-            f"  codec: {self.codec.name if self.codec else 'none (exact)'}",
+            f"  codec: {' / '.join(codecs) or 'none (exact)'}",
             f"  bricks grid: {self.stages[0].reshape.src.grid}",
         ]
         for i, stage in enumerate(self.stages):
@@ -169,6 +172,9 @@ class StagedTransform:
         if self.codec_schedule is not None:
             return self.codec_schedule.codec_for_stage(step)
         return self.codec
+
+    def _stage_codecs(self) -> list[Codec | None]:
+        return [self._stage_codec(step) for step in range(len(self.stages))]
 
     def _pipeline(self, inverse: bool) -> list[Stage]:
         return self.inverse_stages if inverse else self.stages
@@ -420,8 +426,8 @@ class Fft3d(StagedTransform):
         """
         if stage.op is None:
             return block
-        live_update(comm.rank, phase="local_fft")
-        return stage.apply(comm.rank, block)
+        with scope("local_fft", comm.rank, axis=stage.axis):
+            return stage.op(block)
 
     def forward_spmd(
         self,
@@ -459,20 +465,8 @@ class Fft3d(StagedTransform):
         if stats is None:
             stats = FftStats()
         block = np.ascontiguousarray(local, dtype=self.dtype)
-        flight(
-            "fft",
-            comm.rank,
-            value=float(self.nranks),
-            detail=f"{'i' if inverse else ''}fft {self.shape[0]}^3",
-        )
-        live_update(comm.rank, alive=1.0, phase="fft")
-        with trace_span(
-            "fft",
-            rank=comm.rank,
-            shape=self.shape,
-            nranks=self.nranks,
-            inverse=inverse,
-            method=method,
+        with scope(
+            "fft", comm.rank, shape=self.shape, nranks=self.nranks, inverse=inverse, method=method
         ):
             entry = self._tuned_entry
             variant = entry.variant if entry is not None else "flat"
@@ -481,5 +475,4 @@ class Fft3d(StagedTransform):
                 block = self._reshape_stage(reshape, block, stats, pool)
                 block = self._fft_stage(comm, block, stage)
         self.last_stats = stats
-        live_update(comm.rank, phase="idle")
         return block

@@ -34,7 +34,7 @@ from repro.collectives.base import Exchange, ExchangeStats, pack, unpack
 from repro.collectives.exchange import make_exchange
 from repro.compression.base import Codec
 from repro.errors import PlanError
-from repro.telemetry.recorder import live_update
+from repro.telemetry import scope
 from repro.tuning.pool import BufferPool
 from repro.trace import incr as trace_incr
 from repro.trace import span as trace_span
@@ -168,9 +168,8 @@ class ReshapePlan:
                 sent.logical_bytes += chunk.nbytes
                 sent.wire_bytes += wire
                 stages[d].unpack(out[d], s, received)
-            trace_incr("messages", sent.messages, rank=s)
-            trace_incr("logical_bytes", sent.logical_bytes, rank=s)
-            trace_incr("wire_bytes", sent.wire_bytes, rank=s)
+            for name in ("messages", "logical_bytes", "wire_bytes"):
+                trace_incr(name, getattr(sent, name), rank=s)
             if stats is not None:
                 stats.merge(sent)
         return out
@@ -288,12 +287,11 @@ class BoundReshape:
             out.append(stage.empty_out(local))
             return [out[0][stage.incoming[s]] if s in stage.incoming else None for s in range(size)]
 
-        # One live-phase beacon per reshape: "exchange" is where a rank
-        # spends its blocking time (pack/unpack are sub-ms local work and
-        # per-phase beacons there measurably tax the GIL-shared ranks).
-        live_update(stage.rank, phase="exchange")
-        with trace_span(
-            "exchange", rank=stage.rank, method=exchange.algorithm, messages=len(stage.outgoing)
+        # One phase scope per reshape: "exchange" is where a rank spends
+        # its blocking time (pack/unpack are sub-ms local work and live
+        # writes there measurably tax the GIL-shared ranks).
+        with scope(
+            "exchange", stage.rank, method=exchange.algorithm, messages=len(stage.outgoing)
         ):
             exchange.move(send, receive, pool)
         if stats is not None:

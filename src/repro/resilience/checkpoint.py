@@ -52,6 +52,7 @@ from repro.fft.plan import Fft3d
 from repro.machine.topology import ShrunkTopology
 from repro.resilience.abft import reshape_checksums, verify_checksums
 from repro.runtime.shm import quiet_close
+from repro.telemetry import scope
 from repro.trace import span as trace_span
 from repro.tuning.pool import BufferPool
 
@@ -511,13 +512,10 @@ class ResilientFft3d:
                 f"rank {comm.rank}: no globally consistent checkpoint to restart "
                 f"from after failure ({exc})"
             ) from exc
-        with trace_span("restart", rank=comm.rank, stage=stage, survivors=sub.size):
-            with world.monitor.phase("restart", comm.rank):
-                new_plan, new_block = self._restart_block(
-                    store, plan, comm.size, stage, sub, tag
-                )
-                self.active_plan = new_plan
-                result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1, pool, tag)
+        with world.monitor.phase("restart", comm.rank, stage=stage, survivors=sub.size):
+            new_plan, new_block = self._restart_block(store, plan, comm.size, stage, sub, tag)
+            self.active_plan = new_plan
+            result = self._run(sub, new_plan, new_block, stage, inverse, depth + 1, pool, tag)
         result.recovered = True
         result.report = world.monitor.build_report(
             recovered=True,
@@ -556,9 +554,7 @@ class ResilientFft3d:
         for stale in (f"{self.tag}#{seq - 1}", tag):
             for step in range(_N_STAGES):
                 store.discard((stale, comm.size, step, comm.rank))
-        with trace_span(
-            "fft", rank=comm.rank, shape=self.shape, nranks=comm.size, inverse=inverse
-        ):
+        with scope("fft", comm.rank, shape=self.shape, nranks=comm.size, inverse=inverse):
             result = self._run(comm, plan, block, 0, inverse, 0, pool, tag)
         self.active_plan = result.plan
         return result

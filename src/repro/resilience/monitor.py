@@ -43,9 +43,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from repro.errors import BarrierBrokenError, BarrierStallError, CommunicatorError
-from repro.telemetry.metrics import counter as metrics_counter
-from repro.telemetry.recorder import flight, live_update
-from repro.trace import get_tracer as trace_get_tracer
+from repro.telemetry import emit, scope
 
 __all__ = [
     "STALL_CLASSIFICATIONS",
@@ -712,13 +710,7 @@ class Watchdog:
         if not state.record_failure(g, kind, cls, detail, now, age):
             return None
         state.add_span("detect", g, now - age, now)
-        flight("rank-failed", g, value=age, detail=f"{kind}/{cls}"[:40])
-        flight("detect", g, value=age)
-        tracer = trace_get_tracer()
-        if tracer is not None:
-            tracer.record_span(
-                "detect", g, duration_ns=int(age * 1e9), failure_kind=kind, classification=cls
-            )
+        emit("detect", g, seconds=age, failure_kind=kind, classification=cls)
         return RankFailure(rank, kind, cls, detail, now, age)
 
     def declare_failed(
@@ -823,20 +815,17 @@ class Watchdog:
     # -- recovery timeline -----------------------------------------------------------------
 
     @contextmanager
-    def phase(self, name: str, rank: int) -> Iterator[None]:
-        """Record one recovery phase interval in the shared timeline."""
+    def phase(self, name: str, rank: int, **attrs: Any) -> Iterator[None]:
+        """One recovery phase of ``rank``: a telemetry scope (span, live
+        phase, ring event, ``repro_recoveries_total``; ``attrs`` ride on
+        the span) and an interval in the shared timeline."""
         g = self.members[rank]
         t0 = self.state.now()
-        live_update(g, phase=name)  # `repro monitor` shows recovery progress live
         try:
-            yield
+            with scope(name, g, runtime=self.runtime_label, **attrs):
+                yield
         finally:
-            t1 = self.state.now()
-            self.state.add_span(name, g, t0, t1)
-            flight(name, g, value=t1 - t0)
-            metrics_counter(
-                "repro_recoveries_total", phase=name, runtime=self.runtime_label
-            ).inc()
+            self.state.add_span(name, g, t0, self.state.now())
 
     # -- reporting ---------------------------------------------------------------------------
 

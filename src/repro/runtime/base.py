@@ -35,8 +35,7 @@ from repro.resilience.monitor import (
     FailureReport,
     Watchdog,
 )
-from repro.telemetry.recorder import flight, live_update
-from repro.trace import span as trace_span
+from repro.telemetry import emit
 from repro.utils.arrays import no_alias_copy
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "DEFAULT_TIMEOUT", "Request", "World", "Comm"]
@@ -389,8 +388,7 @@ class Comm(ABC):
         fault — until peers declare this rank dead (beacon staleness,
         classification ``deadlock``) and revoke, then unwind."""
         me = self._me
-        flight("fault-hang", me, detail=op[:40])
-        live_update(me, phase="hung")
+        emit("fault-hang", me, detail=op)
         world, state = self.world, self._state
 
         def released() -> bool:
@@ -404,7 +402,7 @@ class Comm(ABC):
             detail += " (never detected: no peer polled the watchdog)"
         self._watchdog.declare_failed(self.rank, "hang", detail, classification="deadlock")
         state.revoke(f"rank {me} hang (deadlock): {detail}", self._gen)
-        live_update(me, alive=0.0, phase="failed")
+        emit("failed", me)
         raise RankHungError(
             f"rank {me} wedged by fault injection at {op}",
             report=self._watchdog.build_report(detail=detail),
@@ -448,21 +446,20 @@ class Comm(ABC):
                 f"{self._gen} ({ROUNDS_PER_GEN} per generation)"
             )
         watchdog.beat(self.rank)
-        with trace_span("agree", rank=self.rank, round=round_no):
-            with watchdog.phase("agree", self.rank):
-                self._state.set_blocked(self._me, "agree")
-                try:
-                    return self._state.agree_wait(
-                        self._gen * ROUNDS_PER_GEN + round_no,
-                        self.rank,
-                        int(bitmap),
-                        nranks=self.size,
-                        absent=watchdog.absent_ranks,
-                        poll=self._progress_recovery,
-                        timeout=self.world.timeout,
-                    )
-                finally:
-                    self._state.clear_blocked(self._me)
+        with watchdog.phase("agree", self.rank, round=round_no):
+            self._state.set_blocked(self._me, "agree")
+            try:
+                return self._state.agree_wait(
+                    self._gen * ROUNDS_PER_GEN + round_no,
+                    self.rank,
+                    int(bitmap),
+                    nranks=self.size,
+                    absent=watchdog.absent_ranks,
+                    poll=self._progress_recovery,
+                    timeout=self.world.timeout,
+                )
+            finally:
+                self._state.clear_blocked(self._me)
 
     def shrink(self, survivors: tuple[int, ...] | None = None) -> "Comm":
         """Build a working communicator over the survivors (``MPIX_Comm_shrink``).
@@ -482,17 +479,16 @@ class Comm(ABC):
                 f"rank {self.rank} cannot shrink onto survivors {survivors} "
                 "(it is not one of them)"
             )
-        with trace_span("shrink", rank=self.rank, survivors=len(survivors)):
-            with self._watchdog.phase("shrink", self.rank):
-                gen = self._gen + 1
-                self._state.bump_gen(gen)
-                world = self.world.shrunk_world(
-                    tuple(self.parent_ranks[r] for r in survivors), gen
-                )
-                new_comm = type(self)(world, survivors.index(self.rank))
-                new_comm._watchdog.beat(new_comm.rank)
-                self._hand_over(new_comm)
-                return new_comm
+        with self._watchdog.phase("shrink", self.rank, survivors=len(survivors)):
+            gen = self._gen + 1
+            self._state.bump_gen(gen)
+            world = self.world.shrunk_world(
+                tuple(self.parent_ranks[r] for r in survivors), gen
+            )
+            new_comm = type(self)(world, survivors.index(self.rank))
+            new_comm._watchdog.beat(new_comm.rank)
+            self._hand_over(new_comm)
+            return new_comm
 
     def failure_report(self, **kwargs: Any) -> FailureReport:
         """Snapshot the watchdog's view of this world (see FailureReport)."""

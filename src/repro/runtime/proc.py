@@ -102,7 +102,8 @@ from repro.telemetry.blackbox import (
     disarm_signal_dump,
     emit_blackbox,
 )
-from repro.telemetry.recorder import flight, install_sink, is_enabled, live_update
+from repro.telemetry import emit, fold_live
+from repro.telemetry.recorder import install_sink, is_enabled
 from repro.telemetry.shmseg import (
     DEFAULT_SHM_CAPACITY,
     ShmSink,
@@ -190,7 +191,7 @@ def _child_main(
         # Events recorded by this rank now land in the shared segment,
         # where the parent can read them even after this process dies.
         install_sink(ShmSink(world.telemetry))
-        live_update(rank, alive=1.0, phase="start")
+        emit("start", rank)
     comm = ProcComm(world, rank)
     try:
         result = fn(comm, *args, **kwargs)
@@ -198,17 +199,16 @@ def _child_main(
         # rank's exit must not read as a crash to peers still working.
         world.state.mark_done(rank)
         payload = ("ok", rank, result)
-        live_update(rank, done=1.0, phase="done")
+        emit("done", rank)
     except (RankKilledError, RankHungError):
         # Expected death (injected fault): already in the failure
         # registry, world revoked — survivors decide whether to recover.
         payload = ("died", rank, None)
-        live_update(rank, alive=0.0, phase="failed")
+        emit("failed", rank)
     except BaseException as exc:  # noqa: BLE001 - must not hang peers
         world.abort(f"rank {rank} raised {type(exc).__name__}: {exc}")
         payload = _encode_error(rank, exc)
-        flight("abort", rank, detail=f"{type(exc).__name__}: {exc}"[:40])
-        live_update(rank, alive=0.0, phase="failed")
+        emit("abort", rank, detail=f"{type(exc).__name__}: {exc}")
     comm.release()  # arenas the kernel left cached on its communicator
     if child_tracer is not None:
         try:
@@ -474,6 +474,10 @@ class ProcessWorld(_ProcView):
                 disarm_signal_dump()
             try:
                 self._note_child_deaths([p for p, _ in procs])
+                if self.telemetry is not None:
+                    # The ranks' per-rank metrics are their live rows: fold
+                    # them into this process's sink, which the registry reads.
+                    fold_live(self.telemetry.live_snapshot())
                 self._harvest_blackbox(payloads)
             finally:
                 self.close()
@@ -730,8 +734,7 @@ class ProcComm(Comm):
         """Injected ``kill``: a *real* SIGKILL to our own pid — peers
         must detect the death from the outside, exactly as they would a
         node OOM-killing the rank."""
-        flight("fault-kill", self._me, detail=op[:40])
-        live_update(self._me, alive=0.0, phase="killed")
+        emit("fault-kill", self._me, detail=op)
         os.kill(os.getpid(), signal.SIGKILL)
         raise RankKilledError(  # pragma: no cover - SIGKILL is not catchable
             f"rank {self._me}: injected kill in {op}"

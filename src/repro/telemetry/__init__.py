@@ -2,8 +2,10 @@
 
 The tracer (:mod:`repro.trace`) answers "why was this run slow" when
 you *planned* to ask; :mod:`repro.telemetry` answers "what just
-happened" when you didn't.  Three always-available pieces (DESIGN.md
-§13):
+happened" when you didn't.  Instrumented code reaches both through one
+seam (:mod:`~repro.telemetry.events`: :func:`emit` a point event,
+:func:`scope` an interval; DESIGN.md §7, §13), which fans each record
+out to three always-available pieces:
 
 * **flight recorder** (:mod:`~repro.telemetry.recorder`) — bounded
   per-rank rings of recent events, always armed, dumped as a black-box
@@ -29,6 +31,7 @@ from repro.telemetry.blackbox import (
     set_last_blackbox,
     write_blackbox,
 )
+from repro.telemetry.events import KINDS, emit, scope
 from repro.telemetry.jsonlog import (
     JsonLinesLogger,
     get_logger,
@@ -41,8 +44,10 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    LIVE_SERIES,
     SnapshotWriter,
     counter,
+    fold_live,
     gauge,
     get_registry,
     histogram,
@@ -50,7 +55,6 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.recorder import (
     DEFAULT_CAPACITY,
-    FLIGHT_KINDS,
     LIVE_FIELDS,
     FlightEvent,
     FlightRecorder,
@@ -59,11 +63,8 @@ from repro.telemetry.recorder import (
     get_recorder,
     install_sink,
     is_enabled,
-    live_add,
-    live_add_many,
     live_update,
-    record_failure_report,
-    record_resilience_report,
+    publish,
     reset,
 )
 
@@ -89,29 +90,31 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
+    # the seam
+    "KINDS",
+    "emit",
+    "scope",
     # recorder
-    "FLIGHT_KINDS",
     "LIVE_FIELDS",
     "DEFAULT_CAPACITY",
     "FlightEvent",
     "FlightRecorder",
+    "publish",
     "flight",
     "live_update",
-    "live_add",
-    "live_add_many",
     "get_recorder",
     "install_sink",
     "reset",
     "configure",
     "is_enabled",
-    "record_resilience_report",
-    "record_failure_report",
     # metrics
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "SnapshotWriter",
+    "LIVE_SERIES",
+    "fold_live",
     "get_registry",
     "counter",
     "gauge",

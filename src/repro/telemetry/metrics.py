@@ -1,10 +1,18 @@
 """Metrics registry: named counters, gauges and histograms.
 
-Fed from the same instrumentation points as the tracer but independent
-of it — the registry is process-global and always on, so an operator
-can scrape wire vs logical bytes, compression ratios, error-budget
-headroom, pool hit rates and watchdog suspicions from a run that never
-installed a :class:`~repro.trace.core.Tracer`.
+Independent of the tracer — the registry is process-global and always
+on, so an operator can scrape wire vs logical bytes, error-budget
+headroom, pool hit rates and recoveries from a run that never installed
+a :class:`~repro.trace.core.Tracer`.
+
+The process registry (:func:`get_registry`) stores no per-rank
+accumulator of its own: the series of :data:`LIVE_SERIES` are read off
+the armed flight sink's live table when they are read or exported, so
+they count exactly what the live table counts — a forked rank's rounds
+included, once its parent has folded the rank's final row in
+(:func:`fold_live`).  The seam (:mod:`repro.telemetry.events`) writes
+only the few series a live row cannot carry (latency histograms,
+bandwidth, recoveries, two-level and pool counters).
 
 Exports:
 
@@ -28,6 +36,8 @@ import os
 import re
 import threading
 import time
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any
 
 from repro.telemetry import recorder as _recorder
@@ -38,6 +48,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SnapshotWriter",
+    "LIVE_SERIES",
+    "fold_live",
     "get_registry",
     "counter",
     "gauge",
@@ -131,10 +143,8 @@ class Gauge(_Metric):
         self._value = 0.0
 
     def set(self, value: float) -> None:
-        if not _recorder.is_enabled():
-            return
-        with self._lock:
-            self._value = float(value)
+        if _recorder.is_enabled():
+            self._value = float(value)  # one store: atomic, no lock needed
 
     def inc(self, amount: float = 1.0) -> None:
         if not _recorder.is_enabled():
@@ -162,7 +172,7 @@ class Histogram(_Metric):
         self.buckets = tuple(sorted(float(b) for b in buckets))
         if not self.buckets:
             raise ValueError(f"histogram {name} needs at least one bucket")
-        self._counts = [0] * len(self.buckets)
+        self._counts = [0] * (len(self.buckets) + 1)  # per bucket, +Inf last
         self._sum = 0.0
         self._count = 0
 
@@ -173,9 +183,7 @@ class Histogram(_Metric):
         with self._lock:
             self._sum += value
             self._count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self._counts[i] += 1
+            self._counts[bisect_left(self.buckets, value)] += 1
 
     @property
     def count(self) -> int:
@@ -188,9 +196,8 @@ class Histogram(_Metric):
     def cumulative(self) -> list[tuple[float, int]]:
         """(upper bound, cumulative count) pairs, ``+Inf`` last."""
         with self._lock:
-            counts = list(self._counts)
-            total = self._count
-        return [*zip(self.buckets, counts), (float("inf"), total)]
+            counts = list(accumulate(self._counts))
+        return [*zip(self.buckets, counts), (float("inf"), counts[-1])]
 
 
 class MetricsRegistry:
@@ -199,21 +206,33 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], _Metric] = {}
+        #: (kind, name, *labels as passed) -> series: a repeated lookup
+        #: skips building the canonical key and takes no lock.
+        self._seen: dict[tuple, _Metric] = {}
 
     # -- get-or-create ----------------------------------------------------------------
 
     def _series(self, cls, name: str, labels: dict[str, Any], **kwargs) -> _Metric:
-        key = (_check_name(name), tuple(sorted((k, str(v)) for k, v in labels.items())))
+        seen = (cls, name, *labels.items())
+        try:
+            return self._seen[seen]
+        except (KeyError, TypeError):  # TypeError: an unhashable label value
+            pass
+        key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         with self._lock:
             metric = self._metrics.get(key)
             if metric is None:
-                metric = cls(key[0], key[1], **kwargs)
+                metric = cls(_check_name(name), key[1], **kwargs)
                 self._metrics[key] = metric
             elif not isinstance(metric, cls):
                 raise ValueError(
                     f"metric {name!r} already registered as {metric.kind}, "
                     f"requested {cls.kind}"
                 )
+            try:
+                self._seen[seen] = metric
+            except TypeError:
+                pass
         return metric
 
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -280,6 +299,81 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
+            self._seen.clear()
+
+
+#: Per-rank series the process registry reads off the armed flight
+#: sink's live table instead of storing them: name -> (kind, live field,
+#: the field whose being nonzero makes the rank's series exist).
+LIVE_SERIES: dict[str, tuple[type, str, str]] = {
+    "repro_exchange_rounds_total": (Counter, "rounds", "rounds"),
+    "repro_wire_bytes_total": (Counter, "wire_bytes", "rounds"),
+    "repro_logical_bytes_total": (Counter, "logical_bytes", "rounds"),
+    "repro_retries_total": (Counter, "retries", "retries"),
+    "repro_degradations_total": (Counter, "degradations", "degradations"),
+    "repro_achieved_error": (Gauge, "achieved_error", "e_tol"),
+    "repro_error_headroom": (Gauge, "error_headroom", "e_tol"),
+}
+
+
+def _live_rows() -> dict[int, dict[str, Any]]:
+    return getattr(_recorder.get_recorder(), "live_snapshot", dict)()
+
+
+class _LiveSeries(_Metric):
+    """One rank's :data:`LIVE_SERIES` entry: a view of a live-table field
+    (reads come from the armed sink, ``inc`` / ``set`` write to it)."""
+
+    def __init__(self, name: str, rank: int, row: dict[str, Any] | None = None) -> None:
+        super().__init__(name, (("rank", str(rank)),))
+        cls, self._field, _ = LIVE_SERIES[name]
+        self.kind = cls.kind
+        self._rank = rank
+        self._row = row  # export-time snapshot, else read on demand
+
+    @property
+    def value(self) -> float:
+        row = self._row if self._row is not None else _live_rows().get(self._rank, {})
+        return float(row.get(self._field, 0.0))
+
+    def inc(self, amount: float = 1.0) -> None:
+        _recorder.publish(self._rank, adds={self._field: amount})
+
+    def set(self, value: float) -> None:
+        _recorder.publish(self._rank, sets={self._field: value})
+
+
+class _ProcessRegistry(MetricsRegistry):
+    """The process-global registry: the :data:`LIVE_SERIES` labelled by
+    ``rank`` alone are views of the live table (cleared with the flight
+    recorder, :func:`repro.telemetry.reset`, not by :meth:`clear`)."""
+
+    def _series(self, cls, name: str, labels: dict[str, Any], **kwargs) -> _Metric:
+        if name in LIVE_SERIES and list(labels) == ["rank"]:
+            return _LiveSeries(name, int(labels["rank"]))
+        return super()._series(cls, name, labels, **kwargs)
+
+    def _sorted_metrics(self) -> list[_Metric]:
+        live = [
+            _LiveSeries(name, rank, row)
+            for rank, row in _live_rows().items()
+            for name, (_, _, present) in LIVE_SERIES.items()
+            if row.get(present)
+        ]
+        return sorted(super()._sorted_metrics() + live, key=lambda m: (m.name, m.labels))
+
+
+def fold_live(rows: dict[int, dict[str, Any]]) -> None:
+    """Fold other processes' final live rows (forked ranks') into the
+    armed sink: the :data:`LIVE_SERIES` counters add, the gauges — written
+    only once an error was measured — overwrite, with ``e_tol``."""
+    counters = [f for cls, f, _ in LIVE_SERIES.values() if cls is Counter]
+    gauges = [f for cls, f, _ in LIVE_SERIES.values() if cls is Gauge] + ["e_tol"]
+    for rank, row in rows.items():
+        adds = {f: row[f] for f in counters if row.get(f)}
+        sets = {f: row[f] for f in gauges} if row.get("e_tol") else None
+        if adds or sets:
+            _recorder.publish(rank, sets=sets, adds=adds)
 
 
 class SnapshotWriter:
@@ -347,7 +441,7 @@ class SnapshotWriter:
 
 # -- module-global registry ------------------------------------------------------------
 
-_registry = MetricsRegistry()
+_registry = _ProcessRegistry()
 
 
 def get_registry() -> MetricsRegistry:

@@ -4,11 +4,14 @@ The tracer (:mod:`repro.trace`) is opt-in and unbounded; the flight
 recorder is the opposite — *always armed*, O(capacity) memory per rank,
 and interesting precisely when a run dies.  Every instrumented site
 (exchange rounds, codec decisions, achieved error vs ``e_tol``,
-retries/degradations, heartbeat verdicts, recovery phases) records a
-small fixed-shape :class:`FlightEvent` into the installed *sink*; when
-a rank fails, a collective aborts, a retry budget is exhausted or the
-user sends ``SIGUSR1``, the last-N events per rank are dumped as a
-black-box crash report (:mod:`repro.telemetry.blackbox`).
+retries/degradations, heartbeat verdicts, recovery phases) publishes
+through the one seam of :mod:`repro.telemetry.events`, which hands the
+installed *sink* one :meth:`~FlightRecorder.write` per record: the
+small fixed-shape :class:`FlightEvent` s for the rank's ring and the
+rank's live-table writes.  When a rank fails, a collective aborts, a
+retry budget is exhausted or the user sends ``SIGUSR1``, the last-N
+events per rank are dumped as a black-box crash report
+(:mod:`repro.telemetry.blackbox`).
 
 Two sinks exist:
 
@@ -19,9 +22,8 @@ Two sinks exist:
   so the parent can recover a dead child's ring post-mortem.
 
 This module deliberately imports nothing from the rest of the package
-(the runtime, the resilience monitor and the collectives all import
-*it*), and the disabled path is one attribute load + branch so the
-recorder can stay on in production.
+(the seam and the registry import *it*), and the disabled path is one
+attribute load + branch so the recorder can stay on in production.
 """
 
 from __future__ import annotations
@@ -29,60 +31,27 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 __all__ = [
-    "FLIGHT_KINDS",
     "LIVE_FIELDS",
     "DEFAULT_CAPACITY",
     "FlightEvent",
     "FlightRecorder",
+    "publish",
     "flight",
     "live_update",
-    "live_add",
-    "live_add_many",
     "get_recorder",
     "install_sink",
     "reset",
     "configure",
     "is_enabled",
-    "record_resilience_report",
-    "record_failure_report",
 ]
 
-#: Event kinds the instrumentation sites record.  Advisory, not
-#: enforced — a new site can introduce a kind without touching this
-#: table, but dumps and the pretty-printer key their grouping off it.
-FLIGHT_KINDS = (
-    "exchange-round",  # one collective exchange completed (value=wire bytes)
-    "error",  # achieved error vs e_tol (value=achieved, value2=headroom)
-    "codec",  # codec selection / change
-    "retry",  # same-codec retry scheduled
-    "degrade",  # degradation ladder stepped down
-    "retransmit",  # a block was re-sent
-    "recovered",  # a previously-failed block decoded cleanly
-    "integrity-failure",  # CRC / magic / version check failed
-    "transient-codec",  # codec call failed transiently
-    "tolerance-exceeded",  # achieved error above e_tol at compress time
-    "budget-exhausted",  # RetryPolicy budget spent
-    "rank-failed",  # watchdog declared a rank dead (value=beacon silence)
-    "detect",  # recovery phases (value=duration seconds) ...
-    "agree",
-    "shrink",
-    "restart",
-    "leader-failover",  # two-level exchange re-elected a node's leaders
-    "exchange-degrade",  # two-level exchange fell back to the flat path
-    "fault-kill",  # injected process kill about to be delivered
-    "fault-hang",  # injected process hang parked a rank
-    "phase",  # coarse execution phase change (detail=phase name)
-    "fft",  # one FFT plan execution started/finished
-    "abort",  # world abort / kernel exception
-)
-
-#: Live per-rank gauge fields mirrored by every sink (names are the
-#: contract between instrumentation sites, the shm segment layout and
-#: the monitor table).
+#: Live per-rank fields mirrored by every sink, besides ``phase`` (names
+#: are the contract between the kind table, the shm segment layout, the
+#: monitor table and the registry's per-rank series).
 LIVE_FIELDS = (
     "alive",
     "done",
@@ -95,8 +64,6 @@ LIVE_FIELDS = (
     "e_tol",
     "retries",
     "degradations",
-    "pool_hits",
-    "pool_misses",
     "events",
 )
 
@@ -121,52 +88,7 @@ class FlightEvent:
     detail: str = ""
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "rank": self.rank,
-            "t_ns": self.t_ns,
-            "seq": self.seq,
-            "peer": self.peer,
-            "round": self.round,
-            "value": self.value,
-            "value2": self.value2,
-            "detail": self.detail,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "FlightEvent":
-        return cls(
-            kind=str(obj.get("kind", "")),
-            rank=int(obj.get("rank", -1)),
-            t_ns=int(obj.get("t_ns", 0)),
-            seq=int(obj.get("seq", 0)),
-            peer=int(obj.get("peer", -1)),
-            round=int(obj.get("round", -1)),
-            value=float(obj.get("value", 0.0)),
-            value2=float(obj.get("value2", 0.0)),
-            detail=str(obj.get("detail", "")),
-        )
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        peer = f" peer={self.peer}" if self.peer >= 0 else ""
-        rnd = f" round={self.round}" if self.round >= 0 else ""
-        return (
-            f"[{self.kind}] rank={self.rank}{peer}{rnd} "
-            f"value={self.value:g} {self.detail}".rstrip()
-        )
-
-
-def _now_ns() -> int:
-    """CLOCK_MONOTONIC nanoseconds — comparable across forked ranks."""
-    return time.perf_counter_ns()
-
-
-@dataclass
-class _RankLive:
-    """Mutable live state of one rank (the monitor-table row)."""
-
-    phase: str = ""
-    fields: dict[str, float] = field(default_factory=dict)
+        return asdict(self)
 
 
 class FlightRecorder:
@@ -174,7 +96,7 @@ class FlightRecorder:
 
     Thread-safe (rank threads of a :class:`ThreadWorld` record
     concurrently); memory is strictly ``capacity`` events per observed
-    rank plus one live-state dict per rank.
+    rank plus one live row per rank.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -183,10 +105,47 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self._lock = threading.Lock()
         self._rings: dict[int, deque[FlightEvent]] = {}
-        self._live: dict[int, _RankLive] = {}
+        self._live: dict[int, dict[str, Any]] = {}
         self._seq = 0
 
-    # -- sink protocol (shared with ShmSink) ----------------------------------------
+    # -- sink protocol (shared with ShmTelemetry) ------------------------------------
+
+    def write(
+        self,
+        rank: int,
+        events: Iterable[tuple] = (),
+        sets: dict[str, Any] | None = None,
+        adds: dict[str, float] | None = None,
+    ) -> None:
+        """One record's share of ``rank``, under one lock: ring ``events``
+        (``(kind, peer, round, value, value2, detail)`` tuples), live
+        fields set (``sets``, ``phase`` included) and accumulated (``adds``)."""
+        # Hot path: no type coercions on the ring side (callers are
+        # internal and pass the documented types), the clock read outside
+        # the lock.  CLOCK_MONOTONIC: comparable across forked ranks.
+        now = time.perf_counter_ns()
+        rank = int(rank)
+        with self._lock:
+            row = self._live.get(rank)
+            if row is None:
+                row = self._live[rank] = {"phase": ""}
+            if events:
+                ring = self._rings.get(rank)
+                if ring is None:
+                    ring = self._rings[rank] = deque(maxlen=self.capacity)
+                for kind, peer, round_, value, value2, detail in events:
+                    self._seq += 1
+                    ring.append(
+                        FlightEvent(kind, rank, now, self._seq, peer, round_, value, value2, detail)
+                    )
+                    row["events"] = row.get("events", 0.0) + 1.0
+            if sets:
+                for key, val in sets.items():
+                    row[key] = str(val) if key == "phase" else float(val)
+            if adds:
+                for key, delta in adds.items():
+                    row[key] = row.get(key, 0.0) + float(delta)
+            row["heartbeat_ns"] = float(now)
 
     def record(
         self,
@@ -197,70 +156,18 @@ class FlightRecorder:
         value: float = 0.0,
         value2: float = 0.0,
         detail: str = "",
-        t_ns: int | None = None,
-    ) -> FlightEvent:
-        # Hot path: no type coercions (callers are internal and pass the
-        # documented types) and the timestamp is taken outside the lock.
-        now = _now_ns() if t_ns is None else t_ns
-        rank = int(rank)
-        with self._lock:
-            self._seq += 1
-            event = FlightEvent(kind, rank, now, self._seq, peer, round_, value, value2, detail)
-            ring = self._rings.get(rank)
-            if ring is None:
-                ring = deque(maxlen=self.capacity)
-                self._rings[rank] = ring
-            ring.append(event)
-            live = self._live.setdefault(rank, _RankLive())
-            live.fields["events"] = live.fields.get("events", 0.0) + 1.0
-            live.fields["heartbeat_ns"] = float(now)
-        return event
-
-    def update(self, rank: int, updates: dict[str, Any]) -> None:
-        with self._lock:
-            live = self._live.setdefault(int(rank), _RankLive())
-            for key, val in updates.items():
-                if key == "phase":
-                    live.phase = str(val)
-                else:
-                    live.fields[key] = float(val)
-            live.fields["heartbeat_ns"] = float(_now_ns())
-
-    def add(self, rank: int, name: str, delta: float) -> None:
-        with self._lock:
-            live = self._live.setdefault(int(rank), _RankLive())
-            live.fields[name] = live.fields.get(name, 0.0) + float(delta)
-
-    def add_many(
-        self,
-        rank: int,
-        deltas: dict[str, float],
-        sets: dict[str, float] | None = None,
     ) -> None:
-        """Accumulate (and optionally set) several live gauges in one lock
-        acquisition — the per-exchange hot path publishes its round
-        counters and error gauges through a single call here."""
-        with self._lock:
-            fields = self._live.setdefault(int(rank), _RankLive()).fields
-            for name, delta in deltas.items():
-                fields[name] = fields.get(name, 0.0) + float(delta)
-            if sets:
-                fields.update(sets)
+        """One ring event (:meth:`write` with nothing else)."""
+        self.write(rank, ((kind, peer, round_, value, value2, detail),))
 
     # -- introspection ---------------------------------------------------------------
-
-    def ranks(self) -> list[int]:
-        with self._lock:
-            return sorted(self._rings)
 
     def events(self, rank: int | None = None) -> list[FlightEvent]:
         """Snapshot of one rank's ring (or every ring, seq-ordered)."""
         with self._lock:
             if rank is not None:
                 return list(self._rings.get(int(rank), ()))
-            merged: list[FlightEvent] = []
-            for ring in self._rings.values():
-                merged.extend(ring)
+            merged = [e for ring in self._rings.values() for e in ring]
         return sorted(merged, key=lambda e: e.seq)
 
     def events_by_rank(self) -> dict[int, list[FlightEvent]]:
@@ -270,23 +177,12 @@ class FlightRecorder:
     def live_snapshot(self) -> dict[int, dict[str, Any]]:
         """Per-rank live state: ``{rank: {"phase": ..., <field>: ...}}``."""
         with self._lock:
-            out: dict[int, dict[str, Any]] = {}
-            for rank, live in self._live.items():
-                row: dict[str, Any] = {"phase": live.phase}
-                row.update(live.fields)
-                out[rank] = row
-            return out
-
-    def clear(self) -> None:
-        with self._lock:
-            self._rings.clear()
-            self._live.clear()
-            self._seq = 0
+            return {rank: dict(row) for rank, row in self._live.items()}
 
 
 # -- module-global always-on sink ----------------------------------------------------
 #
-# `flight()` is called from exchange hot paths, so the disabled/enabled
+# `publish()` is called once per exchange round, so the disabled/enabled
 # checks are a single global load each.  There is always a sink
 # installed (the recorder is "always armed"); `configure(enabled=False)`
 # exists for the overhead benchmark's baseline and for users who truly
@@ -301,14 +197,10 @@ def is_enabled() -> bool:
     return _enabled
 
 
-def configure(*, enabled: bool | None = None, capacity: int | None = None) -> None:
-    """Reconfigure the global recorder (``enabled=False`` disarms it)."""
-    global _enabled, _sink, _default_recorder
-    if capacity is not None:
-        _default_recorder = FlightRecorder(capacity)
-        _sink = _default_recorder
-    if enabled is not None:
-        _enabled = bool(enabled)
+def configure(*, enabled: bool) -> None:
+    """Arm (the default) or disarm the telemetry layer."""
+    global _enabled
+    _enabled = bool(enabled)
 
 
 def get_recorder() -> Any:
@@ -338,6 +230,22 @@ def reset(capacity: int = DEFAULT_CAPACITY) -> FlightRecorder:
     return _default_recorder
 
 
+def publish(
+    rank: int,
+    events: Iterable[tuple] = (),
+    sets: dict[str, Any] | None = None,
+    adds: dict[str, float] | None = None,
+) -> None:
+    """Hand one record's ring events and live writes to the armed sink in
+    one :meth:`~FlightRecorder.write` (no-op when disarmed; never raises)."""
+    if not _enabled:
+        return
+    try:
+        _sink.write(rank, events, sets, adds)
+    except Exception:  # noqa: BLE001 - telemetry must never kill a rank
+        pass
+
+
 def flight(
     kind: str,
     rank: int,
@@ -349,100 +257,9 @@ def flight(
     detail: str = "",
 ) -> None:
     """Record one flight event into the armed ring (no-op when disarmed)."""
-    if not _enabled:
-        return
-    try:
-        _sink.record(kind, rank, peer, round_, value, value2, detail)
-    except Exception:  # noqa: BLE001 - telemetry must never kill a rank
-        pass
+    publish(rank, ((kind, peer, round_, value, value2, detail),))
 
 
 def live_update(rank: int, **fields: Any) -> None:
     """Set live per-rank gauges (``phase`` plus any :data:`LIVE_FIELDS`)."""
-    if not _enabled:
-        return
-    try:
-        _sink.update(rank, fields)
-    except Exception:  # noqa: BLE001
-        pass
-
-
-def live_add(rank: int, name: str, delta: float) -> None:
-    """Accumulate one live per-rank gauge."""
-    if not _enabled:
-        return
-    try:
-        _sink.add(rank, name, delta)
-    except Exception:  # noqa: BLE001
-        pass
-
-
-def live_add_many(
-    rank: int,
-    deltas: dict[str, float],
-    sets: dict[str, float] | None = None,
-) -> None:
-    """Accumulate (``deltas``) and set (``sets``) live per-rank gauges in
-    one sink call.
-
-    Falls back to per-field :meth:`add` / :meth:`update` for sinks that
-    predate the batched protocol method.
-    """
-    if not _enabled:
-        return
-    try:
-        add_many = getattr(_sink, "add_many", None)
-        if add_many is not None:
-            add_many(rank, deltas, sets)
-        else:
-            for name, delta in deltas.items():
-                _sink.add(rank, name, delta)
-            if sets:
-                _sink.update(rank, sets)
-    except Exception:  # noqa: BLE001
-        pass
-
-
-# -- report folding -------------------------------------------------------------------
-
-
-def record_resilience_report(report: Any, *, round_: int = -1) -> None:
-    """Fold a :class:`~repro.faults.ResilienceReport` into the ring.
-
-    Each recovery event (retry, degrade, retransmit, ...) becomes one
-    flight event attributed to the report's rank, so crash dumps show
-    what the self-healing machinery did even with no tracer installed.
-    """
-    if not _enabled or report is None:
-        return
-    events: Iterable[Any] = getattr(report, "events", ())
-    for ev in events:
-        flight(
-            ev.kind,
-            ev.rank,
-            peer=getattr(ev, "peer", -1),
-            round_=round_,
-            value=float(getattr(ev, "attempt", 0)),
-            detail=(getattr(ev, "codec", None) or getattr(ev, "detail", "") or "")[:40],
-        )
-
-
-def record_failure_report(report: Any) -> None:
-    """Fold a :class:`~repro.resilience.monitor.FailureReport` into the ring.
-
-    Declared failures become ``rank-failed`` events and recovery phase
-    spans become ``detect``/``agree``/``shrink``/``restart`` events
-    (value = duration in seconds), so the detect → agree → shrink →
-    restart timeline survives into black-box dumps.
-    """
-    if not _enabled or report is None:
-        return
-    for failure in getattr(report, "failures", ()):
-        flight(
-            "rank-failed",
-            failure.rank,
-            value=float(getattr(failure, "last_beat_age", 0.0)),
-            detail=f"{failure.kind}/{failure.classification}"[:40],
-        )
-    for span in getattr(report, "phase_spans", ()):
-        flight(span.name, span.rank, value=float(span.duration))
+    publish(rank, sets=fields)

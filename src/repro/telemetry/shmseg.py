@@ -38,7 +38,7 @@ import tempfile
 import threading
 import time
 from multiprocessing.shared_memory import SharedMemory
-from typing import Any
+from typing import Any, Sequence
 
 from repro.errors import TelemetryError
 from repro.runtime.shm import quiet_close
@@ -145,6 +145,43 @@ class ShmTelemetry:
 
     # -- write side (single writer per rank) ----------------------------------------
 
+    def write(
+        self,
+        rank: int,
+        events: Sequence[tuple] = (),
+        sets: dict[str, Any] | None = None,
+        adds: dict[str, float] | None = None,
+    ) -> None:
+        """The sink protocol of :meth:`FlightRecorder.write
+        <repro.telemetry.recorder.FlightRecorder.write>`, under one lock.
+        Unknown field names are ignored, so the in-process recorder can
+        carry richer state than the segment."""
+        rank = self._check_rank(rank)
+        now = time.perf_counter_ns()
+        buf, ring, live = self.shm.buf, self._ring_off(rank), self._live_off(rank)
+        with self._write_locks[rank]:
+            for kind, peer, round_, value, value2, detail in events:
+                head = _U64.unpack_from(buf, ring)[0]
+                slot = ring + _RING_HEADER + (head % self.capacity) * _EV_BYTES
+                _EV.pack_into(
+                    buf, slot, head + 1, now, rank, int(peer), int(round_), float(value),
+                    float(value2), _trunc(kind, 16), _trunc(detail, 40),
+                )
+                # Publish after the body: a reader never sees a half-written
+                # record as committed.
+                _U64.pack_into(buf, ring, head + 1)
+            counts = dict(adds or {}, events=len(events)) if events else adds or {}
+            for key, delta in counts.items():
+                if key in _FIELD_SLOT:
+                    off = live + 8 * _FIELD_SLOT[key]
+                    _F64.pack_into(buf, off, _F64.unpack_from(buf, off)[0] + float(delta))
+            for key, val in dict(sets or {}, heartbeat_ns=now).items():
+                if key == "phase":
+                    raw = _trunc(str(val), _PHASE_BYTES).ljust(_PHASE_BYTES, b"\0")
+                    buf[live + 8 * _LIVE_SLOTS : live + _LIVE_BYTES] = raw
+                elif key in _FIELD_SLOT:
+                    _F64.pack_into(buf, live + 8 * _FIELD_SLOT[key], float(val))
+
     def record(
         self,
         kind: str,
@@ -154,87 +191,13 @@ class ShmTelemetry:
         value: float = 0.0,
         value2: float = 0.0,
         detail: str = "",
-        t_ns: int | None = None,
     ) -> None:
-        rank = self._check_rank(rank)
-        now = time.perf_counter_ns() if t_ns is None else int(t_ns)
-        ring = self._ring_off(rank)
-        with self._write_locks[rank]:
-            head = _U64.unpack_from(self.shm.buf, ring)[0]
-            slot = ring + _RING_HEADER + (head % self.capacity) * _EV_BYTES
-            _EV.pack_into(
-                self.shm.buf,
-                slot,
-                head + 1,
-                now,
-                rank,
-                int(peer),
-                int(round_),
-                float(value),
-                float(value2),
-                _trunc(kind, 16),
-                _trunc(detail, 40),
-            )
-            # Publish after the body: a reader never sees a half-written
-            # record as committed.
-            _U64.pack_into(self.shm.buf, ring, head + 1)
-            self._bump_locked(rank, "events", 1.0)
-            self._set_locked(rank, "heartbeat_ns", float(now))
-
-    def _slot_off(self, rank: int, name: str) -> int | None:
-        slot = _FIELD_SLOT.get(name)
-        if slot is None:
-            return None
-        return self._live_off(rank) + slot * 8
-
-    def _set_locked(self, rank: int, name: str, value: float) -> None:
-        off = self._slot_off(rank, name)
-        if off is not None:
-            _F64.pack_into(self.shm.buf, off, float(value))
-
-    def _bump_locked(self, rank: int, name: str, delta: float) -> None:
-        off = self._slot_off(rank, name)
-        if off is not None:
-            cur = _F64.unpack_from(self.shm.buf, off)[0]
-            _F64.pack_into(self.shm.buf, off, cur + float(delta))
+        """One ring event (:meth:`write` with nothing else)."""
+        self.write(rank, ((kind, peer, round_, value, value2, detail),))
 
     def update(self, rank: int, updates: dict[str, Any]) -> None:
-        """Set live gauges (unknown field names are ignored, so the
-        in-process recorder can carry richer state than the segment)."""
-        rank = self._check_rank(rank)
-        with self._write_locks[rank]:
-            for key, val in updates.items():
-                if key == "phase":
-                    raw = _trunc(str(val), _PHASE_BYTES).ljust(_PHASE_BYTES, b"\0")
-                    off = self._live_off(rank) + _LIVE_SLOTS * 8
-                    self.shm.buf[off : off + _PHASE_BYTES] = raw
-                else:
-                    self._set_locked(rank, key, float(val))
-            self._set_locked(rank, "heartbeat_ns", float(time.perf_counter_ns()))
-
-    def add(self, rank: int, name: str, delta: float) -> None:
-        rank = self._check_rank(rank)
-        with self._write_locks[rank]:
-            self._bump_locked(rank, name, delta)
-
-    def add_many(
-        self,
-        rank: int,
-        deltas: dict[str, float],
-        sets: dict[str, float] | None = None,
-    ) -> None:
-        """Accumulate (and optionally set) live gauges under one lock."""
-        rank = self._check_rank(rank)
-        with self._write_locks[rank]:
-            for name, delta in deltas.items():
-                self._bump_locked(rank, name, delta)
-            if sets:
-                for name, val in sets.items():
-                    self._set_locked(rank, name, float(val))
-
-    def heartbeat(self, rank: int) -> None:
-        rank = self._check_rank(rank)
-        self._set_locked(rank, "heartbeat_ns", float(time.perf_counter_ns()))
+        """Set live fields (:meth:`write` with nothing else)."""
+        self.write(rank, sets=updates)
 
     # -- read side (parent / monitor) ------------------------------------------------
 
@@ -246,42 +209,27 @@ class ShmTelemetry:
         n = min(head, self.capacity)
         out: list[FlightEvent] = []
         for i in range(n):
-            idx = (head - n + i) % self.capacity
-            slot = ring + _RING_HEADER + idx * _EV_BYTES
-            seq, t_ns, r, peer, rnd, value, value2, kind_b, detail_b = _EV.unpack_from(
+            slot = ring + _RING_HEADER + ((head - n + i) % self.capacity) * _EV_BYTES
+            seq, t_ns, r, peer, rnd, value, value2, kind, detail = _EV.unpack_from(
                 self.shm.buf, slot
             )
-            kind = kind_b.rstrip(b"\0").decode("utf-8", "replace")
-            if not kind:
-                continue  # unwritten slot (torn tail)
-            out.append(
-                FlightEvent(
-                    kind=kind,
-                    rank=int(r),
-                    t_ns=int(t_ns),
-                    seq=int(seq),
-                    peer=int(peer),
-                    round=int(rnd),
-                    value=float(value),
-                    value2=float(value2),
-                    detail=detail_b.rstrip(b"\0").decode("utf-8", "replace"),
-                )
-            )
+            kind = kind.rstrip(b"\0").decode("utf-8", "replace")
+            if kind:  # else an unwritten slot (torn tail)
+                detail = detail.rstrip(b"\0").decode("utf-8", "replace")
+                out.append(FlightEvent(kind, r, t_ns, seq, peer, rnd, value, value2, detail))
         return out
 
     def events_by_rank(self) -> dict[int, list[FlightEvent]]:
         return {r: self.events(r) for r in range(self.nranks)}
 
     def live(self, rank: int) -> dict[str, Any]:
-        rank = self._check_rank(rank)
-        base = self._live_off(rank)
-        row: dict[str, Any] = {}
-        for name, slot in _FIELD_SLOT.items():
-            row[name] = _F64.unpack_from(self.shm.buf, base + slot * 8)[0]
-        off = base + _LIVE_SLOTS * 8
-        row["phase"] = bytes(self.shm.buf[off : off + _PHASE_BYTES]).rstrip(b"\0").decode(
-            "utf-8", "replace"
-        )
+        base = self._live_off(self._check_rank(rank))
+        buf = self.shm.buf
+        row: dict[str, Any] = {
+            name: _F64.unpack_from(buf, base + 8 * slot)[0] for name, slot in _FIELD_SLOT.items()
+        }
+        phase = bytes(buf[base + 8 * _LIVE_SLOTS : base + _LIVE_BYTES])
+        row["phase"] = phase.rstrip(b"\0").decode("utf-8", "replace")
         return row
 
     def live_snapshot(self) -> dict[int, dict[str, Any]]:
@@ -306,38 +254,14 @@ class ShmSink:
     """Flight-recorder sink writing into a :class:`ShmTelemetry` segment.
 
     Installed in each forked rank (``install_sink(ShmSink(seg))``); the
-    rank passed at each call site addresses the block, so one sink
+    rank passed with each write addresses the block, so one sink
     object serves any rank of the world.
     """
 
     def __init__(self, segment: ShmTelemetry) -> None:
         self.segment = segment
-
-    def record(
-        self,
-        kind: str,
-        rank: int,
-        peer: int = -1,
-        round_: int = -1,
-        value: float = 0.0,
-        value2: float = 0.0,
-        detail: str = "",
-    ) -> None:
-        self.segment.record(kind, rank, peer, round_, value, value2, detail)
-
-    def update(self, rank: int, updates: dict[str, Any]) -> None:
-        self.segment.update(rank, updates)
-
-    def add(self, rank: int, name: str, delta: float) -> None:
-        self.segment.add(rank, name, delta)
-
-    def add_many(
-        self,
-        rank: int,
-        deltas: dict[str, float],
-        sets: dict[str, float] | None = None,
-    ) -> None:
-        self.segment.add_many(rank, deltas, sets)
+        self.write = segment.write
+        self.live_snapshot = segment.live_snapshot
 
 
 # -- runfile discovery (how `python -m repro monitor` finds live worlds) ---------------

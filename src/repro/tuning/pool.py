@@ -19,10 +19,11 @@ Contract
   integration code can release everything it *might* have pooled
   without tracking provenance; double releases are likewise ignored
   (the arena is only reclaimed once).
-* Hit/miss tallies are kept on the pool **and** exported through the
-  :mod:`repro.trace` counters ``pool_hits`` / ``pool_misses`` (per-rank
-  when the calling thread is rank-bound), so the perf layer can see
-  allocation behaviour next to the spans it affects.
+* Hit/miss tallies are kept on the pool **and** published as one
+  ``pool-acquire`` event per acquire: the :mod:`repro.trace` counters
+  ``pool_hits`` / ``pool_misses`` (per-rank when the calling thread is
+  rank-bound), so the perf layer can see allocation behaviour next to
+  the spans it affects, and the registry's ``repro_pool_*`` series.
 
 The pool is thread-safe (one lock around the free lists); the intended
 deployment is still one pool per rank — sharing one across SPMD rank
@@ -36,9 +37,7 @@ import threading
 import numpy as np
 
 from repro.errors import TuningError
-from repro.telemetry.metrics import counter as tele_counter
-from repro.telemetry.metrics import gauge as tele_gauge
-from repro.trace import incr as trace_incr
+from repro.telemetry import emit
 from repro.utils.primes import next_pow2
 
 __all__ = ["BufferPool"]
@@ -95,19 +94,8 @@ class BufferPool:
                 self.misses += 1
                 hit = False
             self._out[id(arena)] = arena
-        trace_incr("pool_hits" if hit else "pool_misses")
-        self._observe(hit)
+        emit("pool-acquire", hit=hit, pool=self.name, hits=self.hits, misses=self.misses)
         return arena[:nbytes]
-
-    def _observe(self, hit: bool) -> None:
-        """Mirror one acquire into the telemetry registry (cheap, best-effort)."""
-        if hit:
-            tele_counter("repro_pool_hits_total", pool=self.name).inc()
-        else:
-            tele_counter("repro_pool_misses_total", pool=self.name).inc()
-        total = self.hits + self.misses
-        if total:
-            tele_gauge("repro_pool_hit_rate", pool=self.name).set(self.hits / total)
 
     def acquire_array(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """A typed scratch array of ``shape``/``dtype`` over a pooled arena."""

@@ -165,3 +165,18 @@ class TestValidation:
     def test_describe_mentions_layouts(self):
         text = Fft3d((16, 16, 16), 8, codec=CastCodec("fp32")).describe()
         assert "reshape" in text and "cast_fp32" in text and "bricks" in text
+
+    def test_a_lossy_schedule_does_not_claim_to_be_exact(self, rng):
+        """A per-stage schedule trims every reshape: the plan's guarantee
+        and its summary are those of the stages' codecs, not of the
+        (absent) single ``codec``."""
+        from repro.compression.adaptive import schedule_for_tolerance
+
+        plan = Fft3d((8, 8, 8), 4, codec_schedule=schedule_for_tolerance(1e-6))
+        x = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
+        error = plan.roundtrip_error(x)
+        assert 0.0 < error <= plan.guaranteed_tolerance
+        assert "none (exact)" not in plan.describe()
+        assert plan.codec_schedule.codecs[0].name in plan.describe()
+        assert Fft3d((8, 8, 8), 4).guaranteed_tolerance == 0.0
+        assert "none (exact)" in Fft3d((8, 8, 8), 4).describe()

@@ -9,8 +9,10 @@ either the flat or the two-level compressed exchange.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+import os
 import signal
 import threading
 
@@ -19,19 +21,25 @@ import pytest
 
 from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv, make_exchange
 from repro.compression import CastCodec, ShuffleZlibCodec
-from repro.errors import TelemetryError
+from repro.errors import ReproError, TelemetryError
+from repro.faults import FaultPlan, FaultRule
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
 from repro.collectives.base import ExchangeStats
 from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
 from repro.machine.topology import Topology
 from repro.runtime import make_world, run_spmd
+from repro.runtime.proc import ProcessWorld
 from repro.runtime.shm import fork_available
+from repro.runtime.thread_rt import ThreadWorld
 from repro.telemetry import blackbox as bb
 from repro.telemetry import jsonlog, metrics, recorder
 from repro.telemetry.monitor_cli import render_table, run_monitor_cli
-from repro.telemetry.recorder import FlightRecorder, flight, live_add, live_update
+from repro.faults.report import ResilienceReport
+from repro.telemetry import emit
+from repro.telemetry.recorder import FlightRecorder, flight, live_update
 from repro.telemetry.shmseg import ShmSink, ShmTelemetry
+from repro.trace import tracing
 
 
 # -- flight recorder -------------------------------------------------------------------
@@ -60,7 +68,9 @@ class TestFlightRecorder:
     def test_module_level_helpers_hit_default_recorder(self):
         flight("codec", 3, detail="cast_fp32")
         live_update(3, phase="pack", alive=1.0)
-        live_add(3, "rounds", 2.0)
+        for round_ in range(2):
+            emit("exchange-round", 3, stats=ExchangeStats(1, 16, 8),
+                 report=ResilienceReport(rank=3), round=round_, detail="cast_fp32")
         rec = recorder.get_recorder()
         assert rec.events(3)[0].kind == "codec"
         live = rec.live_snapshot()[3]
@@ -83,32 +93,25 @@ class TestFlightRecorder:
 
     def test_helpers_never_raise(self):
         class Broken:
-            def record(self, *a, **k):
-                raise RuntimeError("sink down")
-
-            def update(self, *a, **k):
-                raise RuntimeError("sink down")
-
-            def add(self, *a, **k):
+            def write(self, *a, **k):
                 raise RuntimeError("sink down")
 
         recorder.install_sink(Broken())
         try:
             flight("error", 0)  # must not propagate: telemetry is best-effort
             live_update(0, alive=1.0)
-            live_add(0, "rounds", 1.0)
+            emit("exchange-round", 0, stats=ExchangeStats(), report=ResilienceReport(rank=0),
+                 round=0, detail="raw-osc")
         finally:
             recorder.install_sink(None)
 
     def test_resilience_report_folds_into_ring(self):
-        from repro.faults.report import ResilienceReport
-
         report = ResilienceReport(rank=2)
         report.record("retry", peer=1, attempt=0, codec="cast_fp32")
         report.record("degrade", peer=1, codec="shuffle-zlib", detail="e_tol")
-        recorder.record_resilience_report(report, round_=7)
+        emit("exchange-round", 2, stats=ExchangeStats(), report=report, round=7, detail="cast_fp32")
         kinds = [e.kind for e in recorder.get_recorder().events(2)]
-        assert kinds == ["retry", "degrade"]
+        assert kinds == ["exchange-round", "retry", "degrade"]
         assert all(e.round == 7 for e in recorder.get_recorder().events(2))
 
 
@@ -206,7 +209,7 @@ class TestShmTelemetry:
         try:
             seg.record("exchange-round", 1, round_=3, value=512.0, detail="cast_fp32")
             seg.update(1, {"phase": "exchange", "rounds": 3.0})
-            seg.add(1, "wire_bytes", 512.0)
+            seg.write(1, adds={"wire_bytes": 512.0})
             other = ShmTelemetry.attach("tlmtest-rt")
             try:
                 (ev,) = other.events(1)
@@ -483,6 +486,140 @@ class TestRawExchangeParity:
             totals = run_spmd(4, kernel)
         for name in ("messages", "logical_bytes", "wire_bytes"):
             assert tracer.counter_total(name) == sum(getattr(t, name) for t in totals) > 0
+
+
+# -- one record per event: what a thread run publishes is pinned -----------------------
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestPublishedStreamIsPinned:
+    """Every sink's view of two ``ThreadWorld`` runs, as sha256 digests
+    taken before the sites moved onto the one seam (emit / scope): every
+    ring event in ring order, the final live table, the tracer's counters
+    and instants, and every registry series.
+
+    Exceptions, by design: ``repro_compression_ratio`` is no longer
+    exported (it is ``logical / wire`` of two exported counters), and the
+    live phase *between* the start and the end of a run may now follow
+    scope nesting — the final table, which is pinned, is unchanged.  The
+    two timed series are pinned by presence and observation count."""
+
+    DROPPED = {"repro_compression_ratio"}
+    TIMED = {"repro_exchange_seconds", "repro_link_bandwidth_bytes_per_s"}
+
+    def _published(self, plan, faults=None) -> dict[str, str]:
+        rng = np.random.default_rng(27)
+        x = rng.standard_normal(plan.shape) + 1j * rng.standard_normal(plan.shape)
+        blocks = plan.scatter(x)
+        with tracing() as tracer:
+            ThreadWorld(4, faults=faults, timeout=30.0).run(
+                lambda comm: plan.forward_spmd(comm, blocks[comm.rank])
+            )
+        rec = recorder.get_recorder()
+        ring = [
+            [e.kind, e.rank, e.round, float(e.value), float(e.value2), e.detail]
+            for _, events in sorted(rec.events_by_rank().items())
+            for e in events
+        ]
+        live = {
+            str(rank): {k: v if k == "phase" else float(v) for k, v in row.items()
+                        if k != "heartbeat_ns"}
+            for rank, row in rec.live_snapshot().items()
+        }
+        counters = sorted([rank, name, float(v)] for (rank, name), v in tracer.counters().items())
+        instants = sorted(
+            [i.kind, i.rank, json.dumps(i.attrs, sort_keys=True, default=str)]
+            for i in tracer.instant_events()
+        )
+        series = []
+        for entry in metrics.get_registry().snapshot()["series"]:
+            if entry["name"] in self.DROPPED:
+                continue
+            row = [entry["name"], entry["labels"], entry.get("count")]
+            if entry["name"] not in self.TIMED:
+                row += [entry.get("value"), entry.get("sum")]
+            series.append(row)
+        return {
+            "ring": _sha(ring),
+            "live": _sha(live),
+            "counters": _sha(counters),
+            "instants": _sha(instants),
+            "series": _sha(series),
+        }
+
+    def test_clean_fp32_forward(self):
+        got = self._published(Fft3d((8, 8, 8), 4, codec=CastCodec("fp32")))
+        assert got == {
+            "ring": "8f32c101d7dbc1a57ac51b49ed846d434ca4b15551bbb2e5d904c083fd1b658f",
+            "live": "620f0d4e6a28b6ca3e1cfd5d296118c5e762a5ababb62115782662e28e7544d5",
+            "counters": "e37e2772e40f2e6b406b79f2fc767eb4e43440d1dfec4639d597c26add6e895b",
+            "instants": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+            "series": "f73738f2dc4a294d8ea5147e67a37124cc309e78325a95524335ee7829127ce8",
+        }
+
+    def test_chaos_run_that_retries_and_degrades(self):
+        faults = FaultPlan(
+            [FaultRule("bitflip", rank=0, peer=1), FaultRule("codec", rank=2, max_triggers=3)],
+            seed=27,
+        )
+        got = self._published(Fft3d((8, 8, 8), 4, e_tol=1e-6), faults)
+        reg = metrics.get_registry()
+        assert reg.counter("repro_retries_total", rank=2).value == 2
+        assert reg.counter("repro_degradations_total", rank=2).value == 1
+        assert got == {
+            "ring": "0537b476a3a46da86343660badd7006074c41af1810dbe9e71f70d29bfec90b6",
+            "live": "3497f4685c0c056fb73c40f57cc3e3e6b9338220f7573cb034731edfdbcd5403",
+            "counters": "d5a851d51f5b01642ade3579bc0e0962567ac39e78b85c68d26732da6a0fcb4b",
+            "instants": "9cd722e89f7e01767937ed6a179e7633c78765bca8e140c2e013a351d80a46f9",
+            "series": "66c6d55870b553861514112ea9321dd264cb298804770e95c35933f6ba36f7e1",
+        }
+
+
+@pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+class TestForkedRanksMetricsReachTheParent:
+    """A forked rank's per-rank metrics are its live row in shared memory;
+    the parent folds the final rows into its own sink, which the registry
+    reads — so they outlive the child, as its ring does."""
+
+    def _series(self, snapshot) -> dict[tuple[str, str], float]:
+        return {(s["name"], s["labels"].get("rank")): s.get("value") for s in snapshot["series"]}
+
+    def test_forward_spmd_rounds_and_volumes(self):
+        plan = Fft3d((8, 8, 8), 4, codec=CastCodec("fp32"))
+        blocks = plan.scatter(np.random.default_rng(4).standard_normal((8, 8, 8)))
+
+        def kernel(comm):
+            stats = FftStats()
+            plan.forward_spmd(comm, blocks[comm.rank], stats=stats)
+            return stats.wire_bytes, stats.logical_bytes
+
+        totals = ProcessWorld(4, timeout=60.0).run(kernel)
+        series = self._series(metrics.get_registry().snapshot())
+        for rank, (wire, logical) in enumerate(totals):
+            assert series["repro_exchange_rounds_total", str(rank)] == 4
+            assert series["repro_wire_bytes_total", str(rank)] == wire
+            assert series["repro_logical_bytes_total", str(rank)] == logical
+        assert 0 < sum(w for w, _ in totals) < sum(lg for _, lg in totals)
+
+    def test_sigkill_dump_metrics_carry_the_victim_rounds(self):
+        plan = Fft3d((8, 8, 8), 4, e_tol=1e-6)
+        blocks = plan.scatter(np.random.default_rng(5).standard_normal((8, 8, 8)))
+
+        def kernel(comm):
+            for it in range(2):
+                if it == 1 and comm.rank == 1:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                plan.forward_spmd(comm, blocks[comm.rank])
+
+        world = ProcessWorld(4, timeout=30.0)
+        with pytest.raises(ReproError):
+            world.run(kernel)
+        series = self._series(world.last_blackbox["metrics"])
+        assert series["repro_exchange_rounds_total", "1"] == 4  # one transform, then SIGKILL
+        assert series["repro_achieved_error", "1"] > 0
 
 
 # -- live monitor rendering ------------------------------------------------------------
