@@ -57,8 +57,10 @@ def make_exchange(
     ``tuned`` configure it; otherwise ``method`` picks the uncompressed
     algorithm.  Unknown names raise :class:`~repro.errors.PlanError`
     whether or not they would have been used.  ``pool`` stages the raw
-    OSC exchange's receive copies; a compressed exchange stages nothing
-    and ignores it.
+    OSC exchange's one-shot receive copies; a compressed exchange stages
+    nothing and ignores it.  (The pack scratch of a two-sided exchange
+    comes from the pool its ``move`` is handed — a pairwise ring bound
+    to a plan's pair slots packs nothing.)
     """
     if method not in METHODS:
         raise PlanError(f"unknown reshape method {method!r} (use one of {METHODS})")

@@ -32,12 +32,11 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats
-from repro.collectives.pairwise import ring_peers
 from repro.collectives.wire import crc32
 from repro.conformance import hooks
 from repro.errors import CommunicatorError, RetryExhaustedError
 from repro.faults import ResilienceReport, RetryPolicy
-from repro.machine.topology import Topology
+from repro.machine.topology import Topology, ring_peers
 from repro.runtime.base import Comm
 from repro.runtime.window import Window
 from repro.tuning.pool import BufferPool

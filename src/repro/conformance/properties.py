@@ -39,7 +39,9 @@ The eight families
 ``reshape``
     Geometry: a reshape between two random Cartesian layouts must be a
     permutation (gather after reshape == original global array), with
-    message counts and byte totals matching the plan's own accounting.
+    message counts and byte totals matching the plan's own accounting;
+    the SPMD run, through the reference exchange and through the
+    pairwise ring bound to pair slots, must give the same blocks.
 ``trace``
     Metamorphic: running an exchange under an installed tracer, the
     tracer's byte/message counters must equal the stats objects the
@@ -696,6 +698,7 @@ class ReshapeProperty(Property):
 
     def check(self, sc: Scenario) -> None:
         from repro.collectives.base import ExchangeStats
+        from repro.collectives.pairwise import PairSlots, PairwiseAlltoallv
         from repro.fft.reshape import ReshapePlan
         from repro.runtime.virtual import VirtualWorld
 
@@ -749,6 +752,17 @@ class ReshapeProperty(Property):
             return plan.run_spmd(comm, locals_[comm.rank], stats=mine), mine
 
         _check_spmd_matches_virtual("reshape", kernel, out, stats)
+
+        def bound(comm):  # ... and behind the pairwise ring bound to pair slots
+            op = PairwiseAlltoallv(comm)
+            op.slots = PairSlots(comm, [op.slot_table(plan.message_elements(batch)[0], x.itemsize)])
+            mine = ExchangeStats()
+            try:
+                return plan.run_spmd(comm, locals_[comm.rank], op, stats=mine), mine
+            finally:
+                op.slots.free()
+
+        _check_spmd_matches_virtual("reshape (bound pairwise)", bound, out, stats)
 
     def shrink(self, sc: Scenario) -> Iterator[Scenario]:
         yield from _shrink_fft_geometry(sc)

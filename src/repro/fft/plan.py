@@ -27,7 +27,10 @@ Two execution styles:
   builds the four exchange objects and — every message size being
   known from the plan — one persistent double-buffered window
   (:class:`~repro.collectives.osc.PlanWindow`); every later reshape is
-  puts and one fence, nothing else collective.
+  puts and one fence, nothing else collective.  The two-sided ring
+  binds to one arena of fixed pair slots instead
+  (:class:`~repro.collectives.pairwise.PairSlots`): puts, and a header
+  and a release credit per message, no fence.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 from repro.collectives.base import ExchangeStats
 from repro.collectives.exchange import make_exchange
 from repro.collectives.osc import OscTransport, PlanWindow
+from repro.collectives.pairwise import PairSlots, PairwiseAlltoallv
 from repro.compression.base import Codec
 from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
 from repro.errors import PlanError
@@ -234,10 +238,11 @@ def fft_stages(
 
 class _Binding(NamedTuple):
     """What a rank keeps per (plan, communicator): the four reshapes bound
-    to their exchanges, and the window those exchanges share (if any)."""
+    to their exchanges, and the window those exchanges share (if any): a
+    :class:`PlanWindow`, or the pairwise ring's :class:`PairSlots`."""
 
     bound: list[BoundReshape]
-    window: PlanWindow | None
+    window: PlanWindow | PairSlots | None
 
     def release(self) -> None:
         """Local, no barrier: the communicator retired (see ``Comm.release``)."""
@@ -353,9 +358,10 @@ class Fft3d(StagedTransform):
         (``comm.attrs``, MPI-attribute style): it is per-rank state, so
         the plan object stays shared and stateless across rank threads,
         and it dies with the communicator — a shrink yields a new one,
-        hence a fresh binding with its epoch back at 0 on every
-        survivor.  Every rank derives the same slot tables from
-        ``ReshapePlan.pairs`` alone, so nothing is negotiated.
+        hence a fresh binding with its epoch back at 0 (a pairwise one:
+        no credit owed) on every survivor.  Every rank derives the same
+        slot tables from ``ReshapePlan.pairs`` alone, so nothing is
+        negotiated.
         """
         key = (self, method, variant, batch)
         binding = comm.attrs.get(key)
@@ -382,7 +388,11 @@ class Fft3d(StagedTransform):
             elements, leading = reshape.message_elements(batch)
             tables.append(exchange.slot_table(elements, self.dtype.itemsize, leading))
         window = None
-        if tables[0] is not None:  # same exchange class in every stage
+        if isinstance(exchanges[0], PairwiseAlltoallv):  # same class in every stage
+            window = PairSlots(comm, tables)
+            for exchange in exchanges:
+                exchange.slots = window
+        elif tables[0] is not None:
             window = PlanWindow(comm, max(int(table.extent.max()) for table in tables))
             for exchange, table in zip(exchanges, tables):
                 exchange.transport = OscTransport(
@@ -452,8 +462,9 @@ class Fft3d(StagedTransform):
         plan object is shared across rank threads, so ``last_stats``
         only reliably reflects the *last* rank to finish.  ``pool`` is
         per-rank staging-buffer state (one :class:`BufferPool` per rank
-        thread) for the pack scratch of the two-sided methods; the
-        window exchanges of a bound plan stage nothing.
+        thread) for the pack scratch of ``method="reference"``; the
+        window exchanges and the pairwise ring of a bound plan stage
+        nothing.
 
         The first call on a communicator is collective beyond the data
         (it binds the plan: see :meth:`_bind`); ranks must agree on

@@ -20,7 +20,7 @@ import numpy as np
 from repro.errors import ModelError
 from repro.machine.spec import MachineSpec
 
-__all__ = ["ShrunkTopology", "Topology", "node_aware_permutation", "ring_schedule"]
+__all__ = ["ShrunkTopology", "Topology", "node_aware_permutation", "ring_peers", "ring_schedule"]
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,24 @@ class ShrunkTopology:
 
     def same_node(self, a: int, b: int) -> bool:
         return self.node_of(a) == self.node_of(b)
+
+
+def ring_peers(rank: int, step: int, nranks: int, topo: Topology | None) -> tuple[int, int]:
+    """(destination, source) of ``rank`` at ``step`` of the ring.
+
+    With a topology, uses the node-aware permutation: the destination is
+    ``((node + step // g) % n) * g + (local + step) % g`` and the source
+    is its inverse; without one — or with a non-uniform (shrunk) one,
+    where the closed form no longer maps ranks to nodes — the plain
+    ``(rank ± step) % p`` ring.
+    """
+    if topo is None or not getattr(topo, "uniform", True):
+        return (rank + step) % nranks, (rank - step) % nranks
+    g, n = topo.ranks_per_node, topo.nnodes
+    node, local = rank // g, rank % g
+    dest = ((node + step // g) % n) * g + (local + step) % g
+    src = ((node - step // g) % n) * g + (local - step) % g
+    return dest, src
 
 
 def node_aware_permutation(topo: Topology) -> np.ndarray:

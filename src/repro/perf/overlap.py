@@ -12,8 +12,8 @@ This module measures that on a traced run:
   so a pipelined ``CompressedOscAlltoallv`` shows hidden codec time;
   on the single-threaded virtual executor the fraction is honestly 0.
 * :func:`bandwidth_report` — achieved GB/s of the traced ``put``/
-  ``sendrecv`` spans, grouped by link class (``self`` / ``intra-node``
-  / ``inter-node``) against the :class:`~repro.machine.spec.MachineSpec`
+  ``sendrecv`` spans, grouped by link class (``intra-node`` /
+  ``inter-node``) against the :class:`~repro.machine.spec.MachineSpec`
   model bandwidth for that class — inter-node puts are additionally
   scored against the NIC-shared rate (``internode_gbs / gpus_per_node``,
   the ring's steady-state share per Section V-A).
@@ -168,7 +168,7 @@ def overlap_report(source: Tracer | Iterable[SpanEvent]) -> OverlapReport:
 class LinkClassBandwidth:
     """Achieved vs. modelled bandwidth of one link class."""
 
-    link: str  # "self" | "intra-node" | "inter-node"
+    link: str  # "intra-node" | "inter-node"
     bytes: int
     busy_s: float
     model_gbs: float
@@ -194,8 +194,8 @@ def bandwidth_report(
     spans without both are skipped (fences move no payload).  The
     *model* rate comes from ``topology.machine.network``: intra-node
     spans against ``intranode_gbs``, inter-node against ``internode_gbs``
-    with the NIC-shared per-rank rate alongside.  Self-sends (rank ==
-    peer) are memcpy-class and scored against GPU memory bandwidth.
+    with the NIC-shared per-rank rate alongside.  No exchange puts or
+    sends a rank's own block, so there is no self class.
     """
     from repro.netsim.tools import model_link_bandwidth_gbs
 
@@ -224,12 +224,7 @@ def bandwidth_report(
         peer = int(peer)
         if not (0 <= s.rank < topology.nranks and 0 <= peer < topology.nranks):
             continue
-        if peer == s.rank:
-            link = "self"
-        elif topology.same_node(s.rank, peer):
-            link = "intra-node"
-        else:
-            link = "inter-node"
+        link = "intra-node" if topology.same_node(s.rank, peer) else "inter-node"
         slot = _slot(link)
         slot.bytes += int(nbytes)
         slot.busy_s += s.duration_ns * 1e-9
@@ -264,7 +259,7 @@ def format_bandwidth_report(classes: dict[str, LinkClassBandwidth]) -> str:
     if not classes:
         return "(no wire spans with peer/bytes attrs — no bandwidth to report)"
     lines = ["link class     bytes        busy(ms)   achieved(GB/s)  model(GB/s)  ratio"]
-    for link in ("self", "intra-node", "inter-node"):
+    for link in ("intra-node", "inter-node"):
         c = classes.get(link)
         if c is None:
             continue

@@ -87,6 +87,12 @@ class Window:
         self._epoch_open = False
         self._held: set[int] = set()
 
+    @property
+    def win_id(self) -> int:
+        """The world's number for this window: the same on every rank
+        (creation is collective) and never reused by the world."""
+        return self._win_id or 0
+
     # -- local access -----------------------------------------------------------
 
     def local_view(self) -> np.ndarray:

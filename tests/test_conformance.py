@@ -156,6 +156,22 @@ def test_planted_pairwise_corruption_replays_identically() -> None:
         assert replay.failure == first.failure
 
 
+def test_planted_pairwise_corruption_on_the_bound_path_fails_reshape() -> None:
+    """The mutation point reaches what a bound ring puts into a pair slot."""
+
+    def corrupt(out, **ctx):
+        if out.size:
+            out = out.copy()
+            out.reshape(-1).view(np.uint8)[0] ^= 0xFF
+        return out
+
+    assert run_conformance(seed=0, cases=6, properties=["reshape"]).ok
+    with hooks.mutation("pairwise.chunk", corrupt):
+        failures = run_conformance(seed=0, cases=6, properties=["reshape"]).failures
+    assert failures and all("bound pairwise" in o.failure for o in failures)
+    assert all("SPMD block differs" in o.failure for o in failures)
+
+
 def test_planted_bruck_misroute_is_caught() -> None:
     with hooks.mutation("bruck.block_index", lambda idx, **ctx: idx[:-1] if len(idx) > 1 else idx):
         report = run_conformance(seed=3, cases=30, properties=["bruck"])

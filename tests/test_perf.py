@@ -179,14 +179,14 @@ class TestBandwidthReport:
     def test_link_classes_and_model_rates(self):
         topo = Topology(laptop_spec(), 4)  # 2 ranks/node -> 2 nodes
         spans = [
-            S("put", 0, 0, 1000, peer=0, bytes=500),  # self
             S("put", 0, 1000, 2000, peer=1, bytes=1000),  # intra-node
             S("put", 0, 2000, 4000, peer=2, bytes=2000),  # inter-node
             S("sendrecv", 1, 0, 1000, peer=3, bytes=100),  # inter-node
             S("fence", 0, 0, 50),  # no payload: skipped
         ]
         classes = bandwidth_report(spans, topo)
-        assert set(classes) == {"self", "intra-node", "inter-node"}
+        # no exchange puts or sends a rank's own block: no "self" class
+        assert set(classes) == {"intra-node", "inter-node"}
         assert classes["inter-node"].bytes == 2100
         assert classes["inter-node"].busy_s == pytest.approx(3000e-9)
         spec = laptop_spec()
@@ -195,7 +195,7 @@ class TestBandwidthReport:
         assert classes["inter-node"].nic_shared_gbs == pytest.approx(
             spec.network.internode_gbs / spec.gpus_per_node
         )
-        assert classes["self"].achieved_gbs == pytest.approx(500 / 1000e-9 / 1e9)
+        assert classes["intra-node"].achieved_gbs == pytest.approx(1000 / 1000e-9 / 1e9)
         text = format_bandwidth_report(classes)
         assert "inter-node" in text and "NIC-shared" in text
 

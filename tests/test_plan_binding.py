@@ -25,6 +25,7 @@ from repro.collectives import make_exchange
 from repro.collectives.base import ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.collectives.osc import OscTransport, PlanWindow
+from repro.collectives.pairwise import PairSlots
 from repro.compression import CastCodec
 from repro.compression.adaptive import schedule_for_tolerance
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
@@ -158,15 +159,18 @@ class TestBoundEqualsOneShot:
 
     @pytest.mark.parametrize("method", ["pairwise", "reference"])
     def test_two_sided_methods_bind_without_a_window(self, method):
+        """``reference`` binds no window; ``pairwise`` binds one arena of
+        fixed pair slots (no ``PlanWindow``: its ring takes no fence)."""
         shape = (8, 8, 8)
         plan = Fft3d(shape, 4)
         _bound_vs_oneshot(plan, _field(shape), method=method)
 
         def kernel(comm):
             plan.forward_spmd(comm, plan.scatter(_field(shape))[comm.rank], method=method)
-            return [b.window for b in comm.attrs.values()]
+            return [type(b.window) for b in comm.attrs.values()]
 
-        assert make_world("thread", 4).run(kernel) == [[None]] * 4
+        want = PairSlots if method == "pairwise" else type(None)
+        assert make_world("thread", 4).run(kernel) == [[want]] * 4
 
     def test_two_plans_bound_to_one_comm(self):
         shape, p = (8, 8, 8), 4
@@ -375,6 +379,89 @@ class TestSingleFenceUnderSkew:
         self._stress(runtime, codec)
 
 
+# -- the bound two-sided ring: fixed pair slots, release credits ----------------------
+
+
+class TestPairSlotCredits:
+    """A bound pairwise plan takes no fence: a sender rewrites its pair
+    slot only once the receiver's release credit says it may."""
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_credit_holds_a_writer_off_a_slot_still_being_read(self, runtime, monkeypatch):
+        """Rank 2 dawdles between each header and its unpack while the
+        others drive the crossing reshape back to back, a different block
+        every round: without the credit wait its peers would overwrite
+        the slot under it."""
+        shape, p, rounds = (8, 12, 8), 4, 20
+        plan = Fft3d(shape, p)
+        reshape = plan.reshapes[1]  # x-pencils -> y-pencils: every rank has remote peers
+        inputs = [reshape.src.scatter(_field(shape, seed), plan.dtype) for seed in range(rounds)]
+        take = PairSlots.take
+
+        def slow_take(self, source):
+            region = take(self, source)
+            if self.comm.rank == 2:
+                time.sleep(0.002)
+            return region
+
+        monkeypatch.setattr(PairSlots, "take", slow_take)
+
+        def kernel(comm):
+            crossing = plan._bind(comm, "pairwise", "flat", ()).bound[1]
+            got = [
+                plan._reshape_stage(crossing, blocks[comm.rank], FftStats(), None)
+                for blocks in inputs
+            ]
+            want = [reshape.run_spmd(comm, blocks[comm.rank]) for blocks in inputs]
+            return sum(not np.array_equal(a, b) for a, b in zip(got, want))
+
+        assert make_world(runtime, p, timeout=60.0).run(kernel) == [0] * p
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_two_pairwise_plans_interleaved_on_one_comm(self, runtime):
+        """Each binding has its own arena and its own header and credit
+        tags, the same on every rank."""
+        p = 4
+        plans = [Fft3d((8, 8, 8), p), Fft3d((8, 12, 6), p)]
+        fields = [_field(plan.shape, i) for i, plan in enumerate(plans)]
+        blocks = [plan.scatter(x) for plan, x in zip(plans, fields)]
+
+        def kernel(comm):
+            outs = []
+            for _ in range(3):  # interleaved: each binding keeps its own credits
+                outs = [
+                    plan.forward_spmd(comm, b[comm.rank], method="pairwise")
+                    for plan, b in zip(plans, blocks)
+                ]
+            tags = [(b.window.header_tag, b.window.credit_tag) for b in comm.attrs.values()]
+            return outs, tags
+
+        results = make_world(runtime, p, timeout=60.0).run(kernel)
+        tags = results[0][1]
+        assert all(t == tags for _, t in results) and len(set(sum(tags, ()))) == 4
+        for i, (plan, x) in enumerate(zip(plans, fields)):
+            assert np.allclose(plan.gather([o[i] for o, _ in results]), np.fft.fftn(x))
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_release_takes_every_outstanding_credit(self, runtime):
+        from repro.runtime import ANY_SOURCE, ANY_TAG
+
+        shape, p = (8, 8, 8), 4
+        plan = Fft3d(shape, p)
+        blocks = plan.scatter(_field(shape))
+
+        def kernel(comm):
+            y = plan.forward_spmd(comm, blocks[comm.rank], method="pairwise")
+            plan.forward_spmd(comm, y, method="pairwise", inverse=True)
+            (binding,) = comm.attrs.values()
+            owed = sum(binding.window.owed)
+            plan.release(comm)  # collective: credits taken, arena freed
+            return owed, comm.irecv(ANY_SOURCE, ANY_TAG).test(), len(comm.attrs)
+
+        for owed, stray, bound in make_world(runtime, p, timeout=60.0).run(kernel):
+            assert owed > 0 and not stray and bound == 0
+
+
 # -- lifetime -------------------------------------------------------------------------
 
 
@@ -491,6 +578,51 @@ class TestRecoveryOnABoundPlan:
         assert len(epochs) == 1 and 1 <= epochs[0] <= 4
         tol = 1e-12 if codec is None else 3 * fft.plan.guaranteed_tolerance
         assert np.linalg.norm(full - data) <= tol * np.linalg.norm(data)
+        if runtime == "thread":
+            assert world._win_registry == {}
+            assert all(w._win_registry == {} for w in world._shrunk.values())
+        else:
+            assert glob.glob(f"/dev/shm/{world.uid}*") == []
+            assert mp.active_children() == []
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    @pytest.mark.parametrize("kind", ["kill", "hang"])
+    def test_pairwise_rank_lost_mid_reshape_of_the_third_round_trip(self, runtime, kind):
+        """A rank lost while its peers wait for a header or a credit is
+        detected like any blocked receive; the survivors re-bind a fresh
+        arena that owes no credit, restart, and match the virtual plan."""
+        shape, p = (8, 8, 8), 4
+        data = _field(shape)
+        fft = ResilientFft3d(shape, p, method="pairwise")
+        # two warm round trips are behind it; the third one's forward
+        # transform is under way
+        after = (_transport_ops(fft, data, runtime, 4) + _transport_ops(fft, data, runtime, 5)) // 2
+        faults = FaultPlan(rules=[FaultRule(kind=kind, rank=1, after=after)])
+        world = make_world(runtime, p, timeout=20.0, faults=faults, suspect_after=0.4)
+
+        def kernel(comm):
+            block = fft.plan.scatter(data)[comm.rank]
+            for _ in range(2):
+                block = fft.forward_spmd(comm, fft.forward_spmd(comm, block), inverse=True)
+            fwd = fft.run_spmd(comm, block)
+            [binding] = [b for b in fwd.comm.attrs.values() if hasattr(b, "window")]
+            rebound = isinstance(binding.window, PairSlots) and binding.window.comm is fwd.comm
+            blocks = fwd.comm.allgather(fwd.block)
+            if fwd.comm.rank != 0:
+                return None
+            return fwd.plan.gather(blocks), fwd.recovered, fwd.comm.size, rebound
+
+        results = [r for r in world.run(kernel) if r is not None]
+        assert len(results) == 1
+        full, recovered, survivors, rebound = results[0]
+        # re-bound on the shrunk comm: an arena of its own, which has had
+        # only the restarted stages to owe credits for
+        assert recovered and survivors == p - 1 and rebound
+        plan = Fft3d(shape, p)
+        want = data
+        for _ in range(2):
+            want = plan.backward(plan.forward(want))
+        assert np.array_equal(full, plan.forward(want))
         if runtime == "thread":
             assert world._win_registry == {}
             assert all(w._win_registry == {} for w in world._shrunk.values())

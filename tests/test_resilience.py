@@ -383,9 +383,10 @@ class TestResilientSharesTheStageRunner:
         from repro.tuning import BufferPool
 
         data = rng.standard_normal(self.SHAPE) + 1j * rng.standard_normal(self.SHAPE)
-        # the two-sided ring packs into pool scratch (a bound lossy plan
-        # stages nothing: tests/test_exchange_hotpath.py holds it to zero)
-        resilient = ResilientFft3d(self.SHAPE, self.P, method="pairwise")
+        # the reference alltoallv is the one bound method that still packs
+        # into pool scratch (the window exchanges and the bound pairwise
+        # ring stage nothing: tests/test_exchange_hotpath.py holds lossy to zero)
+        resilient = ResilientFft3d(self.SHAPE, self.P, method="reference")
         blocks = resilient.plan.scatter(data)
 
         def kernel(comm):

@@ -260,11 +260,13 @@ class TestTracedFft:
         assert kinds <= set(SPAN_KINDS)
 
         exact = Fft3d((n, n, n), nranks)
-        with tracing() as staged:  # the two-sided ring still stages both ways
+        with tracing() as ring:  # the bound two-sided ring puts the box, unpacks the slot
             ThreadWorld(nranks).run(
                 lambda comm: exact.forward_spmd(comm, locals_[comm.rank], method="pairwise")
             )
-        assert {"pack", "sendrecv", "unpack", "local_fft"} <= {e.kind for e in staged.span_events()}
+        ring_kinds = {e.kind for e in ring.span_events()}
+        assert {"sendrecv", "unpack", "local_fft"} <= ring_kinds
+        assert "pack" not in ring_kinds
         assert tracer.ranks() == list(range(nranks))
         # tracer counters agree with the stats objects, per criterion
         assert tracer.counter_total("wire_bytes") == sum(s.wire_bytes for s in per_rank)
