@@ -3,10 +3,9 @@
 The regression gate (``python -m repro perf compare``) only stays
 honest if its own machinery is cheap relative to what it measures.
 This bench times (1) each pinned suite case exactly as the gate runs
-it, (2) the analysis pass — critical path + overlap + bandwidth — over
-a real traced run, and (3) the streaming-histogram recording mode
-against the default keep-every-span mode, so a drift in analysis cost
-shows up in the benchmark trajectory alongside the workloads.
+it and (2) the analysis pass — critical path + overlap + bandwidth —
+over a real traced run, so a drift in analysis cost shows up in the
+benchmark trajectory alongside the workloads.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro.perf.baseline import SUITE_CASES
 from repro.perf.cli import traced_report_case
 from repro.perf.critical_path import critical_path, exchange_paths
-from repro.perf.histogram import LogHistogram
 from repro.perf.overlap import bandwidth_report, overlap_report
 
 
@@ -41,14 +39,3 @@ def test_analysis_pass(benchmark):
 
     benchmark.pedantic(analyse, rounds=5, iterations=1)
 
-
-def test_histogram_ingest(benchmark, rng):
-    """Streaming-histogram ingest rate (the bounded-memory tracer mode)."""
-    values = rng.lognormal(mean=10.0, sigma=2.0, size=50_000)
-
-    def ingest():
-        hist = LogHistogram()
-        hist.extend(values)
-        return hist.percentile(99)
-
-    benchmark.pedantic(ingest, rounds=3, iterations=1)

@@ -136,11 +136,6 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--bench-name", default=None, help="emit BENCH_<name>.json (default: case name)"
     )
-    trace_p.add_argument(
-        "--histograms",
-        action="store_true",
-        help="bounded-memory span histograms instead of retained spans",
-    )
     _add_common_flags(trace_p)
     _add_runtime_flag(trace_p)
     # legacy spelling, same destination
@@ -299,7 +294,6 @@ def main(argv: list[str] | None = None) -> int:
                 out_dir=args.out,
                 bench_name=args.bench_name,
                 seed=args.seed,
-                span_histograms=args.histograms,
                 runtime=args.runtime,
             )
         )

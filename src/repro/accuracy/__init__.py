@@ -17,11 +17,10 @@ from repro.accuracy.bounds import (
     fft_roundoff_bound,
     truncation_error_model,
 )
-from repro.accuracy.metrics import fft_roundtrip_error, rel_error
+from repro.accuracy.metrics import rel_error
 
 __all__ = [
     "rel_error",
-    "fft_roundtrip_error",
     "dft_roundoff_bound",
     "fft_roundoff_bound",
     "truncation_error_model",

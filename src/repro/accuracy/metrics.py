@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fft.plan import Fft3d
-
-__all__ = ["rel_error", "fft_roundtrip_error"]
+__all__ = ["rel_error"]
 
 
 def rel_error(x: np.ndarray, y: np.ndarray, *, ord: float | None = 2) -> float:
@@ -23,8 +21,3 @@ def rel_error(x: np.ndarray, y: np.ndarray, *, ord: float | None = 2) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(yf, ord))
     return float(np.linalg.norm(xf - yf, ord) / denom)
-
-
-def fft_roundtrip_error(plan: Fft3d, x: np.ndarray) -> float:
-    """``||x - IFFT(FFT(x))|| / ||x||`` through a distributed plan."""
-    return plan.roundtrip_error(x)

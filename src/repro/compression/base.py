@@ -144,12 +144,6 @@ class CompressedMessage:
         n = int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
         return 2 * n if self.dtype_name == "complex128" else n
 
-    @property
-    def achieved_rate(self) -> float:
-        """Realised compression rate = original bytes / wire bytes."""
-        orig = 8 * self.n_values
-        return orig / self.nbytes if self.nbytes else float("inf")
-
 
 class Codec(ABC):
     """Abstract message compressor.
@@ -252,9 +246,6 @@ class Codec(ABC):
             raise CompressionError(
                 f"message was produced by {msg.codec_name!r}, not {self.name!r}"
             )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(name={self.name!r}, rate={self.rate})"
 
 
 class FixedWidthCodec(Codec):

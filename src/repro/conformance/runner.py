@@ -5,7 +5,8 @@ Replay contract
 
 Case ``i`` of a run with seed ``S`` is produced by
 ``random.Random(f"repro-conformance:{S}:{i}")`` and the property chosen
-round-robin from the active property list.  String seeding hashes via
+round-robin from the active property list (which the printed replay
+command therefore carries as ``--properties``).  String seeding hashes via
 SHA-512, so the stream is identical across platforms and Python builds
 (unlike ``hash()``-based seeding) — replaying ``(S, i)`` regenerates the
 byte-identical scenario, which is what makes the printed one-line repro
@@ -44,6 +45,9 @@ class CaseOutcome:
     shrunk: Scenario | None = None
     shrunk_failure: str | None = None
     shrink_checks: int = 0
+    #: The property subset the case was dealt from (``None``: all of them);
+    #: ``index`` picks from it round-robin, so a replay needs it too.
+    properties: tuple[str, ...] | None = None
 
     @property
     def ok(self) -> bool:
@@ -58,6 +62,7 @@ class CaseOutcome:
         out: dict = {
             "index": self.index,
             "seed": self.seed,
+            "properties": self.properties,
             "prop": self.scenario.prop,
             "scenario": self.scenario.params,
             "failure": self.failure,
@@ -70,7 +75,8 @@ class CaseOutcome:
 
     @property
     def replay_command(self) -> str:
-        return f"python -m repro conformance --seed {self.seed} --replay {self.index}"
+        subset = "" if self.properties is None else f" --properties {','.join(self.properties)}"
+        return f"python -m repro conformance --seed {self.seed}{subset} --replay {self.index}"
 
 
 @dataclass
@@ -80,6 +86,7 @@ class ConformanceReport:
     seed: int
     cases: int = 0
     outcomes: list[CaseOutcome] = field(default_factory=list)
+    properties: tuple[str, ...] | None = None
 
     @property
     def failures(self) -> list[CaseOutcome]:
@@ -102,6 +109,7 @@ class ConformanceReport:
             {
                 "seed": self.seed,
                 "cases": self.cases,
+                "properties": self.properties,
                 "failures": [o.to_dict() for o in self.failures],
             },
             indent=2,
@@ -133,10 +141,10 @@ def run_case(
     shrink: bool = False,
 ) -> CaseOutcome:
     """Generate, check and (on failure, optionally) shrink one case."""
-    active = _active(properties)
-    prop = active[index % len(active)]
-    scenario = prop.generate(case_rng(seed, index))
-    outcome = CaseOutcome(index=index, seed=seed, scenario=scenario)
+    scenario = generate_case(seed, index, properties)
+    prop = PROPERTIES[scenario.prop]
+    subset = None if properties is None else tuple(properties)
+    outcome = CaseOutcome(index=index, seed=seed, scenario=scenario, properties=subset)
     outcome.failure = check_scenario(prop, scenario)
     if outcome.failure is not None and shrink:
         from repro.conformance.shrink import shrink_failure
@@ -158,7 +166,9 @@ def run_conformance(
     log: Callable[[str], None] | None = None,
 ) -> ConformanceReport:
     """Run ``cases`` generated cases, dealing properties round-robin."""
-    report = ConformanceReport(seed=seed)
+    report = ConformanceReport(
+        seed=seed, properties=None if properties is None else tuple(properties)
+    )
     say = log or (lambda _msg: None)
     for index in range(cases):
         outcome = run_case(seed, index, properties, shrink=shrink)

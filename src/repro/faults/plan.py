@@ -143,8 +143,3 @@ class FaultPlan:
     def kinds(self) -> frozenset[str]:
         """The set of fault kinds this plan can inject."""
         return frozenset(r.kind for r in self.rules)
-
-    @property
-    def has_process_faults(self) -> bool:
-        """True when the plan can kill or hang a whole rank."""
-        return any(r.kind in PROCESS_FAULT_KINDS for r in self.rules)

@@ -49,9 +49,6 @@ class Box3d:
         hi = tuple(max(l, min(a, b)) for l, a, b in zip(lo, self.hi, other.hi))
         return Box3d(lo, hi)  # type: ignore[arg-type]
 
-    def overlaps(self, other: "Box3d") -> bool:
-        return not self.intersect(other).empty
-
     def contains(self, other: "Box3d") -> bool:
         return all(a <= b for a, b in zip(self.lo, other.lo)) and all(
             a >= b for a, b in zip(self.hi, other.hi)
@@ -69,6 +66,3 @@ class Box3d:
         return tuple(
             slice(l - ol, h - ol) for l, h, ol in zip(self.lo, self.hi, outer.lo)
         )  # type: ignore[return-value]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Box{list(self.lo)}..{list(self.hi)}"

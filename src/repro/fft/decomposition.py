@@ -158,9 +158,6 @@ class CartesianDecomp:
         hi = tuple(self.partitions[d][c[d]][1] for d in range(3))
         return Box3d(lo, hi)  # type: ignore[arg-type]
 
-    def boxes(self) -> list[Box3d]:
-        return [self.box_of(r) for r in range(self.nranks)]
-
     def where(self, rank: int) -> tuple:
         """Index of ``rank``'s block in a global ``(..., n0, n1, n2)`` array."""
         box = self.box_of(rank)

@@ -79,9 +79,6 @@ class NetworkSpec:
     #: message storms: collisions and rerouting, Section V-A).
     congestion_per_doubling: float = 0.07
 
-    def link_gbs(self, intra: bool) -> float:
-        return self.intranode_gbs if intra else self.internode_gbs
-
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -111,10 +108,6 @@ class MachineSpec:
         if nodes > self.max_nodes:
             raise ModelError(f"{nodes} nodes exceed machine size {self.max_nodes}")
         return nodes
-
-    def node_of(self, rank: int) -> int:
-        """Node hosting ``rank`` under the paper's even block mapping."""
-        return rank // self.gpus_per_node
 
     def with_network(self, **kwargs: float | int) -> "MachineSpec":
         """Copy of this machine with network parameters overridden."""

@@ -5,8 +5,7 @@ The *answering* layer on top of :mod:`repro.trace`'s raw span streams
 (:mod:`~repro.perf.critical_path`), how much codec time the pipeline
 actually hid and how the wire compares to the
 :class:`~repro.machine.spec.MachineSpec` model
-(:mod:`~repro.perf.overlap`), bounded-memory percentile collection for
-long runs (:mod:`~repro.perf.histogram`), and the
+(:mod:`~repro.perf.overlap`), and the
 ``python -m repro perf record|compare|report`` regression gate
 (:mod:`~repro.perf.baseline`, :mod:`~repro.perf.cli`).
 """
@@ -29,7 +28,6 @@ from repro.perf.critical_path import (
     format_critical_path,
     phase_attribution,
 )
-from repro.perf.histogram import LogHistogram
 from repro.perf.overlap import (
     LinkClassBandwidth,
     OverlapReport,
@@ -57,7 +55,6 @@ __all__ = [
     "exchange_paths",
     "format_critical_path",
     "phase_attribution",
-    "LogHistogram",
     "LinkClassBandwidth",
     "OverlapReport",
     "RankOverlap",

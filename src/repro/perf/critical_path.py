@@ -70,14 +70,6 @@ class CriticalPath:
     ranks: int
     index: int | None = None  # exchange round, when scoped per exchange
 
-    @property
-    def dominant_phase(self) -> str:
-        """The busiest non-idle phase on the critical path."""
-        busy = {k: v for k, v in self.phases.items() if k != "idle"}
-        if not busy:
-            return "idle"
-        return max(busy, key=busy.get)  # type: ignore[arg-type]
-
 
 def _events(source: Tracer | Iterable[SpanEvent]) -> list[SpanEvent]:
     if isinstance(source, Tracer):

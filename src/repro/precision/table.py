@@ -31,12 +31,6 @@ class TableIRow:
     peak_v100_tflops: float | None
     peak_mi100_tflops: float | None
 
-    def as_dict(self) -> dict[str, object]:
-        d = self.fmt.describe()
-        d["peak_v100_tflops"] = self.peak_v100_tflops
-        d["peak_mi100_tflops"] = self.peak_mi100_tflops
-        return d
-
 
 def table1_rows() -> list[TableIRow]:
     """All four rows of Table I, in the paper's order (narrowest first)."""

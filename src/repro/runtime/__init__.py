@@ -30,7 +30,7 @@ fresh world instance.
 """
 
 from repro.runtime.base import ANY_SOURCE, ANY_TAG, Comm, Request
-from repro.runtime.proc import ProcComm, ProcessWorld, run_spmd_proc
+from repro.runtime.proc import ProcComm, ProcessWorld
 from repro.runtime.thread_rt import ThreadWorld, run_spmd
 from repro.runtime.virtual import VirtualWorld
 from repro.runtime.window import Window
@@ -45,7 +45,6 @@ __all__ = [
     "run_spmd",
     "ProcessWorld",
     "ProcComm",
-    "run_spmd_proc",
     "VirtualWorld",
     "RUNTIMES",
     "make_world",

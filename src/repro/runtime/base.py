@@ -97,11 +97,6 @@ class Request:
         req._value = value
         return req
 
-    @staticmethod
-    def waitall(requests: Sequence["Request"], timeout: float | None = None) -> list[Any]:
-        """Complete every request, in order (mirrors ``MPI_Waitall``)."""
-        return [r.wait(timeout) for r in requests]
-
 
 def is_echo(exc: BaseException) -> bool:
     """Is ``exc`` the echo of a failure elsewhere?  An aborting or dying

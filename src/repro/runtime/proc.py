@@ -115,7 +115,7 @@ from repro.trace.core import Tracer
 from repro.trace.core import get_tracer as trace_get_tracer
 from repro.trace.core import install as trace_install
 
-__all__ = ["ProcessWorld", "ProcComm", "run_spmd_proc"]
+__all__ = ["ProcessWorld", "ProcComm"]
 
 #: Generation stride for message tags: a shrunk communicator's traffic
 #: is tagged ``tag + gen * _GEN_STRIDE`` on the wire, so survivors never
@@ -182,7 +182,7 @@ def _child_main(
     parent_tracer = trace_get_tracer()
     child_tracer: Tracer | None = None
     if parent_tracer is not None and parent_tracer.enabled and spool_dir is not None:
-        child_tracer = Tracer(span_histograms=parent_tracer.span_histograms_enabled)
+        child_tracer = Tracer()
         trace_install(child_tracer)
         child_tracer.bind_rank(rank)
     else:
@@ -358,9 +358,8 @@ class ProcessWorld(_ProcView):
         # One fork-shared lock per *target rank*, shared by every window
         # (mp locks cannot be created after the fork, so they are
         # provisioned here).  Coarser than the thread runtime's
-        # per-window locks; passive-target epochs on the same rank
-        # through two windows at once would self-deadlock — no algorithm
-        # in this codebase does that.
+        # per-window locks, which is harmless: a put holds its target's
+        # lock only for its own copy.
         self._win_locks = [self._ctx.Lock() for _ in range(nranks)]
         self._win_counter = 0
         self._windows: dict[int, tuple[SharedMemory, bool]] = {}
@@ -820,14 +819,3 @@ class _ShrunkProcWorld(_ProcView):
         self._win_counter = 0
         self._windows: dict[int, tuple[SharedMemory, bool]] = {}
         self._watch(root.state)
-
-
-def run_spmd_proc(
-    nranks: int,
-    fn: Callable[..., Any],
-    *args: Any,
-    timeout: float = DEFAULT_TIMEOUT,
-    **kwargs: Any,
-) -> list[Any]:
-    """One-shot helper: build a :class:`ProcessWorld` and run ``fn`` on it."""
-    return ProcessWorld(nranks, timeout=timeout).run(fn, *args, **kwargs)

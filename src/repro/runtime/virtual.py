@@ -3,17 +3,15 @@
 The accuracy experiments of the paper run at up to 1536 ranks (Table II)
 — far beyond what per-rank threads can do in one Python process.  But
 accuracy only needs the *data movement* to be faithful, not concurrent.
-:class:`VirtualWorld` therefore stores every rank's buffers side by side
-and executes collectives as array shuffles, while logging per-message
-traffic so the performance model can be driven by the *same* exchanges.
+:class:`VirtualWorld` is therefore only a rank count, a topology and a
+:class:`TrafficLog`: :meth:`~repro.fft.reshape.ReshapePlan.run_virtual`
+moves every rank's blocks as array shuffles and records each message
+here, so the performance model is driven by the *same* exchanges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.errors import CommunicatorError, UnsupportedFaultError
 from repro.machine.topology import Topology
@@ -55,13 +53,6 @@ class TrafficLog:
     def network_bytes(self) -> int:
         """Bytes that actually traverse a link (excludes self-sends)."""
         return self.intra_bytes + self.inter_bytes
-
-    def merge(self, other: "TrafficLog") -> None:
-        self.messages += other.messages
-        self.intra_bytes += other.intra_bytes
-        self.inter_bytes += other.inter_bytes
-        self.local_bytes += other.local_bytes
-        self.per_message_sizes.extend(other.per_message_sizes)
 
 
 class VirtualWorld:
@@ -115,53 +106,3 @@ class VirtualWorld:
             "as functional array shuffles with no transport, threads, or "
             "heartbeats. Use ThreadWorld(faults=...) for chaos experiments."
         )
-
-    def reset_traffic(self) -> None:
-        self.traffic = TrafficLog(self.topology)
-
-    # -- collectives -----------------------------------------------------------
-
-    def exchange(
-        self, messages: Iterable[tuple[int, int, np.ndarray]]
-    ) -> dict[tuple[int, int], np.ndarray]:
-        """Sparse all-to-all: deliver ``(src, dst, data)`` triples.
-
-        Returns ``{(src, dst): data_copy}``.  Self-messages are legal
-        (rank keeping its own piece during a reshape) and are logged as
-        local traffic.  Duplicate (src, dst) pairs are rejected — an
-        alltoallv has at most one message per ordered pair.
-        """
-        out: dict[tuple[int, int], np.ndarray] = {}
-        for src, dst, data in messages:
-            self._check_rank(src)
-            self._check_rank(dst)
-            key = (src, dst)
-            if key in out:
-                raise CommunicatorError(f"duplicate message for pair {key}")
-            arr = np.ascontiguousarray(data)
-            self.traffic.record(src, dst, arr.nbytes)
-            out[key] = arr.copy()
-        return out
-
-    def alltoallv(
-        self, send: Sequence[Sequence[np.ndarray | None]]
-    ) -> list[list[np.ndarray]]:
-        """Dense all-to-all: ``send[src][dst]`` → ``recv[dst][src]``."""
-        p = self.nranks
-        if len(send) != p or any(len(row) != p for row in send):
-            raise CommunicatorError(f"send matrix must be {p}x{p}")
-        empty = np.zeros(0, dtype=np.uint8)
-        recv: list[list[np.ndarray]] = [[empty] * p for _ in range(p)]
-        for src in range(p):
-            for dst in range(p):
-                chunk = send[src][dst]
-                if chunk is None:
-                    continue
-                arr = np.ascontiguousarray(chunk)
-                self.traffic.record(src, dst, arr.nbytes)
-                recv[dst][src] = arr.copy()
-        return recv
-
-    def _check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.nranks:
-            raise CommunicatorError(f"rank {rank} out of range [0, {self.nranks})")

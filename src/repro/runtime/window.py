@@ -1,12 +1,13 @@
-"""One-sided (RMA) windows for the thread runtime (Section V-A).
+"""One-sided (RMA) windows of both SPMD runtimes (Section V-A).
 
-Mirrors the MPI-3 RMA model the paper's ``OSC_Alltoall`` relies on:
+Mirrors the active-target subset of the MPI-3 RMA model the paper's
+``OSC_Alltoall`` relies on (Algorithm 3 is fence, put, fence):
 
 * a window is created *collectively*, exposing a local byte buffer of
   each rank to every other rank;
-* ``put`` writes into a remote rank's exposed buffer; it is, like
-  ``MPI_Win_put``, usable inside an epoch delimited by ``fence`` calls
-  (active target) or ``lock``/``unlock`` (passive target);
+* ``put`` (or ``reserve``, a put whose source is written in place)
+  writes into a remote rank's exposed buffer inside an epoch delimited
+  by ``fence`` calls, like ``MPI_Win_put``;
 * ``fence`` completes all outstanding operations *and* synchronises —
   "the global synchronization needed to ensure all communication in the
   window are now completed at both the origin and the target" (Alg. 3
@@ -16,9 +17,10 @@ Mirrors the MPI-3 RMA model the paper's ``OSC_Alltoall`` relies on:
   :meth:`~repro.collectives.osc.OscAlltoallv` which reuses them across
   repeated exchanges.
 
-Implementation notes: in a threaded address space a put is a locked
-``memcpy`` into the target's buffer.  Per-target mutexes prevent torn
-writes when two origins touch the same target concurrently (MPI leaves
+Implementation notes: a put is a locked ``memcpy`` into the target's
+buffer — a thread runtime's private array or a view of the process
+runtime's shared-memory arena.  Per-target mutexes prevent torn writes
+when two origins touch the same target concurrently (MPI leaves
 overlapping puts undefined; we keep them merely atomic per call).
 """
 
@@ -46,12 +48,11 @@ class Reservation:
     def __init__(self, view: np.ndarray, lock, flip) -> None:
         self.view = view
         self.written = view.size
-        self._lock = lock  # None: the caller already holds a passive-target epoch
+        self._lock = lock
         self._flip = flip  # None: no fault injector
 
     def __enter__(self) -> "Reservation":
-        if self._lock is not None:
-            self._lock.acquire()
+        self._lock.acquire()
         return self
 
     def __exit__(self, exc_type, *_exc: object) -> bool:
@@ -62,8 +63,7 @@ class Reservation:
                 if corrupted is not None:
                     written[...] = corrupted
         finally:
-            if self._lock is not None:
-                self._lock.release()
+            self._lock.release()
         return False
 
 
@@ -85,7 +85,6 @@ class Window:
         self._win_id = win_id
         self._freed = False
         self._epoch_open = False
-        self._held: set[int] = set()
 
     @property
     def win_id(self) -> int:
@@ -107,32 +106,6 @@ class Window:
         self._check_alive()
         self._epoch_open = not self._epoch_open
         self._comm.barrier()
-
-    def lock(self, rank: int) -> None:
-        """Open a passive-target epoch on ``rank`` (exclusive)."""
-        self._check_alive()
-        self._comm._check_rank(rank)
-        if rank in self._held:
-            raise WindowError(f"lock({rank}) while already held")
-        self._locks[rank].acquire()
-        self._held.add(rank)
-
-    def unlock(self, rank: int) -> None:
-        """Close the passive-target epoch on ``rank``."""
-        self._check_alive()
-        if rank not in self._held:
-            raise WindowError(f"unlock({rank}) without a matching lock")
-        self._held.discard(rank)
-        self._locks[rank].release()
-
-    def flush(self, rank: int | None = None) -> None:
-        """Complete outstanding puts to ``rank`` (all ranks when None).
-
-        Puts in this runtime complete synchronously inside :meth:`put`,
-        so flush is a semantic no-op kept for API fidelity — algorithms
-        written against it stay correct on a real asynchronous MPI.
-        """
-        self._check_alive()
 
     # -- data movement -------------------------------------------------------------
 
@@ -165,8 +138,7 @@ class Window:
                 f"{nbytes} B at offset {offset} exceed window "
                 f"size {target.size} on rank {target_rank}"
             )
-        lock = None if target_rank in self._held else self._locks[target_rank]
-        return Reservation(target[offset : offset + nbytes], lock, flip)
+        return Reservation(target[offset : offset + nbytes], self._locks[target_rank], flip)
 
     def put(self, data: np.ndarray, target_rank: int, offset: int = 0) -> None:
         """Write ``data`` into ``target_rank``'s buffer at byte ``offset``.
@@ -184,105 +156,17 @@ class Window:
             else:
                 np.copyto(slot.view.view(data.dtype).reshape(data.shape), data)
 
-    def accumulate(
-        self,
-        data: np.ndarray,
-        target_rank: int,
-        offset: int = 0,
-        *,
-        op: str = "sum",
-        dtype: np.dtype | None = None,
-    ) -> None:
-        """Atomic read-modify-write into the target buffer (``MPI_Accumulate``).
-
-        ``data`` is combined element-wise with the target region using
-        ``op`` (``"sum"``, ``"max"``, ``"min"``, ``"replace"``).  The
-        element type defaults to ``data.dtype``; the byte ``offset``
-        must be aligned to it.  Unlike :meth:`put`, concurrent
-        accumulates to the same location are well-defined (MPI
-        guarantees per-element atomicity; we lock the whole call).
-        """
-        self._check_alive()
-        self._comm._check_rank(target_rank)
-        src = np.ascontiguousarray(data)
-        dt = np.dtype(dtype) if dtype is not None else src.dtype
-        if offset % dt.itemsize:
-            raise WindowError(f"offset {offset} not aligned to {dt}")
-        nbytes = src.nbytes
-        target = self._buffers[target_rank]
-        if offset < 0 or offset + nbytes > target.size:
-            raise WindowError(
-                f"accumulate of {nbytes} B at offset {offset} exceeds window "
-                f"size {target.size} on rank {target_rank}"
-            )
-        ops = {
-            "sum": np.add,
-            "max": np.maximum,
-            "min": np.minimum,
-        }
-        if op not in ops and op != "replace":
-            raise WindowError(f"unknown accumulate op {op!r}")
-        held = target_rank in self._held
-        lock = self._locks[target_rank]
-        if not held:
-            lock.acquire()
-        try:
-            region = target[offset : offset + nbytes].view(dt)
-            flat = src.view(dt).reshape(-1)
-            if op == "replace":
-                region[...] = flat
-            else:
-                region[...] = ops[op](region, flat)
-        finally:
-            if not held:
-                lock.release()
-
-    def lock_all(self) -> None:
-        """Open a passive-target epoch on every rank (``MPI_Win_lock_all``)."""
-        self._check_alive()
-        for rank in range(self._comm.size):
-            if rank not in self._held:
-                self.lock(rank)
-
-    def unlock_all(self) -> None:
-        """Close the epoch opened by :meth:`lock_all`."""
-        self._check_alive()
-        for rank in sorted(self._held):
-            self.unlock(rank)
-
-    def get(self, nbytes: int, target_rank: int, offset: int = 0) -> np.ndarray:
-        """Read ``nbytes`` from ``target_rank``'s buffer at ``offset``."""
-        self._check_alive()
-        self._comm._check_rank(target_rank)
-        source = self._buffers[target_rank]
-        if offset < 0 or offset + nbytes > source.size:
-            raise WindowError(
-                f"get of {nbytes} B at offset {offset} exceeds window "
-                f"size {source.size} on rank {target_rank}"
-            )
-        held = target_rank in self._held
-        lock = self._locks[target_rank]
-        if not held:
-            lock.acquire()
-        try:
-            return source[offset : offset + nbytes].copy()
-        finally:
-            if not held:
-                lock.release()
-
     # -- lifecycle -------------------------------------------------------------------
 
     def free(self) -> None:
         """Collectively release the window and deregister its buffers.
 
-        After the closing barrier no rank can still be inside a put/get
+        After the closing barrier no rank can still be inside a put
         on this window, so the world's registry entries (the exposed
         buffers *and* the per-target locks) are dropped — previously
         they leaked for the lifetime of the world.
         """
         self._check_alive()
-        if self._held:
-            raise WindowError(f"free() with passive-target locks still held: {sorted(self._held)}")
         if not getattr(self._world, "halted", False):
             # On an aborted/revoked world the closing barrier can never
             # complete (peers are unwinding); skipping it lets `finally`

@@ -12,8 +12,7 @@ out to three always-available pieces:
   crash report on failure (:mod:`~repro.telemetry.blackbox`);
 * **metrics registry** (:mod:`~repro.telemetry.metrics`) — counters,
   gauges and histograms with Prometheus text export and JSON
-  snapshots, plus JSON-lines structured logging
-  (:mod:`~repro.telemetry.jsonlog`);
+  snapshots;
 * **live monitor** (:mod:`~repro.telemetry.monitor_cli`) — ``python -m
   repro monitor`` tails a running proc-world through its shared
   telemetry segment (:mod:`~repro.telemetry.shmseg`).
@@ -32,25 +31,14 @@ from repro.telemetry.blackbox import (
     write_blackbox,
 )
 from repro.telemetry.events import KINDS, emit, scope
-from repro.telemetry.jsonlog import (
-    JsonLinesLogger,
-    get_logger,
-    log_event,
-    new_correlation_id,
-    set_logger,
-)
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     LIVE_SERIES,
-    SnapshotWriter,
-    counter,
     fold_live,
-    gauge,
     get_registry,
-    histogram,
     write_snapshot,
 )
 from repro.telemetry.recorder import (
@@ -59,35 +47,12 @@ from repro.telemetry.recorder import (
     FlightEvent,
     FlightRecorder,
     configure,
-    flight,
     get_recorder,
     install_sink,
     is_enabled,
-    live_update,
     publish,
     reset,
 )
-
-#: :mod:`~repro.telemetry.shmseg` names resolved lazily — that module
-#: imports the runtime layer (for ``quiet_close``), and the runtime
-#: imports telemetry leaves back, so an eager import here would cycle.
-_SHMSEG_NAMES = (
-    "ShmTelemetry",
-    "ShmSink",
-    "DEFAULT_SHM_CAPACITY",
-    "monitor_dir",
-    "write_runfile",
-    "remove_runfile",
-    "list_runfiles",
-)
-
-
-def __getattr__(name: str):
-    if name in _SHMSEG_NAMES:
-        from repro.telemetry import shmseg
-
-        return getattr(shmseg, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     # the seam
@@ -100,8 +65,6 @@ __all__ = [
     "FlightEvent",
     "FlightRecorder",
     "publish",
-    "flight",
-    "live_update",
     "get_recorder",
     "install_sink",
     "reset",
@@ -112,28 +75,10 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "SnapshotWriter",
     "LIVE_SERIES",
     "fold_live",
     "get_registry",
-    "counter",
-    "gauge",
-    "histogram",
     "write_snapshot",
-    # jsonlog
-    "JsonLinesLogger",
-    "new_correlation_id",
-    "get_logger",
-    "set_logger",
-    "log_event",
-    # shm segment
-    "ShmTelemetry",
-    "ShmSink",
-    "DEFAULT_SHM_CAPACITY",
-    "monitor_dir",
-    "write_runfile",
-    "remove_runfile",
-    "list_runfiles",
     # blackbox
     "BLACKBOX_SCHEMA",
     "build_blackbox",

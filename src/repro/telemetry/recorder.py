@@ -40,8 +40,6 @@ __all__ = [
     "FlightEvent",
     "FlightRecorder",
     "publish",
-    "flight",
-    "live_update",
     "get_recorder",
     "install_sink",
     "reset",
@@ -147,19 +145,6 @@ class FlightRecorder:
                     row[key] = row.get(key, 0.0) + float(delta)
             row["heartbeat_ns"] = float(now)
 
-    def record(
-        self,
-        kind: str,
-        rank: int,
-        peer: int = -1,
-        round_: int = -1,
-        value: float = 0.0,
-        value2: float = 0.0,
-        detail: str = "",
-    ) -> None:
-        """One ring event (:meth:`write` with nothing else)."""
-        self.write(rank, ((kind, peer, round_, value, value2, detail),))
-
     # -- introspection ---------------------------------------------------------------
 
     def events(self, rank: int | None = None) -> list[FlightEvent]:
@@ -245,21 +230,3 @@ def publish(
     except Exception:  # noqa: BLE001 - telemetry must never kill a rank
         pass
 
-
-def flight(
-    kind: str,
-    rank: int,
-    *,
-    peer: int = -1,
-    round_: int = -1,
-    value: float = 0.0,
-    value2: float = 0.0,
-    detail: str = "",
-) -> None:
-    """Record one flight event into the armed ring (no-op when disarmed)."""
-    publish(rank, ((kind, peer, round_, value, value2, detail),))
-
-
-def live_update(rank: int, **fields: Any) -> None:
-    """Set live per-rank gauges (``phase`` plus any :data:`LIVE_FIELDS`)."""
-    publish(rank, sets=fields)

@@ -182,25 +182,6 @@ class ShmTelemetry:
                 elif key in _FIELD_SLOT:
                     _F64.pack_into(buf, live + 8 * _FIELD_SLOT[key], float(val))
 
-    def record(
-        self,
-        kind: str,
-        rank: int,
-        peer: int = -1,
-        round_: int = -1,
-        value: float = 0.0,
-        value2: float = 0.0,
-        detail: str = "",
-    ) -> None:
-        """One ring event (:meth:`write` with nothing else)."""
-        self.write(rank, ((kind, peer, round_, value, value2, detail),))
-
-    def update(self, rank: int, updates: dict[str, Any]) -> None:
-        """Set live fields (:meth:`write` with nothing else)."""
-        self.write(rank, sets=updates)
-
-    # -- read side (parent / monitor) ------------------------------------------------
-
     def events(self, rank: int) -> list[FlightEvent]:
         """Decode one rank's ring, oldest first (post-mortem safe)."""
         rank = self._check_rank(rank)

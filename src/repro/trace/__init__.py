@@ -19,7 +19,6 @@ from repro.trace.core import (
     get_tracer,
     incr,
     install,
-    instant,
     record_report,
     span,
     tracing,
@@ -43,7 +42,6 @@ __all__ = [
     "uninstall",
     "tracing",
     "span",
-    "instant",
     "incr",
     "bind_rank",
     "record_report",

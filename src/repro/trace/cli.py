@@ -81,22 +81,18 @@ def run_trace_case(
     out_dir: str = ".",
     bench_name: str | None = None,
     seed: int = 0,
-    span_histograms: bool = False,
     runtime: str = "thread",
 ) -> str:
     """Run one traced case and emit trace + bench artefacts.
 
     Returns the report text (also meant for stdout): artefact paths,
     the summary table, and the wire-byte consistency check between the
-    tracer's counters and the collectives' own stats objects.  With
-    ``span_histograms`` the tracer keeps bounded-memory percentile
-    histograms instead of every span (the Chrome trace then carries no
-    span lanes).
+    tracer's counters and the collectives' own stats objects.
     """
     if case not in TRACE_CASES:
         raise SystemExit(f"unknown trace case {case!r}; pick one of {TRACE_CASES}")
     os.makedirs(out_dir, exist_ok=True)
-    tracer = Tracer(span_histograms=span_histograms)
+    tracer = Tracer()
     install(tracer)
     try:
         runner = _traced_fft if case == "fft" else _traced_alltoall
@@ -123,7 +119,6 @@ def run_trace_case(
                 "n": n,
                 "e_tol": e_tol,
                 "seed": seed,
-                "span_histograms": span_histograms,
                 "runtime": runtime,
                 "stats_wire_bytes": stats_wire,
                 "stats_logical_bytes": stats_logical,

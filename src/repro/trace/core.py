@@ -49,7 +49,6 @@ __all__ = [
     "uninstall",
     "tracing",
     "span",
-    "instant",
     "incr",
     "bind_rank",
     "record_report",
@@ -137,7 +136,7 @@ _NULL_SPAN = _NullSpan()
 class _ThreadBuffer:
     """Per-thread event storage; merged by the tracer at export time."""
 
-    __slots__ = ("rank", "depth", "spans", "instants", "counters", "histograms", "samples")
+    __slots__ = ("rank", "depth", "spans", "instants", "counters", "samples")
 
     def __init__(self) -> None:
         self.rank = -1  # unbound until bind_rank()
@@ -145,8 +144,6 @@ class _ThreadBuffer:
         self.spans: list[SpanEvent] = []
         self.instants: list[InstantEvent] = []
         self.counters: dict[tuple[int, str], float] = {}
-        # span_histograms mode: (rank, kind) -> LogHistogram of duration_ns
-        self.histograms: dict[tuple[int, str], Any] = {}
         # counter time series: (ts_ns, rank, name, delta) per incr()
         self.samples: list[tuple[int, int, str, float]] = []
 
@@ -181,17 +178,7 @@ class _Span:
         buf = self._buf
         buf.depth = self._depth
         rank = self._rank if self._rank is not None else buf.rank
-        hist_factory = self._tracer._hist_factory
-        if hist_factory is not None:
-            # Bounded-memory mode: fold the duration into a streaming
-            # histogram instead of retaining the span (attrs are dropped).
-            key = (rank, self._kind)
-            hist = buf.histograms.get(key)
-            if hist is None:
-                hist = buf.histograms[key] = hist_factory()
-            hist.add(t1 - self._t0)
-        else:
-            buf.spans.append(SpanEvent(self._kind, rank, self._t0, t1, self._depth, self._attrs))
+        buf.spans.append(SpanEvent(self._kind, rank, self._t0, t1, self._depth, self._attrs))
         return False
 
 
@@ -205,38 +192,14 @@ class Tracer:
         stay installed; useful for toggling without re-plumbing).
     clock:
         Nanosecond monotonic clock (overridable for deterministic tests).
-    span_histograms:
-        Bounded-memory mode for long runs: span durations are folded
-        into per-(rank, kind) streaming :class:`~repro.perf.histogram.
-        LogHistogram` objects instead of retaining every
-        :class:`SpanEvent` (attrs dropped, counter time series off).
-        ``span_aggregates``/``summarize``/``bench_payload`` transparently
-        read the histograms; Chrome export has no spans to draw.
     """
 
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        clock=time.perf_counter_ns,
-        span_histograms: bool = False,
-    ) -> None:
+    def __init__(self, *, enabled: bool = True, clock=time.perf_counter_ns) -> None:
         self.enabled = bool(enabled)
         self._clock = clock
         self._lock = threading.Lock()
         self._buffers: list[_ThreadBuffer] = []
         self._local = threading.local()
-        self._hist_factory = None
-        if span_histograms:
-            # Lazy import: repro.perf depends on repro.trace at module
-            # load; by construction time both are fully initialised.
-            from repro.perf.histogram import LogHistogram
-
-            self._hist_factory = LogHistogram
-
-    @property
-    def span_histograms_enabled(self) -> bool:
-        return self._hist_factory is not None
 
     # -- hot path -----------------------------------------------------------------
 
@@ -287,23 +250,14 @@ class Tracer:
             return
         buf = self._buf()
         r = rank if rank is not None else buf.rank
-        duration = max(0, int(duration_ns))
-        if self._hist_factory is not None:
-            key = (r, kind)
-            hist = buf.histograms.get(key)
-            if hist is None:
-                hist = buf.histograms[key] = self._hist_factory()
-            hist.add(duration)
-        else:
-            t1 = self._clock()
-            buf.spans.append(SpanEvent(kind, r, t1 - duration, t1, buf.depth, attrs))
+        t1 = self._clock()
+        buf.spans.append(SpanEvent(kind, r, t1 - max(0, int(duration_ns)), t1, buf.depth, attrs))
 
     def incr(self, name: str, value: float = 1, *, rank: int | None = None) -> None:
         """Add ``value`` to counter ``name`` on ``rank``.
 
-        Outside histogram mode every increment is also timestamped, so
-        exporters can render counters as time series (Chrome ``ph: "C"``
-        lanes); histogram mode keeps only the running totals.
+        Every increment is also timestamped, so exporters can render
+        counters as time series (Chrome ``ph: "C"`` lanes).
         """
         if not self.enabled:
             return
@@ -311,8 +265,7 @@ class Tracer:
         r = rank if rank is not None else buf.rank
         key = (r, name)
         buf.counters[key] = buf.counters.get(key, 0) + value
-        if self._hist_factory is None:
-            buf.samples.append((self._clock(), r, name, value))
+        buf.samples.append((self._clock(), r, name, value))
 
     def record_report(self, report: Any, *, rank: int | None = None) -> None:
         """Fold a :class:`~repro.faults.ResilienceReport` into the stream.
@@ -374,28 +327,11 @@ class Tracer:
     def counter_samples(self) -> list[tuple[int, int, str, float]]:
         """Timestamped counter increments ``(ts_ns, rank, name, delta)``.
 
-        Merged across threads, ordered by timestamp.  Empty in
-        histogram mode (only totals are kept there).
+        Merged across threads, ordered by timestamp.
         """
         samples = [s for buf in self._all_buffers() for s in buf.samples]
         samples.sort(key=lambda s: s[0])
         return samples
-
-    def span_histograms(self) -> dict[tuple[int, str], Any]:
-        """Merged ``(rank, kind) -> LogHistogram`` map (histogram mode).
-
-        Empty when ``span_histograms`` was not enabled.
-        """
-        out: dict[tuple[int, str], Any] = {}
-        for buf in self._all_buffers():
-            for key, hist in buf.histograms.items():
-                if key in out:
-                    out[key].merge(hist)
-                else:
-                    merged = type(hist)(growth=hist.growth)
-                    merged.merge(hist)
-                    out[key] = merged
-        return out
 
     def ranks(self) -> list[int]:
         """Sorted ranks that recorded at least one event or counter."""
@@ -404,7 +340,6 @@ class Tracer:
             seen.update(s.rank for s in buf.spans)
             seen.update(i.rank for i in buf.instants)
             seen.update(r for r, _ in buf.counters)
-            seen.update(r for r, _ in buf.histograms)
         return sorted(seen)
 
     def absorb(
@@ -414,13 +349,12 @@ class Tracer:
         instants: Sequence[InstantEvent] = (),
         counters: dict[tuple[int, str], float] | None = None,
         samples: Sequence[tuple[int, int, str, float]] = (),
-        histograms: dict[tuple[int, str], Any] | None = None,
     ) -> None:
         """Merge events recorded elsewhere into this tracer.
 
         The process runtime uses this to fold each rank's spooled trace
         back into the parent's tracer: spans/instants/samples append,
-        counters add, histograms merge.  Timestamps are assumed
+        counters add.  Timestamps are assumed
         comparable with this tracer's clock (true for
         ``perf_counter_ns`` across processes on one Linux machine).
         """
@@ -431,23 +365,6 @@ class Tracer:
             for key, value in counters.items():
                 buf.counters[key] = buf.counters.get(key, 0) + value
         buf.samples.extend(samples)
-        if histograms:
-            for key, hist in histograms.items():
-                mine = buf.histograms.get(key)
-                if mine is None:
-                    buf.histograms[key] = hist
-                else:
-                    mine.merge(hist)
-
-    def clear(self) -> None:
-        """Drop all recorded events and counters (buffers stay bound)."""
-        for buf in self._all_buffers():
-            buf.spans.clear()
-            buf.instants.clear()
-            buf.counters.clear()
-            buf.histograms.clear()
-            buf.samples.clear()
-
 
 # -- module-level active tracer -------------------------------------------------------
 
@@ -485,16 +402,7 @@ def tracing(**kwargs: Any) -> Iterator[Tracer]:
 def span(kind: str, *, rank: int | None = None, **attrs: Any):
     """Open a span on the active tracer (no-op context when disabled)."""
     t = _active
-    if t is None or not t.enabled:
-        return _NULL_SPAN
-    return _Span(t, t._buf(), kind, rank, attrs)
-
-
-def instant(kind: str, *, rank: int | None = None, **attrs: Any) -> None:
-    """Record a point event on the active tracer (no-op when disabled)."""
-    t = _active
-    if t is not None:
-        t.instant(kind, rank=rank, **attrs)
+    return _NULL_SPAN if t is None else t.span(kind, rank=rank, **attrs)
 
 
 def incr(name: str, value: float = 1, *, rank: int | None = None) -> None:

@@ -128,30 +128,8 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
 def span_aggregates(tracer: Tracer) -> dict[str, dict[str, float]]:
     """Per-span-kind aggregate timings (seconds): count/total/p50/p95/max.
 
-    Works in both tracer modes: from retained :class:`SpanEvent` lists,
-    or (under ``span_histograms``) from the streaming histograms, whose
-    percentiles carry the histogram's bounded relative error.  An empty
-    tracer yields an empty dict, never an exception.
+    An empty tracer yields an empty dict, never an exception.
     """
-    if tracer.span_histograms_enabled:
-        merged: dict[str, Any] = {}
-        for (_, kind), hist in tracer.span_histograms().items():
-            if kind in merged:
-                merged[kind].merge(hist)
-            else:
-                acc = type(hist)(growth=hist.growth)
-                acc.merge(hist)
-                merged[kind] = acc
-        return {
-            kind: {
-                "count": float(h.count),
-                "total_s": h.total * 1e-9,
-                "p50_s": h.percentile(50) * 1e-9,
-                "p95_s": h.percentile(95) * 1e-9,
-                "max_s": (h.max if h.count else 0.0) * 1e-9,
-            }
-            for kind, h in sorted(merged.items())
-        }
     by_kind: dict[str, list[int]] = {}
     for s in tracer.span_events():
         by_kind.setdefault(s.kind, []).append(s.duration_ns)
@@ -194,10 +172,6 @@ def spool_payload(tracer: Tracer) -> dict[str, Any]:
             [ts, rank, name, _jsonable(delta)]
             for ts, rank, name, delta in tracer.counter_samples()
         ],
-        "histograms": {
-            f"{r}:{kind}": hist.to_dict()
-            for (r, kind), hist in tracer.span_histograms().items()
-        },
     }
 
 
@@ -221,14 +195,6 @@ def _split_key(key: str) -> tuple[int, str]:
 def absorb_spool(tracer: Tracer, path: str) -> None:
     """Merge one rank's spool file into ``tracer`` (see ``Tracer.absorb``)."""
     payload = read_spool(path)
-    histograms: dict[tuple[int, str], Any] = {}
-    if payload.get("histograms"):
-        from repro.perf.histogram import LogHistogram
-
-        histograms = {
-            _split_key(key): LogHistogram.from_dict(dump)
-            for key, dump in payload["histograms"].items()
-        }
     tracer.absorb(
         spans=[
             SpanEvent(kind, rank, t0, t1, depth, attrs)
@@ -240,7 +206,6 @@ def absorb_spool(tracer: Tracer, path: str) -> None:
         ],
         counters={_split_key(key): v for key, v in payload.get("counters", {}).items()},
         samples=[tuple(s) for s in payload.get("samples", ())],
-        histograms=histograms,
     )
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["format_bytes", "format_rate", "format_time"]
+__all__ = ["format_bytes", "format_time"]
 
 _BYTE_UNITS = ["B", "KB", "MB", "GB", "TB", "PB"]
 
@@ -24,11 +24,6 @@ def format_bytes(n: float) -> str:
             return f"{sign}{n:.1f} {unit}"
         n /= 1000.0
     raise AssertionError("unreachable")
-
-
-def format_rate(bytes_per_second: float) -> str:
-    """Format a bandwidth, e.g. ``format_rate(25e9) == '25.0 GB/s'``."""
-    return format_bytes(bytes_per_second) + "/s"
 
 
 def format_time(seconds: float) -> str:

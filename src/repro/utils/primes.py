@@ -7,7 +7,7 @@ Section III of the paper) and by the process-grid factoriser.
 
 from __future__ import annotations
 
-__all__ = ["prime_factors", "is_pow2", "next_pow2"]
+__all__ = ["prime_factors", "next_pow2"]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -28,11 +28,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def is_pow2(n: int) -> bool:
-    """True when ``n`` is a positive power of two."""
-    return n > 0 and (n & (n - 1)) == 0
 
 
 def next_pow2(n: int) -> int:

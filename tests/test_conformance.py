@@ -229,6 +229,32 @@ def test_report_json_lists_failures_with_replay_data() -> None:
     assert {"index", "seed", "prop", "scenario", "failure"} <= set(entry)
 
 
+def test_replay_command_regenerates_the_failing_case_of_a_property_subset() -> None:
+    """Case ``i`` is dealt from the active subset, so the printed command
+    must carry ``--properties``: without it, ``--replay i`` regenerates
+    case ``i`` of the full rotation — another property's scenario."""
+    import json
+    import shlex
+
+    from repro.__main__ import _build_parser
+
+    with hooks.mutation("osc.put_offset", lambda off, **ctx: max(0, off - 1)):
+        report = run_conformance(seed=0, cases=6, properties=["runtime"], stop_on_failure=True)
+    assert not report.ok
+    failed = report.failures[0]
+    argv = shlex.split(failed.replay_command)
+    assert argv[:3] == ["python", "-m", "repro"]
+    args = _build_parser().parse_args(argv[3:])
+    subset = args.properties.split(",") if args.properties else None
+    replayed = generate_case(args.seed, args.replay, subset)
+    assert replayed.prop == failed.scenario.prop == "runtime"
+    assert replayed.params == failed.scenario.params
+
+    raw = json.loads(report.to_json())
+    assert raw["properties"] == ["runtime"]
+    assert raw["failures"][0]["properties"] == ["runtime"]
+
+
 def test_cli_smoke(capsys, tmp_path) -> None:
     from repro.__main__ import main
 

@@ -368,22 +368,6 @@ class TestWindowRegistryLifecycle:
         assert world.run(kernel) == [64, 64]
         assert len(world._win_registry) == 2  # buffers + locks for the live window
 
-    def test_free_with_held_lock_rejected(self):
-        from repro.errors import WindowError
-
-        def kernel(comm):
-            win = comm.win_create(8)
-            win.lock(comm.rank)
-            try:
-                with pytest.raises(WindowError, match="locks still held"):
-                    win.free()
-            finally:
-                win.unlock(comm.rank)
-            win.free()
-            return True
-
-        assert all(run_spmd(2, kernel))
-
 
 class TestStridedPutUnderFaults:
     """``Window.put`` takes strided N-d sources; the injector hooks must

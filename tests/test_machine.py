@@ -39,11 +39,6 @@ class TestMachineSpec:
         with pytest.raises(ModelError):
             tiny.nodes_for(tiny.gpus_per_node * (tiny.max_nodes + 1))
 
-    def test_node_of(self):
-        assert SUMMIT.node_of(0) == 0
-        assert SUMMIT.node_of(5) == 0
-        assert SUMMIT.node_of(6) == 1
-
     def test_with_network_override(self):
         m = SUMMIT.with_network(internode_gbs=100.0)
         assert m.network.internode_gbs == 100.0

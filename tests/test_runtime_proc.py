@@ -19,7 +19,7 @@ import pytest
 
 from repro.errors import CommunicatorError, UnsupportedFaultError
 from repro.faults import FaultPlan
-from repro.runtime import ProcessWorld, run_spmd_proc
+from repro.runtime import ProcessWorld
 from repro.runtime.shm import SEG_PREFIX, fork_available
 
 pytestmark = pytest.mark.skipif(
@@ -98,7 +98,7 @@ class TestTransport:
             win.free()
             return None if got is None else got.tolist()
 
-        res = run_spmd_proc(2, kernel)
+        res = ProcessWorld(2).run(kernel)
         assert res[1] == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
@@ -110,7 +110,7 @@ class TestFailureSurface:
             comm.barrier()
 
         with pytest.raises(ValueError, match="boom on two") as excinfo:
-            run_spmd_proc(4, kernel, timeout=10.0)
+            ProcessWorld(4, timeout=10.0).run(kernel)
         assert excinfo.value.rank == 2
         notes = getattr(excinfo.value, "__notes__", [])
         assert any("child traceback" in n for n in notes)
@@ -122,7 +122,7 @@ class TestFailureSurface:
             comm.barrier()
 
         with pytest.raises(CommunicatorError, match="exit|died") as excinfo:
-            run_spmd_proc(2, kernel, timeout=10.0)
+            ProcessWorld(2, timeout=10.0).run(kernel)
         assert "7" in str(excinfo.value) or "without returning" in str(excinfo.value)
 
     def test_leak_clean_after_failure(self, leak_check):
@@ -137,14 +137,14 @@ class TestFailureSurface:
             comm.barrier()
 
         with pytest.raises(RuntimeError):
-            run_spmd_proc(2, kernel, timeout=10.0)
+            ProcessWorld(2, timeout=10.0).run(kernel)
 
     def test_unpicklable_result_reported_not_hung(self, leak_check):
         def kernel(comm):
             return lambda: None  # locals are unpicklable
 
         with pytest.raises(CommunicatorError, match="not picklable"):
-            run_spmd_proc(2, kernel, timeout=10.0)
+            ProcessWorld(2, timeout=10.0).run(kernel)
 
 
 class TestLifecycle:
@@ -223,7 +223,7 @@ class TestTracerSpooling:
                 with span("child-work", items=comm.rank):
                     comm.barrier()
 
-            run_spmd_proc(3, kernel, timeout=10.0)
+            ProcessWorld(3, timeout=10.0).run(kernel)
         finally:
             install(previous)
         spans = [s for s in tracer.span_events() if s.kind == "child-work"]

@@ -1,74 +1,29 @@
-"""Tests for the functional VirtualWorld and its traffic accounting."""
+"""Tests for the functional VirtualWorld and its traffic accounting.
+
+The world moves nothing itself: ``ReshapePlan.run_virtual`` moves every
+message and logs it through ``world.traffic.record``.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.conformance.oracles import scatter_global
 from repro.errors import CommunicatorError
+from repro.fft.decomposition import brick_decomposition, pencil_decomposition
+from repro.fft.reshape import ReshapePlan
 from repro.machine import SUMMIT, Topology
 from repro.runtime import VirtualWorld
-
-
-class TestExchange:
-    def test_sparse_exchange(self):
-        w = VirtualWorld(4)
-        got = w.exchange([(0, 3, np.arange(4.0)), (2, 1, np.ones(2))])
-        assert np.array_equal(got[(0, 3)], np.arange(4.0))
-        assert np.array_equal(got[(2, 1)], np.ones(2))
-
-    def test_exchange_copies_data(self):
-        w = VirtualWorld(2)
-        src = np.ones(3)
-        got = w.exchange([(0, 1, src)])
-        src[:] = -1
-        assert np.array_equal(got[(0, 1)], np.ones(3))
-
-    def test_duplicate_pair_rejected(self):
-        w = VirtualWorld(2)
-        with pytest.raises(CommunicatorError, match="duplicate"):
-            w.exchange([(0, 1, np.ones(1)), (0, 1, np.ones(1))])
-
-    def test_bad_rank_rejected(self):
-        w = VirtualWorld(2)
-        with pytest.raises(CommunicatorError):
-            w.exchange([(0, 5, np.ones(1))])
-
-    def test_self_message_allowed(self):
-        w = VirtualWorld(2)
-        got = w.exchange([(1, 1, np.arange(2.0))])
-        assert np.array_equal(got[(1, 1)], np.arange(2.0))
-
-
-class TestDenseAlltoallv:
-    # The virtual-vs-thread(-vs-proc) alltoallv differential lives in
-    # test_runtime_contract.py::TestCrossRuntimeDifferential now.
-
-    def test_none_entries(self):
-        w = VirtualWorld(3)
-        send = [[None] * 3 for _ in range(3)]
-        send[0][2] = np.ones(5)
-        recv = w.alltoallv(send)
-        assert recv[2][0].size == 5
-        assert recv[1][0].size == 0
-
-    def test_shape_validation(self):
-        w = VirtualWorld(3)
-        with pytest.raises(CommunicatorError):
-            w.alltoallv([[None] * 2 for _ in range(3)])
 
 
 class TestTrafficAccounting:
     def test_intra_inter_split(self):
         topo = Topology(SUMMIT, 12)
         w = VirtualWorld(12, topology=topo)
-        w.exchange(
-            [
-                (0, 5, np.zeros(10)),  # same node (node 0: ranks 0-5)
-                (0, 6, np.zeros(10)),  # cross node
-                (3, 3, np.zeros(10)),  # self
-            ]
-        )
+        w.traffic.record(0, 5, 80)  # same node (node 0: ranks 0-5)
+        w.traffic.record(0, 6, 80)  # cross node
+        w.traffic.record(3, 3, 80)  # self
         t = w.traffic
         assert t.intra_bytes == 80
         assert t.inter_bytes == 80
@@ -76,26 +31,34 @@ class TestTrafficAccounting:
         assert t.network_bytes == 160
         assert t.total_bytes == 240
         assert t.messages == 3
+        assert t.per_message_sizes == [80, 80, 80]
 
     def test_no_topology_counts_everything_inter(self):
         w = VirtualWorld(4)
-        w.exchange([(0, 1, np.zeros(4))])
+        w.traffic.record(0, 1, 32)
         assert w.traffic.inter_bytes == 32 and w.traffic.intra_bytes == 0
 
-    def test_reset(self):
-        w = VirtualWorld(2)
-        w.exchange([(0, 1, np.zeros(4))])
-        w.reset_traffic()
-        assert w.traffic.total_bytes == 0
-
-    def test_merge(self):
-        from repro.runtime.virtual import TrafficLog
-
-        a, b = TrafficLog(), TrafficLog()
-        a.record(0, 1, 100)
-        b.record(1, 0, 50)
-        a.merge(b)
-        assert a.messages == 2 and a.inter_bytes == 150
+    def test_run_virtual_logs_every_message_by_link_class(self):
+        shape, p = (12, 12, 12), 12
+        topo = Topology(SUMMIT, p)
+        plan = ReshapePlan(brick_decomposition(shape, p), pencil_decomposition(shape, p, 0))
+        x = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        w = VirtualWorld(p, topology=topo)
+        plan.run_virtual(w, scatter_global(plan.src, x))
+        t = w.traffic
+        assert t.messages == plan.n_messages
+        assert t.total_bytes == x.nbytes  # every cell once, at its raw size
+        expected = {"local": 0, "intra": 0, "inter": 0}
+        for s, row in enumerate(plan.pairs):
+            for d, box in row:
+                kind = "local" if s == d else "intra" if topo.same_node(s, d) else "inter"
+                expected[kind] += box.size * 8
+        assert (t.local_bytes, t.intra_bytes, t.inter_bytes) == (
+            expected["local"],
+            expected["intra"],
+            expected["inter"],
+        )
+        assert t.intra_bytes > 0 and t.inter_bytes > 0
 
     def test_topology_size_mismatch_rejected(self):
         with pytest.raises(CommunicatorError):

@@ -37,50 +37,6 @@ class TestWindowBasics:
         res = run_spmd(3, kernel)
         assert np.array_equal(res[0], [0.0, 1.0, 2.0])
 
-    def test_get(self):
-        def kernel(comm):
-            win = comm.win_create(8)
-            win.local_view().view(np.float64)[0] = float(comm.rank * 10)
-            win.fence()
-            peer = (comm.rank + 1) % comm.size
-            data = win.get(8, peer).view(np.float64)
-            win.fence()
-            win.free()
-            return float(data[0])
-
-        res = run_spmd(3, kernel)
-        assert res == [10.0, 20.0, 0.0]
-
-    def test_lock_unlock_passive_target(self):
-        def kernel(comm):
-            win = comm.win_create(8)
-            win.fence()
-            if comm.rank != 0:
-                win.lock(0)
-                cur = win.get(8, 0).view(np.float64)[0]
-                win.put(np.array([cur + 1.0]), 0)
-                win.unlock(0)
-            comm.barrier()
-            val = float(win.local_view().view(np.float64)[0])
-            win.free()
-            return val
-
-        res = run_spmd(4, kernel)
-        assert res[0] == 3.0  # three atomic increments
-
-    def test_flush_is_noop_but_legal(self):
-        def kernel(comm):
-            win = comm.win_create(8)
-            win.fence()
-            win.put(np.zeros(1), (comm.rank + 1) % comm.size)
-            win.flush((comm.rank + 1) % comm.size)
-            win.flush()
-            win.fence()
-            win.free()
-            return True
-
-        assert all(run_spmd(2, kernel))
-
 
 class TestWindowErrors:
     def test_put_out_of_bounds(self):
@@ -88,15 +44,6 @@ class TestWindowErrors:
             win = comm.win_create(8)
             win.fence()
             win.put(np.zeros(2), 0)  # 16 bytes into an 8-byte window
-
-        with pytest.raises(WindowError):
-            run_spmd(2, kernel, timeout=5.0)
-
-    def test_get_out_of_bounds(self):
-        def kernel(comm):
-            win = comm.win_create(8)
-            win.fence()
-            win.get(16, 0)
 
         with pytest.raises(WindowError):
             run_spmd(2, kernel, timeout=5.0)
@@ -110,21 +57,20 @@ class TestWindowErrors:
         with pytest.raises(WindowError):
             run_spmd(2, kernel, timeout=5.0)
 
-    def test_double_lock_rejected(self):
+    def test_reserve_out_of_bounds(self):
         def kernel(comm):
             win = comm.win_create(8)
-            if comm.rank == 0:
-                win.lock(1)
-                win.lock(1)
+            win.fence()
+            win.reserve(0, 4, 8)  # 4 + 8 bytes into an 8-byte window
 
         with pytest.raises(WindowError):
             run_spmd(2, kernel, timeout=5.0)
 
-    def test_unlock_without_lock_rejected(self):
+    def test_reserve_after_free_rejected(self):
         def kernel(comm):
             win = comm.win_create(8)
-            if comm.rank == 0:
-                win.unlock(1)
+            win.free()
+            win.reserve(0, 0, 8)
 
         with pytest.raises(WindowError):
             run_spmd(2, kernel, timeout=5.0)

@@ -79,15 +79,6 @@ class TestTracerCore:
             pass
         assert tracer.span_events()[0].rank == 6
 
-    def test_clear_drops_events(self):
-        tracer = Tracer()
-        with tracer.span("pack", rank=0):
-            pass
-        tracer.incr("messages", rank=0)
-        tracer.clear()
-        assert tracer.span_events() == []
-        assert tracer.counters() == {}
-
     def test_record_report_folds_events_and_counters(self):
         tracer = Tracer()
         report = ResilienceReport(rank=4)
@@ -108,7 +99,6 @@ class TestDisabledTracer:
         with trace.span("pack", rank=0, bytes=1):
             pass  # must not raise nor record anywhere
         trace.incr("wire_bytes", 10, rank=0)
-        trace.instant("retry", rank=0)
         trace.bind_rank(5)
         trace.record_report(ResilienceReport(rank=0))
         assert trace.get_tracer() is None

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils import format_bytes, format_rate, format_time, is_pow2, next_pow2, prime_factors
+from repro.utils import format_bytes, format_time, next_pow2, prime_factors
 
 
 class TestPrimeFactors:
@@ -39,10 +39,6 @@ class TestPrimeFactors:
 
 
 class TestPow2:
-    def test_is_pow2(self):
-        assert is_pow2(1) and is_pow2(2) and is_pow2(1024)
-        assert not is_pow2(0) and not is_pow2(3) and not is_pow2(-2)
-
     def test_next_pow2(self):
         assert next_pow2(1) == 1
         assert next_pow2(3) == 4
@@ -56,7 +52,7 @@ class TestPow2:
     @given(st.integers(min_value=1, max_value=2**40))
     def test_next_pow2_properties(self, n):
         m = next_pow2(n)
-        assert is_pow2(m) and m >= n and (m == 1 or m // 2 < n)
+        assert m & (m - 1) == 0 and m >= n and (m == 1 or m // 2 < n)
 
 
 class TestHumanize:
@@ -65,9 +61,6 @@ class TestHumanize:
         assert format_bytes(80_000) == "80.0 KB"
         assert format_bytes(25e9) == "25.0 GB"
         assert format_bytes(-1500) == "-1.5 KB"
-
-    def test_rate(self):
-        assert format_rate(12.5e9) == "12.5 GB/s"
 
     def test_time(self):
         assert format_time(1.5) == "1.500 s"
