@@ -43,11 +43,6 @@ class ResilienceEvent:
     codec: str | None = None
     detail: str = ""
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        peer = f" peer={self.peer}" if self.peer >= 0 else ""
-        codec = f" codec={self.codec}" if self.codec else ""
-        return f"[{self.kind}] rank={self.rank}{peer} attempt={self.attempt}{codec} {self.detail}".rstrip()
-
 
 @dataclass
 class ResilienceReport:

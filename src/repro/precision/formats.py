@@ -120,12 +120,6 @@ class FloatFormat:
             "unit_roundoff": self.unit_roundoff,
         }
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"{self.name}(bits={self.bits}, e={self.exponent_bits}, "
-            f"m={self.mantissa_bits}, u={self.unit_roundoff:.2e})"
-        )
-
 
 #: IEEE binary64 — the working precision of the paper's reference FFT.
 FP64 = FloatFormat("FP64", exponent_bits=11, mantissa_bits=52, numpy_dtype=np.dtype(np.float64))

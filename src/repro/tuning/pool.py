@@ -160,9 +160,3 @@ class BufferPool:
         """Drop all retained free buffers (loaned-out buffers unaffected)."""
         with self._lock:
             self._free.clear()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BufferPool(name={self.name!r}, hits={self.hits}, misses={self.misses}, "
-            f"active={self.active}, retained={self.retained_bytes}B)"
-        )

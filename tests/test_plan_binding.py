@@ -535,7 +535,7 @@ def _transport_ops(fft: ResilientFft3d, data, runtime, halves: int) -> int:
     def kernel(comm):
         block = fft.plan.scatter(data)[comm.rank]
         for half in range(halves):
-            block = fft.forward_spmd(comm, block, inverse=bool(half % 2))
+            block = fft.run_spmd(comm, block, inverse=bool(half % 2)).block
         return comm.world.injector._ops[("kill", comm.rank)]
 
     return make_world(runtime, fft.plan.nranks, timeout=30.0, faults=probe).run(kernel)[1]
@@ -558,7 +558,7 @@ class TestRecoveryOnABoundPlan:
         def kernel(comm):
             block = fft.plan.scatter(data)[comm.rank]
             for _ in range(2):
-                block = fft.forward_spmd(comm, fft.forward_spmd(comm, block), inverse=True)
+                block = fft.run_spmd(comm, fft.run_spmd(comm, block).block, inverse=True).block
             fwd = fft.run_spmd(comm, block)
             back = fft.run_spmd(fwd.comm, fwd.block, inverse=True)
             epochs = [
@@ -603,7 +603,7 @@ class TestRecoveryOnABoundPlan:
         def kernel(comm):
             block = fft.plan.scatter(data)[comm.rank]
             for _ in range(2):
-                block = fft.forward_spmd(comm, fft.forward_spmd(comm, block), inverse=True)
+                block = fft.run_spmd(comm, fft.run_spmd(comm, block).block, inverse=True).block
             fwd = fft.run_spmd(comm, block)
             [binding] = [b for b in fwd.comm.attrs.values() if hasattr(b, "window")]
             rebound = isinstance(binding.window, PairSlots) and binding.window.comm is fwd.comm
@@ -654,7 +654,7 @@ def _stage_marks(fft: ResilientFft3d, data, runtime, monkeypatch) -> list[int]:
 
     def kernel(comm):
         injectors[comm.rank] = comm.world.injector
-        fft.forward_spmd(comm, fft.plan.scatter(data)[comm.rank])
+        fft.run_spmd(comm, fft.plan.scatter(data)[comm.rank])
         return list(marks)
 
     try:

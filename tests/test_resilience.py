@@ -369,7 +369,7 @@ class TestResilientSharesTheStageRunner:
         blocks = plain.scatter(data)
         want = self._telemetry_of(lambda comm: plain.forward_spmd(comm, blocks[comm.rank]), data)
         got = self._telemetry_of(
-            lambda comm: resilient.forward_spmd(comm, blocks[comm.rank]), data
+            lambda comm: resilient.run_spmd(comm, blocks[comm.rank]).block, data
         )
         errors, headroom = got
         assert got == want
@@ -391,9 +391,9 @@ class TestResilientSharesTheStageRunner:
 
         def kernel(comm):
             pool = BufferPool()
-            first = resilient.forward_spmd(comm, blocks[comm.rank], pool=pool)
+            first = resilient.run_spmd(comm, blocks[comm.rank], pool=pool).block
             warm = pool.misses
-            again = resilient.forward_spmd(comm, blocks[comm.rank], pool=pool)
+            again = resilient.run_spmd(comm, blocks[comm.rank], pool=pool).block
             return warm, pool.misses, pool.active, np.array_equal(first, again)
 
         for warm, after, active, stable in ThreadWorld(self.P, timeout=30.0).run(kernel):
