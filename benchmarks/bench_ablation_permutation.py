@@ -3,7 +3,9 @@
 Model level: the congestion penalty the permutation avoids.  Runtime
 level: real pairwise exchanges with and without the permutation on the
 thread runtime (data-path identical, so times should match — the
-permutation is about *networks*, which the model covers).
+permutation is about *networks*, which the model covers).  Each
+``pairwise_alltoallv`` call is the credit-rule ring on a window it
+creates and frees, not a two-sided ring.
 """
 
 from __future__ import annotations

@@ -3,7 +3,11 @@
 Two parts: the modelled Summit-scale sweep (the figure itself), and a
 *real* exchange on the thread runtime at small scale, benchmarking the
 three algorithms against each other — the data-path cross-validation of
-the model's subject.
+the model's subject.  The real "classical" two-sided curve is
+``reference`` (the communicator's ``alltoallv``, every payload sent
+two-sided); ``pairwise`` times the notification rule of the one slot
+transport — the ring's puts completed by a header and a credit per
+message instead of OSC's fence.
 """
 
 from __future__ import annotations

@@ -1,20 +1,23 @@
-"""All-to-all algorithms (Section V): pairwise ring, OSC ring, compressed OSC.
+"""All-to-all algorithms (Section V): OSC ring, pairwise ring, compressed.
 
 Interchangeable implementations of the generalized all-to-all
 (``MPI_Alltoallv``) run on the :mod:`repro.runtime` API, all of one
 object shape (:class:`~repro.collectives.base.Exchange`) and all built by
-:func:`~repro.collectives.exchange.make_exchange`:
+:func:`~repro.collectives.exchange.make_exchange`.  Every one but the
+communicator's own ``alltoallv`` (the reference) moves its messages
+through one data plane, a
+:class:`~repro.collectives.slots.SlotTransport`: each message is put
+straight into its slot of the peer's window, completed by one of two
+rules:
 
-* :func:`~repro.collectives.pairwise.pairwise_alltoallv` — the classical
-  two-sided ring ("pairwise") algorithm: ``p`` steps, each rank sending
-  and receiving one message per step, optionally with the node-aware
-  permutation of Section V;
-* :class:`~repro.collectives.osc.OscAlltoallv` — Algorithm 3: one-sided
-  ring on an RMA window, with window caching across repeated exchanges;
+* ``"fence"`` — :class:`~repro.collectives.osc.OscAlltoallv`, Algorithm 3:
+  the one-sided ring on an RMA window, one fence per exchange;
+* ``"credit"`` — :class:`~repro.collectives.pairwise.PairwiseAlltoallv`,
+  the classical ring ("pairwise"), optionally with the node-aware
+  permutation of Section V: a header and a release credit per message;
 * :class:`~repro.collectives.compressed.CompressedOscAlltoallv` —
-  Section V-B: the OSC ring with per-destination compression staged
-  through internal buffers (the send buffer stays const) and chunked
-  puts mirroring the GPU-stream pipeline.
+  Section V-B, under either rule: each message is encoded straight into
+  its slot and decoded straight into its box.
 """
 
 from repro.collectives.base import Exchange, ExchangeStats

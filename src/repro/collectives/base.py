@@ -4,25 +4,28 @@ Each algorithm of this package — reference, pairwise ring, OSC ring,
 compressed OSC, two-level — is an :class:`Exchange`: ``op(send) ->
 recv``, ``op.free()``, and after every call ``op.last_stats``
 (:class:`ExchangeStats`) and ``op.last_report``
-(:class:`~repro.faults.ResilienceReport`).  The accounting is published
-by the single :meth:`Exchange._finish` as one ``exchange-round`` record,
-so the tracer counters, the flight ring and the metrics registry agree
-for every algorithm.
+(:class:`~repro.faults.ResilienceReport`).  A one-shot call and a
+reshape's :meth:`Exchange.move` are one path: the call announces its
+messages in one allgather and moves into boxes it allocates.  The
+accounting is published by the single :meth:`Exchange._finish` as one
+``exchange-round`` record, so the tracer counters, the flight ring and
+the metrics registry agree for every algorithm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.collectives.slots import SlotTable, SlotTransport
 from repro.errors import CommunicatorError
 from repro.faults import ResilienceReport
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
 from repro.telemetry import emit
-from repro.trace import span as trace_span
 
 __all__ = ["Boxes", "Exchange", "ExchangeStats", "pack", "unpack", "volume_rate"]
 
@@ -125,12 +128,19 @@ class ExchangeStats:
 
 
 class Exchange:
-    """Base of every all-to-all object (all ranks construct collectively)."""
+    """Base of every all-to-all object (all ranks construct collectively): a
+    window exchange moves through :attr:`transport` by its plan's :attr:`table` or one agreed."""
 
     #: Algorithm name stamped on exchange spans and flight events.
     algorithm = "abstract"
     codec: Any = None
     e_tol: float | None = None
+    #: Its transport's completion rule (:mod:`repro.collectives.slots`).
+    rule = "fence"
+    #: The transport this exchange moves through (``None``: it drives no window).
+    transport: SlotTransport | None = None
+    #: The plan's table the exchange is bound to (``None``: every call agrees one).
+    table: SlotTable | None = None
 
     def __init__(self, comm: Comm, topology: Topology | None = None) -> None:
         if topology is not None and topology.nranks != comm.size:
@@ -142,64 +152,83 @@ class Exchange:
         self._round = 0
 
     def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-        raise NotImplementedError
+        """One-shot exchange: ``recv[s]`` is what rank ``s`` sent this rank,
+        in a box of the sender's dtype and shape (an empty FP64 block for
+        nothing) — a :meth:`move` whose boxes the exchange allocates."""
+        self._check_send(send)
+        send = [None if view is None else np.asarray(view) for view in send]
+        out: list[np.ndarray] = []
 
-    def free(self) -> None:
-        """Collectively release what the exchange caches (nothing here)."""
+        def boxes(kinds: list) -> list[np.ndarray]:
+            out.extend(np.zeros(0) if k is None else np.empty(k[1], dtype=k[0]) for k in kinds)
+            return out
 
-    def slot_table(
-        self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
-    ) -> Any:
-        """Window slots for a message matrix known before the first call.
-
-        ``elements[s][d]`` items of ``itemsize`` bytes go from ``s`` to
-        ``d`` in every call, as views whose leading axis is
-        ``leading[s][d]`` long (``None``: flat).  The window exchanges
-        answer with a
-        :class:`~repro.collectives.osc.SlotTable` their ``transport`` can
-        be bound to; ``None`` (here) means no window is driven.
-        """
-        return None
+        self._agree(send, boxes)
+        return out
 
     def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
         """Exchange between strided views: ``send[d]`` (a box of this
         rank's block, only read) goes to rank ``d``, and what rank ``s``
         sent fills ``receive()[s]`` (a box of the caller's new block);
         ``None`` = nothing that way.  ``receive`` is called once, before
-        the first box is written: once the data has arrived, or — a
-        lossy window exchange, which decodes the self block at step 0 of
-        its ring — before the first put.  What a reshape calls.
+        the first box is written.  What a reshape calls: bound, through
+        the plan's table; unbound, through one agreed as a one-shot call
+        agrees it.  ``pool`` is for exchanges that stage (the reference)."""
+        self._check_send(send)
+        if self.table is not None:
+            self._move(send, receive, self.table, None)
+        else:
+            self._agree(send, lambda kinds: receive())
 
-        Here: pack each view (scratch from ``pool`` when given), exchange
-        the chunks, unpack — an exchange that can carry a strided view as
-        it is overrides this and skips the staging.
-        """
-        rank = self.comm.rank
-        packed: list[np.ndarray | None] = [None] * len(send)
-        for d, view in enumerate(send):
-            if view is not None:
-                with trace_span("pack", rank=rank, peer=d):
-                    packed[d] = pack(view, pool)
-        recv = self(packed)
-        # The exchange has consumed (copied or encoded) the packed chunks;
-        # give them back before unpacking so the next reshape reuses them.
-        # Pooled receive copies go back too; the lenient release ignores
-        # arrays the pool never owned.
-        if pool is not None:
-            for chunk in packed:
-                if chunk is not None:
-                    pool.release(chunk)
-        self._unpack_all(receive(), recv)
-        if pool is not None:
-            for chunk in recv:
-                pool.release(np.asarray(chunk))
+    def free(self) -> None:
+        """Collectively release the transport's window (a plan's: its binding does)."""
+        if self.transport is not None and self.table is None:
+            self.transport.free()
 
-    def _unpack_all(self, out: Boxes, recv: Sequence[Any]) -> None:
-        """Paste ``recv[s]`` (decoded values or raw bytes) into ``out[s]``."""
-        for s, target in enumerate(out):
-            if target is not None and recv[s] is not None:
-                with trace_span("unpack", rank=self.comm.rank, peer=s):
-                    unpack(target, np.asarray(recv[s]))
+    def slot_table(
+        self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
+    ) -> SlotTable | None:
+        """Window slots for ``elements[s][d]`` items of ``itemsize`` bytes
+        from ``s`` to ``d``, as views whose leading axis is
+        ``leading[s][d]`` long (``None``: flat) — asked by a plan per
+        reshape, and by a one-shot call; ``None``: no window is driven."""
+        return None
+
+    def _agree(self, send: Boxes, boxes: Callable[[list], Boxes]) -> None:
+        """An unbound move: :meth:`_announce`, then the move into
+        ``boxes(kinds)`` — the kinds this rank receives."""
+        kinds, table, riders = self._announce(send)
+        self._move(send, lambda: boxes(kinds), table, riders)
+
+    def _announce(self, send: Boxes) -> tuple[list, SlotTable, list]:
+        """One allgather of every message's ``(dtype, shape)`` — both sides of
+        an Alltoallv know counts and types — and :meth:`_rider`.  Returns
+        the kinds this rank receives, the table every rank derives alike,
+        and every rank's rider."""
+        comm, p = self.comm, self.comm.size
+        gathered = comm.allgather(([self._kind(view) for view in send], self._rider(send)))
+        nbytes = np.zeros((p, p), dtype=np.int64)
+        leading = np.ones_like(nbytes)
+        for s, (kinds, _) in enumerate(gathered):
+            for d, kind in enumerate(kinds):
+                if kind is not None:
+                    dtype, shape = kind
+                    nbytes[s, d] = math.prod(shape) * np.dtype(dtype).itemsize
+                    leading[s, d] = shape[0] if shape else 1
+        kinds = [row[0][comm.rank] for row in gathered]
+        return kinds, self.slot_table(nbytes, 1, leading), [row[1] for row in gathered]
+
+    def _kind(self, view: np.ndarray | None) -> tuple[str, tuple[int, ...]] | None:
+        """What the receiver allocates the box from (``None``: nothing)."""
+        return None if view is None or view.size == 0 else (view.dtype.str, view.shape)
+
+    def _rider(self, send: Boxes) -> Any:
+        """What rides this rank's announcement besides the kinds (nothing here)."""
+        return None
+
+    def _move(self, send: Boxes, receive: Callable[[], Boxes], table: Any, riders: Any) -> None:
+        """Move ``send`` into ``receive()``'s boxes by ``table`` (riders: None if bound)."""
+        raise NotImplementedError
 
     def _check_send(self, send: Sequence[np.ndarray | None]) -> None:
         if len(send) != self.comm.size:

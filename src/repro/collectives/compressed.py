@@ -12,18 +12,14 @@ Adds the two steps the paper describes on top of Algorithm 3:
 
 There is one encoder and one decoder.  The staging buffer is the
 destination's window slot — or, for a message that is routed
-(two-level) or retransmitted rather than put, a byte region of its own
-— and every message is encoded straight from the strided view it is
-read from into it (:meth:`Codec.encode_into`, the wire frame sealed
-where it lies); every received frame is checked where it lies and
-decoded straight into the strided box it fills
-(:meth:`Codec.decode_into`).  The self block never crosses a wire: it
-takes the same ladder into a scratch and is decoded into its box at
-once, unframed and unchecksummed, and counted as any message.  A
-plan-bound exchange is handed its views
-and boxes by the reshape; a one-shot call (``op(send)``) announces each
-message's dtype and shape in one allgather — both sides of an
-Alltoallv know counts and types — and allocates its boxes itself.
+(two-level) or retransmitted, a byte region of its own — and every
+message is encoded straight from its strided view into it
+(:meth:`Codec.encode_into`, the frame sealed where it lies); every
+frame is checked where it lies and decoded straight into the strided
+box it fills (:meth:`Codec.decode_into`).  The self block takes the
+same ladder into a scratch and is decoded into its box at once,
+unframed.  The frames, outputs and accounting are the same under
+either completion rule of the :class:`~repro.collectives.slots.SlotTransport`.
 
 On top of that the exchange is *resilient*: every frame on the wire is
 checksummed (wire format v2), decode failures are detected per source
@@ -31,22 +27,18 @@ block, and a bounded recovery protocol retransmits failed blocks —
 first with the original codec per the :class:`~repro.faults.RetryPolicy`,
 then walking the degradation ladder **lossy -> lossless -> raw FP64**.
 Transient codec failures at compress time and per-message ``e_tol``
-violations degrade the same way.  Everything the machinery does is
-recorded in a per-exchange :class:`~repro.faults.ResilienceReport`
-(:attr:`last_report`); when nothing goes wrong the report is empty and
-the exchange is byte-identical to the non-resilient one.
+violations degrade the same way, all recorded in a per-exchange
+:class:`~repro.faults.ResilienceReport` (:attr:`last_report`) — empty,
+and the exchange byte-identical to an unhardened one, when all goes well.
 
 The GPU-stream pipeline (compress chunk *k+1* while chunk *k* flies) is
 mirrored functionally by splitting each message into ``pipeline_chunks``
-fragments, compressing them one at a time; its *timing* benefit is
-modelled in :mod:`repro.netsim.alltoall_model`.  The class reports
-per-call :class:`ExchangeStats` so callers can verify the volume
-reduction that drives the speedup.
+fragments; its *timing* benefit is modelled in
+:mod:`repro.netsim.alltoall_model`.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -54,7 +46,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats
-from repro.collectives.osc import OscTransport, SlotTable
+from repro.collectives.slots import SlotTable, SlotTransport
 from repro.collectives.wire import open_frame, payload_of, seal, stage
 from repro.compression.base import Codec, IdentityCodec, as_float64_view
 from repro.compression.lossless import ShuffleZlibCodec
@@ -80,21 +72,6 @@ _RETRY_TAG = -7000
 #: the pickled metadata (codec name, dtype, shape, a few header scalars:
 #: ~50-120 B for the codecs of this package).
 _FRAME_ROOM = 256
-
-
-def _kind(view: np.ndarray | None) -> tuple[str, tuple[int, ...]] | None:
-    """A message's announcement: what a receiver needs to allocate the box
-    ``view`` fills, ``None`` for nothing (validated here, before any
-    collective: a codec takes float64/complex128 only)."""
-    if view is None or view.size == 0:
-        return None
-    as_float64_view(view)
-    return view.dtype.name, view.shape
-
-
-def _boxes(kinds: Sequence[tuple | None]) -> list[np.ndarray]:
-    """Receive boxes for announced kinds; nothing announced is an empty FP64 block."""
-    return [np.zeros(0) if k is None else np.empty(k[1], dtype=k[0]) for k in kinds]
 
 
 class CompressedOscAlltoallv(Exchange):
@@ -169,7 +146,7 @@ class CompressedOscAlltoallv(Exchange):
             if all(fallback.name != c.name for c in self._ladder):
                 self._ladder.append(fallback)
         self.tuned = tuned
-        self.transport = OscTransport(comm, topology)
+        self.transport = SlotTransport(comm, self.rule, topology)
 
     # -- helpers ------------------------------------------------------------------
 
@@ -206,17 +183,11 @@ class CompressedOscAlltoallv(Exchange):
             capacity[at] = sum(self._frame_capacity(piece * itemsize // 8) for piece in pieces)
         return SlotTable(capacity, align=16)
 
-    def _announced_table(self, kinds: Sequence[Sequence[tuple | None]]) -> SlotTable:
-        """Worst-case slots for one call's announced ``kinds[s][d]``."""
-        scalars = np.zeros((len(kinds), len(kinds)), dtype=np.int64)
-        leading = np.ones_like(scalars)
-        for s, row in enumerate(kinds):
-            for d, kind in enumerate(row):
-                if kind is not None:
-                    dtype, shape = kind
-                    scalars[s, d] = math.prod(shape) * np.dtype(dtype).itemsize // 8
-                    leading[s, d] = shape[0] if shape else 1
-        return self.slot_table(scalars, 8, leading)
+    def _kind(self, view: np.ndarray | None) -> tuple[str, tuple[int, ...]] | None:
+        """Validated before any collective: a codec takes float64/complex128 only."""
+        if view is not None and view.size:
+            as_float64_view(view)
+        return super()._kind(view)
 
     def _codec_named(self, name: str) -> Codec:
         """The decompressor a frame names: degraded retransmissions arrive
@@ -229,10 +200,6 @@ class CompressedOscAlltoallv(Exchange):
     def _injector(self):
         world = getattr(self.comm, "world", None)
         return getattr(world, "injector", None)
-
-    def free(self) -> None:
-        """Collectively release the cached staging window."""
-        self.transport.free()
 
     # -- encode side ----------------------------------------------------------------
 
@@ -450,6 +417,18 @@ class CompressedOscAlltoallv(Exchange):
             self._codec_named(msg.codec_name).decode_into(msg.payload, msg.header, slab)
             pos += consumed
 
+    def _decode(self, source: int, region: np.ndarray, into: np.ndarray,
+                report: ResilienceReport, failed: list[int]) -> None:
+        """Decode ``source``'s region straight into its box ``into``
+        (CRC-checked per frame); a block that fails integrity is reported
+        and appended to ``failed``."""
+        try:
+            with trace_span("decompress", rank=self.comm.rank, peer=source, bytes=int(region.size)):
+                self._decode_region(region, into)
+        except CompressionError as exc:
+            report.record("integrity-failure", peer=source, detail=str(exc))
+            failed.append(source)
+
     def _settle(
         self,
         send: Boxes,
@@ -457,23 +436,17 @@ class CompressedOscAlltoallv(Exchange):
         report: ResilienceReport,
         stats: ExchangeStats,
         into: Boxes,
+        failed: list[int] | None = None,
     ) -> None:
-        """Step 2 onwards: decode each source's region straight into its
-        box ``into[s]`` (CRC-checked per frame), and recover the blocks
-        that failed integrity — retransmitted from the still-live
-        ``send`` views and decoded into the same boxes."""
+        """Decode every (routed) region into its box, then recover the blocks
+        that failed integrity — these and ``failed``, the ones the ring
+        decoded already — retransmitted from the still-live ``send`` views
+        and decoded into the same boxes."""
         rank = self.comm.rank
-        failed: list[int] = []
+        failed = [] if failed is None else failed
         for s, region in enumerate(regions):
-            if region.size == 0:
-                continue
-            try:
-                with trace_span("decompress", rank=rank, peer=s, bytes=int(region.size)):
-                    self._decode_region(region, into[s])
-            except CompressionError as exc:
-                report.record("integrity-failure", peer=s, detail=str(exc))
-                failed.append(s)
-
+            if region.size:
+                self._decode(s, region, into[s], report, failed)
         # Collective recovery rounds.  Only runs under an active fault
         # plan — injector presence is world-global, so every rank takes
         # the same branch and the recovery collectives stay matched.  A
@@ -521,11 +494,11 @@ class CompressedOscAlltoallv(Exchange):
         attempt = 0
         prev_codec = ladder[0].name
         while any(needs):
-            involved_now = bool(failed) or any(comm.rank in srcs for srcs in needs)
+            involved = bool(failed) or any(comm.rank in srcs for srcs in needs)
             if any_exhausted and attempt < policy.max_attempts:
                 # Budget spent: skip the remaining same-codec rounds and
                 # go straight to the degradation ladder.
-                if involved_now:
+                if involved:
                     report.record(
                         "budget-exhausted",
                         attempt=attempt,
@@ -543,7 +516,6 @@ class CompressedOscAlltoallv(Exchange):
                     f"rank {comm.rank}: blocks from rank(s) {sorted(failed)} still "
                     f"corrupt after {attempt} recovery round(s) ending at raw FP64"
                 )
-            involved = involved_now
             if codec.name != prev_codec and involved:
                 report.record("degrade", attempt=attempt, codec=codec.name,
                               detail=f"recovery ladder {prev_codec} -> {codec.name}")
@@ -587,26 +559,12 @@ class CompressedOscAlltoallv(Exchange):
 
     # -- the exchange ----------------------------------------------------------------
 
-    def __call__(self, send: Sequence[np.ndarray | None]) -> list[np.ndarray]:
-        """One-shot exchange: returns each source's decoded block, in a box
-        allocated from the dtype and shape the source announced — a
-        :meth:`move` whose boxes are the result."""
-        send = [None if data is None else np.asarray(data) for data in send]
-        return self._timed(send, None)
-
-    def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
-        """Every message is encoded straight from its strided view into the
-        destination's slot and decoded from the local slot straight into
-        its strided box: no pack, staging frame, decompressed temporary or
-        unpack, nothing from ``pool``.  The self block goes first, at
-        step 0 of the ring, from view to box without a slot — so
-        ``receive`` is asked before the first put.  Unbound, the slots
-        are agreed in one allgather first."""
-        self._timed(send, receive)
-
-    def _timed(self, send: Boxes, receive: Callable[[], Boxes] | None) -> Boxes:
-        """Run one collective call under its exchange span, then publish
-        it — with its duration — as one ``exchange-round`` record."""
+    def _move(self, send: Boxes, receive: Callable[[], Boxes], table: SlotTable, riders: Any) -> None:
+        """Every message is encoded from its strided view into the peer's slot
+        and decoded from the local slot into its strided box: no pack,
+        staging frame or unpack.  The self block goes first, at step 0 of
+        the ring — so ``receive`` is asked before the first put.  Published,
+        with its duration, as one ``exchange-round`` record."""
         # The exchange span makes one collective call a critical-path
         # scope of its own even outside a reshape (repro.perf groups
         # outermost exchange spans into rounds); the live phase is the
@@ -621,39 +579,27 @@ class CompressedOscAlltoallv(Exchange):
             attrs["tuned"] = self.tuned
         started = time.monotonic()
         with trace_span("exchange", **attrs):
-            out, stats, report = self._exchange(send, receive)
+            stats, report = self._exchange(send, receive, table)
         self._finish(stats, report, time.monotonic() - started)
-        return out
 
     def _exchange(
-        self, send: Boxes, receive: Callable[[], Boxes] | None
-    ) -> tuple[Boxes, ExchangeStats, ResilienceReport]:
-        """Move ``send`` into ``receive()``'s boxes — or, with ``receive``
-        ``None``, into boxes allocated from the announced kinds — and
-        return the boxes with the call's accounting."""
-        self._check_send(send)
+        self, send: Boxes, receive: Callable[[], Boxes], table: SlotTable
+    ) -> tuple[ExchangeStats, ResilienceReport]:
+        """Move ``send`` into the boxes ``receive()`` through ``table``;
+        returns the call's accounting."""
         rank = self.comm.rank
         stats = ExchangeStats()
         report = ResilienceReport(rank=rank)
-        table = self.transport.slots
-        if receive is None or table is None:
-            # Both sides of an Alltoallv know counts and types: one
-            # allgather of every message's (dtype, shape).
-            kinds = self.comm.allgather([_kind(view) for view in send])
-            if table is None:
-                table = self._announced_table(kinds)
-        out = _boxes([row[rank] for row in kinds]) if receive is None else receive()
+        out = receive()
         self._move_self(send[rank], report, stats, out[rank])  # step 0 of the ring
-        regions = self.transport(
-            [
-                partial(self._encode_block, view, d, None, report, stats)
-                if d != rank and view is not None and view.size
-                else ()
-                for d, view in enumerate(send)
-            ],
-            table,
-        )
+        failed: list[int] = []
         # "we will decompress the entire buffer later, once communications
-        # are done" — straight from the window's borrowed regions.
-        self._settle(send, regions, report, stats, out)
-        return out, stats, report
+        # are done" under the fence rule; the credit rule decodes each
+        # region as its header arrives.  Either way straight from the window.
+        self.transport.move(
+            table,
+            lambda d, slot: self._encode_block(send[d], d, None, report, stats, slot),
+            lambda s, region: self._decode(s, region, out[s], report, failed),
+        )
+        self._settle(send, (), report, stats, out, failed)
+        return stats, report

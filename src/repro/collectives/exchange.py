@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.collectives.base import Exchange, ExchangeStats
+from repro.collectives.base import Boxes, Exchange, ExchangeStats, pack, unpack
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.collectives.osc import OscAlltoallv
-from repro.collectives.pairwise import PairwiseAlltoallv
+from repro.collectives.pairwise import CompressedPairwiseAlltoallv, PairwiseAlltoallv
 from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
 from repro.compression.base import Codec
 from repro.errors import PlanError
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
+from repro.trace import span as trace_span
 from repro.tuning.pool import BufferPool
 from repro.tuning.profile import VARIANTS
 
@@ -26,7 +27,8 @@ METHODS = ("reference", "pairwise", "osc")
 
 
 class ReferenceAlltoallv(Exchange):
-    """The communicator's own linear ``alltoallv`` as an exchange object."""
+    """The communicator's own linear ``alltoallv`` as an exchange object:
+    two-sided, no window — the independent oracle of the slot exchanges."""
 
     algorithm = "reference"
 
@@ -34,6 +36,24 @@ class ReferenceAlltoallv(Exchange):
         recv = self.comm.alltoallv(send)
         self._finish(ExchangeStats.raw(send), ResilienceReport(rank=self.comm.rank))
         return recv
+
+    def move(self, send: Boxes, receive: Callable[[], Boxes], pool: Any = None) -> None:
+        """Pack each view (scratch from ``pool``), exchange via :meth:`__call__`, unpack."""
+        rank = self.comm.rank
+        packed: list[np.ndarray | None] = [None] * len(send)
+        for d, view in enumerate(send):
+            if view is not None:
+                with trace_span("pack", rank=rank, peer=d):
+                    packed[d] = pack(view, pool)
+        recv = self(packed)
+        if pool is not None:  # copied: the next reshape reuses them
+            for chunk in packed:
+                if chunk is not None:
+                    pool.release(chunk)
+        for s, target in enumerate(receive()):
+            if target is not None and recv[s] is not None:
+                with trace_span("unpack", rank=rank, peer=s):
+                    unpack(target, np.asarray(recv[s]))
 
 
 def make_exchange(
@@ -51,23 +71,25 @@ def make_exchange(
 ) -> Exchange:
     """Build the exchange for ``(codec, method, variant)`` (collective).
 
-    With a ``codec`` the result is the compressed window exchange —
-    ``variant`` picks the flat ring or the node-aware ``"two-level"``
-    aggregation, and ``e_tol``/``retry_policy``/``pipeline_chunks``/
-    ``tuned`` configure it; otherwise ``method`` picks the uncompressed
-    algorithm.  Unknown names raise :class:`~repro.errors.PlanError`
-    whether or not they would have been used.  ``pool`` stages the raw
-    OSC exchange's one-shot receive copies; a compressed exchange stages
-    nothing and ignores it.  (The pack scratch of a two-sided exchange
-    comes from the pool its ``move`` is handed — a pairwise ring bound
-    to a plan's pair slots packs nothing.)
+    Every exchange but ``"reference"`` (the communicator's two-sided
+    ``alltoallv``) moves through a
+    :class:`~repro.collectives.slots.SlotTransport`, and ``method``
+    picks its class, and so its rule: ``"pairwise"`` the credit rule,
+    any other the fence rule — with a ``codec`` too, which writes the
+    same frames under either.  ``variant`` picks the flat ring or the
+    node-aware ``"two-level"`` aggregation of a compressed exchange
+    (routed two-sided; fence rule when it falls back to the flat ring), and
+    ``e_tol``/``retry_policy``/``pipeline_chunks``/``tuned`` configure
+    it.  Unknown names raise :class:`~repro.errors.PlanError` whether or
+    not they would have been used.  ``pool`` is accepted and unused.
     """
     if method not in METHODS:
         raise PlanError(f"unknown reshape method {method!r} (use one of {METHODS})")
     if variant not in VARIANTS:
         raise PlanError(f"unknown exchange variant {variant!r} (use one of {VARIANTS})")
     if codec is not None:
-        cls = TwoLevelCompressedAlltoallv if variant == "two-level" else CompressedOscAlltoallv
+        flat = CompressedPairwiseAlltoallv if method == "pairwise" else CompressedOscAlltoallv
+        cls = TwoLevelCompressedAlltoallv if variant == "two-level" else flat
         return cls(
             comm,
             codec,
@@ -82,4 +104,4 @@ def make_exchange(
         return ReferenceAlltoallv(comm)
     if method == "pairwise":
         return PairwiseAlltoallv(comm, topology)
-    return OscAlltoallv(comm, topology=topology, pool=pool)
+    return OscAlltoallv(comm, topology=topology)

@@ -16,28 +16,20 @@ exchange around it:
    the size matrix agreed up front and forwards each block to its final
    rank on the node.
 
-Blocks bound for the sender's own node skip all three stages and go
-directly (stage 0); the block a rank owes itself never leaves it.
-Leader duty is spread across the node's ranks — the leader for peer
-node ``m`` is the local rank ``m % g`` — so no single rank serialises
-the node's NIC traffic.
+Blocks bound for the sender's own node go directly (stage 0); the
+block a rank owes itself never leaves it.  Leader duty is spread across
+the node's ranks (the leader for peer node ``m`` is local rank
+``m % g``), so no single rank serialises the node's NIC traffic.
 
-The payload bytes on the wire are *identical* to the flat exchange
-(same codec, same per-destination frames, same CRC-checked wire
-format), so the class reuses the whole encode/decode/recovery machinery
-of :class:`~repro.collectives.compressed.CompressedOscAlltoallv` — each
-destination's strided view is encoded into a byte region of its own,
-the regions are routed, and each arriving region is decoded straight
-into its box — and is validated byte-for-byte against it by the
-conformance oracles.  No
-routing headers are needed anywhere: every rank knows the full
-``p × p`` size matrix from the counts allgather, so gather parts and
-scatter slices are located by walking that matrix in deterministic
-(local-rank-major) order.
-
-Without a topology — or with everything on one node — there is no
-hierarchy to exploit and the exchange transparently falls back to the
-flat one-sided ring.
+The frames are *identical* to the flat exchange's, so the class reuses
+its encode/decode/recovery machinery — each destination's view is
+encoded into a region of its own, the regions are routed, and each is
+decoded straight into its box — and the conformance oracles hold it
+byte-for-byte to the flat one.  Every rank knows the ``p × p`` size
+matrix from the counts allgather, so gather parts and scatter slices
+are located by walking it in local-rank-major order: no routing headers.
+The same allgather carries every message's ``(dtype, shape)``, so a
+routed call, one-shot or not, agrees nothing else.  Without a topology, or on one node, it is the flat ring.
 """
 
 from __future__ import annotations
@@ -47,7 +39,8 @@ from typing import Callable
 import numpy as np
 
 from repro.collectives.base import Boxes, ExchangeStats
-from repro.collectives.compressed import CompressedOscAlltoallv, _boxes, _kind
+from repro.collectives.compressed import CompressedOscAlltoallv
+from repro.collectives.slots import SlotTable
 from repro.faults import ResilienceReport
 from repro.telemetry import emit
 from repro.trace import incr as trace_incr
@@ -77,45 +70,41 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
 
     algorithm = "compressed-twolevel"
 
-    # -- helpers ------------------------------------------------------------------
+    def _leader(self, node: int, peer_node: int) -> int:
+        """Rank on ``node`` that carries its traffic with ``peer_node``: it
+        aggregates what is bound there and receives what comes from there.
 
-    def _send_leader(self, src_node: int, dst_node: int) -> int:
-        """Rank on ``src_node`` aggregating traffic bound for ``dst_node``.
-
-        Elected ``(dst_node % live)`` over the node's *live* membership:
+        Elected ``(peer_node % live)`` over the node's *live* membership:
         on a full node this is the classic ``m % g`` rotation, and after
         a shrink the survivors deterministically re-elect among
         themselves — a dead leader's duties move without any agreement
         traffic beyond the shrink itself.
         """
-        topo = self.topology
-        assert topo is not None
-        live = tuple(topo.ranks_on_node(src_node))
-        return live[dst_node % len(live)]
+        live = tuple(self.topology.ranks_on_node(node))
+        return live[peer_node % len(live)]
 
-    def _recv_leader(self, src_node: int, dst_node: int) -> int:
-        """Rank on ``dst_node`` receiving the aggregate from ``src_node``."""
+    def _agree(self, send: Boxes, boxes: Callable[[list], Boxes]) -> None:
+        """Unbound and routed: the counts allgather, which carries the
+        kinds, is the only agreement (``table=None`` marks it)."""
         topo = self.topology
-        assert topo is not None
-        live = tuple(topo.ranks_on_node(dst_node))
-        return live[src_node % len(live)]
-
-    # -- the exchange --------------------------------------------------------------
+        if topo is not None and topo.nnodes > 1 and topo.uniform:
+            self._move(send, boxes, None, None)
+        else:
+            super()._agree(send, boxes)
 
     def _exchange(
-        self, send: Boxes, receive: Callable[[], Boxes] | None
-    ) -> tuple[Boxes, ExchangeStats, ResilienceReport]:
+        self, send: Boxes, receive: Callable, table: SlotTable | None
+    ) -> tuple[ExchangeStats, ResilienceReport]:
         topo = self.topology
         if topo is None or topo.nnodes <= 1:
             # Nothing to aggregate across — the flat one-sided ring is
             # the same exchange with less plumbing.
-            return super()._exchange(send, receive)
-        if not getattr(topo, "uniform", True):
-            # Survivor topology: some nodes lost ranks.  A node with no
-            # live rank cannot host a leader at either end, and with at
-            # most one populated node there is no inter-node traffic to
-            # aggregate — degrade to the flat compressed path (same
-            # bytes, same tolerance, more NIC messages).
+            return super()._exchange(send, receive, table)
+        if not topo.uniform:
+            # Survivor topology: a node with no live rank cannot host a
+            # leader, and with one populated node there is nothing to
+            # aggregate — degrade to the flat path (same bytes, more NIC
+            # messages).
             live_counts = [
                 len(tuple(topo.ranks_on_node(m))) for m in range(topo.nnodes)
             ]
@@ -123,7 +112,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 empty = live_counts.count(0)
                 emit("exchange-degrade", self.comm.rank,
                      value=empty, detail=f"{empty} empty node(s)")
-                return super()._exchange(send, receive)
+                return super()._exchange(send, receive, table)
             demoted = [
                 m for m in range(topo.nnodes) if live_counts[m] < topo.ranks_per_node
             ]
@@ -132,7 +121,6 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 # re-elect (m % live) over the shrunk node membership.
                 emit("leader-failover", self.comm.rank,
                      value=len(demoted), detail=f"nodes {demoted}")
-        self._check_send(send)
         comm, p = self.comm, self.comm.size
         me = comm.rank
         my_node = topo.node_of(me)
@@ -141,23 +129,19 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
 
         # Encode per destination exactly as the flat exchange does, into a
         # region of the destination's own: the unit the gather/scatter
-        # stages route around.  The self block is moved in place in its
-        # turn, into a box of its own kind when the exchange allocates.
-        out = None if receive is None else receive()
-        mine = _boxes([_kind(send[me])])[0] if out is None else out[me]
+        # stages route around.
         blobs = [_EMPTY] * p
         for d, view in enumerate(send):
-            if d == me:
-                self._move_self(view, report, stats, mine)
-            elif view is not None and view.size:
+            if d != me and view is not None and view.size:
                 blobs[d] = self._encode_private(view, d, None, report, stats)
 
         # Counts exchange: the p x p size matrix locates every gather
-        # part and scatter slice — no routing headers on the wire.  A
-        # one-shot call's (dtype, shape) announcements ride along.
-        kinds = [_kind(view) for view in send] if receive is None else None
-        gathered = comm.allgather(([int(b.size) for b in blobs], kinds))
-        all_sizes = np.array([g[0] for g in gathered], dtype=np.int64)
+        # part and scatter slice — no routing headers on the wire.  The
+        # kinds ride along: an unbound call allocates its boxes from them.
+        gathered = comm.allgather(([int(b.size) for b in blobs], [self._kind(v) for v in send]))
+        all_sizes = np.array([row[0] for row in gathered], dtype=np.int64)
+        out = receive([row[1][me] for row in gathered]) if table is None else receive()
+        self._move_self(send[me], report, stats, out[me])
 
         # Stage 0: same-node destinations go direct (sends are eager).
         for dest in topo.ranks_on_node(my_node):
@@ -177,7 +161,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             dests = topo.ranks_on_node(m)
             part = np.concatenate([blobs[d] for d in dests])
             total = int(part.size)
-            leader = self._send_leader(my_node, m)
+            leader = self._leader(my_node, m)
             if leader == me:
                 gathered_parts[m] = part
             elif total:
@@ -190,7 +174,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         # Stage 2: inter-node — where I lead, collect my node's parts in
         # local-rank order and send ONE aggregate per peer node.
         for m in range(topo.nnodes):
-            if m == my_node or self._send_leader(my_node, m) != me:
+            if m == my_node or self._leader(my_node, m) != me:
                 continue
             dests = topo.ranks_on_node(m)
             parts: list[np.ndarray] = []
@@ -203,7 +187,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             total = int(all_sizes[np.ix_(list(topo.ranks_on_node(my_node)), list(dests))].sum())
             if total:
                 aggregate = np.concatenate(parts)
-                peer = self._recv_leader(my_node, m)
+                peer = self._leader(m, my_node)
                 with trace_span(
                     "sendrecv", rank=me, peer=peer, bytes=total,
                     intra=False, stage="internode",
@@ -216,13 +200,13 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         stashed: dict[int, np.ndarray] = {}  # source rank -> my slice
         my_dests = list(topo.ranks_on_node(my_node))
         for k in range(topo.nnodes):
-            if k == my_node or self._recv_leader(k, my_node) != me:
+            if k == my_node or self._leader(my_node, k) != me:
                 continue
             srcs = list(topo.ranks_on_node(k))
             total = int(all_sizes[np.ix_(srcs, my_dests)].sum())
             if total == 0:
                 continue
-            sender = self._send_leader(k, my_node)
+            sender = self._leader(k, my_node)
             aggregate = np.ascontiguousarray(comm.recv(sender, tag=_TL_INTER - k), dtype=np.uint8)
             off = 0
             for r in srcs:
@@ -249,14 +233,11 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 region = _EMPTY
             elif topo.same_node(s, me):
                 region = np.ascontiguousarray(comm.recv(s, tag=_TL_LOCAL), dtype=np.uint8)
-            elif self._recv_leader(topo.node_of(s), my_node) == me:
+            elif self._leader(my_node, topo.node_of(s)) == me:
                 region = stashed[s]
             else:
-                leader = self._recv_leader(topo.node_of(s), my_node)
+                leader = self._leader(my_node, topo.node_of(s))
                 region = np.ascontiguousarray(comm.recv(leader, tag=_TL_SCATTER - s), dtype=np.uint8)
             regions.append(region)
-        if out is None:
-            out = _boxes([g[1][me] for g in gathered])
-            out[me] = mine
         self._settle(send, regions, report, stats, out)
-        return out, stats, report
+        return stats, report

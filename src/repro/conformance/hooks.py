@@ -32,7 +32,7 @@ __all__ = ["MUTATION_POINTS", "install_mutation", "clear_mutations", "mutation",
 #: original value plus keyword context and returns the (possibly
 #: mutated) value.
 MUTATION_POINTS = (
-    "osc.put_offset",  # byte offset of a one-sided put (raw and compressed OSC)
+    "osc.put_offset",  # byte offset of every slot put (SlotTransport: every window exchange, either rule)
     "bruck.block_index",  # block index set shipped in a Bruck round
     "pairwise.chunk",  # outgoing chunk of one pairwise ring step
 )

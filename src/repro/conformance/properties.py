@@ -18,7 +18,7 @@ The eight families
 ``alltoallv``
     Differential: every vector all-to-all variant (reference, linear,
     pairwise ± node-aware topology, OSC, OSC verify-mode, compressed
-    OSC) against the pure-bookkeeping oracle ``recv[d][s] = send[s][d]``
+    under the fence and the credit rule, two-level) against the pure-bookkeeping oracle ``recv[d][s] = send[s][d]``
     over ragged/empty/prime size matrices and mixed dtypes.
 ``bruck``
     Differential: the log-p equal-block algorithm at arbitrary — in
@@ -180,6 +180,7 @@ ALLTOALLV_VARIANTS = (
     "osc",
     "osc-verify",
     "compressed",
+    "compressed-pairwise",
     "compressed-twolevel",
 )
 
@@ -223,6 +224,8 @@ class AlltoallvProperty(Property):
             "pairwise-topo": dict(method="pairwise", topology=topo),
             "osc": dict(method="osc"),
             "compressed": compressed,
+            # the same frames under the credit rule
+            "compressed-pairwise": dict(compressed, method="pairwise"),
             # gather -> one inter-node aggregate per peer node -> scatter;
             # must be byte-equivalent to every flat variant.
             "compressed-twolevel": dict(compressed, variant="two-level", topology=topo),
@@ -698,7 +701,7 @@ class ReshapeProperty(Property):
 
     def check(self, sc: Scenario) -> None:
         from repro.collectives.base import ExchangeStats
-        from repro.collectives.pairwise import PairSlots, PairwiseAlltoallv
+        from repro.collectives.pairwise import PairwiseAlltoallv
         from repro.fft.reshape import ReshapePlan
         from repro.runtime.virtual import VirtualWorld
 
@@ -755,12 +758,13 @@ class ReshapeProperty(Property):
 
         def bound(comm):  # ... and behind the pairwise ring bound to pair slots
             op = PairwiseAlltoallv(comm)
-            op.slots = PairSlots(comm, [op.slot_table(plan.message_elements(batch)[0], x.itemsize)])
+            op.table = op.slot_table(plan.message_elements(batch)[0], x.itemsize)
+            op.transport.grow([op.table])
             mine = ExchangeStats()
             try:
                 return plan.run_spmd(comm, locals_[comm.rank], op, stats=mine), mine
             finally:
-                op.slots.free()
+                op.transport.free()
 
         _check_spmd_matches_virtual("reshape (bound pairwise)", bound, out, stats)
 

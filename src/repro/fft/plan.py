@@ -25,12 +25,11 @@ Two execution styles:
   real communicator (thread or process runtime).  The exchange is
   *bound to the plan*: a rank's first transform on a communicator
   builds the four exchange objects and — every message size being
-  known from the plan — one persistent double-buffered window
-  (:class:`~repro.collectives.osc.PlanWindow`); every later reshape is
-  puts and one fence, nothing else collective.  The two-sided ring
-  binds to one arena of fixed pair slots instead
-  (:class:`~repro.collectives.pairwise.PairSlots`): puts, and a header
-  and a release credit per message, no fence.
+  known from the plan — one slot transport sized for all four
+  (:class:`~repro.collectives.slots.SlotTransport`); every later
+  reshape is puts and, under the fence rule, one fence, nothing else
+  collective (``method="pairwise"``: the credit rule, a header and a
+  release credit per message, no fence).
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ import numpy as np
 
 from repro.collectives.base import ExchangeStats
 from repro.collectives.exchange import make_exchange
-from repro.collectives.osc import OscTransport, PlanWindow
-from repro.collectives.pairwise import PairSlots, PairwiseAlltoallv
+from repro.collectives.slots import SlotTransport
 from repro.compression.base import Codec
 from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
 from repro.errors import PlanError
@@ -238,21 +236,21 @@ def fft_stages(
 
 class _Binding(NamedTuple):
     """What a rank keeps per (plan, communicator): the four reshapes bound
-    to their exchanges, and the window those exchanges share (if any): a
-    :class:`PlanWindow`, or the pairwise ring's :class:`PairSlots`."""
+    to their exchanges, and the transport those exchanges share (``None``
+    for the reference exchange, which drives no window)."""
 
     bound: list[BoundReshape]
-    window: PlanWindow | PairSlots | None
+    transport: SlotTransport | None
 
     def release(self) -> None:
         """Local, no barrier: the communicator retired (see ``Comm.release``)."""
-        if self.window is not None:
-            self.window.release()
+        if self.transport is not None:
+            self.transport.release()
 
     def free(self) -> None:
         """Collective (see :meth:`Fft3d.release`)."""
-        if self.window is not None:
-            self.window.free()
+        if self.transport is not None:
+            self.transport.free()
 
 
 class Fft3d(StagedTransform):
@@ -361,7 +359,8 @@ class Fft3d(StagedTransform):
         hence a fresh binding with its epoch back at 0 (a pairwise one:
         no credit owed) on every survivor.  Every rank derives the same
         slot tables from ``ReshapePlan.pairs`` alone, so nothing is
-        negotiated.
+        negotiated: the first exchange's transport (its rule is the
+        method's) is sized once for all four tables and serves all four.
         """
         key = (self, method, variant, batch)
         binding = comm.attrs.get(key)
@@ -387,23 +386,17 @@ class Fft3d(StagedTransform):
         for exchange, reshape in zip(exchanges, reshapes):
             elements, leading = reshape.message_elements(batch)
             tables.append(exchange.slot_table(elements, self.dtype.itemsize, leading))
-        window = None
-        if isinstance(exchanges[0], PairwiseAlltoallv):  # same class in every stage
-            window = PairSlots(comm, tables)
-            for exchange in exchanges:
-                exchange.slots = window
-        elif tables[0] is not None:
-            window = PlanWindow(comm, max(int(table.extent.max()) for table in tables))
+        transport = exchanges[0].transport
+        if transport is not None:
+            transport.grow(tables)
             for exchange, table in zip(exchanges, tables):
-                exchange.transport = OscTransport(
-                    comm, self.topology, slots=table, window=window
-                )
+                exchange.transport, exchange.table = transport, table
         binding = comm.attrs[key] = _Binding(
             [
                 BoundReshape(reshape, comm.rank, exchange, batch)
                 for reshape, exchange in zip(reshapes, exchanges)
             ],
-            window,
+            transport,
         )
         return binding
 
@@ -453,18 +446,20 @@ class Fft3d(StagedTransform):
 
         ``local`` is the rank's brick block (see :meth:`scatter`); the
         return value is the rank's brick block of the transform.  With a
-        codec configured, every reshape goes through the compressed OSC
+        codec configured, every reshape goes through the compressed
         all-to-all; a loaded tuning profile additionally selects the
         pipeline depth and the flat vs. node-aware two-level exchange.
-        Without one, ``method`` picks the uncompressed algorithm.
+        ``method`` picks the completion rule of the window exchange —
+        ``"osc"`` a fence, ``"pairwise"`` a header and a release credit
+        per message — or, without a codec, ``"reference"``: the
+        communicator's two-sided ``alltoallv``.
 
         Pass ``stats`` to collect this rank's accounting race-free: the
         plan object is shared across rank threads, so ``last_stats``
         only reliably reflects the *last* rank to finish.  ``pool`` is
         per-rank staging-buffer state (one :class:`BufferPool` per rank
         thread) for the pack scratch of ``method="reference"``; the
-        window exchanges and the pairwise ring of a bound plan stage
-        nothing.
+        window exchanges stage nothing.
 
         The first call on a communicator is collective beyond the data
         (it binds the plan: see :meth:`_bind`); ranks must agree on

@@ -14,8 +14,8 @@ Mirrors the active-target subset of the MPI-3 RMA model the paper's
   line 11);
 * window creation "is a collective operation and therefore has a high
   cost", so windows are cacheable: see
-  :meth:`~repro.collectives.osc.OscAlltoallv` which reuses them across
-  repeated exchanges.
+  :class:`~repro.collectives.slots.SlotTransport`, which reuses one
+  across repeated exchanges.
 
 Implementation notes: a put is a locked ``memcpy`` into the target's
 buffer — a thread runtime's private array or a view of the process

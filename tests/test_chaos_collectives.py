@@ -500,6 +500,11 @@ class _RoutedBitflip(TwoLevelCompressedAlltoallv):
         return region if flipped is None else flipped
 
 
+def _credit_rule(comm, codec, **kwargs):
+    """The flat compressed exchange under the credit rule."""
+    return make_exchange(comm, codec=codec, method="pairwise", **kwargs)
+
+
 class _MiscutFirstSend(CompressedOscAlltoallv):
     """Rank 0's first transmission to rank 1 is cut into ``frames`` frames,
     whatever ``pipeline_chunks`` says: its region no longer matches the
@@ -542,7 +547,9 @@ class TestOneShotUnderFaults:
 
         return world, world.run(kernel)
 
-    @pytest.mark.parametrize("cls", [CompressedOscAlltoallv, _RoutedBitflip], ids=["flat", "two-level"])
+    @pytest.mark.parametrize(
+        "cls", [CompressedOscAlltoallv, _RoutedBitflip, _credit_rule], ids=["flat", "two-level", "credit"]
+    )
     def test_bitflip_is_retransmitted_into_the_box(self, cls):
         _, clean = self._run(cls)
         flip = FaultPlan([FaultRule("bitflip", rank=0, peer=3)], seed=5)

@@ -114,10 +114,10 @@ class TestOsc:
     def test_empty_messages(self):
         def kernel(comm):
             send = [np.zeros(0), np.ones(3)] if comm.rank == 0 else [None, None]
-            return [len(r) for r in osc_alltoallv(comm, send)]
+            return [(len(r), r.dtype) for r in osc_alltoallv(comm, send)]
 
         res = run_spmd(2, kernel)
-        assert res[1][0] == 24  # 3 float64 from rank 0, as bytes
+        assert res[1][0] == (3, np.float64)  # 3 float64 from rank 0, in the sender's dtype
 
 
 class TestCompressedOsc:

@@ -95,10 +95,11 @@ def test_planted_offset_bug_is_caught_and_shrunk() -> None:
         assert replay.failure is not None
 
 
-@pytest.mark.parametrize("variant", ["osc", "compressed"])
+@pytest.mark.parametrize("variant", ["osc", "compressed", "pairwise"])
 def test_planted_offset_bug_is_caught_on_every_window_exchange(variant: str) -> None:
-    """``osc.put_offset`` guards the one window transport, so the same
-    off-by-one must fail the raw and the compressed exchange alike."""
+    """``osc.put_offset`` guards every put of the one slot transport, so the
+    same off-by-one must fail the raw and the compressed exchange, and the
+    credit rule's pairwise ring, alike."""
     prop = PROPERTIES["alltoallv"]
     with hooks.mutation("osc.put_offset", lambda off, **ctx: max(0, off - 1)):
         for index in range(50):

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, make_exchange
+from repro.collectives import (
+    CompressedOscAlltoallv,
+    make_exchange,
+    osc_alltoallv,
+    pairwise_alltoallv,
+)
 from repro.compression import CastCodec, IdentityCodec
 from repro.compression.selection import tolerance_of_codec
 from repro.errors import PlanError
@@ -21,6 +26,8 @@ from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
 from repro.machine.topology import Topology
 from repro.runtime import make_world
 from repro.runtime.shm import fork_available
+from repro.runtime.thread_rt import ThreadWorld
+from repro.trace import tracing
 
 RUNTIMES = [
     "thread",
@@ -167,6 +174,76 @@ def test_compressed_window_policy_and_single_allgather(runtime: str) -> None:
         assert not kept_huge, "an outgrown window was not re-created"
         assert [c["allgather"] for c in calls] == [1, 2, 3, 4]
         assert [c["win_create"] for c in calls] == [1, 1, 1, 2]
+
+
+class _WireComm(_CountingComm):
+    """... that also records the size of every two-sided message it sends."""
+
+    def __init__(self, comm) -> None:
+        super().__init__(comm)
+        self.sent: list[int | str] = []
+
+    def send(self, data, dest, tag=0):
+        self.sent.append(int(np.asarray(data).nbytes))
+        return self._comm.send(data, dest, tag=tag)
+
+    def isend(self, data, dest, tag=0):
+        self.sent.append("isend")
+        return self._comm.isend(data, dest, tag=tag)
+
+
+def _compressed(comm, send, **config):
+    op = make_exchange(comm, codec=CastCodec("fp32"), **config)
+    try:
+        return op(send)
+    finally:
+        op.free()
+
+
+#: name -> (one-shot call, the completion rule it runs under; None: routed two-sided)
+ONE_SHOT = {
+    "osc": (osc_alltoallv, "fence"),
+    "pairwise": (pairwise_alltoallv, "credit"),
+    "compressed": (_compressed, "fence"),
+    "compressed-pairwise": (lambda comm, send: _compressed(comm, send, method="pairwise"), "credit"),
+    "two-level": (
+        lambda comm, send: _compressed(comm, send, variant="two-level", topology=TWO_NODES),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SHOT))
+def test_one_shot_call_is_one_announcement_and_one_move(name: str) -> None:
+    """A clean one-shot call is one allgather (the announcement) and the
+    move a bound plan makes: under the fence rule one fence and no
+    opening one; under the credit rule no fence, and nothing two-sided
+    but 8-byte headers and empty credits — no payload byte.  A routed
+    two-level call's one allgather is its counts allgather."""
+    call, rule = ONE_SHOT[name]
+    calls = 3
+
+    def kernel(comm):
+        wire = _WireComm(comm)
+        for _ in range(calls):
+            got = call(wire, _send(comm.rank))
+        return wire.calls["allgather"], wire.sent, got
+
+    with tracing() as tracer:
+        results = ThreadWorld(P, timeout=30.0).run(kernel)
+    spans = tracer.span_events()
+    for rank, (allgathers, sent, got) in enumerate(results):
+        assert allgathers == calls
+        fences = [e for e in spans if e.rank == rank and e.kind == "fence"]
+        assert len(fences) == (calls if rule == "fence" else 0)
+        assert all(e.attrs["epoch"] == "close" for e in fences)
+        if rule == "fence":
+            assert sent == []
+        elif rule == "credit":
+            assert sent and set(sent) <= {0, 8}
+        for s, block in enumerate(got):
+            want = _send(s)[rank]
+            assert block.shape == (0,) if want is None else block.shape == want.shape
 
 
 @pytest.mark.parametrize("codec", [None, IdentityCodec()])

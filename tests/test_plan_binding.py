@@ -1,8 +1,9 @@
-"""The exchange bound to the plan: one persistent double-buffered window,
-strided puts, one fence per reshape.
+"""The exchange bound to the plan: one slot transport, strided puts, one
+fence per reshape (or, under the credit rule, a header and a credit per
+message).
 
 ``Fft3d.forward_spmd`` binds the plan to the communicator on a rank's
-first transform (four exchange objects, one :class:`PlanWindow`, slot
+first transform (four exchange objects, one :class:`SlotTransport`, slot
 tables derived from ``ReshapePlan.pairs``) and every later reshape is
 puts plus one fence.  These tests pin the protocol (what is and is not
 collective per call), its equivalence to one-shot exchanges driven
@@ -24,8 +25,7 @@ import pytest
 from repro.collectives import make_exchange
 from repro.collectives.base import ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.osc import OscTransport, PlanWindow
-from repro.collectives.pairwise import PairSlots
+from repro.collectives.slots import SlotTransport
 from repro.compression import CastCodec
 from repro.compression.adaptive import schedule_for_tolerance
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
@@ -53,10 +53,10 @@ def _field(shape, seed=0, batch=()):
     return rng.standard_normal(full) + 1j * rng.standard_normal(full)
 
 
-def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc"):
+def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc", stats=None):
     """``forward_spmd`` the way it ran before the binding: every reshape
     through ``ReshapePlan.run_spmd`` with an exchange built, called once
-    and freed."""
+    and freed (its accounting appended to ``stats``, an ``FftStats``)."""
     entry = plan._tuned_entry
     block = np.ascontiguousarray(block, dtype=plan.dtype)
     for step, stage in enumerate(plan._pipeline(inverse)):
@@ -69,10 +69,13 @@ def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc")
             e_tol=plan.e_tol,
             pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
         )
+        rstats = ExchangeStats()
         try:
-            block = stage.reshape.run_spmd(comm, block, op)
+            block = stage.reshape.run_spmd(comm, block, op, stats=rstats)
         finally:
             op.free()
+        if stats is not None:
+            stats.reshapes.append(rstats)
         block = plan._fft_stage(comm, block, stage)
     return block
 
@@ -125,7 +128,7 @@ class TestBoundEqualsOneShot:
             out = []
             for _ in range(2):  # second pass runs on warm bindings
                 out = [plan.forward_spmd(comm, b[comm.rank]) for b in blocks]
-            windows = {id(v.window) for v in comm.attrs.values()}
+            windows = {id(v.transport) for v in comm.attrs.values()}
             return out, len(windows)
 
         results = make_world("thread", p).run(kernel)
@@ -160,17 +163,47 @@ class TestBoundEqualsOneShot:
     @pytest.mark.parametrize("method", ["pairwise", "reference"])
     def test_two_sided_methods_bind_without_a_window(self, method):
         """``reference`` binds no window; ``pairwise`` binds one arena of
-        fixed pair slots (no ``PlanWindow``: its ring takes no fence)."""
+        fixed pair slots (a credit-rule transport: its ring takes no fence)."""
         shape = (8, 8, 8)
         plan = Fft3d(shape, 4)
         _bound_vs_oneshot(plan, _field(shape), method=method)
 
         def kernel(comm):
             plan.forward_spmd(comm, plan.scatter(_field(shape))[comm.rank], method=method)
-            return [type(b.window) for b in comm.attrs.values()]
+            return [b.transport and b.transport.rule for b in comm.attrs.values()]
 
-        want = PairSlots if method == "pairwise" else type(None)
+        want = "credit" if method == "pairwise" else None
         assert make_world("thread", 4).run(kernel) == [[want]] * 4
+
+    @pytest.mark.parametrize(
+        "codec", [None, CastCodec("fp32"), MantissaTrimCodec(35)], ids=["raw", "fp32", "trim35"]
+    )
+    @pytest.mark.parametrize("method", ["osc", "pairwise"])
+    def test_codec_under_either_completion_rule(self, method, codec):
+        """A codec writes the same frames under the fence and the credit
+        rule: bound == one-shot == the virtual plan, bit for bit, and so
+        are the ``FftStats`` totals."""
+        shape = (6, 4, 4)
+        x = _field(shape)
+        worlds = [("thread", p) for p in (1, 2, 3, 4, 8)] + [(r, 4) for r in RUNTIMES if r != "thread"]
+        for runtime, p in worlds:
+            plan = Fft3d(shape, p, codec=codec)
+            want, virtual = plan.forward(x), plan.last_stats.totals()
+            blocks = plan.scatter(x)
+
+            def kernel(comm):
+                bound, oneshot = FftStats(), FftStats()
+                y = plan.forward_spmd(comm, blocks[comm.rank], method=method, stats=bound)
+                y1 = _oneshot_transform(plan, comm, blocks[comm.rank], method=method, stats=oneshot)
+                return y, y1, bound.totals(), oneshot.totals()
+
+            results = make_world(runtime, p, timeout=60.0).run(kernel)
+            for k in (0, 1):
+                assert np.array_equal(plan.gather([r[k] for r in results]), want), (runtime, p, k)
+            for k in (2, 3):
+                summed = ExchangeStats().merge(*(r[k] for r in results))
+                for name in ("messages", "logical_bytes", "wire_bytes", "achieved_error"):
+                    assert getattr(summed, name) == getattr(virtual, name), (runtime, p, k, name)
 
     def test_two_plans_bound_to_one_comm(self):
         shape, p = (8, 8, 8), 4
@@ -215,7 +248,7 @@ class TestBoundEqualsOneShot:
             for _ in range(4):  # 4 lone reshapes across ranks: the epoch is now odd
                 plan._reshape_stage(crossing, pencils[comm.rank], FftStats(), None)
             (binding,) = comm.attrs.values()
-            return binding.window.epoch, plan.forward_spmd(comm, b)
+            return binding.transport.epoch, plan.forward_spmd(comm, b)
 
         results = make_world("thread", p).run(kernel)
         assert [e for e, _ in results] == [7] * p
@@ -298,7 +331,7 @@ class TestWarmRoundTripProtocol:
                 y = plan.forward_spmd(comm, blocks[comm.rank])
                 z = plan.forward_spmd(comm, y, inverse=True)
                 for binding in comm.attrs.values():
-                    view = binding.window.win.local_view()
+                    view = binding.transport.win.local_view()
                     escaped += [np.shares_memory(a, view) for a in (y, z)]
             return escaped
 
@@ -396,7 +429,7 @@ class TestPairSlotCredits:
         plan = Fft3d(shape, p)
         reshape = plan.reshapes[1]  # x-pencils -> y-pencils: every rank has remote peers
         inputs = [reshape.src.scatter(_field(shape, seed), plan.dtype) for seed in range(rounds)]
-        take = PairSlots.take
+        take = SlotTransport.take
 
         def slow_take(self, source):
             region = take(self, source)
@@ -404,7 +437,7 @@ class TestPairSlotCredits:
                 time.sleep(0.002)
             return region
 
-        monkeypatch.setattr(PairSlots, "take", slow_take)
+        monkeypatch.setattr(SlotTransport, "take", slow_take)
 
         def kernel(comm):
             crossing = plan._bind(comm, "pairwise", "flat", ()).bound[1]
@@ -433,7 +466,7 @@ class TestPairSlotCredits:
                     plan.forward_spmd(comm, b[comm.rank], method="pairwise")
                     for plan, b in zip(plans, blocks)
                 ]
-            tags = [(b.window.header_tag, b.window.credit_tag) for b in comm.attrs.values()]
+            tags = [(b.transport.header_tag, b.transport.credit_tag) for b in comm.attrs.values()]
             return outs, tags
 
         results = make_world(runtime, p, timeout=60.0).run(kernel)
@@ -454,7 +487,7 @@ class TestPairSlotCredits:
             y = plan.forward_spmd(comm, blocks[comm.rank], method="pairwise")
             plan.forward_spmd(comm, y, method="pairwise", inverse=True)
             (binding,) = comm.attrs.values()
-            owed = sum(binding.window.owed)
+            owed = sum(binding.transport.owed)
             plan.release(comm)  # collective: credits taken, arena freed
             return owed, comm.irecv(ANY_SOURCE, ANY_TAG).test(), len(comm.attrs)
 
@@ -562,7 +595,7 @@ class TestRecoveryOnABoundPlan:
             fwd = fft.run_spmd(comm, block)
             back = fft.run_spmd(fwd.comm, fwd.block, inverse=True)
             epochs = [
-                b.window.epoch for b in back.comm.attrs.values() if hasattr(b, "window")
+                b.transport.epoch for b in back.comm.attrs.values() if hasattr(b, "transport")
             ]
             blocks = back.comm.allgather(back.block)
             if back.comm.rank != 0:
@@ -605,8 +638,8 @@ class TestRecoveryOnABoundPlan:
             for _ in range(2):
                 block = fft.run_spmd(comm, fft.run_spmd(comm, block).block, inverse=True).block
             fwd = fft.run_spmd(comm, block)
-            [binding] = [b for b in fwd.comm.attrs.values() if hasattr(b, "window")]
-            rebound = isinstance(binding.window, PairSlots) and binding.window.comm is fwd.comm
+            [binding] = [b for b in fwd.comm.attrs.values() if hasattr(b, "transport")]
+            rebound = binding.transport.rule == "credit" and binding.transport.comm is fwd.comm
             blocks = fwd.comm.allgather(fwd.block)
             if fwd.comm.rank != 0:
                 return None
@@ -689,10 +722,10 @@ class TestIdentityAndDegeneratePlans:
                 y = plan.forward_spmd(comm, b)  # bound and warm
                 binding = plan._bind(comm, "osc", "flat", ())
                 comm.barrier()
-                before = fences.get(comm.rank, 0), binding.window.epoch
+                before = fences.get(comm.rank, 0), binding.transport.epoch
                 block = plan.reshapes[step].src.scatter(x, plan.dtype)[comm.rank]
                 out = plan._reshape_stage(binding.bound[step], block, FftStats(), None)
-                after = fences.get(comm.rank, 0), binding.window.epoch
+                after = fences.get(comm.rank, 0), binding.transport.epoch
                 # every cell is its own rank's: the block, through the codec
                 want = block if codec is None else codec.decompress(codec.compress(block))
                 return y, before, after, np.array_equal(out, want)
@@ -765,10 +798,9 @@ def _bound_reshape(comm, reshape, codec, **kwargs):
 
     op = CompressedOscAlltoallv(comm, codec, **kwargs)
     elements, leading = reshape.message_elements()
-    table = op.slot_table(elements, 16, leading)
-    window = PlanWindow(comm, int(table.extent.max()))
-    op.transport = OscTransport(comm, slots=table, window=window)
-    return BoundReshape(reshape, comm.rank, op), window
+    op.table = op.slot_table(elements, 16, leading)
+    op.transport.grow([op.table])
+    return BoundReshape(reshape, comm.rank, op), op.transport
 
 
 class TestInPlaceExchangeUnderFaults:
@@ -786,7 +818,7 @@ class TestInPlaceExchangeUnderFaults:
         blocks = reshape.src.scatter(_field(self.SHAPE), np.complex128)
 
         def kernel(comm):
-            bound, window = _bound_reshape(comm, reshape, codec, **kwargs)
+            bound, transport = _bound_reshape(comm, reshape, codec, **kwargs)
             outs, trails = [], []
             try:
                 for _ in range(epochs):
@@ -794,7 +826,7 @@ class TestInPlaceExchangeUnderFaults:
                     outs.append(bound(blocks[comm.rank], stats=stats))
                     trails.append((stats, [(e.kind, e.codec) for e in stats.reports[0].events]))
             finally:
-                window.free()
+                transport.free()
             return outs, trails
 
         world = ThreadWorld(self.P, timeout=30.0, faults=faults)
@@ -909,10 +941,9 @@ class _LyingCodec(Codec):
 def _bound_exchange(comm, codec, n, **kwargs):
     """A compressed exchange bound to slots for ``n`` complex items per pair."""
     op = CompressedOscAlltoallv(comm, codec, **kwargs)
-    table = op.slot_table(np.full((comm.size, comm.size), n), 16)
-    window = PlanWindow(comm, int(table.extent.max()))
-    op.transport = OscTransport(comm, slots=table, window=window)
-    return op, window
+    op.table = op.slot_table(np.full((comm.size, comm.size), n), 16)
+    op.transport.grow([op.table])
+    return op, op.transport
 
 
 class TestSlotOverflow:
@@ -932,9 +963,10 @@ class TestSlotOverflow:
         def kernel(comm):
             rng = np.random.default_rng(comm.rank)
             send = [incompressible(rng) for _ in range(p)]
-            op, window = _bound_exchange(comm, MantissaTrimCodec(35), n, e_tol=1e-30)
+            op, transport = _bound_exchange(comm, MantissaTrimCodec(35), n, e_tol=1e-30)
+            recv = [np.empty(n, complex) for _ in range(p)]
             try:
-                recv = op(send)
+                op.move(send, lambda: recv)  # through the bound, worst-case-sized slots
                 back = comm.alltoallv(recv)  # what I sent, as the peers decoded it
                 exact = all(
                     np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -943,7 +975,7 @@ class TestSlotOverflow:
                 events = [(e.kind, e.codec) for e in op.last_report.events]
                 return exact, events, op.last_stats
             finally:
-                window.free()
+                transport.free()
 
         for exact, events, stats in make_world("thread", p, timeout=60.0).run(kernel):
             assert exact
@@ -956,12 +988,13 @@ class TestSlotOverflow:
 
         def kernel(comm):
             send = [np.arange(n) * (1.0 + 1j) + comm.rank + d for d in range(p)]
-            op, window = _bound_exchange(comm, _LyingCodec(), n)
+            op, transport = _bound_exchange(comm, _LyingCodec(), n)
+            recv = [np.empty(n, complex) for _ in range(p)]
             try:
-                recv = op(send)
+                op.move(send, lambda: recv)
                 return recv, [(e.kind, e.codec) for e in op.last_report.events], op.last_stats
             finally:
-                window.free()
+                transport.free()
 
         for rank, (recv, events, stats) in enumerate(make_world("thread", p).run(kernel)):
             for s in range(p):
@@ -975,16 +1008,16 @@ class TestSlotOverflow:
 
         def kernel(comm):
             op = make_exchange(comm, method="osc")
-            table = op.slot_table(np.full((2, 2), 8), 16)
-            window = PlanWindow(comm, int(table.extent.max()))
-            op.transport = OscTransport(comm, slots=table, window=window)
-            fits = op([np.ones(8, complex)] * 2)
-            try:
-                op([np.ones(9, complex)] * 2)  # every rank trips before its first put
+            op.table = op.slot_table(np.full((2, 2), 8), 16)
+            op.transport.grow([op.table])
+            fits = [np.empty(8, complex) for _ in range(2)]
+            op.move([np.ones(8, complex)] * 2, lambda: fits)
+            try:  # every rank trips at its first put
+                op.move([np.ones(9, complex)] * 2, lambda: [np.empty(9, complex)] * 2)
             except CommunicatorError as exc:
-                return [r.view(np.complex128).tolist() for r in fits], str(exc)
+                return [r.tolist() for r in fits], str(exc)
             finally:
-                window.release()
+                op.transport.release()
 
         for fits, error in make_world("thread", 2, timeout=10.0).run(kernel):
             assert fits == [[1.0] * 8] * 2
@@ -999,12 +1032,12 @@ class TestSlotOverflow:
 
         def kernel(comm):
             op = OscAlltoallv(comm, verify=True)
-            table = op.slot_table(np.full((2, 2), 32), 8)
-            window = PlanWindow(comm, int(table.extent.max()))
-            op.transport = OscTransport(comm, slots=table, window=window)
+            op.table = op.slot_table(np.full((2, 2), 32), 8)
+            op.transport.grow([op.table])
             send = [np.arange(32.0) + 10 * comm.rank + d for d in range(2)]
-            recv = [r.view(np.float64).copy() for r in op(send)]
-            window.free()
+            recv = [np.empty(32) for _ in range(2)]
+            op.move(send, lambda: recv)
+            op.transport.free()
             return recv, op.last_report.recovered
 
         world = ThreadWorld(2, timeout=20.0, faults=flip)

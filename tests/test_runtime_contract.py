@@ -952,7 +952,6 @@ class TestShrunkBarrierContract:
 
     def test_barrier_and_plan_window_fence_on_a_shrunk_communicator(self, runtime):
         from repro.collectives import make_exchange
-        from repro.collectives.osc import OscTransport, PlanWindow
 
         n, epochs = 8, 5
 
@@ -968,14 +967,15 @@ class TestShrunkBarrierContract:
                 assert int(sub.recv((sub.rank - 1) % sub.size, tag=3)[0]) == k
             # A bound exchange: one fence per call on the survivors' window.
             op = make_exchange(sub, method="osc")
-            table = op.slot_table(np.full((sub.size, sub.size), n), 16)
-            window = PlanWindow(sub, int(table.extent.max()))
-            op.transport = OscTransport(sub, slots=table, window=window)
+            op.table = op.slot_table(np.full((sub.size, sub.size), n), 16)
+            op.transport.grow([op.table])
             got = []
             for epoch in range(epochs):
-                recv = op([np.full(n, 100 * epoch + 10 * sub.rank + d, complex) for d in range(sub.size)])
-                got.append([int(r.view(np.complex128)[0].real) for r in recv])
-            window.free()
+                recv = [np.empty(n, complex) for _ in range(sub.size)]
+                send = [np.full(n, 100 * epoch + 10 * sub.rank + d, complex) for d in range(sub.size)]
+                op.move(send, lambda: recv)
+                got.append([int(r[0].real) for r in recv])
+            op.transport.free()
             return sub.size, got
 
         res = spmd(runtime, 4, kernel, timeout=30.0, faults=self._kill_rank_1(), suspect_after=0.5)

@@ -205,9 +205,8 @@ KEEP: tuple[tuple[str, str], ...] = (
            "reproduction"),
     *_each("machine/topology.py", "Topology.local_index node_aware_permutation "
            "naive_ring_permutation ring_schedule", "reproduction"),
-    # DESIGN §15.4: a bound plan's lifetime, released collectively.
+    # DESIGN §15.3: a bound plan's lifetime, released collectively.
     *_each("fft/plan.py", "Fft3d.release _Binding.free", "reproduction"),
-    *_each("collectives/osc.py", "PlanWindow.free", "reproduction"),
     # -- fault-path: error, abort and recovery handling, and checks ------------------------
     # The FFT's exact identities and the paper's metric: what results are checked against.
     *_each("accuracy/invariants.py", "parseval_defect linearity_defect shift_theorem_defect "
