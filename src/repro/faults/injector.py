@@ -1,8 +1,8 @@
-"""Deterministic fault injector consulted by the thread runtime.
+"""Deterministic fault injector consulted by the runtimes.
 
 The injector sits between the transport layer and a
 :class:`~repro.faults.plan.FaultPlan`: :class:`~repro.runtime.window.Window`
-asks it whether to corrupt a put payload, :class:`~repro.runtime.thread_rt.ThreadComm`
+asks it whether to corrupt a put payload, :meth:`~repro.runtime.base.Comm.send`
 whether to drop/duplicate/delay a send, and the compressed collective
 whether the next codec call should fail transiently.  All decisions are
 pure functions of ``(plan.seed, rule, kind, rank, peer, op counter)``

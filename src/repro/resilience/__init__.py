@@ -46,7 +46,6 @@ __all__ = [
     "PhaseSpan",
     "RankFailure",
     "ResilientFft3d",
-    "ShmCheckpointStore",
     "SpmdResult",
     "Watchdog",
     "bitmap_ranks",
@@ -58,7 +57,6 @@ __all__ = [
 _LAZY = {
     "CheckpointStore": "repro.resilience.checkpoint",
     "ResilientFft3d": "repro.resilience.checkpoint",
-    "ShmCheckpointStore": "repro.resilience.checkpoint",
     "SpmdResult": "repro.resilience.checkpoint",
 }
 

@@ -4,17 +4,17 @@ The 3-D FFT pipeline (Fig. 1) is a chain of four reshapes and three
 local FFT phases.  Each stage boundary is a natural checkpoint: the
 rank's block in the stage's input layout *is* the complete state of the
 transform.  :class:`ResilientFft3d` snapshots that state into a
-world-shared :class:`CheckpointStore` (the in-memory analogue of a
-node-local burst buffer: it survives the death of the rank thread that
+:class:`CheckpointStore` in the world's segment namespace (the analogue
+of a node-local burst buffer: it survives the death of the rank that
 wrote it) before every reshape, and — when a rank dies or wedges
 mid-stage — drives the ULFM recovery sequence:
 
 1. **detect** — the heartbeat watchdog classifies the stall and revokes
    the world (see :mod:`repro.resilience.monitor`);
 2. **agree** — survivors agree on the liveness bitmap
-   (:meth:`ThreadComm.agree`);
+   (:meth:`~repro.runtime.base.Comm.agree`);
 3. **shrink** — survivors rebuild a dense communicator
-   (:meth:`ThreadComm.shrink`);
+   (:meth:`~repro.runtime.base.Comm.shrink`);
 4. **restart** — the last stage whose checkpoint set is complete
    (including the dead rank's — its snapshot outlived it) is assembled
    globally, re-partitioned over the *shrunk* layout, and the pipeline
@@ -34,7 +34,6 @@ import struct
 import threading
 import zlib
 from dataclasses import dataclass
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any
 
 import numpy as np
@@ -51,12 +50,11 @@ from repro.errors import (
 from repro.fft.plan import Fft3d
 from repro.machine.topology import ShrunkTopology
 from repro.resilience.abft import reshape_checksums, verify_checksums
-from repro.runtime.shm import quiet_close
 from repro.telemetry import scope
 from repro.trace import span as trace_span
 from repro.tuning.pool import BufferPool
 
-__all__ = ["CheckpointStore", "ResilientFft3d", "ShmCheckpointStore", "SpmdResult"]
+__all__ = ["CheckpointStore", "ResilientFft3d", "SpmdResult"]
 
 #: Number of pipeline stages (reshapes) in a 3-D transform.
 _N_STAGES = 4
@@ -89,68 +87,118 @@ def _decode_frame(key: Any, frame: np.ndarray) -> np.ndarray:
     return msg.payload.view(dtype).reshape(msg.shape)
 
 
-class CheckpointStore:
-    """CRC-framed key/value snapshot store (in-memory burst buffer).
+#: Segment header: committed frame bytes (0 = no valid snapshot), key length.
+_CKPT_HDR = struct.Struct("<QI4x")
 
-    Values are numpy blocks, stored as self-validating v2 wire frames.
-    The backing dict is typically a :class:`ThreadWorld`'s shared
-    ``store`` — written by rank threads, readable after they die, and
-    inherited by shrunk worlds so recovery can reach pre-failure state.
+
+class CheckpointStore:
+    """CRC-framed snapshots in a world's segment namespace (the burst buffer).
+
+    One segment per key, named ``k{crc32(key):08x}`` in ``segments``
+    (``world.segments``: private arrays on rank threads, ``/dev/shm`` on
+    forked ranks), laid out as ``[u64 committed_bytes][u32 keylen][key]
+    [v2 frame]``.  Durability is the point: a rank writes its snapshot
+    into the segment, and the segment — unlike the rank's heap or
+    stack — survives its death, so survivors, whose worlds share the
+    namespace, can reload the dead rank's state during restart.
+
+    The commit protocol makes torn writes read as *missing*, never as
+    stale-or-corrupt: ``committed_bytes`` is zeroed before the frame
+    is written and set last, so a writer killed mid-save leaves a key
+    that :meth:`has`/:meth:`load` treat as absent (restart then picks an
+    earlier globally complete stage).  The stored key bytes guard
+    against crc32 name collisions.  Each key is written by exactly one
+    rank, so there is no write-side locking; readers only attach after
+    the writer is dead or the stage barrier has passed.  A process
+    world's close-time sweep reclaims the segments.
     """
 
-    def __init__(
-        self,
-        store: dict[Any, Any] | None = None,
-        lock: threading.Lock | None = None,
-    ) -> None:
-        self._store = {} if store is None else store
-        self._lock = lock if lock is not None else threading.Lock()
+    def __init__(self, segments) -> None:
+        self.segments = segments
+        self._attached: dict[str, Any] = {}
 
-    @classmethod
-    def for_comm(cls, comm) -> "CheckpointStore":
-        """The store shared by ``comm``'s world.
-
-        Thread runtime: the world's shared dict (same address space).
-        Process runtime (the world carries a ``uid`` and a live
-        ``state`` segment): a :class:`ShmCheckpointStore` of named
-        shared-memory segments — durable across child process death, so
-        a SIGKILLed rank's snapshots remain loadable by survivors.
-        """
-        world = getattr(comm, "world", None)
-        uid = getattr(world, "uid", None)
-        if uid is not None and getattr(world, "state", None) is not None:
-            return ShmCheckpointStore(uid)
-        store = getattr(world, "store", None)
-        lock = getattr(world, "store_lock", None)
-        if store is None or lock is None:
-            raise CheckpointError(
-                f"communicator {type(comm).__name__} has no world-shared store; "
-                "checkpointed restart needs the thread or process runtime"
-            )
-        return cls(store, lock)
+    @staticmethod
+    def _segment(key: Any) -> str:
+        return f"k{zlib.crc32(repr(key).encode()) & 0xFFFFFFFF:08x}"
 
     def save(self, key: Any, block: np.ndarray, meta: dict | None = None) -> int:
         """Snapshot ``block`` under ``key``; returns the frame size in bytes."""
         frame = _encode_frame(block, meta)
-        with self._lock:
-            self._store[key] = frame
+        key_bytes = repr(key).encode()
+        need = _CKPT_HDR.size + len(key_bytes) + int(frame.nbytes)
+        name = self._segment(key)
+        seg = self._attached.get(name)
+        if seg is None:
+            try:
+                seg = self.segments.create(name, need)
+            except FileExistsError:
+                seg = self.segments.attach(name)
+        if seg.buf.size < need:
+            # Resize = invalidate + unlink + recreate.  A reader racing
+            # the gap sees the key as missing, which is safe (restart
+            # falls back to an earlier complete stage).
+            _CKPT_HDR.pack_into(seg.buf, 0, 0, 0)
+            self.segments.unlink(name)
+            seg.close()
+            seg = self.segments.create(name, need)
+        self._attached[name] = seg
+        buf = seg.buf
+        _CKPT_HDR.pack_into(buf, 0, 0, len(key_bytes))  # invalidate
+        off = _CKPT_HDR.size
+        buf[off : off + len(key_bytes)] = np.frombuffer(key_bytes, dtype=np.uint8)
+        off += len(key_bytes)
+        buf[off : off + frame.nbytes] = frame
+        _CKPT_HDR.pack_into(buf, 0, int(frame.nbytes), len(key_bytes))  # commit
         return int(frame.nbytes)
+
+    def _frame(self, key: Any) -> np.ndarray | None:
+        """Copy of the committed frame under ``key``, or None if absent."""
+        name = self._segment(key)
+        seg = self._attached.get(name)
+        transient = seg is None
+        if transient:
+            try:
+                seg = self.segments.attach(name)
+            except FileNotFoundError:
+                return None
+        try:
+            buf = seg.buf
+            nbytes, keylen = _CKPT_HDR.unpack_from(buf, 0)
+            off = _CKPT_HDR.size
+            if nbytes == 0 or bytes(buf[off : off + keylen]) != repr(key).encode():
+                return None  # torn, discarded, or a crc32 name collision
+            return buf[off + keylen : off + keylen + nbytes].copy()
+        finally:
+            if transient:
+                seg.close()
 
     def load(self, key: Any) -> np.ndarray:
         """Reload and CRC-validate the snapshot under ``key``."""
-        with self._lock:
-            frame = self._store.get(key)
+        frame = self._frame(key)
         if frame is None:
             raise CheckpointError(f"no checkpoint under key {key!r}")
         return _decode_frame(key, frame)
 
     def has(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._store
+        return self._frame(key) is not None
 
     def discard(self, key: Any) -> None:
-        with self._lock:
-            self._store.pop(key, None)
+        name = self._segment(key)
+        seg = self._attached.pop(name, None)
+        if seg is None:
+            try:
+                seg = self.segments.attach(name)
+            except FileNotFoundError:
+                return
+        _CKPT_HDR.pack_into(seg.buf, 0, 0, 0)
+        self.segments.unlink(name)
+        seg.close()
+
+    def close(self) -> None:
+        """Drop this store's mappings (the segments stay in the namespace)."""
+        for seg in self._attached.values():
+            seg.close()
+        self._attached.clear()
 
     def last_complete_stage(self, tag: str, nranks: int) -> int | None:
         """Deepest stage for which *every* rank's snapshot exists.
@@ -163,141 +211,6 @@ class CheckpointStore:
             if all(self.has((tag, nranks, stage, r)) for r in range(nranks)):
                 return stage
         return None
-
-
-#: Segment header: committed frame bytes (0 = no valid snapshot), key length.
-_CKPT_HDR = struct.Struct("<QI4x")
-
-
-class ShmCheckpointStore(CheckpointStore):
-    """Checkpoint store over named shared-memory segments (process runtime).
-
-    One ``/dev/shm`` segment per key, named ``{uid}k{crc32(key):08x}``,
-    laid out as ``[u64 committed_bytes][u32 keylen][key][v2 frame]``.
-    Durability is the point: a child rank writes its snapshot into the
-    segment, and the segment — unlike the child's heap — survives a
-    SIGKILL, so survivors can reload the dead rank's state during
-    restart.
-
-    The commit protocol makes torn writes read as *missing*, never as
-    stale-or-corrupt: ``committed_bytes`` is zeroed before the payload
-    is written and set last, so a writer killed mid-save leaves a key
-    that :meth:`has`/:meth:`load` treat as absent (restart then picks an
-    earlier globally complete stage).  The stored key bytes guard
-    against crc32 name collisions.  Each key is written by exactly one
-    rank, so there is no write-side locking; readers only attach after
-    the writer is dead or the stage barrier has passed.
-
-    Segments are ``uid``-prefixed, so :func:`~repro.runtime.shm.sweep_segments`
-    reclaims them when the world closes — the leak-clean guarantee
-    covers checkpoints too.
-    """
-
-    def __init__(self, uid: str) -> None:
-        self.uid = str(uid)
-        self._attached: dict[str, SharedMemory] = {}
-
-    def _segment(self, key: Any) -> str:
-        return f"{self.uid}k{zlib.crc32(repr(key).encode()) & 0xFFFFFFFF:08x}"
-
-    def save(self, key: Any, block: np.ndarray, meta: dict | None = None) -> int:
-        frame = _encode_frame(block, meta)
-        key_bytes = repr(key).encode()
-        need = _CKPT_HDR.size + len(key_bytes) + int(frame.nbytes)
-        name = self._segment(key)
-        shm = self._attached.get(name)
-        if shm is None:
-            try:
-                shm = SharedMemory(name=name, create=True, size=need)
-            except FileExistsError:
-                shm = SharedMemory(name=name, create=False)
-            self._attached[name] = shm
-        if shm.size < need:
-            # Resize = invalidate + unlink + recreate.  A reader racing
-            # the gap sees the key as missing, which is safe (restart
-            # falls back to an earlier complete stage).
-            _CKPT_HDR.pack_into(shm.buf, 0, 0, 0)
-            shm.unlink()
-            quiet_close(shm)
-            shm = SharedMemory(name=name, create=True, size=need)
-            self._attached[name] = shm
-        _CKPT_HDR.pack_into(shm.buf, 0, 0, len(key_bytes))  # invalidate
-        off = _CKPT_HDR.size
-        shm.buf[off : off + len(key_bytes)] = key_bytes
-        off += len(key_bytes)
-        np.frombuffer(shm.buf, dtype=np.uint8, count=int(frame.nbytes), offset=off)[:] = frame
-        _CKPT_HDR.pack_into(shm.buf, 0, int(frame.nbytes), len(key_bytes))  # commit
-        return int(frame.nbytes)
-
-    def _frame(self, key: Any) -> np.ndarray | None:
-        """Copy of the committed frame under ``key``, or None if absent."""
-        name = self._segment(key)
-        shm = self._attached.get(name)
-        transient = shm is None
-        if shm is None:
-            try:
-                shm = SharedMemory(name=name, create=False)
-            except FileNotFoundError:
-                return None
-        try:
-            nbytes, keylen = _CKPT_HDR.unpack_from(shm.buf, 0)
-            if nbytes == 0:
-                return None
-            off = _CKPT_HDR.size
-            if bytes(shm.buf[off : off + keylen]) != repr(key).encode():
-                return None  # crc32 name collision: some other key lives here
-            return np.frombuffer(
-                shm.buf, dtype=np.uint8, count=nbytes, offset=off + keylen
-            ).copy()
-        finally:
-            if transient:
-                quiet_close(shm)
-
-    def load(self, key: Any) -> np.ndarray:
-        frame = self._frame(key)
-        if frame is None:
-            raise CheckpointError(f"no checkpoint under key {key!r}")
-        return _decode_frame(key, frame)
-
-    def has(self, key: Any) -> bool:
-        name = self._segment(key)
-        shm = self._attached.get(name)
-        transient = shm is None
-        if shm is None:
-            try:
-                shm = SharedMemory(name=name, create=False)
-            except FileNotFoundError:
-                return False
-        try:
-            nbytes, keylen = _CKPT_HDR.unpack_from(shm.buf, 0)
-            if nbytes == 0:
-                return False
-            off = _CKPT_HDR.size
-            return bytes(shm.buf[off : off + keylen]) == repr(key).encode()
-        finally:
-            if transient:
-                quiet_close(shm)
-
-    def discard(self, key: Any) -> None:
-        name = self._segment(key)
-        shm = self._attached.pop(name, None)
-        if shm is None:
-            try:
-                shm = SharedMemory(name=name, create=False)
-            except FileNotFoundError:
-                return
-        _CKPT_HDR.pack_into(shm.buf, 0, 0, 0)
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass  # already swept
-        quiet_close(shm)
-
-    def close(self) -> None:
-        """Drop this process's attachments (segments stay on disk)."""
-        for shm in self._attached.values():
-            quiet_close(shm)
-        self._attached.clear()
 
 
 @dataclass
@@ -448,7 +361,7 @@ class ResilientFft3d:
         every survivor — while the dead generation's was released,
         without a barrier, when ``shrink`` retired its communicator.
         """
-        store = CheckpointStore.for_comm(comm)
+        store = CheckpointStore(comm.world.segments)
         for step, stage in enumerate(plan._pipeline(inverse)[start:], start):
             rplan = stage.reshape
             key = (tag, comm.size, step, comm.rank)
@@ -504,7 +417,7 @@ class ResilientFft3d:
         self, comm, plan: Fft3d, inverse: bool, exc: CommunicatorError, depth: int, pool, tag: str
     ) -> SpmdResult:
         world = comm.world
-        store = CheckpointStore.for_comm(comm)
+        store = CheckpointStore(comm.world.segments)
         sub = comm.shrink()  # agree (on survivors) + shrink; phases recorded
         stage = store.last_complete_stage(tag, comm.size)
         if stage is None:
@@ -550,7 +463,7 @@ class ResilientFft3d:
         # go now.
         seq = self._started.n = getattr(self._started, "n", 0) + 1
         tag = f"{self.tag}#{seq}"
-        store = CheckpointStore.for_comm(comm)
+        store = CheckpointStore(comm.world.segments)
         for stale in (f"{self.tag}#{seq - 1}", tag):
             for step in range(_N_STAGES):
                 store.discard((stale, comm.size, step, comm.rank))

@@ -1,28 +1,31 @@
 """In-process MPI-like runtimes (the Open MPI / UCX substitute).
 
-Three interchangeable execution substrates implement the communication
-semantics the paper's algorithms rely on:
+One substrate, two launchers, and a functional executor:
 
+* :class:`~repro.runtime.base.Comm` / :class:`~repro.runtime.base.World`
+  — the one communicator and the substrate under it, written once:
+  two-sided ``send/recv/isend/irecv`` with tag matching over one
+  bounded ring per rank, one-sided RMA windows (``put`` / ``reserve`` /
+  ``fence``, MPI's active-target completion rule) over one arena per
+  window, barriers, and the ULFM recovery arc (``revoke`` / ``agree`` /
+  ``shrink``) with survivor worlds that are views one generation up.
+  Rings, arenas and checkpoints live in the world's segment namespace
+  (:mod:`repro.runtime.shm`).
 * :class:`~repro.runtime.thread_rt.ThreadWorld` — every rank is a real
-  thread.  Two-sided ``send/recv/isend/irecv`` with tag matching,
-  barriers, and one-sided RMA windows (``Put``/``Get``/``Fence``/
-  ``Lock``) with the same completion rules as MPI.  This is where the
+  thread; the namespace holds private arrays.  This is where the
   pairwise and OSC all-to-all algorithms run and are tested, and the
-  only runtime with message-level fault injection.
+  only launcher with message-level fault injection.
 * :class:`~repro.runtime.proc.ProcessWorld` — every rank is a real OS
-  process (forked).  Point-to-point moves through pickle-free
-  shared-memory rings and RMA windows map onto one collectively-created
-  ``SharedMemory`` arena, so ranks escape the GIL and local FFT /
-  compress phases genuinely overlap — the substrate for multi-core
-  benchmarking (``--runtime proc``).
+  process (forked); the namespace holds ``SharedMemory`` segments, so
+  ranks escape the GIL and local FFT / compress phases genuinely
+  overlap — the substrate for multi-core benchmarking
+  (``--runtime proc``).
 * :class:`~repro.runtime.virtual.VirtualWorld` — all rank buffers live
   in one process and collectives execute functionally (a data shuffle).
   No concurrency, so it scales to the paper's 1536 ranks for the
   *accuracy* experiments (Table II) where real networks are irrelevant.
 
-SPMD code is written against the abstract :class:`~repro.runtime.base.Comm`
-handle — which also carries the ULFM recovery arc (``revoke`` /
-``agree`` / ``shrink``), written once for the first two worlds —
+SPMD code is written against :class:`~repro.runtime.base.Comm`,
 mirroring the mpi4py API shape (``comm.rank``, ``comm.size``,
 upper-case-style buffer semantics are implicit since everything is a
 NumPy array).  :func:`make_world` maps a CLI-level runtime name to a
@@ -30,7 +33,7 @@ fresh world instance.
 """
 
 from repro.runtime.base import ANY_SOURCE, ANY_TAG, Comm, Request
-from repro.runtime.proc import ProcComm, ProcessWorld
+from repro.runtime.proc import ProcessWorld
 from repro.runtime.thread_rt import ThreadWorld, run_spmd
 from repro.runtime.virtual import VirtualWorld
 from repro.runtime.window import Window
@@ -44,7 +47,6 @@ __all__ = [
     "ThreadWorld",
     "run_spmd",
     "ProcessWorld",
-    "ProcComm",
     "VirtualWorld",
     "RUNTIMES",
     "make_world",

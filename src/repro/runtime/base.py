@@ -1,9 +1,15 @@
-"""The communicator API and everything the runtimes share about failure.
+"""The communicator, and everything the two launchers share.
 
-A runtime supplies transport — how a message is posted and matched, how
-a window is created, how a survivor world is built — and :class:`World`
-/ :class:`Comm` supply the rest once: the operation preamble (beacon,
-injected process faults, abort / scan / revoked checks), abort and the
+A world is a launcher over one substrate.  The launcher —
+:class:`~repro.runtime.thread_rt.ThreadWorld` (threads) or
+:class:`~repro.runtime.proc.ProcessWorld` (fork) — supplies a segment
+namespace (``world.segments``, :mod:`repro.runtime.shm`) with the
+``ctx`` for its locks, a control state, ``run``, ``_gone`` (a thread
+that exited, a pid that is gone), ``_kill`` (a raise, a real
+``SIGKILL``) and the black-box hook.  :class:`World` and :class:`Comm`
+write the rest once over it: one ring per rank, the point-to-point
+transport, window arenas, survivor worlds, the operation preamble
+(beacon, injected faults, abort / scan / revoked checks), abort and the
 barrier, the ULFM recovery arc (``revoke`` / ``agree`` / ``shrink``)
 over the world's :class:`~repro.resilience.monitor.ControlState`, the
 stall enrichment, and the reading of a finished run.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import threading
 import time
-from abc import ABC, abstractmethod
+from collections import deque
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -35,6 +41,8 @@ from repro.resilience.monitor import (
     FailureReport,
     Watchdog,
 )
+from repro.runtime.shm import Mapping, ShmRecord, ShmRing, any_to_describe
+from repro.runtime.window import Window
 from repro.telemetry import emit
 from repro.utils.arrays import no_alias_copy
 
@@ -52,6 +60,12 @@ SUSPECT_FRACTION = 0.25
 ANY_SOURCE = -1
 #: Wildcard tag (mirrors ``MPI_ANY_TAG``).
 ANY_TAG = -1
+
+#: Generation stride for message tags: a shrunk communicator's traffic
+#: is tagged ``tag + gen * _GEN_STRIDE`` on the ring, so survivors never
+#: match leftovers a dead rank posted before the failure.  Wide enough
+#: that every algorithm tag (|tag| < ~2^20) decodes unambiguously.
+_GEN_STRIDE = 1 << 44
 
 
 class Request:
@@ -111,11 +125,11 @@ class World:
     The handles of one control plane — ``state`` (the
     :class:`~repro.resilience.monitor.ControlState`) and ``monitor`` (a
     :class:`~repro.resilience.monitor.Watchdog` over ``members``, this
-    world's ranks in the original world's numbering) — plus the cache
-    of survivor worlds and the reading of a finished run.  A survivor
-    world is a view one shrink ``gen`` up over its ``root``'s state; how
-    its transport is *built* is the runtime's (:meth:`_survivor_world`),
-    as are :meth:`_gone` and ``create_window`` / ``release_window``.
+    world's ranks in the original world's numbering) — and of one
+    substrate in ``segments``: a ring and a pending queue per original
+    rank, a window lock per target rank (:meth:`_lay_out`).  A survivor
+    world (:class:`SurvivorWorld`) is a view one shrink ``gen`` up over
+    its ``root``'s state and substrate.
     """
 
     #: Names the runtime on recovery metrics.
@@ -141,6 +155,19 @@ class World:
         self._shrunk: dict[tuple[tuple[int, ...], int], World] = {}
         self._shrink_lock = threading.Lock()
 
+    def _lay_out(self, ring_capacity: int) -> list[Mapping]:
+        """Build the substrate in ``self.segments``: ring ``r{rank}`` of
+        ``ring_capacity`` bytes per rank, with its lock and condition,
+        one window lock per target rank, all from the namespace's
+        ``ctx``; and each rank's queue of drained, unmatched messages.
+        Returns the rings' mappings."""
+        ctx = self.segments.ctx
+        segs = [self.segments.create(f"r{r}", 64 + ring_capacity) for r in range(self.nranks)]
+        self.rings = [ShmRing(seg.buf, ctx) for seg in segs]
+        self._win_locks = [ctx.Lock() for _ in range(self.nranks)]
+        self.pending: list[deque[ShmRecord]] = [deque() for _ in range(self.nranks)]
+        return segs
+
     def _watch(self, state) -> None:
         """Adopt ``state`` and build this world's member view of it."""
         self.state = state
@@ -154,10 +181,18 @@ class World:
 
     # -- abort and revocation ---------------------------------------------------------
 
-    def abort(self, reason: str) -> None:
+    def abort(self, reason: str, cause: BaseException | None = None) -> None:
         """Raise the world-wide abort word (first reason wins): every
-        barrier breaks and every blocked rank unwinds."""
+        barrier breaks, and a notify on every ring wakes the ranks
+        blocked there now.  ``cause``, the aborting rank's exception
+        where it was raised in this process, chains onto every peer's
+        :class:`RuntimeAbort` (rank threads)."""
+        root = self.root
+        if self.abort_reason() is None:
+            root._abort_cause = cause
         self.state.abort(reason)
+        for ring in root.rings:
+            ring.kick()
 
     def abort_reason(self) -> str | None:
         return self.state.abort_reason()
@@ -205,8 +240,40 @@ class World:
         with root._shrink_lock:
             world = root._shrunk.get(key)
             if world is None:
-                world = root._shrunk[key] = root._survivor_world(*key)
+                world = root._shrunk[key] = SurvivorWorld(root, *key)
             return world
+
+    # -- windows ----------------------------------------------------------------------
+
+    def create_window(self, comm: "Comm", nbytes: int) -> Window:
+        """Collective: one arena in the namespace holds every rank's buffer.
+
+        The ranks allgather their sizes; rank 0 creates the arena — named
+        ``w{id}``, generation-scoped on a survivor world, with ``id``
+        counted per communicator, so no name exchange is needed — a
+        barrier publishes it, every other rank attaches, and a second
+        barrier holds every put until all have.  The locks are the
+        members' share of the root's per-target ones.
+        """
+        win_id = comm._windows
+        comm._windows += 1
+        sizes = comm.allgather(max(0, int(nbytes)))
+        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+        name = f"w{win_id}" if self.gen == 0 else f"wg{self.gen}x{win_id}"
+        if comm.rank == 0:
+            try:
+                arena = self.segments.create(name, int(offsets[-1]))
+            except FileExistsError:  # leaked by an earlier run of a thread world
+                self.segments.unlink(name)
+                arena = self.segments.create(name, int(offsets[-1]))
+            comm.barrier()
+        else:
+            comm.barrier()  # the arena exists after this
+            arena = self.segments.attach(name)
+        buffers = [arena.buf[offsets[r] : offsets[r + 1]] for r in range(self.nranks)]
+        comm.barrier()  # every rank attached before any put flies
+        locks = [self.root._win_locks[g] for g in self.members]
+        return Window(self, comm, buffers, locks, win_id, (name, arena, comm.rank == 0))
 
     # -- reading a finished run ---------------------------------------------------------
 
@@ -233,21 +300,47 @@ class World:
         return min(originals or errors, key=lambda e: e[0])
 
 
-class Comm(ABC):
-    """Per-rank communicator handle for SPMD code.
+class SurvivorWorld(World):
+    """Survivor view over a root world: the root's rings, window locks,
+    namespace and control state, dense rank numbering over ``members``,
+    one generation up.  Built by ``Comm.shrink`` (never directly); one
+    instance per (members, generation) per process."""
 
-    Subclasses supply transport (``send``, ``_match``, ``_probe``,
-    optionally ``_drain``) and how an injected ``kill`` lands
-    (``_kill_self``); the barrier and the failure handling are here.
-    """
+    #: Injected faults target generation 0 only: the episode is over.
+    injector = None
+
+    def __init__(self, root: World, members: tuple[int, ...], gen: int) -> None:
+        self.runtime_label = root.runtime_label
+        super().__init__(len(members), root.timeout, root.suspect_after)
+        self.root, self.members, self.gen = root, members, gen
+        self.segments = root.segments
+        self._watch(root.state)
+
+    def _gone(self, rank: int) -> str | None:
+        return self.root._gone(rank)
+
+
+class Comm:
+    """Per-rank communicator handle for SPMD code, over the root world's
+    rings: this rank drains its own ring into its pending queue and
+    tag-matches there (MPI wildcard and non-overtaking semantics), and
+    posts into the destination's.  Every generation of one rank shares
+    the queue; the generation rides the ring tag, so a shrunk
+    communicator never matches leftovers a dead rank posted before the
+    failure."""
 
     def __init__(self, world: World, rank: int) -> None:
         self.world = world
         self.rank = rank
         self.size = world.nranks
         #: This rank in the original world's numbering (the control
-        #: state's, whatever the generation).
+        #: state's and the rings', whatever the generation).
         self._me = world.members[rank]
+        self._members = world.members
+        self._member_set = frozenset(world.members)
+        self._rings = world.root.rings
+        self._ring = self._rings[self._me]
+        self._pending: deque[ShmRecord] = world.root.pending[self._me]
         self._state = world.state
         self._watchdog: Watchdog = world.monitor
         self._gen: int = world.gen
@@ -256,6 +349,8 @@ class Comm(ABC):
         self._scan_every = min(0.05, world.suspect_after / 4)
         self._last_scan = 0.0
         self._agree_round = 0
+        #: Windows created on this communicator (names their arenas).
+        self._windows = 0
 
     @property
     def parent_ranks(self) -> tuple[int, ...]:
@@ -315,7 +410,7 @@ class Comm(ABC):
         if injector is not None:
             action = injector.fail_action(self.rank, op)
             if action == "kill":
-                self._kill_self(op)
+                self.world._kill(self, op)
             elif action == "hang":
                 self._hang_self(op)
         self.world.check_abort()
@@ -346,8 +441,10 @@ class Comm(ABC):
         self._scan()
 
     def _drain(self) -> None:
-        """Move what the transport queued for this rank to where
-        ``_match`` looks (nothing to do when peers post there directly)."""
+        """Drain this rank's own ring into its pending queue."""
+        records = self._ring.drain()
+        if records:
+            self._pending.extend(records)
 
     def _scan(self) -> None:
         """Run the watchdog, at most once per ``_scan_every`` seconds; a
@@ -372,11 +469,6 @@ class Comm(ABC):
                 f"communicator revoked: {reason}",
                 report=self._watchdog.build_report(detail=reason),
             )
-
-    @abstractmethod
-    def _kill_self(self, op: str) -> None:
-        """Injected ``kill``: this rank dies now, the way ranks of this
-        runtime die."""
 
     def _hang_self(self, op: str) -> None:
         """Injected ``hang``: park without beacons — silence IS the
@@ -495,18 +587,84 @@ class Comm(ABC):
 
     # -- point to point --------------------------------------------------------
 
-    @abstractmethod
+    def _enc(self, tag: int) -> int:
+        return tag + self._gen * _GEN_STRIDE
+
+    @staticmethod
+    def _dec(raw: int) -> tuple[int, int]:
+        # Round-to-nearest stride: algorithm tags may be negative
+        # (bcast/gather internals), and Python floor-division keeps
+        # the decode exact for |tag| < _GEN_STRIDE / 2.
+        gen = (raw + _GEN_STRIDE // 2) // _GEN_STRIDE
+        return gen, raw - gen * _GEN_STRIDE
+
     def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
-        """Buffered-blocking send: ``data`` is copied; safe to reuse after."""
+        """Buffered-blocking send: ``data`` is copied into the
+        destination's ring; safe to reuse after.  Message-level faults
+        (straggle, drop, duplicate) land here."""
+        self._check_rank(dest)
+        self._pre("send", dest)
+        copies = 1
+        injector = self.world.injector
+        if injector is not None:
+            delay = injector.straggle_delay(self.rank)
+            if delay > 0.0:
+                time.sleep(delay)
+            action = injector.p2p_action(self.rank, dest, tag)
+            if action == "drop":
+                return
+            copies = 2 if action == "duplicate" else 1
+        ring = self._rings[self._members[dest]]
+        for _ in range(copies):
+            ring.post(
+                self._me, self._enc(tag), data, timeout=self.world.timeout, poll=self._progress
+            )
 
-    @abstractmethod
+    def _find_pending(self, source: int, tag: int, *, take: bool = True) -> ShmRecord | None:
+        src_old = None if source == ANY_SOURCE else self._members[source]
+        for i, rec in enumerate(self._pending):
+            gen, base = self._dec(rec.tag)
+            if gen != self._gen:
+                continue
+            if src_old is None:
+                if rec.source not in self._member_set:
+                    continue  # a dead rank's pre-failure leftovers
+            elif rec.source != src_old:
+                continue
+            if tag != ANY_TAG and base != tag:
+                continue
+            if take:
+                del self._pending[i]
+            return rec
+        return None
+
     def _match(self, source: int, tag: int, limit: float) -> np.ndarray:
-        """Block (in quanta, running :meth:`_progress`) until a matching
-        message arrives; :class:`StallError` after ``limit`` seconds."""
+        """Block (on the ring, running :meth:`_progress` each wake-up)
+        until a matching message arrives; :class:`StallError` after
+        ``limit`` seconds."""
+        start = time.monotonic()
+        deadline = start + limit
+        self._drain()
+        while True:
+            rec = self._find_pending(source, tag)
+            if rec is not None:
+                return rec.payload
+            now = time.monotonic()
+            if now >= deadline:
+                raise StallError(
+                    f"rank {self.rank}: recv({any_to_describe(source, tag)}) "
+                    f"timed out after {now - start:.3f}s "
+                    f"(limit {limit}s) — peer dead, wedged, or deadlocked"
+                )
+            self._ring.wait(deadline - now)
+            self._progress()
 
-    @abstractmethod
     def _probe(self, source: int, tag: int) -> bool:
-        """Is a matching message queued right now?  Never consumes it."""
+        """Is a matching message queued right now?  Drains the ring into
+        the pending queue (which a later ``wait()`` matches from), never
+        consumes the match."""
+        self._progress()
+        return self._find_pending(source, tag, take=False) is not None
 
     def _matched_recv(self, source: int, tag: int, timeout: float | None) -> np.ndarray:
         """Blocking-receive core of recv and irecv completion.
@@ -597,9 +755,10 @@ class Comm(ABC):
         """Broadcast a Python object from ``root`` (linear reference impl)."""
         self._check_rank(root)
         if self.rank == root:
+            raw = np.frombuffer(_pickle_dumps(data), dtype=np.uint8)
             for r in range(self.size):
                 if r != root:
-                    self.send(np.frombuffer(_pickle_dumps(data), dtype=np.uint8), r, tag=-101)
+                    self.send(raw, r, tag=-101)
             return data
         raw = self.recv(root, tag=-101)
         return _pickle_loads(raw.tobytes())
@@ -654,7 +813,7 @@ class Comm(ABC):
 
     # -- one-sided -------------------------------------------------------------
 
-    def win_create(self, nbytes: int) -> "Window":  # noqa: F821 - runtime import
+    def win_create(self, nbytes: int) -> Window:
         """Collectively create an RMA window exposing ``nbytes`` locally."""
         self._pre("win_create")
         return self.world.create_window(self, nbytes)

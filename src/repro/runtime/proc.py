@@ -1,59 +1,30 @@
 """Process-based SPMD runtime: every rank is a real OS process.
 
-The thread runtime (:mod:`repro.runtime.thread_rt`) shares one GIL, so
-local FFT/compress phases serialize and the profiler can never observe
-true compute/communication overlap.  :class:`ProcessWorld` runs each
-rank in a forked child and moves data through POSIX shared memory:
+Thread ranks share one GIL, so their local FFT / compress phases
+serialize.  :class:`ProcessWorld` runs each rank in a forked child over
+the substrate :class:`~repro.runtime.base.World` writes for both
+launchers — one ring per rank, window arenas, checkpoints — in a
+namespace of POSIX shared-memory segments
+(:class:`~repro.runtime.shm.ShmSegments`, named ``{uid}{name}``, under
+fork-shared locks), so those phases genuinely overlap.
 
-* **point-to-point** — a pickle-free mailbox per rank: one
-  :class:`~repro.runtime.shm.ShmRing` segment each, fixed header
-  structs + raw payload bytes, NumPy views in and out.  The receiving
-  process drains its ring into a local pending queue and tag-matches
-  there, so MPI wildcard (``ANY_SOURCE``/``ANY_TAG``) and
-  non-overtaking semantics are identical to the thread runtime's
-  :class:`~repro.runtime.mailbox.Mailbox`.
-* **one-sided** — ``win_create`` maps the existing
-  :class:`~repro.runtime.window.Window` abstraction onto a single
-  collectively-created ``SharedMemory`` arena (deterministic name, one
-  creation, every rank attaches), so put/get/fence stay zero-copy
-  across processes.
-* **collectives** — inherited unchanged from the :class:`Comm` ABC;
-  ``bcast``/``gather`` object payloads ride the same ring transport.
+Ranks are forked, not spawned: kernels are closures over NumPy arrays,
+which fork inherits (with the fork-shared locks, which cannot be
+created after the fact) and the ``spawn`` pickler cannot move.  Each
+child writes its :class:`~repro.trace.core.Tracer` events to a spool
+the parent merges (CLOCK_MONOTONIC timestamps land on the parent
+timeline).  A :class:`ProcessWorld` is **one-shot**: after its ``run``
+the parent reaps the children (join → terminate → kill) and sweeps
+every uid-prefixed segment, leak-clean even after failures; a child's
+exception is re-raised with ``.rank`` and its traceback as a note.
 
-Ranks are forked, not spawned: kernels in this codebase are closures
-over NumPy arrays, which the ``spawn`` pickler cannot move, while fork
-inherits them for free (and inherits the world's fork-shared locks,
-which cannot be created after the fact).  Tracing survives the process
-boundary through spool files: each child installs a fresh
-:class:`~repro.trace.core.Tracer`, writes its events to a spool on
-exit, and the parent merges every spool back into the installed tracer
-(timestamps are CLOCK_MONOTONIC, machine-wide, so child spans land on
-the parent timeline).
-
-Teardown is leak-clean by construction: the parent unlinks every ring
-and the control-state segment after the run, sweeps any uid-prefixed
-leftovers (spill segments of crashed receivers, unfreed window arenas),
-and reaps children through a join → terminate → kill ladder.  A child's
-exception is re-raised in the parent with ``.rank`` attached and the
-original traceback appended as a note.
-
-A :class:`ProcessWorld` is **one-shot**: ``run`` executes one SPMD
-kernel and then closes the world (segments unlinked).
-
-Failure model: the one both runtimes share (:mod:`repro.runtime.base`,
-:mod:`repro.resilience.monitor`), with the
-:class:`~repro.resilience.monitor.ControlState` laid out in a named
-segment under a fork-shared condition, so it survives the death of any
-rank process and the parent reads it post-mortem.  What is the process
-runtime's own: a rank is *gone* when its pid is (a SIGKILLed child is
-gone from ``/proc`` — or a zombie, which counts as gone); an injected
-``kill`` is a real ``SIGKILL`` to the victim's own pid; a survivor
-world is a view over the *existing* rings and window locks with rank
-remapping (no re-fork), and generation-encoded message tags keep
-post-shrink traffic from matching pre-failure leftovers.  Fault plans
-are supported for the *process* kinds only; message-level kinds
-(bitflip/drop/...) raise :class:`~repro.errors.UnsupportedFaultError` —
-they need the thread runtime's mailbox hooks.
+What is the process launcher's own: the
+:class:`~repro.resilience.monitor.ControlState` lives in segment ``s``
+under a fork-shared condition, so it survives any rank's death and the
+parent reads it post-mortem; a rank is *gone* when its pid is (or is a
+zombie); an injected ``kill`` is a real ``SIGKILL`` to the victim's own
+pid.  Fault plans are supported for the *process* kinds only;
+message-level kinds raise :class:`~repro.errors.UnsupportedFaultError`.
 """
 
 from __future__ import annotations
@@ -67,35 +38,28 @@ import tempfile
 import time
 import traceback
 import weakref
-from collections import deque
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.errors import (
     CommunicatorError,
     RankHungError,
     RankKilledError,
-    StallError,
     UnsupportedFaultError,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.faults.plan import PROCESS_FAULT_KINDS
 from repro.resilience.monitor import ControlState
-from repro.runtime.base import ANY_SOURCE, ANY_TAG, DEFAULT_TIMEOUT, Comm, World
+from repro.runtime.base import DEFAULT_TIMEOUT, Comm, World
 from repro.runtime.shm import (
     DEFAULT_RING_CAPACITY,
-    ShmRecord,
+    Mapping,
     ShmRing,
-    any_to_describe,
+    ShmSegments,
     fork_available,
     make_uid,
     pid_alive,
-    quiet_close,
     sweep_segments,
 )
-from repro.runtime.window import Window
 from repro.telemetry.blackbox import (
     arm_signal_dump,
     build_blackbox,
@@ -115,22 +79,16 @@ from repro.trace.core import Tracer
 from repro.trace.core import get_tracer as trace_get_tracer
 from repro.trace.core import install as trace_install
 
-__all__ = ["ProcessWorld", "ProcComm"]
-
-#: Generation stride for message tags: a shrunk communicator's traffic
-#: is tagged ``tag + gen * _GEN_STRIDE`` on the wire, so survivors never
-#: match leftovers a dead rank posted before the failure.  Wide enough
-#: that every algorithm tag (|tag| < ~2^20) decodes unambiguously.
-_GEN_STRIDE = 1 << 44
+__all__ = ["ProcessWorld"]
 
 
 def _cleanup_segments(
     owner_pid: int,
-    rings: list[ShmRing],
     uid: str,
+    rings: list[ShmRing],
+    mappings: list[Mapping],
     telemetry: ShmTelemetry | None,
     state: ControlState,
-    state_seg: SharedMemory,
 ) -> None:
     """Parent-side teardown; a no-op in forked children.
 
@@ -141,16 +99,13 @@ def _cleanup_segments(
     if os.getpid() != owner_pid:
         return
     for ring in rings:
-        ring.destroy()
+        ring.detach()
     if telemetry is not None:
         telemetry.destroy()
     # The parent reads the registry and the timeline after the unlink.
     state.freeze()
-    quiet_close(state_seg)
-    try:
-        state_seg.unlink()
-    except FileNotFoundError:
-        pass
+    for mapping in mappings:
+        mapping.close()
     remove_runfile(uid)
     sweep_segments(uid)
 
@@ -192,7 +147,7 @@ def _child_main(
         # where the parent can read them even after this process dies.
         install_sink(ShmSink(world.telemetry))
         emit("start", rank)
-    comm = ProcComm(world, rank)
+    comm = Comm(world, rank)
     try:
         result = fn(comm, *args, **kwargs)
         # Done *before* the result crosses the pipe: a cleanly-finished
@@ -229,73 +184,8 @@ def _child_main(
     conn.close()
 
 
-class _ProcView(World):
-    """What the root world and its survivor views do the same way, each
-    over its own ``members`` / ``gen``: pid liveness and window arenas."""
-
-    runtime_label = "proc"
-
-    def _gone(self, rank: int) -> str | None:
-        pid = self.state.pid(rank)
-        if pid and not pid_alive(pid):
-            return f"process died (pid {pid} gone)"
-        return None
-
-    # -- collective window creation ------------------------------------------------------
-
-    def create_window(self, comm: "ProcComm", nbytes: int) -> Window:
-        """Collective: one SharedMemory arena holds every rank's buffer.
-
-        The arena name is deterministic (``{uid}w{win_id}``, generation-
-        scoped for a survivor view, with the per-process window counter
-        advancing identically on every rank because creation is
-        collective), so no name exchange is needed: rank 0 creates, a
-        barrier publishes, everyone else attaches.  The locks are the
-        members' share of the root's fork-shared ones.
-        """
-        win_id = self._win_counter
-        self._win_counter += 1
-        sizes = comm.allgather(max(0, int(nbytes)))
-        offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-        total = int(offsets[-1])
-        scope = "w" if self.gen == 0 else f"wg{self.gen}x"
-        name = f"{self.uid}{scope}{win_id}"
-        if comm.rank == 0:
-            shm = SharedMemory(name=name, create=True, size=max(1, total))
-            comm.barrier()
-        else:
-            comm.barrier()  # arena exists after this
-            shm = SharedMemory(name=name, create=False)
-        base = np.frombuffer(shm.buf, dtype=np.uint8, count=total)
-        buffers = [
-            base[int(offsets[r]) : int(offsets[r]) + sizes[r]] for r in range(self.nranks)
-        ]
-        self._windows[win_id] = (shm, comm.rank == 0)
-        comm.barrier()  # every rank attached before any put flies
-        locks = [self.root._win_locks[g] for g in self.members]
-        return Window(self, comm, buffers, locks, win_id=win_id)
-
-    def release_window(self, win_id: int) -> None:
-        """Close this rank's arena mapping; the creating rank unlinks.
-
-        A kernel still holding views of the arena leaves the mapping
-        alive until the process exits (``quiet_close``); the unlink —
-        what leak-cleanliness needs — happens regardless.
-        """
-        entry = self._windows.pop(win_id, None)
-        if entry is None:
-            return
-        shm, creator = entry
-        quiet_close(shm)
-        if creator:
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
-class ProcessWorld(_ProcView):
-    """Shared state of one process-per-rank SPMD execution.
+class ProcessWorld(World):
+    """The process launcher of one SPMD execution.
 
     The same surface as :class:`~repro.runtime.thread_rt.ThreadWorld`
     (``run``, ``timeout``, ``halted``, ``injector``, ``monitor``, ULFM
@@ -303,6 +193,8 @@ class ProcessWorld(_ProcView):
     for the process kinds (``kill``/``hang``) and delivered to real
     child pids.
     """
+
+    runtime_label = "proc"
 
     def __init__(
         self,
@@ -342,35 +234,18 @@ class ProcessWorld(_ProcView):
             )
         self.uid = make_uid()
         self._ctx = mp.get_context("fork")
-        #: The control plane in a named segment: beacons, pids, failure
+        self.segments = ShmSegments(self.uid, self._ctx)
+        #: The control plane in segment ``s``: beacons, pids, failure
         #: registry, abort word, generational revocation, agreement
         #: arena, barrier rows, timeline.
-        self._state_seg = SharedMemory(
-            name=f"{self.uid}s", create=True, size=ControlState.nbytes(nranks)
-        )
-        self._watch(ControlState(nranks, self._state_seg.buf, self._ctx.Condition()))
-        #: Per-process drained-but-unmatched records (shared by every
-        #: communicator generation of this process — see ProcComm).
-        self._local_pending: deque[ShmRecord] | None = None
-        self.rings = [
-            ShmRing(f"{self.uid}r{r}", ring_capacity, self._ctx) for r in range(nranks)
-        ]
-        # One fork-shared lock per *target rank*, shared by every window
-        # (mp locks cannot be created after the fork, so they are
-        # provisioned here).  Coarser than the thread runtime's
-        # per-window locks, which is harmless: a put holds its target's
-        # lock only for its own copy.
-        self._win_locks = [self._ctx.Lock() for _ in range(nranks)]
-        self._win_counter = 0
-        self._windows: dict[int, tuple[SharedMemory, bool]] = {}
+        state_seg = self.segments.create("s", ControlState.nbytes(nranks))
+        self._watch(ControlState(nranks, memoryview(state_seg.buf), self._ctx.Condition()))
+        # Fork-shared locks cannot be created after the fork: the rings'
+        # and the window locks are provisioned here.
+        ring_segs = self._lay_out(ring_capacity)
         self._child_rank: int | None = None
         self._spawned = False
         self._closed = False
-        #: Per-process scratch store (ThreadWorld API parity).  Not
-        #: shared across ranks here — resilience checkpointing that
-        #: relies on a world-shared store is thread-runtime-only.
-        self.store: dict[Any, Any] = {}
-        self.store_lock = self._ctx.Lock()
         self._owner_pid = os.getpid()
         #: Shared-memory flight rings + live gauges, one block per rank
         #: (``{uid}t`` rides the world's segment namespace, so the
@@ -388,20 +263,31 @@ class ProcessWorld(_ProcView):
                 )
             except OSError:  # pragma: no cover - unwritable tempdir
                 pass
-        self._finalizer = weakref.finalize(
-            self,
-            _cleanup_segments,
+        self._cleanup = (
             self._owner_pid,
-            self.rings,
             self.uid,
+            self.rings,
+            [state_seg, *ring_segs],
             self.telemetry,
             self.state,
-            self._state_seg,
         )
+        self._finalizer = weakref.finalize(self, _cleanup_segments, *self._cleanup)
 
+    def _gone(self, rank: int) -> str | None:
+        pid = self.state.pid(rank)
+        if pid and not pid_alive(pid):
+            return f"process died (pid {pid} gone)"
+        return None
 
-    def _survivor_world(self, members: tuple[int, ...], gen: int) -> "_ShrunkProcWorld":
-        return _ShrunkProcWorld(self, members, gen)
+    def _kill(self, comm: Comm, op: str) -> None:
+        """Injected ``kill``: a *real* SIGKILL to our own pid — peers
+        must detect the death from the outside, exactly as they would a
+        node OOM-killing the rank."""
+        emit("fault-kill", comm._me, detail=op)
+        os.kill(os.getpid(), signal.SIGKILL)
+        raise RankKilledError(  # pragma: no cover - SIGKILL is not catchable
+            f"rank {comm._me}: injected kill in {op}"
+        )
 
     def _blackbox(self, report: Any) -> dict[str, Any] | None:
         return self.last_blackbox
@@ -673,149 +559,10 @@ class ProcessWorld(_ProcView):
             return
         self._closed = True
         self._finalizer.detach()
-        _cleanup_segments(
-            self._owner_pid,
-            self.rings,
-            self.uid,
-            self.telemetry,
-            self.state,
-            self._state_seg,
-        )
+        _cleanup_segments(*self._cleanup)
 
     def __enter__(self) -> "ProcessWorld":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class ProcComm(Comm):
-    """Per-process communicator handle (lives only inside a rank): ring
-    transport.
-
-    Generalized over worlds: the root :class:`ProcessWorld` (generation
-    0, identity rank mapping) and :class:`_ShrunkProcWorld` survivors
-    (generation ≥ 1, ``members`` maps dense survivor ranks back to the
-    original ranks whose rings still carry the traffic).  Every
-    generation of one process shares the root's pending queue; the
-    generation rides the wire tag, so a shrunk communicator never
-    matches leftovers a dead rank posted before the failure.
-    """
-
-    def __init__(self, world: _ProcView, rank: int) -> None:
-        super().__init__(world, rank)
-        self._root: ProcessWorld = world.root
-        self._members = world.members
-        self._member_set = frozenset(self._members)
-        self._ring = self._root.rings[self._me]
-        if self._root._local_pending is None:
-            self._root._local_pending = deque()
-        #: Shared with every other generation in this process: one ring
-        #: drain must never swallow another generation's records.
-        self._pending: deque[ShmRecord] = self._root._local_pending
-
-    # -- generation-encoded tags ----------------------------------------------------------
-
-    def _enc(self, tag: int) -> int:
-        return tag + self._gen * _GEN_STRIDE
-
-    @staticmethod
-    def _dec(raw: int) -> tuple[int, int]:
-        # Round-to-nearest stride: algorithm tags may be negative
-        # (bcast/gather internals), and Python floor-division keeps
-        # the decode exact for |tag| < _GEN_STRIDE / 2.
-        gen = (raw + _GEN_STRIDE // 2) // _GEN_STRIDE
-        return gen, raw - gen * _GEN_STRIDE
-
-    # -- runtime hooks of the shared failure handling ---------------------------------------
-
-    def _kill_self(self, op: str) -> None:
-        """Injected ``kill``: a *real* SIGKILL to our own pid — peers
-        must detect the death from the outside, exactly as they would a
-        node OOM-killing the rank."""
-        emit("fault-kill", self._me, detail=op)
-        os.kill(os.getpid(), signal.SIGKILL)
-        raise RankKilledError(  # pragma: no cover - SIGKILL is not catchable
-            f"rank {self._me}: injected kill in {op}"
-        )
-
-    def _drain(self) -> None:
-        """Drain this rank's own ring into the pending queue."""
-        records = self._ring.drain()
-        if records:
-            self._pending.extend(records)
-
-    def _find_pending(self, source: int, tag: int, *, take: bool = True) -> ShmRecord | None:
-        src_old = None if source == ANY_SOURCE else self._members[source]
-        for i, rec in enumerate(self._pending):
-            gen, base = self._dec(rec.tag)
-            if gen != self._gen:
-                continue
-            if src_old is None:
-                if rec.source not in self._member_set:
-                    continue  # a dead rank's pre-failure leftovers
-            elif rec.source != src_old:
-                continue
-            if tag != ANY_TAG and base != tag:
-                continue
-            if take:
-                del self._pending[i]
-            return rec
-        return None
-
-    # -- point to point ------------------------------------------------------------------
-
-    def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest)
-        self._pre("send", dest)
-        self._root.rings[self._members[dest]].post(
-            self._me,
-            self._enc(tag),
-            np.asarray(data),
-            timeout=self._root.timeout,
-            poll=self._progress,
-        )
-
-    def _match(self, source: int, tag: int, limit: float) -> np.ndarray:
-        start = time.monotonic()
-        deadline = start + limit
-        while True:
-            self._progress()
-            rec = self._find_pending(source, tag)
-            if rec is not None:
-                return rec.payload
-            now = time.monotonic()
-            if now >= deadline:
-                raise StallError(
-                    f"rank {self.rank}: recv({any_to_describe(source, tag)}) "
-                    f"timed out after {now - start:.3f}s "
-                    f"(limit {limit}s) — peer dead, wedged, or deadlocked"
-                )
-            self._ring.wait(deadline - now)
-
-    def _probe(self, source: int, tag: int) -> bool:
-        # Non-consuming: drains the transport into pending (which a
-        # later wait() matches from), never removes a match.
-        self._progress()
-        return self._find_pending(source, tag, take=False) is not None
-
-
-class _ShrunkProcWorld(_ProcView):
-    """Survivor view over a :class:`ProcessWorld`: same rings, window
-    locks and control state, dense rank numbering over ``members``, one
-    generation up.  Built by ``Comm.shrink`` (never directly); one
-    instance per (members, generation) per process."""
-
-    def __init__(self, root: ProcessWorld, members: tuple[int, ...], gen: int) -> None:
-        super().__init__(len(members), root.timeout, root.suspect_after)
-        self.root, self.members, self.gen = root, members, gen
-        self.uid = root.uid
-        self.rings = root.rings
-        self.telemetry = root.telemetry
-        #: Injected faults target generation 0 only: the episode is over.
-        self.injector = None
-        self.store = root.store
-        self.store_lock = root.store_lock
-        self._win_counter = 0
-        self._windows: dict[int, tuple[SharedMemory, bool]] = {}
-        self._watch(root.state)

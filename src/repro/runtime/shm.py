@@ -1,25 +1,31 @@
-"""Shared-memory transport primitives for the process runtime.
+"""The byte layouts every world shares, and the namespace they live in.
 
-Two building blocks, layered on ``multiprocessing.shared_memory``
-segments plus fork-inherited ``multiprocessing`` locks/conditions:
-
-* :class:`ShmRing` — one bounded MPSC byte ring per rank.  Any rank
-  posts fixed-header records (source, tag, dtype, shape, payload); only
-  the owning rank drains.  Payloads travel as raw bytes with NumPy
-  views in and out — no pickling on the point-to-point path.  Records
-  larger than a quarter of the ring *spill* into a dedicated one-shot
-  segment named inside the record, so a single huge message can never
-  wedge the ring.
+* :class:`Segments` / :class:`ShmSegments` — a world's *segment
+  namespace*: ``create(name, nbytes)``, ``attach(name)`` (raises
+  :class:`FileNotFoundError` when the name is absent) and
+  ``unlink(name)``, each segment a :class:`Mapping` whose ``buf`` is a
+  ``uint8`` array.  The launcher picks the backing and the ``ctx`` that
+  supplies ``Lock`` / ``Condition``: rank threads get private anonymous
+  mappings under ``threading`` primitives (no ``/dev/shm`` entry; pages
+  never written cost no RSS), forked ranks named ``SharedMemory``
+  segments under fork-shared ones.
+* :class:`ShmRing` — one bounded MPSC byte ring per rank over a segment.
+  Any rank posts fixed-header records (source, tag, dtype, shape,
+  payload); only the owning rank drains.  Payloads travel as raw bytes
+  with NumPy views in and out — no pickling on the point-to-point path.
+  A message longer than a quarter of the ring is cut into parts posted
+  in order; the owner assembles them, and only complete messages come
+  out of :meth:`ShmRing.drain`.
 * :func:`sweep_segments` — the crash backstop: unlink every leftover
   ``/dev/shm`` segment carrying a world's uid prefix (attach + unlink,
   which keeps the shared resource-tracker ledger balanced).
 
-Waiting follows the thread runtime's discipline (see
-:mod:`repro.runtime.mailbox`): blocked posts and matches wake every
-``QUANTUM`` seconds and run a caller-supplied ``poll`` callback
-*outside* the lock — the process runtime uses it to drain the caller's
-own ring (progress under back-pressure) and to surface aborts within
-one quantum.  (Abort and the barrier live in the world's
+Waiting is quantised: blocked posts and waits wake every ``QUANTUM``
+seconds (or on a notify — :meth:`ShmRing.kick` is how an abort wakes
+them at once) and run a caller-supplied ``poll`` callback *outside* the
+lock — the communicator uses it to drain the caller's own ring
+(progress under back-pressure) and to surface aborts, revocations and
+deaths.  (Abort and the barrier live in the world's
 :class:`~repro.resilience.monitor.ControlState`.)
 
 Resource-tracker notes (CPython 3.11): ``SharedMemory.__init__``
@@ -32,8 +38,10 @@ calls, no leak warnings at interpreter exit.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
+import threading
 import time
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
@@ -47,21 +55,25 @@ from repro.resilience.monitor import QUANTUM
 __all__ = [
     "DEFAULT_RING_CAPACITY",
     "SEG_PREFIX",
-    "make_uid",
+    "Mapping",
+    "Segments",
+    "ShmSegments",
     "ShmRecord",
     "ShmRing",
+    "make_uid",
     "pid_alive",
     "sweep_segments",
 ]
 
-#: ``/dev/shm`` name prefix shared by every segment this module creates
-#: (rings, the control state, window arenas, spill segments).  The leak
-#: fixture and :func:`sweep_segments` key off it.
+#: ``/dev/shm`` name prefix shared by every segment a process world
+#: creates (rings, the control state, window arenas, checkpoints, the
+#: telemetry block).  The leak fixture and :func:`sweep_segments` key
+#: off it.
 SEG_PREFIX = "repro-"
 
 #: Per-rank ring capacity (bytes).  Small enough that the leak fixture
-#: notices an un-unlinked world, large enough that the all-to-all tests
-#: rarely spill.
+#: notices an un-unlinked world, large enough that a message is rarely
+#: cut into parts.
 DEFAULT_RING_CAPACITY = 1 << 20
 
 #: Ring data starts here; bytes 0..16 hold the u64 head/tail counters.
@@ -72,11 +84,11 @@ _RING_HEADER = 64
 #: ``<`` packing: no implicit alignment, 96 bytes total.
 _REC = struct.Struct("<iqQBB8s2x8q")
 
-#: Record kinds: payload bytes follow inline, or the payload lives in a
-#: spill segment whose name (64 bytes, NUL-padded) follows instead.
-_KIND_INLINE = 0
-_KIND_SPILL = 1
-_SPILL_NAME_BYTES = 64
+#: Record kinds: a whole message; the head of a message cut into parts
+#: (``nbytes`` is the whole message's, the body its first ``part``
+#: bytes); a later part (``nbytes`` is this part's).
+_KIND_WHOLE, _KIND_HEAD, _KIND_PART = 0, 1, 2
+_NO_DIMS = (0,) * 8
 
 _uid_counter = 0
 
@@ -90,10 +102,6 @@ def make_uid() -> str:
 
 def _align8(n: int) -> int:
     return (n + 7) & ~7
-
-
-def _attach(name: str) -> SharedMemory:
-    return SharedMemory(name=name, create=False)
 
 
 def quiet_close(shm: SharedMemory) -> None:
@@ -121,9 +129,104 @@ def quiet_close(shm: SharedMemory) -> None:
     shm._mmap = None  # noqa: SLF001
 
 
-@dataclass
+def _unlink(name: str) -> bool:
+    """Unlink the ``/dev/shm`` segment ``name`` if it exists."""
+    try:
+        seg = SharedMemory(name=name, create=False)
+    except (FileNotFoundError, OSError):
+        return False
+    seg.close()
+    try:
+        seg.unlink()
+    except FileNotFoundError:
+        return False
+    return True
+
+
+class Mapping:
+    """One process's mapping of a segment: ``buf``, its bytes as a
+    ``uint8`` array, and :meth:`close`, which drops the mapping (the
+    name stays until the namespace unlinks it)."""
+
+    __slots__ = ("buf", "_shm")
+
+    def __init__(self, buf: np.ndarray, shm: SharedMemory | None = None) -> None:
+        self.buf = buf
+        self._shm = shm
+
+    def close(self) -> None:
+        self.buf = None  # type: ignore[assignment]
+        if self._shm is not None:
+            quiet_close(self._shm)
+
+
+class Segments:
+    """The segment namespace of a thread world: private arrays by name,
+    under a lock, with ``threading`` as ``ctx``.  Each array is an
+    anonymous mapping, zero pages until written, so ring pages that are
+    never written cost no RSS (``np.zeros`` may instead ``memset`` heap
+    memory once the allocator has raised its mmap threshold)."""
+
+    ctx: Any = threading
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def create(self, name: str, nbytes: int) -> Mapping:
+        with self._lock:
+            if name in self._arrays:
+                raise FileExistsError(name)
+            array = np.frombuffer(mmap.mmap(-1, max(1, nbytes)), dtype=np.uint8, count=nbytes)
+            self._arrays[name] = array
+        return Mapping(array)
+
+    def attach(self, name: str) -> Mapping:
+        with self._lock:
+            array = self._arrays.get(name)
+        if array is None:
+            raise FileNotFoundError(name)
+        return Mapping(array)
+
+    def unlink(self, name: str) -> None:
+        """Remove ``name`` if present; holders of a mapping keep theirs."""
+        with self._lock:
+            self._arrays.pop(name, None)
+
+    def names(self) -> list[str]:
+        with self._lock:
+            return sorted(self._arrays)
+
+
+class ShmSegments:
+    """The segment namespace of a process world: ``SharedMemory``
+    segments named ``{uid}{name}``, with the fork context as ``ctx`` —
+    what a rank maps survives its death, and the parent's close-time
+    :func:`sweep_segments` reclaims every name."""
+
+    def __init__(self, uid: str, ctx: Any) -> None:
+        self.uid = uid
+        self.ctx = ctx
+
+    def create(self, name: str, nbytes: int) -> Mapping:
+        shm = SharedMemory(name=self.uid + name, create=True, size=max(1, nbytes))
+        return Mapping(np.frombuffer(shm.buf, dtype=np.uint8, count=nbytes), shm)
+
+    def attach(self, name: str) -> Mapping:
+        shm = SharedMemory(name=self.uid + name, create=False)
+        return Mapping(np.frombuffer(shm.buf, dtype=np.uint8), shm)
+
+    def unlink(self, name: str) -> None:
+        _unlink(self.uid + name)
+
+    def names(self) -> list[str]:
+        prefix = len(self.uid)
+        return sorted(e[prefix:] for e in _listdir() if e.startswith(self.uid))
+
+
+@dataclass(slots=True)
 class ShmRecord:
-    """One drained message: the ring-side analogue of ``Envelope``."""
+    """One drained message."""
 
     source: int
     tag: int
@@ -133,52 +236,58 @@ class ShmRecord:
 class ShmRing:
     """Bounded multi-producer byte ring owned by one receiving rank.
 
-    The segment layout is ``[head u64][tail u64][pad..64][data]``; head
-    and tail are monotonic byte counters (they never wrap, positions
-    do), so ``head - tail`` is always the live byte count.  All counter
-    and data access happens under ``lock``; blocked producers and the
-    draining owner both wait on ``cond`` in ``QUANTUM`` slices.
+    ``buf`` (a segment's ``uint8`` array) is laid out as
+    ``[head u64][tail u64][pad..64][data]``; head and tail are monotonic
+    byte counters (they never wrap, positions do), so ``head - tail`` is
+    always the live byte count.  All counter and data access happens
+    under a lock from ``ctx``; blocked producers and the draining owner
+    both wait on its condition in ``QUANTUM`` slices.
     """
 
-    def __init__(self, name: str, capacity: int, ctx) -> None:
-        self.name = name
-        self.capacity = int(capacity)
-        self.spill_threshold = max(_REC.size + _SPILL_NAME_BYTES, self.capacity // 4)
-        self.shm = SharedMemory(name=name, create=True, size=_RING_HEADER + self.capacity)
+    def __init__(self, buf: np.ndarray, ctx: Any) -> None:
+        self.capacity = (buf.size - _RING_HEADER) & ~7
+        #: Records up to this size go whole; a longer message is cut
+        #: into records of exactly this size (the last one shorter).
+        self.threshold = max(_REC.size + 8, self.capacity // 4)
+        self.part = (self.threshold - _REC.size) & ~7
         self.lock = ctx.Lock()
         self.cond = ctx.Condition(self.lock)
-        self._spill_seq = 0
-        self._map_views()
-
-    def _map_views(self) -> None:
-        self._ctr = np.frombuffer(self.shm.buf, dtype=np.uint64, count=2)
-        self._data = np.frombuffer(
-            self.shm.buf, dtype=np.uint8, count=self.capacity, offset=_RING_HEADER
-        )
+        # Counters and headers through memoryviews: plain ints and bytes,
+        # not NumPy scalars; payloads through the NumPy view.
+        self._ctr = memoryview(buf[:16]).cast("Q")
+        self._data = buf[_RING_HEADER : _RING_HEADER + self.capacity]
+        self._bytes = memoryview(self._data)
+        #: Owner side: source -> [source, tag, bytes, filled, dtype, shape]
+        #: of a message whose parts are still arriving.
+        self._partial: dict[int, list] = {}
+        #: Owner side: record dtype field -> dtype, filled as records arrive.
+        self._dtypes: dict[bytes, np.dtype] = {}
+        #: Poster side: dtype -> record dtype field.
+        self._dtype_strs: dict[np.dtype, bytes] = {}
 
     # -- byte-level helpers (caller holds the lock) ------------------------------------
 
     def _write(self, pos: int, raw: np.ndarray) -> None:
         """Copy ``raw`` bytes in at monotonic position ``pos`` (wrap-aware)."""
         n = raw.size
-        if n == 0:
+        at = pos % self.capacity
+        if at + n <= self.capacity:
+            self._data[at : at + n] = raw
             return
-        at = pos % self.capacity
-        first = min(n, self.capacity - at)
-        self._data[at : at + first] = raw[:first]
-        if first < n:
-            self._data[: n - first] = raw[first:]
+        first = self.capacity - at
+        self._data[at:] = raw[:first]
+        self._data[: n - first] = raw[first:]
 
-    def _read(self, pos: int, n: int) -> np.ndarray:
-        """Copy ``n`` bytes out at monotonic position ``pos`` (wrap-aware)."""
-        out = np.empty(n, dtype=np.uint8)
-        if n == 0:
-            return out
+    def _read(self, pos: int, out: np.ndarray) -> np.ndarray:
+        """Copy ``out.size`` bytes out at monotonic position ``pos`` (wrap-aware)."""
+        n = out.size
         at = pos % self.capacity
-        first = min(n, self.capacity - at)
-        out[:first] = self._data[at : at + first]
-        if first < n:
-            out[first:] = self._data[: n - first]
+        if at + n <= self.capacity:
+            out[:] = self._data[at : at + n]
+            return out
+        first = self.capacity - at
+        out[:first] = self._data[at:]
+        out[first:] = self._data[: n - first]
         return out
 
     # -- posting -----------------------------------------------------------------------
@@ -191,152 +300,159 @@ class ShmRing:
         *,
         timeout: float | None,
         poll: Callable[[], None] | None = None,
+    ) -> None:
+        """Append one message: one record, or — longer than a quarter of
+        the ring — a head record and its parts, all posted before this
+        rank's next message, so order per (source, tag) holds."""
+        arr = np.ascontiguousarray(data)
+        dtype_str = self._dtype_strs.get(arr.dtype)
+        if dtype_str is None:
+            dtype_str = arr.dtype.str.encode("ascii")
+            if len(dtype_str) > 8 or arr.dtype.hasobject:
+                raise CommunicatorError(
+                    f"unsupported dtype {arr.dtype} for shared-memory transport"
+                )
+            self._dtype_strs[arr.dtype] = dtype_str
+        ndim = arr.ndim
+        if ndim > 8:
+            raise CommunicatorError(f"ndim {ndim} > 8 unsupported by ring records")
+        payload = arr.reshape(-1).view(np.uint8)
+        shape = arr.shape + _NO_DIMS[ndim:]
+        if _REC.size + _align8(payload.size) <= self.threshold:
+            header = _REC.pack(source, tag, payload.size, _KIND_WHOLE, ndim, dtype_str, *shape)
+            self._put(header, payload, timeout, poll)
+            return
+        part = self.part
+        header = _REC.pack(source, tag, payload.size, _KIND_HEAD, ndim, dtype_str, *shape)
+        self._put(header, payload[:part], timeout, poll)
+        for at in range(part, payload.size, part):
+            body = payload[at : at + part]
+            header = _REC.pack(source, tag, body.size, _KIND_PART, 0, b"", *_NO_DIMS)
+            self._put(header, body, timeout, poll)
+
+    def _put(
+        self,
+        header: bytes,
+        body: np.ndarray,
+        timeout: float | None,
+        poll: Callable[[], None] | None,
         quantum: float = QUANTUM,
     ) -> None:
-        """Append one message; blocks (in quanta) while the ring is full.
+        """Append one record; blocks (in quanta) while the ring is full.
 
-        ``poll`` runs outside the lock each quantum — the process
-        runtime drains the *poster's own* ring there, so two ranks
-        flooding each other always make progress, and aborts surface
-        within one quantum.  A full ring past the deadline raises
+        ``poll`` runs outside the lock each quantum — the communicator
+        drains the *poster's own* ring there, so two ranks flooding each
+        other always make progress, and aborts surface within one
+        quantum.  A full ring past the deadline raises
         :class:`StallError` (the receiver is dead, wedged or just never
         receiving).
         """
-        arr = np.ascontiguousarray(data)
-        dtype_str = arr.dtype.str.encode("ascii")
-        if len(dtype_str) > 8 or arr.dtype.hasobject:
-            raise CommunicatorError(
-                f"unsupported dtype {arr.dtype} for shared-memory transport"
-            )
-        if arr.ndim > 8:
-            raise CommunicatorError(f"ndim {arr.ndim} > 8 unsupported by ring records")
-        flat = arr.reshape(-1)
-        payload = flat.view(np.uint8) if flat.size else np.empty(0, dtype=np.uint8)
-        shape = list(arr.shape) + [0] * (8 - arr.ndim)
-
-        spill: SharedMemory | None = None
-        body: np.ndarray
-        if _REC.size + _align8(payload.size) > self.spill_threshold:
-            # Oversized: park the payload in a one-shot segment; the
-            # record carries its name and the receiver unlinks it.
-            self._spill_seq += 1
-            spill_name = f"{self.name}x{os.getpid():x}-{self._spill_seq:x}"
-            spill = SharedMemory(name=spill_name, create=True, size=max(1, payload.size))
-            np.frombuffer(spill.buf, dtype=np.uint8, count=payload.size)[:] = payload
-            body = np.zeros(_SPILL_NAME_BYTES, dtype=np.uint8)
-            encoded = spill_name.encode("ascii")
-            body[: len(encoded)] = np.frombuffer(encoded, dtype=np.uint8)
-            kind = _KIND_SPILL
-        else:
-            body = payload
-            kind = _KIND_INLINE
-
-        header = np.frombuffer(
-            _REC.pack(source, tag, payload.size, kind, arr.ndim, dtype_str, *shape),
-            dtype=np.uint8,
-        )
         need = _REC.size + _align8(body.size)
-        if need > self.capacity:
-            raise CommunicatorError(
-                f"record of {need} B exceeds ring capacity {self.capacity} B"
-            )
+        cap = self.capacity
         start = time.monotonic()
         deadline = None if timeout is None else start + timeout
-        try:
-            while True:
-                with self.cond:
-                    head, tail = int(self._ctr[0]), int(self._ctr[1])
-                    if self.capacity - (head - tail) >= need:
-                        self._write(head, header)
+        while True:
+            with self.cond:
+                head, tail = self._ctr
+                if cap - (head - tail) >= need:
+                    at = head % cap
+                    if at + need <= cap:  # the whole record in one piece
+                        self._bytes[at : at + _REC.size] = header
+                        self._data[at + _REC.size : at + _REC.size + body.size] = body
+                    else:
+                        self._write(head, np.frombuffer(header, dtype=np.uint8))
                         self._write(head + _REC.size, body)
-                        self._ctr[0] = head + need
-                        self.cond.notify_all()
-                        spill = None  # ownership transferred to the receiver
-                        return
-                    now = time.monotonic()
-                    if deadline is not None and now >= deadline:
-                        raise StallError(
-                            f"send to rank-ring {self.name} stalled: ring full for "
-                            f"{now - start:.3f}s (limit {timeout}s) — receiver dead, "
-                            "wedged, or not receiving"
-                        )
-                    wait_t = quantum if deadline is None else min(quantum, deadline - now)
-                    self.cond.wait(timeout=wait_t)
-                if poll is not None:
-                    poll()
-        finally:
-            if spill is not None:  # never enqueued: reclaim the segment
-                spill.close()
-                spill.unlink()
+                    self._ctr[0] = head + need
+                    self.cond.notify_all()
+                    return
+                now = time.monotonic()
+                if deadline is not None and now >= deadline:
+                    raise StallError(
+                        f"send to a rank's ring stalled: ring full for "
+                        f"{now - start:.3f}s (limit {timeout}s) — receiver dead, "
+                        "wedged, or not receiving"
+                    )
+                wait_t = quantum if deadline is None else min(quantum, deadline - now)
+                self.cond.wait(timeout=wait_t)
+            if poll is not None:
+                poll()
 
     # -- draining (owner only) ----------------------------------------------------------
 
     def drain(self) -> list[ShmRecord]:
-        """Pop every queued record (posting order preserved), never blocks."""
-        raws: list[tuple[int, int, np.ndarray | str, bytes, int, tuple[int, ...], int]] = []
+        """Pop every queued record, never blocks; returns the messages
+        they complete, in posting order.  A part is copied straight into
+        its message, allocated once by the head; a message abandoned
+        before its last part (its sender unwound) is dropped by the
+        sender's next head or whole record."""
+        if self._ctr[0] == self._ctr[1]:  # a stale read only defers to the next drain
+            return []
+        done: list = []
+        cap, partial = self.capacity, self._partial
         with self.cond:
-            head, tail = int(self._ctr[0]), int(self._ctr[1])
+            head, tail = self._ctr
             while tail < head:
-                hdr = self._read(tail, _REC.size)
-                source, tag, nbytes, kind, ndim, dtype_b, *dims = _REC.unpack(hdr.tobytes())
-                if kind == _KIND_SPILL:
-                    name_raw = self._read(tail + _REC.size, _SPILL_NAME_BYTES)
-                    payload: np.ndarray | str = name_raw.tobytes().rstrip(b"\x00").decode()
-                    body_size = _SPILL_NAME_BYTES
+                at = tail % cap
+                if at + _REC.size <= cap:
+                    fields = _REC.unpack_from(self._bytes, at)
                 else:
-                    payload = self._read(tail + _REC.size, nbytes)
-                    body_size = nbytes
-                raws.append((source, tag, payload, dtype_b, ndim, tuple(dims[:ndim]), nbytes))
-                tail += _REC.size + _align8(body_size)
-            if raws:
-                self._ctr[1] = tail
-                self.cond.notify_all()  # wake producers blocked on a full ring
+                    fields = _REC.unpack(self._read(tail, np.empty(_REC.size, np.uint8)))
+                source, tag, nbytes, kind, ndim, dtype_b = fields[:6]
+                tail += _REC.size
+                if kind == _KIND_PART:
+                    msg = partial.get(source)
+                    if msg is not None:
+                        flat, filled = msg[2], msg[3]
+                        self._read(tail, flat[filled : filled + nbytes])
+                        msg[3] += nbytes
+                        if msg[3] == flat.size:
+                            done.append(partial.pop(source))
+                    tail += _align8(nbytes)
+                    continue
+                body = nbytes if kind == _KIND_WHOLE else self.part
+                flat = np.empty(nbytes, dtype=np.uint8)
+                self._read(tail, flat[:body])
+                tail += _align8(body)
+                msg = (source, tag, flat, body, dtype_b, fields[6 : 6 + ndim])
+                if kind == _KIND_HEAD:
+                    partial[source] = list(msg)
+                else:
+                    if partial:
+                        partial.pop(source, None)
+                    done.append(msg)
+            self._ctr[1] = tail
+            self.cond.notify_all()  # wake producers blocked on a full ring
         out: list[ShmRecord] = []
-        for source, tag, payload, dtype_b, ndim, shape, nbytes in raws:
-            if isinstance(payload, str):  # resolve a spill outside the ring lock
-                seg = _attach(payload)
-                try:
-                    flat = np.frombuffer(seg.buf, dtype=np.uint8, count=nbytes).copy()
-                finally:
-                    seg.close()
-                    seg.unlink()
-            else:
-                flat = payload
-            dtype = np.dtype(dtype_b.rstrip(b"\x00").decode("ascii"))
-            arr = flat.view(dtype).reshape(shape) if nbytes else np.empty(shape, dtype=dtype)
+        for source, tag, flat, _, dtype_b, shape in done:
+            dtype = self._dtypes.get(dtype_b)
+            if dtype is None:
+                dtype = self._dtypes[dtype_b] = np.dtype(dtype_b.rstrip(b"\x00").decode("ascii"))
+            arr = flat.view(dtype).reshape(shape) if flat.size else np.empty(shape, dtype=dtype)
             out.append(ShmRecord(source, tag, arr))
         return out
 
-    def wait(
-        self,
-        timeout: float,
-        *,
-        poll: Callable[[], None] | None = None,
-        quantum: float = QUANTUM,
-    ) -> None:
-        """Park until new bytes arrive, one quantum at most; then poll."""
+    def wait(self, timeout: float, *, quantum: float = QUANTUM) -> None:
+        """Park until new bytes arrive or a :meth:`kick`, one quantum at most."""
         with self.cond:
-            if int(self._ctr[0]) > int(self._ctr[1]):
+            if self._ctr[0] > self._ctr[1]:
                 return
             self.cond.wait(timeout=min(quantum, max(0.0, timeout)))
-        if poll is not None:
-            poll()
 
-    # -- lifecycle -----------------------------------------------------------------------
+    def kick(self) -> None:
+        """Wake everyone parked on this ring (an abort).  Never blocks on
+        a lock a dead rank took with it: a ring that stays locked for a
+        quantum is left to its waiters' own quantum."""
+        if self.cond.acquire(True, QUANTUM):
+            try:
+                self.cond.notify_all()
+            finally:
+                self.cond.release()
 
     def detach(self) -> None:
-        """Drop the NumPy views and close this process's mapping."""
-        self._ctr = None  # type: ignore[assignment]
+        """Drop the views of the segment (before its mapping closes)."""
+        self._ctr.release()
+        self._bytes.release()
         self._data = None  # type: ignore[assignment]
-        quiet_close(self.shm)
-
-    def destroy(self) -> None:
-        """Owner-side teardown: detach and unlink the segment."""
-        self.detach()
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
 
 
 def pid_alive(pid: int) -> bool:
@@ -365,29 +481,20 @@ def pid_alive(pid: int) -> bool:
         return True
 
 
+def _listdir() -> list[str]:
+    return os.listdir("/dev/shm") if os.path.isdir("/dev/shm") else []
+
+
 def sweep_segments(uid: str) -> list[str]:
     """Unlink every leftover ``/dev/shm`` segment of world ``uid``.
 
-    The crash backstop behind the leak-clean guarantee: spill segments
-    whose receiver died, window arenas whose ranks never freed them.
-    Attach + unlink (rather than a bare ``os.unlink``) keeps the shared
-    resource tracker's ledger balanced.  Returns the names removed.
+    The crash backstop behind the leak-clean guarantee: window arenas
+    whose ranks never freed them, checkpoints, anything a dead rank
+    left.  Attach + unlink (rather than a bare ``os.unlink``) keeps the
+    shared resource tracker's ledger balanced.  Returns the names
+    removed.
     """
-    shm_dir = "/dev/shm"
-    removed: list[str] = []
-    if not os.path.isdir(shm_dir):  # non-Linux: nothing scannable
-        return removed
-    for entry in os.listdir(shm_dir):
-        if not entry.startswith(uid):
-            continue
-        try:
-            seg = _attach(entry)
-            seg.close()
-            seg.unlink()
-            removed.append(entry)
-        except (FileNotFoundError, OSError):
-            continue
-    return removed
+    return [entry for entry in _listdir() if entry.startswith(uid) and _unlink(entry)]
 
 
 def fork_available() -> bool:

@@ -13,38 +13,35 @@ Usage::
 
     results = run_spmd(4, kernel, 1024)   # list of per-rank returns
 
-Failure model: the one both runtimes share (:mod:`repro.runtime.base`,
-:mod:`repro.resilience.monitor`), over a private
-:class:`~repro.resilience.monitor.ControlState` — no ``/dev/shm`` entry,
-no ``multiprocessing`` primitive.  What is the thread runtime's own: a
+The substrate is the one :class:`~repro.runtime.base.World` writes for
+both launchers — rings, window arenas and checkpoints in a segment
+namespace — over :class:`~repro.runtime.shm.Segments`, private
+anonymous mappings, and a private
+:class:`~repro.resilience.monitor.ControlState`: no ``/dev/shm`` entry,
+no ``multiprocessing`` primitive.  What is the thread launcher's own: a
 rank is *gone* when its thread has exited; an injected ``kill`` unwinds
 the victim's thread with :class:`~repro.errors.RankKilledError` after
-recording the death; a survivor world is a fresh set of mailboxes one
-generation up over the same control state.
+recording the death.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.errors import RankFailureError, RankHungError, RankKilledError
 from repro.faults import FaultInjector, FaultPlan
 from repro.resilience.monitor import ControlState, FailureReport
 from repro.runtime.base import DEFAULT_TIMEOUT, Comm, World
-from repro.runtime.mailbox import Envelope, Mailbox
-from repro.runtime.window import Window
+from repro.runtime.shm import DEFAULT_RING_CAPACITY, Segments
 from repro.telemetry.blackbox import emit_blackbox
 from repro.trace import bind_rank as trace_bind_rank
 
-__all__ = ["ThreadWorld", "ThreadComm", "run_spmd"]
+__all__ = ["ThreadWorld", "run_spmd"]
 
 
 class ThreadWorld(World):
-    """Shared state of one SPMD execution (mailboxes, windows).
+    """The thread launcher of one SPMD execution.
 
     Pass ``faults`` (a :class:`~repro.faults.FaultPlan` or a prebuilt
     :class:`~repro.faults.FaultInjector`) to run the world under
@@ -73,10 +70,6 @@ class ThreadWorld(World):
         suspect_after: float | None = None,
     ) -> None:
         super().__init__(nranks, timeout, suspect_after)
-        self.mailboxes = [Mailbox(r) for r in range(nranks)]
-        self._win_lock = threading.Lock()
-        self._win_registry: dict[Any, list[Any]] = {}
-        self._win_counter: dict[int, int] = {}
         if faults is None or isinstance(faults, FaultInjector):
             self.injector = faults
         else:
@@ -85,10 +78,8 @@ class ThreadWorld(World):
         #: the survivor worlds: the watchdog asks it who is gone).
         self._threads: dict[int, threading.Thread] = {}
         self._watch(ControlState(nranks))
-        #: World-shared key/value store surviving rank death (see
-        #: repro.resilience.checkpoint — the "burst buffer").
-        self.store: dict[Any, Any] = {}
-        self.store_lock = threading.Lock()
+        self.segments = Segments()
+        self._lay_out(DEFAULT_RING_CAPACITY)
 
     def _gone(self, rank: int) -> str | None:
         thread = self._threads.get(rank)
@@ -101,68 +92,16 @@ class ThreadWorld(World):
             f"thread-world rank failure: {report.summary()}", failure_report=report
         )
 
-    # -- abort handling ----------------------------------------------------------
-
-    def abort(self, reason: str, cause: BaseException | None = None) -> None:
-        """Abort, chaining ``cause`` (the aborting rank's exception) onto
-        every peer's :class:`RuntimeAbort`, and wake blocked receivers
-        now: the abort word notifies barrier waiters only."""
-        root = self.root
-        if self.abort_reason() is None:
-            root._abort_cause = cause
-        super().abort(reason)
-        with root._shrink_lock:  # a peer may be shrinking right now
-            worlds = (root, *root._shrunk.values())
-        for world in worlds:
-            for mb in world.mailboxes:
-                mb.kick()
-
-    # -- collective window creation ------------------------------------------------
-
-    def create_window(self, comm: "ThreadComm", nbytes: int) -> Window:
-        """Collective: every rank contributes its exposed buffer size.
-
-        Each rank holds the entry it filled in, not its registry key: a
-        peer past the synchronisation may release the window (it ended,
-        or died) before a slower rank looks it up.
-        """
-        rank = comm.rank
-        with self._win_lock:
-            win_id = self._win_counter.get(rank, 0)
-            self._win_counter[rank] = win_id + 1
-            buffers = self._win_registry.setdefault(win_id, [None] * self.nranks)
-            buffers[rank] = np.zeros(max(0, int(nbytes)), dtype=np.uint8)
-            locks = self._win_registry.setdefault(
-                ("locks", win_id), [threading.Lock() for _ in range(self.nranks)]
-            )
-        comm._sync()  # all contributions visible
-        return Window(self, comm, list(buffers), locks, win_id=win_id)
-
-    def release_window(self, win_id: int) -> None:
-        """Deregister a freed window's buffers and locks (idempotent).
-
-        Called by :meth:`Window.free` on every rank after its closing
-        barrier, so no rank can still be touching the entries.  Without
-        this the registry leaked every buffer and per-window lock for
-        the lifetime of the world.
-        """
-        with self._win_lock:
-            self._win_registry.pop(win_id, None)
-            self._win_registry.pop(("locks", win_id), None)
-
-    # -- shrink (ULFM MPIX_Comm_shrink analogue) --------------------------------------
-
-    def _survivor_world(self, members: tuple[int, ...], gen: int) -> "ThreadWorld":
-        """Fresh mailboxes for the survivor count, no fault plan (the
-        injected episode is over), over this world's
-        control state, threads and burst-buffer store — checkpoints
-        written before the failure stay reachable."""
-        world = ThreadWorld(len(members), timeout=self.timeout, suspect_after=self.suspect_after)
-        world.root, world.members, world.gen = self, members, gen
-        world._threads = self._threads
-        world._watch(self.state)
-        world.store, world.store_lock = self.store, self.store_lock
-        return world
+    def _kill(self, comm: Comm, op: str) -> None:
+        """Injected ``kill``: record the death, revoke, unwind this thread."""
+        me = comm._me
+        comm._watchdog.declare_failed(
+            comm.rank, "kill", f"injected kill at {op}", classification="dead"
+        )
+        self.state.revoke(f"rank {me} killed at {op}", comm._gen)
+        raise RankKilledError(
+            f"rank {me} killed by fault injection at {op}", report=comm.failure_report()
+        )
 
     # -- execution -------------------------------------------------------------------
 
@@ -183,7 +122,7 @@ class ThreadWorld(World):
         err_lock = threading.Lock()
 
         def body(rank: int) -> None:
-            comm = ThreadComm(self, rank)
+            comm = Comm(self, rank)
             trace_bind_rank(rank)  # spans on this thread attribute to its rank
             try:
                 results[rank] = fn(comm, *args, **kwargs)
@@ -209,15 +148,17 @@ class ThreadWorld(World):
             threading.Thread(target=body, args=(r,), name=f"spmd-rank-{r}", daemon=True)
             for r in range(self.nranks)
         ]
-        # A new epoch: the last run's survivor worlds retire, the
-        # watchdog learns the new threads (not yet started is not gone)
-        # and is armed before the first of them can scan.
+        # A new epoch: the last run's survivor worlds retire and the
+        # watchdog is armed before the first thread can scan.  It learns
+        # a thread only once ``start()`` has returned: a thread that has
+        # its ident but is not yet marked started reads as not alive, so
+        # a peer scanning then would declare it dead.
         self._shrunk.clear()
         self._threads.clear()
-        self._threads.update(enumerate(threads))
         self.monitor.start()
-        for t in threads:
+        for rank, t in enumerate(threads):
             t.start()
+            self._threads[rank] = t
         for rank, t in enumerate(threads):
             t.join(timeout=self.timeout * 2)
             if t.is_alive():
@@ -240,51 +181,6 @@ class ThreadWorld(World):
             emit_blackbox(f"thread-world abort: rank {rank} raised {type(exc).__name__}")
             raise exc
         return results
-
-
-class ThreadComm(Comm):
-    """Per-thread communicator handle: mailbox transport."""
-
-    world: ThreadWorld
-
-    def _kill_self(self, op: str) -> None:
-        """Injected ``kill``: record the death, revoke, unwind this thread."""
-        me = self._me
-        self._watchdog.declare_failed(
-            self.rank, "kill", f"injected kill at {op}", classification="dead"
-        )
-        self._state.revoke(f"rank {me} killed at {op}", self._gen)
-        raise RankKilledError(
-            f"rank {me} killed by fault injection at {op}", report=self.failure_report()
-        )
-
-    # -- point to point -------------------------------------------------------------
-
-    def send(self, data: np.ndarray, dest: int, tag: int = 0) -> None:
-        self._check_rank(dest)
-        self._pre("send", dest)
-        payload = np.ascontiguousarray(data).copy()  # buffered semantics
-        injector = self.world.injector
-        if injector is not None:
-            delay = injector.straggle_delay(self.rank)
-            if delay > 0.0:
-                time.sleep(delay)
-            action = injector.p2p_action(self.rank, dest, tag)
-            if action == "drop":
-                return
-            self.world.mailboxes[dest].post(Envelope(self.rank, tag, payload))
-            if action == "duplicate":
-                self.world.mailboxes[dest].post(Envelope(self.rank, tag, payload.copy()))
-            return
-        self.world.mailboxes[dest].post(Envelope(self.rank, tag, payload))
-
-    def _match(self, source: int, tag: int, limit: float) -> np.ndarray:
-        mailbox = self.world.mailboxes[self.rank]
-        return mailbox.match(source, tag, limit, poll=self._progress).payload
-
-    def _probe(self, source: int, tag: int) -> bool:
-        self.world.check_abort()
-        return self.world.mailboxes[self.rank].peek(source, tag)
 
 
 def run_spmd(

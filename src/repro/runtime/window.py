@@ -17,16 +17,17 @@ Mirrors the active-target subset of the MPI-3 RMA model the paper's
   :class:`~repro.collectives.slots.SlotTransport`, which reuses one
   across repeated exchanges.
 
-Implementation notes: a put is a locked ``memcpy`` into the target's
-buffer — a thread runtime's private array or a view of the process
-runtime's shared-memory arena.  Per-target mutexes prevent torn writes
-when two origins touch the same target concurrently (MPI leaves
-overlapping puts undefined; we keep them merely atomic per call).
+Implementation notes: a window's buffers are slices of one arena, a
+segment of the world's namespace (:meth:`~repro.runtime.base.World.create_window`)
+— a private array on rank threads, shared memory on forked ranks.  A put
+is a locked ``memcpy`` into the target's slice; the world's per-target
+mutexes prevent torn writes when two origins touch the same target
+concurrently (MPI leaves overlapping puts undefined; we keep them merely
+atomic per call).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from functools import partial
 
@@ -72,25 +73,28 @@ class Window:
 
     def __init__(
         self,
-        world: "ThreadWorld",  # noqa: F821
+        world: "World",  # noqa: F821
         comm,
         buffers: list[np.ndarray],
-        locks: list[threading.Lock],
-        win_id: int | None = None,
+        locks: list,
+        win_id: int,
+        arena: tuple,
     ) -> None:
         self._world = world
         self._comm = comm
         self._buffers = buffers
         self._locks = locks
         self._win_id = win_id
+        #: (name, this rank's mapping, whether this rank created it)
+        self._arena = arena
         self._freed = False
         self._epoch_open = False
 
     @property
     def win_id(self) -> int:
         """The world's number for this window: the same on every rank
-        (creation is collective) and never reused by the world."""
-        return self._win_id or 0
+        (creation is collective) and never reused by its communicator."""
+        return self._win_id
 
     # -- local access -----------------------------------------------------------
 
@@ -159,13 +163,8 @@ class Window:
     # -- lifecycle -------------------------------------------------------------------
 
     def free(self) -> None:
-        """Collectively release the window and deregister its buffers.
-
-        After the closing barrier no rank can still be inside a put
-        on this window, so the world's registry entries (the exposed
-        buffers *and* the per-target locks) are dropped — previously
-        they leaked for the lifetime of the world.
-        """
+        """Collectively release the window: after the closing barrier no
+        rank can still be inside a put on it, and its arena goes."""
         self._check_alive()
         if not getattr(self._world, "halted", False):
             # On an aborted/revoked world the closing barrier can never
@@ -180,20 +179,20 @@ class Window:
         For a window that dies with its communicator (a run ends, a
         shrink retires it): peers may still hold their own handles and
         finish a put through them — they keep the buffers alive — but
-        this rank is done with it.  Idempotent.
+        this rank is done with it.  This rank's mapping of the arena
+        closes; the creating rank unlinks its name.  Idempotent.
         """
         if self._freed:
             return
         self._freed = True
-        # Views first, backing store second: on the process runtime the
-        # buffers are NumPy views of a SharedMemory arena, and the arena
-        # cannot close while exports are live.
+        # Views first, mapping second: a shared-memory mapping cannot
+        # close while NumPy exports of it are live.
         self._buffers = []
         self._locks = []
-        if self._win_id is not None:
-            release = getattr(self._world, "release_window", None)
-            if release is not None:
-                release(self._win_id)
+        name, mapping, creator = self._arena
+        mapping.close()
+        if creator:
+            self._world.segments.unlink(name)
 
     def _check_alive(self) -> None:
         if self._freed:

@@ -47,6 +47,12 @@ if not fork_available():  # pragma: no cover - non-POSIX
     RUNTIMES = tuple(r for r in RUNTIMES if r != "proc")
 
 
+def _arenas(world) -> list[str]:
+    """The window arenas left in a thread world's segment namespace
+    (survivor worlds share it)."""
+    return [name for name in world.segments.names() if name.startswith("w")]
+
+
 def _field(shape, seed=0, batch=()):
     rng = np.random.default_rng(seed)
     full = tuple(batch) + tuple(shape)
@@ -514,7 +520,7 @@ class TestBindingLifetime:
             plan = Fft3d(shape, p, codec=CastCodec("fp32") if i % 2 else None)
             blocks = plan.scatter(x)
             world.run(lambda comm: plan.forward_spmd(comm, blocks[comm.rank]))
-            assert world._win_registry == {}
+            assert _arenas(world) == []
             if i in (9, 49):
                 marks.append(rss_mb())
         # a leaked binding is >= 1 MiB of window per plan (40 plans apart)
@@ -532,7 +538,7 @@ class TestBindingLifetime:
                 plan.release(comm)  # collective
                 plan.release(comm)  # idempotent
                 comm.barrier()
-                live.append((len(comm.attrs), len(comm.world._win_registry)))
+                live.append((len(comm.attrs), len(_arenas(comm.world))))
                 comm.barrier()  # nobody binds the next plan before all have looked
             return live, y
 
@@ -612,8 +618,7 @@ class TestRecoveryOnABoundPlan:
         tol = 1e-12 if codec is None else 3 * fft.plan.guaranteed_tolerance
         assert np.linalg.norm(full - data) <= tol * np.linalg.norm(data)
         if runtime == "thread":
-            assert world._win_registry == {}
-            assert all(w._win_registry == {} for w in world._shrunk.values())
+            assert _arenas(world) == []
         else:
             assert glob.glob(f"/dev/shm/{world.uid}*") == []
             assert mp.active_children() == []
@@ -657,8 +662,7 @@ class TestRecoveryOnABoundPlan:
             want = plan.backward(plan.forward(want))
         assert np.array_equal(full, plan.forward(want))
         if runtime == "thread":
-            assert world._win_registry == {}
-            assert all(w._win_registry == {} for w in world._shrunk.values())
+            assert _arenas(world) == []
         else:
             assert glob.glob(f"/dev/shm/{world.uid}*") == []
             assert mp.active_children() == []
@@ -673,16 +677,16 @@ def _stage_marks(fft: ResilientFft3d, data, runtime, monkeypatch) -> list[int]:
     mark fires at rank 1's last op of stage ``k``: every rank has passed
     stage ``k``'s checkpoint (rank 1's stage began with a collective) and
     rank 1 never takes stage ``k + 1``'s, so the restart is from ``k``."""
-    from repro.resilience.checkpoint import CheckpointStore, ShmCheckpointStore
+    from repro.resilience.checkpoint import CheckpointStore
 
     marks, injectors = [], {}
-    for cls in (CheckpointStore, ShmCheckpointStore):
-        def save(store, key, block, meta=None, _original=cls.save):
-            if key[3] == 1:
-                marks.append(injectors[1]._ops.get(("kill", 1), 0))
-            return _original(store, key, block, meta)
 
-        monkeypatch.setattr(cls, "save", save)
+    def save(store, key, block, meta=None, _original=CheckpointStore.save):
+        if key[3] == 1:
+            marks.append(injectors[1]._ops.get(("kill", 1), 0))
+        return _original(store, key, block, meta)
+
+    monkeypatch.setattr(CheckpointStore, "save", save)
     probe = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=10**9)])
 
     def kernel(comm):

@@ -200,8 +200,14 @@ class TestAgreement:
 
 
 class TestCheckpointStore:
+    """The one store, over a thread world's segment namespace."""
+
+    @staticmethod
+    def _store():
+        return CheckpointStore(ThreadWorld(2).segments)
+
     def test_save_load_roundtrip(self, rng):
-        store = CheckpointStore()
+        store = self._store()
         block = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
         store.save(("t", 0), block)
         out = store.load(("t", 0))
@@ -210,28 +216,24 @@ class TestCheckpointStore:
 
     def test_missing_key(self):
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            CheckpointStore().load("nope")
+            self._store().load("nope")
 
     def test_corruption_detected(self, rng):
-        backing: dict = {}
-        import threading
-
-        store = CheckpointStore(backing, threading.Lock())
+        store = self._store()
         store.save("k", rng.standard_normal(16))
-        frame = backing["k"].copy()
-        frame[len(frame) // 2] ^= 0xFF  # flip payload bits; CRC must catch it
-        backing["k"] = frame
+        seg = store.segments.attach(store._segment("k"))
+        seg.buf[seg.buf.size - 64] ^= 0xFF  # flip payload bits; CRC must catch it
         with pytest.raises(CheckpointError, match="failed validation"):
             store.load("k")
 
     def test_last_complete_stage_requires_all_ranks(self, rng):
-        store = CheckpointStore()
+        store = self._store()
         block = rng.standard_normal(4)
         for r in range(3):
             store.save(("fft3d", 3, 0, r), block)
         store.save(("fft3d", 3, 1, 0), block)  # stage 1 incomplete (rank 1/2 missing)
         assert store.last_complete_stage("fft3d", 3) == 0
-        assert CheckpointStore().last_complete_stage("fft3d", 3) is None
+        assert self._store().last_complete_stage("fft3d", 3) is None
 
 
 # -- ABFT reshape checksums ---------------------------------------------------------
@@ -562,10 +564,16 @@ class TestProcKillRecovery:
 
 @needs_fork
 class TestShmCheckpointStore:
-    def _store(self):
-        from repro.resilience.checkpoint import ShmCheckpointStore
+    """The one store, over a process world's kind of namespace: named
+    ``/dev/shm`` segments, durable across the writer's death."""
 
-        return ShmCheckpointStore(f"reprotest{np.random.randint(1 << 30):x}")
+    def _store(self):
+        import multiprocessing as mp
+
+        from repro.runtime.shm import ShmSegments
+
+        uid = f"reprotest{np.random.randint(1 << 30):x}"
+        return CheckpointStore(ShmSegments(uid, mp.get_context("fork")))
 
     def _cleanup(self, store, keys):
         for key in keys:
@@ -614,7 +622,7 @@ class TestShmCheckpointStore:
         try:
             store.save(key, np.ones(16))
             # Simulate a writer SIGKILLed mid-save: committed length zeroed.
-            seg = SharedMemory(name=store._segment(key), create=False)
+            seg = SharedMemory(name=store.segments.uid + store._segment(key), create=False)
             seg.buf[:8] = b"\x00" * 8
             seg.close()
             assert not store.has(key)
@@ -659,20 +667,15 @@ class TestShmCheckpointStore:
             self._cleanup(store, [key])
 
     def test_for_comm_dispatch(self):
-        """Thread comms get the dict store; proc comms the shm store."""
-        from repro.resilience.checkpoint import ShmCheckpointStore
+        """Thread comms and proc comms get the one store class, over their
+        world's namespace."""
         from repro.runtime.proc import ProcessWorld
 
-        def thread_kernel(comm):
-            return type(CheckpointStore.for_comm(comm)).__name__
-
-        assert run_spmd(2, thread_kernel) == ["CheckpointStore"] * 2
-
-        def proc_kernel(comm):
-            store = CheckpointStore.for_comm(comm)
-            name = type(store).__name__
+        def kernel(comm):
+            store = CheckpointStore(comm.world.segments)
             store.close()
-            return name
+            return type(store).__name__, type(comm.world.segments).__name__
 
+        assert run_spmd(2, kernel) == [("CheckpointStore", "Segments")] * 2
         with ProcessWorld(2, timeout=20.0) as world:
-            assert world.run(proc_kernel) == ["ShmCheckpointStore"] * 2
+            assert world.run(kernel) == [("CheckpointStore", "ShmSegments")] * 2

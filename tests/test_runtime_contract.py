@@ -517,12 +517,21 @@ class TestWindowContract:
 
     def test_process_faults_fire_on_reserve_entry(self, runtime):
         """``kill`` lands in the preamble of the reservation (the beacon
-        and fault hook a put runs), before the lock is taken."""
+        and fault hook a put runs), before the lock is taken.  Rank 1
+        reserves only once rank 0 has written and said so: a thread
+        rank's kill revokes the world at once."""
         from repro.faults import FaultPlan, FaultRule
 
         def kernel(comm, probe):
             win = comm.win_create(16)
             win.fence()
+            if comm.rank == 0:
+                if not probe:
+                    with win.reserve(0, 0, 16) as slot:
+                        slot.view[...] = 1
+                comm.send(np.zeros(0), 1, tag=9)
+                return int(win.local_view().sum())
+            comm.recv(0, tag=9)
             if probe:
                 return comm.world.injector._ops.get(("kill", comm.rank), 0)
             with win.reserve(comm.rank, 0, 16) as slot:
@@ -597,6 +606,26 @@ class TestErrorContract:
 
         with pytest.raises(ValueError, match="boom"):
             spmd(runtime, 2, kernel, timeout=10.0)
+
+    def test_abort_wakes_a_blocked_recv_on_the_notify(self, runtime, monkeypatch):
+        """The rings hold no abort state of their own; an abort notifies
+        every ring, and the woken receiver's progress callback raises.
+        With the ring wait's quantum stretched to 5 s, only the notify can
+        be what ends the run in time."""
+        from repro.runtime.shm import ShmRing
+
+        monkeypatch.setitem(ShmRing.wait.__kwdefaults__, "quantum", 5.0)
+
+        def kernel(comm):
+            if comm.rank == 0:
+                time.sleep(0.2)  # rank 1 is parked on its ring by now
+                raise ValueError("boom")
+            comm.recv(source=0, tag=1)
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="boom"):
+            spmd(runtime, 2, kernel, timeout=20.0)
+        assert time.monotonic() - t0 < 2.5
 
     def test_explicit_abort(self, runtime):
         def kernel(comm):

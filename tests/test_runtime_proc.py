@@ -1,26 +1,28 @@
-"""Process-runtime-specific tests: shared-memory transport, teardown.
+"""Process-launcher tests, and the ring transport on both launchers.
 
 The backend-agnostic ``Comm`` semantics run against ProcessWorld in
-``test_runtime_contract.py``.  This file covers what only the process
-substrate promises: spill segments for oversized messages, ring
-wraparound under sustained traffic, zero-copy windows across address
-spaces, child-death surfacing, one-shot lifecycle, and leak-clean
-teardown (no ``/dev/shm`` segments, no zombie children — the
-``leak_check`` fixture of ``conftest.py``) even after failures.
+``test_runtime_contract.py``.  This file covers the ring under load on
+both launchers — messages cut into parts, wraparound under sustained
+traffic, mutual floods — and what only the process launcher promises:
+zero-copy windows across address spaces, child-death surfacing,
+one-shot lifecycle, and leak-clean teardown (no ``/dev/shm`` segments,
+no zombie children — the ``leak_check`` fixture of ``conftest.py``)
+even after failures.
 """
 
 from __future__ import annotations
 
 import glob
 import os
+import time
 
 import numpy as np
 import pytest
 
 from repro.errors import CommunicatorError, UnsupportedFaultError
 from repro.faults import FaultPlan
-from repro.runtime import ProcessWorld
-from repro.runtime.shm import SEG_PREFIX, fork_available
+from repro.runtime import RUNTIMES, ProcessWorld, make_world
+from repro.runtime.shm import DEFAULT_RING_CAPACITY, SEG_PREFIX, fork_available
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="process runtime needs the fork start method"
@@ -34,9 +36,13 @@ def _shm_segments() -> list[str]:
 
 
 class TestTransport:
-    def test_spill_path_large_message(self, leak_check):
-        """A message far bigger than the ring travels via a spill segment."""
-        n = 600_000  # 4.8 MB of float64 through a 1 MB ring
+    """Ring tests take the runtime: they are sized against the default
+    ring (1 MiB), which both launchers use."""
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_message_larger_than_the_ring(self, runtime, leak_check):
+        """A message far bigger than the ring travels in parts."""
+        n = 600_000  # 4.8 MB of float64 through a 1 MiB ring
 
         def kernel(comm):
             if comm.rank == 0:
@@ -45,12 +51,13 @@ class TestTransport:
             got = comm.recv(source=0)
             return (got.size, float(got[0]), float(got[-1]), got.dtype.str)
 
-        res = ProcessWorld(2, ring_capacity=1 << 20).run(kernel)
+        res = make_world(runtime, 2, timeout=30.0).run(kernel)
         assert res[1] == (n, 0.0, float(n - 1), "<f8")
 
-    def test_ring_wraparound_many_messages(self, leak_check):
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_ring_wraparound_many_messages(self, runtime, leak_check):
         """Sustained traffic forces the ring cursor to wrap several times."""
-        rounds, size = 200, 1024  # ~1.6 MB total through a 64 KiB ring
+        rounds, size = 200, 8192  # 12.8 MB total through a 1 MiB ring
 
         def kernel(comm):
             if comm.rank == 0:
@@ -62,25 +69,59 @@ class TestTransport:
                 total += float(comm.recv(source=0, tag=0)[0])
             return total
 
-        res = ProcessWorld(2, ring_capacity=1 << 16).run(kernel)
+        res = make_world(runtime, 2, timeout=30.0).run(kernel)
         assert res[1] == float(sum(range(rounds)))
 
-    def test_bidirectional_flood_no_deadlock(self, leak_check):
-        """Both ranks flooding a small ring at once must make progress
-        (a blocked sender still drains its own ring)."""
-        rounds = 64
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_bidirectional_flood_no_deadlock(self, runtime, leak_check):
+        """Both ranks flooding the ring at once must make progress (a
+        blocked sender still drains its own ring)."""
+        rounds = 64  # 8 MiB each way through a 1 MiB ring
 
         def kernel(comm):
             peer = 1 - comm.rank
             acc = 0.0
             for k in range(rounds):
-                comm.send(np.full(2048, float(k)), dest=peer, tag=1)
+                comm.send(np.full(16384, float(k)), dest=peer, tag=1)
             for _ in range(rounds):
                 acc += float(comm.recv(source=peer, tag=1)[0])
             return acc
 
-        res = ProcessWorld(2, ring_capacity=1 << 15, timeout=30.0).run(kernel)
+        res = make_world(runtime, 2, timeout=30.0).run(kernel)
         assert res == [float(sum(range(rounds)))] * 2
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_parts_interleave_without_a_segment_of_their_own(self, runtime, leak_check):
+        """A message 4x the ring, cut into parts that interleave with a
+        third rank's small messages: it arrives intact, order holds per
+        (source, tag), and while it is in flight the world owns only its
+        fixed segments (rings, control state, telemetry block)."""
+        n = 4 * DEFAULT_RING_CAPACITY // 8 + 1234
+        smalls = 40
+
+        def kernel(comm):
+            if comm.rank == 0:
+                comm.send(np.array([0.0, 0.0]), dest=1, tag=5)
+                comm.send(np.arange(n, dtype=np.float64), dest=1, tag=7)
+                comm.send(np.array([0.0, 1.0]), dest=1, tag=5)
+                return None
+            if comm.rank == 2:
+                for k in range(smalls):
+                    comm.send(np.array([2.0, float(k)]), dest=1, tag=5)
+                return None
+            time.sleep(0.3)  # rank 0 is blocked mid-message on a full ring
+            names = comm.world.segments.names()
+            seqs = {0: [], 2: []}
+            for _ in range(smalls + 2):
+                source, seq = comm.recv(tag=5)
+                seqs[int(source)].append(int(seq))
+            big = comm.recv(source=0, tag=7)
+            return names, seqs, bool(np.array_equal(big, np.arange(n, dtype=np.float64)))
+
+        names, seqs, intact = make_world(runtime, 3, timeout=30.0).run(kernel)[1]
+        assert intact
+        assert seqs == {0: [0, 1], 2: list(range(smalls))}
+        assert {"r0", "r1", "r2"} <= set(names) <= {"r0", "r1", "r2", "s", "t"}
 
     def test_window_is_cross_process_shared_memory(self, leak_check):
         """A put lands in the peer's address space: real shared memory,
@@ -167,8 +208,8 @@ class TestLifecycle:
     def test_segment_and_primitive_census(self, leak_check, monkeypatch):
         """A live world owns exactly its control state ``{uid}s``, the
         telemetry block ``{uid}t`` and one ring per rank — no private
-        control segment beside the state — and 2p + 1 fork-shared locks
-        (ring, window target, store) and p + 1 conditions (ring, state)."""
+        control segment beside the state — and 2p fork-shared locks
+        (ring, window target) and p + 1 conditions (ring, state)."""
         import collections
 
         import repro.runtime.proc as proc
@@ -199,7 +240,7 @@ class TestLifecycle:
             if world.telemetry is not None:
                 expected.add(f"{uid}t")
             assert set(_shm_segments()) - before == expected
-            assert made == {"Lock": 9, "Condition": 5}
+            assert made == {"Lock": 8, "Condition": 5}
 
     def test_close_is_idempotent(self, leak_check):
         world = ProcessWorld(2, timeout=10.0)

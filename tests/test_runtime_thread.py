@@ -3,16 +3,17 @@
 The backend-agnostic ``Comm`` semantics (point-to-point, tag matching,
 collectives, windows, abort propagation) moved to
 ``test_runtime_contract.py``, where they run against *every* runtime.
-What stays here is behaviour only the thread substrate promises: ranks
+What stays here is behaviour only the thread launcher promises: ranks
 share one address space, so closures over Python objects are visible
 across ranks, and a world object can be driven directly — run after
-run, with a control plane that stays private to the process and a
-watchdog that scans at a bounded rate.
+run, with a control plane and a segment namespace that stay private to
+the process and a watchdog that scans at a bounded rate.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 
@@ -76,19 +77,18 @@ class TestWorldLifecycle:
 
 class TestAbort:
     def test_abort_wakes_a_blocked_recv_on_the_notify(self, monkeypatch):
-        """The mailboxes hold no abort state of their own; an abort kicks
-        them, and the woken receiver's progress callback raises.  With
-        the wait quantum stretched to 5 s, only the kick can be what
-        wakes rank 1 in time."""
+        """The contract suite's case of the same name, on rank threads,
+        where the receiver also sees the aborting rank's exception chained
+        onto its :class:`RuntimeAbort`."""
         from repro.errors import RuntimeAbort
-        from repro.runtime.mailbox import Mailbox
+        from repro.runtime.shm import ShmRing
 
-        monkeypatch.setitem(Mailbox.match.__kwdefaults__, "quantum", 5.0)
+        monkeypatch.setitem(ShmRing.wait.__kwdefaults__, "quantum", 5.0)
         seen = {}
 
         def kernel(comm):
             if comm.rank == 0:
-                time.sleep(0.2)  # rank 1 is parked in its mailbox by now
+                time.sleep(0.2)  # rank 1 is parked on its ring by now
                 raise ValueError("boom")
             t0 = time.monotonic()
             try:
@@ -103,28 +103,68 @@ class TestAbort:
         assert isinstance(seen["cause"], ValueError)  # the aborting rank's exception, chained
 
     def test_abort_snapshots_the_survivor_worlds_under_the_shrink_lock(self):
-        """One rank aborts while a peer is inside ``shrunk_world``: the
-        peer's insert used to land in the middle of abort's unlocked walk
-        ("dictionary changed size during iteration").  Replayed without
-        timing: the walk itself hands a concurrent shrink all the time it
-        wants."""
+        """One rank aborts while a peer is inside ``shrunk_world``: abort
+        used to walk the survivor worlds' mailboxes, and a peer's insert
+        in the middle of the walk broke it ("dictionary changed size
+        during iteration").  Survivor worlds share the root's rings, so
+        abort now notifies those and never walks the survivor cache.
+        Replayed without timing: the notify itself hands a concurrent
+        shrink all the time it wants."""
         world = ThreadWorld(3, timeout=5.0)
         world.shrunk_world((0, 1), 1)
         shrinker = threading.Thread(target=world.shrunk_world, args=((0, 2), 1), daemon=True)
+        kick = world.rings[0].kick
 
-        class LetsAPeerShrinkMidWalk(dict):
+        def kick_while_a_peer_shrinks():
+            shrinker.start()
+            shrinker.join(0.3)  # inserts now
+            kick()
+
+        class NoWalk(dict):
             def values(self):
-                for value in dict.values(self):
-                    shrinker.start()
-                    shrinker.join(0.3)  # inserts now, unless the walk holds the lock
-                    yield value
+                raise AssertionError("abort walked the survivor worlds")
 
-        world._shrunk = LetsAPeerShrinkMidWalk(world._shrunk)
+            __iter__ = items = values
+
+        world.rings[0].kick = kick_while_a_peer_shrinks
+        world._shrunk = NoWalk(world._shrunk)
         world.abort("rank 0 raised ValueError: boom")
         shrinker.join(5.0)
         assert not shrinker.is_alive()
-        assert set(world._shrunk) == {((0, 1), 1), ((0, 2), 1)}
+        assert set(dict.keys(world._shrunk)) == {((0, 1), 1), ((0, 2), 1)}
         assert world.abort_reason() == "rank 0 raised ValueError: boom"
+
+
+class TestRingUnderPreemption:
+    def test_parts_interleave_under_a_short_switch_interval(self):
+        """Four rank threads on fewer cores flood each other with messages
+        long enough to be cut into parts between short ones, while the
+        interpreter switches threads every 10 us: every message arrives
+        whole, in order per (source, tag)."""
+        n_long = 75_000  # 600 kB of float64: three parts of a 1 MiB ring
+
+        def kernel(comm):
+            me, peers = comm.rank, [r for r in range(comm.size) if r != comm.rank]
+            for k in range(4):
+                for peer in peers:
+                    comm.send(np.full(10, me * 100 + k), peer, tag=1)
+                    if k % 2 == 0:
+                        comm.send(np.full(n_long, float(me * 100 + k)), peer, tag=2)
+            ok = True
+            for peer in peers:
+                for k in range(4):
+                    ok &= bool(np.all(comm.recv(peer, tag=1) == peer * 100 + k))
+                for k in (0, 2):
+                    got = comm.recv(peer, tag=2)
+                    ok &= got.size == n_long and bool(np.all(got == peer * 100 + k))
+            return ok
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert ThreadWorld(4, timeout=30.0).run(kernel) == [True] * 4
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestRunEpochs:
@@ -181,10 +221,18 @@ class TestPrivateControlPlane:
         """No ``/dev/shm`` entry, no file, no ``multiprocessing`` primitive."""
         before = sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []
         world = ThreadWorld(4, timeout=10.0)
-        world.run(lambda comm: (comm.agree(), comm.allgather(comm.rank)))
+
+        def kernel(comm):
+            win = comm.win_create(64)
+            win.fence()
+            win.free()
+            return comm.agree(), comm.allgather(comm.rank)
+
+        world.run(kernel)
         assert (sorted(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else []) == before
         assert isinstance(world.state.buf, bytearray)
         assert type(world.state.cond) is threading.Condition
+        assert all(type(ring.cond) is threading.Condition for ring in world.rings)
 
 
 class TestScanRate:

@@ -237,7 +237,7 @@ KEEP: tuple[tuple[str, str], ...] = (
     *_each("resilience/__init__.py", "__getattr__", "fault-path"),  # lazy: breaks an import cycle
     *_each("resilience/abft.py", "AbftChecksums.to_json", "fault-path"),
     *_each("resilience/agreement.py", "ranks_bitmap", "fault-path"),
-    *_each("resilience/checkpoint.py", "ShmCheckpointStore.close", "fault-path"),
+    *_each("resilience/checkpoint.py", "CheckpointStore.close", "fault-path"),
     *_each("resilience/monitor.py", "ControlState.blocked ControlState.cur_gen Watchdog._stuck "
            "Watchdog.classify", "fault-path"),
     *_each("machine/topology.py", "ShrunkTopology.__init__ ShrunkTopology.nnodes "
@@ -245,11 +245,10 @@ KEEP: tuple[tuple[str, str], ...] = (
            "ShrunkTopology.ranks_on_node ShrunkTopology.same_node", "fault-path"),
     *_each("runtime/base.py", "World.revoke World.declare_failed World._rank_failure_error "
            "Comm._explain_stall Comm.revoke Comm.abort", "fault-path"),
-    *_each("runtime/mailbox.py", "_describe Mailbox.kick", "fault-path"),
     *_each("runtime/shm.py", "any_to_describe", "fault-path"),
     *_each("runtime/proc.py", "ProcessWorld._blackbox ProcessWorld._snapshot_blackbox "
-           "ProcComm._kill_self", "fault-path"),
-    *_each("runtime/thread_rt.py", "ThreadWorld._blackbox ThreadWorld.abort", "fault-path"),
+           "ProcessWorld._kill", "fault-path"),
+    *_each("runtime/thread_rt.py", "ThreadWorld._blackbox", "fault-path"),
     # Black boxes, the flight ring's read-back, resilience trace events.
     *_each("telemetry/blackbox.py", "arm_signal_dump.<locals>.handler", "fault-path"),
     *_each("telemetry/recorder.py", "FlightRecorder.events", "fault-path"),
@@ -267,12 +266,12 @@ KEEP: tuple[tuple[str, str], ...] = (
     # ``Request.test`` is MPI_Test, a probe that consumes nothing (the
     # stranded-message check); ``MetricsRegistry.clear`` resets the global
     # registry between cases; ``run_spmd`` is README's fault-injection
-    # recipe (``run_spmd(4, kernel, faults=plan)``).
-    *_each("runtime/proc.py", "ProcessWorld.__enter__ ProcessWorld.__exit__ ProcComm._probe",
-           "fault-path"),
-    *_each("runtime/base.py", "Request.test", "fault-path"),
-    *_each("runtime/mailbox.py", "Mailbox.peek", "fault-path"),
-    *_each("runtime/thread_rt.py", "ThreadComm._probe run_spmd", "fault-path"),
+    # recipe (``run_spmd(4, kernel, faults=plan)``); ``Segments.names``
+    # is the leak check of a world's namespace.
+    *_each("runtime/proc.py", "ProcessWorld.__enter__ ProcessWorld.__exit__", "fault-path"),
+    *_each("runtime/base.py", "Request.test Comm._probe", "fault-path"),
+    *_each("runtime/shm.py", "Segments.names ShmSegments.names", "fault-path"),
+    *_each("runtime/thread_rt.py", "run_spmd", "fault-path"),
     *_each("telemetry/metrics.py", "MetricsRegistry.clear", "fault-path"),
 )
 
