@@ -17,8 +17,8 @@ message is encoded straight from its strided view into it
 (:meth:`Codec.encode_into`, the frame sealed where it lies); every
 frame is checked where it lies and decoded straight into the strided
 box it fills (:meth:`Codec.decode_into`).  The self block takes the
-same ladder into a scratch and is decoded into its box at once,
-unframed.  The frames, outputs and accounting are the same under
+same ladder through one :meth:`Codec.roundtrip_into` straight into its
+box, unframed.  The frames, outputs and accounting are the same under
 either completion rule of the :class:`~repro.collectives.slots.SlotTransport`.
 
 On top of that the exchange is *resilient*: every frame on the wire is
@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats
 from repro.collectives.slots import SlotTable, SlotTransport
-from repro.collectives.wire import open_frame, payload_of, seal, stage
+from repro.collectives.wire import open_frame, seal, stage
 from repro.compression.base import Codec, IdentityCodec, as_float64_view
 from repro.compression.lossless import ShuffleZlibCodec
 from repro.errors import (
@@ -289,25 +289,19 @@ class CompressedOscAlltoallv(Exchange):
         codec: Codec | None,
         report: ResilienceReport,
         stats: ExchangeStats | None,
-        room: np.ndarray,
-        finish: Callable[[np.ndarray, int, int], np.ndarray | None],
-    ) -> tuple[np.ndarray, Codec, dict]:
-        """Stage one fragment at the head of ``room`` and ``finish`` it
-        (:func:`seal` it, or take its :func:`payload_of`); returns the
-        finished bytes with the codec and header that produced them.
+        write: Callable[[Codec, bool], tuple[Any, float | None]],
+    ) -> tuple[Any, Codec, dict]:
+        """Write one fragment — into a frame, or round trip into the self
+        block's box — with ``write(codec, measure) -> ((codec, nbytes,
+        header, finish), achieved)`` and ``finish()`` it (``None``: it
+        outgrew its room); returns that with its codec and header.
 
         ``codec=None`` uses the resilient primary path (transient-fault
         retries + e_tol check); recovery rounds pass an explicit ladder
-        codec instead.  A fragment that outgrows ``room`` is never
+        codec instead.  A fragment that outgrows its room is never
         truncated: it steps down to raw FP64, which the room was sized for.
         """
         n_values = frag.size * frag.itemsize // 8
-
-        def encode(c: Codec, measure: bool) -> tuple[Any, float | None]:
-            """((codec, modelled wire bytes, header, what finishes it), achieved error)"""
-            meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
-            return (c, nbytes + 8 * len(header), header, partial(finish, room, meta_len, nbytes)), achieved
-
         with trace_span(
             "compress",
             rank=self.comm.rank,
@@ -317,19 +311,19 @@ class CompressedOscAlltoallv(Exchange):
             chunk=chunk_idx,
         ):
             if codec is None:
-                (used, wire, header, done), achieved = self._compress_fragment(dest, report, encode)
+                (used, nbytes, header, done), achieved = self._compress_fragment(dest, report, write)
             else:
-                (used, wire, header, done), achieved = encode(codec, False)[0], None
+                (used, nbytes, header, done), achieved = write(codec, False)[0], None
         out = done()
         if out is None:
             report.record("degrade", peer=dest, codec=self._raw.name,
                           detail=f"{used.name} -> {self._raw.name} (the frame exceeds its slot)")
-            (used, wire, header, done), _ = encode(self._raw, False)
+            (used, nbytes, header, done), _ = write(self._raw, False)
             out, achieved = done(), (None if self.e_tol is None else 0.0)
         if stats is not None:
             stats.messages += 1
             stats.logical_bytes += 8 * n_values
-            stats.wire_bytes += wire
+            stats.wire_bytes += nbytes + 8 * len(header)
             if achieved is not None:
                 stats.achieved_error = max(stats.achieved_error, achieved)
                 stats.error_measured = True
@@ -354,7 +348,12 @@ class CompressedOscAlltoallv(Exchange):
         written = 0
         for chunk_idx, frag in enumerate(self._split(view)):
             room = region[written : written + self._frame_capacity(frag.size * frag.itemsize // 8)]
-            frame, _, _ = self._encode_fragment(frag, chunk_idx, dest, codec, report, stats, room, seal)
+
+            def write(c: Codec, measure: bool):
+                meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
+                return (c, nbytes, header, partial(seal, room, meta_len, nbytes)), achieved
+
+            frame, _, _ = self._encode_fragment(frag, chunk_idx, dest, codec, report, stats, write)
             written += frame.size
         return written
 
@@ -362,20 +361,20 @@ class CompressedOscAlltoallv(Exchange):
         self, view: np.ndarray | None, report: ResilienceReport, stats: ExchangeStats, into: np.ndarray
     ) -> None:
         """The self block, at its step of the ring: every fragment through
-        the same ladder as any message (and counted as one), staged in a
-        scratch and decoded straight into its slab of ``into`` — it never
-        crosses a wire, so it is neither framed nor checksummed."""
+        the same ladder as any message (and counted as one), one
+        :meth:`Codec.roundtrip_into` straight into its slab of ``into`` —
+        it never crosses a wire, so it is neither staged, framed nor
+        checksummed.  Its room is its codec's worst case."""
         if view is None or view.size == 0:
             return
-        rank, frags = self.comm.rank, self._split(view)
-        rooms = [self._frame_capacity(f.size * f.itemsize // 8) for f in frags]
-        scratch = np.empty(max(rooms), dtype=np.uint8)
-        for chunk_idx, (frag, slab, room) in enumerate(zip(frags, self._split(into), rooms)):
-            payload, used, header = self._encode_fragment(
-                frag, chunk_idx, rank, None, report, stats, scratch[:room], payload_of
-            )
-            with trace_span("decompress", rank=rank, peer=rank, bytes=int(payload.size)):
-                used.decode_into(payload, header, slab)
+        for chunk_idx, (frag, slab) in enumerate(zip(self._split(view), self._split(into))):
+
+            def write(c: Codec, measure: bool):
+                nbytes, header, achieved = c.roundtrip_into(frag, slab, measure)
+                fits = nbytes <= c.worst_case_nbytes(frag.size * frag.itemsize // 8)
+                return (c, nbytes, header, lambda: slab if fits else None), achieved
+
+            self._encode_fragment(frag, chunk_idx, self.comm.rank, None, report, stats, write)
 
     def _encode_private(
         self,

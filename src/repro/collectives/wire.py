@@ -24,8 +24,7 @@ surfaces as a typed :class:`~repro.errors.WireIntegrityError` instead of
 unpickling garbage.  A frame is written and checked *where it lies*:
 :func:`begin` / :func:`seal` build one in memory the caller supplies (a
 window slot: the payload is produced straight into it, the checksums are
-taken in place; :func:`payload_of` is the unsealed payload, for bytes
-that never travel), :func:`open_frame` validates one without copying it, and
+taken in place), :func:`open_frame` validates one without copying it, and
 :func:`encode_wire` / :func:`decode_wire` are those on an array of their
 own.  The metadata pickle carries only small plain values (codec
 name, dtype, shape, scalar header entries) — never data — and is
@@ -56,7 +55,6 @@ __all__ = [
     "begin",
     "stage",
     "seal",
-    "payload_of",
     "open_frame",
     "pack_meta",
     "encode_wire",
@@ -202,10 +200,9 @@ def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | No
     """Finish the frame begun in ``region``: checksum metadata and payload
     where they lie, write the header.  Returns the frame, or ``None`` when
     it would have outgrown ``region`` (nothing is sealed then)."""
-    payload = payload_of(region, meta_len, payload_len)
-    if payload is None:
-        return None
     body = _HDR_BYTES + meta_len
+    if body + payload_len > region.size:
+        return None
     _HDR_STRUCT.pack_into(
         region,
         0,
@@ -216,17 +213,9 @@ def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | No
         meta_len,
         payload_len,
         crc32(region[_HDR_BYTES:body]),
-        crc32(payload),
+        crc32(region[body : body + payload_len]),
     )
     return region[: body + payload_len]
-
-
-def payload_of(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | None:
-    """The payload of the frame staged in ``region``, left unsealed — for
-    bytes decoded where they were staged, which never travel — or
-    ``None`` when the frame would outgrow ``region`` (:func:`seal`'s rule)."""
-    body = _HDR_BYTES + meta_len
-    return None if body + payload_len > region.size else region[body : body + payload_len]
 
 
 def encode_wire(msg: CompressedMessage) -> np.ndarray:

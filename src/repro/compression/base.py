@@ -212,6 +212,19 @@ class Codec(ABC):
         msg = CompressedMessage(self.name, payload, out.dtype.name, out.shape, header)
         np.copyto(out, self.decompress(msg))
 
+    def roundtrip_into(
+        self, values: np.ndarray, out: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """Leave in ``out`` (a view like ``values``) what :meth:`decode_into`
+        of :meth:`encode_into`'s bytes would, and return what it returns;
+        ``nbytes`` over :meth:`worst_case_nbytes`: ``out`` is not written.
+        This default goes through a scratch of that size."""
+        scratch = np.empty(self.worst_case_nbytes(as_float64_view(values).size), dtype=np.uint8)
+        nbytes, header, achieved = self.encode_into(values, scratch, measure)
+        if nbytes <= scratch.size:
+            self.decode_into(scratch[:nbytes], header, out)
+        return nbytes, header, achieved
+
     # -- size model -----------------------------------------------------------
 
     @property
@@ -307,3 +320,13 @@ class IdentityCodec(Codec):
     def decompress(self, msg: CompressedMessage) -> np.ndarray:
         self._check_roundtrip_args(msg)
         return from_float64_stream(payload_items(msg, np.float64), msg.dtype_name, msg.shape)
+
+    def roundtrip_into(
+        self, values: np.ndarray, out: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """One copy."""
+        from repro.accuracy.bounds import achieved_relative_error  # lazy: see compress_measured
+
+        np.copyto(out, values)
+        achieved = achieved_relative_error(values, out) if measure else None
+        return 8 * as_float64_view(values).size, {}, achieved

@@ -32,8 +32,8 @@ Kernels
 -------
 Both directions walk the message in :data:`CHUNK_VALUES`-sized pieces so
 the handful of passes a piece needs (round, detect specials, measure,
-gather) all hit cache.  Scratch is allocated per call: codec instances
-are shared by rank threads.
+gather) all hit cache; the round trip of a self block is the same loop.
+Scratch is allocated per call: codec instances are shared by rank threads.
 """
 
 from __future__ import annotations
@@ -167,10 +167,22 @@ class MantissaTrimCodec(FixedWidthCodec):
         round trip without making the round trip.
         """
         real = as_float64_view(values)
-        n = real.size
-        nbytes = self.bytes_per_value * n
+        nbytes = self.bytes_per_value * real.size
         if nbytes > payload.size:
             return nbytes, {}, None
+        return nbytes, {}, self._round(real, measure, self._payload_planes(payload, real.size))
+
+    def roundtrip_into(
+        self, values: np.ndarray, out: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """The same pass into ``out`` (a rounded word's dropped bytes are 0)."""
+        real = as_float64_view(values)
+        return self.bytes_per_value * real.size, {}, self._round(real, measure, as_float64_view(out))
+
+    def _round(self, real: np.ndarray, measure: bool, sink: list | np.ndarray) -> float | None:
+        """The one rounding loop: round, keep specials and measure ``real``
+        chunk by chunk, into the payload planes (a list) or the float64
+        view ``sink`` (in place where a chunk of it is contiguous)."""
         shift = 52 - self.mantissa_bits
         s = np.uint64(shift)
         one = np.uint64(1)
@@ -178,11 +190,11 @@ class MantissaTrimCodec(FixedWidthCodec):
         mask = np.uint64(_ALL_ONES << shift & _ALL_ONES)
         nearest = self.rounding == "nearest"
 
-        out_planes = self._payload_planes(payload, n)
-        words = np.empty(min(n, CHUNK_VALUES), dtype=_LE64)
+        words = np.empty(min(real.size, CHUNK_VALUES), dtype=_LE64)
         scratch = np.empty(words.size, dtype=np.float64)
         gathered = None  # a strided chunk is made contiguous here, in cache
         word_planes = self._word_planes(words)
+        sinks = None if isinstance(sink, list) else _slabs(sink, CHUNK_VALUES)
         peak = worst = 0.0
         # inf - inf -> NaN is the measured error of a message carrying
         # infinities; the caller treats NaN as "tolerance exceeded".
@@ -198,6 +210,10 @@ class MantissaTrimCodec(FixedWidthCodec):
                     np.copyto(x.reshape(piece.shape), piece)
                 u = x.view(np.uint64)
                 w, f = words[:c], scratch[:c]
+                if sinks is not None:
+                    _, dest = next(sinks)
+                    if direct := dest.flags.c_contiguous:
+                        w = dest.reshape(-1).view(_LE64)
                 np.abs(x, out=f)
                 chunk_peak = f.max()
                 if shift == 0:
@@ -220,13 +236,16 @@ class MantissaTrimCodec(FixedWidthCodec):
                     np.abs(f, out=f)
                     worst = np.maximum(worst, f.max())
                     peak = np.maximum(peak, chunk_peak)
-                for dst, src in zip(out_planes, word_planes):
-                    dst[lo : lo + c] = src[:c]
+                if sinks is None:
+                    for dst, src in zip(sink, word_planes):
+                        dst[lo : lo + c] = src[:c]
+                elif not direct:
+                    np.copyto(dest, w.view("<f8").reshape(dest.shape))
         if not measure:
-            return nbytes, {}, None
+            return None
         from repro.accuracy.bounds import relative_linf  # lazy: accuracy imports the FFT layer
 
-        return nbytes, {}, relative_linf(float(worst), float(peak))
+        return relative_linf(float(worst), float(peak))
 
     def decode_into(self, payload: np.ndarray, header: dict, out: np.ndarray) -> None:
         real = self._scalars_of(payload, out)

@@ -82,6 +82,20 @@ class CastCodec(FixedWidthCodec):
         if nbytes > payload.size:
             return nbytes, {}, None
         items = payload[:nbytes].view(self._item_dtype).reshape(real.shape)
+        return nbytes, *self._cast(real, items, measure)
+
+    def roundtrip_into(
+        self, values: np.ndarray, out: np.ndarray, measure: bool = False
+    ) -> tuple[int, dict, float | None]:
+        """The cast into a narrow temporary, widened straight into ``out``."""
+        real = as_float64_view(values)
+        items = np.empty(real.shape, dtype=self._item_dtype)
+        header, achieved = self._cast(real, items, measure)
+        self._widen(items, header, as_float64_view(out))
+        return self.width * real.size, header, achieved
+
+    def _cast(self, real: np.ndarray, items: np.ndarray, measure: bool) -> tuple[dict, float | None]:
+        """Cast ``real`` into the payload ``items``; ``(header, achieved)``."""
         header: dict[str, float | int | str] = {}
         source = real
         if self.scaled:
@@ -96,7 +110,7 @@ class CastCodec(FixedWidthCodec):
                 source = _fp32_to_bf16_bits(source.astype(np.float32))
             np.copyto(items, source, casting="same_kind")
         if not (measure and real.size):
-            return nbytes, header, 0.0 if measure else None
+            return header, 0.0 if measure else None
         # The cast values are at hand: widen them as the receiver will
         # and measure here, without the message round trip.  One scratch
         # array, reused in place: fresh 512 KiB temporaries cost more in
@@ -109,22 +123,18 @@ class CastCodec(FixedWidthCodec):
         with np.errstate(invalid="ignore"):
             np.subtract(real, scratch, out=scratch)
         worst = float(np.abs(scratch, out=scratch).max())
-        return nbytes, header, relative_linf(worst, float(np.abs(real, out=scratch).max()))
+        return header, relative_linf(worst, float(np.abs(real, out=scratch).max()))
 
-    def _widen(self, items: np.ndarray, header: dict) -> np.ndarray:
-        """The float64 values a receiver restores from ``items``."""
+    def _widen(self, items: np.ndarray, header: dict, out: np.ndarray | None = None) -> np.ndarray:
+        """The float64 values a receiver restores from ``items``, in ``out``."""
         if self.fmt is BF16:
             items = _bf16_bits_to_fp32(items)
-        stream = items.astype(np.float64)
+        out = np.empty(items.shape) if out is None else out
+        np.copyto(out, items)
         if self.scaled:
-            stream *= float(header["scale"])
-        return stream
+            out *= float(header["scale"])
+        return out
 
     def decode_into(self, payload: np.ndarray, header: dict, out: np.ndarray) -> None:
         real = self._scalars_of(payload, out)
-        items = payload.view(self._item_dtype).reshape(real.shape)
-        if self.fmt is BF16:
-            items = _bf16_bits_to_fp32(items)
-        np.copyto(real, items)
-        if self.scaled:
-            real *= float(header["scale"])
+        self._widen(payload.view(self._item_dtype).reshape(real.shape), header, real)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import PlanError
 
-__all__ = ["complex_dtype", "batched_fft", "batched_ifft"]
+__all__ = ["complex_dtype", "batched_fft", "batched_ifft", "fft_over"]
 
 _DTYPES = {"fp64": np.complex128, "fp32": np.complex64}
 
@@ -41,3 +41,8 @@ def batched_fft(a: np.ndarray, axis: int, precision: str = "fp64") -> np.ndarray
 def batched_ifft(a: np.ndarray, axis: int, precision: str = "fp64") -> np.ndarray:
     """Inverse FFT along ``axis`` (``1/n`` normalised) in the given precision."""
     return _batched(np.fft.ifft, a, axis, precision)
+
+
+def fft_over(block: np.ndarray, axis: int, inverse: bool = False) -> np.ndarray:
+    """:func:`batched_fft` (``inverse``: ``ifft``) written over a stage's own ``block``."""
+    return (np.fft.ifft if inverse else np.fft.fft)(block, axis=axis, out=block)

@@ -51,7 +51,7 @@ from repro.fft.decomposition import (
     brick_decomposition,
     pencil_decomposition,
 )
-from repro.fft.local_fft import batched_fft, batched_ifft, complex_dtype
+from repro.fft.local_fft import complex_dtype, fft_over
 from repro.fft.reshape import BoundReshape, ReshapePlan
 from repro.machine.topology import Topology
 from repro.telemetry import scope
@@ -93,7 +93,8 @@ class FftStats:
 @dataclass(frozen=True)
 class Stage:
     """One step of a transform: a reshape, then the local 1-D transforms
-    it made possible (``op=None``: nothing follows the last reshape)."""
+    it made possible (``op=None``: nothing follows the last reshape), which
+    may write over the block: every executor hands it the reshape's own."""
 
     reshape: ReshapePlan
     op: Callable[[np.ndarray], np.ndarray] | None = None
@@ -215,21 +216,17 @@ class StagedTransform:
         return float(np.linalg.norm((x - back).reshape(-1)) / np.linalg.norm(x.reshape(-1)))
 
 
-def fft_stages(
-    layouts: Sequence[CartesianDecomp], precision: str
-) -> tuple[list[Stage], list[Stage]]:
+def fft_stages(layouts: Sequence[CartesianDecomp]) -> tuple[list[Stage], list[Stage]]:
     """Forward and inverse stage lists of a c2c pipeline: one reshape per
     consecutive pair of ``layouts``, a batched FFT along grid axis ``k``
     after reshape ``k`` (negative axes: transparent to batch dimensions)
     and nothing after the last."""
     reshapes = [ReshapePlan(a, b) for a, b in zip(layouts, layouts[1:])]
     forward, inverse = (
-        [
-            Stage(reshape, partial(transform, axis=k - 3, precision=precision), k)
-            for k, reshape in enumerate(reshapes[:-1])
-        ]
+        [Stage(reshape, partial(fft_over, axis=k - 3, inverse=inverse), k)
+         for k, reshape in enumerate(reshapes[:-1])]
         + [Stage(reshapes[-1])]
-        for transform in (batched_fft, batched_ifft)
+        for inverse in (False, True)
     )
     return forward, inverse
 
@@ -327,9 +324,7 @@ class Fft3d(StagedTransform):
         # Layout pipeline of Fig. 1: bricks -> x -> y -> z -> bricks.
         self.bricks: CartesianDecomp = brick_decomposition(self.shape, nranks)
         pencils = [pencil_decomposition(self.shape, nranks, axis) for axis in range(3)]
-        self.stages, self.inverse_stages = fft_stages(
-            [self.bricks, *pencils, self.bricks], self.precision
-        )
+        self.stages, self.inverse_stages = fft_stages([self.bricks, *pencils, self.bricks])
 
     # -- scatter / gather -----------------------------------------------------------
 

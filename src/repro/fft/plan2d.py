@@ -48,9 +48,7 @@ class Fft2d(StagedTransform):
         shape3 = (*self.shape, 1)
         self.bricks = brick_decomposition(shape3, nranks)
         pencils = [pencil_decomposition(shape3, nranks, axis) for axis in (0, 1)]
-        self.stages, self.inverse_stages = fft_stages(
-            [self.bricks, *pencils, self.bricks], self.precision
-        )
+        self.stages, self.inverse_stages = fft_stages([self.bricks, *pencils, self.bricks])
 
     def scatter(self, x: np.ndarray) -> list[np.ndarray]:
         """Per-rank ``(a, b, 1)`` brick blocks of a global ``(..., n0, n1)`` array."""

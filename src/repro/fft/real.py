@@ -27,7 +27,7 @@ import numpy as np
 from repro.compression.base import Codec
 from repro.errors import PlanError
 from repro.fft.decomposition import brick_decomposition, pencil_decomposition
-from repro.fft.local_fft import batched_fft, batched_ifft
+from repro.fft.local_fft import fft_over
 from repro.fft.plan import Stage, StagedTransform
 from repro.fft.reshape import ReshapePlan
 from repro.machine.topology import Topology
@@ -82,14 +82,14 @@ class Rfft3d(StagedTransform):
         c2r = partial(np.fft.irfft, n=self.shape[2], axis=-1)
         self.stages = [
             Stage(reshapes[0], r2c, 2),
-            Stage(reshapes[1], partial(batched_fft, axis=-2), 1),
-            Stage(reshapes[2], partial(batched_fft, axis=-3), 0),
+            Stage(reshapes[1], partial(fft_over, axis=-2), 1),
+            Stage(reshapes[2], partial(fft_over, axis=-3), 0),
             Stage(reshapes[3]),
         ]
         back = [ReshapePlan(r.dst, r.src) for r in reversed(reshapes)]
         self.inverse_stages = [
-            Stage(back[0], partial(batched_ifft, axis=-3), 0),
-            Stage(back[1], partial(batched_ifft, axis=-2), 1),
+            Stage(back[0], partial(fft_over, axis=-3, inverse=True), 0),
+            Stage(back[1], partial(fft_over, axis=-2, inverse=True), 1),
             Stage(back[2], c2r, 2),
             Stage(back[3]),
         ]

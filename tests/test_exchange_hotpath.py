@@ -183,11 +183,13 @@ class TestSelfBlockAliasing:
 
 class _CountingTrim(MantissaTrimCodec):
     """``trim_m35`` that counts its kernel calls (shared by the rank threads):
-    encodes with and without measurement, and decodes."""
+    encodes and self-block round trips with and without measurement, and
+    decodes."""
 
     def __init__(self):
         super().__init__(35)
-        self.calls = {"encode": 0, "encode_measured": 0, "decode": 0}
+        self.calls = {"encode": 0, "encode_measured": 0, "decode": 0,
+                      "roundtrip": 0, "roundtrip_measured": 0}
         self._lock = threading.Lock()
 
     def _count(self, name):
@@ -201,6 +203,10 @@ class _CountingTrim(MantissaTrimCodec):
     def decode_into(self, payload, header, out):
         self._count("decode")
         return super().decode_into(payload, header, out)
+
+    def roundtrip_into(self, values, out, measure=False):
+        self._count("roundtrip_measured" if measure else "roundtrip")
+        return super().roundtrip_into(values, out, measure)
 
 
 class TestVerificationInTheEncodePass:
@@ -226,10 +232,12 @@ class TestVerificationInTheEncodePass:
 
     def _check_no_sender_side_decompress(self, make_op):
         codec, send, results = self._run(make_op, 1e-10)
-        messages = self.P * self.P
+        remote = self.P * (self.P - 1)
         # every message is encoded once, measuring, and decoded once, by
-        # its receiver, and by nobody else
-        assert codec.calls == {"encode": 0, "encode_measured": messages, "decode": messages}
+        # its receiver, and by nobody else; a self block is one measured
+        # round trip
+        assert codec.calls == {"encode": 0, "encode_measured": remote, "decode": remote,
+                               "roundtrip": 0, "roundtrip_measured": self.P}
         for rank, (recv, stats, report) in enumerate(results):
             assert report.clean and stats.error_measured
             worst = 0.0
@@ -264,7 +272,8 @@ class TestVerificationInTheEncodePass:
         )
         # each message: measured once, found wanting, re-sent lossless — the
         # trim codec itself never decodes anything
-        assert codec.calls["encode_measured"] == self.P * self.P
+        assert codec.calls["encode_measured"] == self.P * (self.P - 1)
+        assert codec.calls["roundtrip_measured"] == self.P  # the self blocks
         assert codec.calls["decode"] == 0
         for rank, (recv, stats, report) in enumerate(results):
             assert report.count("tolerance-exceeded") == self.P
@@ -277,15 +286,18 @@ class TestVerificationInTheEncodePass:
         codec, _send, results = self._run(
             lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol), None
         )
-        assert codec.calls["encode_measured"] == 0
-        assert codec.calls["encode"] == codec.calls["decode"] == self.P * self.P
+        assert codec.calls["encode_measured"] == codec.calls["roundtrip_measured"] == 0
+        assert codec.calls["encode"] == codec.calls["decode"] == self.P * (self.P - 1)
+        assert codec.calls["roundtrip"] == self.P
         assert not any(stats.error_measured for _recv, stats, _report in results)
 
     def test_default_measurement_round_trips_on_the_sender(self):
         """A lossy codec with no ``encode_into`` of its own (zfp-like) pays
         the round trip on the sender — the default measures by compress ->
-        decompress — on top of the receiver's decode; the cast codec, which
-        measures in its encode pass, decodes nothing on the sender."""
+        decompress — on top of the receiver's decode (a self block: on top
+        of its own decode); the cast codec, which measures in its encode
+        pass, decodes nothing on the sender, and a self block is one
+        ``roundtrip_into``."""
         from repro.compression import ZfpLikeCodec
 
         calls = collections.Counter()
@@ -309,6 +321,10 @@ class TestVerificationInTheEncodePass:
                 count("cast decode_into")
                 return super().decode_into(payload, header, out)
 
+            def roundtrip_into(self, values, out, measure=False):
+                count("cast roundtrip_into")
+                return super().roundtrip_into(values, out, measure)
+
         def run(codec):
             def kernel(comm):
                 rng = np.random.default_rng(comm.rank)
@@ -330,15 +346,17 @@ class TestVerificationInTheEncodePass:
         assert calls == {"zfp decompress": 2 * messages}
         for error, clean in run(CountingCast("fp32")):
             assert clean and 0.0 < error < 1e-7
-        assert calls == {"cast decode_into": messages}  # the receivers' alone
+        # the receivers' alone, and the self blocks'
+        assert calls == {"cast decode_into": messages - 2, "cast roundtrip_into": 2}
 
 
 class TestBoundLossyExchangeTouchesEachCellOncePerSide:
     """A warm bound round trip stages nothing: every message is one
     ``encode_into`` straight into the destination's slot and one
-    ``decode_into`` straight into the output block — no pack, no
-    allocating codec call, no frame copy either way, nothing from the
-    pool — and what comes out is what the staged exchange produces."""
+    ``decode_into`` straight into the output block, every self block one
+    ``roundtrip_into`` straight into it — no pack, no allocating codec
+    call, no frame copy either way, nothing from the pool — and what
+    comes out is what the staged exchange produces."""
 
     N, P = 32, 4
     FIELDS = ("messages", "logical_bytes", "wire_bytes", "achieved_error", "error_measured",
@@ -358,8 +376,8 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
         from repro.tuning.pool import BufferPool
 
         plan = Fft3d((self.N,) * 3, self.P, **plan_kwargs)
-        kernels = type(plan.codec)  # CastCodec / MantissaTrimCodec: both override the pair
-        assert "encode_into" in vars(kernels) and "decode_into" in vars(kernels)
+        kernels = type(plan.codec)  # CastCodec / MantissaTrimCodec: both override the three
+        assert {"encode_into", "decode_into", "roundtrip_into"} <= vars(kernels).keys()
         # Counters: shared by rank threads, private to each forked rank.
         counts, lock = collections.Counter(), threading.Lock()
         for owner, name in [
@@ -368,6 +386,7 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
             (FixedWidthCodec, "decompress"),
             (wire_mod, "encode_wire"), (wire_mod, "decode_wire"),
             (BufferPool, "acquire"), (kernels, "encode_into"), (kernels, "decode_into"),
+            (kernels, "roundtrip_into"),
         ]:
             def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
                 with lock:
@@ -412,13 +431,18 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
 
         plan, x, results = self._run(monkeypatch, runtime, **plan_kwargs)
         everyone = sum(r.n_messages for r in plan.reshapes)
+        selves = sum(rank in dict(r.pairs[rank]) for r in plan.reshapes for rank in range(self.P))
         for rank, (delta, _y, _z, forward, staged, same_as_staged, pool) in enumerate(results):
-            sent = sum(len(r.pairs[rank]) for r in plan.reshapes)
-            received = sum(len(r.incoming[rank]) for r in plan.reshapes)
+            own = sum(rank in dict(r.pairs[rank]) for r in plan.reshapes)
+            sent = sum(len(r.pairs[rank]) for r in plan.reshapes) - own
+            received = sum(len(r.incoming[rank]) for r in plan.reshapes) - own
             if runtime == "thread":  # one shared counter saw every rank
-                sent = received = everyone
-            # one kernel call per message and side, over forward + inverse ...
+                sent = received = everyone - selves
+                own = selves
+            # one kernel call per message and side, one per self block, over
+            # forward + inverse ...
             assert (delta.pop("encode_into"), delta.pop("decode_into")) == (2 * sent, 2 * received)
+            assert delta.pop("roundtrip_into") == 2 * own
             # ... and nothing else
             assert not any(delta.values()), f"rank {rank} staged something: {delta}"
             assert pool["hits"] == pool["misses"] == 0
@@ -468,9 +492,10 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
     allocates from one announcement allgather: every fragment is one
     ``encode_into`` straight into the destination's slot (flat) or a
     region of its own (two-level), and one ``decode_into`` straight into
-    its box — no allocating codec call, no frame copy, nothing from the
-    pool — and it delivers what the staged exchange it replaced
-    delivered (digests of outputs, stats and reports pinned from it)."""
+    its box, every self fragment one ``roundtrip_into`` — no allocating
+    codec call, no frame copy, nothing from the pool — and it delivers
+    what the staged exchange it replaced delivered (digests of outputs,
+    stats and reports pinned from it)."""
 
     P = 4
     CODECS = {"fp32": (CastCodec("fp32"), None), "trim": (MantissaTrimCodec(35), 1e-10)}
@@ -503,7 +528,7 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
 
         codec, e_tol = self.CODECS[codec_name]
         kernels = type(codec)
-        assert "encode_into" in vars(kernels) and "decode_into" in vars(kernels)
+        assert {"encode_into", "decode_into", "roundtrip_into"} <= vars(kernels).keys()
         counts, lock = collections.Counter(), threading.Lock()
         for owner, name in [
             (FixedWidthCodec, "compress"), (FixedWidthCodec, "compress_measured"),
@@ -511,7 +536,7 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
             (wire_mod, "encode_wire"), (wire_mod, "decode_wire"),
             # where the staged path looked the frame calls up; gone with it
             (compressed_mod, "encode_wire"), (compressed_mod, "decode_wire"),
-            (kernels, "encode_into"), (kernels, "decode_into"),
+            (kernels, "encode_into"), (kernels, "decode_into"), (kernels, "roundtrip_into"),
         ]:
             def counted(*args, _original=getattr(owner, name, None), _key=name, **kwargs):
                 with lock:
@@ -543,12 +568,13 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
 
         return make_world(runtime, self.P, timeout=60.0).run(kernel)
 
-    def _fragments(self, chunks, ndim, source=None, dest=None):
-        """Fragments sent from ``source`` to ``dest`` (``None``: every rank)."""
+    def _fragments(self, chunks, ndim, source=None, dest=None, own=False):
+        """Fragments sent from ``source`` to ``dest`` (``None``: every rank),
+        to another rank, or with ``own`` to the sender itself."""
         total = 0
         for s in range(self.P) if source is None else [source]:
             for d, block in enumerate(self._send(s, ndim)):
-                if block is not None and dest in (None, d):
+                if block is not None and dest in (None, d) and (d == s) == own:
                     total += min(chunks, len(block))
         return total
 
@@ -557,10 +583,13 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
         for rank, (delta, _digest_) in enumerate(results):
             if runtime == "thread":  # one shared counter saw every rank
                 sent = received = self._fragments(chunks, ndim)
+                own = self._fragments(chunks, ndim, own=True)
             else:
                 sent = self._fragments(chunks, ndim, source=rank)
                 received = self._fragments(chunks, ndim, dest=rank)
+                own = self._fragments(chunks, ndim, source=rank, own=True)
             assert (delta.pop("encode_into"), delta.pop("decode_into")) == (sent, received)
+            assert delta.pop("roundtrip_into") == own
             assert not any(delta.values()), f"rank {rank} staged something: {delta}"
         combined = hashlib.sha256("".join(d for _, d in results).encode()).hexdigest()[:16]
         assert combined == self.PINNED[codec_name, chunks, ndim]
@@ -589,10 +618,11 @@ class TestSelfBlockStaysLocal:
     """The block a rank owes itself never takes the wire, on every window
     exchange — plan-bound, one-shot flat and two-level: no reservation or
     put on the own window, no frame sealed or opened for it, one
-    ``encode_into`` and one ``decode_into`` per fragment of it, as for any
-    message.  It stays in the accounting: outputs, every ``ExchangeStats``
-    field and the report events are those of the exchange that sent it
-    through its own window slot (digests pinned from it)."""
+    ``roundtrip_into`` per fragment of it and no ``encode_into`` or
+    ``decode_into``.  It stays in the accounting: outputs, every
+    ``ExchangeStats`` field and the report events are those of the
+    exchange that sent it through its own window slot (digests pinned
+    from it)."""
 
     #: name -> (shape, ranks, ranks per node of the two-level topology)
     GEOMETRIES = {"17^3-p4": ((17, 17, 17), 4, 2), "12x10x9-p3": ((12, 10, 9), 3, 1)}
@@ -643,7 +673,7 @@ class TestSelfBlockStaysLocal:
         monkeypatch.setattr(Window, "reserve", reserve)  # every put goes through it
         hooked = [(compressed_mod, "seal"), (compressed_mod, "open_frame")]
         if plan.codec is not None:
-            hooked += [(type(plan.codec), "encode_into"), (type(plan.codec), "decode_into")]
+            hooked += [(type(plan.codec), name) for name in ("encode_into", "decode_into", "roundtrip_into")]
         for owner, name in hooked:
             def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
                 count(_key)
@@ -716,7 +746,8 @@ class TestSelfBlockStaysLocal:
                 continue
             # three transforms (bound, flat, two-level), one call per fragment
             assert (delta["seal"], delta["open_frame"]) == (3 * sent, 3 * got)
-            assert (delta["encode_into"], delta["decode_into"]) == (3 * (sent + own), 3 * (got + own))
+            assert (delta["encode_into"], delta["decode_into"]) == (3 * sent, 3 * got)
+            assert delta["roundtrip_into"] == 3 * own
         combined = hashlib.sha256("".join(d for _, d in results).encode()).hexdigest()[:16]
         assert combined == self.PINNED[geometry, codec_name, chunks]
 
