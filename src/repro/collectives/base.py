@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.collectives.slots import SlotTable, SlotTransport
+from repro.collectives.slots import Route, SlotTable, SlotTransport
 from repro.errors import CommunicatorError
 from repro.faults import ResilienceReport
 from repro.machine.topology import Topology
@@ -141,6 +141,8 @@ class Exchange:
     transport: SlotTransport | None = None
     #: The plan's table the exchange is bound to (``None``: every call agrees one).
     table: SlotTable | None = None
+    #: :attr:`table` resolved for this rank on the transport's window (kept across calls).
+    route: Route | None = None
 
     def __init__(self, comm: Comm, topology: Topology | None = None) -> None:
         if topology is not None and topology.nranks != comm.size:
@@ -176,7 +178,8 @@ class Exchange:
         agrees it.  ``pool`` is for exchanges that stage (the reference)."""
         self._check_send(send)
         if self.table is not None:
-            self._move(send, receive, self.table, None)
+            self.route = self.transport.route(self.table, self.route)
+            self._move(send, receive, self.route, None)
         else:
             self._agree(send, lambda kinds: receive())
 
@@ -196,9 +199,11 @@ class Exchange:
 
     def _agree(self, send: Boxes, boxes: Callable[[list], Boxes]) -> None:
         """An unbound move: :meth:`_announce`, then the move into
-        ``boxes(kinds)`` — the kinds this rank receives."""
+        ``boxes(kinds)`` — the kinds this rank receives — by the agreed
+        table's route, which the call drops."""
         kinds, table, riders = self._announce(send)
-        self._move(send, lambda: boxes(kinds), table, riders)
+        route = None if table is None else self.transport.route(table)
+        self._move(send, lambda: boxes(kinds), route, riders)
 
     def _announce(self, send: Boxes) -> tuple[list, SlotTable, list]:
         """One allgather of every message's ``(dtype, shape)`` — both sides of
@@ -226,8 +231,8 @@ class Exchange:
         """What rides this rank's announcement besides the kinds (nothing here)."""
         return None
 
-    def _move(self, send: Boxes, receive: Callable[[], Boxes], table: Any, riders: Any) -> None:
-        """Move ``send`` into ``receive()``'s boxes by ``table`` (riders: None if bound)."""
+    def _move(self, send: Boxes, receive: Callable[[], Boxes], route: Any, riders: Any) -> None:
+        """Move ``send`` into ``receive()``'s boxes by ``route`` (riders: None if bound)."""
         raise NotImplementedError
 
     def _check_send(self, send: Sequence[np.ndarray | None]) -> None:
@@ -243,8 +248,9 @@ class Exchange:
         ``stats`` from ``report`` and publishes the round (and the call's
         duration, when the caller timed it) as one ``exchange-round``
         record — the tracer, the flight ring and live row, the registry."""
-        stats.retries = report.retries
-        stats.degradations = report.degradations
+        events = report.events
+        stats.retries = report.retries if events else 0
+        stats.degradations = report.degradations if events else 0
         stats.reports = [report]
         self.last_stats = stats
         self.last_report = report

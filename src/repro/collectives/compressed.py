@@ -46,7 +46,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats
-from repro.collectives.slots import SlotTable, SlotTransport
+from repro.collectives.slots import Route, SlotTable, SlotTransport
 from repro.collectives.wire import open_frame, seal, stage
 from repro.compression.base import Codec, IdentityCodec, as_float64_view
 from repro.compression.lossless import ShuffleZlibCodec
@@ -61,12 +61,16 @@ from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
 from repro.tuning.pool import BufferPool
+from repro.trace import NULL_SPAN, get_tracer
 from repro.trace import span as trace_span
 
 __all__ = ["CompressedOscAlltoallv"]
 
 #: Tag base for recovery-round retransmissions (control plane).
 _RETRY_TAG = -7000
+
+#: Message shapes whose fragments an exchange keeps (a plan has a few dozen).
+_CUTS_KEPT = 1024
 
 #: Room a window slot reserves per frame for the v2 header (32 B) and
 #: the pickled metadata (codec name, dtype, shape, a few header scalars:
@@ -147,19 +151,32 @@ class CompressedOscAlltoallv(Exchange):
                 self._ladder.append(fallback)
         self.tuned = tuned
         self.transport = SlotTransport(comm, self.rule, topology)
+        #: Resolved once: the world's fault injector, the tolerance check,
+        #: the exchange span's attributes.
+        self.injector = self._injector()
+        self._exceeded = None
+        if e_tol is not None:
+            # Imported here: repro.accuracy pulls in the FFT layer, which
+            # itself imports this module at load time.
+            from repro.accuracy.bounds import tolerance_exceeded
+
+            self._exceeded = tolerance_exceeded
+        self._span_attrs = dict(
+            rank=comm.rank, algorithm=self.algorithm, codec=codec.name,
+            pipeline_chunks=self.pipeline_chunks,
+        )
+        if tuned is not None:
+            self._span_attrs["tuned"] = tuned
+        self._decoders = {c.name: c for c in (self._raw, self._lossless, codec)}
+        self._cuts: dict[tuple, tuple] = {}  # message shape -> its fragments (_parts)
 
     # -- helpers ------------------------------------------------------------------
 
-    def _split(self, data: np.ndarray) -> list[np.ndarray]:
-        """Fragment a message for the compression/transfer pipeline: slabs
-        of its leading axis, so a fragment of a strided view is one too."""
-        if self.pipeline_chunks == 1 or len(data) <= 1:
-            return [data]
-        return [c for c in np.array_split(data, self.pipeline_chunks) if c.size]
-
     def _split_sizes(self, n: int, lead: int | None = None) -> list[int]:
-        """Sizes of the fragments :meth:`_split` cuts an ``n``-item message
-        whose leading axis is ``lead`` long (a flat one: ``n``) into."""
+        """Sizes of the fragments an ``n``-item message whose leading axis
+        is ``lead`` long (a flat one: ``n``) is cut into for the
+        compression/transfer pipeline: slabs of its leading axis, as
+        ``np.array_split`` cuts them, so a fragment of a strided view is one too."""
         k, lead = self.pipeline_chunks, n if lead is None else lead
         if k == 1 or lead <= 1:
             return [n]
@@ -171,6 +188,30 @@ class CompressedOscAlltoallv(Exchange):
         room — so stepping down to lossless, or to raw FP64, always fits."""
         return max(c.worst_case_nbytes(n_float64) for c in self._ladder) + _FRAME_ROOM
 
+    def _parts(self, n: int, lead: int, itemsize: int) -> tuple[tuple[int, int, int], ...]:
+        """The fragments of an ``n``-item message whose leading axis is
+        ``lead`` long: ``(first row, end row, frame room)`` each (none when
+        empty) — worked out once per message shape and kept, for
+        :meth:`_parts_of` to look up (:meth:`slot_table` works out a plan's
+        while it binds)."""
+        parts, row = [], 0
+        for size in self._split_sizes(n, lead) if n else ():
+            rows = size // (n // lead) if lead > 1 else lead
+            parts.append((row, row + rows, self._frame_capacity(size * itemsize // 8)))
+            row += rows
+        if len(self._cuts) >= _CUTS_KEPT:
+            self._cuts.clear()
+        parts = self._cuts[(n, lead, itemsize, self.pipeline_chunks)] = tuple(parts)
+        return parts
+
+    def _parts_of(self, view: np.ndarray) -> tuple[tuple[int, int, int], ...]:
+        """:meth:`_parts` of a view: how it is cut into frames."""
+        lead = view.shape[0] if view.ndim else 1
+        try:
+            return self._cuts[(view.size, lead, view.itemsize, self.pipeline_chunks)]
+        except KeyError:
+            return self._parts(view.size, lead, view.itemsize)
+
     def slot_table(
         self, elements: np.ndarray, itemsize: int, leading: np.ndarray | None = None
     ) -> SlotTable:
@@ -178,9 +219,8 @@ class CompressedOscAlltoallv(Exchange):
         elements = np.asarray(elements, dtype=np.int64)
         capacity = np.zeros_like(elements)
         for at, n in np.ndenumerate(elements):
-            lead = None if leading is None else int(leading[at])
-            pieces = self._split_sizes(int(n), lead) if n else []
-            capacity[at] = sum(self._frame_capacity(piece * itemsize // 8) for piece in pieces)
+            lead = int(n if leading is None else leading[at])
+            capacity[at] = sum(room for _, _, room in self._parts(int(n), lead, itemsize))
         return SlotTable(capacity, align=16)
 
     def _kind(self, view: np.ndarray | None) -> tuple[str, tuple[int, ...]] | None:
@@ -189,24 +229,30 @@ class CompressedOscAlltoallv(Exchange):
             as_float64_view(view)
         return super()._kind(view)
 
+    def _injector(self):
+        """The world's fault injector (``None``: no fault plan), fixed when it starts."""
+        return getattr(getattr(self.comm, "world", None), "injector", None)
+
     def _codec_named(self, name: str) -> Codec:
         """The decompressor a frame names: degraded retransmissions arrive
         encoded by a ladder codec, not necessarily the primary one."""
-        for codec in (self.codec, self._lossless, self._raw):
-            if name == codec.name:
-                return codec
-        raise CompressionError(f"frame names unknown codec {name!r}")
-
-    def _injector(self):
-        world = getattr(self.comm, "world", None)
-        return getattr(world, "injector", None)
+        try:
+            return self._decoders[name]
+        except KeyError:
+            raise CompressionError(f"frame names unknown codec {name!r}") from None
 
     # -- encode side ----------------------------------------------------------------
 
     def _compress_fragment(
-        self, dest: int, report: ResilienceReport, encode: Callable[[Codec, bool], tuple[Any, Any]]
+        self,
+        dest: int,
+        report: ResilienceReport,
+        encode: Callable[[Codec, bool], tuple[Any, Any]],
+        codec: Codec | None = None,
     ) -> tuple[Any, float | None]:
-        """Compress one fragment, riding out transient codec failures.
+        """Compress one fragment, riding out transient codec failures —
+        or, with an explicit ``codec`` (a recovery round's), compress it
+        once with that, unmeasured.
 
         ``encode(codec, measure)`` does the compression proper, into the
         fragment's room, and returns ``(result, achieved)``.  Same-codec
@@ -220,7 +266,9 @@ class CompressedOscAlltoallv(Exchange):
         ``None`` when no tolerance is configured and nothing was
         measured.
         """
-        injector = self._injector()
+        if codec is not None:
+            return encode(codec, False)[0], None
+        injector = self.injector
         policy = self.retry_policy
         ladder = self._ladder
         step, retries_in_step = 0, 0
@@ -267,11 +315,7 @@ class CompressedOscAlltoallv(Exchange):
                 report.record("degrade", peer=dest, codec=ladder[step].name,
                               detail=f"{codec.name} -> {ladder[step].name} (transient failures)")
                 continue
-            # Lazy import: repro.accuracy pulls in the FFT layer, which
-            # itself imports this module at load time.
-            from repro.accuracy.bounds import tolerance_exceeded
-
-            if measure and tolerance_exceeded(achieved, self.e_tol):
+            if measure and self._exceeded(achieved, self.e_tol):
                 report.record("tolerance-exceeded", peer=dest, codec=codec.name,
                               detail=f"e_tol={self.e_tol:g}")
                 lossless_step = next(i for i, c in enumerate(ladder) if c.lossless)
@@ -302,18 +346,19 @@ class CompressedOscAlltoallv(Exchange):
         truncated: it steps down to raw FP64, which the room was sized for.
         """
         n_values = frag.size * frag.itemsize // 8
-        with trace_span(
-            "compress",
-            rank=self.comm.rank,
-            peer=dest,
-            bytes=int(frag.nbytes),
-            codec=(codec or self.codec).name,
-            chunk=chunk_idx,
+        with (
+            trace_span(
+                "compress",
+                rank=self.comm.rank,
+                peer=dest,
+                bytes=int(frag.nbytes),
+                codec=(codec or self.codec).name,
+                chunk=chunk_idx,
+            )
+            if get_tracer() is not None
+            else NULL_SPAN
         ):
-            if codec is None:
-                (used, nbytes, header, done), achieved = self._compress_fragment(dest, report, write)
-            else:
-                (used, nbytes, header, done), achieved = write(codec, False)[0], None
+            (used, nbytes, header, done), achieved = self._compress_fragment(dest, report, write, codec)
         out = done()
         if out is None:
             report.record("degrade", peer=dest, codec=self._raw.name,
@@ -323,7 +368,7 @@ class CompressedOscAlltoallv(Exchange):
         if stats is not None:
             stats.messages += 1
             stats.logical_bytes += 8 * n_values
-            stats.wire_bytes += nbytes + 8 * len(header)
+            stats.wire_bytes += nbytes + 8 * len(header) if header else nbytes
             if achieved is not None:
                 stats.achieved_error = max(stats.achieved_error, achieved)
                 stats.error_measured = True
@@ -338,16 +383,19 @@ class CompressedOscAlltoallv(Exchange):
         stats: ExchangeStats | None,
         region: np.ndarray,
     ) -> int:
-        """Encode one destination's data as wire frames at the head of
-        ``region`` — this rank's slot in ``dest``'s window, or a private
-        array — and return how many bytes they take.
+        """Encode one destination's data, cut as :meth:`_parts_of` says, as
+        wire frames at the head of ``region`` — this rank's slot in
+        ``dest``'s window, or a private array — and return how many bytes
+        they take.
 
         ``view`` may be any strided view; it is only read, and ``region``
         *is* the paper's staging buffer.
         """
         written = 0
-        for chunk_idx, frag in enumerate(self._split(view)):
-            room = region[written : written + self._frame_capacity(frag.size * frag.itemsize // 8)]
+        parts = self._parts_of(view)
+        for chunk_idx, (lo, hi, size) in enumerate(parts):
+            frag = view if len(parts) == 1 else view[lo:hi]
+            room = region[written : written + size]
 
             def write(c: Codec, measure: bool):
                 meta_len, nbytes, header, achieved = stage(room, c, frag, measure)
@@ -358,7 +406,11 @@ class CompressedOscAlltoallv(Exchange):
         return written
 
     def _move_self(
-        self, view: np.ndarray | None, report: ResilienceReport, stats: ExchangeStats, into: np.ndarray
+        self,
+        view: np.ndarray | None,
+        report: ResilienceReport,
+        stats: ExchangeStats,
+        into: np.ndarray,
     ) -> None:
         """The self block, at its step of the ring: every fragment through
         the same ladder as any message (and counted as one), one
@@ -367,7 +419,9 @@ class CompressedOscAlltoallv(Exchange):
         checksummed.  Its room is its codec's worst case."""
         if view is None or view.size == 0:
             return
-        for chunk_idx, (frag, slab) in enumerate(zip(self._split(view), self._split(into))):
+        parts = self._parts_of(view)
+        for chunk_idx, (lo, hi, _) in enumerate(parts):
+            frag, slab = (view, into) if len(parts) == 1 else (view[lo:hi], into[lo:hi])
 
             def write(c: Codec, measure: bool):
                 nbytes, header, achieved = c.roundtrip_into(frag, slab, measure)
@@ -386,8 +440,7 @@ class CompressedOscAlltoallv(Exchange):
     ) -> np.ndarray:
         """:meth:`_encode_block` into a region of the message's own, for a
         message that is routed or retransmitted rather than put."""
-        room = sum(self._frame_capacity(f.size * f.itemsize // 8) for f in self._split(view))
-        region = np.empty(room, dtype=np.uint8)
+        region = np.empty(sum(size for _, _, size in self._parts_of(view)), dtype=np.uint8)
         return region[: self._encode_block(view, dest, codec, report, stats, region)]
 
     # -- decode side -----------------------------------------------------------------
@@ -395,8 +448,8 @@ class CompressedOscAlltoallv(Exchange):
     def _decode_region(self, region: np.ndarray, into: np.ndarray) -> None:
         """Check the frames of one source's block where they lie and decode
         each straight into its slab of ``into`` — the strided box of the
-        output block this source fills, cut as :meth:`_split` cut the
-        sender's view.
+        output block this source fills, cut as the sender's view was
+        (:meth:`_parts_of`).
 
         Each header is parsed exactly once, and the walk stops after the
         box's last slab: in a window slot what follows is an older
@@ -404,8 +457,10 @@ class CompressedOscAlltoallv(Exchange):
         the box's cut, or a frame that does not describe its slab, is a
         :class:`CompressionError`.
         """
+        parts = self._parts_of(into)
         pos = 0
-        for slab in self._split(into):
+        for lo, hi, _ in parts:
+            slab = into if len(parts) == 1 else into[lo:hi]
             msg, consumed = open_frame(region[pos:])
             # (the scalar type's name: dtype.name costs 2 us a message)
             if (msg.dtype_name, msg.shape) != (slab.dtype.type.__name__, (slab.size,)):
@@ -422,7 +477,11 @@ class CompressedOscAlltoallv(Exchange):
         (CRC-checked per frame); a block that fails integrity is reported
         and appended to ``failed``."""
         try:
-            with trace_span("decompress", rank=self.comm.rank, peer=source, bytes=int(region.size)):
+            with (
+                trace_span("decompress", rank=self.comm.rank, peer=source, bytes=int(region.size))
+                if get_tracer() is not None
+                else NULL_SPAN
+            ):
                 self._decode_region(region, into)
         except CompressionError as exc:
             report.record("integrity-failure", peer=source, detail=str(exc))
@@ -451,7 +510,7 @@ class CompressedOscAlltoallv(Exchange):
         # the same branch and the recovery collectives stay matched.  A
         # CRC failure with *no* fault source is a real transport/codec
         # bug: raise it rather than mask it with a retransmission.
-        if self._injector() is not None:
+        if self.injector is not None:
             with trace_span("retry", rank=rank, failed=len(failed)):
                 self._recover(send, into, failed, report, stats)
         elif failed:
@@ -558,7 +617,7 @@ class CompressedOscAlltoallv(Exchange):
 
     # -- the exchange ----------------------------------------------------------------
 
-    def _move(self, send: Boxes, receive: Callable[[], Boxes], table: SlotTable, riders: Any) -> None:
+    def _move(self, send: Boxes, receive: Callable[[], Boxes], route: Route | None, riders: Any) -> None:
         """Every message is encoded from its strided view into the peer's slot
         and decoded from the local slot into its strided box: no pack,
         staging frame or unpack.  The self block goes first, at step 0 of
@@ -568,24 +627,16 @@ class CompressedOscAlltoallv(Exchange):
         # scope of its own even outside a reshape (repro.perf groups
         # outermost exchange spans into rounds); the live phase is the
         # reshape's, so the span is the tracer's alone.
-        attrs = dict(
-            rank=self.comm.rank,
-            algorithm=self.algorithm,
-            codec=self.codec.name,
-            pipeline_chunks=self.pipeline_chunks,
-        )
-        if self.tuned is not None:
-            attrs["tuned"] = self.tuned
         started = time.monotonic()
-        with trace_span("exchange", **attrs):
-            stats, report = self._exchange(send, receive, table)
+        with trace_span("exchange", **self._span_attrs) if get_tracer() is not None else NULL_SPAN:
+            stats, report = self._exchange(send, receive, route)
         self._finish(stats, report, time.monotonic() - started)
 
     def _exchange(
-        self, send: Boxes, receive: Callable[[], Boxes], table: SlotTable
+        self, send: Boxes, receive: Callable[[], Boxes], route: Route | None
     ) -> tuple[ExchangeStats, ResilienceReport]:
-        """Move ``send`` into the boxes ``receive()`` through ``table``;
-        returns the call's accounting."""
+        """Move ``send`` into the boxes ``receive()`` by ``route``; returns
+        the call's accounting."""
         rank = self.comm.rank
         stats = ExchangeStats()
         report = ResilienceReport(rank=rank)
@@ -596,9 +647,10 @@ class CompressedOscAlltoallv(Exchange):
         # are done" under the fence rule; the credit rule decodes each
         # region as its header arrives.  Either way straight from the window.
         self.transport.move(
-            table,
+            route,
             lambda d, slot: self._encode_block(send[d], d, None, report, stats, slot),
             lambda s, region: self._decode(s, region, out[s], report, failed),
         )
-        self._settle(send, (), report, stats, out, failed)
+        if failed or self.injector is not None:  # else there is nothing to settle
+            self._settle(send, (), report, stats, out, failed)
         return stats, report

@@ -24,13 +24,14 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats, unpack
-from repro.collectives.slots import SlotTable, SlotTransport, strided_put
+from repro.collectives.slots import Route, SlotTable, SlotTransport, strided_put
 from repro.collectives.wire import crc32
 from repro.errors import RetryExhaustedError
 from repro.faults import ResilienceReport, RetryPolicy
 from repro.machine.topology import Topology
 from repro.runtime.base import Comm
 from repro.tuning.pool import BufferPool
+from repro.trace import NULL_SPAN, get_tracer
 from repro.trace import span as trace_span
 
 __all__ = ["OscAlltoallv", "osc_alltoallv"]
@@ -144,7 +145,7 @@ class OscAlltoallv(Exchange):
 
     # -- the exchange -------------------------------------------------------------
 
-    def _move(self, send: Boxes, receive: Callable[[], Boxes], table: SlotTable, riders: Any) -> None:
+    def _move(self, send: Boxes, receive: Callable[[], Boxes], route: Route, riders: Any) -> None:
         """Each box is put straight from its strided view into its slot and
         unpacked straight from the local slot into its strided box (asked
         for when the first arrives); the self box is one strided copy."""
@@ -157,6 +158,7 @@ class OscAlltoallv(Exchange):
             send = [v if d == rank or v is None else _as_bytes(v) for d, v in enumerate(send)]
         out: list[np.ndarray | None] = []
         failed: list[int] = []
+        traced = get_tracer() is not None
 
         def box(s: int) -> np.ndarray | None:
             if not out:
@@ -167,15 +169,15 @@ class OscAlltoallv(Exchange):
             if self.verify and crc32(region) != crcs[source]:
                 report.record("integrity-failure", peer=source, detail="block checksum mismatch")
                 failed.append(source)
-            with trace_span("unpack", rank=rank, peer=source):
+            with trace_span("unpack", rank=rank, peer=source) if traced else NULL_SPAN:
                 unpack(box(source), region)
 
         self.transport.move(
-            table, lambda dest, slot: strided_put(self._box(send[dest], dest), slot), consume
+            route, lambda dest, slot: strided_put(self._box(send[dest], dest), slot), consume
         )
         mine = box(rank)
         if send[rank] is not None and send[rank].size:
-            with trace_span("unpack", rank=rank, peer=rank):
+            with trace_span("unpack", rank=rank, peer=rank) if traced else NULL_SPAN:
                 unpack(mine, send[rank])
         if self.verify:
             with trace_span("retry", rank=rank, failed=len(failed)):

@@ -20,9 +20,10 @@ from repro.errors import CommunicatorError
 from repro.machine.topology import Topology, ring_peers
 from repro.runtime.base import Comm
 from repro.runtime.window import Window
+from repro.trace import NULL_SPAN, get_tracer
 from repro.trace import span as trace_span
 
-__all__ = ["SlotTable", "SlotTransport", "strided_put"]
+__all__ = ["Route", "SlotTable", "SlotTransport", "strided_put"]
 
 #: Headers and credits of the credit rule: two tags per window, by window number.
 _SLOT_TAG = -20000
@@ -49,6 +50,45 @@ class SlotTable:
         #: The largest region of any rank, and whether anything moves at all.
         self.largest = int(self.extent.max())
         self.moves = bool(self.capacity.any())
+
+
+class Route:
+    """A :class:`SlotTable` resolved for one rank on one window, as plain
+    ints: what :meth:`SlotTransport.move` walks.  Built once by
+    :meth:`SlotTransport.route` — a bound exchange keeps it for every
+    call, a one-shot call builds it from its agreed table and drops it —
+    and valid while its window is the transport's.
+
+    ``puts`` (fence rule): ``(dest, offset, room, intra)`` in ring order;
+    ``reads``: ``(source, offset, size)`` in rank order; ``steps`` (credit
+    rule): ``(dest, source, (offset, room) or None, whether it receives)``,
+    one per ring step that sends or receives."""
+
+    __slots__ = ("table", "win", "moves", "puts", "reads", "steps")
+
+    def __init__(self, transport: "SlotTransport", table: SlotTable) -> None:
+        rank, topo = transport.comm.rank, transport.topology
+        self.table, self.win, self.moves = table, transport.win, table.moves
+        self.puts, self.reads, self.steps = [], [], []
+        if not self.moves:  # nothing to walk (and maybe no window yet)
+            return
+        sends, receives = table.capacity[rank].tolist(), table.capacity[:, rank].tolist()
+        if transport.rule == "fence":
+            offsets, starts = table.offset[rank].tolist(), table.offset[:, rank].tolist()
+            self.puts = [
+                (d, offsets[d], sends[d], topo is not None and topo.same_node(rank, d))
+                for d, _ in transport._ring
+                if sends[d]
+            ]
+            self.reads = [(s, starts[s], n) for s, n in enumerate(receives) if n]
+        else:
+            layout = transport._layout
+            offsets, room = layout.offset[rank].tolist(), layout.capacity[rank].tolist()
+            self.steps = [
+                (d, s, (offsets[d], room[d]) if sends[d] else None, bool(receives[s]))
+                for d, s in transport._ring
+                if sends[d] or receives[s]
+            ]
 
 
 def strided_put(box: np.ndarray, slot: np.ndarray) -> int:
@@ -83,6 +123,7 @@ class SlotTransport:
         self.header_tag = self.credit_tag = 0
         self._half = 0  # fence rule: bytes per half
         self._layout: SlotTable | None = None  # credit rule: the pair slots
+        self._starts: list[int] = []  # credit rule: where each source's slot starts here
         self._ring = [ring_peers(comm.rank, j, comm.size, topology) for j in range(1, comm.size)]
 
     def _fits(self, table: SlotTable) -> bool:
@@ -104,6 +145,7 @@ class SlotTransport:
             old = [] if self._layout is None else [self._layout.capacity]
             caps = old + [t.capacity for t in tables]
             self._layout = SlotTable(np.maximum.reduce(caps), align=16)
+            self._starts = self._layout.offset[:, self.comm.rank].tolist()
             nbytes = int(self._layout.extent.max())
         if self.win is not None:
             self._take_credits()
@@ -131,8 +173,18 @@ class SlotTransport:
             self.win.free()
             self.win, self._half, self._layout = None, 0, None
 
-    def move(self, table: SlotTable, produce: Produce, consume: Consume) -> None:
-        """Move this rank's row of ``table`` and its column.
+    def route(self, table: SlotTable, known: Route | None = None) -> Route:
+        """This rank's :class:`Route` of ``table`` on the current window —
+        ``known`` itself while it is still that — growing the window
+        first (collectively) when ``table`` does not fit it."""
+        if known is not None and known.table is table and known.win is self.win:
+            return known
+        if table.moves and not self._fits(table):
+            self.grow([table])
+        return Route(self, table)
+
+    def move(self, route: Route, produce: Produce, consume: Consume) -> None:
+        """Move this rank's row of the route's table and its column.
 
         ``produce(dest, slot) -> nbytes`` writes the message for ``dest``
         at the head of ``slot`` (``uint8``, this rank's slot there) and
@@ -140,14 +192,15 @@ class SlotTransport:
         and is an error.  ``consume(source, region)`` reads what
         ``source`` put, a borrowed view of the local window.  A table
         with no capacity anywhere costs no epoch, fence or header."""
-        if not table.moves:
+        if not route.moves:
             return
-        if not self._fits(table):
-            self.grow([table])
+        if route.win is not self.win:  # the window changed since: re-resolve
+            route = self.route(route.table)
+        traced = get_tracer() is not None
         if self.rule == "fence":
-            self._fence(table, produce, consume)
+            self._fence(route, produce, consume, traced)
         else:
-            self._credit(table, produce, consume)
+            self._credit(route, produce, consume, traced)
 
     def _put(self, produce: Produce, dest: int, offset: int, room: int) -> int:
         rank = self.comm.rank
@@ -161,54 +214,45 @@ class SlotTransport:
                 )
         return slot.written
 
-    def _fence(self, table: SlotTable, produce: Produce, consume: Consume) -> None:
+    def _fence(self, route: Route, produce: Produce, consume: Consume, traced: bool) -> None:
         """Every put in ring order, one fence, every source's region (in
         half ``epoch mod 2``: the opening fence is implied, DESIGN §15.2)."""
         rank, win = self.comm.rank, self.win
         base = (self.epoch % 2) * self._half
         self.epoch += 1
-        offsets, room = table.offset[rank].tolist(), table.capacity[rank].tolist()
-        topo = self.topology
-        for dest, _ in self._ring:
-            if room[dest]:
-                intra = topo is not None and topo.same_node(rank, dest)
-                with trace_span("put", rank=rank, peer=dest, chunk=0, intra=intra) as span:
-                    span.note(bytes=self._put(produce, dest, base + offsets[dest], room[dest]))
-        with trace_span("fence", rank=rank, epoch="close"):
+        for dest, at, room, intra in route.puts:
+            with (
+                trace_span("put", rank=rank, peer=dest, chunk=0, intra=intra) if traced else NULL_SPAN
+            ) as span:
+                span.note(bytes=self._put(produce, dest, base + at, room))
+        with trace_span("fence", rank=rank, epoch="close") if traced else NULL_SPAN:
             win.fence()  # all puts complete everywhere
         local = win.local_view()
-        starts, sizes = table.offset[:, rank].tolist(), table.capacity[:, rank].tolist()
-        for source, (at, n) in enumerate(zip(starts, sizes)):
-            if n:
-                consume(source, local[base + at : base + at + n])
+        for source, at, n in route.reads:
+            consume(source, local[base + at : base + at + n])
 
     def take(self, source: int) -> np.ndarray:
         """Wait for ``source``'s header; the bytes it put (borrowed until the credit)."""
         nbytes = int(self.comm.recv(source, tag=self.header_tag)[0])
-        at = int(self._layout.offset[source, self.comm.rank])
+        at = self._starts[source]
         return self.win.local_view()[at : at + nbytes]
 
-    def _credit(self, table: SlotTable, produce: Produce, consume: Consume) -> None:
+    def _credit(self, route: Route, produce: Produce, consume: Consume, traced: bool) -> None:
         """At each ring step: wait for the slot's credit if it is owed, put,
         send the header; then take the source's header, consume its region
         and send its credit back (deadlock freedom: DESIGN §15.2)."""
         comm, rank = self.comm, self.comm.rank
-        layout = self._layout
-        sends, receives = table.capacity[rank].tolist(), table.capacity[:, rank].tolist()
-        offsets, room = layout.offset[rank].tolist(), layout.capacity[rank].tolist()
-        for dest, source in self._ring:
-            if not (sends[dest] or receives[source]):
-                continue
-            with trace_span("sendrecv", rank=rank, peer=dest) as span:
+        for dest, source, put, takes in route.steps:
+            with trace_span("sendrecv", rank=rank, peer=dest) if traced else NULL_SPAN as span:
                 nbytes = 0
-                if sends[dest]:
+                if put is not None:
                     if self.owed[dest]:
                         comm.recv(dest, tag=self.credit_tag)
-                    nbytes = self._put(produce, dest, offsets[dest], room[dest])
+                    nbytes = self._put(produce, dest, *put)
                     comm.send(np.array([nbytes], dtype=np.int64), dest, tag=self.header_tag)
                     self.owed[dest] = True
                 span.note(bytes=nbytes)
-                region = self.take(source) if receives[source] else None
+                region = self.take(source) if takes else None
             if region is not None:
                 consume(source, region)
                 comm.send(_EMPTY, source, tag=self.credit_tag)

@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.collectives.base import Boxes, ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.slots import SlotTable
+from repro.collectives.slots import Route
 from repro.faults import ResilienceReport
 from repro.telemetry import emit
 from repro.trace import incr as trace_incr
@@ -85,7 +85,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
 
     def _agree(self, send: Boxes, boxes: Callable[[list], Boxes]) -> None:
         """Unbound and routed: the counts allgather, which carries the
-        kinds, is the only agreement (``table=None`` marks it)."""
+        kinds, is the only agreement (``route=None`` marks it)."""
         topo = self.topology
         if topo is not None and topo.nnodes > 1 and topo.uniform:
             self._move(send, boxes, None, None)
@@ -93,13 +93,13 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
             super()._agree(send, boxes)
 
     def _exchange(
-        self, send: Boxes, receive: Callable, table: SlotTable | None
+        self, send: Boxes, receive: Callable, route: Route | None
     ) -> tuple[ExchangeStats, ResilienceReport]:
         topo = self.topology
         if topo is None or topo.nnodes <= 1:
             # Nothing to aggregate across — the flat one-sided ring is
             # the same exchange with less plumbing.
-            return super()._exchange(send, receive, table)
+            return super()._exchange(send, receive, route)
         if not topo.uniform:
             # Survivor topology: a node with no live rank cannot host a
             # leader, and with one populated node there is nothing to
@@ -112,7 +112,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
                 empty = live_counts.count(0)
                 emit("exchange-degrade", self.comm.rank,
                      value=empty, detail=f"{empty} empty node(s)")
-                return super()._exchange(send, receive, table)
+                return super()._exchange(send, receive, route)
             demoted = [
                 m for m in range(topo.nnodes) if live_counts[m] < topo.ranks_per_node
             ]
@@ -140,7 +140,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         # kinds ride along: an unbound call allocates its boxes from them.
         gathered = comm.allgather(([int(b.size) for b in blobs], [self._kind(v) for v in send]))
         all_sizes = np.array([row[0] for row in gathered], dtype=np.int64)
-        out = receive([row[1][me] for row in gathered]) if table is None else receive()
+        out = receive([row[1][me] for row in gathered]) if route is None else receive()
         self._move_self(send[me], report, stats, out[me])
 
         # Stage 0: same-node destinations go direct (sends are eager).

@@ -76,14 +76,11 @@ _HDR_BYTES = _HDR_STRUCT.size  # 32
 _MAX_LEN = 1 << 48
 
 
-def crc32(buf: np.ndarray) -> int:
-    """CRC32 of a C-contiguous array's bytes, read in place.
-
-    ``zlib.crc32`` takes any contiguous buffer, so the array goes in as
-    it is — no ``tobytes()`` copy of a multi-megabyte payload just to
-    checksum it (and zlib drops the GIL while it runs).
-    """
-    return zlib.crc32(buf) & 0xFFFFFFFF
+#: CRC32 of a C-contiguous array's bytes (or of ``bytes``), read in place:
+#: ``zlib.crc32`` takes any contiguous buffer, so the array goes in as it
+#: is — no ``tobytes()`` copy of a multi-megabyte payload just to checksum
+#: it (and zlib drops the GIL while it runs).  Unsigned 32-bit.
+crc32 = zlib.crc32
 
 
 # -- restricted metadata deserialization ---------------------------------------
@@ -162,14 +159,47 @@ def pack_meta(codec_name: str, dtype_name: str, shape: tuple[int, ...], header: 
     return pickle.dumps((codec_name, dtype_name, shape, header), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def begin(region: np.ndarray, meta: bytes) -> np.ndarray:
+# -- known metadata --------------------------------------------------------------
+#
+# A frame without header scalars carries the same metadata bytes on every
+# call of a plan.  Their pickle, their CRC32 and their unpickled fields are
+# functions of those bytes alone, so each is computed once: `_KNOWN` maps
+# metadata bytes to (CRC32, fields), filled by the writer when it pickles
+# them and by the reader once a frame of them verified in full.  A lookup
+# yields exactly what the full path computes; bytes not in it take the
+# full path (DESIGN §6.2).
+
+_KNOWN: dict[bytes, tuple[int, tuple]] = {}
+#: (codec, dtype, shape) -> its bare metadata's bytes, as uint8.
+_BARE: dict[tuple, np.ndarray] = {}
+_KNOWN_MAX = 4096  # distinct metadata of a process: a few per plan
+
+
+def _remember(table: dict, key, value) -> None:
+    if len(table) >= _KNOWN_MAX:
+        table.clear()
+    table[key] = value
+
+
+def _bare_meta(ident: tuple) -> np.ndarray:
+    """The metadata of a frame of ``ident`` with no header scalars, pickled
+    once (and known, with its CRC and fields, from then on)."""
+    meta = pack_meta(*ident, {})
+    _remember(_KNOWN, meta, (crc32(meta), (*ident, {})))
+    bare = np.frombuffer(meta, dtype=np.uint8)
+    _remember(_BARE, ident, bare)
+    return bare
+
+
+def begin(region: np.ndarray, meta: np.ndarray) -> np.ndarray:
     """Start a frame at ``region[0]`` (contiguous ``uint8`` memory of the
-    caller's): stage ``meta`` and return the room behind it, for the
-    payload to be produced into — none when not even ``meta`` fits."""
-    body = _HDR_BYTES + len(meta)
+    caller's): stage ``meta`` (metadata bytes, as ``uint8``) and return the
+    room behind it, for the payload to be produced into — none when not
+    even ``meta`` fits."""
+    body = _HDR_BYTES + meta.size
     if body > region.size:
         return region[:0]
-    region[_HDR_BYTES:body] = np.frombuffer(meta, dtype=np.uint8)
+    region[_HDR_BYTES:body] = meta
     return region[body:]
 
 
@@ -182,18 +212,20 @@ def stage(
     payload_len, header, achieved)``; :func:`seal` completes the frame."""
     # (the scalar type's name is the dtype's, without dtype.name's 2 us)
     ident = (codec.name, values.dtype.type.__name__, (values.size,))
-    meta = pack_meta(*ident, {})
+    meta = _BARE.get(ident)
+    if meta is None:
+        meta = _bare_meta(ident)
     payload = begin(region, meta)
     nbytes, header, achieved = codec.encode_into(values, payload, measure)
     if header:
         # Header scalars (a scale, a count) are known only now: the
         # metadata grows by their pickle and the payload moves up behind it.
-        meta = pack_meta(*ident, header)
-        at = _HDR_BYTES + len(meta)
+        meta = np.frombuffer(pack_meta(*ident, header), dtype=np.uint8)
+        at = _HDR_BYTES + meta.size
         if nbytes <= payload.size and at + nbytes <= region.size:
             region[at : at + nbytes] = payload[:nbytes]
             begin(region, meta)
-    return len(meta), nbytes, header, achieved
+    return meta.size, nbytes, header, achieved
 
 
 def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | None:
@@ -203,6 +235,8 @@ def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | No
     body = _HDR_BYTES + meta_len
     if body + payload_len > region.size:
         return None
+    meta = region[_HDR_BYTES:body]
+    known = _KNOWN.get(meta.tobytes())
     _HDR_STRUCT.pack_into(
         region,
         0,
@@ -212,7 +246,7 @@ def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | No
         0,
         meta_len,
         payload_len,
-        crc32(region[_HDR_BYTES:body]),
+        crc32(meta) if known is None else known[0],
         crc32(region[body : body + payload_len]),
     )
     return region[: body + payload_len]
@@ -220,10 +254,10 @@ def seal(region: np.ndarray, meta_len: int, payload_len: int) -> np.ndarray | No
 
 def encode_wire(msg: CompressedMessage) -> np.ndarray:
     """Flatten a compressed message into a contiguous uint8 frame of its own."""
-    meta = pack_meta(msg.codec_name, msg.dtype_name, msg.shape, msg.header)
-    frame = np.empty(_HDR_BYTES + len(meta) + msg.payload.size, dtype=np.uint8)
+    meta = np.frombuffer(pack_meta(msg.codec_name, msg.dtype_name, msg.shape, msg.header), dtype=np.uint8)
+    frame = np.empty(_HDR_BYTES + meta.size + msg.payload.size, dtype=np.uint8)
     begin(frame, meta)[...] = msg.payload
-    return seal(frame, len(meta), msg.payload.size)
+    return seal(frame, meta.size, msg.payload.size)
 
 
 # -- decode ---------------------------------------------------------------------
@@ -289,11 +323,26 @@ def open_frame(frame: np.ndarray) -> tuple[CompressedMessage, int]:
             f"wire frame truncated: need {consumed} B, have {frame.size} B"
         )
     meta, payload = frame[_HDR_BYTES : _HDR_BYTES + meta_len], frame[_HDR_BYTES + meta_len : consumed]
-    if crc32(meta) != meta_crc:
+    raw = meta.tobytes()
+    known = _KNOWN.get(raw)
+    if (crc32(meta) if known is None else known[0]) != meta_crc:
         raise WireIntegrityError("metadata checksum mismatch (corrupted frame)")
     if crc32(payload) != payload_crc:
         raise WireIntegrityError("payload checksum mismatch (corrupted frame)")
-    decoded = _safe_loads(meta.tobytes())
+    if known is None:
+        fields = _fields(raw)
+        if not fields[3]:
+            _remember(_KNOWN, raw, (meta_crc, fields))
+    else:
+        fields = known[1]
+    codec_name, dtype_name, shape, header = fields
+    # (a fresh header dict: the message's is the caller's to keep)
+    return CompressedMessage(codec_name, payload, dtype_name, shape, dict(header)), consumed
+
+
+def _fields(raw: bytes) -> tuple:
+    """The checked fields of metadata bytes: restricted unpickle, then structure."""
+    decoded = _safe_loads(raw)
     if not (isinstance(decoded, tuple) and len(decoded) == 4):
         raise WireIntegrityError("wire metadata has unexpected structure")
     codec_name, dtype_name, shape, header = decoded
@@ -301,7 +350,7 @@ def open_frame(frame: np.ndarray) -> tuple[CompressedMessage, int]:
         raise WireIntegrityError("wire metadata has unexpected field types")
     if not isinstance(header, dict):
         raise WireIntegrityError("wire metadata header must be a dict")
-    return CompressedMessage(codec_name, payload, dtype_name, tuple(shape), header), consumed
+    return codec_name, dtype_name, tuple(shape), header
 
 
 def decode_wire(frame: np.ndarray | bytes) -> tuple[CompressedMessage, int]:

@@ -386,6 +386,7 @@ class Fft3d(StagedTransform):
             transport.grow(tables)
             for exchange, table in zip(exchanges, tables):
                 exchange.transport, exchange.table = transport, table
+                exchange.route = transport.route(table)
         binding = comm.attrs[key] = _Binding(
             [
                 BoundReshape(reshape, comm.rank, exchange, batch)
@@ -408,10 +409,10 @@ class Fft3d(StagedTransform):
     def _reshape_stage(
         self, bound: BoundReshape, block: np.ndarray, stats: FftStats, pool: BufferPool | None
     ) -> np.ndarray:
-        """One bound reshape of an SPMD transform (the first half of a stage)."""
-        rstats = ExchangeStats()
-        block = bound(block, stats=rstats, pool=pool)
-        stats.reshapes.append(rstats)
+        """One bound reshape of an SPMD transform (the first half of a stage);
+        its record is its exchange's, which the next call replaces, not updates."""
+        block = bound(block, pool=pool)
+        stats.reshapes.append(bound.exchange.last_stats)
         return block
 
     def _fft_stage(self, comm: Comm, block: np.ndarray, stage: Stage) -> np.ndarray:

@@ -11,6 +11,7 @@ export with one lane per rank, aggregated text summaries and the
 from repro.trace.bench import BENCH_SCHEMA, bench_payload, write_bench_json
 from repro.trace.core import (
     COUNTER_KINDS,
+    NULL_SPAN,
     SPAN_KINDS,
     InstantEvent,
     SpanEvent,
@@ -37,6 +38,7 @@ __all__ = [
     "SpanEvent",
     "InstantEvent",
     "Tracer",
+    "NULL_SPAN",
     "get_tracer",
     "install",
     "uninstall",

@@ -130,7 +130,7 @@ class _NullSpan:
         """No-op (see :meth:`_Span.note`)."""
 
 
-_NULL_SPAN = _NullSpan()
+NULL_SPAN = _NullSpan()
 
 
 class _ThreadBuffer:
@@ -219,7 +219,7 @@ class Tracer:
     def span(self, kind: str, *, rank: int | None = None, **attrs: Any):
         """Open a nestable span; use as a context manager."""
         if not self.enabled:
-            return _NULL_SPAN
+            return NULL_SPAN
         return _Span(self, self._buf(), kind, rank, attrs)
 
     def instant(self, kind: str, *, rank: int | None = None, **attrs: Any) -> None:
@@ -402,7 +402,7 @@ def tracing(**kwargs: Any) -> Iterator[Tracer]:
 def span(kind: str, *, rank: int | None = None, **attrs: Any):
     """Open a span on the active tracer (no-op context when disabled)."""
     t = _active
-    return _NULL_SPAN if t is None else t.span(kind, rank=rank, **attrs)
+    return NULL_SPAN if t is None else t.span(kind, rank=rank, **attrs)
 
 
 def incr(name: str, value: float = 1, *, rank: int | None = None) -> None:

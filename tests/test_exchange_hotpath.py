@@ -760,3 +760,145 @@ class TestSelfBlockStaysLocal:
     @pytest.mark.parametrize("geometry", list(GEOMETRIES))
     def test_on_forked_ranks(self, monkeypatch, geometry, codec_name, chunks):
         self._check(monkeypatch, "proc", geometry, codec_name, chunks)
+
+
+class TestWarmBindingResolvesItsBookkeepingOnce:
+    """What a bound reshape's messages share from one call to the next is
+    worked out when the plan binds: a warm round trip pickles no frame
+    metadata, builds no restricted unpickler, computes no frame room and
+    builds no route (the only reader of a slot table's rows), and takes
+    exactly one CRC32 per frame on each side — the payload's.  Under
+    either completion rule, on both runtimes, with a cast and with a
+    tolerance; ``pipeline_chunks=3`` cuts every message into frames."""
+
+    N, P = 16, 4
+
+    def _run(self, monkeypatch, runtime, method, **plan_kwargs):
+        import pickle
+
+        import repro.collectives.slots as slots_mod
+        import repro.collectives.wire as wire_mod
+        from repro.fft import Fft3d
+        from repro.runtime import make_world
+        from repro.tuning.profile import TuningEntry, TuningProfile
+
+        shape = (self.N,) * 3
+        profile = TuningProfile(machine="laptop")  # only for its pipeline_chunks
+        profile.record(
+            self.P, shape,
+            TuningEntry(codec="cast_fp32", pipeline_chunks=3, variant="flat", measured_s=0.001),
+        )
+        plan = Fft3d(shape, self.P, tuning=profile, **plan_kwargs)
+        assert plan._tuned_entry.pipeline_chunks == 3
+        # Counters: shared by rank threads, private to each forked rank.
+        counts, lock = collections.Counter(), threading.Lock()
+
+        def bump(key):
+            with lock:
+                counts[key] += 1
+
+        class CountingUnpickler(wire_mod._RestrictedUnpickler):
+            def __init__(self, *args, **kwargs):
+                bump("unpickler")
+                super().__init__(*args, **kwargs)
+
+        class CountingRoute(slots_mod.Route):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                bump("route")
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(wire_mod, "_RestrictedUnpickler", CountingUnpickler)
+        monkeypatch.setattr(slots_mod, "Route", CountingRoute)
+        for owner, name in [
+            (pickle, "dumps"), (wire_mod, "crc32"), (wire_mod, "seal"), (wire_mod, "open_frame"),
+            (CompressedOscAlltoallv, "_frame_capacity"),
+        ]:
+            def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
+                bump(_key)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        # the exchange module bound seal/open_frame by name at import
+        import repro.collectives.compressed as compressed_mod
+
+        monkeypatch.setattr(compressed_mod, "seal", wire_mod.seal)
+        monkeypatch.setattr(compressed_mod, "open_frame", wire_mod.open_frame)
+
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((self.N,) * 3) + 1j * rng.standard_normal((self.N,) * 3)
+        blocks = plan.scatter(x)
+
+        def kernel(comm):
+            b = blocks[comm.rank]
+            for _ in range(2):  # bind, then warm every cache
+                plan.forward_spmd(comm, plan.forward_spmd(comm, b, method=method), method=method,
+                                  inverse=True)
+            comm.barrier()
+            before = dict(counts)
+            comm.barrier()
+            y = plan.forward_spmd(comm, b, method=method)
+            z = plan.forward_spmd(comm, y, method=method, inverse=True)
+            comm.barrier()
+            delta = {k: counts[k] - before.get(k, 0) for k in counts}
+            comm.barrier()
+            return delta, z
+
+        return plan, x, make_world(runtime, self.P, timeout=120.0).run(kernel)
+
+    @pytest.mark.parametrize("runtime", ["thread", "proc"])
+    @pytest.mark.parametrize("method", ["osc", "pairwise"], ids=["fence", "credit"])
+    @pytest.mark.parametrize("codec", ["fp32", "e_tol"])
+    def test_warm_round_trip(self, monkeypatch, runtime, method, codec):
+        kwargs = {"codec": CastCodec("fp32")} if codec == "fp32" else {"e_tol": 1e-10}
+        plan, x, results = self._run(monkeypatch, runtime, method, **kwargs)
+        for delta, z in results:
+            assert delta["seal"] > 0 and delta["open_frame"] > 0
+            for key in ("dumps", "unpickler", "_frame_capacity", "route"):
+                assert delta.get(key, 0) == 0, key
+            assert delta["crc32"] == delta["seal"] + delta["open_frame"]
+        back = plan.gather([z for _, z in results])
+        assert np.linalg.norm(back - x) / np.linalg.norm(x) < plan.guaranteed_tolerance * 4
+
+    @pytest.mark.parametrize("method", ["osc", "pairwise"], ids=["fence", "credit"])
+    def test_a_window_grown_by_a_one_shot_call_is_walked_by_fresh_routes(self, monkeypatch, method):
+        """A one-shot call through a bound exchange, with messages no slot
+        holds, grows the window the binding shares.  Its own move walks a
+        route built for the grown window, and so does every bound reshape
+        after it: no move is handed a route of a window that is gone."""
+        from repro.collectives.slots import SlotTransport
+        from repro.fft import Fft3d
+
+        moves, lock = [], threading.Lock()
+        original = SlotTransport.move
+
+        def move(self, route, produce, consume):
+            with lock:
+                moves.append(route.win is self.win)
+            return original(self, route, produce, consume)
+
+        monkeypatch.setattr(SlotTransport, "move", move)
+        plan = Fft3d((self.N,) * 3, self.P, codec=CastCodec("fp32"))
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((self.N,) * 3) + 1j * rng.standard_normal((self.N,) * 3)
+        blocks = plan.scatter(x)
+
+        def kernel(comm):
+            before = plan.forward_spmd(comm, blocks[comm.rank], method=method)
+            binding = next(iter(comm.attrs.values()))
+            window = binding.transport.win
+            op = binding.bound[1].exchange
+            big = [np.full(4 * self.N**3 // self.P, comm.rank + 1j * d) for d in range(comm.size)]
+            got = op(big)  # one-shot: nothing of the plan's slots holds these
+            grown = binding.transport.win is not window
+            after = plan.forward_spmd(comm, blocks[comm.rank], method=method)
+            fresh = all(b.exchange.route.win is binding.transport.win for b in binding.bound
+                        if b.exchange.route is not None and b.exchange.route.moves)
+            ok = all(np.array_equal(got[s], np.full_like(big[0], s + 1j * comm.rank))
+                     for s in range(comm.size))
+            return grown, fresh, ok, np.array_equal(before, after)
+
+        results = ThreadWorld(self.P, timeout=60.0).run(kernel)
+        assert all(r == (True, True, True, True) for r in results)
+        assert moves and all(moves)

@@ -1051,11 +1051,20 @@ class TestSlotOverflow:
         assert world.injector.injected("bitflip") == 1
 
     def test_split_sizes_mirror_split(self):
+        """The fragments a slot is sized for are ``np.array_split``'s slabs of
+        the leading axis, and ``_parts`` cuts a block into exactly those."""
+        from repro.compression.base import IdentityCodec
+
         for chunks in (1, 2, 3, 7):
             op = CompressedOscAlltoallv.__new__(CompressedOscAlltoallv)
-            op.pipeline_chunks = chunks
+            op.pipeline_chunks, op._ladder, op._cuts = chunks, [IdentityCodec()], {}
             for n in (1, 2, 5, 7, 64, 100):
-                assert op._split_sizes(n) == [c.size for c in op._split(np.zeros(n))]
+                block = np.zeros((n, 3))
+                slabs = [c for c in np.array_split(block, chunks) if c.size] if n > 1 else [block]
+                assert op._split_sizes(n) == [c.shape[0] for c in slabs]
+                assert [block[lo:hi].shape for lo, hi, _ in op._parts_of(block)] == [
+                    c.shape for c in slabs
+                ]
 
     def test_zlib_worst_case_bound_holds_on_incompressible_bytes(self):
         from repro.compression.lossless import ShuffleZlibCodec

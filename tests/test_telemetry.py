@@ -119,6 +119,38 @@ class TestFlightRecorder:
         assert kinds == ["exchange-round", "retry", "degrade"]
         assert all(e.round == 7 for e in recorder.get_recorder().events(2))
 
+    def test_concurrent_writers_lose_nothing(self):
+        """Under more writer threads than cores, two per rank, and a 1 us
+        switch interval, every event and every accumulated field is there
+        once, each event with a sequence number of its own."""
+        import sys
+
+        rec = FlightRecorder(capacity=4096)
+        ranks, per_thread = 4, 500
+        start = threading.Barrier(2 * ranks)
+
+        def writer(rank):
+            start.wait(timeout=30)
+            for i in range(per_thread):
+                rec.write(rank, (_event("x", value=float(i)),), {"phase": "p"}, {"rounds": 1.0})
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(r % ranks,)) for r in range(2 * ranks)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        events = rec.events()
+        assert len(events) == 2 * ranks * per_thread
+        assert len({e.seq for e in events}) == len(events)
+        for rank, row in rec.live_snapshot().items():
+            assert row["rounds"] == row["events"] == 2 * per_thread, rank
+
 
 # -- metrics registry ------------------------------------------------------------------
 

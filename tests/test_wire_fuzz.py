@@ -228,6 +228,51 @@ class TestChecksumsInPlace:
                 pass
         assert survived == []
 
+    @pytest.mark.parametrize("codec", [CastCodec("fp32"), MantissaTrimCodec(35)], ids=lambda c: c.name)
+    def test_known_metadata_masks_no_bit_flip(self, rng, codec):
+        """Once a frame's metadata is known (its writer staged it, a reader
+        verified it), its CRC and fields are looked up, not recomputed: every
+        single-bit flip of that frame's 32-byte header and of its metadata is
+        still a WireIntegrityError at ``open_frame``, and a frame whose CRCs
+        are valid but whose known metadata lies about its slab is still
+        refused against the slab."""
+        from repro.collectives import CompressedOscAlltoallv
+        from repro.collectives import wire
+        from repro.collectives.base import ExchangeStats
+        from repro.errors import WireIntegrityError
+        from repro.faults import ResilienceReport
+        from repro.runtime.thread_rt import ThreadWorld
+
+        x = rng.standard_normal(40)
+        region = np.zeros(1024, dtype=np.uint8)
+        frame = wire.seal(region, *wire.stage(region, codec, x)[:2]).copy()
+        meta_len = int.from_bytes(frame[8:16].tobytes(), "little")
+        assert frame[32 : 32 + meta_len].tobytes() in wire._KNOWN  # warm: the writer staged it
+        wire.open_frame(frame)  # ... and a reader verified it
+        survived = []
+        for bit in range((32 + meta_len) * 8):
+            forged = frame.copy()
+            forged[bit // 8] ^= np.uint8(1 << (bit % 8))
+            try:
+                wire.open_frame(forged)
+                survived.append(bit)
+            except WireIntegrityError:
+                pass
+        assert survived == []
+
+        # Valid CRCs, known metadata, the wrong slab: 40 values, a 30-value box.
+        def kernel(comm):
+            op = CompressedOscAlltoallv(comm, codec)
+            try:
+                for _ in range(2):  # the second time, the metadata is known to the reader
+                    with pytest.raises(WireIntegrityError, match="no fault plan active"):
+                        op._settle([None], [frame], ResilienceReport(rank=0), ExchangeStats(),
+                                   [np.empty(30)])
+            finally:
+                op.free()
+
+        ThreadWorld(1).run(kernel)
+
     def test_a_frame_sealed_in_a_slot_equals_encode_wire(self, rng):
         """One frame writer: produced where it lies — from a strided view,
         at an unaligned place in a larger region — a frame is byte for
