@@ -1,6 +1,6 @@
 """Always-on telemetry must cost < 5% of FFT wall-clock.
 
-The flight recorder, the live gauges and the metrics registry are armed
+The flight ring, the live rows and the metrics registry are armed
 in production with no opt-in — the whole design rests on the
 instrumentation being cheap enough to leave on.  This bench times the
 same compressed 3-D FFT loop with telemetry enabled (the default) and
@@ -125,6 +125,7 @@ def _trimmed_mean(series: list[float]) -> float:
 
 
 def run_bench() -> dict:
+    from repro import telemetry
     from repro.telemetry import recorder
 
     baseline: list[float] = []
@@ -151,8 +152,7 @@ def run_bench() -> dict:
                 recorder.configure(enabled=False)
                 baseline.append(_fft_workload())
     finally:
-        recorder.configure(enabled=True)
-        recorder.reset()
+        telemetry.reset()
     base = _trimmed_mean(baseline)
     inst = _trimmed_mean(instrumented)
     overhead_pct = (inst - base) / base * 100.0

@@ -14,6 +14,9 @@ the victim's pid.  Artefacts:
   classified, and the detect → agree → shrink → restart timeline);
 * ``trace_resilience_<kind>.json`` — Chrome ``trace_event`` stream with
   the recovery-phase spans alongside the FFT's compute/exchange spans;
+* ``blackbox_<kind>.json`` — the drill world's black-box dump: its
+  flight ring's detect → agree → shrink → restart story, no tracer
+  needed;
 * a text summary (stdout) per drill.
 
 The drill fails (non-zero exit) unless the shrunk run completes, the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Any
 
 import numpy as np
 
@@ -35,7 +39,7 @@ __all__ = ["run_resilience_cli", "run_drill", "DRILL_KINDS"]
 DRILL_KINDS = ("kill", "hang")
 
 
-def run_drill(
+def _drill(
     kind: str,
     *,
     nranks: int = 4,
@@ -47,8 +51,9 @@ def run_drill(
     timeout: float = 15.0,
     suspect_after: float = 0.5,
     runtime: str = "thread",
-) -> tuple[bool, float, FailureReport | None, str]:
-    """One fault drill; returns ``(ok, rel_error, report, summary_text)``.
+) -> tuple[bool, float, FailureReport | None, str, Any]:
+    """One fault drill; returns ``(ok, rel_error, report, summary_text,
+    world)``.
 
     ``after`` counts the victim's transport operations before the fault
     fires, placing the death mid-reshape rather than at the first send.
@@ -92,7 +97,7 @@ def run_drill(
     )
     results = [r for r in world.run(kernel) if r is not None]
     if not results:
-        return False, float("inf"), None, f"{kind}: no surviving rank returned a result"
+        return False, float("inf"), None, f"{kind}: no surviving rank returned a result", world
     full, recovered, report = results[0]
     err = float(np.max(np.abs(full - data)) / np.max(np.abs(data)))
     tol = fft.plan.guaranteed_tolerance
@@ -107,7 +112,13 @@ def run_drill(
     ]
     if report is not None:
         lines.append(report.summary())
-    return ok, err, report, "\n".join(lines)
+    return ok, err, report, "\n".join(lines), world
+
+
+def run_drill(kind: str, **options: Any) -> tuple[bool, float, FailureReport | None, str]:
+    """One fault drill; returns ``(ok, rel_error, report, summary_text)``
+    (``options``: those of :func:`_drill`)."""
+    return _drill(kind, **options)[:4]
 
 
 def run_resilience_cli(
@@ -128,17 +139,15 @@ def run_resilience_cli(
     from repro.trace.core import Tracer, install, uninstall
     from repro.trace.export import write_chrome_trace
 
-    from repro.telemetry.blackbox import emit_blackbox, write_blackbox
-    from repro.telemetry.recorder import reset as reset_flight
+    from repro.telemetry.blackbox import write_blackbox
 
     kinds = DRILL_KINDS if kind == "both" else (kind,)
     all_ok = True
     for k in kinds:
         tracer = Tracer()
         install(tracer)
-        reset_flight()  # one flight-recorder ring per drill
         try:
-            ok, _err, report, text = run_drill(
+            ok, _err, report, text, world = _drill(
                 k,
                 nranks=nranks,
                 n=n,
@@ -163,9 +172,9 @@ def run_resilience_cli(
                 with open(report_path, "w", encoding="utf-8") as fh:
                     json.dump(report.to_json(), fh, indent=2, sort_keys=True)
                 print(f"failure report:     {report_path}")
-            # Black-box dump from the always-on flight recorder: the
-            # detect/agree/shrink/restart timeline with no Tracer needed.
-            dump = emit_blackbox(f"resilience drill: {k}", failure_report=report)
+            # The drill world's flight ring: the detect/agree/shrink/restart
+            # timeline with no Tracer needed.
+            dump = world.blackbox(f"resilience drill: {k}", report)
             bb_path = os.path.join(out, f"blackbox_{k}.json")
             write_blackbox(dump, bb_path)
             print(f"black-box dump:     {bb_path}")

@@ -5,14 +5,15 @@ A world is a launcher over one substrate.  The launcher —
 :class:`~repro.runtime.proc.ProcessWorld` (fork) — supplies a segment
 namespace (``world.segments``, :mod:`repro.runtime.shm`) with the
 ``ctx`` for its locks, a control state, ``run``, ``_gone`` (a thread
-that exited, a pid that is gone), ``_kill`` (a raise, a real
-``SIGKILL``) and the black-box hook.  :class:`World` and :class:`Comm`
-write the rest once over it: one ring per rank, the point-to-point
+that exited, a pid that is gone) and ``_kill`` (a raise, a real
+``SIGKILL``).  :class:`World` and :class:`Comm` write the rest once
+over it: one ring per rank, the flight ring, the point-to-point
 transport, window arenas, survivor worlds, the operation preamble
 (beacon, injected faults, abort / scan / revoked checks), abort and the
 barrier, the ULFM recovery arc (``revoke`` / ``agree`` / ``shrink``)
 over the world's :class:`~repro.resilience.monitor.ControlState`, the
-stall enrichment, and the reading of a finished run.
+stall enrichment, and the reading of a finished run — its live rows
+folded into the registry and, when it failed, its black-box dump.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from repro.resilience.monitor import (
 )
 from repro.runtime.shm import Mapping, ShmRecord, ShmRing, any_to_describe
 from repro.runtime.window import Window
-from repro.telemetry import emit
+from repro.telemetry import bind, emit, emit_blackbox, fold_live
+from repro.telemetry.shmseg import ShmTelemetry
 from repro.utils.arrays import no_alias_copy
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "DEFAULT_TIMEOUT", "Request", "World", "Comm"]
@@ -127,9 +129,10 @@ class World:
     :class:`~repro.resilience.monitor.Watchdog` over ``members``, this
     world's ranks in the original world's numbering) — and of one
     substrate in ``segments``: a ring and a pending queue per original
-    rank, a window lock per target rank (:meth:`_lay_out`).  A survivor
-    world (:class:`SurvivorWorld`) is a view one shrink ``gen`` up over
-    its ``root``'s state and substrate.
+    rank, a window lock per target rank, and ``flight``, the world's
+    flight ring (:meth:`_lay_out`).  A survivor world
+    (:class:`SurvivorWorld`) is a view one shrink ``gen`` up over its
+    ``root``'s state and substrate.
     """
 
     #: Names the runtime on recovery metrics.
@@ -137,6 +140,8 @@ class World:
     #: The aborting rank's exception where it was raised in this process
     #: (rank threads); it cannot live in the control state's flat buffer.
     _abort_cause: BaseException | None = None
+    #: The dump of this world's last failed run (:meth:`blackbox`).
+    last_blackbox: dict[str, Any] | None = None
 
     def __init__(self, nranks: int, timeout: float, suspect_after: float | None) -> None:
         if nranks < 1:
@@ -159,14 +164,15 @@ class World:
         """Build the substrate in ``self.segments``: ring ``r{rank}`` of
         ``ring_capacity`` bytes per rank, with its lock and condition,
         one window lock per target rank, all from the namespace's
-        ``ctx``; and each rank's queue of drained, unmatched messages.
-        Returns the rings' mappings."""
+        ``ctx``; each rank's queue of drained, unmatched messages; and
+        the flight ring in segment ``t``.  Returns the mappings made."""
         ctx = self.segments.ctx
         segs = [self.segments.create(f"r{r}", 64 + ring_capacity) for r in range(self.nranks)]
         self.rings = [ShmRing(seg.buf, ctx) for seg in segs]
         self._win_locks = [ctx.Lock() for _ in range(self.nranks)]
         self.pending: list[deque[ShmRecord]] = [deque() for _ in range(self.nranks)]
-        return segs
+        self.flight = ShmTelemetry.create(self.segments, self.nranks)
+        return [*segs, self.flight.mapping]
 
     def _watch(self, state) -> None:
         """Adopt ``state`` and build this world's member view of it."""
@@ -275,6 +281,49 @@ class World:
         locks = [self.root._win_locks[g] for g in self.members]
         return Window(self, comm, buffers, locks, win_id, (name, arena, comm.rank == 0))
 
+    # -- flight recording ---------------------------------------------------------------
+
+    def blackbox(self, reason: str, report: FailureReport | None = None) -> dict[str, Any]:
+        """Freeze the world's flight ring into a black-box dump (with the
+        failure ``report``, when one exists); it becomes
+        ``last_blackbox`` here and in the process."""
+        root = self.root
+        root.last_blackbox = emit_blackbox(
+            root.flight, reason, failure_report=report, uid=root.uid
+        )
+        return root.last_blackbox
+
+    def _open_flight(self) -> Any:
+        """A run's start: the live rows at zero (a new epoch), no dump yet,
+        and the calling thread recording into this world's ring.  Returns
+        the ring it recorded into before."""
+        self.flight.zero_live()
+        self.last_blackbox = None
+        return bind(self.flight)
+
+    def _close_flight(self, prev: Any, recovered: bool) -> None:
+        """A run's end: fold its live rows into the registry, dump the ring
+        when the run failed and did not ``recover``, and give the calling
+        thread back the ring ``prev``."""
+        try:
+            fold_live(self.flight.live_snapshot())
+            reason = self.abort_reason()
+            failures = self.state.failures()
+            if failures and not recovered:
+                # Failure-derived reason beats the abort echo: the abort may
+                # be a survivor's RevokedError, which never names the victim.
+                reason = "; ".join(
+                    f"rank {g} {kind} ({cls}): {detail}"
+                    for g, kind, cls, detail, _, _ in failures
+                )
+            if reason is not None:
+                report = self.monitor.build_report(detail=reason)
+                self.blackbox(f"{self.runtime_label}-world abort: {reason}", report)
+        except Exception:  # noqa: BLE001 - the dump must not mask the root error
+            pass
+        finally:
+            bind(prev)
+
     # -- reading a finished run ---------------------------------------------------------
 
     def _rank_failure_error(self) -> RankFailureError:
@@ -286,7 +335,10 @@ class World:
         exc = RankFailureError(
             report.summary() + (f" — {detail}" if detail else ""), report=report
         )
-        exc.blackbox = self._blackbox(report)  # type: ignore[attr-defined]
+        dump = self.root.last_blackbox
+        if dump is None:
+            dump = self.blackbox(f"{self.runtime_label}-world rank failure: {detail}", report)
+        exc.blackbox = dump  # type: ignore[attr-defined]
         return exc
 
     def _root_cause(self, errors: list[tuple]) -> tuple:

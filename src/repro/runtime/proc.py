@@ -60,21 +60,8 @@ from repro.runtime.shm import (
     pid_alive,
     sweep_segments,
 )
-from repro.telemetry.blackbox import (
-    arm_signal_dump,
-    build_blackbox,
-    disarm_signal_dump,
-    emit_blackbox,
-)
-from repro.telemetry import emit, fold_live
-from repro.telemetry.recorder import install_sink, is_enabled
-from repro.telemetry.shmseg import (
-    DEFAULT_SHM_CAPACITY,
-    ShmSink,
-    ShmTelemetry,
-    remove_runfile,
-    write_runfile,
-)
+from repro.telemetry import arm_signal_dump, bind, disarm_signal_dump, emit
+from repro.telemetry.shmseg import remove_runfile, write_runfile
 from repro.trace.core import Tracer
 from repro.trace.core import get_tracer as trace_get_tracer
 from repro.trace.core import install as trace_install
@@ -87,7 +74,6 @@ def _cleanup_segments(
     uid: str,
     rings: list[ShmRing],
     mappings: list[Mapping],
-    telemetry: ShmTelemetry | None,
     state: ControlState,
 ) -> None:
     """Parent-side teardown; a no-op in forked children.
@@ -100,8 +86,6 @@ def _cleanup_segments(
         return
     for ring in rings:
         ring.detach()
-    if telemetry is not None:
-        telemetry.destroy()
     # The parent reads the registry and the timeline after the unlink.
     state.freeze()
     for mapping in mappings:
@@ -142,11 +126,10 @@ def _child_main(
         child_tracer.bind_rank(rank)
     else:
         trace_install(None)
-    if world.telemetry is not None:
-        # Events recorded by this rank now land in the shared segment,
-        # where the parent can read them even after this process dies.
-        install_sink(ShmSink(world.telemetry))
-        emit("start", rank)
+    # Events recorded by this rank land in the world's flight ring, where
+    # the parent reads them even after this process dies.
+    bind(world.flight)
+    emit("start", rank)
     comm = Comm(world, rank)
     try:
         result = fn(comm, *args, **kwargs)
@@ -204,7 +187,6 @@ class ProcessWorld(World):
         faults: Any = None,
         suspect_after: float | None = None,
         ring_capacity: int = DEFAULT_RING_CAPACITY,
-        telemetry_capacity: int = DEFAULT_SHM_CAPACITY,
     ) -> None:
         super().__init__(nranks, timeout, suspect_after)
         if faults is None:
@@ -241,34 +223,22 @@ class ProcessWorld(World):
         state_seg = self.segments.create("s", ControlState.nbytes(nranks))
         self._watch(ControlState(nranks, memoryview(state_seg.buf), self._ctx.Condition()))
         # Fork-shared locks cannot be created after the fork: the rings'
-        # and the window locks are provisioned here.
-        ring_segs = self._lay_out(ring_capacity)
+        # and the window locks are provisioned here.  The flight ring,
+        # ``{uid}t``, takes none: each process locks its own writes.
+        segs = self._lay_out(ring_capacity)
         self._child_rank: int | None = None
         self._spawned = False
         self._closed = False
         self._owner_pid = os.getpid()
-        #: Shared-memory flight rings + live gauges, one block per rank
-        #: (``{uid}t`` rides the world's segment namespace, so the
-        #: crash sweep covers it).  Forked children inherit the mapping;
-        #: ``python -m repro monitor`` attaches by name via the runfile.
-        self.telemetry: ShmTelemetry | None = None
-        self.last_blackbox: dict[str, Any] | None = None
-        if is_enabled():
-            self.telemetry = ShmTelemetry(
-                f"{self.uid}t", nranks, capacity=telemetry_capacity
-            )
-            try:
-                write_runfile(
-                    self.uid, {"segment": f"{self.uid}t", "nranks": nranks}
-                )
-            except OSError:  # pragma: no cover - unwritable tempdir
-                pass
+        try:  # how ``python -m repro monitor`` finds the flight ring
+            write_runfile(self.uid, {"nranks": nranks})
+        except OSError:  # pragma: no cover - unwritable tempdir
+            pass
         self._cleanup = (
             self._owner_pid,
             self.uid,
             self.rings,
-            [state_seg, *ring_segs],
-            self.telemetry,
+            [state_seg, *segs],
             self.state,
         )
         self._finalizer = weakref.finalize(self, _cleanup_segments, *self._cleanup)
@@ -288,9 +258,6 @@ class ProcessWorld(World):
         raise RankKilledError(  # pragma: no cover - SIGKILL is not catchable
             f"rank {comm._me}: injected kill in {op}"
         )
-
-    def _blackbox(self, report: Any) -> dict[str, Any] | None:
-        return self.last_blackbox
 
     # -- execution ---------------------------------------------------------------------
 
@@ -317,12 +284,11 @@ class ProcessWorld(World):
         spool_dir = None
         if parent_tracer is not None and parent_tracer.enabled:
             spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
-        usr1_armed = False
-        if self.telemetry is not None:
-            usr1_armed = arm_signal_dump(self._snapshot_blackbox)
+        usr1_armed = arm_signal_dump(lambda: self.blackbox("SIGUSR1"))
         conns = []
         procs = []
         payloads: list[Any] = [None] * self.nranks
+        prev = self._open_flight()
         # Arm the watchdog before any child exists: forked ranks beacon
         # against a started clock from their very first transport op.
         self.state.start()
@@ -359,25 +325,15 @@ class ProcessWorld(World):
                 disarm_signal_dump()
             try:
                 self._note_child_deaths([p for p, _ in procs])
-                if self.telemetry is not None:
-                    # The ranks' per-rank metrics are their live rows: fold
-                    # them into this process's sink, which the registry reads.
-                    fold_live(self.telemetry.live_snapshot())
-                self._harvest_blackbox(payloads)
+                # Recovered = an *injected* episode that survivors worked
+                # around; an unexpected death always dumps.
+                recovered = self.injector is not None and any(
+                    p is not None and p[0] == "ok" for p in payloads
+                )
+                self._close_flight(prev, recovered)
             finally:
                 self.close()
         return self._interpret(payloads, [p for p, _ in procs])
-
-    def _snapshot_blackbox(self) -> dict[str, Any]:
-        """Freeze the shared telemetry segment into a dump dict (SIGUSR1)."""
-        assert self.telemetry is not None
-        return build_blackbox(
-            self.telemetry.events_by_rank(),
-            reason="SIGUSR1",
-            nranks=self.nranks,
-            live=self.telemetry.live_snapshot(),
-            uid=self.uid,
-        )
 
     def _note_rank_death(self, rank: int, exitcode: Any) -> None:
         """Parent-side death record: declare the rank failed and revoke
@@ -402,40 +358,6 @@ class ProcessWorld(World):
                 if proc.exitcode not in (0, None):
                     self._note_rank_death(rank, proc.exitcode)
         except Exception:  # noqa: BLE001 - bookkeeping must not mask the root error
-            pass
-
-    def _harvest_blackbox(self, payloads: list[Any]) -> None:
-        """Post-mortem: recover every rank's flight ring from shared
-        memory when the run failed — the segment outlives dead children,
-        so the victim's last events are still there to dump.  A run that
-        *recovered* (some rank returned ok despite recorded failures)
-        is a success and gets no dump."""
-        if self.telemetry is None:
-            return
-        reason = self.abort_reason()
-        failures = self.state.failures()
-        # Recovered = an *injected* episode that survivors worked around.
-        # An unexpected death always dumps, even if peers finished fine.
-        recovered = self.injector is not None and any(
-            p is not None and p[0] == "ok" for p in payloads
-        )
-        if failures and not recovered:
-            # Failure-derived reason beats the abort echo: the abort may
-            # be a survivor's RevokedError, which never names the victim.
-            reason = "; ".join(
-                f"rank {g} {kind} ({cls}): {detail}"
-                for g, kind, cls, detail, _, _ in failures
-            )
-        if reason is None:
-            return
-        try:
-            self.last_blackbox = emit_blackbox(
-                f"proc-world abort: {reason}",
-                recorder=self.telemetry,
-                uid=self.uid,
-                nranks=self.nranks,
-            )
-        except Exception:  # noqa: BLE001 - the dump must not mask the root error
             pass
 
     def _collect(self, procs: list, conns: list) -> list[Any]:

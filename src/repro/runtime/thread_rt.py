@@ -31,10 +31,10 @@ from typing import Any, Callable
 
 from repro.errors import RankFailureError, RankHungError, RankKilledError
 from repro.faults import FaultInjector, FaultPlan
-from repro.resilience.monitor import ControlState, FailureReport
+from repro.resilience.monitor import ControlState
 from repro.runtime.base import DEFAULT_TIMEOUT, Comm, World
-from repro.runtime.shm import DEFAULT_RING_CAPACITY, Segments
-from repro.telemetry.blackbox import emit_blackbox
+from repro.runtime.shm import DEFAULT_RING_CAPACITY, Segments, make_uid
+from repro.telemetry import bind
 from repro.trace import bind_rank as trace_bind_rank
 
 __all__ = ["ThreadWorld", "run_spmd"]
@@ -52,11 +52,11 @@ class ThreadWorld(World):
     A ThreadWorld is multi-shot.  Each :meth:`run` is a new epoch of the
     control state: beacons, done flags, blocked rows, the agreement
     arena and the barrier rows start afresh, and so do the survivor
-    worlds.  What a run *concluded* carries over on purpose — the
-    failure registry, the abort and revoke words, the recovery
-    timeline: a world revoked in one run
-    answers :class:`~repro.errors.RevokedError` at the first operation
-    of the next, as ULFM keeps a revoked communicator revoked.
+    worlds and the flight ring's live rows.  What a run *concluded*
+    carries over on purpose — the failure registry, the abort and revoke
+    words, the recovery timeline, the ring's events: a world revoked in
+    one run answers :class:`~repro.errors.RevokedError` at the first
+    operation of the next, as ULFM keeps a revoked communicator revoked.
     """
 
     runtime_label = "thread"
@@ -78,6 +78,7 @@ class ThreadWorld(World):
         #: the survivor worlds: the watchdog asks it who is gone).
         self._threads: dict[int, threading.Thread] = {}
         self._watch(ControlState(nranks))
+        self.uid = make_uid()
         self.segments = Segments()
         self._lay_out(DEFAULT_RING_CAPACITY)
 
@@ -86,11 +87,6 @@ class ThreadWorld(World):
         if thread is None or thread.ident is None or thread.is_alive():
             return None
         return "thread exited without unwinding"
-
-    def _blackbox(self, report: FailureReport) -> dict[str, Any]:
-        return emit_blackbox(
-            f"thread-world rank failure: {report.summary()}", failure_report=report
-        )
 
     def _kill(self, comm: Comm, op: str) -> None:
         """Injected ``kill``: record the death, revoke, unwind this thread."""
@@ -118,14 +114,17 @@ class ThreadWorld(World):
         opaque timeout.
         """
         results: list[Any] = [None] * self.nranks
+        ok = [False] * self.nranks
         errors: list[tuple[int, BaseException]] = []
         err_lock = threading.Lock()
 
         def body(rank: int) -> None:
             comm = Comm(self, rank)
             trace_bind_rank(rank)  # spans on this thread attribute to its rank
+            bind(self.flight)
             try:
                 results[rank] = fn(comm, *args, **kwargs)
+                ok[rank] = True
             except (RankKilledError, RankHungError):
                 # Expected death: already recorded + revoked; survivors
                 # decide whether to recover.  The victim returns nothing.
@@ -155,30 +154,35 @@ class ThreadWorld(World):
         # a peer scanning then would declare it dead.
         self._shrunk.clear()
         self._threads.clear()
-        self.monitor.start()
-        for rank, t in enumerate(threads):
-            t.start()
-            self._threads[rank] = t
-        for rank, t in enumerate(threads):
-            t.join(timeout=self.timeout * 2)
-            if t.is_alive():
-                # Last resort: declare the laggard dead, revoke (frees
-                # hang-parked threads), and give it a beat to unwind.
-                self.declare_failed(rank, "timeout", "failed to finish before join deadline")
-                t.join(timeout=max(1.0, self.timeout * 0.5))
+        prev = self._open_flight()
+        stuck = None
+        try:
+            self.monitor.start()
+            for rank, t in enumerate(threads):
+                t.start()
+                self._threads[rank] = t
+            for rank, t in enumerate(threads):
+                t.join(timeout=self.timeout * 2)
                 if t.is_alive():
-                    self.abort("join timeout")
-                    report = self.monitor.build_report(detail="join timeout")
-                    exc = RankFailureError(
-                        f"{t.name} failed to finish (deadlock?)", report=report
-                    )
-                    exc.blackbox = emit_blackbox(  # type: ignore[attr-defined]
-                        f"thread-world join timeout: {t.name}", failure_report=report
-                    )
-                    raise exc
+                    # Last resort: declare the laggard dead, revoke (frees
+                    # hang-parked threads), and give it a beat to unwind.
+                    self.declare_failed(rank, "timeout", "failed to finish before join deadline")
+                    t.join(timeout=max(1.0, self.timeout * 0.5))
+                    if t.is_alive():
+                        self.abort("join timeout")
+                        stuck = t
+                        break
+        finally:
+            self._close_flight(prev, recovered=self.injector is not None and any(ok))
+        if stuck is not None:
+            exc = RankFailureError(
+                f"{stuck.name} failed to finish (deadlock?)",
+                report=self.monitor.build_report(detail="join timeout"),
+            )
+            exc.blackbox = self.last_blackbox  # type: ignore[attr-defined]
+            raise exc
         if errors:
             rank, exc = self._root_cause(errors)
-            emit_blackbox(f"thread-world abort: rank {rank} raised {type(exc).__name__}")
             raise exc
         return results
 

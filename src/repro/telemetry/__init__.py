@@ -7,15 +7,18 @@ seam (:mod:`~repro.telemetry.events`: :func:`emit` a point event,
 :func:`scope` an interval; DESIGN.md §7, §13), which fans each record
 out to three always-available pieces:
 
-* **flight recorder** (:mod:`~repro.telemetry.recorder`) — bounded
-  per-rank rings of recent events, always armed, dumped as a black-box
-  crash report on failure (:mod:`~repro.telemetry.blackbox`);
+* **flight recorder** — one ring per world
+  (:class:`~repro.telemetry.shmseg.ShmTelemetry`, segment ``t`` of the
+  world's namespace, on both launchers): bounded per-rank event rings
+  and live rows, always armed, written through the ring bound to the
+  recording thread (:mod:`~repro.telemetry.recorder`), dumped by the
+  world as a black-box crash report on failure
+  (:mod:`~repro.telemetry.blackbox`);
 * **metrics registry** (:mod:`~repro.telemetry.metrics`) — counters,
   gauges and histograms with Prometheus text export and JSON
   snapshots;
 * **live monitor** (:mod:`~repro.telemetry.monitor_cli`) — ``python -m
-  repro monitor`` tails a running proc-world through its shared
-  telemetry segment (:mod:`~repro.telemetry.shmseg`).
+  repro monitor`` tails a running proc-world by attaching its ring.
 """
 
 from repro.telemetry.blackbox import (
@@ -39,19 +42,16 @@ from repro.telemetry.metrics import (
     LIVE_SERIES,
     fold_live,
     get_registry,
+    reset,
     write_snapshot,
 )
 from repro.telemetry.recorder import (
-    DEFAULT_CAPACITY,
+    FLIGHT_CAPACITY,
     LIVE_FIELDS,
     FlightEvent,
-    FlightRecorder,
+    bind,
     configure,
-    get_recorder,
-    install_sink,
     is_enabled,
-    publish,
-    reset,
 )
 
 __all__ = [
@@ -61,12 +61,9 @@ __all__ = [
     "scope",
     # recorder
     "LIVE_FIELDS",
-    "DEFAULT_CAPACITY",
+    "FLIGHT_CAPACITY",
     "FlightEvent",
-    "FlightRecorder",
-    "publish",
-    "get_recorder",
-    "install_sink",
+    "bind",
     "reset",
     "configure",
     "is_enabled",

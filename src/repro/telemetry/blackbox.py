@@ -1,11 +1,11 @@
-"""Black-box crash dumps: the flight recorder's last words, merged.
+"""Black-box crash dumps: a world's flight ring, its last words merged.
 
-Whenever a rank fails, a collective aborts, a retry budget is
-exhausted, or the user sends ``SIGUSR1``, the runtime freezes the
-flight rings into a *black-box dump*: the last-N events of every rank,
-both per rank and merged into one time-aligned timeline (all ranks
-share CLOCK_MONOTONIC, so cross-rank ordering is real), plus the live
-gauge rows, the watchdog's
+When a run fails (a rank death nobody recovered from, an abort) or the
+user sends ``SIGUSR1``, the world freezes its flight ring
+(``World.blackbox``) into a *black-box dump*: the last-N events of every
+rank, both per rank and merged into one time-aligned timeline (all
+ranks share CLOCK_MONOTONIC, so cross-rank ordering is real), plus the
+live rows, the watchdog's
 :class:`~repro.resilience.monitor.FailureReport` when one exists, and
 a metrics snapshot.  Schema ``repro-blackbox-v1``; pretty-printed by
 ``python -m repro blackbox <dump.json>``.
@@ -23,7 +23,6 @@ from typing import Any, Callable
 
 from repro.errors import TelemetryError
 from repro.telemetry import metrics as _metrics
-from repro.telemetry import recorder as _recorder
 from repro.telemetry.recorder import FlightEvent
 
 __all__ = [
@@ -112,31 +111,25 @@ def build_blackbox(
 
 
 def emit_blackbox(
+    flight: Any,
     reason: str,
     *,
-    recorder: Any = None,
     failure_report: Any = None,
-    out_dir: str | None = None,
     uid: str | None = None,
-    nranks: int | None = None,
+    out_dir: str | None = None,
 ) -> dict[str, Any]:
-    """Freeze the (default) recorder into a dump; remember and maybe write it.
+    """Freeze the ring ``flight`` into a dump; remember and maybe write it.
 
     The dump is always retained in-process (:func:`last_blackbox`); it
     is additionally written to ``out_dir`` or ``$REPRO_BLACKBOX_DIR``
     when either names a directory.
     """
     global _dump_counter
-    rec = recorder if recorder is not None else _recorder.get_recorder()
-    events = (
-        rec.events_by_rank() if hasattr(rec, "events_by_rank") else {}
-    )
-    live = rec.live_snapshot() if hasattr(rec, "live_snapshot") else None
     dump = build_blackbox(
-        events,
+        flight.events_by_rank(),
         reason=reason,
-        nranks=nranks,
-        live=live,
+        nranks=flight.nranks,
+        live=flight.live_snapshot(),
         failure_report=failure_report,
         metrics=_metrics.get_registry().snapshot(),
         uid=uid,
@@ -234,15 +227,15 @@ _armed = False
 
 
 def arm_signal_dump(
-    build: Callable[[], dict[str, Any]] | None = None,
+    build: Callable[[], dict[str, Any]],
     *,
     out_dir: str | None = None,
 ) -> bool:
     """Dump on ``SIGUSR1`` (main thread only; returns False otherwise).
 
-    ``build`` overrides the dump construction — the process runtime
-    passes a closure harvesting its shared segment; the default freezes
-    the in-process recorder.
+    ``build`` makes the dump — a world passes its own
+    ``lambda: world.blackbox("SIGUSR1")``; it is also written to
+    ``out_dir`` when given.
     """
     global _prev_handler, _armed
     if threading.current_thread() is not threading.main_thread():
@@ -250,14 +243,9 @@ def arm_signal_dump(
 
     def handler(signum, frame):  # noqa: ARG001
         try:
-            dump = build() if build is not None else emit_blackbox("SIGUSR1", out_dir=out_dir)
-            if build is not None:
-                set_last_blackbox(dump)
-                target = out_dir or os.environ.get(BLACKBOX_DIR_ENV)
-                if target:
-                    write_blackbox(
-                        dump, os.path.join(target, f"blackbox-{os.getpid()}-usr1.json")
-                    )
+            dump = build()
+            if out_dir:
+                write_blackbox(dump, os.path.join(out_dir, f"blackbox-{os.getpid()}-usr1.json"))
         except Exception:  # noqa: BLE001 - a dump failure must not kill the run
             pass
 

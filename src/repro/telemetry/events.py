@@ -2,10 +2,11 @@
 
 A site makes one call per event — :func:`emit` for a point, :func:`scope`
 for an interval — and the kind table :data:`KINDS` routes the record to
-the tracer (only when one is installed), to the armed flight sink (ring
-events plus the rank's live row, in one write) and to the registry
-series a live row cannot carry; the per-rank accumulators are read off
-the live row (:data:`~repro.telemetry.metrics.LIVE_SERIES`).  The
+the tracer (only when one is installed), to the flight ring bound to
+the calling thread (ring events plus the rank's live row, in one write)
+and to the registry series a live row cannot carry; the per-rank
+accumulators are read off the live row
+(:data:`~repro.telemetry.metrics.LIVE_SERIES`).  The
 per-message spans and the virtual executor's events are tracer-only and
 call :mod:`repro.trace` directly: they must cost a branch without a
 tracer, and a virtual rank has no live row.
@@ -173,13 +174,16 @@ KINDS: dict[str, Route] = {
 
 
 def _publish(flight, metrics, kind: str, rank: int | None, attrs: dict[str, Any]) -> None:
-    """The always-on share of a record: one sink write, then the registry."""
+    """The always-on share of a record: one write to the bound ring (none
+    bound: none), then the registry."""
     if not _recorder.is_enabled():
         return
     try:
         if flight is not None:
-            events, sets, adds = flight(kind, attrs)
-            _recorder.get_recorder().write(rank, events, sets, adds)
+            ring = _recorder.bound()
+            if ring is not None:
+                events, sets, adds = flight(kind, attrs)
+                ring.write(rank, events, sets, adds)
         if metrics is not None:
             metrics(_metrics.get_registry(), kind, rank, attrs)
     except Exception:  # noqa: BLE001 - telemetry must never kill a rank
@@ -200,7 +204,7 @@ def scope(kind: str, rank: int, **attrs: Any):
 
     Use it directly in a ``with``: its entry is published when the scope
     is made, and a kind with nothing to publish at exit *is* the tracer's
-    span (a per-reshape phase costs one sink write and a span)."""
+    span (a per-reshape phase costs one ring write and a span)."""
     route = KINDS[kind]
     _publish(route.flight, None, kind, rank, attrs)
     if route.exit is None and route.metrics is None:

@@ -5,14 +5,15 @@ on, so an operator can scrape wire vs logical bytes, error-budget
 headroom, pool hit rates and recoveries from a run that never installed
 a :class:`~repro.trace.core.Tracer`.
 
-The process registry (:func:`get_registry`) stores no per-rank
-accumulator of its own: the series of :data:`LIVE_SERIES` are read off
-the armed flight sink's live table when they are read or exported, so
-they count exactly what the live table counts — a forked rank's rounds
-included, once its parent has folded the rank's final row in
-(:func:`fold_live`).  The seam (:mod:`repro.telemetry.events`) writes
-only the few series a live row cannot carry (latency histograms,
-bandwidth, recoveries, two-level and pool counters).
+The process registry (:func:`get_registry`) accumulates no per-rank
+series itself: the series of :data:`LIVE_SERIES` are read off a flight
+ring's live rows — inside a run off the ring bound to the reading
+thread, outside one off the registry's own per-rank table, into which
+every launcher folds its ring's final rows at the end of each run
+(:func:`fold_live`), a forked rank's included.  The seam
+(:mod:`repro.telemetry.events`) writes only the few series a live row
+cannot carry (latency histograms, bandwidth, recoveries, two-level and
+pool counters).
 
 Exports:
 
@@ -49,6 +50,7 @@ __all__ = [
     "LIVE_SERIES",
     "fold_live",
     "get_registry",
+    "reset",
     "write_snapshot",
 ]
 
@@ -291,9 +293,9 @@ class MetricsRegistry:
             self._seen.clear()
 
 
-#: Per-rank series the process registry reads off the armed flight
-#: sink's live table instead of storing them: name -> (kind, live field,
-#: the field whose being nonzero makes the rank's series exist).
+#: Per-rank series the process registry reads off the live rows instead
+#: of storing them: name -> (kind, live field, the field whose being
+#: nonzero makes the rank's series exist).
 LIVE_SERIES: dict[str, tuple[type, str, str]] = {
     "repro_exchange_rounds_total": (Counter, "rounds", "rounds"),
     "repro_wire_bytes_total": (Counter, "wire_bytes", "rounds"),
@@ -304,14 +306,19 @@ LIVE_SERIES: dict[str, tuple[type, str, str]] = {
     "repro_error_headroom": (Gauge, "error_headroom", "e_tol"),
 }
 
+_COUNTED = [f for cls, f, _ in LIVE_SERIES.values() if cls is Counter]
+_LAST = [f for cls, f, _ in LIVE_SERIES.values() if cls is Gauge] + ["e_tol"]
+
 
 def _live_rows() -> dict[int, dict[str, Any]]:
-    return getattr(_recorder.get_recorder(), "live_snapshot", dict)()
+    """The bound ring's live rows inside a run, the folded table outside one."""
+    ring = _recorder.bound()
+    return ring.live_snapshot() if ring is not None else dict(_registry.live)
 
 
 class _LiveSeries(_Metric):
     """One rank's :data:`LIVE_SERIES` entry: a read-only view of a
-    live-table field of the armed sink (the seam writes the field)."""
+    live-row field (the seam writes the field)."""
 
     def __init__(self, name: str, rank: int, row: dict[str, Any] | None = None) -> None:
         super().__init__(name, (("rank", str(rank)),))
@@ -336,8 +343,13 @@ class _LiveSeries(_Metric):
 
 class _ProcessRegistry(MetricsRegistry):
     """The process-global registry: the :data:`LIVE_SERIES` labelled by
-    ``rank`` alone are views of the live table (cleared with the flight
-    recorder, :func:`repro.telemetry.reset`, not by :meth:`clear`)."""
+    ``rank`` alone are views of the live rows; ``live`` is the table the
+    runs fold theirs into (emptied by :func:`reset`, not by
+    :meth:`clear`)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.live: dict[int, dict[str, float]] = {}
 
     def _series(self, cls, name: str, labels: dict[str, Any], **kwargs) -> _Metric:
         if name in LIVE_SERIES and list(labels) == ["rank"]:
@@ -355,16 +367,16 @@ class _ProcessRegistry(MetricsRegistry):
 
 
 def fold_live(rows: dict[int, dict[str, Any]]) -> None:
-    """Fold other processes' final live rows (forked ranks') into the
-    armed sink: the :data:`LIVE_SERIES` counters add, the gauges — written
-    only once an error was measured — overwrite, with ``e_tol``."""
-    counters = [f for cls, f, _ in LIVE_SERIES.values() if cls is Counter]
-    gauges = [f for cls, f, _ in LIVE_SERIES.values() if cls is Gauge] + ["e_tol"]
-    for rank, row in rows.items():
-        adds = {f: row[f] for f in counters if row.get(f)}
-        sets = {f: row[f] for f in gauges} if row.get("e_tol") else None
-        if adds or sets:
-            _recorder.publish(rank, sets=sets, adds=adds)
+    """Fold a run's final live rows into the registry's table: the
+    :data:`LIVE_SERIES` counters add, the gauges — written only once an
+    error was measured — overwrite, with ``e_tol``."""
+    with _registry._lock:
+        for rank, row in rows.items():
+            mine = _registry.live.setdefault(rank, {})
+            for f in _COUNTED:
+                mine[f] = mine.get(f, 0.0) + row[f]
+            if row["e_tol"]:
+                mine.update((f, row[f]) for f in _LAST)
 
 
 # -- module-global registry ------------------------------------------------------------
@@ -374,6 +386,14 @@ _registry = _ProcessRegistry()
 
 def get_registry() -> MetricsRegistry:
     return _registry
+
+
+def reset() -> None:
+    """Arm the layer and empty the folded live table (tests isolate
+    through this)."""
+    _recorder.configure(enabled=True)
+    with _registry._lock:
+        _registry.live.clear()
 
 
 def write_snapshot(path: str, *, registry: MetricsRegistry | None = None) -> str:

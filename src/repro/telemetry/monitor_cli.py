@@ -1,10 +1,10 @@
 """Live monitor and crash-dump viewer: ``python -m repro monitor`` / ``blackbox``.
 
-``monitor`` attaches read-only to the shared telemetry segment of a
-running proc-world (found via the runfile directory, or named
-explicitly with ``--uid``) and renders a per-rank table — phase, wire
-vs logical bytes, compression ratio, error headroom and liveness — at
-a fixed cadence until the world disappears.
+``monitor`` attaches to the flight ring (segment ``t``) of a running
+proc-world (found via the runfile directory, or named explicitly with
+``--uid``) and renders a per-rank table — phase, wire vs logical bytes,
+compression ratio, error headroom and liveness — at a fixed cadence
+until the world disappears.
 
 ``blackbox`` pretty-prints a ``repro-blackbox-v1`` crash dump.  With
 ``--drill`` it *produces* one instead: it runs a proc-world FFT,
@@ -72,20 +72,14 @@ def render_table(live: dict[int, dict[str, Any]], *, uid: str = "?") -> str:
     return "\n".join(lines)
 
 
-def _resolve_segment(uid: str | None) -> tuple[str, str] | None:
-    """(uid, segment name) of the world to watch, or None when nothing runs."""
+def _resolve_uid(uid: str | None) -> str | None:
+    """The uid of the world to watch, or None when nothing runs."""
     from repro.telemetry.shmseg import list_runfiles
 
-    runs = list_runfiles()
     if uid is not None:
-        for run in runs:
-            if run.get("uid") == uid:
-                return uid, run.get("segment", f"{uid}t")
-        return uid, f"{uid}t"  # allow watching a world with no runfile
-    if runs:
-        run = runs[0]
-        return run["uid"], run.get("segment", f"{run['uid']}t")
-    return None
+        return uid  # a world with no runfile can be watched by name
+    runs = list_runfiles()
+    return runs[0]["uid"] if runs else None
 
 
 def run_monitor_cli(
@@ -97,8 +91,9 @@ def run_monitor_cli(
     list_only: bool = False,
     stream: Any = None,
 ) -> int:
-    """Tail a live proc-world's telemetry segment; 0 on clean exit."""
+    """Tail a live proc-world's flight ring; 0 on clean exit."""
     from repro.errors import TelemetryError
+    from repro.runtime.shm import ShmSegments
     from repro.telemetry.shmseg import ShmTelemetry, list_runfiles
 
     out = stream if stream is not None else sys.stdout
@@ -110,24 +105,23 @@ def run_monitor_cli(
         for run in runs:
             print(
                 f"{run.get('uid')}  pid={run.get('pid')}  "
-                f"nranks={run.get('nranks', '?')}  segment={run.get('segment')}",
+                f"nranks={run.get('nranks', '?')}",
                 file=out,
             )
         return 0
 
     deadline = None if duration is None else time.monotonic() + duration
-    resolved = _resolve_segment(uid)
-    while resolved is None:
+    watch_uid = _resolve_uid(uid)
+    while watch_uid is None:
         if once or (deadline is not None and time.monotonic() >= deadline):
             print("no live worlds advertised (run with --uid to name one)", file=out)
             return 1
         time.sleep(min(interval, 0.2))
-        resolved = _resolve_segment(uid)
-    watch_uid, segment = resolved
+        watch_uid = _resolve_uid(uid)
 
     try:
-        seg = ShmTelemetry.attach(segment)
-    except TelemetryError as exc:
+        seg = ShmTelemetry(ShmSegments(watch_uid, None).attach("t"))
+    except (OSError, TelemetryError) as exc:
         print(f"cannot attach: {exc}", file=out)
         return 1
     frames = 0
@@ -141,11 +135,8 @@ def run_monitor_cli(
             print("", file=out)
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         return 0
-    except TelemetryError:  # world tore the segment down mid-read
-        print(f"world {watch_uid} ended", file=out)
-        return 0
     finally:
-        seg.detach()
+        seg.mapping.close()
 
 
 # -- blackbox --------------------------------------------------------------------------
@@ -195,7 +186,7 @@ def run_blackbox_drill(
         world.run(kernel)
     except ReproError as exc:
         err_text = str(exc)
-    dump = _bb.last_blackbox()
+    dump = world.last_blackbox
     os.makedirs(out, exist_ok=True)
     paths = []
     if dump is not None:

@@ -1,31 +1,34 @@
-"""Shared-memory telemetry segment: flight rings + live gauges per rank.
+"""The flight ring: every world's telemetry, in segment ``t`` of its namespace.
 
-The process runtime cannot dump a dead child's in-process ring — the
-events die with the rank.  :class:`ShmTelemetry` therefore puts the
-rings *in shared memory*: one fixed-size segment per world (named
-``{uid}t`` inside the world's existing segment namespace, so the
-crash-sweep and the leak fixture cover it for free), holding for each
-rank
+One class serves both launchers.  :class:`ShmTelemetry` lays its bytes
+over the world's segment ``t`` (``world.segments.create("t", ...)``):
+an anonymous mapping on a :class:`~repro.runtime.thread_rt.ThreadWorld`,
+``/dev/shm/{uid}t`` on a :class:`~repro.runtime.proc.ProcessWorld`,
+where forked ranks inherit the mapping and the crash sweep covers the
+name.  After the header, it holds for each rank
 
-* a **live block** — :data:`~repro.telemetry.recorder.LIVE_FIELDS`
+* a **live row** — :data:`~repro.telemetry.recorder.LIVE_FIELDS`
   as f64 slots plus a 16-byte phase string, the row the live monitor
-  renders;
+  renders and the registry reads;
 * a **flight ring** — a monotonic write counter and ``capacity``
-  fixed 104-byte event records.
+  fixed 112-byte event records.
 
-Each rank is the *single writer* of its own block (forked children
-inherit the parent's mapping, so no name exchange or reattach is
-needed), which keeps writes lock-free across processes; the parent —
-or a ``python -m repro monitor`` process attaching by name — reads
-concurrently.  Readers tolerate a torn in-flight record: the write
-counter is published after the record body, and a dead child's counter
-simply stops moving, leaving its last completed events intact for the
+A rank's write counter and accumulators are read-modify-writes under a
+per-rank lock of the writing process (the rank itself, or a peer
+recording its death); a set is one store.  So writes take no
+fork-shared primitive, and the parent — or a ``python -m repro
+monitor`` process attaching by name — reads concurrently.
+Readers tolerate a torn in-flight record: the write counter is
+published after the record bodies, and a dead child's counter simply
+stops moving, leaving its last completed events intact for the
 post-mortem harvest.
 
-Record layout (little-endian, 104 bytes)::
+Record layout (little-endian, 112 bytes)::
 
     seq u64 | t_ns i64 | rank i32 | peer i32 | round i64
-    | value f64 | value2 f64 | kind 16s | detail 40s
+    | value f64 | value2 f64 | kind 24s | detail 40s
+
+Live slots are native-endian f64 (the writer's machine is the reader's).
 """
 
 from __future__ import annotations
@@ -37,23 +40,20 @@ import struct
 import tempfile
 import threading
 import time
-from multiprocessing.shared_memory import SharedMemory
 from typing import Any, Sequence
 
 from repro.errors import TelemetryError
-from repro.runtime.shm import quiet_close
-from repro.telemetry.recorder import LIVE_FIELDS, FlightEvent
+from repro.telemetry.recorder import FLIGHT_CAPACITY, LIVE_FIELDS, FlightEvent
 
 __all__ = [
     "ShmTelemetry",
-    "ShmSink",
     "monitor_dir",
     "write_runfile",
     "remove_runfile",
     "list_runfiles",
 ]
 
-_MAGIC = b"RPROTEL1"
+_MAGIC = b"RPROTEL2"
 _HEADER = struct.Struct("<8sII")  # magic, nranks, capacity
 _HEADER_BYTES = 64
 
@@ -64,78 +64,69 @@ _PHASE_BYTES = 16
 _LIVE_BYTES = _LIVE_SLOTS * 8 + _PHASE_BYTES  # 144, 8-aligned
 
 _RING_HEADER = 16  # u64 write counter + pad
-_EV = struct.Struct("<Qqiiqdd16s40s")  # see module docstring
-_EV_BYTES = _EV.size  # 104
-
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
+_EV = struct.Struct("<Qqiiqdd24s40s")  # see module docstring
+_EV_BYTES = _EV.size  # 112
 
 #: slot index per live field name (phase is stored separately).
 _FIELD_SLOT = {name: i for i, name in enumerate(LIVE_FIELDS)}
+_EVENTS, _HEARTBEAT = _FIELD_SLOT["events"], _FIELD_SLOT["heartbeat_ns"]
 
-#: Default events retained per rank.
-DEFAULT_SHM_CAPACITY = 256
+_ZERO_ROW = memoryview(bytes(8 * _LIVE_SLOTS)).cast("d")
+
+#: phase name -> its padded bytes (phases are a handful of kind names).
+_PHASES: dict[str, bytes] = {}
 
 
-def _trunc(text: str, limit: int) -> bytes:
-    return text.encode("utf-8", "replace")[:limit]
+def _new_phase(phase: str) -> bytes:
+    raw = _PHASES[phase] = phase.encode()[:_PHASE_BYTES].ljust(_PHASE_BYTES, b"\0")
+    return raw
 
 
 class ShmTelemetry:
-    """One world's telemetry segment (create in the parent, inherit or
-    attach everywhere else)."""
+    """One world's flight ring over a namespace segment.
+
+    ``ShmTelemetry(mapping, nranks)`` formats a fresh segment;
+    ``ShmTelemetry(mapping)`` reads the layout of one a world made
+    (raises :class:`TelemetryError` when it is not a ring).
+    """
 
     def __init__(
-        self,
-        name: str,
-        nranks: int = 0,
-        *,
-        capacity: int = DEFAULT_SHM_CAPACITY,
-        create: bool = True,
+        self, mapping: Any, nranks: int | None = None, capacity: int = FLIGHT_CAPACITY
     ) -> None:
-        self.name = name
-        if create:
-            if nranks < 1:
-                raise TelemetryError(f"nranks must be >= 1, got {nranks}")
-            if capacity < 1:
-                raise TelemetryError(f"capacity must be >= 1, got {capacity}")
-            self.nranks = int(nranks)
-            self.capacity = int(capacity)
-            total = _HEADER_BYTES + self.nranks * self._rank_block_bytes()
-            self.shm = SharedMemory(name=name, create=True, size=total)
-            self.shm.buf[:total] = b"\0" * total
-            _HEADER.pack_into(self.shm.buf, 0, _MAGIC, self.nranks, self.capacity)
-        else:
-            try:
-                self.shm = SharedMemory(name=name, create=False)
-            except FileNotFoundError as exc:
-                raise TelemetryError(f"no telemetry segment named {name!r}") from exc
-            magic, nr, cap = _HEADER.unpack_from(self.shm.buf, 0)
+        if nranks is None:
+            magic, nranks, capacity = _HEADER.unpack_from(bytes(mapping.buf[: _HEADER.size]))
             if magic != _MAGIC:
-                quiet_close(self.shm)
-                raise TelemetryError(
-                    f"segment {name!r} is not a telemetry segment (bad magic)"
-                )
-            self.nranks = int(nr)
-            self.capacity = int(cap)
-        self._write_locks = [threading.Lock() for _ in range(self.nranks)]
-        self._closed = False
+                mapping.close()
+                raise TelemetryError("segment is not a flight ring (bad magic)")
+        else:
+            _HEADER.pack_into(mapping.buf, 0, _MAGIC, nranks, capacity)
+        self.nranks, self.capacity = int(nranks), int(capacity)
+        self.mapping = mapping
+        self._buf = buf = memoryview(mapping.buf)
+        block = self._block_bytes(self.capacity)
+        #: Per rank: its live slots as f64, its phase bytes, its write
+        #: counter as u64, the offset of its first record, and its lock.
+        self._ranks = []
+        for rank in range(self.nranks):
+            off = _HEADER_BYTES + rank * block
+            ring = off + _LIVE_BYTES
+            self._ranks.append((
+                buf[off : off + 8 * _LIVE_SLOTS].cast("d"),
+                buf[off + 8 * _LIVE_SLOTS : ring],
+                buf[ring : ring + 8].cast("Q"),
+                ring + _RING_HEADER,
+                threading.Lock(),
+            ))
+
+    @staticmethod
+    def _block_bytes(capacity: int = FLIGHT_CAPACITY) -> int:
+        return _LIVE_BYTES + _RING_HEADER + capacity * _EV_BYTES
 
     @classmethod
-    def attach(cls, name: str) -> "ShmTelemetry":
-        """Attach read/write to an existing segment by name."""
-        return cls(name, create=False)
-
-    # -- layout ------------------------------------------------------------------
-
-    def _rank_block_bytes(self) -> int:
-        return _LIVE_BYTES + _RING_HEADER + self.capacity * _EV_BYTES
-
-    def _live_off(self, rank: int) -> int:
-        return _HEADER_BYTES + rank * self._rank_block_bytes()
-
-    def _ring_off(self, rank: int) -> int:
-        return self._live_off(rank) + _LIVE_BYTES
+    def create(cls, segments: Any, nranks: int, capacity: int = FLIGHT_CAPACITY) -> "ShmTelemetry":
+        """A fresh ring in segment ``t`` of the namespace ``segments``."""
+        nbytes = _HEADER_BYTES + nranks * cls._block_bytes(capacity)
+        return cls(segments.create("t", nbytes), nranks, capacity)
 
     def _check_rank(self, rank: int) -> int:
         rank = int(rank)
@@ -143,7 +134,7 @@ class ShmTelemetry:
             raise TelemetryError(f"rank {rank} out of range [0, {self.nranks})")
         return rank
 
-    # -- write side (single writer per rank) ----------------------------------------
+    # -- write side -------------------------------------------------------------------
 
     def write(
         self,
@@ -152,47 +143,57 @@ class ShmTelemetry:
         sets: dict[str, Any] | None = None,
         adds: dict[str, float] | None = None,
     ) -> None:
-        """The sink protocol of :meth:`FlightRecorder.write
-        <repro.telemetry.recorder.FlightRecorder.write>`, under one lock.
-        Unknown field names are ignored, so the in-process recorder can
-        carry richer state than the segment."""
-        rank = self._check_rank(rank)
+        """One record's share of ``rank``: ring ``events`` (``(kind, peer,
+        round, value, value2, detail)`` tuples), live fields set (``sets``,
+        ``phase`` included) and accumulated (``adds``).  The ring and the
+        accumulators are read-modify-writes, under the rank's lock; a set
+        is one store.  Callers are internal and pass the documented types."""
+        # CLOCK_MONOTONIC: comparable across forked ranks.
         now = time.perf_counter_ns()
-        buf, ring, live = self.shm.buf, self._ring_off(rank), self._live_off(rank)
-        with self._write_locks[rank]:
-            for kind, peer, round_, value, value2, detail in events:
-                head = _U64.unpack_from(buf, ring)[0]
-                slot = ring + _RING_HEADER + (head % self.capacity) * _EV_BYTES
-                _EV.pack_into(
-                    buf, slot, head + 1, now, rank, int(peer), int(round_), float(value),
-                    float(value2), _trunc(kind, 16), _trunc(detail, 40),
-                )
-                # Publish after the body: a reader never sees a half-written
-                # record as committed.
-                _U64.pack_into(buf, ring, head + 1)
-            counts = dict(adds or {}, events=len(events)) if events else adds or {}
-            for key, delta in counts.items():
-                if key in _FIELD_SLOT:
-                    off = live + 8 * _FIELD_SLOT[key]
-                    _F64.pack_into(buf, off, _F64.unpack_from(buf, off)[0] + float(delta))
-            for key, val in dict(sets or {}, heartbeat_ns=now).items():
+        row, phase, counter, base, lock = self._ranks[rank]
+        if events or adds:
+            with lock:
+                if events:
+                    buf, cap, head = self._buf, self.capacity, counter[0]
+                    for kind, peer, round_, value, value2, detail in events:
+                        _EV.pack_into(
+                            buf, base + head % cap * _EV_BYTES, head + 1, now, rank, peer,
+                            round_, value, value2, kind.encode(), detail.encode(),
+                        )
+                        head += 1
+                    # Published after the bodies: a reader never counts a
+                    # half-written record.
+                    counter[0] = head
+                    row[_EVENTS] += len(events)
+                if adds:
+                    for key, delta in adds.items():
+                        row[_FIELD_SLOT[key]] += delta
+        if sets:
+            for key, val in sets.items():
                 if key == "phase":
-                    raw = _trunc(str(val), _PHASE_BYTES).ljust(_PHASE_BYTES, b"\0")
-                    buf[live + 8 * _LIVE_SLOTS : live + _LIVE_BYTES] = raw
-                elif key in _FIELD_SLOT:
-                    _F64.pack_into(buf, live + 8 * _FIELD_SLOT[key], float(val))
+                    phase[:] = _PHASES.get(val) or _new_phase(val)
+                else:
+                    row[_FIELD_SLOT[key]] = val
+        row[_HEARTBEAT] = now
+
+    def zero_live(self) -> None:
+        """Every live row back to zero (a run's new epoch); rings keep
+        their events."""
+        for row, phase, *_ in self._ranks:
+            row[:] = _ZERO_ROW
+            phase[:] = bytes(_PHASE_BYTES)
+
+    # -- read side --------------------------------------------------------------------
 
     def events(self, rank: int) -> list[FlightEvent]:
         """Decode one rank's ring, oldest first (post-mortem safe)."""
-        rank = self._check_rank(rank)
-        ring = self._ring_off(rank)
-        head = _U64.unpack_from(self.shm.buf, ring)[0]
+        _, _, counter, base, _ = self._ranks[self._check_rank(rank)]
+        head = counter[0]
         n = min(head, self.capacity)
         out: list[FlightEvent] = []
-        for i in range(n):
-            slot = ring + _RING_HEADER + ((head - n + i) % self.capacity) * _EV_BYTES
+        for i in range(head - n, head):
             seq, t_ns, r, peer, rnd, value, value2, kind, detail = _EV.unpack_from(
-                self.shm.buf, slot
+                self._buf, base + i % self.capacity * _EV_BYTES
             )
             kind = kind.rstrip(b"\0").decode("utf-8", "replace")
             if kind:  # else an unwritten slot (torn tail)
@@ -204,45 +205,13 @@ class ShmTelemetry:
         return {r: self.events(r) for r in range(self.nranks)}
 
     def live(self, rank: int) -> dict[str, Any]:
-        base = self._live_off(self._check_rank(rank))
-        buf = self.shm.buf
-        row: dict[str, Any] = {
-            name: _F64.unpack_from(buf, base + 8 * slot)[0] for name, slot in _FIELD_SLOT.items()
-        }
-        phase = bytes(buf[base + 8 * _LIVE_SLOTS : base + _LIVE_BYTES])
-        row["phase"] = phase.rstrip(b"\0").decode("utf-8", "replace")
+        slots, phase, *_ = self._ranks[self._check_rank(rank)]
+        row: dict[str, Any] = {name: slots[i] for name, i in _FIELD_SLOT.items()}
+        row["phase"] = phase.tobytes().rstrip(b"\0").decode("utf-8", "replace")
         return row
 
     def live_snapshot(self) -> dict[int, dict[str, Any]]:
         return {r: self.live(r) for r in range(self.nranks)}
-
-    # -- lifecycle -------------------------------------------------------------------
-
-    def detach(self) -> None:
-        if not self._closed:
-            self._closed = True
-            quiet_close(self.shm)
-
-    def destroy(self) -> None:
-        self.detach()
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class ShmSink:
-    """Flight-recorder sink writing into a :class:`ShmTelemetry` segment.
-
-    Installed in each forked rank (``install_sink(ShmSink(seg))``); the
-    rank passed with each write addresses the block, so one sink
-    object serves any rank of the world.
-    """
-
-    def __init__(self, segment: ShmTelemetry) -> None:
-        self.segment = segment
-        self.write = segment.write
-        self.live_snapshot = segment.live_snapshot
 
 
 # -- runfile discovery (how `python -m repro monitor` finds live worlds) ---------------

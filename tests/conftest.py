@@ -65,23 +65,23 @@ def _seed_global_rngs(request) -> None:
 def _fresh_telemetry():
     """Every test sees a pristine telemetry layer.
 
-    The flight recorder, the metrics registry, and the last-blackbox slot
-    are process-global by design (always-on observability); without this
-    reset a test could pass or fail on events another test emitted.
+    The metrics registry (with the live rows runs fold into it), the
+    last-blackbox slot and the switch are process-global by design
+    (always-on observability); without this reset a test could pass or
+    fail on events another test emitted.  Flight rings are per world.
     """
-    from repro.telemetry import blackbox, metrics, recorder
+    from repro import telemetry
+    from repro.telemetry import blackbox, metrics
 
-    recorder.configure(enabled=True)
-    recorder.install_sink(None)
-    recorder.reset()
-    metrics.get_registry().clear()
-    blackbox.set_last_blackbox(None)
+    def fresh():
+        telemetry.reset()
+        telemetry.bind(None)
+        metrics.get_registry().clear()
+        blackbox.set_last_blackbox(None)
+
+    fresh()
     yield
-    recorder.configure(enabled=True)
-    recorder.install_sink(None)
-    recorder.reset()
-    metrics.get_registry().clear()
-    blackbox.set_last_blackbox(None)
+    fresh()
 
 
 @pytest.fixture

@@ -354,7 +354,7 @@ class TestWindowRegistryLifecycle:
             return True
 
         assert all(world.run(kernel))
-        assert world.segments.names() == ["r0", "r1", "r2"]  # every arena unlinked
+        assert world.segments.names() == ["r0", "r1", "r2", "t"]  # every arena unlinked
 
     def test_live_windows_stay_registered(self):
         world = ThreadWorld(2)
@@ -366,7 +366,7 @@ class TestWindowRegistryLifecycle:
             return win.local_view().size
 
         assert world.run(kernel) == [64, 64]
-        assert world.segments.names() == ["r0", "r1", "w0"]  # the live window's arena
+        assert world.segments.names() == ["r0", "r1", "t", "w0"]  # the live window's arena
 
 
 class TestStridedPutUnderFaults:

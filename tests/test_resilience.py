@@ -351,14 +351,16 @@ class TestResilientSharesTheStageRunner:
     SHAPE, P, E_TOL = (8, 8, 8), 4, 1e-6
 
     def _telemetry_of(self, run_rank, data):
-        from repro.telemetry import metrics, recorder
+        from repro import telemetry
+        from repro.telemetry import metrics
 
-        recorder.reset()
+        telemetry.reset()
         metrics.get_registry().clear()
-        ThreadWorld(self.P, timeout=30.0).run(run_rank)
+        world = ThreadWorld(self.P, timeout=30.0)
+        world.run(run_rank)
         errors = {
             rank: [(ev.round, ev.value, ev.value2) for ev in events if ev.kind == "error"]
-            for rank, events in recorder.get_recorder().events_by_rank().items()
+            for rank, events in world.flight.events_by_rank().items()
         }
         reg = metrics.get_registry()
         headroom = [reg.gauge("repro_error_headroom", rank=r).value for r in range(self.P)]

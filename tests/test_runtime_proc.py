@@ -236,9 +236,7 @@ class TestLifecycle:
         before = set(_shm_segments())
         with ProcessWorld(4, timeout=10.0) as world:
             uid = world.uid
-            expected = {f"{uid}s"} | {f"{uid}r{r}" for r in range(4)}
-            if world.telemetry is not None:
-                expected.add(f"{uid}t")
+            expected = {f"{uid}s", f"{uid}t"} | {f"{uid}r{r}" for r in range(4)}
             assert set(_shm_segments()) - before == expected
             assert made == {"Lock": 8, "Condition": 5}
 

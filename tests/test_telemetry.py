@@ -1,8 +1,8 @@
 """Tests for the always-on telemetry layer (repro.telemetry).
 
-Covers the flight recorder ring, the metrics registry and its exports,
-JSON-lines structured logging, the shared-memory telemetry segment, the
-black-box dump builder/pretty-printer, and the satellite guarantee that
+Covers the flight ring (one per world, segment ``t`` of its namespace),
+the metrics registry and its exports, the ring over ``/dev/shm``, the
+black-box dump assembly and pretty-printer, and the guarantee that
 error headroom (``e_tol`` minus achieved error) is never negative on
 either the flat or the two-level compressed exchange.
 """
@@ -22,7 +22,7 @@ import pytest
 from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv, make_exchange
 from repro.compression import CastCodec, ShuffleZlibCodec
 from repro.errors import ReproError, TelemetryError
-from repro.faults import FaultPlan, FaultRule
+from repro.faults import EVENT_KINDS, FaultPlan, FaultRule
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
 from repro.collectives.base import ExchangeStats
@@ -30,21 +30,39 @@ from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
 from repro.machine.topology import Topology
 from repro.runtime import make_world, run_spmd
 from repro.runtime.proc import ProcessWorld
-from repro.runtime.shm import fork_available
+from repro.runtime.shm import Segments, ShmSegments, fork_available
 from repro.runtime.thread_rt import ThreadWorld
 from repro.telemetry import blackbox as bb
 from repro.telemetry import metrics, recorder
 from repro.telemetry.monitor_cli import render_table, run_monitor_cli
 from repro.faults.report import ResilienceReport
-from repro.telemetry import emit
-from repro.telemetry.recorder import FlightRecorder, publish
-from repro.telemetry.shmseg import ShmSink, ShmTelemetry
+from repro.telemetry import KINDS, bind, emit
+from repro.telemetry.shmseg import ShmTelemetry
 from repro.trace import tracing
 
 
 def _event(kind, peer=-1, round_=-1, value=0.0, value2=0.0, detail=""):
-    """One flight-ring event tuple, as a sink's ``write`` takes it."""
+    """One flight-ring event tuple, as a ring's ``write`` takes it."""
     return (kind, peer, round_, value, value2, detail)
+
+
+def _ring(nranks=4, capacity=recorder.FLIGHT_CAPACITY):
+    """A flight ring over an anonymous segment, as a thread world makes it."""
+    return ShmTelemetry.create(Segments(), nranks, capacity)
+
+
+class _Bound:
+    """Bind ``ring`` to this thread for a ``with`` block."""
+
+    def __init__(self, ring):
+        self.ring = ring
+
+    def __enter__(self):
+        self.prev = bind(self.ring)
+        return self.ring
+
+    def __exit__(self, *exc):
+        bind(self.prev)
 
 
 # -- flight recorder -------------------------------------------------------------------
@@ -52,87 +70,96 @@ def _event(kind, peer=-1, round_=-1, value=0.0, value2=0.0, detail=""):
 
 class TestFlightRecorder:
     def test_ring_is_bounded_and_ordered(self):
-        rec = FlightRecorder(capacity=8)
+        ring = _ring(1, capacity=8)
         for i in range(20):
-            rec.write(0, (_event("exchange-round", round_=i, value=float(i)),))
-        events = rec.events(0)
+            ring.write(0, (_event("exchange-round", round_=i, value=float(i)),))
+        events = ring.events(0)
         assert len(events) == 8  # bounded: only the last 8 survive
         assert [e.round for e in events] == list(range(12, 20))
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)  # monotonic sequence numbers
 
     def test_rings_are_per_rank(self):
-        rec = FlightRecorder(capacity=4)
-        rec.write(0, (_event("error", value=1.0),))
-        rec.write(1, (_event("error", value=2.0),))
-        by_rank = rec.events_by_rank()
+        ring = _ring(2, capacity=4)
+        ring.write(0, (_event("error", value=1.0),))
+        ring.write(1, (_event("error", value=2.0),))
+        by_rank = ring.events_by_rank()
         assert set(by_rank) == {0, 1}
         assert by_rank[0][0].value == 1.0
         assert by_rank[1][0].value == 2.0
 
     def test_module_level_helpers_hit_default_recorder(self):
-        publish(3, (_event("codec", detail="cast_fp32"),))
-        publish(3, sets=dict(phase="pack", alive=1.0))
-        for round_ in range(2):
-            emit("exchange-round", 3, stats=ExchangeStats(1, 16, 8),
-                 report=ResilienceReport(rank=3), round=round_, detail="cast_fp32")
-        rec = recorder.get_recorder()
-        assert rec.events(3)[0].kind == "codec"
-        live = rec.live_snapshot()[3]
+        """The seam writes to the ring bound to the calling thread; a
+        thread with none bound records nothing."""
+        with _Bound(_ring()) as ring:
+            ring.write(3, (_event("codec", detail="cast_fp32"),))
+            ring.write(3, sets=dict(phase="pack", alive=1.0))
+            for round_ in range(2):
+                emit("exchange-round", 3, stats=ExchangeStats(1, 16, 8),
+                     report=ResilienceReport(rank=3), round=round_, detail="cast_fp32")
+        emit("exchange-round", 3, stats=ExchangeStats(1, 16, 8),
+             report=ResilienceReport(rank=3), round=2, detail="cast_fp32")
+        assert ring.events(3)[0].kind == "codec"
+        live = ring.live(3)
         assert live["phase"] == "pack"
         assert live["rounds"] == 2.0
+        assert len(ring.events(3)) == 3
 
     def test_disabled_recorder_is_a_noop(self):
-        recorder.configure(enabled=False)
-        publish(0, (_event("error", value=1.0),))
-        publish(0, sets=dict(alive=1.0))
-        recorder.configure(enabled=True)
-        assert recorder.get_recorder().events_by_rank() == {}
+        with _Bound(_ring()) as ring:
+            recorder.configure(enabled=False)
+            emit("fault-hang", 0, detail="x")
+            emit("start", 0)
+            recorder.configure(enabled=True)
+        assert ring.events(0) == []
+        assert ring.live(0)["alive"] == 0.0
 
     def test_kinds_are_advisory_not_enforced(self):
         # Recovery phases record arbitrary names ("checkpoint", ...);
         # the kind table groups dumps, it must not reject new sites.
-        rec = FlightRecorder(capacity=4)
-        rec.write(0, (_event("checkpoint", value=1.5),))
-        assert rec.events(0)[0].kind == "checkpoint"
+        ring = _ring(1, capacity=4)
+        ring.write(0, (_event("checkpoint", value=1.5),))
+        assert ring.events(0)[0].kind == "checkpoint"
 
     def test_helpers_never_raise(self):
         class Broken:
             def write(self, *a, **k):
-                raise RuntimeError("sink down")
+                raise RuntimeError("ring down")
 
-        recorder.install_sink(Broken())
-        try:
-            publish(0, (_event("error"),))  # must not propagate: telemetry is best-effort
-            publish(0, sets=dict(alive=1.0))
+        with _Bound(Broken()):
+            # must not propagate: telemetry is best-effort
+            emit("start", 0)
             emit("exchange-round", 0, stats=ExchangeStats(), report=ResilienceReport(rank=0),
                  round=0, detail="raw-osc")
-        finally:
-            recorder.install_sink(None)
+        with _Bound(_ring(1)):
+            emit("start", 5)  # a rank the ring does not hold
 
     def test_resilience_report_folds_into_ring(self):
         report = ResilienceReport(rank=2)
         report.record("retry", peer=1, attempt=0, codec="cast_fp32")
         report.record("degrade", peer=1, codec="shuffle-zlib", detail="e_tol")
-        emit("exchange-round", 2, stats=ExchangeStats(), report=report, round=7, detail="cast_fp32")
-        kinds = [e.kind for e in recorder.get_recorder().events(2)]
+        with _Bound(_ring()) as ring:
+            emit("exchange-round", 2, stats=ExchangeStats(), report=report, round=7,
+                 detail="cast_fp32")
+        kinds = [e.kind for e in ring.events(2)]
         assert kinds == ["exchange-round", "retry", "degrade"]
-        assert all(e.round == 7 for e in recorder.get_recorder().events(2))
+        assert all(e.round == 7 for e in ring.events(2))
 
     def test_concurrent_writers_lose_nothing(self):
         """Under more writer threads than cores, two per rank, and a 1 us
         switch interval, every event and every accumulated field is there
-        once, each event with a sequence number of its own."""
+        once, each event with a sequence number of its own in its rank's
+        ring."""
         import sys
 
-        rec = FlightRecorder(capacity=4096)
-        ranks, per_thread = 4, 500
+        ranks, per_thread = 4, 2000
+        ring = _ring(ranks, capacity=2 * per_thread)
         start = threading.Barrier(2 * ranks)
 
         def writer(rank):
             start.wait(timeout=30)
             for i in range(per_thread):
-                rec.write(rank, (_event("x", value=float(i)),), {"phase": "p"}, {"rounds": 1.0})
+                ring.write(rank, (_event("x", value=float(i)),), {"phase": "p"}, {"rounds": 1.0})
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -145,11 +172,57 @@ class TestFlightRecorder:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
-        events = rec.events()
-        assert len(events) == 2 * ranks * per_thread
-        assert len({e.seq for e in events}) == len(events)
-        for rank, row in rec.live_snapshot().items():
+        for rank, events in ring.events_by_rank().items():
+            assert len(events) == 2 * per_thread
+            assert len({e.seq for e in events}) == len(events)
+        for rank, row in ring.live_snapshot().items():
             assert row["rounds"] == row["events"] == 2 * per_thread, rank
+
+
+class TestOneRingPerWorld:
+    """Two thread worlds running at once record apart, each in its own
+    ring, and their runs fold into the one registry."""
+
+    def test_concurrent_worlds_record_apart_and_fold_together(self):
+        shape, p, iters = (8, 8, 8), 4, 3
+        plans = [Fft3d(shape, p, codec=CastCodec("fp32")), Fft3d(shape, p)]
+        blocks = plans[0].scatter(np.random.default_rng(8).standard_normal(shape))
+        worlds = [ThreadWorld(p, timeout=60.0), ThreadWorld(p, timeout=60.0)]
+        totals: list = [None, None]
+        start = threading.Barrier(2)
+
+        def drive(i):
+            def kernel(comm):
+                stats = FftStats()
+                for _ in range(iters):
+                    plans[i].forward_spmd(comm, blocks[comm.rank], stats=stats)
+                return stats.wire_bytes
+
+            start.wait(timeout=30)
+            totals[i] = worlds[i].run(kernel)
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert totals[0] is not None and totals[1] is not None
+        details = []
+        for world in worlds:
+            rounds = {
+                rank: [e for e in events if e.kind == "exchange-round"]
+                for rank, events in world.flight.events_by_rank().items()
+            }
+            assert all(len(r) == 4 * iters for r in rounds.values())
+            details.append({e.detail for r in rounds.values() for e in r})
+        assert len(details[0]) == len(details[1]) == 1
+        assert details[0] != details[1]  # no world's ring holds the other's rounds
+        reg = metrics.get_registry()
+        for rank in range(p):
+            assert reg.counter("repro_exchange_rounds_total", rank=rank).value == 2 * 4 * iters
+            assert reg.counter("repro_wire_bytes_total", rank=rank).value == (
+                totals[0][rank] + totals[1][rank]
+            )
 
 
 # -- metrics registry ------------------------------------------------------------------
@@ -231,12 +304,13 @@ class TestMetrics:
 
 class TestShmTelemetry:
     def test_record_and_live_roundtrip_across_attach(self):
-        seg = ShmTelemetry("tlmtest-rt", 2, capacity=8)
+        names = ShmSegments("tlmtest-rt", None)
+        ring = ShmTelemetry.create(names, 2, capacity=8)
         try:
-            seg.write(1, (_event("exchange-round", round_=3, value=512.0, detail="cast_fp32"),))
-            seg.write(1, sets={"phase": "exchange", "rounds": 3.0})
-            seg.write(1, adds={"wire_bytes": 512.0})
-            other = ShmTelemetry.attach("tlmtest-rt")
+            ring.write(1, (_event("exchange-round", round_=3, value=512.0, detail="cast_fp32"),))
+            ring.write(1, sets={"phase": "exchange", "rounds": 3.0})
+            ring.write(1, adds={"wire_bytes": 512.0})
+            other = ShmTelemetry(names.attach("t"))
             try:
                 (ev,) = other.events(1)
                 assert ev.kind == "exchange-round"
@@ -247,45 +321,53 @@ class TestShmTelemetry:
                 assert live["rounds"] == 3.0
                 assert live["wire_bytes"] == 512.0
             finally:
-                other.detach()
+                other.mapping.close()
         finally:
-            seg.destroy()
+            ring.mapping.close()
+            names.unlink("t")
 
     def test_ring_wraps_keeping_latest(self):
-        seg = ShmTelemetry("tlmtest-wrap", 1, capacity=4)
-        try:
-            for i in range(10):
-                seg.write(0, (_event("error", round_=i),))
-            rounds = [e.round for e in seg.events(0)]
-            assert rounds == [6, 7, 8, 9]
-        finally:
-            seg.destroy()
+        ring = _ring(1, capacity=4)
+        for i in range(10):
+            ring.write(0, (_event("error", round_=i),))
+        rounds = [e.round for e in ring.events(0)]
+        assert rounds == [6, 7, 8, 9]
 
     def test_attach_rejects_foreign_segment(self):
         from multiprocessing import shared_memory
 
-        raw = shared_memory.SharedMemory(name="tlmtest-bad", create=True, size=256)
+        raw = shared_memory.SharedMemory(name="tlmtest-badt", create=True, size=256)
         try:
-            with pytest.raises(TelemetryError, match="magic|not a telemetry"):
-                ShmTelemetry.attach("tlmtest-bad")
+            with pytest.raises(TelemetryError, match="magic|not a flight ring"):
+                ShmTelemetry(ShmSegments("tlmtest-bad", None).attach("t"))
         finally:
             raw.close()
             raw.unlink()
 
     def test_shm_sink_feeds_module_helpers(self):
-        seg = ShmTelemetry("tlmtest-sink", 2, capacity=8)
+        """A ring over ``/dev/shm`` bound to a thread takes the seam's records."""
+        names = ShmSegments("tlmtest-sink", None)
+        ring = ShmTelemetry.create(names, 2, capacity=8)
         try:
-            recorder.install_sink(ShmSink(seg))
-            try:
-                publish(0, (_event("fft", value=2.0, detail="fft 8^3"),))
-                publish(0, sets=dict(alive=1.0, phase="local_fft"))
-            finally:
-                recorder.install_sink(None)
-            (ev,) = seg.events(0)
-            assert ev.kind == "fft" and ev.detail == "fft 8^3"
-            assert seg.live(0)["phase"] == "local_fft"
+            with _Bound(ring):
+                emit("leader-failover", 0, value=2.0, detail="fft 8^3")
+                emit("start", 0)
+            (ev,) = ring.events(0)
+            assert ev.kind == "leader-failover" and ev.detail == "fft 8^3"
+            assert ring.live(0)["phase"] == "start"
         finally:
-            seg.destroy()
+            ring.mapping.close()
+            names.unlink("t")
+
+    def test_every_event_kind_round_trips_intact(self):
+        """No kind a site records is cut by the ring's kind field (16
+        bytes used to make ``integrity-failure`` ``integrity-failur``)."""
+        kinds = sorted(set(EVENT_KINDS) | set(KINDS) | {"error", "rank-failed"})
+        ring = _ring(1, capacity=len(kinds))
+        for kind in kinds:
+            ring.write(0, (_event(kind, detail="d" * 40),))
+        assert [e.kind for e in ring.events(0)] == kinds
+        assert {e.detail for e in ring.events(0)} == {"d" * 40}
 
 
 # -- black-box dumps -------------------------------------------------------------------
@@ -293,13 +375,16 @@ class TestShmTelemetry:
 
 class TestBlackbox:
     def _populate(self):
-        publish(0, (_event("exchange-round", round_=0, value=1024.0, detail="cast_fp32"),))
-        publish(0, (_event("error", round_=0, value=4e-8, value2=9.6e-7, detail="cast_fp32"),))
-        publish(1, (_event("abort", detail="RuntimeAbort: peer died"),))
+        world = ThreadWorld(2)
+        ring = world.flight
+        ring.write(0, (_event("exchange-round", round_=0, value=1024.0, detail="cast_fp32"),))
+        ring.write(0, (_event("error", round_=0, value=4e-8, value2=9.6e-7, detail="cast_fp32"),))
+        ring.write(1, (_event("abort", detail="RuntimeAbort: peer died"),))
+        return world
 
     def test_emit_merges_ranks_time_aligned(self):
-        self._populate()
-        dump = bb.emit_blackbox("unit test abort")
+        world = self._populate()
+        dump = world.blackbox("unit test abort")
         assert dump["schema"] == bb.BLACKBOX_SCHEMA
         assert dump["reason"] == "unit test abort"
         assert set(dump["rings"]) == {"0", "1"}
@@ -307,11 +392,11 @@ class TestBlackbox:
         assert times == sorted(times)  # merged timeline is time-aligned
         assert dump["merged"][0]["t_rel_ms"] == 0.0
         assert bb.last_blackbox() is dump  # post-mortem retrieval hook
+        assert world.last_blackbox is dump
         assert dump["metrics"]["schema"] == "repro-metrics-v1"  # registry embedded
 
     def test_write_read_roundtrip_and_schema_gate(self, tmp_path):
-        self._populate()
-        dump = bb.emit_blackbox("roundtrip")
+        dump = self._populate().blackbox("roundtrip")
         path = tmp_path / "dump.json"
         bb.write_blackbox(dump, str(path))
         assert bb.read_blackbox(str(path))["reason"] == "roundtrip"
@@ -320,8 +405,7 @@ class TestBlackbox:
             bb.read_blackbox(str(path))
 
     def test_format_is_human_readable(self):
-        self._populate()
-        dump = bb.emit_blackbox("render test")
+        dump = self._populate().blackbox("render test")
         text = bb.format_blackbox(dump)
         assert "render test" in text
         assert "exchange-round" in text
@@ -329,8 +413,7 @@ class TestBlackbox:
 
     def test_env_var_writes_dump_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv(bb.BLACKBOX_DIR_ENV, str(tmp_path))
-        self._populate()
-        bb.emit_blackbox("env var dump")
+        self._populate().blackbox("env var dump")
         dumps = list(tmp_path.glob("blackbox-*.json"))
         assert len(dumps) == 1
         assert bb.read_blackbox(str(dumps[0]))["reason"] == "env var dump"
@@ -339,7 +422,7 @@ class TestBlackbox:
         worker_result = []
 
         def worker():
-            worker_result.append(bb.arm_signal_dump())
+            worker_result.append(bb.arm_signal_dump(dict))
 
         t = threading.Thread(target=worker)
         t.start()
@@ -349,8 +432,8 @@ class TestBlackbox:
     def test_sigusr1_dump(self, tmp_path):
         import os
 
-        self._populate()
-        assert bb.arm_signal_dump(out_dir=str(tmp_path))
+        world = self._populate()
+        assert bb.arm_signal_dump(lambda: world.blackbox("SIGUSR1"), out_dir=str(tmp_path))
         try:
             os.kill(os.getpid(), signal.SIGUSR1)
         finally:
@@ -385,7 +468,8 @@ class TestErrorHeadroom:
             finally:
                 op.free()
 
-        return run_spmd(p, kernel)
+        self.world = ThreadWorld(p)
+        return self.world.run(kernel)
 
     def _assert_headroom_never_negative(self, p):
         reg = metrics.get_registry()
@@ -394,7 +478,7 @@ class TestErrorHeadroom:
             achieved = reg.gauge("repro_achieved_error", rank=rank).value
             assert headroom >= 0.0, f"rank {rank} overshot e_tol by {-headroom:g}"
             assert achieved + headroom == pytest.approx(self.E_TOL)
-        for rank, events in recorder.get_recorder().events_by_rank().items():
+        for rank, events in self.world.flight.events_by_rank().items():
             for ev in events:
                 if ev.kind == "error":
                     assert ev.value2 >= 0.0, f"rank {rank} flight headroom negative"
@@ -437,7 +521,7 @@ class TestErrorHeadroom:
             wire = reg.counter("repro_wire_bytes_total", rank=rank).value
             logical = reg.counter("repro_logical_bytes_total", rank=rank).value
             assert 0 < wire < logical  # fp32 cast halves the wire bytes
-            kinds = [e.kind for e in recorder.get_recorder().events(rank)]
+            kinds = [e.kind for e in self.world.flight.events(rank)]
             assert "exchange-round" in kinds and "error" in kinds
 
 
@@ -473,9 +557,7 @@ class TestRawExchangeParity:
                     rplan.run_spmd(comm, blocks[comm.rank], op, stats=stats)
             finally:
                 op.free()
-            sink = recorder.get_recorder()
-            ring = getattr(sink, "segment", sink)  # forked ranks write to shared memory
-            rounds = [e for e in ring.events(comm.rank) if e.kind == "exchange-round"]
+            rounds = [e for e in comm.world.flight.events(comm.rank) if e.kind == "exchange-round"]
             reg = metrics.get_registry()
             return (
                 [(e.round, e.value, e.detail) for e in rounds],
@@ -531,7 +613,11 @@ class TestPublishedStreamIsPinned:
     exported (it is ``logical / wire`` of two exported counters), and the
     live phase *between* the start and the end of a run may now follow
     scope nesting — the final table, which is pinned, is unchanged.  The
-    two timed series are pinned by presence and observation count."""
+    two timed series are pinned by presence and observation count.  The
+    live table is the ring's row, which carries every ``LIVE_FIELDS``
+    slot: restricted to the keys the dict table it replaced had, it
+    reproduces that table's digests (``620f0d4e…``, ``3497f468…``); the
+    added slots all read zero."""
 
     DROPPED = {"repro_compression_ratio"}
     TIMED = {"repro_exchange_seconds", "repro_link_bandwidth_bytes_per_s"}
@@ -540,11 +626,10 @@ class TestPublishedStreamIsPinned:
         rng = np.random.default_rng(27)
         x = rng.standard_normal(plan.shape) + 1j * rng.standard_normal(plan.shape)
         blocks = plan.scatter(x)
+        world = ThreadWorld(4, faults=faults, timeout=30.0)
         with tracing() as tracer:
-            ThreadWorld(4, faults=faults, timeout=30.0).run(
-                lambda comm: plan.forward_spmd(comm, blocks[comm.rank])
-            )
-        rec = recorder.get_recorder()
+            world.run(lambda comm: plan.forward_spmd(comm, blocks[comm.rank]))
+        rec = world.flight
         ring = [
             [e.kind, e.rank, e.round, float(e.value), float(e.value2), e.detail]
             for _, events in sorted(rec.events_by_rank().items())
@@ -580,7 +665,7 @@ class TestPublishedStreamIsPinned:
         got = self._published(Fft3d((8, 8, 8), 4, codec=CastCodec("fp32")))
         assert got == {
             "ring": "8f32c101d7dbc1a57ac51b49ed846d434ca4b15551bbb2e5d904c083fd1b658f",
-            "live": "620f0d4e6a28b6ca3e1cfd5d296118c5e762a5ababb62115782662e28e7544d5",
+            "live": "765fd5f9c05fed7405e216018e522b6a759faa8eeb369622090d3fdbf2bbf891",
             "counters": "e37e2772e40f2e6b406b79f2fc767eb4e43440d1dfec4639d597c26add6e895b",
             "instants": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
             "series": "f73738f2dc4a294d8ea5147e67a37124cc309e78325a95524335ee7829127ce8",
@@ -597,7 +682,7 @@ class TestPublishedStreamIsPinned:
         assert reg.counter("repro_degradations_total", rank=2).value == 1
         assert got == {
             "ring": "0537b476a3a46da86343660badd7006074c41af1810dbe9e71f70d29bfec90b6",
-            "live": "3497f4685c0c056fb73c40f57cc3e3e6b9338220f7573cb034731edfdbcd5403",
+            "live": "d77d88ce451f4776258789fa3db986fbfc0ed1e050613bfd2af4c825cf1ae1d8",
             "counters": "d5a851d51f5b01642ade3579bc0e0962567ac39e78b85c68d26732da6a0fcb4b",
             "instants": "9cd722e89f7e01767937ed6a179e7633c78765bca8e140c2e013a351d80a46f9",
             "series": "66c6d55870b553861514112ea9321dd264cb298804770e95c35933f6ba36f7e1",
@@ -677,11 +762,12 @@ class TestMonitorRendering:
     def test_monitor_once_against_synthetic_segment(self, tmp_path, monkeypatch):
         from repro.telemetry.shmseg import remove_runfile, write_runfile
 
-        seg = ShmTelemetry("tlmtest-mon", 2, capacity=8)
+        names = ShmSegments("tlmtest-mon", None)
+        ring = ShmTelemetry.create(names, 2, capacity=8)
         try:
-            seg.write(0, sets={"phase": "exchange", "rounds": 1.0, "alive": 1.0})
-            seg.write(1, sets={"phase": "done", "done": 1.0})
-            write_runfile("tlmtest-mon", {"segment": "tlmtest-mon", "nranks": 2})
+            ring.write(0, sets={"phase": "exchange", "rounds": 1.0, "alive": 1.0})
+            ring.write(1, sets={"phase": "done", "done": 1.0})
+            write_runfile("tlmtest-mon", {"nranks": 2})
             buf = io.StringIO()
             rc = run_monitor_cli(uid="tlmtest-mon", once=True, stream=buf)
             assert rc == 0
@@ -689,7 +775,8 @@ class TestMonitorRendering:
             assert "exchange" in out and "tlmtest-mon" in out
         finally:
             remove_runfile("tlmtest-mon")
-            seg.destroy()
+            ring.mapping.close()
+            names.unlink("t")
 
     def test_monitor_list_without_worlds(self):
         buf = io.StringIO()

@@ -17,10 +17,20 @@ import pytest
 from repro.errors import RankFailureError, ReproError
 from repro.faults import FaultPlan, FaultRule
 from repro.fft import Fft3d
+from repro.runtime import make_world
 from repro.runtime.proc import ProcessWorld
 from repro.runtime.shm import fork_available
 from repro.runtime.thread_rt import ThreadWorld
+from repro.telemetry import FlightEvent
 from repro.telemetry import blackbox as bb
+
+RUNTIMES = [
+    "thread",
+    pytest.param(
+        "proc",
+        marks=pytest.mark.skipif(not fork_available(), reason="needs the fork start method"),
+    ),
+]
 
 
 def _field(shape, seed=3):
@@ -85,9 +95,8 @@ class TestThreadWorldBlackbox:
         world.run(kernel)
         # No abort, so no dump was emitted — but the always-on ring holds
         # the full detect -> agree -> shrink -> restart story regardless.
-        from repro.telemetry.recorder import get_recorder
-
-        kinds = {e.kind for events in get_recorder().events_by_rank().values() for e in events}
+        assert world.last_blackbox is None
+        kinds = {e.kind for events in world.flight.events_by_rank().values() for e in events}
         assert {"rank-failed", "detect", "agree", "shrink", "restart"} <= kinds
 
 
@@ -129,10 +138,9 @@ class TestProcessWorldBlackbox:
         import time as _time
 
         def kernel(comm):
-            from repro.telemetry.recorder import publish
-
-            publish(comm.rank, sets=dict(phase="exchange"))
-            publish(comm.rank, (("exchange-round", -1, 0, 64.0, 0.0, ""),))
+            ring = comm.world.flight
+            ring.write(comm.rank, sets=dict(phase="exchange"))
+            ring.write(comm.rank, (("exchange-round", -1, 0, 64.0, 0.0, ""),))
             if comm.rank == 1:
                 _time.sleep(60.0)  # never beats the 3 s deadline
             comm.barrier()
@@ -154,3 +162,32 @@ class TestProcessWorldBlackbox:
         world = ProcessWorld(2, timeout=15.0)
         assert world.run(kernel) == [0, 1]
         assert world.last_blackbox is None
+
+
+class TestOneDumpPath:
+    """Both launchers dump through ``World.blackbox`` over their own ring:
+    a rank killed mid-FFT leaves the same dump shape on either."""
+
+    KEYS = {
+        "schema", "reason", "created_at", "host", "pid", "nranks", "uid",
+        "rings", "merged", "live", "failure_report", "metrics",
+    }
+    FIELDS = set(FlightEvent.__slots__)
+
+    @pytest.mark.parametrize("runtime", RUNTIMES)
+    def test_kill_dump_has_the_same_fields_on_both_launchers(self, runtime):
+        nranks, shape = 4, (8, 8, 8)
+        fft = Fft3d(shape, nranks, e_tol=1e-6)
+        plan = FaultPlan(rules=[FaultRule(kind="kill", rank=1, after=8)])
+        world = make_world(runtime, nranks, timeout=10.0, faults=plan, suspect_after=0.5)
+        with pytest.raises(ReproError):
+            world.run(_fft_kernel(fft, _field(shape)))
+        dump = world.last_blackbox
+        assert dump is not None and bb.last_blackbox() is dump
+        assert set(dump) == self.KEYS
+        assert dump["failure_report"]["failed_ranks"] == [1]
+        assert set(dump["rings"]) == set(dump["live"]) == {str(r) for r in range(nranks)}
+        for events in dump["rings"].values():
+            assert all(set(e) == self.FIELDS for e in events)
+        assert all(set(e) == self.FIELDS | {"t_rel_ms"} for e in dump["merged"])
+        assert "exchange-round" in {e["kind"] for e in dump["rings"]["1"]}

@@ -28,7 +28,7 @@ def _send_matrix(p: int, seed: int = 0, max_len: int = 40):
     return send
 
 
-def _run(p, topo, send, cls, codec=None, pool=False, chunks=1):
+def _run(p, topo, send, cls, codec=None, pool=False, chunks=1, world=None):
     def kernel(comm):
         op = cls(
             comm,
@@ -42,7 +42,7 @@ def _run(p, topo, send, cls, codec=None, pool=False, chunks=1):
         finally:
             op.free()
 
-    return ThreadWorld(p).run(kernel)
+    return (world or ThreadWorld(p)).run(kernel)
 
 
 class TestTwoLevelEquivalence:
@@ -171,36 +171,36 @@ class TestLeaderFailover:
         return ShrunkTopology(_topology(p, g), survivors)
 
     def test_reelects_leaders_over_live_membership(self):
-        from repro.telemetry.recorder import get_recorder, reset as reset_flight
-
         # Parent 6 ranks / 3 nodes, rank 1 (a node-0 resident) died.
         topo = self._shrunk(6, 2, (0, 2, 3, 4, 5))
         p = topo.nranks
         send = _send_matrix(p, seed=21)
-        reset_flight()
-        two = _run(p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"))
+        world = ThreadWorld(p)
+        two = _run(
+            p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"), world=world
+        )
         flat = _run(p, topo, send, CompressedOscAlltoallv, codec=CastCodec("fp32"))
         for d in range(p):
             for s in range(p):
                 assert np.array_equal(two[d][0][s], flat[d][0][s]), (d, s)
-        kinds = {e.kind for e in get_recorder().events()}
+        kinds = {e.kind for events in world.flight.events_by_rank().values() for e in events}
         assert "leader-failover" in kinds
         assert "exchange-degrade" not in kinds
 
     def test_empty_node_degrades_to_flat_path(self):
-        from repro.telemetry.recorder import get_recorder, reset as reset_flight
-
         # Node 0 lost both residents: no leader can be elected there.
         topo = self._shrunk(6, 2, (2, 3, 4, 5))
         p = topo.nranks
         send = _send_matrix(p, seed=22)
-        reset_flight()
-        two = _run(p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"))
+        world = ThreadWorld(p)
+        two = _run(
+            p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"), world=world
+        )
         flat = _run(p, topo, send, CompressedOscAlltoallv, codec=CastCodec("fp32"))
         for d in range(p):
             for s in range(p):
                 assert np.array_equal(two[d][0][s], flat[d][0][s]), (d, s)
-        kinds = {e.kind for e in get_recorder().events()}
+        kinds = {e.kind for events in world.flight.events_by_rank().values() for e in events}
         assert "exchange-degrade" in kinds
 
     def test_uniform_topology_unchanged_leaders(self):

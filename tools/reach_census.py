@@ -246,12 +246,9 @@ KEEP: tuple[tuple[str, str], ...] = (
     *_each("runtime/base.py", "World.revoke World.declare_failed World._rank_failure_error "
            "Comm._explain_stall Comm.revoke Comm.abort", "fault-path"),
     *_each("runtime/shm.py", "any_to_describe", "fault-path"),
-    *_each("runtime/proc.py", "ProcessWorld._blackbox ProcessWorld._snapshot_blackbox "
-           "ProcessWorld._kill", "fault-path"),
-    *_each("runtime/thread_rt.py", "ThreadWorld._blackbox", "fault-path"),
+    *_each("runtime/proc.py", "ProcessWorld._kill", "fault-path"),
     # Black boxes, the flight ring's read-back, resilience trace events.
     *_each("telemetry/blackbox.py", "arm_signal_dump.<locals>.handler", "fault-path"),
-    *_each("telemetry/recorder.py", "FlightRecorder.events", "fault-path"),
     *_each("trace/core.py", "Tracer.instant record_report", "fault-path"),
     # Checks on what arrives: frame length, the restricted unpickler, the
     # lossy codecs' inf/NaN handling, measured compression, clean stats.
@@ -267,11 +264,16 @@ KEEP: tuple[tuple[str, str], ...] = (
     # stranded-message check); ``MetricsRegistry.clear`` resets the global
     # registry between cases; ``run_spmd`` is README's fault-injection
     # recipe (``run_spmd(4, kernel, faults=plan)``); ``Segments.names``
-    # is the leak check of a world's namespace.
+    # is the leak check of a world's namespace; ``run_drill`` is one drill
+    # as a function (the CLI's ``_drill`` without its world);
+    # ``last_blackbox`` is the process's most recent dump, whichever
+    # world made it.
     *_each("runtime/proc.py", "ProcessWorld.__enter__ ProcessWorld.__exit__", "fault-path"),
     *_each("runtime/base.py", "Request.test Comm._probe", "fault-path"),
     *_each("runtime/shm.py", "Segments.names ShmSegments.names", "fault-path"),
     *_each("runtime/thread_rt.py", "run_spmd", "fault-path"),
+    *_each("resilience/cli.py", "run_drill", "fault-path"),
+    *_each("telemetry/blackbox.py", "last_blackbox", "fault-path"),
     *_each("telemetry/metrics.py", "MetricsRegistry.clear", "fault-path"),
 )
 
