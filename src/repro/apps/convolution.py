@@ -6,10 +6,13 @@ forward transforms, a pointwise product and an inverse — ``O(N^3 log N)``
 Each transform's reshapes may be compressed: for a convolution the
 pointwise product *multiplies* the two relative errors' effects, so the
 tolerance algebra is ``e_conv <~ e_fft(signal) + e_fft(kernel) +
-e_ifft``, handled by :func:`DistributedConvolution.for_tolerance`.
+e_ifft``: :func:`DistributedConvolution.for_tolerance` shares one budget
+over the three transforms' reshapes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -76,12 +79,15 @@ class DistributedConvolution:
     ) -> "DistributedConvolution":
         """Pick the codec from a *convolution-level* error tolerance.
 
-        Three compressed transforms contribute, so each gets a third of
-        the budget.
+        Three transforms contribute — the signal's, the kernel's and the
+        inverse — so the budget is shared by all their reshapes.
         """
         from repro.compression.selection import codec_for_tolerance
 
-        codec = codec_for_tolerance(e_tol / 3.0, data_hint=data_hint)
+        exact = cls(shape, nranks, mode=mode, kernel_shape=kernel_shape)
+        codec = codec_for_tolerance(
+            e_tol, 3 * len(exact.fft.stages), n=math.prod(exact.work_shape), data_hint=data_hint
+        )
         return cls(shape, nranks, mode=mode, codec=codec, kernel_shape=kernel_shape)
 
     # -- the operation ------------------------------------------------------------

@@ -13,17 +13,18 @@ The paper spans the whole spectrum of message compressors:
   (byte shuffle + DEFLATE; exact, data-dependent rate),
 * *identity* — :class:`~repro.compression.base.IdentityCodec` (baseline).
 
-:func:`~repro.compression.selection.codec_for_tolerance` maps a user error
-tolerance ``e_tol`` to a codec, which is how Algorithm 1's approximate FFT
-controls its accuracy.
+:func:`~repro.compression.selection.codec_for_tolerance` spends one error
+budget — the user's round-trip tolerance ``e_tol``, split in quadrature
+over the compressions it covers — on the cheapest codec whose stated
+per-message bound (:attr:`Codec.error_bound`) fits each one's share,
+which is how Algorithm 1's approximate FFT controls its accuracy.
 """
 
-from repro.compression.adaptive import StagedCodecSchedule, schedule_for_tolerance
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
 from repro.compression.lossless import ShuffleZlibCodec
 from repro.compression.mantissa import MantissaTrimCodec
 from repro.compression.metrics import CompressionReport, evaluate_codec
-from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
+from repro.compression.selection import codec_for_tolerance
 from repro.compression.truncation import CastCodec
 from repro.compression.zfp_like import ZfpLikeCodec
 
@@ -38,7 +39,4 @@ __all__ = [
     "CompressionReport",
     "evaluate_codec",
     "codec_for_tolerance",
-    "tolerance_of_codec",
-    "StagedCodecSchedule",
-    "schedule_for_tolerance",
 ]

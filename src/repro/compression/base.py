@@ -225,6 +225,16 @@ class Codec(ABC):
             self.decode_into(scratch[:nbytes], header, out)
         return nbytes, header, achieved
 
+    # -- error model ----------------------------------------------------------
+
+    @property
+    def error_bound(self) -> float | None:
+        """The codec's per-message relative L-inf bound: every message
+        comes back with ``max|x - y| <= error_bound * max|x|`` (what an
+        exchange measures and holds against its share of ``e_tol``).
+        ``0.0``: exact; ``None``: unbounded (no error budget can admit it)."""
+        return 0.0 if self.lossless else None
+
     # -- size model -----------------------------------------------------------
 
     @property

@@ -47,10 +47,6 @@ class ShuffleZlibCodec(Codec):
         self.shuffle = bool(shuffle)
         self.name = f"zlib{level}" + ("_shuffle" if shuffle else "")
 
-    @property
-    def rate(self) -> None:
-        return None  # data dependent
-
     def worst_case_nbytes(self, n_float64: int) -> int:
         """zlib's ``compressBound``: incompressible input is stored, at
         5 B per 16 KiB block plus the stream wrapper."""

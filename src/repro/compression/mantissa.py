@@ -123,8 +123,9 @@ class MantissaTrimCodec(FixedWidthCodec):
         return 8.0 / self.bytes_per_value
 
     @property
-    def max_relative_error(self) -> float:
-        """Per-value relative rounding error bound (unit round-off)."""
+    def error_bound(self) -> float:
+        """Per-value relative rounding bound (the unit round-off), so per
+        message too."""
         if self.rounding == "nearest":
             return self.fmt.unit_roundoff
         return 2.0 * self.fmt.unit_roundoff

@@ -71,6 +71,11 @@ class CastCodec(FixedWidthCodec):
     def rate(self) -> float:
         return 64.0 / self.fmt.bits
 
+    @property
+    def error_bound(self) -> float:
+        """The target format's unit round-off (values in its range)."""
+        return self.fmt.unit_roundoff
+
     # -- compression ----------------------------------------------------------
 
     def encode_into(

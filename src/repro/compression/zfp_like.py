@@ -154,6 +154,10 @@ class ZfpLikeCodec(Codec):
     #: realised max error within a small factor of the requested tolerance.
     _GUARD = 5
 
+    #: Relative error the lifting pair leaves whatever the tolerance (the
+    #: ~2 lost ulps of the 46-bit promotion, with a factor 4 of headroom).
+    _FLOOR = 2.0**-38
+
     def __init__(self, *, rate: float | None = None, tolerance: float | None = None) -> None:
         if (rate is None) == (tolerance is None):
             raise CompressionError("specify exactly one of rate= or tolerance=")
@@ -171,6 +175,14 @@ class ZfpLikeCodec(Codec):
             self.tolerance = float(tolerance)
             self.name = f"zfp_tol{tolerance:.1e}"
         self._rate_arg = rate
+
+    @property
+    def error_bound(self) -> float | None:
+        """Twice the tolerance — the realised error's documented factor;
+        absolute, so relative for messages of unit peak and up — or the
+        accuracy floor if that is larger; ``None`` in rate mode, which
+        bounds bytes, not error."""
+        return None if self.tolerance is None else max(2.0 * self.tolerance, self._FLOOR)
 
     @property
     def rate(self) -> float | None:

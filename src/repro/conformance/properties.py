@@ -28,8 +28,9 @@ The eight families
     Round-trip and bound invariants for every codec family (the trim
     kernels bit-for-bit against the reference rounding, and their
     in-pass error measurement against a measured round trip), the wire
-    frame, and the ``codec_for_tolerance`` ↔ ``tolerance_of_codec``
-    selection consistency (margins included).
+    frame, and the one error budget: the codec ``codec_for_tolerance``
+    picks for ``events`` compressions states a bound that keeps them
+    within ``e_tol`` (``sqrt(events) * error_bound <= e_tol``).
 ``fft``
     Differential: :class:`~repro.fft.plan.Fft3d` against NumPy's FFT on
     random geometries (prime dims, ragged decompositions, batches);
@@ -384,7 +385,7 @@ class CodecProperty(Property):
                 "kind": rng.choice(["random", "smooth", "constant", "zeros"]),
                 "scale_exp": scale_exp,
                 "e_tol": 10.0 ** rng.uniform(-15, -1),
-                "margin": rng.choice([1.0, 2.0, 4.0, 8.0]),
+                "events": rng.choice([1, 2, 4, 8]),
                 "hint": rng.choice(["random", "smooth"]),
                 "data_seed": draw_data_seed(rng),
             },
@@ -434,7 +435,7 @@ class CodecProperty(Property):
     def check(self, sc: Scenario) -> None:
         from repro.accuracy.bounds import achieved_relative_error
         from repro.collectives.wire import decode_wire, encode_wire
-        from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
+        from repro.compression.selection import codec_for_tolerance
 
         codec = self._codec(sc.params["codec"])
         x = self._data(sc)
@@ -470,7 +471,7 @@ class CodecProperty(Property):
                     f"{codec.name}: compress_measured reports {measured!r}, "
                     f"a round trip measures {achieved!r}"
                 )
-            bound = codec.max_relative_error
+            bound = codec.error_bound
             bad = np.abs(bstream - stream) > bound * np.abs(stream)
             if bool(np.any(bad)):
                 i = int(np.flatnonzero(bad)[0])
@@ -518,20 +519,15 @@ class CodecProperty(Property):
         ):
             raise ConformanceFailure(f"{codec.name}: wire frame round-trip mutated the message")
 
-        # selection consistency: the chosen codec's reported tolerance
-        # honours the request — both with the explicit margin and with
-        # the margin recorded on the codec at selection time.
-        e_tol, margin = sc.params["e_tol"], sc.params["margin"]
-        chosen = codec_for_tolerance(e_tol, data_hint=sc.params["hint"], margin=margin)
-        for reported in (
-            tolerance_of_codec(chosen, margin=margin),
-            tolerance_of_codec(chosen),
-        ):
-            if reported > e_tol * (1.0 + 1e-12):
-                raise ConformanceFailure(
-                    f"selection round-trip: e_tol={e_tol:.3e} margin={margin:g} chose "
-                    f"{chosen.name} whose reported tolerance {reported:.3e} exceeds the request"
-                )
+        # one error budget: what the allocator picks for `events`
+        # compressions states a bound whose quadrature sum fits e_tol
+        e_tol, events = sc.params["e_tol"], sc.params["events"]
+        chosen = codec_for_tolerance(e_tol, events, n=1, data_hint=sc.params["hint"])
+        if np.sqrt(events) * chosen.error_bound > e_tol:
+            raise ConformanceFailure(
+                f"selection: e_tol={e_tol:.3e} over {events} events chose {chosen.name}, "
+                f"whose bound {chosen.error_bound:.3e} x sqrt({events}) exceeds it"
+            )
 
     def shrink(self, sc: Scenario) -> Iterator[Scenario]:
         if sc.params["n"] > 64:
@@ -625,7 +621,7 @@ class FftProperty(Property):
             tol = 1e-9
         else:
             plan = Fft3d(shape, sc.params["nranks"], e_tol=sc.params["e_tol"])
-            if plan.guaranteed_tolerance > sc.params["e_tol"] * (1 + 1e-12):
+            if plan.guaranteed_tolerance > sc.params["e_tol"]:
                 raise ConformanceFailure(
                     f"fft: plan guarantees {plan.guaranteed_tolerance:.3e} "
                     f"> requested e_tol {sc.params['e_tol']:.3e}"
@@ -990,7 +986,6 @@ class RuntimeProperty(Property):
 
     def check(self, sc: Scenario) -> None:
         from repro.collectives import CompressedOscAlltoallv
-        from repro.compression.selection import tolerance_of_codec
         from repro.runtime import make_world
         from repro.runtime.shm import fork_available
         from repro.tuning.profile import codec_from_name
@@ -1004,7 +999,7 @@ class RuntimeProperty(Property):
         send = make_send_matrix(sc.params["sizes"], sc.params["dtype"], sc.params["data_seed"])
         want = expected_recv(send)
         codec = codec_from_name(sc.params["codec"])
-        tol = tolerance_of_codec(codec)
+        tol = codec.error_bound
         chunks = sc.params["pipeline_chunks"]
 
         def kernel(comm):

@@ -4,7 +4,9 @@
 x-pencils → y-pencils → z-pencils → bricks, four reshapes and three
 batched 1-D FFT phases — with optional lossy compression inside every
 reshape, controlled either by an explicit codec or by an error
-tolerance ``e_tol`` (Section III).
+tolerance ``e_tol`` on the round trip (Section III), which one rule
+splits into a share per compressed reshape
+(:mod:`repro.compression.selection`).
 
 A transform is data: an ordered list of :class:`Stage` — *reshape, then
 transform the local pencils* — built once by the constructor.
@@ -34,6 +36,7 @@ Two execution styles:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -44,7 +47,7 @@ from repro.collectives.base import ExchangeStats
 from repro.collectives.exchange import make_exchange
 from repro.collectives.slots import SlotTransport
 from repro.compression.base import Codec
-from repro.compression.selection import codec_for_tolerance, tolerance_of_codec
+from repro.compression.selection import codec_for_tolerance, error_share, guaranteed_error
 from repro.errors import PlanError
 from repro.fft.decomposition import (
     CartesianDecomp,
@@ -122,24 +125,30 @@ class StagedTransform:
         e_tol: float | None = None,
         data_hint: str = "random",
         topology: Topology | None = None,
-        codec_schedule=None,
     ) -> None:
-        """The one resolution of shape, precision and ``codec``/``e_tol``."""
+        """The one resolution of shape, precision and ``codec``/``e_tol``.
+
+        ``e_tol`` is the round trip's total: its ``events`` compressions —
+        one per reshape (``ndim + 1`` of them) each way — share what the
+        transform's round-off leaves, and each exchange holds every
+        message against that ``share``."""
         if len(shape) != ndim or any(n < 2 for n in shape):
             raise PlanError(f"shape must be {ndim} dims >= 2, got {shape}")
-        if sum(x is not None for x in (codec, e_tol, codec_schedule)) > 1:
-            raise PlanError("pass at most one of codec=, e_tol=, codec_schedule=")
-        if e_tol is not None:
-            codec = codec_for_tolerance(e_tol, data_hint=data_hint)
+        if codec is not None and e_tol is not None:
+            raise PlanError("pass at most one of codec=, e_tol=")
         self.shape = tuple(shape)
+        self.events = 2 * (ndim + 1)
+        n = math.prod(self.shape)
+        if e_tol is not None:
+            codec = codec_for_tolerance(e_tol, self.events, n, data_hint=data_hint)
         self.nranks = int(nranks)
         self.precision = precision.lower()
         self.dtype = complex_dtype(self.precision)
-        if (codec is not None or codec_schedule is not None) and self.precision != "fp64":
+        if codec is not None and self.precision != "fp64":
             raise PlanError("compressed reshapes require fp64 working precision")
         self.codec = codec
-        self.codec_schedule = codec_schedule
         self.e_tol = e_tol
+        self.share = None if e_tol is None else error_share(e_tol, self.events, n)
         self.topology = topology
         self.last_stats = FftStats()
 
@@ -149,18 +158,17 @@ class StagedTransform:
 
     @property
     def guaranteed_tolerance(self) -> float:
-        """Error bound honoured by every reshape's codec (0 = exact)."""
-        return max(
-            (tolerance_of_codec(c) for c in self._stage_codecs() if c is not None), default=0.0
-        )
+        """The round-trip error the codec's bound guarantees, by the rule
+        that split ``e_tol`` (``inf``: an unbounded codec)."""
+        bound = 0.0 if self.codec is None else self.codec.error_bound
+        return guaranteed_error(bound, self.events, math.prod(self.shape))
 
     def describe(self) -> str:
-        """One-paragraph plan summary (layouts, codecs, message counts)."""
-        codecs = dict.fromkeys(c.name for c in self._stage_codecs() if c is not None)
+        """One-paragraph plan summary (layouts, codec, message counts)."""
         lines = [
             f"{type(self).__name__} {self.shape} on {self.nranks} ranks",
             f"  precision: {self.precision}",
-            f"  codec: {' / '.join(codecs) or 'none (exact)'}",
+            f"  codec: {'none (exact)' if self.codec is None else self.codec.name}",
             f"  bricks grid: {self.stages[0].reshape.src.grid}",
         ]
         for i, stage in enumerate(self.stages):
@@ -170,14 +178,6 @@ class StagedTransform:
                 f"grid {stage.reshape.dst.grid}, {then}"
             )
         return "\n".join(lines)
-
-    def _stage_codec(self, step: int) -> Codec | None:
-        if self.codec_schedule is not None:
-            return self.codec_schedule.codec_for_stage(step)
-        return self.codec
-
-    def _stage_codecs(self) -> list[Codec | None]:
-        return [self._stage_codec(step) for step in range(len(self.stages))]
 
     def _pipeline(self, inverse: bool) -> list[Stage]:
         return self.inverse_stages if inverse else self.stages
@@ -190,11 +190,9 @@ class StagedTransform:
         world = world or VirtualWorld(self.nranks, topology=self.topology)
         stats = FftStats()
         locals_ = stages[0].reshape.src.scatter(np.asarray(x), dtype or self.dtype)
-        for step, stage in enumerate(stages):
+        for stage in stages:
             rstats = ExchangeStats()
-            locals_ = stage.reshape.run_virtual(
-                world, locals_, codec=self._stage_codec(step), stats=rstats
-            )
+            locals_ = stage.reshape.run_virtual(world, locals_, codec=self.codec, stats=rstats)
             stats.reshapes.append(rstats)
             if stage.op is not None:
                 locals_ = [stage.apply(r, b) for r, b in enumerate(locals_)]
@@ -266,8 +264,10 @@ class Fft3d(StagedTransform):
         Compressor applied to every reshape message (Algorithm 1).
         Mutually exclusive with ``e_tol``.  ``None`` = exact exchange.
     e_tol:
-        Error tolerance; picks the cheapest codec meeting it via
-        :func:`repro.compression.selection.codec_for_tolerance`.
+        Error tolerance on the round trip; picks the cheapest codec
+        meeting it via
+        :func:`repro.compression.selection.codec_for_tolerance`, and
+        every exchange holds each message against its share.
     data_hint:
         ``"random"`` or ``"smooth"`` — steers codec selection.
     topology:
@@ -278,7 +278,7 @@ class Fft3d(StagedTransform):
         to its JSON) from ``python -m repro tune``.  When it holds an
         entry for this plan's ``(machine, nranks, shape)`` key, the SPMD
         exchanges adopt the tuned ``pipeline_chunks`` and flat/two-level
-        variant — and, if no ``codec``/``e_tol``/``codec_schedule`` was
+        variant — and, if no ``codec``/``e_tol`` was
         given explicitly, the tuned codec as well.  The key is stamped
         on every exchange span so the perf gate can see which profile
         drove a run.
@@ -294,7 +294,6 @@ class Fft3d(StagedTransform):
         e_tol: float | None = None,
         data_hint: str = "random",
         topology: Topology | None = None,
-        codec_schedule=None,
         tuning: TuningProfile | str | None = None,
     ) -> None:
         self.tuned_key: str | None = None
@@ -306,19 +305,11 @@ class Fft3d(StagedTransform):
             if entry is not None:
                 self._tuned_entry = entry
                 self.tuned_key = TuningProfile.key(machine, nranks, tuple(shape))
-                adopt_codec = (
-                    codec is None
-                    and e_tol is None
-                    and codec_schedule is None
-                    and precision.lower() == "fp64"
-                )
-                if adopt_codec:
+                if codec is None and e_tol is None and precision.lower() == "fp64":
                     codec = entry.make_codec()
-        if codec_schedule is not None and len(codec_schedule) != 4:
-            raise PlanError("codec_schedule needs exactly 4 stages (one per reshape)")
         self._configure(
             shape, 3, nranks, precision=precision, codec=codec, e_tol=e_tol,
-            data_hint=data_hint, topology=topology, codec_schedule=codec_schedule,
+            data_hint=data_hint, topology=topology,
         )
 
         # Layout pipeline of Fig. 1: bricks -> x -> y -> z -> bricks.
@@ -365,17 +356,18 @@ class Fft3d(StagedTransform):
         exchanges = [
             make_exchange(
                 comm,
-                codec=self._stage_codec(step),
+                codec=self.codec,
                 method=method,
                 variant=variant,
                 topology=self.topology,
-                # with a tolerance configured the exchange also verifies
-                # it per message (achieved-error / headroom telemetry)
-                e_tol=self.e_tol,
+                # with a tolerance configured the exchange also holds each
+                # message against its share (achieved-error / headroom
+                # telemetry)
+                e_tol=self.share,
                 pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
                 tuned=self.tuned_key,
             )
-            for step in range(len(reshapes))
+            for _ in reshapes
         ]
         tables = []
         for exchange, reshape in zip(exchanges, reshapes):

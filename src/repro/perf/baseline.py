@@ -95,7 +95,7 @@ def _case_alltoall_compressed(seed: int, runtime: str = "thread") -> None:
     from repro.compression.selection import codec_for_tolerance
     from repro.runtime import make_world
 
-    codec = codec_for_tolerance(_SUITE_E_TOL)
+    codec = codec_for_tolerance(_SUITE_E_TOL, 1, n=1)  # one bare exchange
 
     def call(comm, send):
         op = CompressedOscAlltoallv(comm, codec, pipeline_chunks=4)

@@ -70,7 +70,7 @@ def traced_report_case(case: str, *, nranks: int = 4, seed: int = 0, runtime: st
             from repro.compression.selection import codec_for_tolerance
             from repro.runtime import make_world
 
-            codec = codec_for_tolerance(1e-6)
+            codec = codec_for_tolerance(1e-6, 1, n=1)  # one bare exchange
 
             def kernel(comm):
                 rng = np.random.default_rng(seed * 997 + comm.rank)

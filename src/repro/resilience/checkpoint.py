@@ -43,6 +43,7 @@ from repro.compression.base import CompressedMessage
 from repro.errors import (
     CheckpointError,
     CommunicatorError,
+    PlanError,
     RevokedError,
     StallError,
     WireIntegrityError,
@@ -246,7 +247,8 @@ class ResilientFft3d:
         Reshape exchange algorithm (``"reference"``, ``"pairwise"``,
         ``"osc"``).
     ``abft``
-        Verify per-message linear checksums around every reshape.
+        Verify per-message linear checksums around every reshape: within
+        the codec's bound, so an unbounded codec is refused.
     ``max_recoveries``
         Recovery episodes tolerated in one transform before giving up
         and re-raising.
@@ -285,6 +287,11 @@ class ResilientFft3d:
         self.abft = bool(abft)
         self.max_recoveries = int(max_recoveries)
         self.plan = self._build_plan(nranks)
+        if self.abft and self.plan.guaranteed_tolerance == float("inf"):
+            raise PlanError(
+                f"abft checks every reshape within the codec's bound, and "
+                f"{self.plan.codec.name!r} states none"
+            )
         # Plans per (rank count, survivor map): rebuilt on shrink,
         # cached so every rank thread of one world shares the same
         # object (last_stats lives on it).  self.plan stays pinned to

@@ -92,6 +92,8 @@ def run_monitor_cli(
     stream: Any = None,
 ) -> int:
     """Tail a live proc-world's flight ring; 0 on clean exit."""
+    from multiprocessing import resource_tracker
+
     from repro.errors import TelemetryError
     from repro.runtime.shm import ShmSegments
     from repro.telemetry.shmseg import ShmTelemetry, list_runfiles
@@ -120,7 +122,12 @@ def run_monitor_cli(
         watch_uid = _resolve_uid(uid)
 
     try:
-        seg = ShmTelemetry(ShmSegments(watch_uid, None).attach("t"))
+        mapping = ShmSegments(watch_uid, None).attach("t")
+        # The segment is the live world's: attaching registered it with
+        # this process's resource tracker, which would unlink it as
+        # "leaked" when the monitor exits.
+        resource_tracker.unregister(mapping._shm._name, "shared_memory")
+        seg = ShmTelemetry(mapping)
     except (OSError, TelemetryError) as exc:
         print(f"cannot attach: {exc}", file=out)
         return 1

@@ -56,7 +56,7 @@ def _traced_alltoall(nranks: int, n: int, e_tol: float, seed: int, runtime: str 
     from repro.compression.selection import codec_for_tolerance
     from repro.runtime import make_world
 
-    codec = codec_for_tolerance(e_tol)
+    codec = codec_for_tolerance(e_tol, 1, n=1)  # one bare exchange
     items = max(n, 2) ** 3 // nranks + 1
 
     def kernel(comm):

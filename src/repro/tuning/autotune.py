@@ -179,7 +179,7 @@ def sweep(
         if e_tol is not None:
             codecs = tuple(
                 c for c in codecs if codec_from_name(c).lossless
-            ) + (codec_for_tolerance(e_tol).name,)
+            ) + (codec_for_tolerance(e_tol, 1, n=1).name,)  # one bare exchange
     if variants is None:
         variants = (
             ("flat", "two-level")

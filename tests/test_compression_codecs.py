@@ -168,7 +168,7 @@ class TestMantissaTrimCodec:
     def test_error_within_unit_roundoff(self, x, m):
         codec = MantissaTrimCodec(m)
         back = codec.decompress(codec.compress(x))
-        assert np.all(np.abs(back - x) <= codec.max_relative_error * np.abs(x) + 1e-300)
+        assert np.all(np.abs(back - x) <= codec.error_bound * np.abs(x) + 1e-300)
 
 
 def _bits(x: np.ndarray) -> np.ndarray:

@@ -13,11 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compression.selection import (
-    DEFAULT_RESHAPE_MARGIN,
-    codec_for_tolerance,
-    tolerance_of_codec,
-)
+from repro.compression.selection import codec_for_tolerance, guaranteed_error
 from repro.conformance import hooks
 from repro.conformance.properties import PROPERTIES, check_scenario
 from repro.conformance.runner import (
@@ -187,30 +183,30 @@ def test_shrinker_requires_a_failing_scenario() -> None:
         shrink_failure(prop, passing)
 
 
-# -- satellite: selection margin consistency --------------------------------------------
+# -- satellite: one error budget --------------------------------------------------------
 
 
-@pytest.mark.parametrize("margin", [1.0, 2.0, DEFAULT_RESHAPE_MARGIN, 8.0])
+@pytest.mark.parametrize("events", [1.0, 2.0, 4.0, 8.0])
 @pytest.mark.parametrize("hint", ["random", "smooth"])
-def test_selection_margin_round_trip(margin: float, hint: str) -> None:
-    """tolerance_of_codec must honour the margin the codec was selected with."""
+def test_selection_margin_round_trip(events: float, hint: str) -> None:
+    """What the allocator picks for ``events`` compressions states a bound
+    that keeps them within the request, with no slack."""
     for e_exp in range(-14, -1):
         e_tol = 10.0**e_exp
-        codec = codec_for_tolerance(e_tol, data_hint=hint, margin=margin)
-        assert codec.selection_margin == margin
-        # default margin: the recorded one — never exceeds the request
-        assert tolerance_of_codec(codec) <= e_tol * (1 + 1e-12)
-        # explicit margin still overrides
-        assert tolerance_of_codec(codec, margin=margin) <= e_tol * (1 + 1e-12)
+        codec = codec_for_tolerance(e_tol, events, n=1, data_hint=hint)
+        assert events**0.5 * codec.error_bound <= e_tol
+        assert guaranteed_error(codec.error_bound, events, n=1) <= e_tol
 
 
 def test_directly_constructed_codec_keeps_default_margin() -> None:
+    """A codec built by hand states the same bound as one the allocator
+    picked: the bound is the codec's, not the selection's."""
     from repro.compression.mantissa import MantissaTrimCodec
 
-    codec = MantissaTrimCodec(20)
-    assert tolerance_of_codec(codec) == pytest.approx(
-        DEFAULT_RESHAPE_MARGIN * codec.max_relative_error
-    )
+    chosen = codec_for_tolerance(1e-10, 8, n=1)
+    assert isinstance(chosen, MantissaTrimCodec)
+    assert MantissaTrimCodec(chosen.mantissa_bits).error_bound == chosen.error_bound
+    assert MantissaTrimCodec(20).error_bound == 2.0**-21
 
 
 # -- report / CLI ----------------------------------------------------------------------

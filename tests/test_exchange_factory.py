@@ -18,7 +18,6 @@ from repro.collectives import (
     pairwise_alltoallv,
 )
 from repro.compression import CastCodec, IdentityCodec
-from repro.compression.selection import tolerance_of_codec
 from repro.errors import PlanError
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
@@ -95,7 +94,7 @@ def test_matches_reference_and_accounts_for_its_send_list(runtime: str, name: st
             if codec is None or codec.lossless:
                 assert np.asarray(got[s]).tobytes() == want[s].tobytes(), f"{rank} <- {s}"
             else:
-                bound = tolerance_of_codec(codec, margin=1.0) * np.abs(want[s])
+                bound = codec.error_bound * np.abs(want[s])
                 assert got[s].shape == want[s].shape
                 assert np.all(np.abs(got[s] - want[s]) <= bound), f"{rank} <- {s}"
         sizes = [c.nbytes for c in _send(rank) if c is not None and c.size]

@@ -414,8 +414,8 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
             # the forward transform again, staged: one-shot exchanges
             # through pack -> compress -> frame -> put, as before the binding
             staged, block = ExchangeStats(), b
-            for step, stage in enumerate(plan._pipeline(False)):
-                op = CompressedOscAlltoallv(comm, plan._stage_codec(step), e_tol=plan.e_tol)
+            for stage in plan._pipeline(False):
+                op = CompressedOscAlltoallv(comm, plan.codec, e_tol=plan.share)
                 try:
                     block = stage.reshape.run_spmd(comm, block, op, stats=staged)
                 finally:
@@ -631,13 +631,15 @@ class TestSelfBlockStaysLocal:
     #: ``(geometry, codec, pipeline_chunks)`` -> sha256 of every rank's
     #: :func:`_digest_run` of the bound, flat and two-level transforms, as
     #: the exchange that put the self block produced them — on either
-    #: runtime.
+    #: runtime.  ``e_tol=1e-10`` picks ``trim_m34`` (its share of the round
+    #: trip is ``1e-10 / sqrt(8)``); the exchange that put the self block
+    #: gave these digests for a plan that picked the same codec.
     PINNED = {
         ("17^3-p4", "raw", 1): "bb7f1f96c8ae771d", ("12x10x9-p3", "raw", 1): "9d89d86d3f029961",
         ("17^3-p4", "fp32", 1): "8e03f14172f4102e", ("12x10x9-p3", "fp32", 1): "6add126ee30870a8",
         ("17^3-p4", "fp32", 3): "7452e447ae88c318", ("12x10x9-p3", "fp32", 3): "890389a10abeb24c",
-        ("17^3-p4", "e_tol", 1): "9bdb6546006230f1", ("12x10x9-p3", "e_tol", 1): "179371caadbcac9b",
-        ("17^3-p4", "e_tol", 3): "7a99219275a5246e", ("12x10x9-p3", "e_tol", 3): "e922221b654fb905",
+        ("17^3-p4", "e_tol", 1): "0214e8eccf3e8a2b", ("12x10x9-p3", "e_tol", 1): "ca70ab6eb638669c",
+        ("17^3-p4", "e_tol", 3): "a63010f42aebabb2", ("12x10x9-p3", "e_tol", 3): "9e579ca3baf0c970",
     }
 
     def _run(self, monkeypatch, runtime, geometry, codec_name, chunks):

@@ -110,7 +110,7 @@ class TestCompressedTransforms:
         assert plan.codec is not None
         err = plan.roundtrip_error(x)
         assert err < 1e-6
-        assert plan.guaranteed_tolerance <= 1e-6 * 1.01
+        assert plan.guaranteed_tolerance <= 1e-6
 
     def test_e_tol_tight_means_exact(self):
         plan = Fft3d((8, 8, 8), 2, e_tol=1e-15)
@@ -167,16 +167,16 @@ class TestValidation:
         assert "reshape" in text and "cast_fp32" in text and "bricks" in text
 
     def test_a_lossy_schedule_does_not_claim_to_be_exact(self, rng):
-        """A per-stage schedule trims every reshape: the plan's guarantee
-        and its summary are those of the stages' codecs, not of the
-        (absent) single ``codec``."""
-        from repro.compression.adaptive import schedule_for_tolerance
-
-        plan = Fft3d((8, 8, 8), 4, codec_schedule=schedule_for_tolerance(1e-6))
+        """A trimming plan's guarantee and summary are its codec's; an
+        exact plan guarantees its transform's round-off, an unbounded
+        codec nothing."""
+        plan = Fft3d((8, 8, 8), 4, e_tol=1e-10)
         x = rng.standard_normal((8, 8, 8)) + 1j * rng.standard_normal((8, 8, 8))
         error = plan.roundtrip_error(x)
-        assert 0.0 < error <= plan.guaranteed_tolerance
+        assert 0.0 < error <= plan.guaranteed_tolerance <= 1e-10
         assert "none (exact)" not in plan.describe()
-        assert plan.codec_schedule.codecs[0].name in plan.describe()
-        assert Fft3d((8, 8, 8), 4).guaranteed_tolerance == 0.0
+        assert plan.codec.name in plan.describe()
+        assert 0.0 < Fft3d((8, 8, 8), 4).guaranteed_tolerance < 1e-13
         assert "none (exact)" in Fft3d((8, 8, 8), 4).describe()
+        unbounded = Fft3d((8, 8, 8), 4, codec=ZfpLikeCodec(rate=8.0))
+        assert unbounded.guaranteed_tolerance == float("inf")

@@ -100,7 +100,7 @@ class TestWorkflowComposition:
         """e_tol -> codec -> compressed reshapes -> solution quality."""
         solver = SpectralPoissonSolver((16, 16, 16), nranks=4, e_tol=1e-5, data_hint="random")
         assert solver.fft.codec is not None
-        chosen = codec_for_tolerance(1e-5)
+        chosen = codec_for_tolerance(1e-5, 8, n=16**3)
         assert solver.fft.codec.name == chosen.name
         X, Y, Z = solver.grid.mesh()
         f = 4.0 * np.sin(X) * np.cos(Y) * np.sin(Z)

@@ -27,7 +27,6 @@ from repro.collectives.base import ExchangeStats
 from repro.collectives.compressed import CompressedOscAlltoallv
 from repro.collectives.slots import SlotTransport
 from repro.compression import CastCodec
-from repro.compression.adaptive import schedule_for_tolerance
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
 from repro.compression.mantissa import MantissaTrimCodec
 from repro.faults import FaultPlan, FaultRule
@@ -65,14 +64,14 @@ def _oneshot_transform(plan: Fft3d, comm, block, *, inverse=False, method="osc",
     and freed (its accounting appended to ``stats``, an ``FftStats``)."""
     entry = plan._tuned_entry
     block = np.ascontiguousarray(block, dtype=plan.dtype)
-    for step, stage in enumerate(plan._pipeline(inverse)):
+    for stage in plan._pipeline(inverse):
         op = make_exchange(
             comm,
-            codec=plan._stage_codec(step),
+            codec=plan.codec,
             method=method,
             variant=entry.variant if entry is not None else "flat",
             topology=plan.topology,
-            e_tol=plan.e_tol,
+            e_tol=plan.share,
             pipeline_chunks=entry.pipeline_chunks if entry is not None else 1,
         )
         rstats = ExchangeStats()
@@ -148,8 +147,10 @@ class TestBoundEqualsOneShot:
         _bound_vs_oneshot(Fft3d(shape, 4, precision="fp32"), _field(shape))
 
     def test_codec_schedule(self):
+        """An e_tol plan: one allocated codec, every message held against
+        the share."""
         shape = (8, 8, 8)
-        plan = Fft3d(shape, 4, codec_schedule=schedule_for_tolerance(1e-6))
+        plan = Fft3d(shape, 4, e_tol=1e-10)
         _bound_vs_oneshot(plan, _field(shape))
 
     @pytest.mark.parametrize("variant", ["flat", "two-level"])

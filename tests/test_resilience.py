@@ -285,6 +285,16 @@ class TestAbft:
         assert results[2] is not None and "checksum" in results[2]
         assert all(r is None for i, r in enumerate(results) if i != 2)
 
+    def test_an_unbounded_codec_is_refused(self):
+        """The checks hold every reshape within the codec's bound: a codec
+        that states none would fail the first one mid-transform."""
+        from repro.compression import ZfpLikeCodec
+        from repro.errors import PlanError
+
+        with pytest.raises(PlanError, match="states none"):
+            ResilientFft3d((8, 8, 8), 2, codec=ZfpLikeCodec(rate=8.0))
+        ResilientFft3d((8, 8, 8), 2, codec=ZfpLikeCodec(rate=8.0), abft=False)
+
     def test_missing_sender_entry_is_an_error(self, rng):
         plan = Fft3d((8, 8, 8), 2)
         rplan = plan.reshapes[0]

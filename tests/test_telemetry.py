@@ -617,7 +617,15 @@ class TestPublishedStreamIsPinned:
     live table is the ring's row, which carries every ``LIVE_FIELDS``
     slot: restricted to the keys the dict table it replaced had, it
     reproduces that table's digests (``620f0d4e…``, ``3497f468…``); the
-    added slots all read zero."""
+    added slots all read zero.
+
+    The chaos run's exchanges hold each message against the plan's share
+    of ``e_tol`` (``1e-6 / sqrt(8)``), not the whole of it: its ``e_tol``
+    and headroom slots moved, and nothing else.  With them blanked — the
+    ``value2`` of its ``error`` ring events, the live rows' ``e_tol`` and
+    ``error_headroom``, the ``repro_error_headroom`` series — the ring,
+    live and series digests are those of the run against the whole
+    ``e_tol`` (``ca55aa10…``, ``68ad4a35…``, ``06603a8d…``)."""
 
     DROPPED = {"repro_compression_ratio"}
     TIMED = {"repro_exchange_seconds", "repro_link_bandwidth_bytes_per_s"}
@@ -681,11 +689,11 @@ class TestPublishedStreamIsPinned:
         assert reg.counter("repro_retries_total", rank=2).value == 2
         assert reg.counter("repro_degradations_total", rank=2).value == 1
         assert got == {
-            "ring": "0537b476a3a46da86343660badd7006074c41af1810dbe9e71f70d29bfec90b6",
-            "live": "d77d88ce451f4776258789fa3db986fbfc0ed1e050613bfd2af4c825cf1ae1d8",
+            "ring": "f6e0d1535c6e700239c5fc767ffead5aea7d5c3e8e43ab11d03d244395a3a437",
+            "live": "4276b4832ccdca7d1b2753478ddd8a21d68474de1e0312c983f0823312a1a170",
             "counters": "d5a851d51f5b01642ade3579bc0e0962567ac39e78b85c68d26732da6a0fcb4b",
             "instants": "9cd722e89f7e01767937ed6a179e7633c78765bca8e140c2e013a351d80a46f9",
-            "series": "66c6d55870b553861514112ea9321dd264cb298804770e95c35933f6ba36f7e1",
+            "series": "8d7ad923fdd7be8021867282fe66598ff577585a03d0a5a92d74a56d0bf6eae8",
         }
 
 
@@ -777,6 +785,54 @@ class TestMonitorRendering:
             remove_runfile("tlmtest-mon")
             ring.mapping.close()
             names.unlink("t")
+
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork start method")
+    def test_monitor_leaves_the_live_worlds_segment_alone(self, tmp_path):
+        """``repro monitor`` attaches the flight segment of a world it does
+        not own: when it exits, the segment must still be the world's, and
+        the world's own teardown must find it (the process resource
+        tracker warns at shutdown about any it cannot)."""
+        import subprocess
+        import sys
+        import textwrap
+
+        host = textwrap.dedent(
+            """
+            import os, subprocess, sys, threading, time
+            from repro.runtime.proc import ProcessWorld
+
+            ready, done = sys.argv[1], sys.argv[2]
+            world = ProcessWorld(2, timeout=60.0)
+
+            def kernel(comm):
+                if comm.rank == 0:
+                    open(ready, "w").close()
+                while not os.path.exists(done):
+                    time.sleep(0.01)
+
+            run = threading.Thread(target=world.run, args=(kernel,))
+            run.start()
+            while not os.path.exists(ready):
+                time.sleep(0.01)
+            monitor = subprocess.run(
+                [sys.executable, "-m", "repro", "monitor", "--uid", world.uid, "--once"],
+                capture_output=True, text=True,
+            )
+            left = os.path.exists("/dev/shm/" + world.uid + "t")
+            open(done, "w").close()
+            run.join()
+            print(monitor.returncode, left)
+            """
+        )
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", host, str(tmp_path / "ready"), str(tmp_path / "done")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.split() == ["0", "True"], proc.stdout + proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
     def test_monitor_list_without_worlds(self):
         buf = io.StringIO()

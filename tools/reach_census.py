@@ -161,14 +161,6 @@ def _each(file: str, names: str, reason: str) -> tuple[tuple[str, str], ...]:
 #:   the body raises, a probe that consumes nothing) or README documents it.
 KEEP: tuple[tuple[str, str], ...] = (
     # -- roadmap-N: module seeds of open items --------------------------------------------
-    # Item 8 (one error budget) allocates e_tol with these bounds, the
-    # staged schedules, the codecs' nominal rates and the FFT bound's factors.
-    ("src/repro/accuracy/bounds.py::*", "roadmap-8"),
-    ("src/repro/compression/adaptive.py::*", "roadmap-8"),
-    *_each("compression/base.py", "Codec.rate IdentityCodec.rate", "roadmap-8"),
-    *_each("compression/lossless.py", "ShuffleZlibCodec.rate", "roadmap-8"),
-    *_each("compression/zfp_like.py", "ZfpLikeCodec.rate", "roadmap-8"),
-    *_each("utils/primes.py", "prime_factors", "roadmap-8"),
     # Item 3 (a): the flow-level simulator a rate-limited link is checked against.
     ("src/repro/netsim/events.py::*", "roadmap-3"),
     # Item 3 (c): the autotuner and its profile lookup, on trial.
@@ -178,6 +170,13 @@ KEEP: tuple[tuple[str, str], ...] = (
     ("src/repro/tuning/pool.py::*", "roadmap-9"),
     *_each("telemetry/events.py", "_trace_pool", "roadmap-9"),
     # -- reproduction: the paper and the extensions DESIGN names ---------------------------
+    # Section III: the naive DFT's round-off bound the FFT's is quoted
+    # against, and the truncation argument (linear over the compressions)
+    # the one error budget's quadrature split refines.
+    *_each("accuracy/bounds.py", "dft_roundoff_bound truncation_error_model", "reproduction"),
+    # Section V-B's size model: the raw FP64 baseline's fixed rate, and a
+    # variable-rate codec's none (a receiver sizes for the worst case).
+    *_each("compression/base.py", "Codec.rate IdentityCodec.rate", "reproduction"),
     # Section III: e_a = e_d + e_r, the decomposition behind tolerance balancing.
     *_each("accuracy/analysis.py", "ErrorDecomposition.total_bound "
            "ErrorDecomposition.balanced ErrorDecomposition.suggested_e_tol", "reproduction"),
