@@ -3,16 +3,16 @@
 Model level: the congestion penalty the permutation avoids.  Runtime
 level: real pairwise exchanges with and without the permutation on the
 thread runtime (data-path identical, so times should match — the
-permutation is about *networks*, which the model covers).  Each
-``pairwise_alltoallv`` call is the credit-rule ring on a window it
-creates and frees, not a two-sided ring.
+permutation is about *networks*, which the model covers).  Each call
+is the credit-rule ring (``make_exchange(method="pairwise")``) on a
+window it creates and frees, not a two-sided ring.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.collectives import pairwise_alltoallv
+from repro.collectives import make_exchange
 from repro.machine import SUMMIT, Topology
 from repro.netsim.alltoall_model import (
     classical_alltoall_cost,
@@ -51,7 +51,11 @@ def _pairwise(nranks: int, node_aware: bool) -> None:
 
     def kernel(comm):
         send = [np.ones(1024) for _ in range(comm.size)]
-        return pairwise_alltoallv(comm, send, topology=topo)
+        op = make_exchange(comm, method="pairwise", topology=topo)
+        try:
+            return op(send)
+        finally:
+            op.free()
 
     ThreadWorld(nranks).run(kernel)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.collectives import osc_alltoallv, pairwise_alltoallv
+from repro.collectives import make_exchange
 from repro.experiments import format_fig3, run_fig3
 from repro.experiments.paper_data import FIG3_LANDMARKS
 from repro.runtime import ThreadWorld
@@ -36,11 +36,11 @@ def _exchange(algorithm: str, nranks: int, nbytes: int) -> None:
 
     def kernel(comm):
         send = [np.ones(chunk_items) for _ in range(comm.size)]
-        if algorithm == "reference":
-            return comm.alltoallv(send)
-        if algorithm == "pairwise":
-            return pairwise_alltoallv(comm, send)
-        return osc_alltoallv(comm, send)
+        op = make_exchange(comm, method=algorithm)
+        try:
+            return op(send)
+        finally:
+            op.free()
 
     ThreadWorld(nranks).run(kernel)
 

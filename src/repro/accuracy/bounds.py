@@ -111,7 +111,7 @@ def achieved_relative_error(original: np.ndarray, restored: np.ndarray) -> float
 def tolerance_exceeded(achieved: float, e_tol: float) -> bool:
     """Does a realised error violate the user's tolerance ``e_tol``?
 
-    The hook used by :class:`~repro.collectives.compressed.CompressedOscAlltoallv`
+    The hook used by :class:`~repro.collectives.slot_exchange.SlotExchange`
     to decide per-message degradation from the lossy codec to the
     lossless fallback.
     """

@@ -1,45 +1,38 @@
-"""All-to-all algorithms (Section V): OSC ring, pairwise ring, compressed.
+"""All-to-all exchanges (Section V): the reference, one window exchange, two-level.
 
-Interchangeable implementations of the generalized all-to-all
-(``MPI_Alltoallv``) run on the :mod:`repro.runtime` API, all of one
-object shape (:class:`~repro.collectives.base.Exchange`) and all built by
-:func:`~repro.collectives.exchange.make_exchange`.  Every one but the
-communicator's own ``alltoallv`` (the reference) moves its messages
-through one data plane, a
-:class:`~repro.collectives.slots.SlotTransport`: each message is put
-straight into its slot of the peer's window, completed by one of two
-rules:
+Every exchange has one object shape
+(:class:`~repro.collectives.base.Exchange`) and is built by
+:func:`~repro.collectives.exchange.make_exchange`.  There are three:
 
-* ``"fence"`` — :class:`~repro.collectives.osc.OscAlltoallv`, Algorithm 3:
-  the one-sided ring on an RMA window, one fence per exchange;
-* ``"credit"`` — :class:`~repro.collectives.pairwise.PairwiseAlltoallv`,
-  the classical ring ("pairwise"), optionally with the node-aware
-  permutation of Section V: a header and a release credit per message;
-* :class:`~repro.collectives.compressed.CompressedOscAlltoallv` —
-  Section V-B, under either rule: each message is encoded straight into
-  its slot and decoded straight into its box.
+* :class:`~repro.collectives.exchange.ReferenceAlltoallv` — the
+  communicator's own two-sided ``alltoallv``, the oracle of the others;
+* :class:`~repro.collectives.slot_exchange.SlotExchange` — Algorithm 3:
+  each message is put straight into its slot of the peer's window
+  through one :class:`~repro.collectives.slots.SlotTransport`, completed
+  by its ``rule``: ``"fence"`` (the one-sided ring, one fence per
+  exchange) or ``"credit"`` (the classical "pairwise" ring, optionally
+  node-aware: a header and a release credit per message).  Without a
+  codec a message is its raw bytes; with one (Section V-B) it is encoded
+  into its slot as a checksummed frame, decoded into its box, and
+  recovered down the lossy -> lossless -> raw FP64 ladder;
+* :class:`~repro.collectives.twolevel.TwoLevelCompressedAlltoallv` — the
+  compressed exchange routed through node leaders.
 """
 
 from repro.collectives.base import Exchange, ExchangeStats
-from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.exchange import make_exchange
-from repro.collectives.osc import OscAlltoallv, osc_alltoallv
-from repro.collectives.pairwise import PairwiseAlltoallv, pairwise_alltoallv
+from repro.collectives.exchange import ReferenceAlltoallv, make_exchange
+from repro.collectives.slot_exchange import SlotExchange
 from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
-from repro.collectives.variants import bruck_alltoall, linear_alltoallv
+from repro.collectives.variants import bruck_alltoall
 from repro.collectives.wire import WIRE_MAGIC, WIRE_VERSION, decode_wire, encode_wire
 
 __all__ = [
     "make_exchange",
     "Exchange",
-    "PairwiseAlltoallv",
-    "pairwise_alltoallv",
-    "OscAlltoallv",
-    "osc_alltoallv",
-    "CompressedOscAlltoallv",
-    "TwoLevelCompressedAlltoallv",
     "ExchangeStats",
-    "linear_alltoallv",
+    "ReferenceAlltoallv",
+    "SlotExchange",
+    "TwoLevelCompressedAlltoallv",
     "bruck_alltoall",
     "encode_wire",
     "decode_wire",

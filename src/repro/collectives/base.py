@@ -1,7 +1,8 @@
 """What every all-to-all exchange is: one object shape, one epilogue.
 
-Each algorithm of this package — reference, pairwise ring, OSC ring,
-compressed OSC, two-level — is an :class:`Exchange`: ``op(send) ->
+Each exchange of this package — the reference, the slot exchange (raw
+or compressed, fence or credit rule), the two-level one — is an
+:class:`Exchange`: ``op(send) ->
 recv``, ``op.free()``, and after every call ``op.last_stats``
 (:class:`ExchangeStats`) and ``op.last_report``
 (:class:`~repro.faults.ResilienceReport`).  A one-shot call and a
@@ -179,7 +180,7 @@ class Exchange:
         self._check_send(send)
         if self.table is not None:
             self.route = self.transport.route(self.table, self.route)
-            self._move(send, receive, self.route, None)
+            self._move(send, receive, self.route)
         else:
             self._agree(send, lambda kinds: receive())
 
@@ -201,38 +202,32 @@ class Exchange:
         """An unbound move: :meth:`_announce`, then the move into
         ``boxes(kinds)`` — the kinds this rank receives — by the agreed
         table's route, which the call drops."""
-        kinds, table, riders = self._announce(send)
+        kinds, table = self._announce(send)
         route = None if table is None else self.transport.route(table)
-        self._move(send, lambda: boxes(kinds), route, riders)
+        self._move(send, lambda: boxes(kinds), route)
 
-    def _announce(self, send: Boxes) -> tuple[list, SlotTable, list]:
+    def _announce(self, send: Boxes) -> tuple[list, SlotTable]:
         """One allgather of every message's ``(dtype, shape)`` — both sides of
-        an Alltoallv know counts and types — and :meth:`_rider`.  Returns
-        the kinds this rank receives, the table every rank derives alike,
-        and every rank's rider."""
+        an Alltoallv know counts and types.  Returns the kinds this rank
+        receives and the table every rank derives alike."""
         comm, p = self.comm, self.comm.size
-        gathered = comm.allgather(([self._kind(view) for view in send], self._rider(send)))
+        gathered = comm.allgather([self._kind(view) for view in send])
         nbytes = np.zeros((p, p), dtype=np.int64)
         leading = np.ones_like(nbytes)
-        for s, (kinds, _) in enumerate(gathered):
+        for s, kinds in enumerate(gathered):
             for d, kind in enumerate(kinds):
                 if kind is not None:
                     dtype, shape = kind
                     nbytes[s, d] = math.prod(shape) * np.dtype(dtype).itemsize
                     leading[s, d] = shape[0] if shape else 1
-        kinds = [row[0][comm.rank] for row in gathered]
-        return kinds, self.slot_table(nbytes, 1, leading), [row[1] for row in gathered]
+        return [row[comm.rank] for row in gathered], self.slot_table(nbytes, 1, leading)
 
     def _kind(self, view: np.ndarray | None) -> tuple[str, tuple[int, ...]] | None:
         """What the receiver allocates the box from (``None``: nothing)."""
         return None if view is None or view.size == 0 else (view.dtype.str, view.shape)
 
-    def _rider(self, send: Boxes) -> Any:
-        """What rides this rank's announcement besides the kinds (nothing here)."""
-        return None
-
-    def _move(self, send: Boxes, receive: Callable[[], Boxes], route: Any, riders: Any) -> None:
-        """Move ``send`` into ``receive()``'s boxes by ``route`` (riders: None if bound)."""
+    def _move(self, send: Boxes, receive: Callable[[], Boxes], route: Any) -> None:
+        """Move ``send`` into ``receive()``'s boxes by ``route``."""
         raise NotImplementedError
 
     def _check_send(self, send: Sequence[np.ndarray | None]) -> None:

@@ -7,9 +7,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.collectives.base import Boxes, Exchange, ExchangeStats, pack, unpack
-from repro.collectives.compressed import CompressedOscAlltoallv
-from repro.collectives.osc import OscAlltoallv
-from repro.collectives.pairwise import CompressedPairwiseAlltoallv, PairwiseAlltoallv
+from repro.collectives.slot_exchange import SlotExchange
 from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
 from repro.compression.base import Codec
 from repro.errors import PlanError
@@ -71,37 +69,32 @@ def make_exchange(
 ) -> Exchange:
     """Build the exchange for ``(codec, method, variant)`` (collective).
 
-    Every exchange but ``"reference"`` (the communicator's two-sided
-    ``alltoallv``) moves through a
-    :class:`~repro.collectives.slots.SlotTransport`, and ``method``
-    picks its class, and so its rule: ``"pairwise"`` the credit rule,
-    any other the fence rule — with a ``codec`` too, which writes the
-    same frames under either.  ``variant`` picks the flat ring or the
-    node-aware ``"two-level"`` aggregation of a compressed exchange
-    (routed two-sided; fence rule when it falls back to the flat ring), and
-    ``e_tol``/``retry_policy``/``pipeline_chunks``/``tuned`` configure
-    it.  Unknown names raise :class:`~repro.errors.PlanError` whether or
-    not they would have been used.  ``pool`` is accepted and unused.
+    ``method="reference"`` without a codec is the communicator's two-sided
+    ``alltoallv``; everything else is a :class:`SlotExchange` (raw
+    without a codec), and this is the one place a method becomes its
+    rule: ``"pairwise"`` the credit rule, any other the fence rule.
+    ``variant="two-level"`` routes a compressed exchange by node
+    (:class:`TwoLevelCompressedAlltoallv`), and ``topology``/``e_tol``/
+    ``retry_policy``/``pipeline_chunks``/``tuned`` configure it.  Unknown
+    names raise :class:`~repro.errors.PlanError` whether or not they
+    would have been used.  ``pool`` is accepted and unused.
     """
     if method not in METHODS:
         raise PlanError(f"unknown reshape method {method!r} (use one of {METHODS})")
     if variant not in VARIANTS:
         raise PlanError(f"unknown exchange variant {variant!r} (use one of {VARIANTS})")
-    if codec is not None:
-        flat = CompressedPairwiseAlltoallv if method == "pairwise" else CompressedOscAlltoallv
-        cls = TwoLevelCompressedAlltoallv if variant == "two-level" else flat
-        return cls(
-            comm,
-            codec,
-            topology=topology,
-            pipeline_chunks=pipeline_chunks,
-            retry_policy=retry_policy,
-            e_tol=e_tol,
-            pool=pool,
-            tuned=tuned,
-        )
-    if method == "reference":
+    if codec is None and method == "reference":
         return ReferenceAlltoallv(comm)
-    if method == "pairwise":
-        return PairwiseAlltoallv(comm, topology)
-    return OscAlltoallv(comm, topology=topology)
+    routed = codec is not None and variant == "two-level"
+    cls = TwoLevelCompressedAlltoallv if routed else SlotExchange
+    return cls(
+        comm,
+        codec,
+        rule="credit" if method == "pairwise" else "fence",
+        topology=topology,
+        pipeline_chunks=pipeline_chunks,
+        retry_policy=retry_policy,
+        e_tol=e_tol,
+        pool=pool,
+        tuned=tuned,
+    )

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from repro.collectives.base import Boxes, ExchangeStats
-from repro.collectives.compressed import CompressedOscAlltoallv
+from repro.collectives.slot_exchange import SlotExchange
 from repro.collectives.slots import Route
 from repro.faults import ResilienceReport
 from repro.telemetry import emit
@@ -59,13 +59,14 @@ _TL_SCATTER = -10000
 _EMPTY = np.zeros(0, dtype=np.uint8)
 
 
-class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
+class TwoLevelCompressedAlltoallv(SlotExchange):
     """Compressed all-to-all with node-level message aggregation.
 
     Accepts the same parameters as
-    :class:`~repro.collectives.compressed.CompressedOscAlltoallv`; the
-    ``topology`` argument is what activates the two-level schedule (a
-    single-node or topology-less setup falls back to the flat ring).
+    :class:`~repro.collectives.slot_exchange.SlotExchange` (a codec is
+    required); the ``topology`` argument is what activates the two-level
+    schedule (a single-node or topology-less setup falls back to the
+    flat ring, under its ``rule``).
     """
 
     algorithm = "compressed-twolevel"
@@ -88,7 +89,7 @@ class TwoLevelCompressedAlltoallv(CompressedOscAlltoallv):
         kinds, is the only agreement (``route=None`` marks it)."""
         topo = self.topology
         if topo is not None and topo.nnodes > 1 and topo.uniform:
-            self._move(send, boxes, None, None)
+            self._move(send, boxes, None)
         else:
             super()._agree(send, boxes)
 

@@ -1,12 +1,12 @@
-"""Additional all-to-all algorithms: linear (isend-storm) and Bruck.
+"""Bruck's log-p all-to-all.
 
 The paper's Section V-A remarks that posting everything up front "will
-insert, almost in same time, a storm of messages in the network" — the
-*linear* algorithm here is exactly that baseline (it is also what
-Open MPI's basic coll module does).  The *Bruck* algorithm is the
+insert, almost in same time, a storm of messages in the network" — that
+*linear* baseline is the communicator's own ``alltoallv`` (what Open
+MPI's basic coll module does).  The *Bruck* algorithm is the
 classic log-p alternative for small messages: ceil(log2 p) rounds, each
 shipping half the buffer, trading volume (each byte moves ~log2(p)/2
-times) for latency (log p instead of p message start-ups).  Both are
+times) for latency (log p instead of p message start-ups).  It is
 verified against the reference exchange, and both are modelled in
 :mod:`repro.netsim.alltoall_model` so the latency/bandwidth crossover
 can be studied (the FP16 curve of Fig. 4 lives exactly at that
@@ -23,21 +23,9 @@ from repro.conformance import hooks
 from repro.errors import CommunicatorError
 from repro.runtime.base import Comm
 
-__all__ = ["linear_alltoallv", "bruck_alltoall"]
+__all__ = ["bruck_alltoall"]
 
 _TAG_BRUCK = -302
-
-
-def linear_alltoallv(
-    comm: Comm, send: Sequence[np.ndarray | None]
-) -> list[np.ndarray]:
-    """Post every isend/irecv at once, then wait (the message storm).
-
-    Semantically identical to the ring; the difference is *scheduling*,
-    which only a network feels — see the congestion model.  This is
-    exactly the runtime's reference :meth:`~repro.runtime.base.Comm.alltoallv`.
-    """
-    return comm.alltoallv(send)
 
 
 def bruck_alltoall(comm: Comm, send: Sequence[np.ndarray]) -> list[np.ndarray]:

@@ -24,7 +24,8 @@ scratch, vectorised over blocks:
 Fixed-rate mode water-fills a per-block bit budget across the groups
 (decoder recomputes the identical allocation from the stored exponents —
 no width table on the wire).  Fixed-accuracy mode sizes each group from
-an absolute error tolerance, giving a variable, data-dependent rate.  On
+an error tolerance relative to the message's peak, giving a variable,
+data-dependent rate.  On
 random data the transform cannot decorrelate anything and the codec
 degenerates to truncation-with-overhead, which is why the paper's
 headline experiments use plain truncation (Section VI).
@@ -140,7 +141,8 @@ class ZfpLikeCodec(Codec):
         Fixed compression rate (original bytes / compressed bytes), e.g.
         ``4.0``.  Mutually exclusive with ``tolerance``.
     tolerance:
-        Absolute per-value error bound target; per-group bit budgets
+        Per-value error bound target, relative to the message's peak
+        ``max|x|`` (carried as one header scalar); per-group bit budgets
         adapt to coefficient magnitude (variable rate).  Mutually
         exclusive with ``rate``.  Note the intrinsic accuracy floor:
         the (lossy) integer lifting pair loses ~2 ulps of the 46-bit
@@ -178,10 +180,9 @@ class ZfpLikeCodec(Codec):
 
     @property
     def error_bound(self) -> float | None:
-        """Twice the tolerance — the realised error's documented factor;
-        absolute, so relative for messages of unit peak and up — or the
-        accuracy floor if that is larger; ``None`` in rate mode, which
-        bounds bytes, not error."""
+        """Twice the tolerance — the realised error's documented factor —
+        or the accuracy floor if that is larger; ``None`` in rate mode,
+        which bounds bytes, not error."""
         return None if self.tolerance is None else max(2.0 * self.tolerance, self._FLOOR)
 
     @property
@@ -191,6 +192,11 @@ class ZfpLikeCodec(Codec):
         return 64.0 * _BLOCK / (self._budget_bits + 8.0 * _SIDE_BYTES)
 
     # -- shared helpers ---------------------------------------------------------
+
+    def _log_quantum(self, peak: float) -> int:
+        """``floor(log2(tolerance * peak))``: the fixed-accuracy quantum scales
+        with the message, so a round trip commutes with powers of two."""
+        return int(np.frexp(self.tolerance * peak)[1]) - 1 if peak > 0 else 0
 
     @staticmethod
     def _blockize(stream: np.ndarray) -> tuple[np.ndarray, int]:
@@ -253,6 +259,7 @@ class ZfpLikeCodec(Codec):
         for axis in (1, 2, 3):
             q = fwd_lift(q, axis=axis)
 
+        header = {"n": n}
         # Reorder coefficients into sequency order and compute group stats.
         coef = q.reshape(nb, _BLOCK)[:, _ORDER]  # (nb, 64) grouped by sequency
         gmax = np.zeros((nb, _NGROUPS), dtype=np.int64)
@@ -271,8 +278,9 @@ class ZfpLikeCodec(Codec):
         if self._budget_bits is not None:
             widths = self._widths_from_deltas(np.where(gnz, deltas_i8.astype(np.int64), _ZERO_EMAX))
         else:
-            # need step 2**(emax_block + delta - width + 1) <= tolerance
-            log_tol = int(np.floor(np.log2(self.tolerance)))
+            # need step 2**(emax_block + delta - width + 1) <= tolerance * peak
+            peak = header["peak"] = float(amax.max())
+            log_tol = self._log_quantum(peak)
             need = emax[:, None] + deltas_i8.astype(np.int64) - log_tol + self._GUARD
             widths = np.where(gnz, np.clip(need, 0, _MAX_BITS), 0)
 
@@ -307,7 +315,7 @@ class ZfpLikeCodec(Codec):
                 packed,
             ]
         )
-        return CompressedMessage(self.name, payload, dtype_name, shape, {"n": n})
+        return CompressedMessage(self.name, payload, dtype_name, shape, header)
 
     # -- decompress ------------------------------------------------------------------
 
@@ -326,7 +334,7 @@ class ZfpLikeCodec(Codec):
         if self._budget_bits is not None:
             widths = self._widths_from_deltas(np.where(gnz, deltas, _ZERO_EMAX))
         else:
-            log_tol = int(np.floor(np.log2(self.tolerance)))
+            log_tol = self._log_quantum(float(msg.header["peak"]))
             need = emax[:, None] + deltas - log_tol + self._GUARD
             widths = np.where(gnz, np.clip(need, 0, _MAX_BITS), 0)
 

@@ -61,50 +61,43 @@ _SUITE_E_TOL = 1e-6
 # -- suite cases ------------------------------------------------------------------------
 
 
-def _alltoall_kernel(op_call: Callable, seed: int):
-    """Build an SPMD kernel exchanging seeded random blocks."""
+def _alltoall_kernel(seed: int, **config):
+    """Build an SPMD kernel exchanging seeded random blocks once through a
+    :func:`~repro.collectives.make_exchange` exchange of ``config``."""
+    from repro.collectives import make_exchange
 
     def kernel(comm):
         rng = np.random.default_rng(seed * 1009 + comm.rank)
         send = [rng.standard_normal(_SUITE_ITEMS) for _ in range(comm.size)]
-        op_call(comm, send)
-
-    return kernel
-
-
-def _case_alltoall_osc(seed: int, runtime: str = "thread") -> None:
-    from repro.collectives.osc import osc_alltoallv
-    from repro.runtime import make_world
-
-    make_world(runtime, _SUITE_NRANKS).run(
-        _alltoall_kernel(lambda comm, send: osc_alltoallv(comm, send), seed)
-    )
-
-
-def _case_alltoall_pairwise(seed: int, runtime: str = "thread") -> None:
-    from repro.collectives.pairwise import pairwise_alltoallv
-    from repro.runtime import make_world
-
-    make_world(runtime, _SUITE_NRANKS).run(
-        _alltoall_kernel(lambda comm, send: pairwise_alltoallv(comm, send), seed)
-    )
-
-
-def _case_alltoall_compressed(seed: int, runtime: str = "thread") -> None:
-    from repro.collectives.compressed import CompressedOscAlltoallv
-    from repro.compression.selection import codec_for_tolerance
-    from repro.runtime import make_world
-
-    codec = codec_for_tolerance(_SUITE_E_TOL, 1, n=1)  # one bare exchange
-
-    def call(comm, send):
-        op = CompressedOscAlltoallv(comm, codec, pipeline_chunks=4)
+        op = make_exchange(comm, **config)
         try:
             op(send)
         finally:
             op.free()
 
-    make_world(runtime, _SUITE_NRANKS).run(_alltoall_kernel(call, seed))
+    return kernel
+
+
+def _case_alltoall_osc(seed: int, runtime: str = "thread") -> None:
+    from repro.runtime import make_world
+
+    make_world(runtime, _SUITE_NRANKS).run(_alltoall_kernel(seed, method="osc"))
+
+
+def _case_alltoall_pairwise(seed: int, runtime: str = "thread") -> None:
+    from repro.runtime import make_world
+
+    make_world(runtime, _SUITE_NRANKS).run(_alltoall_kernel(seed, method="pairwise"))
+
+
+def _case_alltoall_compressed(seed: int, runtime: str = "thread") -> None:
+    from repro.compression.selection import codec_for_tolerance
+    from repro.runtime import make_world
+
+    codec = codec_for_tolerance(_SUITE_E_TOL, 1, n=1)  # one bare exchange
+    make_world(runtime, _SUITE_NRANKS).run(
+        _alltoall_kernel(seed, codec=codec, pipeline_chunks=4)
+    )
 
 
 def _case_fft_compressed(seed: int, runtime: str = "thread") -> None:

@@ -53,7 +53,7 @@ def _report_topology(nranks: int):
 def traced_report_case(case: str, *, nranks: int = 4, seed: int = 0, runtime: str = "thread"):
     """Run one report workload under a fresh tracer; returns (tracer, topo).
 
-    ``alltoall`` is a pipelined :class:`CompressedOscAlltoallv` with a
+    ``alltoall`` is a pipelined :class:`~repro.collectives.SlotExchange` with a
     node-aware topology (2 ranks per node, so intra- and inter-node
     links both appear); ``fft`` is a compressed 4-reshape ``Fft3d``.
     ``runtime`` selects the execution substrate; the proc runtime's
@@ -66,7 +66,7 @@ def traced_report_case(case: str, *, nranks: int = 4, seed: int = 0, runtime: st
     install(tracer)
     try:
         if case == "alltoall":
-            from repro.collectives.compressed import CompressedOscAlltoallv
+            from repro.collectives import SlotExchange
             from repro.compression.selection import codec_for_tolerance
             from repro.runtime import make_world
 
@@ -75,7 +75,7 @@ def traced_report_case(case: str, *, nranks: int = 4, seed: int = 0, runtime: st
             def kernel(comm):
                 rng = np.random.default_rng(seed * 997 + comm.rank)
                 send = [rng.standard_normal(8192) for _ in range(comm.size)]
-                op = CompressedOscAlltoallv(
+                op = SlotExchange(
                     comm, codec, topology=topo, pipeline_chunks=4
                 )
                 try:

@@ -9,7 +9,7 @@ This module measures that on a traced run:
   compress/decompress wall time that ran **concurrently with
   communication being in flight anywhere in the exchange** (puts,
   fences, sendrecvs).  On the thread runtime ranks genuinely overlap,
-  so a pipelined ``CompressedOscAlltoallv`` shows hidden codec time;
+  so a pipelined compressed ``SlotExchange`` shows hidden codec time;
   on the single-threaded virtual executor the fraction is honestly 0.
 * :func:`bandwidth_report` — achieved GB/s of the traced ``put``/
   ``sendrecv`` spans, grouped by link class (``intra-node`` /

@@ -52,7 +52,7 @@ def _traced_fft(nranks: int, n: int, e_tol: float, seed: int, runtime: str = "th
 
 def _traced_alltoall(nranks: int, n: int, e_tol: float, seed: int, runtime: str = "thread") -> list:
     """One compressed OSC exchange; returns every rank's ``ExchangeStats``."""
-    from repro.collectives.compressed import CompressedOscAlltoallv
+    from repro.collectives import SlotExchange
     from repro.compression.selection import codec_for_tolerance
     from repro.runtime import make_world
 
@@ -62,7 +62,7 @@ def _traced_alltoall(nranks: int, n: int, e_tol: float, seed: int, runtime: str 
     def kernel(comm):
         rng = np.random.default_rng(100 + 1000 * seed + comm.rank)
         send = [rng.standard_normal(items) for _ in range(comm.size)]
-        op = CompressedOscAlltoallv(comm, codec)
+        op = SlotExchange(comm, codec)
         try:
             op(send)
         finally:

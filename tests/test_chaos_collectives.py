@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from repro.collectives import (
-    CompressedOscAlltoallv,
-    OscAlltoallv,
+    SlotExchange,
     TwoLevelCompressedAlltoallv,
     make_exchange,
 )
@@ -62,7 +61,7 @@ class TestBitflipCompressedOsc:
         ref = _reference(P)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec(), retry_policy=_fast_retry())
+            op = SlotExchange(comm, IdentityCodec(), retry_policy=_fast_retry())
             try:
                 recv = op(_payloads(comm.rank, comm.size))
             finally:
@@ -92,7 +91,7 @@ class TestBitflipCompressedOsc:
         world = ThreadWorld(P, faults=plan)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"), retry_policy=_fast_retry())
+            op = SlotExchange(comm, CastCodec("fp32"), retry_policy=_fast_retry())
             try:
                 recv = op(_payloads(comm.rank, comm.size))
             finally:
@@ -115,7 +114,7 @@ class TestBitflipCompressedOsc:
         world = ThreadWorld(P, faults=plan)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(
+            op = SlotExchange(
                 comm, CastCodec("fp32"), retry_policy=RetryPolicy.disabled()
             )
             try:
@@ -150,7 +149,7 @@ class TestBitflipCompressedOsc:
         )
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(
+            op = SlotExchange(
                 comm,
                 IdentityCodec(),
                 retry_policy=RetryPolicy(max_attempts=1, base_delay=1e-4),
@@ -166,12 +165,14 @@ class TestBitflipCompressedOsc:
 
 class TestBitflipRawOsc:
     def test_verify_mode_detects_and_recovers(self):
+        """Integrity on a window exchange is the identity codec: its frames
+        are checked, and a corrupted one is recovered by the ladder."""
         plan = FaultPlan([FaultRule("bitflip", rank=0, peer=1)], seed=21)
         world = ThreadWorld(P, faults=plan)
         ref = _reference(P)
 
         def kernel(comm):
-            op = OscAlltoallv(comm, verify=True, retry_policy=_fast_retry())
+            op = SlotExchange(comm, IdentityCodec(), retry_policy=_fast_retry())
             try:
                 recv = op(_payloads(comm.rank, comm.size))
             finally:
@@ -188,12 +189,13 @@ class TestBitflipRawOsc:
         assert results[1][1].recovered >= 1
 
     def test_without_verify_the_corruption_is_silent(self):
-        """Documents why verify exists: the raw OSC path has no checksums."""
+        """Documents why integrity needs a codec: the raw (``codec=None``)
+        exchange has no checksums (DESIGN §6.2)."""
         plan = FaultPlan([FaultRule("bitflip", rank=0, peer=1)], seed=21)
         world = ThreadWorld(P, faults=plan)
 
         def kernel(comm):
-            op = OscAlltoallv(comm)  # verify=False
+            op = SlotExchange(comm)  # unframed
             try:
                 return op(_payloads(comm.rank, comm.size))
             finally:
@@ -244,7 +246,7 @@ class TestStraggler:
         ref = _reference(P)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec(), retry_policy=_fast_retry())
+            op = SlotExchange(comm, IdentityCodec(), retry_policy=_fast_retry())
             try:
                 return op(_payloads(comm.rank, comm.size))
             finally:
@@ -267,7 +269,7 @@ class TestTransientCodec:
         ref = _reference(P)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec(), retry_policy=_fast_retry())
+            op = SlotExchange(comm, IdentityCodec(), retry_policy=_fast_retry())
             try:
                 recv = op(_payloads(comm.rank, comm.size))
             finally:
@@ -289,7 +291,7 @@ class TestTransientCodec:
         world = ThreadWorld(P, faults=plan)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(
+            op = SlotExchange(
                 comm, CastCodec("fp32"), retry_policy=RetryPolicy.disabled()
             )
             try:
@@ -316,7 +318,7 @@ class TestToleranceDegradation:
         ref = _reference(P)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(
+            op = SlotExchange(
                 comm, CastCodec("fp16", scaled=True), e_tol=1e-14
             )
             try:
@@ -335,7 +337,7 @@ class TestToleranceDegradation:
 
     def test_loose_tolerance_keeps_lossy_path(self):
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"), e_tol=1e-3)
+            op = SlotExchange(comm, CastCodec("fp32"), e_tol=1e-3)
             try:
                 op(_payloads(comm.rank, comm.size))
             finally:
@@ -430,7 +432,7 @@ class TestNoFaultPlanIsNoOp:
         world = ThreadWorld(P, faults=FaultPlan())  # empty plan, injector active
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec())
+            op = SlotExchange(comm, IdentityCodec())
             try:
                 recv = op(_payloads(comm.rank, comm.size))
             finally:
@@ -456,7 +458,7 @@ class TestNoFaultPlanIsNoOp:
         )
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(
+            op = SlotExchange(
                 comm,
                 IdentityCodec(),
                 retry_policy=RetryPolicy(max_attempts=1, base_delay=1e-4),
@@ -505,7 +507,7 @@ def _credit_rule(comm, codec, **kwargs):
     return make_exchange(comm, codec=codec, method="pairwise", **kwargs)
 
 
-class _MiscutFirstSend(CompressedOscAlltoallv):
+class _MiscutFirstSend(SlotExchange):
     """Rank 0's first transmission to rank 1 is cut into ``frames`` frames,
     whatever ``pipeline_chunks`` says: its region no longer matches the
     cut of the receiver's box."""
@@ -548,7 +550,7 @@ class TestOneShotUnderFaults:
         return world, world.run(kernel)
 
     @pytest.mark.parametrize(
-        "cls", [CompressedOscAlltoallv, _RoutedBitflip, _credit_rule], ids=["flat", "two-level", "credit"]
+        "cls", [SlotExchange, _RoutedBitflip, _credit_rule], ids=["flat", "two-level", "credit"]
     )
     def test_bitflip_is_retransmitted_into_the_box(self, cls):
         _, clean = self._run(cls)
@@ -564,7 +566,7 @@ class TestOneShotUnderFaults:
         assert results[0][1].retransmissions == 1
         assert all(results[r][1].clean for r in (1, 2))
 
-    @pytest.mark.parametrize("cls", [CompressedOscAlltoallv, _RoutedBitflip], ids=["flat", "two-level"])
+    @pytest.mark.parametrize("cls", [SlotExchange, _RoutedBitflip], ids=["flat", "two-level"])
     def test_bitflip_without_retries_steps_down_to_lossless(self, cls):
         _, clean = self._run(cls)
         flip = FaultPlan([FaultRule("bitflip", rank=0, peer=3)], seed=5)
@@ -579,7 +581,7 @@ class TestOneShotUnderFaults:
     def test_a_miscut_region_goes_into_recovery(self, frames):
         """More or fewer frames than the box's cut: a CompressionError the
         recovery catches — never an IndexError out of the decode walk."""
-        _, clean = self._run(CompressedOscAlltoallv)
+        _, clean = self._run(SlotExchange)
         miscut = type("Miscut", (_MiscutFirstSend,), {"frames": frames})
         _, results = self._run(miscut, faults=FaultPlan())
         for r in range(P):
@@ -613,7 +615,7 @@ class TestSelfBlockFaults:
     def test_codec_fault_on_the_self_block_retries_then_degrades(self):
         hiccups = FaultPlan([FaultRule("codec", rank=0, peer=0, max_triggers=3)], seed=2)
         world, results = self._run(
-            lambda comm: CompressedOscAlltoallv(comm, CastCodec("fp32"), retry_policy=_fast_retry()),
+            lambda comm: SlotExchange(comm, CastCodec("fp32"), retry_policy=_fast_retry()),
             lambda rank: _payloads(rank, P),
             hiccups,
         )
@@ -636,7 +638,7 @@ class TestSelfBlockFaults:
             return [rng.standard_normal(40) if d == rank else np.arange(40.0) + d for d in range(P)]
 
         _, results = self._run(
-            lambda comm: CompressedOscAlltoallv(comm, CastCodec("fp32"), e_tol=1e-12),
+            lambda comm: SlotExchange(comm, CastCodec("fp32"), e_tol=1e-12),
             send_of,
         )
         for rank, (recv, report, stats) in enumerate(results):
@@ -646,7 +648,7 @@ class TestSelfBlockFaults:
             assert all(np.array_equal(recv[s], send_of(s)[rank]) for s in range(P))
             assert stats.error_measured and stats.achieved_error == 0.0
 
-    @pytest.mark.parametrize("cls", [CompressedOscAlltoallv, _RoutedBitflip], ids=["flat", "two-level"])
+    @pytest.mark.parametrize("cls", [SlotExchange, _RoutedBitflip], ids=["flat", "two-level"])
     def test_a_bitflip_on_every_put_misses_only_the_self_block(self, cls):
         """Every put (flat) or routed region (two-level) is corrupted: each
         rank fails, and recovers, the p - 1 blocks that crossed to it — the

@@ -1,11 +1,11 @@
-"""Tests for the all-to-all algorithms: pairwise ring, OSC, compressed OSC."""
+"""Tests for the all-to-all exchanges: the raw slot exchange under both rules, and compressed."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, OscAlltoallv, osc_alltoallv, pairwise_alltoallv
+from repro.collectives import SlotExchange, make_exchange
 from repro.collectives.wire import decode_wire, encode_wire, frame_length
 from repro.compression import CastCodec, IdentityCodec, MantissaTrimCodec, ShuffleZlibCodec
 from repro.errors import CommunicatorError
@@ -17,6 +17,15 @@ def _make_send(rank: int, size: int, rng_seed: int = 7) -> list[np.ndarray]:
     """Deterministic uneven payloads: dest d gets (d + rank % 3 + 1) items."""
     rng = np.random.default_rng(rng_seed + rank)
     return [rng.random(d + rank % 3 + 1) for d in range(size)]
+
+
+def _once(comm, send, **config):
+    """One call of a fresh exchange of ``config``: built, called, freed."""
+    op = make_exchange(comm, **config)
+    try:
+        return op(send)
+    finally:
+        op.free()
 
 
 def _reference(p: int) -> list[list[np.ndarray]]:
@@ -32,7 +41,7 @@ class TestPairwise:
         ref = _reference(p)
 
         def kernel(comm):
-            return pairwise_alltoallv(comm, _make_send(comm.rank, comm.size))
+            return _once(comm, _make_send(comm.rank, comm.size), method="pairwise")
 
         res = run_spmd(p, kernel)
         for r in range(p):
@@ -44,7 +53,7 @@ class TestPairwise:
         ref = _reference(12)
 
         def kernel(comm):
-            return pairwise_alltoallv(comm, _make_send(comm.rank, comm.size), topology=topo)
+            return _once(comm, _make_send(comm.rank, comm.size), method="pairwise", topology=topo)
 
         res = run_spmd(12, kernel)
         for r in range(12):
@@ -54,14 +63,14 @@ class TestPairwise:
     def test_none_chunks_become_empty(self):
         def kernel(comm):
             send = [None] * comm.size
-            return [len(r) for r in pairwise_alltoallv(comm, send)]
+            return [len(r) for r in _once(comm, send, method="pairwise")]
 
         res = run_spmd(3, kernel)
         assert all(r == [0, 0, 0] for r in res)
 
     def test_wrong_send_length_rejected(self):
         def kernel(comm):
-            pairwise_alltoallv(comm, [np.zeros(1)] * (comm.size - 1))
+            _once(comm, [np.zeros(1)] * (comm.size - 1), method="pairwise")
 
         with pytest.raises(CommunicatorError):
             run_spmd(2, kernel, timeout=5.0)
@@ -73,7 +82,7 @@ class TestOsc:
         ref = _reference(p)
 
         def kernel(comm):
-            return osc_alltoallv(comm, _make_send(comm.rank, comm.size))
+            return _once(comm, _make_send(comm.rank, comm.size), method="osc")
 
         res = run_spmd(p, kernel)
         for r in range(p):
@@ -82,7 +91,7 @@ class TestOsc:
 
     def test_window_cached_across_calls(self):
         def kernel(comm):
-            op = OscAlltoallv(comm)
+            op = SlotExchange(comm)
             send = _make_send(comm.rank, comm.size)
             a = op(send)
             win_first = op.transport.win
@@ -104,7 +113,7 @@ class TestOsc:
         ref = _reference(12)
 
         def kernel(comm):
-            return osc_alltoallv(comm, _make_send(comm.rank, comm.size), topology=topo)
+            return _once(comm, _make_send(comm.rank, comm.size), method="osc", topology=topo)
 
         res = run_spmd(12, kernel)
         for r in range(12):
@@ -114,7 +123,7 @@ class TestOsc:
     def test_empty_messages(self):
         def kernel(comm):
             send = [np.zeros(0), np.ones(3)] if comm.rank == 0 else [None, None]
-            return [(len(r), r.dtype) for r in osc_alltoallv(comm, send)]
+            return [(len(r), r.dtype) for r in _once(comm, send, method="osc")]
 
         res = run_spmd(2, kernel)
         assert res[1][0] == (3, np.float64)  # 3 float64 from rank 0, in the sender's dtype
@@ -125,7 +134,7 @@ class TestCompressedOsc:
         ref = _reference(4)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec())
+            op = SlotExchange(comm, IdentityCodec())
             out = op(_make_send(comm.rank, comm.size))
             op.free()
             return out
@@ -139,7 +148,7 @@ class TestCompressedOsc:
         ref = _reference(3)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, ShuffleZlibCodec())
+            op = SlotExchange(comm, ShuffleZlibCodec())
             out = op(_make_send(comm.rank, comm.size))
             op.free()
             return out
@@ -154,7 +163,7 @@ class TestCompressedOsc:
         ref = _reference(4)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"), pipeline_chunks=chunks)
+            op = SlotExchange(comm, CastCodec("fp32"), pipeline_chunks=chunks)
             out = op(_make_send(comm.rank, comm.size))
             rate = op.last_stats.achieved_rate
             op.free()
@@ -172,7 +181,7 @@ class TestCompressedOsc:
         ref = _reference(3)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, MantissaTrimCodec(36), topology=None)
+            op = SlotExchange(comm, MantissaTrimCodec(36), topology=None)
             out = op(_make_send(comm.rank, comm.size))
             op.free()
             return out
@@ -184,7 +193,7 @@ class TestCompressedOsc:
 
     def test_stats_accounting(self):
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"))
+            op = SlotExchange(comm, CastCodec("fp32"))
             op([np.ones(10) for _ in range(comm.size)])
             st = op.last_stats
             op.free()
@@ -196,7 +205,7 @@ class TestCompressedOsc:
 
     def test_window_reuse_and_growth(self):
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"))
+            op = SlotExchange(comm, CastCodec("fp32"))
             small = [np.ones(4) for _ in range(comm.size)]
             big = [np.ones(400) for _ in range(comm.size)]
             a = op(small)
@@ -210,7 +219,7 @@ class TestCompressedOsc:
 
     def test_rejects_bad_chunks(self):
         def kernel(comm):
-            CompressedOscAlltoallv(comm, CastCodec("fp32"), pipeline_chunks=0)
+            SlotExchange(comm, CastCodec("fp32"), pipeline_chunks=0)
 
         with pytest.raises(CommunicatorError):
             run_spmd(2, kernel, timeout=5.0)

@@ -12,13 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    CompressedOscAlltoallv,
-    bruck_alltoall,
-    linear_alltoallv,
-    osc_alltoallv,
-    pairwise_alltoallv,
-)
+from repro.collectives import SlotExchange, bruck_alltoall
 from repro.compression.base import IdentityCodec
 from repro.conformance.oracles import assert_blocks_equal, expected_recv, make_send_matrix
 from repro.runtime.thread_rt import ThreadWorld
@@ -39,24 +33,28 @@ PATTERNS = {
 VARIANTS = ("reference", "linear", "pairwise", "osc", "osc-verify", "compressed")
 
 
+def _once(comm, row, **config):
+    """One call of a fresh slot exchange of ``config``: built, called, freed."""
+    op = SlotExchange(comm, **config)
+    try:
+        return op(row)
+    finally:
+        op.free()
+
+
 def _exchange(variant: str, send):
     def kernel(comm):
         row = send[comm.rank]
-        if variant == "reference":
+        if variant in ("reference", "linear"):  # the linear message storm is alltoallv
             return comm.alltoallv(row)
-        if variant == "linear":
-            return linear_alltoallv(comm, row)
         if variant == "pairwise":
-            return pairwise_alltoallv(comm, row)
+            return _once(comm, row, rule="credit")
         if variant == "osc":
-            return osc_alltoallv(comm, row)
-        if variant == "osc-verify":
-            return osc_alltoallv(comm, row, verify=True)
-        op = CompressedOscAlltoallv(comm, IdentityCodec())
-        try:
-            return op(row)
-        finally:
-            op.free()
+            return _once(comm, row)
+        if variant == "compressed":
+            return _once(comm, row, codec=IdentityCodec())
+        # "osc-verify": integrity is the identity codec's frames (here under the credit rule)
+        return _once(comm, row, codec=IdentityCodec(), rule="credit")
 
     return ThreadWorld(P).run(kernel)
 
@@ -80,9 +78,7 @@ def test_none_sends_are_empty_blocks(variant: str) -> None:
 
     def kernel(comm):
         row = [None if d != comm.rank else np.full(3, float(comm.rank)) for d in range(P)]
-        if variant == "pairwise":
-            return pairwise_alltoallv(comm, row)
-        return osc_alltoallv(comm, row)
+        return _once(comm, row, rule="credit" if variant == "pairwise" else "fence")
 
     results = ThreadWorld(P).run(kernel)
     for d in range(P):

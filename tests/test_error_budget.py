@@ -131,3 +131,16 @@ def test_a_restart_does_not_spend_the_budget_twice(rng):
     assert recovered and survivors.nranks == p - 1
     assert (survivors.codec.name, survivors.share) == (fft.plan.codec.name, fft.plan.share)
     assert _relative(full, x) <= e_tol
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-8, 1e4])
+def test_zfp_round_trip_is_within_e_tol_at_every_scale(scale):
+    """ZFP's fixed-accuracy quantum is relative to the message's peak: a
+    Gaussian bump planned for ``e_tol = 1e-3`` comes back within it
+    whatever its amplitude (an absolute quantum returned 0.88 at 1e-4)."""
+    n, e_tol = 16, 1e-3
+    plan = Fft3d((n,) * 3, 4, e_tol=e_tol, data_hint="smooth")
+    assert plan.codec.name.startswith("zfp") and plan.guaranteed_tolerance <= e_tol
+    r2 = sum((g - (n - 1) / 2) ** 2 for g in np.indices((n,) * 3))
+    x = scale * np.exp(-r2 / (2 * (n / 6) ** 2)).astype(np.complex128)
+    assert plan.roundtrip_error(x) <= e_tol

@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import (
-    CompressedOscAlltoallv,
-    make_exchange,
-    osc_alltoallv,
-    pairwise_alltoallv,
-)
+from repro.collectives import SlotExchange, make_exchange
 from repro.compression import CastCodec, IdentityCodec
 from repro.errors import PlanError
 from repro.fft import Fft3d
@@ -87,9 +82,12 @@ def test_matches_reference_and_accounts_for_its_send_list(runtime: str, name: st
             got = op(send)
         finally:
             op.free()
-        return want, got, op.last_stats, op.last_report.clean
+        return want, got, op.last_stats, op.last_report.clean, op.rule
 
-    for rank, (want, got, stats, clean) in enumerate(make_world(runtime, P, timeout=60.0).run(kernel)):
+    results = make_world(runtime, P, timeout=60.0).run(kernel)
+    for rank, (want, got, stats, clean, rule) in enumerate(results):
+        # the method is the only thing that picks the completion rule
+        assert rule == ("credit" if config.get("method") == "pairwise" else "fence")
         for s in range(P):
             if codec is None or codec.lossless:
                 assert np.asarray(got[s]).tobytes() == want[s].tobytes(), f"{rank} <- {s}"
@@ -150,14 +148,14 @@ class _CountingComm:
 
 @pytest.mark.parametrize("runtime", RUNTIMES)
 def test_compressed_window_policy_and_single_allgather(runtime: str) -> None:
-    """The compressed exchange follows ``OscAlltoallv``'s window policy
+    """The compressed exchange follows the raw exchange's window policy
     (tests/test_faults.py::TestOscWindowReuse: keep on shrink, recreate
     on growth) and a clean call costs exactly one allgather — the size
     matrix; the growth decision is a pure function of its history."""
 
     def kernel(comm):
         counting = _CountingComm(comm)
-        op = CompressedOscAlltoallv(counting, CastCodec("fp32"), pipeline_chunks=2)
+        op = SlotExchange(counting, CastCodec("fp32"), pipeline_chunks=2)
         seen = []
         try:
             for n in (64, 8, 64, 128):
@@ -191,18 +189,22 @@ class _WireComm(_CountingComm):
         return self._comm.isend(data, dest, tag=tag)
 
 
-def _compressed(comm, send, **config):
-    op = make_exchange(comm, codec=CastCodec("fp32"), **config)
+def _once(comm, send, **config):
+    op = make_exchange(comm, **config)
     try:
         return op(send)
     finally:
         op.free()
 
 
+def _compressed(comm, send, **config):
+    return _once(comm, send, codec=CastCodec("fp32"), **config)
+
+
 #: name -> (one-shot call, the completion rule it runs under; None: routed two-sided)
 ONE_SHOT = {
-    "osc": (osc_alltoallv, "fence"),
-    "pairwise": (pairwise_alltoallv, "credit"),
+    "osc": (lambda comm, send: _once(comm, send, method="osc"), "fence"),
+    "pairwise": (lambda comm, send: _once(comm, send, method="pairwise"), "credit"),
     "compressed": (_compressed, "fence"),
     "compressed-pairwise": (lambda comm, send: _compressed(comm, send, method="pairwise"), "credit"),
     "two-level": (

@@ -10,9 +10,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv
-from repro.collectives.pairwise import pairwise_alltoallv
-from repro.collectives.variants import linear_alltoallv
+from repro.collectives import SlotExchange
 from repro.collectives.wire import decode_wire, encode_wire, frame_length
 from repro.accuracy.bounds import achieved_relative_error
 from repro.collectives.twolevel import TwoLevelCompressedAlltoallv
@@ -33,7 +31,7 @@ class TestDecodeRegionEmpty:
         from repro.faults import ResilienceReport
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec())
+            op = SlotExchange(comm, IdentityCodec())
             try:
                 box = np.zeros(0)
                 region = np.zeros(0, dtype=np.uint8)
@@ -50,7 +48,7 @@ class TestDecodeRegionEmpty:
         send = [[np.zeros(0) for _ in range(p)] for _ in range(p)]
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec())
+            op = SlotExchange(comm, IdentityCodec())
             try:
                 return op(send[comm.rank])
             finally:
@@ -88,7 +86,7 @@ class TestOriginalBytesAccounting:
         p = len(send_blocks)
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, IdentityCodec())
+            op = SlotExchange(comm, IdentityCodec())
             try:
                 op(send_blocks[comm.rank])
                 return op.last_stats
@@ -172,10 +170,17 @@ class TestSelfBlockAliasing:
                 assert contig
 
     def test_pairwise_self_block(self):
-        self._check_self_block(lambda comm, send: pairwise_alltoallv(comm, send))
+        def once(comm, send):
+            op = SlotExchange(comm, rule="credit")
+            try:
+                return op(send)
+            finally:
+                op.free()
+
+        self._check_self_block(once)
 
     def test_linear_self_block(self):
-        self._check_self_block(lambda comm, send: linear_alltoallv(comm, send))
+        self._check_self_block(lambda comm, send: comm.alltoallv(send))  # the message storm
 
     def test_reference_self_block(self):
         self._check_self_block(lambda comm, send: comm.alltoallv(send))
@@ -252,7 +257,7 @@ class TestVerificationInTheEncodePass:
 
     def test_flat_exchange(self):
         self._check_no_sender_side_decompress(
-            lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol)
+            lambda comm, codec, e_tol: SlotExchange(comm, codec, e_tol=e_tol)
         )
 
     def test_two_level_exchange(self):
@@ -268,7 +273,7 @@ class TestVerificationInTheEncodePass:
 
     def test_unmeetable_tolerance_still_degrades_to_lossless(self):
         codec, send, results = self._run(
-            lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol), 1e-14
+            lambda comm, codec, e_tol: SlotExchange(comm, codec, e_tol=e_tol), 1e-14
         )
         # each message: measured once, found wanting, re-sent lossless — the
         # trim codec itself never decodes anything
@@ -284,7 +289,7 @@ class TestVerificationInTheEncodePass:
 
     def test_no_tolerance_measures_nothing(self):
         codec, _send, results = self._run(
-            lambda comm, codec, e_tol: CompressedOscAlltoallv(comm, codec, e_tol=e_tol), None
+            lambda comm, codec, e_tol: SlotExchange(comm, codec, e_tol=e_tol), None
         )
         assert codec.calls["encode_measured"] == codec.calls["roundtrip_measured"] == 0
         assert codec.calls["encode"] == codec.calls["decode"] == self.P * (self.P - 1)
@@ -328,7 +333,7 @@ class TestVerificationInTheEncodePass:
         def run(codec):
             def kernel(comm):
                 rng = np.random.default_rng(comm.rank)
-                op = CompressedOscAlltoallv(comm, codec, e_tol=1e-3)
+                op = SlotExchange(comm, codec, e_tol=1e-3)
                 try:
                     op([rng.standard_normal(64) for _ in range(comm.size)])
                     return op.last_stats.achieved_error, op.last_report.clean
@@ -415,7 +420,7 @@ class TestBoundLossyExchangeTouchesEachCellOncePerSide:
             # through pack -> compress -> frame -> put, as before the binding
             staged, block = ExchangeStats(), b
             for stage in plan._pipeline(False):
-                op = CompressedOscAlltoallv(comm, plan.codec, e_tol=plan.share)
+                op = SlotExchange(comm, plan.codec, e_tol=plan.share)
                 try:
                     block = stage.reshape.run_spmd(comm, block, op, stats=staged)
                 finally:
@@ -519,7 +524,7 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
         return send
 
     def _run(self, monkeypatch, runtime, variant, codec_name, chunks, ndim):
-        import repro.collectives.compressed as compressed_mod
+        import repro.collectives.slot_exchange as exchange_mod
         import repro.collectives.wire as wire_mod
         from repro.collectives import make_exchange
         from repro.compression.base import FixedWidthCodec
@@ -535,7 +540,7 @@ class TestOneShotExchangesTouchEachCellOncePerSide:
             (FixedWidthCodec, "decompress"), (BufferPool, "acquire"),
             (wire_mod, "encode_wire"), (wire_mod, "decode_wire"),
             # where the staged path looked the frame calls up; gone with it
-            (compressed_mod, "encode_wire"), (compressed_mod, "decode_wire"),
+            (exchange_mod, "encode_wire"), (exchange_mod, "decode_wire"),
             (kernels, "encode_into"), (kernels, "decode_into"), (kernels, "roundtrip_into"),
         ]:
             def counted(*args, _original=getattr(owner, name, None), _key=name, **kwargs):
@@ -643,7 +648,7 @@ class TestSelfBlockStaysLocal:
     }
 
     def _run(self, monkeypatch, runtime, geometry, codec_name, chunks):
-        import repro.collectives.compressed as compressed_mod
+        import repro.collectives.slot_exchange as exchange_mod
         from repro.collectives import make_exchange
         from repro.collectives.base import unpack
         from repro.fft import Fft3d
@@ -673,7 +678,7 @@ class TestSelfBlockStaysLocal:
             return _original(win, target_rank, offset, nbytes)
 
         monkeypatch.setattr(Window, "reserve", reserve)  # every put goes through it
-        hooked = [(compressed_mod, "seal"), (compressed_mod, "open_frame")]
+        hooked = [(exchange_mod, "seal"), (exchange_mod, "open_frame")]
         if plan.codec is not None:
             hooked += [(type(plan.codec), name) for name in ("encode_into", "decode_into", "roundtrip_into")]
         for owner, name in hooked:
@@ -815,7 +820,7 @@ class TestWarmBindingResolvesItsBookkeepingOnce:
         monkeypatch.setattr(slots_mod, "Route", CountingRoute)
         for owner, name in [
             (pickle, "dumps"), (wire_mod, "crc32"), (wire_mod, "seal"), (wire_mod, "open_frame"),
-            (CompressedOscAlltoallv, "_frame_capacity"),
+            (SlotExchange, "_frame_capacity"),
         ]:
             def counted(*args, _original=getattr(owner, name), _key=name, **kwargs):
                 bump(_key)
@@ -823,10 +828,10 @@ class TestWarmBindingResolvesItsBookkeepingOnce:
 
             monkeypatch.setattr(owner, name, counted)
         # the exchange module bound seal/open_frame by name at import
-        import repro.collectives.compressed as compressed_mod
+        import repro.collectives.slot_exchange as exchange_mod
 
-        monkeypatch.setattr(compressed_mod, "seal", wire_mod.seal)
-        monkeypatch.setattr(compressed_mod, "open_frame", wire_mod.open_frame)
+        monkeypatch.setattr(exchange_mod, "seal", wire_mod.seal)
+        monkeypatch.setattr(exchange_mod, "open_frame", wire_mod.open_frame)
 
         rng = np.random.default_rng(5)
         x = rng.standard_normal((self.N,) * 3) + 1j * rng.standard_normal((self.N,) * 3)

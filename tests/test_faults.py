@@ -15,7 +15,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.collectives import OscAlltoallv
+from repro.collectives import SlotExchange
 from repro.collectives.wire import (
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -405,7 +405,7 @@ class TestStridedPutUnderFaults:
 class TestOscWindowReuse:
     def test_shrinking_sizes_reuse_cached_window(self):
         def kernel(comm):
-            op = OscAlltoallv(comm)
+            op = SlotExchange(comm)
             big = [np.full(64, comm.rank, dtype=np.float64)] * comm.size
             small = [np.full(8, comm.rank, dtype=np.float64)] * comm.size
             huge = [np.full(128, comm.rank, dtype=np.float64)] * comm.size
@@ -428,7 +428,7 @@ class TestOscWindowReuse:
 
     def test_uneven_shrink_still_correct(self):
         def kernel(comm):
-            op = OscAlltoallv(comm)
+            op = SlotExchange(comm)
             try:
                 sizes_a = [(d + comm.rank) % 5 + 4 for d in range(comm.size)]
                 sizes_b = [s // 2 + 1 for s in sizes_a]

@@ -131,7 +131,7 @@ class TestRingSchedule:
     def test_ring_peers_inverse_property(self, nranks):
         """ring_peers' (dest, src) must be mutually consistent: if rank a
         sends to b at step j, then b's source at step j is a."""
-        from repro.collectives.pairwise import ring_peers
+        from repro.machine.topology import ring_peers
 
         topo = Topology(summit_spec(), nranks)
         for j in range(nranks):

@@ -24,7 +24,7 @@ import pytest
 
 from repro.collectives import make_exchange
 from repro.collectives.base import ExchangeStats
-from repro.collectives.compressed import CompressedOscAlltoallv
+from repro.collectives import SlotExchange
 from repro.collectives.slots import SlotTransport
 from repro.compression import CastCodec
 from repro.compression.base import Codec, CompressedMessage, IdentityCodec
@@ -801,7 +801,7 @@ def _bound_reshape(comm, reshape, codec, **kwargs):
     """``reshape`` bound to a compressed exchange on plan-supplied slots."""
     from repro.fft.reshape import BoundReshape
 
-    op = CompressedOscAlltoallv(comm, codec, **kwargs)
+    op = SlotExchange(comm, codec, **kwargs)
     elements, leading = reshape.message_elements()
     op.table = op.slot_table(elements, 16, leading)
     op.transport.grow([op.table])
@@ -945,7 +945,7 @@ class _LyingCodec(Codec):
 
 def _bound_exchange(comm, codec, n, **kwargs):
     """A compressed exchange bound to slots for ``n`` complex items per pair."""
-    op = CompressedOscAlltoallv(comm, codec, **kwargs)
+    op = SlotExchange(comm, codec, **kwargs)
     op.table = op.slot_table(np.full((comm.size, comm.size), n), 16)
     op.transport.grow([op.table])
     return op, op.transport
@@ -1029,14 +1029,16 @@ class TestSlotOverflow:
             assert "144 B" in error and "128 B window slot" in error
 
     def test_verify_mode_rides_its_own_allgather_on_a_bound_exchange(self):
-        """With plan-supplied slots there is no sizes allgather for the
-        CRCs to ride; a corrupted put is still caught and retransmitted."""
-        from repro.collectives.osc import OscAlltoallv
+        """Integrity on a bound exchange is the identity codec: with
+        plan-supplied slots there is no announcement, yet a corrupted
+        frame is still caught and recovered (the recovery agrees its
+        failure sets in an allgather of its own)."""
+        from repro.compression.base import IdentityCodec
 
         flip = FaultPlan([FaultRule("bitflip", rank=0, peer=1)], seed=2)
 
         def kernel(comm):
-            op = OscAlltoallv(comm, verify=True)
+            op = SlotExchange(comm, IdentityCodec())
             op.table = op.slot_table(np.full((2, 2), 32), 8)
             op.transport.grow([op.table])
             send = [np.arange(32.0) + 10 * comm.rank + d for d in range(2)]
@@ -1057,7 +1059,7 @@ class TestSlotOverflow:
         from repro.compression.base import IdentityCodec
 
         for chunks in (1, 2, 3, 7):
-            op = CompressedOscAlltoallv.__new__(CompressedOscAlltoallv)
+            op = SlotExchange.__new__(SlotExchange)
             op.pipeline_chunks, op._ladder, op._cuts = chunks, [IdentityCodec()], {}
             for n in (1, 2, 5, 7, 64, 100):
                 block = np.zeros((n, 3))

@@ -94,7 +94,7 @@ class TestRetryBudget:
 
     def test_spent_budget_skips_same_codec_retries(self):
         """A codec hiccup with no time budget left degrades immediately."""
-        from repro.collectives import CompressedOscAlltoallv
+        from repro.collectives import SlotExchange
         from repro.compression import CastCodec
 
         plan = FaultPlan([FaultRule("codec", rank=0)], seed=2)
@@ -102,7 +102,7 @@ class TestRetryBudget:
 
         def kernel(comm):
             rng = np.random.default_rng(comm.rank)
-            op = CompressedOscAlltoallv(
+            op = SlotExchange(
                 comm,
                 CastCodec("fp32"),
                 retry_policy=RetryPolicy(

@@ -19,7 +19,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv, make_exchange
+from repro.collectives import SlotExchange, TwoLevelCompressedAlltoallv, make_exchange
 from repro.compression import CastCodec, ShuffleZlibCodec
 from repro.errors import ReproError, TelemetryError
 from repro.faults import EVENT_KINDS, FaultPlan, FaultRule
@@ -485,7 +485,7 @@ class TestErrorHeadroom:
 
     def test_lossless_ladder_headroom_is_full_tolerance(self):
         p = 3
-        stats = self._run(p, CompressedOscAlltoallv, ShuffleZlibCodec)
+        stats = self._run(p, SlotExchange, ShuffleZlibCodec)
         for st in stats:
             assert st.error_measured
             assert st.achieved_error == 0.0  # lossless: round trip exact
@@ -496,7 +496,7 @@ class TestErrorHeadroom:
 
     def test_lossy_flat_exchange_headroom_nonnegative(self):
         p = 4
-        stats = self._run(p, CompressedOscAlltoallv, lambda: CastCodec("fp32"))
+        stats = self._run(p, SlotExchange, lambda: CastCodec("fp32"))
         for st in stats:
             assert st.error_measured
             assert 0.0 < st.achieved_error <= self.E_TOL
@@ -514,7 +514,7 @@ class TestErrorHeadroom:
 
     def test_exchange_emits_flight_and_wire_counters(self):
         p = 2
-        self._run(p, CompressedOscAlltoallv, lambda: CastCodec("fp32"))
+        self._run(p, SlotExchange, lambda: CastCodec("fp32"))
         reg = metrics.get_registry()
         for rank in range(p):
             assert reg.counter("repro_exchange_rounds_total", rank=rank).value == 1

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.collectives import CompressedOscAlltoallv, OscAlltoallv, make_exchange
+from repro.collectives import SlotExchange, make_exchange
 from repro.compression.truncation import CastCodec
 from repro.errors import TuningError
 from repro.fft.decomposition import brick_decomposition, pencil_decomposition
@@ -94,7 +94,7 @@ class TestZeroAllocHotPaths:
 
         def kernel(comm):
             pool = BufferPool()
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"), pool=pool)
+            op = SlotExchange(comm, CastCodec("fp32"), pool=pool)
             try:
                 op(send[comm.rank])  # warm-up call
                 warm_misses = pool.misses
@@ -117,7 +117,7 @@ class TestZeroAllocHotPaths:
 
         def kernel(comm):
             pool = BufferPool()
-            op = OscAlltoallv(comm, pool=pool)
+            op = SlotExchange(comm, pool=pool)
             try:
                 accepted = []
                 for _ in range(2):
@@ -143,7 +143,7 @@ class TestZeroAllocHotPaths:
                 rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
             ).astype(np.complex128)
             pool = BufferPool()
-            op = CompressedOscAlltoallv(comm, CastCodec("fp32"), pool=pool)
+            op = SlotExchange(comm, CastCodec("fp32"), pool=pool)
             try:
                 plan.run_spmd(comm, local, op, pool=pool)
                 warm = pool.misses

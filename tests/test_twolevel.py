@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.collectives import CompressedOscAlltoallv, TwoLevelCompressedAlltoallv
+from repro.collectives import SlotExchange, TwoLevelCompressedAlltoallv
 from repro.compression.base import IdentityCodec
 from repro.compression.truncation import CastCodec
 from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
@@ -50,7 +50,7 @@ class TestTwoLevelEquivalence:
         for p, g in [(4, 2), (6, 2), (6, 3), (8, 4)]:
             topo = _topology(p, g)
             send = _send_matrix(p, seed=p * 10 + g)
-            flat = _run(p, topo, send, CompressedOscAlltoallv)
+            flat = _run(p, topo, send, SlotExchange)
             two = _run(p, topo, send, TwoLevelCompressedAlltoallv)
             for d in range(p):
                 for s in range(p):
@@ -66,7 +66,7 @@ class TestTwoLevelEquivalence:
         p, g = 6, 3
         topo = _topology(p, g)
         send = _send_matrix(p, seed=7)
-        flat = _run(p, topo, send, CompressedOscAlltoallv, codec=CastCodec("fp32"))
+        flat = _run(p, topo, send, SlotExchange, codec=CastCodec("fp32"))
         two = _run(p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"))
         for d in range(p):
             for s in range(p):
@@ -143,7 +143,7 @@ class TestTwoLevelFallback:
         p = 4
         send = _send_matrix(p, seed=9)
         two = _run(p, None, send, TwoLevelCompressedAlltoallv)
-        flat = _run(p, None, send, CompressedOscAlltoallv)
+        flat = _run(p, None, send, SlotExchange)
         for d in range(p):
             for s in range(p):
                 assert np.array_equal(two[d][0][s], flat[d][0][s])
@@ -179,7 +179,7 @@ class TestLeaderFailover:
         two = _run(
             p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"), world=world
         )
-        flat = _run(p, topo, send, CompressedOscAlltoallv, codec=CastCodec("fp32"))
+        flat = _run(p, topo, send, SlotExchange, codec=CastCodec("fp32"))
         for d in range(p):
             for s in range(p):
                 assert np.array_equal(two[d][0][s], flat[d][0][s]), (d, s)
@@ -196,7 +196,7 @@ class TestLeaderFailover:
         two = _run(
             p, topo, send, TwoLevelCompressedAlltoallv, codec=CastCodec("fp32"), world=world
         )
-        flat = _run(p, topo, send, CompressedOscAlltoallv, codec=CastCodec("fp32"))
+        flat = _run(p, topo, send, SlotExchange, codec=CastCodec("fp32"))
         for d in range(p):
             for s in range(p):
                 assert np.array_equal(two[d][0][s], flat[d][0][s]), (d, s)

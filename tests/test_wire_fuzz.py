@@ -116,7 +116,7 @@ class TestInconsistentMetadata:
         """The forged block — its metadata does not describe the box it is
         to fill — reaches ``_settle``'s recovery as a failed block instead
         of escaping it as a bare ValueError."""
-        from repro.collectives import CompressedOscAlltoallv
+        from repro.collectives import SlotExchange
         from repro.collectives.base import ExchangeStats
         from repro.errors import WireIntegrityError
         from repro.faults import ResilienceReport
@@ -127,7 +127,7 @@ class TestInconsistentMetadata:
         forged = encode_wire(type(msg)(codec.name, msg.payload, "float64", (3, 3)))
 
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, codec)
+            op = SlotExchange(comm, codec)
             report = ResilienceReport(rank=0)
             try:
                 with pytest.raises(WireIntegrityError, match="no fault plan active"):
@@ -236,7 +236,7 @@ class TestChecksumsInPlace:
         still a WireIntegrityError at ``open_frame``, and a frame whose CRCs
         are valid but whose known metadata lies about its slab is still
         refused against the slab."""
-        from repro.collectives import CompressedOscAlltoallv
+        from repro.collectives import SlotExchange
         from repro.collectives import wire
         from repro.collectives.base import ExchangeStats
         from repro.errors import WireIntegrityError
@@ -262,7 +262,7 @@ class TestChecksumsInPlace:
 
         # Valid CRCs, known metadata, the wrong slab: 40 values, a 30-value box.
         def kernel(comm):
-            op = CompressedOscAlltoallv(comm, codec)
+            op = SlotExchange(comm, codec)
             try:
                 for _ in range(2):  # the second time, the metadata is known to the reader
                     with pytest.raises(WireIntegrityError, match="no fault plan active"):

@@ -169,6 +169,10 @@ KEEP: tuple[tuple[str, str], ...] = (
     # Item 9 (a): the buffer pool and its counters, to be retired whole.
     ("src/repro/tuning/pool.py::*", "roadmap-9"),
     *_each("telemetry/events.py", "_trace_pool", "roadmap-9"),
+    # Item 1 (e): the one-shot helpers the frozen suite's staged round
+    # imports, deleted with staged.py.
+    *_each("collectives/osc.py", "osc_alltoallv", "roadmap-1"),
+    *_each("collectives/pairwise.py", "pairwise_alltoallv", "roadmap-1"),
     # -- reproduction: the paper and the extensions DESIGN names ---------------------------
     # Section III: the naive DFT's round-off bound the FFT's is quoted
     # against, and the truncation argument (linear over the compressions)
