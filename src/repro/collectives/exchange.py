@@ -74,8 +74,9 @@ def make_exchange(
     without a codec), and this is the one place a method becomes its
     rule: ``"pairwise"`` the credit rule, any other the fence rule.
     ``variant="two-level"`` routes a compressed exchange by node
-    (:class:`TwoLevelCompressedAlltoallv`), and ``topology``/``e_tol``/
-    ``retry_policy``/``pipeline_chunks``/``tuned`` configure it.  Unknown
+    (:class:`TwoLevelCompressedAlltoallv`), and ``topology`` configures
+    every window exchange; ``e_tol``/``retry_policy``/``pipeline_chunks``/
+    ``tuned`` configure a codec's and are dropped without one.  Unknown
     names raise :class:`~repro.errors.PlanError` whether or not they
     would have been used.  ``pool`` is accepted and unused.
     """
@@ -83,14 +84,16 @@ def make_exchange(
         raise PlanError(f"unknown reshape method {method!r} (use one of {METHODS})")
     if variant not in VARIANTS:
         raise PlanError(f"unknown exchange variant {variant!r} (use one of {VARIANTS})")
-    if codec is None and method == "reference":
-        return ReferenceAlltoallv(comm)
-    routed = codec is not None and variant == "two-level"
-    cls = TwoLevelCompressedAlltoallv if routed else SlotExchange
+    rule = "credit" if method == "pairwise" else "fence"
+    if codec is None:
+        if method == "reference":
+            return ReferenceAlltoallv(comm)
+        return SlotExchange(comm, rule=rule, topology=topology)
+    cls = TwoLevelCompressedAlltoallv if variant == "two-level" else SlotExchange
     return cls(
         comm,
         codec,
-        rule="credit" if method == "pairwise" else "fence",
+        rule=rule,
         topology=topology,
         pipeline_chunks=pipeline_chunks,
         retry_policy=retry_policy,

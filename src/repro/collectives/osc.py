@@ -5,9 +5,10 @@ from repro.collectives.slot_exchange import SlotExchange
 __all__ = ["osc_alltoallv"]
 
 
-def osc_alltoallv(comm, send, *, topology=None, pool=None):
-    """Build a raw fence-rule :class:`SlotExchange`, exchange once, free it."""
-    op = SlotExchange(comm, topology=topology)
+def osc_alltoallv(comm, send, *, pool=None):
+    """Build a raw fence-rule :class:`SlotExchange`, exchange once, free it
+    (``pool`` is accepted, as the suite passes one, and unused)."""
+    op = SlotExchange(comm)
     try:
         return op(send)
     finally:

@@ -5,9 +5,9 @@ from repro.collectives.slot_exchange import SlotExchange
 __all__ = ["pairwise_alltoallv"]
 
 
-def pairwise_alltoallv(comm, send, *, topology=None):
+def pairwise_alltoallv(comm, send):
     """Build a raw credit-rule :class:`SlotExchange`, exchange once, free it."""
-    op = SlotExchange(comm, rule="credit", topology=topology)
+    op = SlotExchange(comm, rule="credit")
     try:
         return op(send)
     finally:

@@ -88,7 +88,9 @@ _FRAME_ROOM = 256
 
 class SlotExchange(Exchange):
     """All-to-all through one :class:`~repro.collectives.slots.SlotTransport`,
-    raw or compressed, under either completion rule.
+    raw or compressed, under either completion rule.  ``pipeline_chunks``,
+    ``retry_policy``, ``e_tol`` and ``tuned`` configure a codec: the raw
+    exchange (``codec=None``) rejects them.
 
     Parameters
     ----------
@@ -117,12 +119,16 @@ class SlotExchange(Exchange):
         compressed (:meth:`Codec.encode_into` with ``measure``); if it
         exceeds ``e_tol`` the message is sent losslessly instead.
     pool:
-        Accepted for callers that pass one, and unused: nothing is staged.
+        Accepted for callers that pass one, raw or not, and unused:
+        nothing is staged.
     tuned:
         Tuning-profile key that selected this exchange's configuration
         (stamped on the exchange span for the perf gate); ``None`` for
         hand-picked settings.
     """
+
+    #: Named at construction by codec and rule, unless a subclass names itself.
+    algorithm: str | None = None
 
     def __init__(
         self,
@@ -138,14 +144,23 @@ class SlotExchange(Exchange):
         tuned: str | None = None,
     ) -> None:
         super().__init__(comm, topology)
+        self.codec, self.rule = codec, rule
+        self.algorithm = self.algorithm or _ALGORITHMS[codec is not None, rule]
+        if codec is None and (
+            pipeline_chunks != 1 or any(v is not None for v in (retry_policy, e_tol, tuned))
+        ):
+            raise CommunicatorError(
+                "pipeline_chunks, retry_policy, e_tol and tuned configure a codec: "
+                "the raw exchange takes none of them"
+            )
         if pipeline_chunks < 1:
             raise CommunicatorError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
-        self.codec, self.rule, self.e_tol, self.tuned = codec, rule, e_tol, tuned
-        self.pipeline_chunks = int(pipeline_chunks)
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.transport = SlotTransport(comm, rule, topology)
         if codec is None:
             return
+        self.e_tol, self.tuned = e_tol, tuned
+        self.pipeline_chunks = int(pipeline_chunks)
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self._raw = IdentityCodec()
         #: Degradation ladder: primary -> lossless (byte-shuffle + zlib) -> raw FP64.
         self._ladder: list[Codec] = [codec]
@@ -170,11 +185,6 @@ class SlotExchange(Exchange):
             self._span_attrs["tuned"] = tuned
         self._decoders = {c.name: c for c in self._ladder}
         self._cuts: dict[tuple, tuple] = {}  # message shape -> its fragments (_parts)
-
-    @property
-    def algorithm(self) -> str:
-        """The name stamped on spans and flight events."""
-        return _ALGORITHMS[self.codec is not None, self.rule]
 
     # -- helpers ------------------------------------------------------------------
 

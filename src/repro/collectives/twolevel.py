@@ -34,14 +34,17 @@ routed call, one-shot or not, agrees nothing else.  Without a topology, or on on
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.collectives.base import Boxes, ExchangeStats
 from repro.collectives.slot_exchange import SlotExchange
 from repro.collectives.slots import Route
+from repro.compression.base import Codec
+from repro.errors import CommunicatorError
 from repro.faults import ResilienceReport
+from repro.runtime.base import Comm
 from repro.telemetry import emit
 from repro.trace import incr as trace_incr
 from repro.trace import span as trace_span
@@ -70,6 +73,11 @@ class TwoLevelCompressedAlltoallv(SlotExchange):
     """
 
     algorithm = "compressed-twolevel"
+
+    def __init__(self, comm: Comm, codec: Codec, **options: Any) -> None:
+        if codec is None:
+            raise CommunicatorError("the two-level exchange routes frames: it needs a codec")
+        super().__init__(comm, codec, **options)
 
     def _leader(self, node: int, peer_node: int) -> int:
         """Rank on ``node`` that carries its traffic with ``peer_node``: it

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.collectives import SlotExchange, make_exchange
+from repro.collectives import SlotExchange, TwoLevelCompressedAlltoallv, make_exchange
 from repro.compression import CastCodec, IdentityCodec
-from repro.errors import PlanError
+from repro.errors import CommunicatorError, PlanError
 from repro.fft import Fft3d
 from repro.fft.plan import FftStats
 from repro.machine.spec import GpuSpec, MachineSpec, NetworkSpec
@@ -22,6 +22,7 @@ from repro.runtime import make_world
 from repro.runtime.shm import fork_available
 from repro.runtime.thread_rt import ThreadWorld
 from repro.trace import tracing
+from repro.tuning.profile import TuningEntry, TuningProfile
 
 RUNTIMES = [
     "thread",
@@ -51,6 +52,8 @@ CONFIGS = {
     "fp32-etol": (dict(codec=CastCodec("fp32"), e_tol=1e-6), 1),
     "fp32-etol-chunks3": (dict(codec=CastCodec("fp32"), e_tol=1e-6, pipeline_chunks=3), 3),
     "two-level": (dict(codec=IdentityCodec(), variant="two-level", topology=TWO_NODES), 1),
+    # no topology: the flat fallback, under the method's credit rule
+    "two-level-pairwise": (dict(codec=IdentityCodec(), variant="two-level", method="pairwise"), 1),
     "two-level-fp32-chunks3": (
         dict(codec=CastCodec("fp32"), variant="two-level", topology=TWO_NODES, pipeline_chunks=3),
         3,
@@ -259,3 +262,41 @@ def test_unknown_method_or_variant_is_always_rejected(codec) -> None:
             )
 
     make_world("thread", 2, timeout=30.0).run(kernel)
+
+
+@pytest.mark.parametrize("runtime", RUNTIMES)
+def test_bound_two_level_plan_keeps_the_pairwise_rule(runtime: str) -> None:
+    """A plan bound to two-level exchanges with no topology runs the flat
+    fallback, under the credit rule ``method="pairwise"`` picks, and
+    agrees bit for bit with the virtual transform."""
+    shape = (8, 8, 8)
+    profile = TuningProfile(machine="test")
+    profile.record(P, shape, TuningEntry(codec="identity", pipeline_chunks=1,
+                                         variant="two-level", measured_s=0.0))
+    plan = Fft3d(shape, P, codec=IdentityCodec(), tuning=profile)
+    x = np.random.default_rng(2).standard_normal(shape)
+    blocks = plan.scatter(x)
+
+    def kernel(comm):
+        out = plan.forward_spmd(comm, blocks[comm.rank], method="pairwise")
+        (binding,) = comm.attrs.values()
+        return out, [(type(b.exchange), b.exchange.rule) for b in binding.bound]
+
+    results = make_world(runtime, P, timeout=60.0).run(kernel)
+    assert np.array_equal(plan.gather([out for out, _ in results]), plan.forward(x))
+    for _, exchanges in results:
+        assert exchanges == [(TwoLevelCompressedAlltoallv, "credit")] * len(plan.reshapes)
+
+
+def test_codec_options_need_a_codec() -> None:
+    """The two-level exchange routes frames and the raw exchange has none
+    to configure: both refuse what they could not use."""
+
+    def kernel(comm):
+        with pytest.raises(CommunicatorError, match="codec"):
+            TwoLevelCompressedAlltoallv(comm, None, topology=TWO_NODES)
+        for option in (dict(e_tol=1e-3), dict(pipeline_chunks=2), dict(tuned="key")):
+            with pytest.raises(CommunicatorError, match="codec"):
+                SlotExchange(comm, **option)
+
+    make_world("thread", P, timeout=30.0).run(kernel)
