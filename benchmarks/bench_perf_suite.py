@@ -13,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.perf.baseline import SUITE_CASES
-from repro.perf.cli import traced_report_case
 from repro.perf.critical_path import critical_path, exchange_paths
 from repro.perf.overlap import bandwidth_report, overlap_report
+from repro.trace.cli import traced_case
 
 
 @pytest.mark.parametrize("case", sorted(SUITE_CASES))
@@ -26,7 +26,7 @@ def test_suite_case(benchmark, case):
 
 def test_analysis_pass(benchmark):
     """Critical path + overlap + bandwidth over one traced pipelined exchange."""
-    tracer, topo = traced_report_case("alltoall", nranks=4, seed=0)
+    tracer, topo, _ = traced_case("alltoall", nranks=4, seed=0)
     events = tracer.span_events()
 
     def analyse():

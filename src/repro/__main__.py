@@ -10,18 +10,17 @@ pytest:
 drives the observability layer (see DESIGN.md §7):
 
     python -m repro trace fft --ranks 8 --n 16 --out out/
-    python -m repro trace alltoall --bench-name pr2
+    python -m repro trace alltoall --ranks 4   # + critical path, overlap, bandwidth
 
 the conformance gate (see DESIGN.md §8):
 
     python -m repro conformance --seed 7 --cases 200 --shrink
     python -m repro conformance --seed 7 --replay 13
 
-the perf analysis / regression gate (see DESIGN.md §9):
+the perf regression gate (see DESIGN.md §9):
 
     python -m repro perf record --name pr4
     python -m repro perf compare --baseline BENCH_pr4.json
-    python -m repro perf report --case alltoall
 
 the exchange autotuner (see DESIGN.md §11):
 
@@ -130,7 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace_p = sub.add_parser("trace", help="run a traced case; emit Chrome trace + BENCH json")
     trace_p.add_argument("case", nargs="?", default="fft", help="fft (default) or alltoall")
-    trace_p.add_argument("--ranks", type=int, default=8, help="SPMD thread ranks")
+    trace_p.add_argument(
+        "--ranks", type=int, default=8, help="SPMD ranks (even, at most 16: the laptop topology)"
+    )
     trace_p.add_argument("--n", type=int, default=16, help="grid edge (n^3 cells)")
     trace_p.add_argument("--e-tol", type=float, default=1e-6, help="error tolerance")
     trace_p.add_argument(
@@ -138,8 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_common_flags(trace_p)
     _add_runtime_flag(trace_p)
-    # legacy spelling, same destination
-    trace_p.add_argument("--out-dir", dest="out", help=argparse.SUPPRESS)
 
     conf_p = sub.add_parser("conformance", help="property-based differential conformance gate")
     conf_p.add_argument("--cases", type=int, default=35, help="number of generated cases")
@@ -159,8 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
         conf_p, out_default=None, out_help="write a failure-replay JSON file on failure"
     )
 
-    perf_p = sub.add_parser("perf", help="critical-path/overlap analysis + regression gate")
-    perf_p.add_argument("action", choices=("record", "compare", "report"))
+    perf_p = sub.add_parser("perf", help="perf regression gate")
+    perf_p.add_argument("action", choices=("record", "compare"))
     perf_p.add_argument("--name", default="perf", help="BENCH_<name>.json artefact name")
     perf_p.add_argument(
         "--baseline", default=None, metavar="FILE", help="baseline BENCH json (compare)"
@@ -178,8 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="artificially slow each repeat by this factor (gate self-test)",
     )
-    perf_p.add_argument("--case", default="alltoall", help="report workload: alltoall or fft")
-    perf_p.add_argument("--ranks", type=int, default=4, help="report workload ranks")
     _add_common_flags(perf_p)
     _add_runtime_flag(perf_p)
 
@@ -312,8 +309,6 @@ def main(argv: list[str] | None = None) -> int:
             rel_tol=args.rel_tol,
             mad_mult=args.mad_mult,
             slowdown=args.slowdown,
-            case=args.case,
-            nranks=args.ranks,
             runtime=args.runtime,
         )
 

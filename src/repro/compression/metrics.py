@@ -14,17 +14,7 @@ import numpy as np
 from repro.compression.base import Codec
 from repro.trace import span as trace_span
 
-__all__ = ["CompressionReport", "evaluate_codec", "rel_l2_error", "max_abs_error"]
-
-
-def rel_l2_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """Relative 2-norm error ``||x - y|| / ||x||`` (0 when both are zero)."""
-    x = np.asarray(original).reshape(-1)
-    y = np.asarray(reconstructed).reshape(-1)
-    denom = np.linalg.norm(x)
-    if denom == 0.0:
-        return float(np.linalg.norm(y))
-    return float(np.linalg.norm(x - y) / denom)
+__all__ = ["CompressionReport", "evaluate_codec", "max_abs_error"]
 
 
 def max_abs_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -64,6 +54,8 @@ class CompressionReport:
 
 def evaluate_codec(codec: Codec, data: np.ndarray) -> CompressionReport:
     """Round-trip ``data`` through ``codec`` and report rate + error."""
+    from repro.accuracy.metrics import rel_error  # repro.accuracy imports the codecs
+
     data = np.asarray(data)
     with trace_span("compress", codec=codec.name, bytes=int(data.nbytes)):
         msg = codec.compress(data)
@@ -74,6 +66,6 @@ def evaluate_codec(codec: Codec, data: np.ndarray) -> CompressionReport:
         n_values=msg.n_values,
         original_nbytes=8 * msg.n_values,
         compressed_nbytes=msg.nbytes,
-        rel_l2=rel_l2_error(data, back),
+        rel_l2=rel_error(data, back),
         max_abs=max_abs_error(data, back),
     )

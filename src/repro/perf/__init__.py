@@ -6,7 +6,7 @@ The *answering* layer on top of :mod:`repro.trace`'s raw span streams
 actually hid and how the wire compares to the
 :class:`~repro.machine.spec.MachineSpec` model
 (:mod:`~repro.perf.overlap`), and the
-``python -m repro perf record|compare|report`` regression gate
+``python -m repro perf record|compare`` regression gate
 (:mod:`~repro.perf.baseline`, :mod:`~repro.perf.cli`).
 """
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.trace.core import SpanEvent, Tracer
+from repro.trace.core import Record, Tracer
 
 __all__ = [
     "RankTimeline",
@@ -71,13 +71,14 @@ class CriticalPath:
     index: int | None = None  # exchange round, when scoped per exchange
 
 
-def _events(source: Tracer | Iterable[SpanEvent]) -> list[SpanEvent]:
+def span_records(source: Tracer | Iterable[Record]) -> list[Record]:
+    """The span records of a tracer or of a record list, by start time."""
     if isinstance(source, Tracer):
         return source.span_events()
-    return sorted(source, key=lambda s: s.t0_ns)
+    return sorted((r for r in source if r.ph == "X"), key=lambda s: s.t0_ns)
 
 
-def _self_times(spans: Sequence[SpanEvent]) -> dict[str, float]:
+def _self_times(spans: Sequence[Record]) -> dict[str, float]:
     """Per-kind self time (s) of one rank's properly nested span list.
 
     A span's children are the *shallowest* spans strictly inside it; a
@@ -85,7 +86,7 @@ def _self_times(spans: Sequence[SpanEvent]) -> dict[str, float]:
     duration from its direct parent exactly once.
     """
     out: dict[str, float] = {}
-    stack: list[SpanEvent] = []
+    stack: list[Record] = []
     child_ns: dict[int, int] = {}  # id(span) -> ns consumed by children
     ordered = sorted(spans, key=lambda s: (s.t0_ns, -s.t1_ns))
     for s in ordered:
@@ -101,7 +102,7 @@ def _self_times(spans: Sequence[SpanEvent]) -> dict[str, float]:
 
 
 def phase_attribution(
-    source: Tracer | Iterable[SpanEvent],
+    source: Tracer | Iterable[Record],
 ) -> dict[int, RankTimeline]:
     """Attribute every rank's window to phase self-times + idle.
 
@@ -110,8 +111,8 @@ def phase_attribution(
     top-level spans, so ``sum(phases.values()) == end_to_end_s`` holds
     exactly per rank.
     """
-    by_rank: dict[int, list[SpanEvent]] = {}
-    for s in _events(source):
+    by_rank: dict[int, list[Record]] = {}
+    for s in span_records(source):
         by_rank.setdefault(s.rank, []).append(s)
     out: dict[int, RankTimeline] = {}
     for rank, spans in sorted(by_rank.items()):
@@ -124,7 +125,7 @@ def phase_attribution(
     return out
 
 
-def critical_path(source: Tracer | Iterable[SpanEvent]) -> CriticalPath | None:
+def critical_path(source: Tracer | Iterable[Record]) -> CriticalPath | None:
     """The run-level critical path: the rank with the longest window.
 
     Returns ``None`` on an empty stream (no spans recorded) — callers
@@ -142,7 +143,7 @@ def critical_path(source: Tracer | Iterable[SpanEvent]) -> CriticalPath | None:
     )
 
 
-def exchange_paths(source: Tracer | Iterable[SpanEvent]) -> list[CriticalPath]:
+def exchange_paths(source: Tracer | Iterable[Record]) -> list[CriticalPath]:
     """One critical path per exchange round.
 
     Every rank opens one ``exchange`` span per reshape, in the same
@@ -150,14 +151,14 @@ def exchange_paths(source: Tracer | Iterable[SpanEvent]) -> list[CriticalPath]:
     each round the bounding rank is the one with the longest exchange
     span; its breakdown covers the spans nested inside that exchange.
     """
-    events = _events(source)
+    events = span_records(source)
     # Only *outermost* exchange spans define rounds: a compressed
     # collective opens its own exchange span inside the reshape's.
-    exchanges_by_rank: dict[int, list[SpanEvent]] = {}
+    exchanges_by_rank: dict[int, list[Record]] = {}
     for s in events:
         if s.kind == "exchange":
             exchanges_by_rank.setdefault(s.rank, []).append(s)
-    rounds: dict[int, list[SpanEvent]] = {}
+    rounds: dict[int, list[Record]] = {}
     for rank, spans in exchanges_by_rank.items():
         outer = [
             s
@@ -170,7 +171,7 @@ def exchange_paths(source: Tracer | Iterable[SpanEvent]) -> list[CriticalPath]:
         for k, s in enumerate(sorted(outer, key=lambda s: s.t0_ns)):
             rounds.setdefault(k, []).append(s)
 
-    by_rank: dict[int, list[SpanEvent]] = {}
+    by_rank: dict[int, list[Record]] = {}
     for s in events:
         by_rank.setdefault(s.rank, []).append(s)
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.machine.topology import Topology
-from repro.trace.core import SpanEvent, Tracer
+from repro.perf.critical_path import span_records
+from repro.trace.core import Record, Tracer
 
 __all__ = [
     "COMM_KINDS",
@@ -119,13 +120,7 @@ class OverlapReport:
         return self.hidden_s / total if total > 0 else 1.0
 
 
-def _span_events(source: Tracer | Iterable[SpanEvent]) -> list[SpanEvent]:
-    if isinstance(source, Tracer):
-        return source.span_events()
-    return list(source)
-
-
-def overlap_report(source: Tracer | Iterable[SpanEvent]) -> OverlapReport:
+def overlap_report(source: Tracer | Iterable[Record]) -> OverlapReport:
     """Compute per-rank and total hidden-codec-time fractions.
 
     A rank's codec span is "hidden" where it intersects the union of
@@ -135,7 +130,7 @@ def overlap_report(source: Tracer | Iterable[SpanEvent]) -> OverlapReport:
     thread does one thing at a time), so the signal is genuinely the
     cross-rank pipelining the fenced ring creates.
     """
-    events = _span_events(source)
+    events = span_records(source)
     comm_union = interval_union(
         (s.t0_ns, s.t1_ns) for s in events if s.kind in COMM_KINDS
     )
@@ -186,7 +181,7 @@ class LinkClassBandwidth:
 
 
 def bandwidth_report(
-    source: Tracer | Iterable[SpanEvent], topology: Topology
+    source: Tracer | Iterable[Record], topology: Topology
 ) -> dict[str, LinkClassBandwidth]:
     """Group wire spans by link class and score against the machine model.
 
@@ -214,7 +209,7 @@ def bandwidth_report(
             )
         return classes[link]
 
-    for s in _span_events(source):
+    for s in span_records(source):
         if s.kind not in ("put", "sendrecv"):
             continue
         peer = s.attrs.get("peer")

@@ -369,25 +369,33 @@ class ResilientFft3d:
         without a barrier, when ``shrink`` retired its communicator.
         """
         store = CheckpointStore(comm.world.segments)
-        for step, stage in enumerate(plan._pipeline(inverse)[start:], start):
-            rplan = stage.reshape
-            key = (tag, comm.size, step, comm.rank)
-            with trace_span("checkpoint", rank=comm.rank, stage=step):
-                store.save(key, block, meta={"stage": step, "inverse": int(inverse)})
-            sent = None
-            if self.abft:
-                mine = reshape_checksums(rplan, comm.rank, block, stage=step)
-                sent = {}
-                for entries in comm.allgather(mine.entries):
-                    sent.update(entries)
-            bound = plan._bind(comm, self.method, self.variant, block.shape[:-3]).bound[step]
-            block = plan._reshape_stage(bound, block, plan.last_stats, pool)
-            if self.abft:
-                got = reshape_checksums(
-                    rplan, comm.rank, block, stage=step, direction="recv"
-                )
-                verify_checksums(sent, got, self.checksum_tolerance)
-            block = plan._fft_stage(comm, block, stage)
+        try:
+            for step, stage in enumerate(plan._pipeline(inverse)[start:], start):
+                rplan = stage.reshape
+                key = (tag, comm.size, step, comm.rank)
+                with trace_span("checkpoint", rank=comm.rank, stage=step):
+                    store.save(key, block, meta={"stage": step, "inverse": int(inverse)})
+                sent = None
+                if self.abft:
+                    mine = reshape_checksums(rplan, comm.rank, block, stage=step)
+                    sent = {}
+                    for entries in comm.allgather(mine.entries):
+                        sent.update(entries)
+                bound = plan._bind(comm, self.method, self.variant, block.shape[:-3]).bound[step]
+                block = plan._reshape_stage(bound, block, plan.last_stats, pool)
+                if self.abft:
+                    got = reshape_checksums(
+                        rplan, comm.rank, block, stage=step, direction="recv"
+                    )
+                    verify_checksums(sent, got, self.checksum_tolerance)
+                block = plan._fft_stage(comm, block, stage)
+        finally:
+            # Close the mappings here, not at garbage collection: a failed
+            # run's traceback keeps this frame in a reference cycle, and
+            # the cyclic collector finalizes a segment before the array
+            # over its buffer, which cannot close ("BufferError: cannot
+            # close exported pointers exist").
+            store.close()
         return block
 
     # -- recovery ---------------------------------------------------------------------

@@ -10,12 +10,16 @@ fork-shared locks), so those phases genuinely overlap.
 
 Ranks are forked, not spawned: kernels are closures over NumPy arrays,
 which fork inherits (with the fork-shared locks, which cannot be
-created after the fact) and the ``spawn`` pickler cannot move.  Each
-child writes its :class:`~repro.trace.core.Tracer` events to a spool
-the parent merges (CLOCK_MONOTONIC timestamps land on the parent
-timeline).  A :class:`ProcessWorld` is **one-shot**: after its ``run``
-the parent reaps the children (join → terminate → kill) and sweeps
-every uid-prefixed segment, leak-clean even after failures; a child's
+created after the fact) and the ``spawn`` pickler cannot move.  Under
+an installed tracer each child records into a fresh
+:class:`~repro.trace.core.Tracer`, whose records ride home with its
+result on the result pipe and are absorbed by the parent's
+(CLOCK_MONOTONIC timestamps land on the parent timeline); a SIGKILLed
+rank's records die with it — what survives a kill is its share of the
+flight ring, segment ``t``.  A
+:class:`ProcessWorld` is **one-shot**: after its ``run`` the parent
+reaps the children (join → terminate → kill) and sweeps every
+uid-prefixed segment, leak-clean even after failures; a child's
 exception is re-raised with ``.rank`` and its traceback as a note.
 
 What is the process launcher's own: the
@@ -32,9 +36,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
-import shutil
 import signal
-import tempfile
 import time
 import traceback
 import weakref
@@ -111,21 +113,16 @@ def _child_main(
     fn: Callable[..., Any],
     args: tuple,
     kwargs: dict,
-    spool_dir: str | None,
 ) -> None:
     """Entry point of one forked rank."""
     world._child_rank = rank
     world.state.set_pid(rank, os.getpid())
-    # The fork copied the parent's tracer *buffers*; events recorded
-    # here must go to a fresh tracer and travel home via the spool.
-    parent_tracer = trace_get_tracer()
-    child_tracer: Tracer | None = None
-    if parent_tracer is not None and parent_tracer.enabled and spool_dir is not None:
-        child_tracer = Tracer()
-        trace_install(child_tracer)
-        child_tracer.bind_rank(rank)
-    else:
-        trace_install(None)
+    # The fork copied the parent's tracer and its records; this rank
+    # records into a fresh one, whose records ride home with the result.
+    tracer = Tracer() if trace_get_tracer() is not None else None
+    trace_install(tracer)
+    if tracer is not None:
+        tracer.bind_rank(rank)
     # Events recorded by this rank land in the world's flight ring, where
     # the parent reads them even after this process dies.
     bind(world.flight)
@@ -148,22 +145,19 @@ def _child_main(
         payload = _encode_error(rank, exc)
         emit("abort", rank, detail=f"{type(exc).__name__}: {exc}")
     comm.release()  # arenas the kernel left cached on its communicator
-    if child_tracer is not None:
+    records = b""
+    if tracer is not None:
         try:
-            from repro.trace.export import write_spool
-
-            write_spool(child_tracer, os.path.join(spool_dir, f"rank{rank}.json"))
+            records = pickle.dumps(tracer.records())
         except Exception:  # noqa: BLE001 - tracing must never kill a rank
-            pass
-    try:
-        conn.send(payload)
-    except Exception:  # noqa: BLE001 - e.g. an unpicklable kernel return value
+            pass  # an attribute that does not pickle loses this rank's trace
+    unpicklable = ("err", rank, None, f"rank {rank}: kernel return value is not picklable")
+    for message in (payload, unpicklable):
         try:
-            conn.send(
-                ("err", rank, None, f"rank {rank}: kernel return value is not picklable")
-            )
-        except Exception:  # noqa: BLE001
-            pass
+            conn.send((message, records))
+            break
+        except Exception:  # noqa: BLE001 - e.g. an unpicklable kernel return value
+            continue
     conn.close()
 
 
@@ -280,14 +274,12 @@ class ProcessWorld(World):
         if self._child_rank is not None:
             raise CommunicatorError("run() called inside a rank process")
         self._spawned = True
-        parent_tracer = trace_get_tracer()
-        spool_dir = None
-        if parent_tracer is not None and parent_tracer.enabled:
-            spool_dir = tempfile.mkdtemp(prefix="repro-spool-")
+        tracer = trace_get_tracer()
         usr1_armed = arm_signal_dump(lambda: self.blackbox("SIGUSR1"))
         conns = []
         procs = []
         payloads: list[Any] = [None] * self.nranks
+        traces: list[bytes] = [b""] * self.nranks
         prev = self._open_flight()
         # Arm the watchdog before any child exists: forked ranks beacon
         # against a started clock from their very first transport op.
@@ -297,7 +289,7 @@ class ProcessWorld(World):
                 recv_end, send_end = self._ctx.Pipe(duplex=False)
                 proc = self._ctx.Process(
                     target=_child_main,
-                    args=(self, rank, send_end, fn, args, kwargs, spool_dir),
+                    args=(self, rank, send_end, fn, args, kwargs),
                     name=f"spmd-proc-rank-{rank}",
                     daemon=True,
                 )
@@ -311,16 +303,11 @@ class ProcessWorld(World):
                 self.state.set_pid(rank, proc.pid)
             for _, send_end in procs:
                 send_end.close()  # child holds the only writer now
-            payloads = self._collect([p for p, _ in procs], conns)
+            payloads, traces = self._collect([p for p, _ in procs], conns)
         finally:
             self._reap([p for p, _ in procs])
             for conn in conns:
                 conn.close()
-            if spool_dir is not None:
-                try:
-                    self._merge_spools(parent_tracer, spool_dir)
-                finally:
-                    shutil.rmtree(spool_dir, ignore_errors=True)
             if usr1_armed:
                 disarm_signal_dump()
             try:
@@ -333,6 +320,10 @@ class ProcessWorld(World):
                 self._close_flight(prev, recovered)
             finally:
                 self.close()
+        if tracer is not None:
+            for records in traces:
+                if records:
+                    tracer.absorb(pickle.loads(records))
         return self._interpret(payloads, [p for p, _ in procs])
 
     def _note_rank_death(self, rank: int, exitcode: Any) -> None:
@@ -360,11 +351,13 @@ class ProcessWorld(World):
         except Exception:  # noqa: BLE001 - bookkeeping must not mask the root error
             pass
 
-    def _collect(self, procs: list, conns: list) -> list[Any]:
+    def _collect(self, procs: list, conns: list) -> tuple[list[Any], list[bytes]]:
         """Read result pipes while children run (a child sending a large
         result blocks in the pipe until the parent reads it — waiting
-        for join first would deadlock)."""
+        for join first would deadlock); returns every rank's payload and
+        its pickled trace records (``b""``: none)."""
         payloads: list[Any] = [None] * self.nranks
+        traces: list[bytes] = [b""] * self.nranks
         done = [False] * self.nranks
         deadline = time.monotonic() + self.timeout * 2 + 5.0
         death_noted: set[int] = set()
@@ -375,7 +368,7 @@ class ProcessWorld(World):
                     continue
                 if conn.poll(0):
                     try:
-                        payloads[rank] = conn.recv()
+                        payloads[rank], traces[rank] = conn.recv()
                     except EOFError:
                         # Pipe torn with no payload: the child died (a
                         # SIGKILL races the is_alive check below, and the
@@ -407,7 +400,7 @@ class ProcessWorld(World):
                 break
             if not progressed:
                 time.sleep(0.01)
-        return payloads
+        return payloads, traces
 
     def _reap(self, procs: list) -> None:
         """Join every child; escalate to terminate, then kill."""
@@ -420,19 +413,6 @@ class ProcessWorld(World):
             if proc.is_alive():
                 proc.kill()
                 proc.join(timeout=2.0)
-
-    def _merge_spools(self, tracer, spool_dir: str) -> None:
-        from repro.trace.export import absorb_spool
-
-        if tracer is None:
-            return
-        for rank in range(self.nranks):
-            path = os.path.join(spool_dir, f"rank{rank}.json")
-            if os.path.exists(path):
-                try:
-                    absorb_spool(tracer, path)
-                except Exception:  # noqa: BLE001 - a torn spool must not mask results
-                    pass
 
     def _interpret(self, payloads: list[Any], procs: list) -> list[Any]:
         results: list[Any] = [None] * self.nranks

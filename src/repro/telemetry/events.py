@@ -194,7 +194,7 @@ def emit(kind: str, rank: int | None = None, **attrs: Any) -> None:
     """Publish one point event of ``kind`` (see :data:`KINDS`) on ``rank``."""
     route = KINDS[kind]
     tracer = _trace.get_tracer()
-    if route.trace is not None and tracer is not None and tracer.enabled:
+    if route.trace is not None and tracer is not None:
         route.trace(tracer, rank, attrs)
     _publish(route.flight, route.metrics, kind, rank, attrs)
 

@@ -13,8 +13,7 @@ from repro.trace.core import (
     COUNTER_KINDS,
     NULL_SPAN,
     SPAN_KINDS,
-    InstantEvent,
-    SpanEvent,
+    Record,
     Tracer,
     bind_rank,
     get_tracer,
@@ -35,8 +34,7 @@ from repro.trace.export import (
 __all__ = [
     "SPAN_KINDS",
     "COUNTER_KINDS",
-    "SpanEvent",
-    "InstantEvent",
+    "Record",
     "Tracer",
     "NULL_SPAN",
     "get_tracer",

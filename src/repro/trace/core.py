@@ -1,17 +1,20 @@
-"""Per-rank tracing and metrics: spans, instants and typed counters.
+"""Per-rank tracing: spans, instants and typed counters, one record each.
 
-The measurement substrate every perf claim reports through.  Three
-design constraints drive the shape of this module:
+The measurement substrate every perf claim reports through.  Every
+event is one :class:`Record` ``(ph, kind, rank, t0_ns, t1_ns, depth,
+attrs)``; every view (spans, counter totals, the exporters, the perf
+analyses) reads the one list.  Three design constraints drive the shape
+of this module:
 
 * **per-rank attribution** — every event carries the rank it happened
   on.  SPMD threads bind their rank once (``ThreadWorld.run`` does it
   automatically) and all spans/counters opened on that thread inherit
   it; the virtual executor, which runs every rank in one thread, passes
   ``rank=`` explicitly per event.
-* **thread safety** — each thread appends to its own buffer (created
-  lazily, registered under a lock); buffers are merged only at export
-  time, so the hot path takes no locks.
-* **zero overhead when disabled** — the module-level helpers
+* **thread safety** — each thread appends to its own record list
+  (created lazily, registered under a lock); the lists are merged only
+  at export time, so the hot path takes no locks.
+* **no cost when nothing listens** — the module-level helpers
   (:func:`span`, :func:`incr`, …) short-circuit to shared no-op objects
   when no tracer is installed; instrumented code never needs an ``if``.
 
@@ -35,14 +38,12 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "SPAN_KINDS",
     "COUNTER_KINDS",
-    "SpanEvent",
-    "InstantEvent",
+    "Record",
     "Tracer",
     "get_tracer",
     "install",
@@ -89,30 +90,26 @@ COUNTER_KINDS = (
 )
 
 
-@dataclass
-class SpanEvent:
-    """One closed span: a named interval on one rank."""
+class Record(NamedTuple):
+    """One traced event on one rank.
 
+    ``ph`` is Chrome's phase name: ``"X"`` is a span, ``"i"`` an instant
+    (``t1_ns == t0_ns``) and ``"C"`` a counter increment of counter
+    ``kind``, whose ``attrs`` is the delta.  ``depth`` is the span
+    nesting depth of the recording thread at the event.
+    """
+
+    ph: str
     kind: str
     rank: int
     t0_ns: int
     t1_ns: int
     depth: int
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: Any
 
     @property
     def duration_ns(self) -> int:
         return self.t1_ns - self.t0_ns
-
-
-@dataclass
-class InstantEvent:
-    """A point event (e.g. a folded resilience event)."""
-
-    kind: str
-    rank: int
-    ts_ns: int
-    attrs: dict[str, Any] = field(default_factory=dict)
 
 
 class _NullSpan:
@@ -134,18 +131,14 @@ NULL_SPAN = _NullSpan()
 
 
 class _ThreadBuffer:
-    """Per-thread event storage; merged by the tracer at export time."""
+    """One thread's records; merged by the tracer at export time."""
 
-    __slots__ = ("rank", "depth", "spans", "instants", "counters", "samples")
+    __slots__ = ("rank", "depth", "records")
 
     def __init__(self) -> None:
         self.rank = -1  # unbound until bind_rank()
         self.depth = 0
-        self.spans: list[SpanEvent] = []
-        self.instants: list[InstantEvent] = []
-        self.counters: dict[tuple[int, str], float] = {}
-        # counter time series: (ts_ns, rank, name, delta) per incr()
-        self.samples: list[tuple[int, int, str, float]] = []
+        self.records: list[Record] = []
 
 
 class _Span:
@@ -178,24 +171,19 @@ class _Span:
         buf = self._buf
         buf.depth = self._depth
         rank = self._rank if self._rank is not None else buf.rank
-        buf.spans.append(SpanEvent(self._kind, rank, self._t0, t1, self._depth, self._attrs))
+        buf.records.append(Record("X", self._kind, rank, self._t0, t1, self._depth, self._attrs))
         return False
 
 
 class Tracer:
     """Per-process trace collector; one instance per measured run.
 
-    Parameters
-    ----------
-    enabled:
-        ``False`` makes every recording method a no-op (the object can
-        stay installed; useful for toggling without re-plumbing).
-    clock:
-        Nanosecond monotonic clock (overridable for deterministic tests).
+    Every event is one :class:`Record` appended to the recording
+    thread's list; ``clock`` is the nanosecond monotonic clock
+    (overridable for deterministic tests).
     """
 
-    def __init__(self, *, enabled: bool = True, clock=time.perf_counter_ns) -> None:
-        self.enabled = bool(enabled)
+    def __init__(self, *, clock=time.perf_counter_ns) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._buffers: list[_ThreadBuffer] = []
@@ -212,23 +200,23 @@ class Tracer:
                 self._buffers.append(buf)
         return buf
 
+    def _record(self, ph: str, kind: str, rank: int | None, t0: int, t1: int, attrs: Any) -> None:
+        buf = self._buf()
+        r = rank if rank is not None else buf.rank
+        buf.records.append(Record(ph, kind, r, t0, t1, buf.depth, attrs))
+
     def bind_rank(self, rank: int) -> None:
         """Attribute this thread's subsequent events to ``rank``."""
         self._buf().rank = int(rank)
 
-    def span(self, kind: str, *, rank: int | None = None, **attrs: Any):
+    def span(self, kind: str, *, rank: int | None = None, **attrs: Any) -> _Span:
         """Open a nestable span; use as a context manager."""
-        if not self.enabled:
-            return NULL_SPAN
         return _Span(self, self._buf(), kind, rank, attrs)
 
     def instant(self, kind: str, *, rank: int | None = None, **attrs: Any) -> None:
         """Record a point event."""
-        if not self.enabled:
-            return
-        buf = self._buf()
-        r = rank if rank is not None else buf.rank
-        buf.instants.append(InstantEvent(kind, r, self._clock(), attrs))
+        now = self._clock()
+        self._record("i", kind, rank, now, now, attrs)
 
     def record_span(
         self,
@@ -246,26 +234,14 @@ class Tracer:
         The end timestamp comes from this tracer's clock, so the span
         lines up with context-manager spans in the Chrome export.
         """
-        if not self.enabled:
-            return
-        buf = self._buf()
-        r = rank if rank is not None else buf.rank
         t1 = self._clock()
-        buf.spans.append(SpanEvent(kind, r, t1 - max(0, int(duration_ns)), t1, buf.depth, attrs))
+        self._record("X", kind, rank, t1 - max(0, int(duration_ns)), t1, attrs)
 
     def incr(self, name: str, value: float = 1, *, rank: int | None = None) -> None:
-        """Add ``value`` to counter ``name`` on ``rank``.
-
-        Every increment is also timestamped, so exporters can render
-        counters as time series (Chrome ``ph: "C"`` lanes).
-        """
-        if not self.enabled:
-            return
-        buf = self._buf()
-        r = rank if rank is not None else buf.rank
-        key = (r, name)
-        buf.counters[key] = buf.counters.get(key, 0) + value
-        buf.samples.append((self._clock(), r, name, value))
+        """Add ``value`` to counter ``name`` on ``rank`` (one timestamped
+        ``"C"`` record, so exporters can render counters as time series)."""
+        now = self._clock()
+        self._record("C", name, rank, now, now, value)
 
     def record_report(self, report: Any, *, rank: int | None = None) -> None:
         """Fold a :class:`~repro.faults.ResilienceReport` into the stream.
@@ -274,7 +250,7 @@ class Tracer:
         (``integrity-failure``, ``retry``, ``degrade``, …); the retry /
         degradation / retransmission tallies feed the typed counters.
         """
-        if not self.enabled or report is None:
+        if report is None:
             return
         r = rank if rank is not None else (report.rank if report.rank >= 0 else None)
         for event in report.events:
@@ -296,75 +272,45 @@ class Tracer:
 
     # -- export-side accessors ------------------------------------------------------
 
-    def _all_buffers(self) -> list[_ThreadBuffer]:
+    def records(self, ph: str | None = None) -> list[Record]:
+        """Every record (of phase ``ph``, if given), merged across
+        threads, ordered by start time."""
         with self._lock:
-            return list(self._buffers)
+            buffers = list(self._buffers)
+        out = [r for buf in buffers for r in buf.records if ph is None or r.ph == ph]
+        out.sort(key=lambda r: r.t0_ns)
+        return out
 
-    def span_events(self) -> list[SpanEvent]:
-        """All closed spans, merged across threads, ordered by start time."""
-        events = [s for buf in self._all_buffers() for s in buf.spans]
-        events.sort(key=lambda s: s.t0_ns)
-        return events
-
-    def instant_events(self) -> list[InstantEvent]:
-        """All point events, merged across threads, ordered by timestamp."""
-        events = [i for buf in self._all_buffers() for i in buf.instants]
-        events.sort(key=lambda i: i.ts_ns)
-        return events
+    def span_events(self) -> list[Record]:
+        """All closed spans, ordered by start time."""
+        return self.records("X")
 
     def counters(self) -> dict[tuple[int, str], float]:
-        """Merged ``(rank, name) -> value`` counter map."""
+        """``(rank, name) -> value``: the ``"C"`` records folded."""
         out: dict[tuple[int, str], float] = {}
-        for buf in self._all_buffers():
-            for key, value in buf.counters.items():
-                out[key] = out.get(key, 0) + value
+        for r in self.records("C"):
+            key = (r.rank, r.kind)
+            out[key] = out.get(key, 0) + r.attrs
         return out
 
     def counter_total(self, name: str) -> float:
         """Sum of counter ``name`` across all ranks."""
         return sum(v for (_, n), v in self.counters().items() if n == name)
 
-    def counter_samples(self) -> list[tuple[int, int, str, float]]:
-        """Timestamped counter increments ``(ts_ns, rank, name, delta)``.
-
-        Merged across threads, ordered by timestamp.
-        """
-        samples = [s for buf in self._all_buffers() for s in buf.samples]
-        samples.sort(key=lambda s: s[0])
-        return samples
-
     def ranks(self) -> list[int]:
-        """Sorted ranks that recorded at least one event or counter."""
-        seen: set[int] = set()
-        for buf in self._all_buffers():
-            seen.update(s.rank for s in buf.spans)
-            seen.update(i.rank for i in buf.instants)
-            seen.update(r for r, _ in buf.counters)
-        return sorted(seen)
+        """Sorted ranks that recorded at least one event."""
+        return sorted({r.rank for r in self.records()})
 
-    def absorb(
-        self,
-        *,
-        spans: Sequence[SpanEvent] = (),
-        instants: Sequence[InstantEvent] = (),
-        counters: dict[tuple[int, str], float] | None = None,
-        samples: Sequence[tuple[int, int, str, float]] = (),
-    ) -> None:
-        """Merge events recorded elsewhere into this tracer.
+    def absorb(self, records: Sequence[Record]) -> None:
+        """Merge records made elsewhere into this tracer.
 
-        The process runtime uses this to fold each rank's spooled trace
-        back into the parent's tracer: spans/instants/samples append,
-        counters add.  Timestamps are assumed
-        comparable with this tracer's clock (true for
-        ``perf_counter_ns`` across processes on one Linux machine).
+        The process launcher folds each forked rank's records in with
+        this.  Timestamps are assumed comparable with this tracer's
+        clock (true for ``perf_counter_ns`` across processes on one
+        Linux machine).
         """
-        buf = self._buf()
-        buf.spans.extend(spans)
-        buf.instants.extend(instants)
-        if counters:
-            for key, value in counters.items():
-                buf.counters[key] = buf.counters.get(key, 0) + value
-        buf.samples.extend(samples)
+        self._buf().records.extend(records)
+
 
 # -- module-level active tracer -------------------------------------------------------
 
@@ -400,13 +346,13 @@ def tracing(**kwargs: Any) -> Iterator[Tracer]:
 
 
 def span(kind: str, *, rank: int | None = None, **attrs: Any):
-    """Open a span on the active tracer (no-op context when disabled)."""
+    """Open a span on the active tracer (a no-op context without one)."""
     t = _active
     return NULL_SPAN if t is None else t.span(kind, rank=rank, **attrs)
 
 
 def incr(name: str, value: float = 1, *, rank: int | None = None) -> None:
-    """Bump a typed counter on the active tracer (no-op when disabled)."""
+    """Bump a typed counter on the active tracer (a no-op without one)."""
     t = _active
     if t is not None:
         t.incr(name, value, rank=rank)

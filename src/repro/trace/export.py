@@ -14,17 +14,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.trace.core import InstantEvent, SpanEvent, Tracer
+from repro.trace.core import Tracer
 
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "summarize",
     "span_aggregates",
-    "spool_payload",
-    "write_spool",
-    "read_spool",
-    "absorb_spool",
 ]
 
 
@@ -42,15 +38,15 @@ def _args(attrs: dict[str, Any]) -> dict[str, Any]:
 
 
 def chrome_trace(tracer: Tracer) -> dict[str, Any]:
-    """Render the tracer's stream as a Chrome ``trace_event`` object.
+    """Render the tracer's records as a Chrome ``trace_event`` object.
 
-    One process (pid 0), one thread lane per rank (tid = rank); spans
-    are complete events (``ph="X"``), folded resilience events are
-    thread-scoped instants (``ph="i"``), and typed counters (wire /
-    logical bytes, retries, degradations, …) are counter events
-    (``ph="C"``) — one lane per counter name, one series per rank, each
-    sample carrying the running total at that instant.  Timestamps are
-    microseconds, as the format requires.
+    One process (pid 0), one thread lane per rank (tid = rank); each
+    record keeps its phase: spans are complete events (``ph="X"``),
+    folded resilience events thread-scoped instants (``ph="i"``), and
+    typed counter increments (wire / logical bytes, retries, …) counter
+    events (``ph="C"``) — one lane per counter name, one series per
+    rank, each sample carrying the running total at that instant.
+    Timestamps are microseconds, as the format requires.
     """
     events: list[dict[str, Any]] = []
     for rank in tracer.ranks():
@@ -72,49 +68,27 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
                 "args": {"sort_index": rank},
             }
         )
-    for s in tracer.span_events():
-        events.append(
-            {
-                "name": s.kind,
-                "cat": "repro",
-                "ph": "X",
-                "pid": 0,
-                "tid": s.rank,
-                "ts": s.t0_ns / 1000.0,
-                "dur": s.duration_ns / 1000.0,
-                "args": _args(s.attrs),
-            }
-        )
-    for i in tracer.instant_events():
-        events.append(
-            {
-                "name": i.kind,
-                "cat": "repro",
-                "ph": "i",
-                "s": "t",
-                "pid": 0,
-                "tid": i.rank,
-                "ts": i.ts_ns / 1000.0,
-                "args": _args(i.attrs),
-            }
-        )
-    # Counter lanes: replay the timestamped increments into running
-    # totals so each sample is the cumulative value at that instant.
     running: dict[tuple[int, str], float] = {}
-    for ts_ns, rank, name, delta in tracer.counter_samples():
-        key = (rank, name)
-        running[key] = running.get(key, 0) + delta
-        events.append(
-            {
-                "name": name,
-                "cat": "repro",
-                "ph": "C",
-                "pid": 0,
-                "tid": rank,
-                "ts": ts_ns / 1000.0,
-                "args": {f"rank {rank}": _jsonable(running[key])},
-            }
-        )
+    for r in tracer.records():
+        event = {
+            "name": r.kind,
+            "cat": "repro",
+            "ph": r.ph,
+            "pid": 0,
+            "tid": r.rank,
+            "ts": r.t0_ns / 1000.0,
+        }
+        if r.ph == "C":
+            key = (r.rank, r.kind)
+            running[key] = running.get(key, 0) + r.attrs
+            event["args"] = {f"rank {r.rank}": _jsonable(running[key])}
+        else:
+            event["args"] = _args(r.attrs)
+            if r.ph == "X":
+                event["dur"] = r.duration_ns / 1000.0
+            else:
+                event["s"] = "t"
+        events.append(event)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -144,69 +118,6 @@ def span_aggregates(tracer: Tracer) -> dict[str, dict[str, float]]:
             "max_s": float(arr.max()),
         }
     return out
-
-
-# -- cross-process spool files ---------------------------------------------------------
-#
-# The process runtime cannot share a Tracer across ranks (each rank is
-# a forked child with its own copy), so every rank serializes its
-# tracer to a JSON spool on exit and the parent absorbs all spools back
-# into the installed tracer.  perf_counter_ns is machine-wide monotonic
-# on Linux, so spooled timestamps land directly on the parent timeline.
-
-
-def spool_payload(tracer: Tracer) -> dict[str, Any]:
-    """JSON-safe dump of everything a tracer recorded."""
-    return {
-        "version": 1,
-        "spans": [
-            [s.kind, s.rank, s.t0_ns, s.t1_ns, s.depth, _args(s.attrs)]
-            for s in tracer.span_events()
-        ],
-        "instants": [
-            [i.kind, i.rank, i.ts_ns, _args(i.attrs)] for i in tracer.instant_events()
-        ],
-        # JSON keys must be strings; "rank:name" round-trips the tuple.
-        "counters": {f"{r}:{name}": v for (r, name), v in tracer.counters().items()},
-        "samples": [
-            [ts, rank, name, _jsonable(delta)]
-            for ts, rank, name, delta in tracer.counter_samples()
-        ],
-    }
-
-
-def write_spool(tracer: Tracer, path: str) -> str:
-    """Write a rank's spool file; returns the path."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spool_payload(tracer), fh)
-    return path
-
-
-def read_spool(path: str) -> dict[str, Any]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _split_key(key: str) -> tuple[int, str]:
-    rank, _, name = key.partition(":")
-    return int(rank), name
-
-
-def absorb_spool(tracer: Tracer, path: str) -> None:
-    """Merge one rank's spool file into ``tracer`` (see ``Tracer.absorb``)."""
-    payload = read_spool(path)
-    tracer.absorb(
-        spans=[
-            SpanEvent(kind, rank, t0, t1, depth, attrs)
-            for kind, rank, t0, t1, depth, attrs in payload.get("spans", ())
-        ],
-        instants=[
-            InstantEvent(kind, rank, ts, attrs)
-            for kind, rank, ts, attrs in payload.get("instants", ())
-        ],
-        counters={_split_key(key): v for key, v in payload.get("counters", {}).items()},
-        samples=[tuple(s) for s in payload.get("samples", ())],
-    )
 
 
 def summarize(tracer: Tracer) -> str:

@@ -29,7 +29,7 @@ class TestCli:
         assert "FP64->FP32" in out
 
     def test_trace_alltoall(self, capsys, tmp_path):
-        args = ["trace", "alltoall", "--ranks", "4", "--n", "8", "--out-dir", str(tmp_path)]
+        args = ["trace", "alltoall", "--ranks", "4", "--n", "8", "--out", str(tmp_path)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "wire bytes" in out and "OK" in out
@@ -38,7 +38,7 @@ class TestCli:
 
     def test_trace_unknown_case_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["trace", "nope", "--out-dir", str(tmp_path)])
+            main(["trace", "nope", "--out", str(tmp_path)])
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

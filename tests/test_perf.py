@@ -23,12 +23,13 @@ from repro.perf import (
     overlap_report,
     phase_attribution,
 )
-from repro.trace.core import SpanEvent
+from repro.trace.cli import traced_case
+from repro.trace.core import Record
 
 
 def S(kind, rank, t0, t1, depth=0, **attrs):
     """Shorthand synthetic span (times in ns)."""
-    return SpanEvent(kind, rank, t0, t1, depth, attrs)
+    return Record("X", kind, rank, t0, t1, depth, attrs)
 
 
 # -- interval arithmetic ----------------------------------------------------------------
@@ -293,9 +294,7 @@ class TestRegressionGate:
 class TestTracedIntegration:
     @pytest.fixture(scope="class")
     def pipelined_tracer(self):
-        from repro.perf.cli import traced_report_case
-
-        tracer, topo = traced_report_case("alltoall", nranks=4, seed=1)
+        tracer, topo, _ = traced_case("alltoall", nranks=4, seed=1)
         return tracer, topo
 
     def test_pipelined_exchange_has_positive_overlap(self, pipelined_tracer):
@@ -327,9 +326,7 @@ class TestTracedIntegration:
         assert all(c.bytes > 0 and c.busy_s > 0 for c in classes.values())
 
     def test_fft_run_yields_four_exchange_rounds(self):
-        from repro.perf.cli import traced_report_case
-
-        tracer, _ = traced_report_case("fft", nranks=4, seed=2)
+        tracer, _, _ = traced_case("fft", nranks=4, seed=2)
         paths = exchange_paths(tracer)
         assert len(paths) == 4  # the four reshapes of Fig. 1
         run_path = critical_path(tracer)
@@ -340,10 +337,10 @@ class TestTracedIntegration:
 # -- CLI --------------------------------------------------------------------------------
 
 class TestPerfCli:
-    def test_report_command(self, capsys):
+    def test_report_command(self, capsys, tmp_path):
         from repro.__main__ import main
 
-        assert main(["perf", "report", "--case", "alltoall", "--ranks", "4"]) == 0
+        assert main(["trace", "alltoall", "--ranks", "4", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "overlapped with in-flight communication" in out
@@ -387,7 +384,5 @@ class TestPerfCli:
             main(["perf", "compare"])
 
     def test_unknown_report_case_rejected(self):
-        from repro.perf.cli import run_perf_cli
-
         with pytest.raises(SystemExit):
-            run_perf_cli("report", case="nope")
+            traced_case("nope")

@@ -570,6 +570,25 @@ class TestProcKillRecovery:
         assert report is not None and report.recovered
         assert report.phase_sequence_complete()
 
+    def test_kill_drill_closes_its_checkpoint_mappings(self, capfd, monkeypatch):
+        """A failed stage's checkpoint store closes its segment mappings
+        itself; left to the cyclic collector (the failure's traceback
+        keeps the frame alive), each one's close fails under a live view
+        and the ranks print ``Exception ignored … BufferError``."""
+        import sys
+
+        from repro.resilience.cli import run_drill
+
+        # pytest turns unraisable exceptions into warnings, which forked
+        # ranks never report: let them print, as they do outside pytest.
+        monkeypatch.setattr(sys, "unraisablehook", sys.__unraisablehook__)
+        ok, _, _, text = run_drill(
+            "kill", runtime="proc", n=16, timeout=20.0, suspect_after=0.5
+        )
+        assert ok, text
+        err = capfd.readouterr().err
+        assert "Exception ignored" not in err, err
+
 
 # -- durable shared-memory checkpoint store -------------------------------------------
 

@@ -251,7 +251,7 @@ class TestTracerSpooling:
         from repro.trace import get_tracer, install
         from repro.trace.core import Tracer
 
-        tracer = Tracer(enabled=True)
+        tracer = Tracer()
         previous = get_tracer()
         install(tracer)
         try:
@@ -268,3 +268,41 @@ class TestTracerSpooling:
         spans = [s for s in tracer.span_events() if s.kind == "child-work"]
         assert sorted(s.rank for s in spans) == [0, 1, 2]
         assert all(s.t1_ns >= s.t0_ns for s in spans)
+
+    def test_an_unpicklable_attribute_loses_only_that_ranks_trace(self, leak_check):
+        """Tracing never kills a rank: rank 1's span carries a lock, which
+        does not pickle, so its records stay home; its result and the
+        other ranks' spans still arrive."""
+        import threading
+
+        from repro.trace import span, tracing
+
+        def kernel(comm):
+            attrs = {"lock": threading.Lock()} if comm.rank == 1 else {}
+            with span("child-work", **attrs):
+                comm.barrier()
+            return 10 * comm.rank
+
+        with tracing() as tracer:
+            results = ProcessWorld(3, timeout=10.0).run(kernel)
+        assert results == [0, 10, 20]
+        spans = [s for s in tracer.span_events() if s.kind == "child-work"]
+        assert sorted(s.rank for s in spans) == [0, 2]
+
+    def test_records_ride_with_the_unpicklable_result_message(self, leak_check):
+        """A return value that does not pickle is replaced by an error
+        message on the same pipe, and the rank's records travel with it."""
+        import threading
+
+        from repro.trace import span, tracing
+
+        def kernel(comm):
+            with span("child-work"):
+                comm.barrier()
+            return threading.Lock() if comm.rank == 1 else comm.rank
+
+        with tracing() as tracer:
+            with pytest.raises(CommunicatorError, match="not picklable"):
+                ProcessWorld(3, timeout=10.0).run(kernel)
+        spans = [s for s in tracer.span_events() if s.kind == "child-work"]
+        assert sorted(s.rank for s in spans) == [0, 1, 2]

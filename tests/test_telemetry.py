@@ -651,7 +651,7 @@ class TestPublishedStreamIsPinned:
         counters = sorted([rank, name, float(v)] for (rank, name), v in tracer.counters().items())
         instants = sorted(
             [i.kind, i.rank, json.dumps(i.attrs, sort_keys=True, default=str)]
-            for i in tracer.instant_events()
+            for i in tracer.records("i")
         )
         series = []
         for entry in metrics.get_registry().snapshot()["series"]:

@@ -101,20 +101,16 @@ ENTRY_POINTS: tuple[Entry, ...] = (
     Entry("resilience-proc", ("-m", "repro", "resilience", "--kind", "both", "--ranks", "4",
                               "--n", "16", "--runtime", "proc", "--out", "{work}/res-proc")),
     Entry("trace-fft", ("-m", "repro", "trace", "fft", "--ranks", "8", "--n", "16",
-                        "--out-dir", "{work}/bench-out", "--bench-name", "pr2")),
+                        "--out", "{work}/bench-out", "--bench-name", "pr2")),
     Entry("trace-fft-proc", ("-m", "repro", "trace", "fft", "--ranks", "4", "--n", "8",
-                             "--runtime", "proc", "--out-dir", "{work}/proc-bench-out")),
+                             "--runtime", "proc", "--out", "{work}/proc-bench-out")),
     Entry("trace-alltoall", ("-m", "repro", "trace", "alltoall", "--ranks", "4", "--n", "8",
-                             "--out-dir", "{work}/a2a-out")),
+                             "--out", "{work}/a2a-out")),
     Entry("tune", ("-m", "repro", "tune", "--ranks", "4", "--n", "8", "--machine", "laptop",
                    "--repeats", "2", "--iters", "1", "--name", "smoke", "--out", "{work}/tune-out")),
     Entry("perf-compare", ("-m", "repro", "perf", "compare", "--baseline",
                            os.path.join(REPO, "BENCH_pr4.json"), "--name", "ci",
                            "--out", "{work}/perf-out", "--rel-tol", "1.0")),
-    Entry("perf-report-alltoall", ("-m", "repro", "perf", "report", "--case", "alltoall",
-                                   "--out", "{work}/perf-report")),
-    Entry("perf-report-fft", ("-m", "repro", "perf", "report", "--case", "fft",
-                              "--out", "{work}/perf-report")),
     Entry("runtime-compare", (os.path.join(REPO, "benchmarks", "bench_runtime_compare.py"),
                               "{work}/BENCH_pr8.json")),
     Entry("blackbox-drill", ("-m", "repro", "blackbox", "--drill", "--ranks", "4", "--n", "8",
